@@ -35,12 +35,7 @@ pub fn bounded_database_cq(
     db: &Database,
     budget: &SearchBudget,
 ) -> Result<Option<bool>, RcError> {
-    verdict_to_bool(crate::rcdp::rcdp_exact(
-        setting,
-        &Query::Cq(q.clone()),
-        db,
-        budget,
-    ))
+    exact_bound(setting, &Query::Cq(q.clone()), db, budget)
 }
 
 /// C3: the IND specialisation (Corollary 3.4). Panics if `V` is not a set of
@@ -62,16 +57,29 @@ pub fn bounded_database_ucq(
     db: &Database,
     budget: &SearchBudget,
 ) -> Result<Option<bool>, RcError> {
-    verdict_to_bool(crate::rcdp::rcdp_exact(
-        setting,
-        &Query::Ucq(q.clone()),
-        db,
-        budget,
-    ))
+    exact_bound(setting, &Query::Ucq(q.clone()), db, budget)
 }
 
-fn verdict_to_bool(v: Result<Verdict, RcError>) -> Result<Option<bool>, RcError> {
-    Ok(match v? {
+/// Run the exact decider fresh and read its verdict as a bound (`None` for
+/// `Unknown`).
+fn exact_bound(
+    setting: &Setting,
+    query: &Query,
+    db: &Database,
+    budget: &SearchBudget,
+) -> Result<Option<bool>, RcError> {
+    let guard = Guard::new(budget);
+    let (verdict, _) = crate::rcdp::decide_exact(
+        setting,
+        query,
+        db,
+        budget,
+        &guard,
+        Probe::disabled(),
+        None,
+        None,
+    )?;
+    Ok(match verdict {
         Verdict::Complete => Some(true),
         Verdict::Incomplete(_) => Some(false),
         Verdict::Unknown { .. } => None,
@@ -264,7 +272,7 @@ fn e2_check_inner(
     // `D_𝒱` is partially closed (checked above) and lower bounds are
     // preserved under extension, so `(D_𝒱 ∪ Δ, D_m) |= V` reduces to the
     // upper bounds — exactly what the engine's check mode answers.
-    let mode = crate::rcdp::CheckMode::select(setting, budget.engine, dv)?;
+    let mode = crate::rcdp::CheckMode::select(setting, budget.engine, dv, None)?;
     let cc_skipped = std::cell::Cell::new(0u64);
     let mut ok = true;
     let outcome = space.for_each_valid(

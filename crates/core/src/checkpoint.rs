@@ -32,7 +32,8 @@ use crate::budget::SearchBudget;
 use crate::guard::Guard;
 use crate::par::ChunkStats;
 use crate::query::Query;
-use crate::rcdp::{exactly_decidable, validate_fp_bodies};
+use crate::rcdp::Ledger;
+use crate::semidecide::BoundedResume;
 use crate::setting::Setting;
 use crate::verdict::{BudgetLimit, QueryVerdict, RcError, Verdict};
 use ric_data::Database;
@@ -186,6 +187,46 @@ pub enum Frontier {
     },
     /// No reusable frontier: resume re-runs the decision from scratch.
     Restart,
+}
+
+impl Frontier {
+    /// The engine ledger this frontier commits, if any.
+    fn ledger(&self) -> Option<Ledger> {
+        match self {
+            Frontier::RcdpChunks { n_chunks, cleared } => Some(Ledger::Exact((
+                *n_chunks as usize,
+                cleared
+                    .iter()
+                    .map(|(idx, p)| (*idx as usize, p.to_stats()))
+                    .collect(),
+            ))),
+            Frontier::BoundedSizes {
+                next_size,
+                progress,
+            } => Some(Ledger::Bounded(Box::new(BoundedResume {
+                next_size: *next_size as usize,
+                stats: progress.to_stats(),
+            }))),
+            Frontier::Restart => None,
+        }
+    }
+
+    /// The serializable form of an engine ledger.
+    fn from_ledger(ledger: Ledger) -> Frontier {
+        match ledger {
+            Ledger::Exact((n_chunks, cleared)) => Frontier::RcdpChunks {
+                n_chunks: n_chunks as u64,
+                cleared: cleared
+                    .into_iter()
+                    .map(|(idx, stats)| (idx as u64, Progress::from_stats(&stats)))
+                    .collect(),
+            },
+            Ledger::Bounded(resume) => Frontier::BoundedSizes {
+                next_size: resume.next_size as u64,
+                progress: Progress::from_stats(&resume.stats),
+            },
+        }
+    }
 }
 
 /// Typed failures when parsing or validating a checkpoint.
@@ -488,16 +529,17 @@ pub struct QueryResumption {
     pub checkpoint: Option<Checkpoint>,
 }
 
-/// [`crate::rcdp_guarded`] with checkpoint capture and resume. `prior` is a
+/// [`crate::rcdp_guarded`] with checkpoint capture and resume: the same
+/// dispatch and search driver, handed the committed ledger of `prior` — a
 /// checkpoint from an earlier installment of the *same* decision (validate
 /// with [`Checkpoint::validate`] first; this driver re-checks defensively and
 /// discards rather than errors, so core stays panic- and surprise-free).
+/// This layer adds only the fingerprint and the capture.
 ///
 /// On an `Unknown` verdict whose limit is resumable, the returned
 /// [`Resumption::checkpoint`] carries the committed frontier; the driver also
 /// emits `checkpoint.captured` and machine-readable `explain.frontier.json`
 /// telemetry notes.
-#[allow(clippy::too_many_arguments)]
 pub fn rcdp_resumed_guarded(
     setting: &Setting,
     query: &Query,
@@ -508,65 +550,15 @@ pub fn rcdp_resumed_guarded(
     prior: Option<&Checkpoint>,
 ) -> Result<Resumption, RcError> {
     let probe = probe.with_ticks(guard);
-    validate_fp_bodies(setting, query)?;
-    if !setting.partially_closed(db)? {
-        return Err(RcError::NotPartiallyClosed);
-    }
     let fingerprint = rcdp_fingerprint(setting, query, db);
     let attempt = prior.map_or(1, |c| c.attempt.saturating_add(1));
     probe.note("resume.attempt", || attempt.to_string());
-    let usable = prior.filter(|c| c.validate(DecisionKind::Rcdp, fingerprint).is_ok());
-
-    let exact = exactly_decidable(query.language()) && exactly_decidable(setting.v.language());
-    let (verdict, frontier) = if exact {
-        probe.note("rcdp.strategy", || "exact".into());
-        let committed = match usable.map(|c| &c.frontier) {
-            Some(Frontier::RcdpChunks { n_chunks, cleared }) => Some((
-                *n_chunks as usize,
-                cleared
-                    .iter()
-                    .map(|(idx, p)| (*idx as usize, p.to_stats()))
-                    .collect::<Vec<_>>(),
-            )),
-            _ => None,
-        };
-        let (verdict, ledger) =
-            crate::rcdp::rcdp_exact_resumed(setting, query, db, budget, guard, probe, committed)?;
-        let frontier = ledger.map(|(n_chunks, cleared)| Frontier::RcdpChunks {
-            n_chunks: n_chunks as u64,
-            cleared: cleared
-                .into_iter()
-                .map(|(idx, stats)| (idx as u64, Progress::from_stats(&stats)))
-                .collect(),
-        });
-        (verdict, frontier)
-    } else {
-        probe.note("rcdp.strategy", || "bounded".into());
-        let committed = match usable.map(|c| &c.frontier) {
-            Some(Frontier::BoundedSizes {
-                next_size,
-                progress,
-            }) => Some(crate::semidecide::BoundedResume {
-                next_size: *next_size as usize,
-                stats: progress.to_stats(),
-            }),
-            _ => None,
-        };
-        let (verdict, resume) = crate::semidecide::rcdp_bounded_resumed(
-            setting,
-            query,
-            db,
-            budget,
-            guard,
-            probe,
-            committed.as_ref(),
-        )?;
-        let frontier = resume.map(|r| Frontier::BoundedSizes {
-            next_size: r.next_size as u64,
-            progress: Progress::from_stats(&r.stats),
-        });
-        (verdict, frontier)
-    };
+    let ledger = prior
+        .filter(|c| c.validate(DecisionKind::Rcdp, fingerprint).is_ok())
+        .and_then(|c| c.frontier.ledger());
+    let (verdict, ledger) =
+        crate::rcdp::decide(setting, query, db, budget, guard, probe, None, ledger)?;
+    let frontier = ledger.map(Frontier::from_ledger);
 
     let checkpoint = match (&verdict, frontier) {
         (Verdict::Unknown { stats }, Some(frontier)) if resumable_limit(stats.limit) => {

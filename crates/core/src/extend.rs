@@ -112,7 +112,7 @@ pub fn complete_extension_guarded(
         // hundreds of rounds, and each round's counters would swamp the
         // sink; rounds and collected tuples summarise the loop.
         let verdict = if exact {
-            crate::rcdp::rcdp_exact_reusing(
+            crate::rcdp::decide_exact(
                 setting,
                 query,
                 &current,
@@ -120,9 +120,11 @@ pub fn complete_extension_guarded(
                 guard,
                 Probe::disabled(),
                 reuse.as_ref(),
+                None,
             )?
+            .0
         } else {
-            crate::semidecide::rcdp_bounded_guarded_reusing(
+            crate::semidecide::decide_bounded(
                 setting,
                 query,
                 &current,
@@ -130,7 +132,9 @@ pub fn complete_extension_guarded(
                 guard,
                 Probe::disabled(),
                 reuse.as_ref(),
+                None,
             )?
+            .0
         };
         match verdict {
             Verdict::Complete => {

@@ -26,6 +26,27 @@ use ric_data::Database;
 use ric_telemetry::Probe;
 use std::sync::Arc;
 
+/// The one place a decision picks its upper-bound preparation: the shared
+/// `reuse` preparation when given, else a fresh compilation for `engine` —
+/// with cost-based plans costed from `stats` under [`Engine::Planned`]. Each
+/// caller keeps its own choice of *whether* it wants a preparation.
+pub(crate) fn upper_preparation(
+    setting: &Setting,
+    engine: Engine,
+    stats: &dyn StatsProvider,
+    reuse: Option<&Arc<PreparedUpper>>,
+) -> Result<Arc<PreparedUpper>, RcError> {
+    if let Some(prep) = reuse {
+        return Ok(Arc::clone(prep));
+    }
+    let prep = if engine.is_planned() {
+        PreparedUpper::with_plans(&setting.v, &setting.schema, &setting.dm, stats)?
+    } else {
+        PreparedUpper::new(&setting.v, &setting.schema, &setting.dm)?
+    };
+    Ok(Arc::new(prep))
+}
+
 /// Build the shared upper-bound preparation `engine` wants for `setting`,
 /// or `None` when the engine never consults one (naive engines use the
 /// materialized union; IND-only settings use the C3 delta identity with no
@@ -38,12 +59,7 @@ pub(crate) fn prepare_upper(
     if setting.v.is_ind_set() || !engine.indexed() {
         return Ok(None);
     }
-    let prep = if engine.is_planned() {
-        PreparedUpper::with_plans(&setting.v, &setting.schema, &setting.dm, stats)?
-    } else {
-        PreparedUpper::new(&setting.v, &setting.schema, &setting.dm)?
-    };
-    Ok(Some(Arc::new(prep)))
+    upper_preparation(setting, engine, stats, None).map(Some)
 }
 
 /// A [`Setting`] with its per-engine constraint compilation done up front.
@@ -191,7 +207,7 @@ impl PreparedSetting {
         probe: Probe<'_>,
     ) -> Result<Verdict, RcError> {
         let budget = self.budget_for(budget);
-        crate::rcdp::rcdp_guarded_reusing(
+        let (verdict, _) = crate::rcdp::decide(
             &self.setting,
             query,
             db,
@@ -199,7 +215,9 @@ impl PreparedSetting {
             guard,
             probe,
             self.upper(),
-        )
+            None,
+        )?;
+        Ok(verdict)
     }
 
     /// [`crate::rcqp::rcqp`] reusing this preparation.

@@ -19,17 +19,27 @@
 //! [`rcdp`] automatically falls back to the bounded extension search of
 //! [`crate::semidecide`], which can certify incompleteness but reports
 //! `Unknown` otherwise.
+//!
+//! Every entry point — [`rcdp`], a [`crate::PreparedSetting`] decision, and
+//! the checkpointed [`crate::checkpoint::rcdp_resumed_guarded`] — runs the
+//! same dispatch (`decide`) and the same search driver: the exact search
+//! walks one canonical chunk list (a chunk is one depth-0 candidate of one
+//! disjunct) and a fresh decision is a resume with an empty ledger of
+//! cleared chunks.
 
 use crate::adom::Adom;
 use crate::budget::{Engine, Meter, MeterKind, SearchBudget};
 use crate::guard::Guard;
+use crate::par::{self, ChunkEvent, ChunkResult, ChunkSlot, ChunkStats, PoolOutcome, PoolRun};
 use crate::query::Query;
+use crate::semidecide::BoundedResume;
 use crate::setting::Setting;
 use crate::valuations::{EnumOutcome, ValuationSpace};
 use crate::verdict::{BudgetLimit, CounterExample, RcError, SearchStats, Verdict};
 use ric_constraints::PreparedUpper;
-use ric_data::{index::probe_count, Database, Overlay, Tuple};
-use ric_query::QueryLanguage;
+use ric_data::{index::probe_count, Database, Overlay, Tuple, Value};
+use ric_query::tableau::Tableau;
+use ric_query::{QueryLanguage, Term};
 use ric_telemetry::Probe;
 use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, BTreeSet};
@@ -52,45 +62,23 @@ impl CheckMode {
     /// Pick the mode for this decision. The delta mode's precondition —
     /// upper bounds hold on the base — is the partial-closure input
     /// requirement, verified by the callers. `db` supplies the statistics
-    /// the planned engine compiles its join orders from.
+    /// the planned engine compiles its join orders from; a given `reuse`
+    /// preparation (the prepared-decision path) is shared instead.
     pub(crate) fn select(
-        setting: &Setting,
-        engine: Engine,
-        db: &Database,
-    ) -> Result<CheckMode, RcError> {
-        Self::select_reusing(setting, engine, db, None)
-    }
-
-    /// [`Self::select`] with an optional pre-built preparation (the
-    /// prepared-decision path): when `reuse` is given and the decision wants
-    /// the delta mode, the shared preparation is cloned instead of
-    /// recompiled.
-    pub(crate) fn select_reusing(
         setting: &Setting,
         engine: Engine,
         db: &Database,
         reuse: Option<&Arc<PreparedUpper>>,
     ) -> Result<CheckMode, RcError> {
-        if setting.v.is_ind_set() {
-            Ok(CheckMode::IndOnly)
+        Ok(if setting.v.is_ind_set() {
+            CheckMode::IndOnly
         } else if !engine.indexed() {
-            Ok(CheckMode::Union)
-        } else if let Some(prep) = reuse {
-            Ok(CheckMode::Delta(Arc::clone(prep)))
-        } else if engine.is_planned() {
-            Ok(CheckMode::Delta(Arc::new(PreparedUpper::with_plans(
-                &setting.v,
-                &setting.schema,
-                &setting.dm,
-                db,
-            )?)))
+            CheckMode::Union
         } else {
-            Ok(CheckMode::Delta(Arc::new(PreparedUpper::new(
-                &setting.v,
-                &setting.schema,
-                &setting.dm,
-            )?)))
-        }
+            CheckMode::Delta(crate::prepared::upper_preparation(
+                setting, engine, db, reuse,
+            )?)
+        })
     }
 
     /// The shared preparation backing the delta mode, if any.
@@ -162,7 +150,7 @@ impl CheckMode {
 /// Stable counter names for pruning attribution by containment-constraint
 /// index: `prune.cc.NN` counts candidate rejections whose first violated
 /// constraint was `V[NN]` (slot 15 absorbs larger sets).
-pub(crate) const PRUNE_CC: [&str; crate::par::CC_ATTR] = [
+pub(crate) const PRUNE_CC: [&str; par::CC_ATTR] = [
     "prune.cc.00",
     "prune.cc.01",
     "prune.cc.02",
@@ -182,15 +170,15 @@ pub(crate) const PRUNE_CC: [&str; crate::par::CC_ATTR] = [
 ];
 
 /// Emit nonzero `prune.cc.NN` attribution counters.
-pub(crate) fn emit_cc_attribution(probe: Probe<'_>, viol: &[u64; crate::par::CC_ATTR]) {
+pub(crate) fn emit_cc_attribution(probe: Probe<'_>, viol: &[u64; par::CC_ATTR]) {
     for (name, &v) in PRUNE_CC.iter().zip(viol) {
         probe.count(name, v);
     }
 }
 
 /// Bump the attribution slot for constraint index `i` (clamped).
-fn bump_viol(viol: &[Cell<u64>; crate::par::CC_ATTR], i: usize) {
-    let c = &viol[i.min(crate::par::CC_ATTR - 1)];
+fn bump_viol(viol: &[Cell<u64>; par::CC_ATTR], i: usize) {
+    let c = &viol[i.min(par::CC_ATTR - 1)];
     c.set(c.get() + 1);
 }
 
@@ -244,13 +232,32 @@ pub fn rcdp_guarded(
     guard: &Guard,
     probe: Probe<'_>,
 ) -> Result<Verdict, RcError> {
-    rcdp_guarded_reusing(setting, query, db, budget, guard, probe, None)
+    Ok(decide(setting, query, db, budget, guard, probe, None, None)?.0)
 }
 
-/// [`rcdp_guarded`] with an optional pre-built upper-bound preparation from a
-/// [`crate::PreparedSetting`]: when given, the exact and bounded paths reuse
-/// the shared plans instead of recompiling them per decision.
-pub(crate) fn rcdp_guarded_reusing(
+/// A resumable exact run's committed ledger: the number of frontier chunks
+/// in the canonical layout and the per-chunk stats of those already cleared.
+pub(crate) type ExactLedger = (usize, Vec<(usize, ChunkStats)>);
+
+/// Committed search progress carried from one installment of a decision to
+/// the next. The public, serializable mirror is
+/// [`Frontier`](crate::checkpoint::Frontier).
+pub(crate) enum Ledger {
+    /// The exact search's cleared chunks.
+    Exact(ExactLedger),
+    /// The bounded search's fully searched extension sizes.
+    Bounded(Box<BoundedResume>),
+}
+
+/// The one RCDP dispatch: check the FP bodies and partial closure, then run
+/// the exact search or the bounded semi-decision. `reuse` is a
+/// [`crate::PreparedSetting`]'s shared upper-bound preparation; `prior` is
+/// the ledger of an earlier installment (`None` for a fresh decision), used
+/// only when it belongs to the search this dispatch picks. Returns the
+/// verdict and, when the search stopped on a budget-like limit, the ledger
+/// to resume from.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn decide(
     setting: &Setting,
     query: &Query,
     db: &Database,
@@ -258,7 +265,8 @@ pub(crate) fn rcdp_guarded_reusing(
     guard: &Guard,
     probe: Probe<'_>,
     reuse: Option<&Arc<PreparedUpper>>,
-) -> Result<Verdict, RcError> {
+    prior: Option<Ledger>,
+) -> Result<(Verdict, Option<Ledger>), RcError> {
     // The guard is the decision's deterministic timebase: spans opened below
     // carry tick deltas alongside wall-clock micros.
     let probe = probe.with_ticks(guard);
@@ -268,47 +276,24 @@ pub(crate) fn rcdp_guarded_reusing(
     }
     if exactly_decidable(query.language()) && exactly_decidable(setting.v.language()) {
         probe.note("rcdp.strategy", || "exact".into());
-        rcdp_exact_reusing(setting, query, db, budget, guard, probe, reuse)
+        let committed = match prior {
+            Some(Ledger::Exact(ledger)) => Some(ledger),
+            _ => None,
+        };
+        let (verdict, ledger) =
+            decide_exact(setting, query, db, budget, guard, probe, reuse, committed)?;
+        Ok((verdict, ledger.map(Ledger::Exact)))
     } else {
         probe.note("rcdp.strategy", || "bounded".into());
-        crate::semidecide::rcdp_bounded_guarded_reusing(
-            setting, query, db, budget, guard, probe, reuse,
-        )
+        let committed = match prior {
+            Some(Ledger::Bounded(resume)) => Some(*resume),
+            _ => None,
+        };
+        let (verdict, resume) = crate::semidecide::decide_bounded(
+            setting, query, db, budget, guard, probe, reuse, committed,
+        )?;
+        Ok((verdict, resume.map(|r| Ledger::Bounded(Box::new(r)))))
     }
-}
-
-/// The exact decider; callers must have verified the language combination
-/// and partial closure. Exposed for the characterization cross-checks.
-pub fn rcdp_exact(
-    setting: &Setting,
-    query: &Query,
-    db: &Database,
-    budget: &SearchBudget,
-) -> Result<Verdict, RcError> {
-    rcdp_exact_probed(setting, query, db, budget, Probe::disabled())
-}
-
-/// [`rcdp_exact`] with a telemetry probe attached.
-pub fn rcdp_exact_probed(
-    setting: &Setting,
-    query: &Query,
-    db: &Database,
-    budget: &SearchBudget,
-    probe: Probe<'_>,
-) -> Result<Verdict, RcError> {
-    rcdp_exact_guarded(setting, query, db, budget, &Guard::new(budget), probe)
-}
-
-/// [`rcdp_exact`] under a caller-supplied [`Guard`].
-pub fn rcdp_exact_guarded(
-    setting: &Setting,
-    query: &Query,
-    db: &Database,
-    budget: &SearchBudget,
-    guard: &Guard,
-    probe: Probe<'_>,
-) -> Result<Verdict, RcError> {
-    rcdp_exact_reusing(setting, query, db, budget, guard, probe, None)
 }
 
 /// Emit `plan.*` telemetry for a planned-engine decision: compile/reuse,
@@ -390,10 +375,17 @@ pub(crate) const STATS_ROWS: [&str; 16] = [
     "stats.rows.15",
 ];
 
-/// [`rcdp_exact_guarded`] with an optional shared preparation (see
-/// [`CheckMode::select_reusing`]).
+/// The exact decider; callers must have verified the language combination
+/// and partial closure. The one setup — tableaux, `Q(D)`, `Adom`, check
+/// mode (sharing `reuse` when given), chunk layout — feeds the one chunk
+/// driver: inline under one meter, or sharded across the worker pool.
+/// `committed` is `(n_chunks, cleared)` from a prior installment's
+/// checkpoint, `None` for a fresh decision; a ledger whose chunk count does
+/// not match this decision's canonical layout is discarded (with a
+/// `resume.discarded` note) rather than trusted. The setup is deterministic,
+/// so the telemetry stays installment-independent.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn rcdp_exact_reusing(
+pub(crate) fn decide_exact(
     setting: &Setting,
     query: &Query,
     db: &Database,
@@ -401,670 +393,6 @@ pub(crate) fn rcdp_exact_reusing(
     guard: &Guard,
     probe: Probe<'_>,
     reuse: Option<&Arc<PreparedUpper>>,
-) -> Result<Verdict, RcError> {
-    let probe = probe.with_ticks(guard);
-    let Some(ucq) = query.as_ucq() else {
-        return Err(RcError::Unsupported(format!(
-            "exact RCDP requires a UCQ-expressible query, got {:?}",
-            query.language()
-        )));
-    };
-    let tableaux = ucq.tableaux()?;
-    if tableaux.is_empty() {
-        // Unsatisfiable query: every partially closed database is complete.
-        probe.note("rcdp.outcome", || "complete".into());
-        return Ok(Verdict::Complete);
-    }
-    let q_d: BTreeSet<Tuple> = query.eval(db)?;
-    probe.count("rcdp.query_evals", 1);
-    let n_fresh = tableaux
-        .iter()
-        .map(|t| t.n_vars as usize)
-        .max()
-        .unwrap_or(0)
-        .max(1);
-    let adom = Adom::build(db, setting, query, n_fresh);
-    probe.gauge("rcdp.adom_size", adom.len() as u64);
-    let mode = CheckMode::select_reusing(setting, budget.engine, db, reuse)?;
-    emit_plan_telemetry(
-        probe,
-        setting,
-        budget.engine,
-        mode.prepared(),
-        reuse.is_some(),
-        db,
-    );
-    if budget.engine.sharded() {
-        return rcdp_exact_parallel(
-            setting, db, budget, guard, probe, &tableaux, &q_d, &adom, &mode,
-        );
-    }
-    let mut meter = Meter::guarded(MeterKind::Valuations, budget.max_valuations, guard);
-    let cc_checks = Cell::new(0u64);
-    let cc_skipped = Cell::new(0u64);
-    let cc_viol: [Cell<u64>; crate::par::CC_ATTR] = Default::default();
-    let probes_before = probe_count();
-    // Scratch delta reused across candidates: steady-state, a candidate
-    // costs index probes and a few inserts, never a clone of `db`.
-    let scratch = RefCell::new(Database::with_relations(setting.schema.len()));
-
-    let span = probe.span("rcdp.enumerate");
-    let mut verdict = Verdict::Complete;
-    for (ti, t) in tableaux.iter().enumerate() {
-        if !t.domain_consistent(&setting.schema) {
-            // Constants outside finite domains: this disjunct matches no
-            // valid tuple and cannot witness incompleteness.
-            continue;
-        }
-        let space = ValuationSpace::new(t, &setting.schema, &adom);
-        let mut found: Option<CounterExample> = None;
-        let head_terms = t.head.clone();
-        let outcome = space.for_each_valid_pruned_probed(
-            probe,
-            &mut meter,
-            |binding| {
-                // Prune: if the candidate output tuple is already answered,
-                // no valuation with these head values is a counterexample.
-                let tuple = Tuple::new(head_terms.iter().map(|term| {
-                    match term {
-                        ric_query::Term::Var(v) => binding[v.idx()]
-                            .clone()
-                            .unwrap_or_else(|| unreachable!("head vars bound first")),
-                        ric_query::Term::Const(c) => c.clone(),
-                    }
-                }));
-                !q_d.contains(&tuple)
-            },
-            |binding| {
-                // Prune subtrees whose already-instantiated tuples violate V:
-                // constraint bodies are monotone, so the violation persists
-                // in every completion.
-                let bound = space.bound_atoms(binding);
-                if bound.is_empty() {
-                    return true;
-                }
-                let mut delta = scratch.borrow_mut();
-                delta.clear_tuples();
-                for (rel, tuple) in bound {
-                    delta.insert(rel, tuple);
-                }
-                // Upper bounds only: lower bounds hold on D and are
-                // preserved by extension (monotone bodies).
-                cc_checks.set(cc_checks.get() + 1);
-                match mode.upper_check(setting, db, &delta, &cc_skipped) {
-                    None => true,
-                    Some(i) => {
-                        bump_viol(&cc_viol, i);
-                        false
-                    }
-                }
-            },
-            |mu| {
-                let delta = mu.instantiate(t, setting.schema.len());
-                cc_checks.set(cc_checks.get() + 1);
-                let violated = mode.upper_check(setting, db, &delta, &cc_skipped);
-                if let Some(i) = violated {
-                    bump_viol(&cc_viol, i);
-                }
-                if violated.is_none() {
-                    let new_answer = mu.head_tuple(t);
-                    let added = delta
-                        .difference(db)
-                        .unwrap_or_else(|e| unreachable!("delta shares the setting schema: {e:?}"));
-                    found = Some(CounterExample {
-                        delta: added,
-                        new_answer,
-                    });
-                    return std::ops::ControlFlow::Break(());
-                }
-                std::ops::ControlFlow::Continue(())
-            },
-        );
-        match outcome {
-            EnumOutcome::Stopped => {
-                verdict =
-                    Verdict::Incomplete(found.unwrap_or_else(|| {
-                        unreachable!("found is set before the enumeration breaks")
-                    }));
-                break;
-            }
-            EnumOutcome::BudgetExceeded => {
-                verdict = Verdict::unknown(
-                    SearchStats::new(
-                        meter.stop_limit(BudgetLimit::MaxValuations),
-                        meter.stop_detail("valuation"),
-                    )
-                    .with_valuations(meter.used()),
-                );
-                if let Some(interrupt) = meter.interrupt() {
-                    probe.interrupt("rcdp.interrupt", interrupt.name(), guard.ticks());
-                }
-                probe.note("explain.frontier", || {
-                    format!(
-                        "stopped in disjunct {}/{} after {} assignment(s); \
-                         later disjuncts unexplored",
-                        ti + 1,
-                        tableaux.len(),
-                        meter.used()
-                    )
-                });
-                break;
-            }
-            EnumOutcome::Exhausted => {}
-        }
-    }
-    drop(span);
-    probe.count("rcdp.valuations", meter.used());
-    probe.count("rcdp.cc_checks", cc_checks.get());
-    probe.count("cc.skipped_by_delta", cc_skipped.get());
-    // Thread-local counter: exact for this decision even when concurrent
-    // decisions probe on other threads.
-    probe.count("index.probe", probe_count().saturating_sub(probes_before));
-    emit_cc_attribution(probe, &std::array::from_fn(|i| cc_viol[i].get()));
-    emit_verdict(probe, &verdict);
-    Ok(verdict)
-}
-
-/// The exact decider's enumeration, sharded across the worker pool: one
-/// chunk per (tableau, depth-0 candidate) pair, concatenating — in chunk
-/// index order — to exactly the sequence the sequential engine enumerates.
-/// The merge is first-terminal-by-index, so the verdict and witness are
-/// independent of thread count and interleaving; per-chunk stats summed up
-/// to the deciding chunk reproduce the sequential telemetry counters.
-#[allow(clippy::too_many_arguments)]
-fn rcdp_exact_parallel(
-    setting: &Setting,
-    db: &Database,
-    budget: &SearchBudget,
-    guard: &Guard,
-    probe: Probe<'_>,
-    tableaux: &[ric_query::tableau::Tableau],
-    q_d: &BTreeSet<Tuple>,
-    adom: &Adom,
-    mode: &CheckMode,
-) -> Result<Verdict, RcError> {
-    let (spaces, chunks) = exact_chunk_layout(tableaux, setting, adom);
-    if chunks.is_empty() {
-        let verdict = Verdict::Complete;
-        emit_verdict(probe, &verdict);
-        return Ok(verdict);
-    }
-    let (verdict, _) = exact_chunks_parallel(
-        setting,
-        db,
-        budget,
-        guard,
-        probe,
-        tableaux,
-        q_d,
-        mode,
-        &spaces,
-        &chunks,
-        BTreeMap::new(),
-    );
-    Ok(verdict)
-}
-
-/// The domain-consistent valuation spaces plus the `(space index, split
-/// point)` chunk list derived from them.
-type ExactChunkLayout<'a> = (
-    Vec<(usize, ValuationSpace<'a>)>,
-    Vec<(usize, Option<(ric_data::Value, usize)>)>,
-);
-
-/// A resumable exact run's committed ledger: the number of frontier chunks
-/// already settled and the per-chunk stats backing the checkpoint.
-pub(crate) type ExactLedger = (usize, Vec<(usize, crate::par::ChunkStats)>);
-
-/// The exact decider's canonical chunk decomposition: one chunk per depth-0
-/// candidate of each domain-consistent disjunct's valuation space; a
-/// zero-variable space is one unsplittable chunk. A space with no depth-0
-/// candidates at all enumerates nothing and contributes no chunk (and no
-/// metered ticks), exactly like the sequential loop. This list — and its
-/// order — is shared by the parallel scheduler, the resumable sequential
-/// driver, and the checkpoint frontier, so a chunk index means the same
-/// thing in all three.
-fn exact_chunk_layout<'a>(
-    tableaux: &'a [ric_query::tableau::Tableau],
-    setting: &'a Setting,
-    adom: &'a Adom,
-) -> ExactChunkLayout<'a> {
-    let spaces: Vec<(usize, ValuationSpace)> = tableaux
-        .iter()
-        .enumerate()
-        .filter(|(_, t)| t.domain_consistent(&setting.schema))
-        .map(|(i, t)| (i, ValuationSpace::new(t, &setting.schema, adom)))
-        .collect();
-    let mut chunks: Vec<(usize, Option<(ric_data::Value, usize)>)> = Vec::new();
-    for (si, (_, space)) in spaces.iter().enumerate() {
-        match space.split_points() {
-            Some(points) => chunks.extend(points.into_iter().map(|p| (si, Some(p)))),
-            None => chunks.push((si, None)),
-        }
-    }
-    (spaces, chunks)
-}
-
-/// Enumerate one chunk of the exact search against `meter`, producing the
-/// chunk-pool result shape. Used verbatim by the parallel job (per-chunk
-/// meter slice) and the resumable sequential driver (one shared meter), so
-/// the per-chunk work — and therefore the committed checkpoint stats — are
-/// engine-independent.
-#[allow(clippy::too_many_arguments)]
-fn run_exact_chunk(
-    setting: &Setting,
-    db: &Database,
-    mode: &CheckMode,
-    q_d: &BTreeSet<Tuple>,
-    t: &ric_query::tableau::Tableau,
-    space: &ValuationSpace<'_>,
-    point: Option<&(ric_data::Value, usize)>,
-    meter: &mut Meter<'_>,
-) -> crate::par::ChunkResult<CounterExample> {
-    use crate::par::{self, ChunkEvent, ChunkResult, ChunkStats};
-    let used_before = meter.used();
-    let probes_before = probe_count();
-    let cc_checks = Cell::new(0u64);
-    let cc_skipped = Cell::new(0u64);
-    let cc_viol: [Cell<u64>; par::CC_ATTR] = Default::default();
-    let profile = crate::valuations::DepthProfile::new();
-    let scratch = RefCell::new(Database::with_relations(setting.schema.len()));
-    let mut found: Option<CounterExample> = None;
-    let head_terms = &t.head;
-    let head_filter = |binding: &[Option<ric_data::Value>]| {
-        let tuple = Tuple::new(head_terms.iter().map(|term| {
-            match term {
-                ric_query::Term::Var(v) => binding[v.idx()]
-                    .clone()
-                    .unwrap_or_else(|| unreachable!("head vars bound first")),
-                ric_query::Term::Const(c) => c.clone(),
-            }
-        }));
-        !q_d.contains(&tuple)
-    };
-    let partial_filter = |binding: &[Option<ric_data::Value>]| {
-        let bound = space.bound_atoms(binding);
-        if bound.is_empty() {
-            return true;
-        }
-        let mut delta = scratch.borrow_mut();
-        delta.clear_tuples();
-        for (rel, tuple) in bound {
-            delta.insert(rel, tuple);
-        }
-        cc_checks.set(cc_checks.get() + 1);
-        match mode.upper_check(setting, db, &delta, &cc_skipped) {
-            None => true,
-            Some(i) => {
-                bump_viol(&cc_viol, i);
-                false
-            }
-        }
-    };
-    let visit = |mu: &ric_query::tableau::Valuation| {
-        let delta = mu.instantiate(t, setting.schema.len());
-        cc_checks.set(cc_checks.get() + 1);
-        let violated = mode.upper_check(setting, db, &delta, &cc_skipped);
-        if let Some(i) = violated {
-            bump_viol(&cc_viol, i);
-        }
-        if violated.is_none() {
-            let new_answer = mu.head_tuple(t);
-            let added = delta
-                .difference(db)
-                .unwrap_or_else(|e| unreachable!("delta shares the setting schema: {e:?}"));
-            found = Some(CounterExample {
-                delta: added,
-                new_answer,
-            });
-            return std::ops::ControlFlow::Break(());
-        }
-        std::ops::ControlFlow::Continue(())
-    };
-    let outcome = match point {
-        Some(p) => space.for_each_valid_pruned_chunk_profiled(
-            &profile,
-            p.clone(),
-            meter,
-            head_filter,
-            partial_filter,
-            visit,
-        ),
-        None => space.for_each_valid_pruned_profiled(
-            &profile,
-            meter,
-            head_filter,
-            partial_filter,
-            visit,
-        ),
-    };
-    let event = match outcome {
-        EnumOutcome::Stopped => ChunkEvent::Hit,
-        EnumOutcome::Exhausted => ChunkEvent::Clear,
-        EnumOutcome::BudgetExceeded => match meter.interrupt() {
-            Some(interrupt) => ChunkEvent::Interrupted(interrupt),
-            None => ChunkEvent::Exhausted,
-        },
-    };
-    ChunkResult {
-        event,
-        value: found,
-        stats: ChunkStats {
-            ticks: meter.used() - used_before,
-            cc_checks: cc_checks.get(),
-            cc_skipped: cc_skipped.get(),
-            probes: probe_count().saturating_sub(probes_before),
-            query_evals: 0,
-            depth_candidates: profile.candidates(),
-            depth_pruned: profile.pruned(),
-            head_prunes: profile.head_prunes(),
-            cc_viol: std::array::from_fn(|i| cc_viol[i].get()),
-        },
-    }
-}
-
-/// The resumable sequential exact search: walk the canonical chunk list in
-/// index order under ONE meter primed with the committed ticks, skipping
-/// chunks already cleared by an earlier installment. Because chunk
-/// concatenation reproduces the sequential enumeration order and tick
-/// sequence exactly (pinned in `valuations.rs`), the verdict, witness, and
-/// scoped counters are identical to an uninterrupted sequential run at the
-/// same budget. Returns the cleared-chunk ledger when the search stopped on
-/// a budget-like limit.
-#[allow(clippy::too_many_arguments)]
-fn exact_chunks_sequential(
-    setting: &Setting,
-    db: &Database,
-    budget: &SearchBudget,
-    guard: &Guard,
-    probe: Probe<'_>,
-    tableaux: &[ric_query::tableau::Tableau],
-    q_d: &BTreeSet<Tuple>,
-    mode: &CheckMode,
-    spaces: &[(usize, ValuationSpace<'_>)],
-    chunks: &[(usize, Option<(ric_data::Value, usize)>)],
-    committed: BTreeMap<usize, crate::par::ChunkStats>,
-) -> (Verdict, Option<Vec<(usize, crate::par::ChunkStats)>>) {
-    use crate::par::{ChunkEvent, ChunkStats};
-    let committed_ticks: u64 = committed.values().map(|s| s.ticks).sum();
-    let mut totals = ChunkStats::default();
-    for stats in committed.values() {
-        totals.absorb(stats);
-    }
-    let mut meter = Meter::guarded_primed(
-        MeterKind::Valuations,
-        budget.max_valuations,
-        committed_ticks,
-        guard,
-    );
-    let mut ledger: Vec<(usize, ChunkStats)> = committed.iter().map(|(&i, s)| (i, *s)).collect();
-    let mut frontier = None;
-    let n_chunks = chunks.len();
-
-    let span = probe.span("rcdp.enumerate");
-    let mut verdict = Verdict::Complete;
-    for (idx, (si, point)) in chunks.iter().enumerate() {
-        if committed.contains_key(&idx) {
-            continue;
-        }
-        let (ti, space) = &spaces[*si];
-        let result = run_exact_chunk(
-            setting,
-            db,
-            mode,
-            q_d,
-            &tableaux[*ti],
-            space,
-            point.as_ref(),
-            &mut meter,
-        );
-        totals.absorb(&result.stats);
-        match result.event {
-            ChunkEvent::Clear => ledger.push((idx, result.stats)),
-            ChunkEvent::Hit => {
-                verdict = Verdict::Incomplete(
-                    result
-                        .value
-                        .unwrap_or_else(|| unreachable!("hit chunks carry a counterexample")),
-                );
-                break;
-            }
-            ChunkEvent::Exhausted | ChunkEvent::Interrupted(_) => {
-                if let Some(interrupt) = meter.interrupt() {
-                    probe.interrupt("rcdp.interrupt", interrupt.name(), guard.ticks());
-                }
-                probe.note("explain.frontier", || {
-                    format!(
-                        "stopped in chunk {}/{} after {} assignment(s); \
-                         uncleared chunks unexplored",
-                        idx + 1,
-                        n_chunks,
-                        meter.used()
-                    )
-                });
-                verdict = Verdict::unknown(
-                    SearchStats::new(
-                        meter.stop_limit(BudgetLimit::MaxValuations),
-                        meter.stop_detail("valuation"),
-                    )
-                    .with_valuations(meter.used()),
-                );
-                ledger.sort_unstable_by_key(|&(i, _)| i);
-                frontier = Some(std::mem::take(&mut ledger));
-                break;
-            }
-        }
-    }
-    drop(span);
-    probe.count("valuations.assignments", totals.ticks);
-    probe.count("rcdp.valuations", totals.ticks);
-    probe.count("rcdp.cc_checks", totals.cc_checks);
-    probe.count("cc.skipped_by_delta", totals.cc_skipped);
-    probe.count("index.probe", totals.probes);
-    crate::valuations::emit_profile(
-        probe,
-        &totals.depth_candidates,
-        &totals.depth_pruned,
-        totals.head_prunes,
-    );
-    emit_cc_attribution(probe, &totals.cc_viol);
-    emit_verdict(probe, &verdict);
-    (verdict, frontier)
-}
-
-/// The parallel exact search over the canonical chunk list, resumable and
-/// loss-tolerant: chunks cleared by an earlier installment become
-/// synthesized cleared slots (a cleared chunk's stats are independent of its
-/// budget slice — clearing means the whole subtree fit), the remaining
-/// chunks run under their *current-budget* slices, and a chunk that dies
-/// twice (see [`crate::par::run_chunks_recovering`]) triggers the
-/// degradation ladder: commit every cleared chunk and finish on the indexed
-/// sequential driver, recording `degrade.engine`.
-#[allow(clippy::too_many_arguments)]
-fn exact_chunks_parallel(
-    setting: &Setting,
-    db: &Database,
-    budget: &SearchBudget,
-    guard: &Guard,
-    probe: Probe<'_>,
-    tableaux: &[ric_query::tableau::Tableau],
-    q_d: &BTreeSet<Tuple>,
-    mode: &CheckMode,
-    spaces: &[(usize, ValuationSpace<'_>)],
-    chunks: &[(usize, Option<(ric_data::Value, usize)>)],
-    committed: BTreeMap<usize, crate::par::ChunkStats>,
-) -> (Verdict, Option<Vec<(usize, crate::par::ChunkStats)>>) {
-    use crate::par::{self, ChunkEvent, ChunkResult, ChunkSlot, ChunkStats, PoolOutcome, PoolRun};
-
-    let n_chunks = chunks.len();
-    let total_valuations = budget.max_valuations;
-    let todo: Vec<usize> = (0..n_chunks)
-        .filter(|i| !committed.contains_key(i))
-        .collect();
-
-    let job = |pos: usize, wguard: &Guard| -> ChunkResult<CounterExample> {
-        let idx = todo[pos];
-        let (si, point) = &chunks[idx];
-        let (ti, space) = &spaces[*si];
-        // The slice is computed from the *current* budget and the chunk's
-        // canonical index: an uninterrupted run at this budget hands the
-        // chunk exactly this slice, which is what the resume invariant pins.
-        let mut meter = Meter::guarded(
-            MeterKind::Valuations,
-            par::chunk_budget(total_valuations, n_chunks, idx),
-            wguard,
-        );
-        run_exact_chunk(
-            setting,
-            db,
-            mode,
-            q_d,
-            &tableaux[*ti],
-            space,
-            point.as_ref(),
-            &mut meter,
-        )
-    };
-
-    let span = probe.span("rcdp.enumerate");
-    let recovered = par::run_chunks_recovering(budget.engine.workers(), todo.len(), guard, &job);
-    probe.count("recover.chunk", recovered.recovered);
-    if !recovered.lost.is_empty() {
-        probe.count("degrade.chunk", recovered.lost.len() as u64);
-        probe.note("degrade.engine", || {
-            format!(
-                "parallel engine lost {} chunk(s) after quarantine retry; \
-                 downgrading to the sequential indexed engine",
-                recovered.lost.len()
-            )
-        });
-        let mut ledger = committed;
-        for (pos, slot) in recovered.run.slots.iter().enumerate() {
-            if let Some(ChunkSlot::Done(result)) = slot {
-                if matches!(result.event, ChunkEvent::Clear) {
-                    ledger.insert(todo[pos], result.stats);
-                }
-            }
-        }
-        drop(span);
-        return exact_chunks_sequential(
-            setting, db, budget, guard, probe, tableaux, q_d, mode, spaces, chunks, ledger,
-        );
-    }
-
-    let run = recovered.run;
-    if probe.trace().is_some() {
-        for entry in &run.timeline {
-            let e = *entry;
-            let chunk = todo.get(e.chunk).copied().unwrap_or(e.chunk);
-            probe.note("par.timeline", || {
-                format!(
-                    "worker {} chunk {} {}..{}us",
-                    e.worker, chunk, e.start_micros, e.end_micros
-                )
-            });
-        }
-    }
-    // Compose the full canonical slot list: committed chunks appear as
-    // synthesized cleared slots, fresh chunks take their pool slot (both
-    // walks ascend, so the zip is positional).
-    let mut fresh = run.slots.into_iter();
-    let slots: Vec<Option<ChunkSlot<CounterExample>>> = (0..n_chunks)
-        .map(|idx| match committed.get(&idx) {
-            Some(stats) => Some(ChunkSlot::Done(Box::new(ChunkResult {
-                event: ChunkEvent::Clear,
-                value: None,
-                stats: *stats,
-            }))),
-            None => fresh
-                .next()
-                .unwrap_or_else(|| unreachable!("one pool slot per uncommitted chunk")),
-        })
-        .collect();
-    let mut ledger: Vec<(usize, ChunkStats)> = Vec::new();
-    for (idx, slot) in slots.iter().enumerate() {
-        if let Some(ChunkSlot::Done(result)) = slot {
-            if matches!(result.event, ChunkEvent::Clear) {
-                ledger.push((idx, result.stats));
-            }
-        }
-    }
-    let full = PoolRun {
-        slots,
-        steals: run.steals,
-        executed: run.executed,
-        timeline: Vec::new(),
-    };
-    let merged = full.merge_search();
-    drop(span);
-
-    probe.count("par.chunk", merged.executed);
-    probe.count("par.steal", merged.steals);
-    probe.count("valuations.assignments", merged.stats.ticks);
-    probe.count("rcdp.valuations", merged.stats.ticks);
-    probe.count("rcdp.cc_checks", merged.stats.cc_checks);
-    probe.count("cc.skipped_by_delta", merged.stats.cc_skipped);
-    probe.count("index.probe", merged.stats.probes);
-    crate::valuations::emit_profile(
-        probe,
-        &merged.stats.depth_candidates,
-        &merged.stats.depth_pruned,
-        merged.stats.head_prunes,
-    );
-    emit_cc_attribution(probe, &merged.stats.cc_viol);
-    let deciding = merged.deciding;
-    let resumable = matches!(
-        merged.outcome,
-        PoolOutcome::Exhausted | PoolOutcome::Interrupted(_)
-    );
-    if resumable {
-        probe.note("explain.frontier", || {
-            let at = deciding.map_or(n_chunks, |k| k + 1);
-            format!(
-                "parallel fan-out stopped at chunk {at}/{n_chunks}; higher-index chunks unexplored"
-            )
-        });
-    }
-    let verdict = match merged.outcome {
-        PoolOutcome::Clear => Verdict::Complete,
-        PoolOutcome::Hit(ce) => Verdict::Incomplete(ce),
-        PoolOutcome::Exhausted => Verdict::unknown(
-            SearchStats::new(
-                BudgetLimit::MaxValuations,
-                format!("valuation budget of {total_valuations} exhausted"),
-            )
-            .with_valuations(merged.stats.ticks),
-        ),
-        PoolOutcome::Interrupted(interrupt) => {
-            probe.interrupt("rcdp.interrupt", interrupt.name(), merged.stats.ticks);
-            Verdict::unknown(
-                SearchStats::new(
-                    interrupt.limit(),
-                    par::interrupt_detail(interrupt, merged.stats.ticks, "valuation"),
-                )
-                .with_valuations(merged.stats.ticks),
-            )
-        }
-    };
-    emit_verdict(probe, &verdict);
-    (verdict, resumable.then_some(ledger))
-}
-
-/// The resumable exact decider: [`rcdp_exact_guarded`] with a cleared-chunk
-/// ledger in and out. `committed` is `(n_chunks, cleared)` from a prior
-/// installment's checkpoint; a ledger whose chunk count does not match this
-/// decision's canonical layout is discarded (with a `resume.discarded` note)
-/// rather than trusted. Setup (query evaluation, active domain, check-mode
-/// selection) re-runs every installment — it is deterministic, so the
-/// telemetry the facade compares stays installment-independent.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn rcdp_exact_resumed(
-    setting: &Setting,
-    query: &Query,
-    db: &Database,
-    budget: &SearchBudget,
-    guard: &Guard,
-    probe: Probe<'_>,
     committed: Option<ExactLedger>,
 ) -> Result<(Verdict, Option<ExactLedger>), RcError> {
     let probe = probe.with_ticks(guard);
@@ -1076,6 +404,7 @@ pub(crate) fn rcdp_exact_resumed(
     };
     let tableaux = ucq.tableaux()?;
     if tableaux.is_empty() {
+        // Unsatisfiable query: every partially closed database is complete.
         probe.note("rcdp.outcome", || "complete".into());
         return Ok((Verdict::Complete, None));
     }
@@ -1089,16 +418,23 @@ pub(crate) fn rcdp_exact_resumed(
         .max(1);
     let adom = Adom::build(db, setting, query, n_fresh);
     probe.gauge("rcdp.adom_size", adom.len() as u64);
-    let mode = CheckMode::select(setting, budget.engine, db)?;
-    emit_plan_telemetry(probe, setting, budget.engine, mode.prepared(), false, db);
-    let (spaces, chunks) = exact_chunk_layout(&tableaux, setting, &adom);
-    if chunks.is_empty() {
+    let mode = CheckMode::select(setting, budget.engine, db, reuse)?;
+    emit_plan_telemetry(
+        probe,
+        setting,
+        budget.engine,
+        mode.prepared(),
+        reuse.is_some(),
+        db,
+    );
+    let search = ExactSearch::new(setting, db, &mode, &q_d, &tableaux, &adom);
+    let n_chunks = search.chunks.len();
+    if n_chunks == 0 {
         let verdict = Verdict::Complete;
         emit_verdict(probe, &verdict);
         return Ok((verdict, None));
     }
-    let n_chunks = chunks.len();
-    let committed: BTreeMap<usize, crate::par::ChunkStats> = match committed {
+    let committed: BTreeMap<usize, ChunkStats> = match committed {
         Some((n, cleared)) if n == n_chunks && cleared.iter().all(|&(i, _)| i < n_chunks) => {
             cleared.into_iter().collect()
         }
@@ -1111,15 +447,458 @@ pub(crate) fn rcdp_exact_resumed(
         None => BTreeMap::new(),
     };
     let (verdict, ledger) = if budget.engine.sharded() {
-        exact_chunks_parallel(
-            setting, db, budget, guard, probe, &tableaux, &q_d, &mode, &spaces, &chunks, committed,
-        )
+        search.run_parallel(budget, guard, probe, committed)
     } else {
-        exact_chunks_sequential(
-            setting, db, budget, guard, probe, &tableaux, &q_d, &mode, &spaces, &chunks, committed,
-        )
+        search.run_inline(budget, guard, probe, committed)
     };
+    emit_verdict(probe, &verdict);
     Ok((verdict, ledger.map(|l| (n_chunks, l))))
+}
+
+/// One domain-consistent disjunct of the exact search.
+struct Disjunct<'a> {
+    tableau: &'a Tableau,
+    space: ValuationSpace<'a>,
+    /// A headless disjunct whose (constant) answer is already in `Q(D)`: the
+    /// head filter prunes its whole space before any assignment. Settled once
+    /// at setup, so its chunks are skipped and the prune counts once.
+    answered: bool,
+}
+
+/// The exact search's shared inputs, built once per decision by
+/// [`decide_exact`] and read by every chunk, inline or on the pool.
+struct ExactSearch<'a> {
+    setting: &'a Setting,
+    db: &'a Database,
+    mode: &'a CheckMode,
+    q_d: &'a BTreeSet<Tuple>,
+    disjuncts: Vec<Disjunct<'a>>,
+    /// The canonical chunk list: `(disjunct index, depth-0 split point)`, one
+    /// chunk per depth-0 candidate of each disjunct's valuation space; a
+    /// zero-variable space is one unsplittable chunk (`None`). A space with
+    /// no depth-0 candidates enumerates nothing and contributes no chunk.
+    /// Concatenating the chunks in this order reproduces the sequential
+    /// enumeration and its tick sequence exactly (pinned in
+    /// `valuations.rs`), so a chunk index means the same thing to the inline
+    /// loop, the pool, and the checkpoint frontier.
+    chunks: Vec<(usize, Option<(Value, usize)>)>,
+}
+
+/// The candidate answer `μ(u)` for a binding that covers the head.
+fn head_answer(head: &[Term], binding: &[Option<Value>]) -> Tuple {
+    Tuple::new(head.iter().map(|term| {
+        match term {
+            Term::Var(v) => binding[v.idx()]
+                .clone()
+                .unwrap_or_else(|| unreachable!("head vars bound first")),
+            Term::Const(c) => c.clone(),
+        }
+    }))
+}
+
+impl<'a> ExactSearch<'a> {
+    fn new(
+        setting: &'a Setting,
+        db: &'a Database,
+        mode: &'a CheckMode,
+        q_d: &'a BTreeSet<Tuple>,
+        tableaux: &'a [Tableau],
+        adom: &'a Adom,
+    ) -> Self {
+        let disjuncts: Vec<Disjunct<'a>> = tableaux
+            .iter()
+            .filter(|t| t.domain_consistent(&setting.schema))
+            .map(|t| Disjunct {
+                tableau: t,
+                space: ValuationSpace::new(t, &setting.schema, adom),
+                answered: t.head_vars().is_empty() && q_d.contains(&head_answer(&t.head, &[])),
+            })
+            .collect();
+        let mut chunks = Vec::new();
+        for (di, d) in disjuncts.iter().enumerate() {
+            match d.space.split_points() {
+                Some(points) => chunks.extend(points.into_iter().map(|p| (di, Some(p)))),
+                None => chunks.push((di, None)),
+            }
+        }
+        ExactSearch {
+            setting,
+            db,
+            mode,
+            q_d,
+            disjuncts,
+            chunks,
+        }
+    }
+
+    /// Enumerate chunk `idx` against `meter`, with `scratch` as the delta
+    /// buffer of the partial filter. The inline loop hands every chunk the
+    /// decision's one meter and scratch; a pool job brings its own meter
+    /// slice and scratch. The per-chunk work — and therefore the committed
+    /// checkpoint stats — are engine-independent.
+    fn run_chunk(
+        &self,
+        idx: usize,
+        meter: &mut Meter<'_>,
+        scratch: &RefCell<Database>,
+    ) -> ChunkResult<CounterExample> {
+        let (di, point) = &self.chunks[idx];
+        let Disjunct {
+            tableau: t,
+            space,
+            answered,
+        } = &self.disjuncts[*di];
+        if *answered {
+            // The head prune belongs to the disjunct: attribute it to its
+            // first chunk, so it counts once whenever the walk reaches it.
+            let first = idx == 0 || self.chunks[idx - 1].0 != *di;
+            return ChunkResult {
+                event: ChunkEvent::Clear,
+                value: None,
+                stats: ChunkStats {
+                    head_prunes: u64::from(first),
+                    ..ChunkStats::default()
+                },
+            };
+        }
+        let (setting, db, mode) = (self.setting, self.db, self.mode);
+        let used_before = meter.used();
+        let probes_before = probe_count();
+        let cc_checks = Cell::new(0u64);
+        let cc_skipped = Cell::new(0u64);
+        let cc_viol: [Cell<u64>; par::CC_ATTR] = Default::default();
+        let profile = crate::valuations::DepthProfile::new();
+        let mut found: Option<CounterExample> = None;
+        // Prune: if the candidate output tuple is already answered, no
+        // valuation with these head values is a counterexample.
+        let head_filter =
+            |binding: &[Option<Value>]| !self.q_d.contains(&head_answer(&t.head, binding));
+        // Prune subtrees whose already-instantiated tuples violate V:
+        // constraint bodies are monotone, so the violation persists in every
+        // completion. Upper bounds only: lower bounds hold on D and are
+        // preserved by extension (monotone bodies).
+        let partial_filter = |binding: &[Option<Value>]| {
+            let bound = space.bound_atoms(binding);
+            if bound.is_empty() {
+                return true;
+            }
+            let mut delta = scratch.borrow_mut();
+            delta.clear_tuples();
+            for (rel, tuple) in bound {
+                delta.insert(rel, tuple);
+            }
+            cc_checks.set(cc_checks.get() + 1);
+            match mode.upper_check(setting, db, &delta, &cc_skipped) {
+                None => true,
+                Some(i) => {
+                    bump_viol(&cc_viol, i);
+                    false
+                }
+            }
+        };
+        let visit = |mu: &ric_query::tableau::Valuation| {
+            let delta = mu.instantiate(t, setting.schema.len());
+            cc_checks.set(cc_checks.get() + 1);
+            if let Some(i) = mode.upper_check(setting, db, &delta, &cc_skipped) {
+                bump_viol(&cc_viol, i);
+                return std::ops::ControlFlow::Continue(());
+            }
+            let added = delta
+                .difference(db)
+                .unwrap_or_else(|e| unreachable!("delta shares the setting schema: {e:?}"));
+            found = Some(CounterExample {
+                delta: added,
+                new_answer: mu.head_tuple(t),
+            });
+            std::ops::ControlFlow::Break(())
+        };
+        let outcome = match point {
+            Some(p) => space.for_each_valid_pruned_chunk_profiled(
+                &profile,
+                p.clone(),
+                meter,
+                head_filter,
+                partial_filter,
+                visit,
+            ),
+            None => space.for_each_valid_pruned_profiled(
+                &profile,
+                meter,
+                head_filter,
+                partial_filter,
+                visit,
+            ),
+        };
+        let event = match outcome {
+            EnumOutcome::Stopped => ChunkEvent::Hit,
+            EnumOutcome::Exhausted => ChunkEvent::Clear,
+            EnumOutcome::BudgetExceeded => match meter.interrupt() {
+                Some(interrupt) => ChunkEvent::Interrupted(interrupt),
+                None => ChunkEvent::Exhausted,
+            },
+        };
+        ChunkResult {
+            event,
+            value: found,
+            stats: ChunkStats {
+                ticks: meter.used() - used_before,
+                cc_checks: cc_checks.get(),
+                cc_skipped: cc_skipped.get(),
+                probes: probe_count().saturating_sub(probes_before),
+                query_evals: 0,
+                depth_candidates: profile.candidates(),
+                depth_pruned: profile.pruned(),
+                head_prunes: profile.head_prunes(),
+                cc_viol: std::array::from_fn(|i| cc_viol[i].get()),
+            },
+        }
+    }
+
+    /// The inline driver: walk the chunk list in index order under ONE meter
+    /// primed with the committed ticks, skipping chunks already cleared by an
+    /// earlier installment (an empty `committed` is a fresh decision). The
+    /// verdict, witness, and scoped counters are identical to an
+    /// uninterrupted run at the same budget. Returns the cleared-chunk
+    /// ledger when the search stopped on a budget-like limit.
+    fn run_inline(
+        &self,
+        budget: &SearchBudget,
+        guard: &Guard,
+        probe: Probe<'_>,
+        committed: BTreeMap<usize, ChunkStats>,
+    ) -> (Verdict, Option<Vec<(usize, ChunkStats)>>) {
+        let mut totals = ChunkStats::default();
+        for stats in committed.values() {
+            totals.absorb(stats);
+        }
+        let mut meter = Meter::guarded_primed(
+            MeterKind::Valuations,
+            budget.max_valuations,
+            totals.ticks,
+            guard,
+        );
+        let n_chunks = self.chunks.len();
+        let mut ledger: Vec<(usize, ChunkStats)> = Vec::with_capacity(n_chunks);
+        ledger.extend(committed.iter().map(|(&i, s)| (i, *s)));
+        let mut frontier = None;
+        // Scratch delta shared by every chunk: steady-state, a candidate
+        // costs index probes and a few inserts, never a clone of `db`.
+        let scratch = RefCell::new(Database::with_relations(self.setting.schema.len()));
+
+        let span = probe.span("rcdp.enumerate");
+        let mut verdict = Verdict::Complete;
+        for idx in 0..n_chunks {
+            if committed.contains_key(&idx) {
+                continue;
+            }
+            let result = self.run_chunk(idx, &mut meter, &scratch);
+            totals.absorb(&result.stats);
+            match result.event {
+                ChunkEvent::Clear => ledger.push((idx, result.stats)),
+                ChunkEvent::Hit => {
+                    verdict = Verdict::Incomplete(
+                        result
+                            .value
+                            .unwrap_or_else(|| unreachable!("hit chunks carry a counterexample")),
+                    );
+                    break;
+                }
+                ChunkEvent::Exhausted | ChunkEvent::Interrupted(_) => {
+                    if let Some(interrupt) = meter.interrupt() {
+                        probe.interrupt("rcdp.interrupt", interrupt.name(), guard.ticks());
+                    }
+                    probe.note("explain.frontier", || {
+                        format!(
+                            "stopped in chunk {}/{} after {} assignment(s); \
+                             uncleared chunks unexplored",
+                            idx + 1,
+                            n_chunks,
+                            meter.used()
+                        )
+                    });
+                    verdict = Verdict::unknown(
+                        SearchStats::new(
+                            meter.stop_limit(BudgetLimit::MaxValuations),
+                            meter.stop_detail("valuation"),
+                        )
+                        .with_valuations(meter.used()),
+                    );
+                    ledger.sort_unstable_by_key(|&(i, _)| i);
+                    frontier = Some(std::mem::take(&mut ledger));
+                    break;
+                }
+            }
+        }
+        drop(span);
+        emit_search_stats(probe, &totals);
+        (verdict, frontier)
+    }
+
+    /// The sharded driver, resumable and loss-tolerant: chunks cleared by an
+    /// earlier installment become synthesized cleared slots (a cleared
+    /// chunk's stats are independent of its budget slice — clearing means
+    /// the whole subtree fit), the remaining chunks run on the pool under
+    /// their *current-budget* slices, and the merge is first-terminal-by-index
+    /// with stats summed up to the deciding chunk, so the verdict, witness,
+    /// and counters are independent of thread count and interleaving. A chunk
+    /// that dies twice (see [`par::run_chunks_recovering`]) triggers the
+    /// degradation ladder: commit every cleared chunk and finish inline,
+    /// recording `degrade.engine`.
+    fn run_parallel(
+        &self,
+        budget: &SearchBudget,
+        guard: &Guard,
+        probe: Probe<'_>,
+        committed: BTreeMap<usize, ChunkStats>,
+    ) -> (Verdict, Option<Vec<(usize, ChunkStats)>>) {
+        let n_chunks = self.chunks.len();
+        let total_valuations = budget.max_valuations;
+        let todo: Vec<usize> = (0..n_chunks)
+            .filter(|i| !committed.contains_key(i))
+            .collect();
+
+        let job = |pos: usize, wguard: &Guard| -> ChunkResult<CounterExample> {
+            let idx = todo[pos];
+            // The slice is computed from the *current* budget and the chunk's
+            // canonical index: an uninterrupted run at this budget hands the
+            // chunk exactly this slice, which is what the resume invariant pins.
+            let mut meter = Meter::guarded(
+                MeterKind::Valuations,
+                par::chunk_budget(total_valuations, n_chunks, idx),
+                wguard,
+            );
+            let scratch = RefCell::new(Database::with_relations(self.setting.schema.len()));
+            self.run_chunk(idx, &mut meter, &scratch)
+        };
+
+        let span = probe.span("rcdp.enumerate");
+        let recovered =
+            par::run_chunks_recovering(budget.engine.workers(), todo.len(), guard, &job);
+        probe.count("recover.chunk", recovered.recovered);
+        if !recovered.lost.is_empty() {
+            probe.count("degrade.chunk", recovered.lost.len() as u64);
+            probe.note("degrade.engine", || {
+                format!(
+                    "parallel engine lost {} chunk(s) after quarantine retry; \
+                     downgrading to the sequential indexed engine",
+                    recovered.lost.len()
+                )
+            });
+            let mut ledger = committed;
+            for (pos, slot) in recovered.run.slots.iter().enumerate() {
+                if let Some(ChunkSlot::Done(result)) = slot {
+                    if matches!(result.event, ChunkEvent::Clear) {
+                        ledger.insert(todo[pos], result.stats);
+                    }
+                }
+            }
+            drop(span);
+            return self.run_inline(budget, guard, probe, ledger);
+        }
+
+        let run = recovered.run;
+        if probe.trace().is_some() {
+            for entry in &run.timeline {
+                let e = *entry;
+                let chunk = todo.get(e.chunk).copied().unwrap_or(e.chunk);
+                probe.note("par.timeline", || {
+                    format!(
+                        "worker {} chunk {} {}..{}us",
+                        e.worker, chunk, e.start_micros, e.end_micros
+                    )
+                });
+            }
+        }
+        // Compose the full canonical slot list: committed chunks appear as
+        // synthesized cleared slots, fresh chunks take their pool slot (both
+        // walks ascend, so the zip is positional).
+        let mut fresh = run.slots.into_iter();
+        let slots: Vec<Option<ChunkSlot<CounterExample>>> = (0..n_chunks)
+            .map(|idx| match committed.get(&idx) {
+                Some(stats) => Some(ChunkSlot::Done(Box::new(ChunkResult {
+                    event: ChunkEvent::Clear,
+                    value: None,
+                    stats: *stats,
+                }))),
+                None => fresh
+                    .next()
+                    .unwrap_or_else(|| unreachable!("one pool slot per uncommitted chunk")),
+            })
+            .collect();
+        let mut ledger: Vec<(usize, ChunkStats)> = Vec::new();
+        for (idx, slot) in slots.iter().enumerate() {
+            if let Some(ChunkSlot::Done(result)) = slot {
+                if matches!(result.event, ChunkEvent::Clear) {
+                    ledger.push((idx, result.stats));
+                }
+            }
+        }
+        let full = PoolRun {
+            slots,
+            steals: run.steals,
+            executed: run.executed,
+            timeline: Vec::new(),
+        };
+        let merged = full.merge_search();
+        drop(span);
+
+        probe.count("par.chunk", merged.executed);
+        probe.count("par.steal", merged.steals);
+        emit_search_stats(probe, &merged.stats);
+        let deciding = merged.deciding;
+        let resumable = matches!(
+            merged.outcome,
+            PoolOutcome::Exhausted | PoolOutcome::Interrupted(_)
+        );
+        if resumable {
+            probe.note("explain.frontier", || {
+                let at = deciding.map_or(n_chunks, |k| k + 1);
+                format!(
+                    "parallel fan-out stopped at chunk {at}/{n_chunks}; higher-index chunks unexplored"
+                )
+            });
+        }
+        let verdict = match merged.outcome {
+            PoolOutcome::Clear => Verdict::Complete,
+            PoolOutcome::Hit(ce) => Verdict::Incomplete(ce),
+            PoolOutcome::Exhausted => Verdict::unknown(
+                SearchStats::new(
+                    BudgetLimit::MaxValuations,
+                    format!("valuation budget of {total_valuations} exhausted"),
+                )
+                .with_valuations(merged.stats.ticks),
+            ),
+            PoolOutcome::Interrupted(interrupt) => {
+                probe.interrupt("rcdp.interrupt", interrupt.name(), merged.stats.ticks);
+                Verdict::unknown(
+                    SearchStats::new(
+                        interrupt.limit(),
+                        par::interrupt_detail(interrupt, merged.stats.ticks, "valuation"),
+                    )
+                    .with_valuations(merged.stats.ticks),
+                )
+            }
+        };
+        (verdict, resumable.then_some(ledger))
+    }
+}
+
+/// Emit the exact search's decision counters from its summed chunk stats:
+/// the work counters, the per-depth profile (with the `valuations.max_depth`
+/// gauge), and the `prune.cc.NN` attribution.
+fn emit_search_stats(probe: Probe<'_>, stats: &ChunkStats) {
+    probe.count("valuations.assignments", stats.ticks);
+    probe.count("rcdp.valuations", stats.ticks);
+    probe.count("rcdp.cc_checks", stats.cc_checks);
+    probe.count("cc.skipped_by_delta", stats.cc_skipped);
+    probe.count("index.probe", stats.probes);
+    crate::valuations::emit_profile(
+        probe,
+        &stats.depth_candidates,
+        &stats.depth_pruned,
+        stats.head_prunes,
+    );
+    emit_cc_attribution(probe, &stats.cc_viol);
 }
 
 /// Emit the outcome note (and the exhausted limit, for `Unknown`) for an

@@ -84,21 +84,9 @@ impl ConsistencyCheck {
         if !engine.indexed() {
             return Ok(ConsistencyCheck::Full);
         }
-        let prepared = match reuse {
-            Some(prep) => std::sync::Arc::clone(prep),
-            None if engine.is_planned() => std::sync::Arc::new(PreparedUpper::with_plans(
-                &setting.v,
-                &setting.schema,
-                &setting.dm,
-                stats,
-            )?),
-            None => std::sync::Arc::new(PreparedUpper::new(
-                &setting.v,
-                &setting.schema,
-                &setting.dm,
-            )?),
-        };
-        Ok(ConsistencyCheck::Delta(prepared))
+        Ok(ConsistencyCheck::Delta(crate::prepared::upper_preparation(
+            setting, engine, stats, reuse,
+        )?))
     }
 
     /// The shared preparation backing the delta mode, if any.
@@ -1034,17 +1022,17 @@ fn rcqp_general(
             // Certify the witness with the RCDP decider; E2 guarantees
             // nonemptiness (Proposition 4.2), the certificate is a bonus.
             let _span = probe.span("rcqp.certify_witness");
-            let certified = matches!(
-                crate::rcdp::rcdp_exact_guarded(
-                    setting,
-                    query,
-                    &witness,
-                    budget,
-                    guard,
-                    Probe::disabled()
-                )?,
-                Verdict::Complete
-            );
+            let (verdict, _) = crate::rcdp::decide_exact(
+                setting,
+                query,
+                &witness,
+                budget,
+                guard,
+                Probe::disabled(),
+                None,
+                None,
+            )?;
+            let certified = matches!(verdict, Verdict::Complete);
             Ok(QueryVerdict::Nonempty {
                 witness: certified.then_some(witness),
             })

@@ -5,15 +5,18 @@
 //! possible, and what this module provides, is a bounded search over
 //! candidate extensions:
 //!
-//! * [`rcdp_bounded`] — enumerate extensions `Δ` built from tuples over the
-//!   active domain plus a small fresh pool, up to `budget.max_delta_tuples`
-//!   tuples. Finding `Δ` with `(D ∪ Δ, D_m) |= V` and `Q(D ∪ Δ) ≠ Q(D)`
-//!   *certifies* incompleteness; exhausting the bound yields `Unknown`.
-//! * [`rcqp_bounded`] — search for a candidate database that `rcdp_bounded`
-//!   cannot refute within the bound. Because completeness itself is
-//!   undecidable here, a surviving candidate is only evidence, so the result
-//!   is at best `Unknown` with a description of how far the search went —
-//!   exactly the epistemic state the undecidability theorems force.
+//! * bounded RCDP, reached through [`crate::rcdp::rcdp`]'s dispatch —
+//!   enumerate extensions `Δ` built from tuples over the active domain plus a
+//!   small fresh pool, up to `budget.max_delta_tuples` tuples. Finding `Δ`
+//!   with `(D ∪ Δ, D_m) |= V` and `Q(D ∪ Δ) ≠ Q(D)` *certifies*
+//!   incompleteness; exhausting the bound yields `Unknown`. One setup feeds
+//!   one size-by-size driver (inline or sharded), and a fresh run is a
+//!   resume from size 1 with empty committed stats.
+//! * [`rcqp_bounded`] — search for a candidate database that the bounded
+//!   RCDP search cannot refute within the bound. Because completeness itself
+//!   is undecidable here, a surviving candidate is only evidence, so the
+//!   result is at best `Unknown` with a description of how far the search
+//!   went — exactly the epistemic state the undecidability theorems force.
 
 use crate::adom::Adom;
 use crate::budget::{Engine, Meter, MeterKind, SearchBudget};
@@ -96,9 +99,8 @@ impl BoundedCheck {
         reuse: Option<&Arc<PreparedUpper>>,
     ) -> Result<Self, RcError> {
         // The incremental identity for monotone upper bodies needs the upper
-        // bounds to hold on the base; when they do not (possible here —
-        // `rcdp_bounded` is a public entry that does not demand partial
-        // closure), the naive path keeps the original semantics.
+        // bounds to hold on the base; when they do not, the naive path keeps
+        // the original semantics.
         if !engine.indexed() || !setting.v.upper_satisfied(db, &setting.dm)? {
             return Ok(BoundedCheck::Full);
         }
@@ -111,22 +113,8 @@ impl BoundedCheck {
                 break;
             }
         }
-        let prepared = match reuse {
-            Some(prep) => Arc::clone(prep),
-            None if engine.is_planned() => Arc::new(PreparedUpper::with_plans(
-                &setting.v,
-                &setting.schema,
-                &setting.dm,
-                db,
-            )?),
-            None => Arc::new(PreparedUpper::new(
-                &setting.v,
-                &setting.schema,
-                &setting.dm,
-            )?),
-        };
         Ok(BoundedCheck::Delta {
-            prepared,
+            prepared: crate::prepared::upper_preparation(setting, engine, db, reuse)?,
             recheck_lower,
         })
     }
@@ -213,132 +201,6 @@ fn fill(
     }
 }
 
-/// Bounded RCDP: certify incompleteness with a small witness extension, or
-/// report `Unknown`.
-pub fn rcdp_bounded(
-    setting: &Setting,
-    query: &Query,
-    db: &Database,
-    budget: &SearchBudget,
-) -> Result<Verdict, RcError> {
-    rcdp_bounded_probed(setting, query, db, budget, Probe::disabled())
-}
-
-/// [`rcdp_bounded`] with a telemetry probe attached.
-pub fn rcdp_bounded_probed(
-    setting: &Setting,
-    query: &Query,
-    db: &Database,
-    budget: &SearchBudget,
-    probe: Probe<'_>,
-) -> Result<Verdict, RcError> {
-    rcdp_bounded_guarded(setting, query, db, budget, &Guard::new(budget), probe)
-}
-
-/// [`rcdp_bounded`] with an explicit [`Guard`] (deadline / cancellation /
-/// fault plan) and a telemetry probe attached.
-pub fn rcdp_bounded_guarded(
-    setting: &Setting,
-    query: &Query,
-    db: &Database,
-    budget: &SearchBudget,
-    guard: &Guard,
-    probe: Probe<'_>,
-) -> Result<Verdict, RcError> {
-    rcdp_bounded_guarded_reusing(setting, query, db, budget, guard, probe, None)
-}
-
-/// [`rcdp_bounded_guarded`] with an optional pre-built upper-bound
-/// preparation from a [`crate::PreparedSetting`].
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn rcdp_bounded_guarded_reusing(
-    setting: &Setting,
-    query: &Query,
-    db: &Database,
-    budget: &SearchBudget,
-    guard: &Guard,
-    probe: Probe<'_>,
-    reuse: Option<&Arc<PreparedUpper>>,
-) -> Result<Verdict, RcError> {
-    let probe = probe.with_ticks(guard);
-    let verdict = rcdp_bounded_inner(setting, query, db, budget, guard, probe, reuse)?;
-    crate::rcdp::emit_verdict(probe, &verdict);
-    Ok(verdict)
-}
-
-#[allow(clippy::too_many_arguments)]
-fn rcdp_bounded_inner(
-    setting: &Setting,
-    query: &Query,
-    db: &Database,
-    budget: &SearchBudget,
-    guard: &Guard,
-    probe: Probe<'_>,
-    reuse: Option<&Arc<PreparedUpper>>,
-) -> Result<Verdict, RcError> {
-    let q_d = query.eval(db)?;
-    let probes_before = probe_count();
-    let check = BoundedCheck::select(setting, db, budget.engine, reuse)?;
-    crate::rcdp::emit_plan_telemetry(
-        probe,
-        setting,
-        budget.engine,
-        check.prepared(),
-        reuse.is_some(),
-        db,
-    );
-    let adom = Adom::build(db, setting, query, budget.fresh_values);
-    let mut values = adom.constants.clone();
-    values.extend(adom.fresh.iter().cloned());
-    probe.gauge("semidecide.adom_size", values.len() as u64);
-    if pool_estimate(setting, values.len()) > MAX_POOL {
-        probe.count("semidecide.query_evals", 1);
-        return Ok(Verdict::unknown(SearchStats::new(
-            BudgetLimit::PoolBound,
-            format!(
-                "candidate tuple space exceeds {MAX_POOL} over {} values; \
-                 narrow the schema or shrink the database",
-                values.len()
-            ),
-        )));
-    }
-    let pool = tuple_pool(setting, db, &values);
-    probe.gauge("semidecide.pool_size", pool.len() as u64);
-    if budget.engine.sharded() {
-        let (verdict, _) = rcdp_bounded_parallel(
-            setting,
-            query,
-            db,
-            budget,
-            guard,
-            probe,
-            &q_d,
-            &check,
-            &pool,
-            probes_before,
-            1,
-            &ChunkStats::default(),
-        )?;
-        return Ok(verdict);
-    }
-    let probes_offset = probe_count().saturating_sub(probes_before);
-    let (verdict, _) = bounded_search_sequential(
-        setting,
-        query,
-        db,
-        budget,
-        guard,
-        probe,
-        &q_d,
-        &check,
-        &pool,
-        1,
-        &ChunkStats::default(),
-        probes_offset,
-    )?;
-    Ok(verdict)
-}
-
 /// A bounded-search resume point: every extension size below `next_size` is
 /// fully searched, with `stats` the cumulative committed work over those
 /// sizes. The public mirror is
@@ -351,174 +213,36 @@ pub(crate) struct BoundedResume {
     pub stats: ChunkStats,
 }
 
-/// The (resumable) sequential bounded extension search. `start_size` and
-/// `committed` come from a prior installment's checkpoint (size 1 and empty
-/// stats for a fresh run): the meter is primed with the committed ticks and
-/// the counter cells with the committed totals, so the search rejects — and
-/// reports — at exactly the point an uninterrupted run at the same budget
-/// would. `probes_offset` is the caller's setup probe count plus any probes
-/// committed by earlier installments; the emitted `index.probe` counter is
-/// `probes_offset` + this call's own probes, keeping the counter
-/// installment-independent. Returns the resume point alongside the verdict
-/// when the search stopped on a budget-like limit.
+/// The bounded decider: certify incompleteness with a small witness
+/// extension, or report `Unknown`. The one setup — query evaluation, check
+/// mode (sharing `reuse` when given), active domain, candidate pool — feeds
+/// the one size-by-size driver: inline under one meter, or sharded across
+/// the worker pool. `committed` is a prior installment's resume point, `None`
+/// for a fresh run (size 1, empty stats). The setup is deterministic, so the
+/// emitted telemetry stays installment-independent.
 #[allow(clippy::too_many_arguments)]
-fn bounded_search_sequential(
+pub(crate) fn decide_bounded(
     setting: &Setting,
     query: &Query,
     db: &Database,
     budget: &SearchBudget,
     guard: &Guard,
     probe: Probe<'_>,
-    q_d: &BTreeSet<Tuple>,
-    check: &BoundedCheck,
-    pool: &[(RelId, Tuple)],
-    start_size: usize,
-    committed: &ChunkStats,
-    probes_offset: u64,
-) -> Result<(Verdict, Option<BoundedResume>), RcError> {
-    let entry_probes = probe_count();
-    let mut meter = Meter::guarded_primed(
-        MeterKind::Candidates,
-        budget.max_candidates,
-        committed.ticks,
-        guard,
-    );
-    let query_evals = Cell::new(1 + committed.query_evals);
-    let cc_checks = Cell::new(committed.cc_checks);
-    let cc_skipped = Cell::new(committed.cc_skipped);
-    let mut ledger = *committed;
-    let mut frontier = None;
-
-    let span = probe.span("semidecide.extension_search");
-    let mut verdict = None;
-    for size in start_size..=budget.max_delta_tuples.min(pool.len()) {
-        let mut chosen: Vec<usize> = Vec::with_capacity(size);
-        let found = choose(
-            pool,
-            0,
-            size,
-            &mut chosen,
-            &mut meter,
-            &mut |subset: &[usize]| -> Result<Option<CounterExample>, RcError> {
-                let mut delta = Database::with_relations(setting.schema.len());
-                for &i in subset {
-                    let (rel, t) = &pool[i];
-                    delta.insert(*rel, t.clone());
-                }
-                cc_checks.set(cc_checks.get() + 1);
-                let Some(extended) = check.closed_union(setting, db, &delta, &cc_skipped)? else {
-                    return Ok(None);
-                };
-                let q_after = query.eval(&extended)?;
-                query_evals.set(query_evals.get() + 1);
-                if q_after != *q_d {
-                    // For non-monotone L_Q an addition can also *remove*
-                    // answers; report any distinguishing tuple.
-                    let new_answer = q_after
-                        .symmetric_difference(q_d)
-                        .next()
-                        .unwrap_or_else(|| unreachable!("answers differ"))
-                        .clone();
-                    return Ok(Some(CounterExample { delta, new_answer }));
-                }
-                Ok(None)
-            },
-        )?;
-        match found {
-            ChooseOutcome::Found(ce) => {
-                verdict = Some(Verdict::Incomplete(ce));
-                break;
-            }
-            ChooseOutcome::Budget => {
-                let detail = match meter.interrupt() {
-                    Some(interrupt) => {
-                        probe.interrupt("semidecide.interrupt", interrupt.name(), guard.ticks());
-                        meter.stop_detail("candidate")
-                    }
-                    None => format!(
-                        "bounded search: candidate budget {} exhausted at extension \
-                         size {size}",
-                        meter.limit()
-                    ),
-                };
-                let max = budget.max_delta_tuples.min(pool.len());
-                probe.note("explain.frontier", || {
-                    format!(
-                        "bounded search stopped at extension size {size}/{max}; \
-                         remaining subsets of size {size} and all larger sizes unexplored"
-                    )
-                });
-                verdict = Some(Verdict::unknown(
-                    SearchStats::new(meter.stop_limit(BudgetLimit::MaxCandidates), detail)
-                        .with_candidates(meter.used()),
-                ));
-                frontier = Some(BoundedResume {
-                    next_size: size,
-                    stats: ledger,
-                });
-                break;
-            }
-            ChooseOutcome::Exhausted => {
-                // Commit this fully-searched size: the cumulative totals are
-                // what a resumed installment primes its meter and cells with.
-                ledger = ChunkStats {
-                    ticks: meter.used(),
-                    cc_checks: cc_checks.get(),
-                    cc_skipped: cc_skipped.get(),
-                    query_evals: query_evals.get() - 1,
-                    probes: committed.probes + probe_count().saturating_sub(entry_probes),
-                    ..ChunkStats::default()
-                };
-            }
-        }
-    }
-    drop(span);
-    probe.count("semidecide.candidates", meter.used());
-    probe.count("semidecide.cc_checks", cc_checks.get());
-    probe.count("semidecide.query_evals", query_evals.get());
-    probe.count("cc.skipped_by_delta", cc_skipped.get());
-    // Thread-local counter: exact even when other threads probe concurrently.
-    probe.count(
-        "index.probe",
-        probes_offset + probe_count().saturating_sub(entry_probes),
-    );
-    let verdict = verdict.unwrap_or_else(|| {
-        Verdict::unknown(
-            SearchStats::new(
-                BudgetLimit::MaxDeltaTuples,
-                format!(
-                    "bounded search: no violating extension with ≤ {} tuple(s) over {} \
-                     candidate tuple(s) ({} fresh value(s))",
-                    budget.max_delta_tuples.min(pool.len()),
-                    pool.len(),
-                    budget.fresh_values
-                ),
-            )
-            .with_candidates(meter.used()),
-        )
-    });
-    Ok((verdict, frontier))
-}
-
-/// The resumable bounded decider: [`rcdp_bounded_guarded`] with a size-level
-/// resume point in and out. Setup (query evaluation, check-mode selection,
-/// active domain, candidate pool) re-runs every installment — it is
-/// deterministic, so the emitted telemetry stays installment-independent.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn rcdp_bounded_resumed(
-    setting: &Setting,
-    query: &Query,
-    db: &Database,
-    budget: &SearchBudget,
-    guard: &Guard,
-    probe: Probe<'_>,
-    prior: Option<&BoundedResume>,
+    reuse: Option<&Arc<PreparedUpper>>,
+    committed: Option<BoundedResume>,
 ) -> Result<(Verdict, Option<BoundedResume>), RcError> {
     let probe = probe.with_ticks(guard);
     let q_d = query.eval(db)?;
     let probes_before = probe_count();
-    let check = BoundedCheck::select(setting, db, budget.engine, None)?;
-    crate::rcdp::emit_plan_telemetry(probe, setting, budget.engine, check.prepared(), false, db);
+    let check = BoundedCheck::select(setting, db, budget.engine, reuse)?;
+    crate::rcdp::emit_plan_telemetry(
+        probe,
+        setting,
+        budget.engine,
+        check.prepared(),
+        reuse.is_some(),
+        db,
+    );
     let adom = Adom::build(db, setting, query, budget.fresh_values);
     let mut values = adom.constants.clone();
     values.extend(adom.fresh.iter().cloned());
@@ -538,249 +262,262 @@ pub(crate) fn rcdp_bounded_resumed(
     }
     let pool = tuple_pool(setting, db, &values);
     probe.gauge("semidecide.pool_size", pool.len() as u64);
-    let start_size = prior.map_or(1, |r| r.next_size);
-    let committed = prior.map_or_else(ChunkStats::default, |r| r.stats);
+    let search = BoundedSearch {
+        setting,
+        query,
+        db,
+        budget,
+        q_d,
+        check,
+        pool,
+    };
+    let (start_size, committed) =
+        committed.map_or((1, ChunkStats::default()), |r| (r.next_size, r.stats));
+    // Probes issued while building the check mode, active domain, and pool
+    // count into `index.probe` ahead of the enumeration's own.
+    let setup_probes = probe_count().saturating_sub(probes_before);
     let (verdict, frontier) = if budget.engine.sharded() {
-        rcdp_bounded_parallel(
-            setting,
-            query,
-            db,
-            budget,
-            guard,
-            probe,
-            &q_d,
-            &check,
-            &pool,
-            probes_before,
-            start_size,
-            &committed,
-        )?
+        search.run_parallel(guard, probe, start_size, &committed, setup_probes)?
     } else {
-        let probes_offset = probe_count().saturating_sub(probes_before) + committed.probes;
-        bounded_search_sequential(
-            setting,
-            query,
-            db,
-            budget,
-            guard,
-            probe,
-            &q_d,
-            &check,
-            &pool,
-            start_size,
-            &committed,
-            probes_offset,
-        )?
+        search.run_inline(guard, probe, start_size, &committed, setup_probes)?
     };
     crate::rcdp::emit_verdict(probe, &verdict);
     Ok((verdict, frontier))
 }
 
-/// The bounded extension search, sharded across the worker pool: for each
-/// extension size, one chunk per choice of the subset's *first* pool index.
-/// Chunk `i`'s subtree enumerates exactly the subsets the sequential
-/// [`choose`] visits after pushing `i` first, so concatenating the chunks in
-/// index order reproduces the sequential candidate order and the
-/// first-terminal-by-index merge keeps the verdict schedule-independent. A
-/// decider error inside a chunk rides the `Hit` channel as `Err`, so the
-/// earliest erroring/finding chunk — the one the sequential engine would
-/// have reached first — decides.
-///
-/// Resumable at size granularity: `start_size`/`committed` skip the sizes an
-/// earlier installment fully searched, and the per-size `remaining` budget is
-/// derived from the committed ticks exactly as an uninterrupted run would. A
-/// chunk lost twice (panic plus failed quarantine retry, see
-/// [`par::run_chunks_recovering`]) downgrades the rest of the decision to
-/// the sequential driver, re-running the failed size from its start —
-/// verdict- and witness-sound, though the sequential meter's death point may
-/// differ from the parallel slicing's.
-#[allow(clippy::too_many_arguments)]
-fn rcdp_bounded_parallel(
-    setting: &Setting,
-    query: &Query,
-    db: &Database,
-    budget: &SearchBudget,
-    guard: &Guard,
-    probe: Probe<'_>,
-    q_d: &BTreeSet<Tuple>,
-    check: &BoundedCheck,
-    pool: &[(RelId, Tuple)],
-    probes_before: u64,
-    start_size: usize,
-    committed: &ChunkStats,
-) -> Result<(Verdict, Option<BoundedResume>), RcError> {
-    use crate::par::{self, ChunkEvent, ChunkResult, PoolOutcome};
+/// The bounded search's shared inputs, built once per decision by
+/// [`decide_bounded`] and read by every subset check, inline or on the pool.
+struct BoundedSearch<'a> {
+    setting: &'a Setting,
+    query: &'a Query,
+    db: &'a Database,
+    budget: &'a SearchBudget,
+    q_d: BTreeSet<Tuple>,
+    check: BoundedCheck,
+    pool: Vec<(RelId, Tuple)>,
+}
 
-    // Probes issued while building the check mode, active domain, and pool —
-    // the sequential path counts them too, before its enumeration begins.
-    let setup_probes = probe_count().saturating_sub(probes_before);
-    let mut totals = *committed;
-    let mut ledger = *committed;
-    let mut executed = 0u64;
-    let mut steals = 0u64;
-    let mut verdict = None;
-    let mut frontier = None;
+/// Work counters of the per-subset check.
+#[derive(Default)]
+struct Tally {
+    cc_checks: Cell<u64>,
+    cc_skipped: Cell<u64>,
+    query_evals: Cell<u64>,
+}
 
-    let span = probe.span("semidecide.extension_search");
-    let max_size = budget.max_delta_tuples.min(pool.len());
-    for size in start_size..=max_size {
-        let remaining = budget.max_candidates.saturating_sub(totals.ticks);
-        if remaining == 0 {
-            verdict = Some(Verdict::unknown(
-                SearchStats::new(
-                    BudgetLimit::MaxCandidates,
-                    format!(
-                        "bounded search: candidate budget {} exhausted at extension \
-                         size {size}",
-                        budget.max_candidates
-                    ),
-                )
-                .with_candidates(totals.ticks),
-            ));
-            frontier = Some(BoundedResume {
-                next_size: size,
-                stats: ledger,
-            });
-            break;
+impl Tally {
+    /// Counters primed with committed totals.
+    fn primed(stats: &ChunkStats) -> Self {
+        Tally {
+            cc_checks: Cell::new(stats.cc_checks),
+            cc_skipped: Cell::new(stats.cc_skipped),
+            query_evals: Cell::new(stats.query_evals),
         }
-        // Subsets of `size` tuples whose smallest pool index is `i` exist
-        // for i ≤ pool.len() - size.
-        let n_chunks = pool.len() - size + 1;
-        let job = |idx: usize, wguard: &Guard| -> ChunkResult<Result<CounterExample, RcError>> {
-            let worker_probes_before = probe_count();
-            let mut meter = Meter::guarded(
-                MeterKind::Candidates,
-                par::chunk_budget(remaining, n_chunks, idx),
-                wguard,
-            );
-            let cc_checks = Cell::new(0u64);
-            let cc_skipped = Cell::new(0u64);
-            let query_evals = Cell::new(0u64);
+    }
+
+    /// These counters with the meter ticks and index probes, as chunk stats
+    /// (the bounded search enumerates tuple subsets, not valuation trees — no
+    /// depth profile applies).
+    fn stats(&self, ticks: u64, probes: u64) -> ChunkStats {
+        ChunkStats {
+            ticks,
+            cc_checks: self.cc_checks.get(),
+            cc_skipped: self.cc_skipped.get(),
+            probes,
+            query_evals: self.query_evals.get(),
+            ..ChunkStats::default()
+        }
+    }
+}
+
+impl BoundedSearch<'_> {
+    /// The largest extension size searched.
+    fn max_size(&self) -> usize {
+        self.budget.max_delta_tuples.min(self.pool.len())
+    }
+
+    /// The per-candidate test: does adding the pool tuples `subset` to `D`
+    /// keep `(D ∪ Δ, D_m) |= V` and change `Q`? For non-monotone `L_Q` an
+    /// addition can also *remove* answers; any distinguishing tuple is
+    /// reported.
+    fn try_subset(
+        &self,
+        subset: &[usize],
+        tally: &Tally,
+    ) -> Result<Option<CounterExample>, RcError> {
+        let mut delta = Database::with_relations(self.setting.schema.len());
+        for &i in subset {
+            let (rel, t) = &self.pool[i];
+            delta.insert(*rel, t.clone());
+        }
+        tally.cc_checks.set(tally.cc_checks.get() + 1);
+        let Some(extended) =
+            self.check
+                .closed_union(self.setting, self.db, &delta, &tally.cc_skipped)?
+        else {
+            return Ok(None);
+        };
+        let q_after = self.query.eval(&extended)?;
+        tally.query_evals.set(tally.query_evals.get() + 1);
+        if q_after == self.q_d {
+            return Ok(None);
+        }
+        let new_answer = q_after
+            .symmetric_difference(&self.q_d)
+            .next()
+            .unwrap_or_else(|| unreachable!("answers differ"))
+            .clone();
+        Ok(Some(CounterExample { delta, new_answer }))
+    }
+
+    /// The `Unknown` verdict for a search that exhausted every size.
+    fn no_extension(&self, candidates: u64) -> Verdict {
+        Verdict::unknown(
+            SearchStats::new(
+                BudgetLimit::MaxDeltaTuples,
+                format!(
+                    "bounded search: no violating extension with ≤ {} tuple(s) over {} \
+                     candidate tuple(s) ({} fresh value(s))",
+                    self.max_size(),
+                    self.pool.len(),
+                    self.budget.fresh_values
+                ),
+            )
+            .with_candidates(candidates),
+        )
+    }
+
+    /// The inline driver: sizes from `start_size` up under one meter primed
+    /// with the committed ticks and counters primed with the committed
+    /// totals, so the search rejects — and reports — at exactly the point an
+    /// uninterrupted run at the same budget would. Returns the resume point
+    /// alongside the verdict when the search stopped on a budget-like limit.
+    fn run_inline(
+        &self,
+        guard: &Guard,
+        probe: Probe<'_>,
+        start_size: usize,
+        committed: &ChunkStats,
+        setup_probes: u64,
+    ) -> Result<(Verdict, Option<BoundedResume>), RcError> {
+        let entry_probes = probe_count();
+        let own_probes = || committed.probes + probe_count().saturating_sub(entry_probes);
+        let mut meter = Meter::guarded_primed(
+            MeterKind::Candidates,
+            self.budget.max_candidates,
+            committed.ticks,
+            guard,
+        );
+        let tally = Tally::primed(committed);
+        let mut ledger = *committed;
+        let mut frontier = None;
+        let max_size = self.max_size();
+
+        let span = probe.span("semidecide.extension_search");
+        let mut verdict = None;
+        for size in start_size..=max_size {
             let mut chosen: Vec<usize> = Vec::with_capacity(size);
-            chosen.push(idx);
             let found = choose(
-                pool,
-                idx + 1,
-                size - 1,
+                &self.pool,
+                0,
+                size,
                 &mut chosen,
                 &mut meter,
-                &mut |subset: &[usize]| -> Result<Option<CounterExample>, RcError> {
-                    let mut delta = Database::with_relations(setting.schema.len());
-                    for &i in subset {
-                        let (rel, t) = &pool[i];
-                        delta.insert(*rel, t.clone());
-                    }
-                    cc_checks.set(cc_checks.get() + 1);
-                    let Some(extended) = check.closed_union(setting, db, &delta, &cc_skipped)?
-                    else {
-                        return Ok(None);
+                &mut |subset| self.try_subset(subset, &tally),
+            )?;
+            match found {
+                ChooseOutcome::Found(ce) => {
+                    verdict = Some(Verdict::Incomplete(ce));
+                    break;
+                }
+                ChooseOutcome::Budget => {
+                    let detail = match meter.interrupt() {
+                        Some(interrupt) => {
+                            probe.interrupt(
+                                "semidecide.interrupt",
+                                interrupt.name(),
+                                guard.ticks(),
+                            );
+                            meter.stop_detail("candidate")
+                        }
+                        None => format!(
+                            "bounded search: candidate budget {} exhausted at extension \
+                             size {size}",
+                            meter.limit()
+                        ),
                     };
-                    let q_after = query.eval(&extended)?;
-                    query_evals.set(query_evals.get() + 1);
-                    if q_after != *q_d {
-                        let new_answer = q_after
-                            .symmetric_difference(q_d)
-                            .next()
-                            .unwrap_or_else(|| unreachable!("answers differ"))
-                            .clone();
-                        return Ok(Some(CounterExample { delta, new_answer }));
-                    }
-                    Ok(None)
-                },
-            );
-            let (event, value) = match found {
-                Ok(ChooseOutcome::Found(ce)) => (ChunkEvent::Hit, Some(Ok(ce))),
-                Ok(ChooseOutcome::Budget) => match meter.interrupt() {
-                    Some(interrupt) => (ChunkEvent::Interrupted(interrupt), None),
-                    None => (ChunkEvent::Exhausted, None),
-                },
-                Ok(ChooseOutcome::Exhausted) => (ChunkEvent::Clear, None),
-                Err(e) => (ChunkEvent::Hit, Some(Err(e))),
-            };
-            ChunkResult {
-                event,
-                value,
-                stats: ChunkStats {
-                    ticks: meter.used(),
-                    cc_checks: cc_checks.get(),
-                    cc_skipped: cc_skipped.get(),
-                    probes: probe_count().saturating_sub(worker_probes_before),
-                    query_evals: query_evals.get(),
-                    // The bounded search enumerates tuple subsets, not
-                    // valuation trees — no depth profile applies.
-                    ..ChunkStats::default()
-                },
-            }
-        };
-        let recovered = par::run_chunks_recovering(budget.engine.workers(), n_chunks, guard, &job);
-        probe.count("recover.chunk", recovered.recovered);
-        if !recovered.lost.is_empty() {
-            // Degradation ladder: quarantine retry failed too. Commit the
-            // fully-searched sizes and finish sequentially, re-running the
-            // failed size from its start.
-            probe.count("degrade.chunk", recovered.lost.len() as u64);
-            probe.note("degrade.engine", || {
-                format!(
-                    "parallel engine lost {} chunk(s) after quarantine retry; \
-                     downgrading to the sequential indexed engine",
-                    recovered.lost.len()
-                )
-            });
-            executed += recovered.run.executed;
-            steals += recovered.run.steals;
-            drop(span);
-            probe.count("par.chunk", executed);
-            probe.count("par.steal", steals);
-            return bounded_search_sequential(
-                setting,
-                query,
-                db,
-                budget,
-                guard,
-                probe,
-                q_d,
-                check,
-                pool,
-                size,
-                &ledger,
-                setup_probes + ledger.probes,
-            );
-        }
-        let run = recovered.run;
-        if probe.trace().is_some() {
-            for entry in &run.timeline {
-                let e = *entry;
-                probe.note("par.timeline", || {
-                    format!(
-                        "worker {} chunk {} {}..{}us",
-                        e.worker, e.chunk, e.start_micros, e.end_micros
-                    )
-                });
+                    probe.note("explain.frontier", || {
+                        format!(
+                            "bounded search stopped at extension size {size}/{max_size}; \
+                             remaining subsets of size {size} and all larger sizes unexplored"
+                        )
+                    });
+                    verdict = Some(Verdict::unknown(
+                        SearchStats::new(meter.stop_limit(BudgetLimit::MaxCandidates), detail)
+                            .with_candidates(meter.used()),
+                    ));
+                    frontier = Some(BoundedResume {
+                        next_size: size,
+                        stats: ledger,
+                    });
+                    break;
+                }
+                // Commit this fully-searched size: the cumulative totals are
+                // what a resumed installment primes its meter and cells with.
+                ChooseOutcome::Exhausted => ledger = tally.stats(meter.used(), own_probes()),
             }
         }
-        let merged = run.merge_search();
-        totals.absorb(&merged.stats);
-        executed += merged.executed;
-        steals += merged.steals;
-        match merged.outcome {
-            PoolOutcome::Clear => {
-                // Commit this fully-searched size for the resume frontier.
-                ledger = totals;
-                continue;
-            }
-            PoolOutcome::Hit(Ok(ce)) => {
-                verdict = Some(Verdict::Incomplete(ce));
-            }
-            PoolOutcome::Hit(Err(e)) => return Err(e),
-            PoolOutcome::Exhausted => {
-                let deciding = merged.deciding;
-                probe.note("explain.frontier", || {
-                    let at = deciding.map_or(n_chunks, |k| k + 1);
-                    format!(
-                        "bounded search stopped at extension size {size}/{max_size} \
-                         (chunk {at}/{n_chunks}); larger sizes unexplored"
-                    )
-                });
+        drop(span);
+        emit_totals(
+            probe,
+            &tally.stats(meter.used(), own_probes()),
+            setup_probes,
+        );
+        Ok((
+            verdict.unwrap_or_else(|| self.no_extension(meter.used())),
+            frontier,
+        ))
+    }
+
+    /// The sharded driver: for each extension size, one chunk per choice of
+    /// the subset's *first* pool index. Chunk `i`'s subtree enumerates
+    /// exactly the subsets the inline [`choose`] visits after pushing `i`
+    /// first, so concatenating the chunks in index order reproduces the
+    /// inline candidate order and the first-terminal-by-index merge keeps the
+    /// verdict schedule-independent. A decider error inside a chunk rides the
+    /// `Hit` channel as `Err`, so the earliest erroring/finding chunk — the
+    /// one the inline driver would have reached first — decides.
+    ///
+    /// Resumable at size granularity: sizes below `start_size` are skipped
+    /// and the per-size `remaining` budget is derived from the committed
+    /// ticks exactly as an uninterrupted run would. A chunk lost twice (panic
+    /// plus failed quarantine retry, see [`par::run_chunks_recovering`])
+    /// downgrades the rest of the decision to the inline driver, re-running
+    /// the failed size from its start — verdict- and witness-sound, though
+    /// the inline meter's death point may differ from the parallel slicing's.
+    fn run_parallel(
+        &self,
+        guard: &Guard,
+        probe: Probe<'_>,
+        start_size: usize,
+        committed: &ChunkStats,
+        setup_probes: u64,
+    ) -> Result<(Verdict, Option<BoundedResume>), RcError> {
+        use crate::par::{self, ChunkEvent, ChunkResult, PoolOutcome};
+
+        let budget = self.budget;
+        let mut totals = *committed;
+        let mut ledger = *committed;
+        let mut executed = 0u64;
+        let mut steals = 0u64;
+        let mut verdict = None;
+        let mut frontier = None;
+
+        let span = probe.span("semidecide.extension_search");
+        let max_size = self.max_size();
+        for size in start_size..=max_size {
+            let remaining = budget.max_candidates.saturating_sub(totals.ticks);
+            if remaining == 0 {
                 verdict = Some(Verdict::unknown(
                     SearchStats::new(
                         BudgetLimit::MaxCandidates,
@@ -796,56 +533,167 @@ fn rcdp_bounded_parallel(
                     next_size: size,
                     stats: ledger,
                 });
+                break;
             }
-            PoolOutcome::Interrupted(interrupt) => {
-                probe.interrupt("semidecide.interrupt", interrupt.name(), guard.ticks());
-                let deciding = merged.deciding;
-                probe.note("explain.frontier", || {
-                    let at = deciding.map_or(n_chunks, |k| k + 1);
+            // Subsets of `size` tuples whose smallest pool index is `i` exist
+            // for i ≤ pool.len() - size.
+            let n_chunks = self.pool.len() - size + 1;
+            let job =
+                |idx: usize, wguard: &Guard| -> ChunkResult<Result<CounterExample, RcError>> {
+                    let worker_probes_before = probe_count();
+                    let mut meter = Meter::guarded(
+                        MeterKind::Candidates,
+                        par::chunk_budget(remaining, n_chunks, idx),
+                        wguard,
+                    );
+                    let tally = Tally::default();
+                    let mut chosen: Vec<usize> = Vec::with_capacity(size);
+                    chosen.push(idx);
+                    let found = choose(
+                        &self.pool,
+                        idx + 1,
+                        size - 1,
+                        &mut chosen,
+                        &mut meter,
+                        &mut |subset| self.try_subset(subset, &tally),
+                    );
+                    let (event, value) = match found {
+                        Ok(ChooseOutcome::Found(ce)) => (ChunkEvent::Hit, Some(Ok(ce))),
+                        Ok(ChooseOutcome::Budget) => match meter.interrupt() {
+                            Some(interrupt) => (ChunkEvent::Interrupted(interrupt), None),
+                            None => (ChunkEvent::Exhausted, None),
+                        },
+                        Ok(ChooseOutcome::Exhausted) => (ChunkEvent::Clear, None),
+                        Err(e) => (ChunkEvent::Hit, Some(Err(e))),
+                    };
+                    ChunkResult {
+                        event,
+                        value,
+                        stats: tally.stats(
+                            meter.used(),
+                            probe_count().saturating_sub(worker_probes_before),
+                        ),
+                    }
+                };
+            let recovered =
+                par::run_chunks_recovering(budget.engine.workers(), n_chunks, guard, &job);
+            probe.count("recover.chunk", recovered.recovered);
+            if !recovered.lost.is_empty() {
+                // Degradation ladder: quarantine retry failed too. Commit the
+                // fully-searched sizes and finish inline, re-running the
+                // failed size from its start.
+                probe.count("degrade.chunk", recovered.lost.len() as u64);
+                probe.note("degrade.engine", || {
                     format!(
-                        "bounded search interrupted at extension size {size}/{max_size} \
-                         (chunk {at}/{n_chunks}); larger sizes unexplored"
+                        "parallel engine lost {} chunk(s) after quarantine retry; \
+                         downgrading to the sequential indexed engine",
+                        recovered.lost.len()
                     )
                 });
-                verdict = Some(Verdict::unknown(
-                    SearchStats::new(
-                        interrupt.limit(),
-                        par::interrupt_detail(interrupt, totals.ticks, "candidate"),
-                    )
-                    .with_candidates(totals.ticks),
-                ));
-                frontier = Some(BoundedResume {
-                    next_size: size,
-                    stats: ledger,
-                });
+                executed += recovered.run.executed;
+                steals += recovered.run.steals;
+                drop(span);
+                probe.count("par.chunk", executed);
+                probe.count("par.steal", steals);
+                return self.run_inline(guard, probe, size, &ledger, setup_probes);
             }
+            let run = recovered.run;
+            if probe.trace().is_some() {
+                for entry in &run.timeline {
+                    let e = *entry;
+                    probe.note("par.timeline", || {
+                        format!(
+                            "worker {} chunk {} {}..{}us",
+                            e.worker, e.chunk, e.start_micros, e.end_micros
+                        )
+                    });
+                }
+            }
+            let merged = run.merge_search();
+            totals.absorb(&merged.stats);
+            executed += merged.executed;
+            steals += merged.steals;
+            match merged.outcome {
+                PoolOutcome::Clear => {
+                    // Commit this fully-searched size for the resume frontier.
+                    ledger = totals;
+                    continue;
+                }
+                PoolOutcome::Hit(Ok(ce)) => {
+                    verdict = Some(Verdict::Incomplete(ce));
+                }
+                PoolOutcome::Hit(Err(e)) => return Err(e),
+                PoolOutcome::Exhausted => {
+                    let deciding = merged.deciding;
+                    probe.note("explain.frontier", || {
+                        let at = deciding.map_or(n_chunks, |k| k + 1);
+                        format!(
+                            "bounded search stopped at extension size {size}/{max_size} \
+                             (chunk {at}/{n_chunks}); larger sizes unexplored"
+                        )
+                    });
+                    verdict = Some(Verdict::unknown(
+                        SearchStats::new(
+                            BudgetLimit::MaxCandidates,
+                            format!(
+                                "bounded search: candidate budget {} exhausted at extension \
+                                 size {size}",
+                                budget.max_candidates
+                            ),
+                        )
+                        .with_candidates(totals.ticks),
+                    ));
+                    frontier = Some(BoundedResume {
+                        next_size: size,
+                        stats: ledger,
+                    });
+                }
+                PoolOutcome::Interrupted(interrupt) => {
+                    probe.interrupt("semidecide.interrupt", interrupt.name(), guard.ticks());
+                    let deciding = merged.deciding;
+                    probe.note("explain.frontier", || {
+                        let at = deciding.map_or(n_chunks, |k| k + 1);
+                        format!(
+                            "bounded search interrupted at extension size {size}/{max_size} \
+                             (chunk {at}/{n_chunks}); larger sizes unexplored"
+                        )
+                    });
+                    verdict = Some(Verdict::unknown(
+                        SearchStats::new(
+                            interrupt.limit(),
+                            par::interrupt_detail(interrupt, totals.ticks, "candidate"),
+                        )
+                        .with_candidates(totals.ticks),
+                    ));
+                    frontier = Some(BoundedResume {
+                        next_size: size,
+                        stats: ledger,
+                    });
+                }
+            }
+            break;
         }
-        break;
+        drop(span);
+        probe.count("par.chunk", executed);
+        probe.count("par.steal", steals);
+        emit_totals(probe, &totals, setup_probes);
+        Ok((
+            verdict.unwrap_or_else(|| self.no_extension(totals.ticks)),
+            frontier,
+        ))
     }
-    drop(span);
-    probe.count("par.chunk", executed);
-    probe.count("par.steal", steals);
+}
+
+/// Emit the bounded search's decision counters from its cumulative stats;
+/// `index.probe` adds the setup's probes, `semidecide.query_evals` the
+/// up-front evaluation of `Q(D)`.
+fn emit_totals(probe: Probe<'_>, totals: &ChunkStats, setup_probes: u64) {
     probe.count("semidecide.candidates", totals.ticks);
     probe.count("semidecide.cc_checks", totals.cc_checks);
     probe.count("semidecide.query_evals", 1 + totals.query_evals);
     probe.count("cc.skipped_by_delta", totals.cc_skipped);
+    // Thread-local counters: exact even when other threads probe concurrently.
     probe.count("index.probe", setup_probes + totals.probes);
-    let verdict = verdict.unwrap_or_else(|| {
-        Verdict::unknown(
-            SearchStats::new(
-                BudgetLimit::MaxDeltaTuples,
-                format!(
-                    "bounded search: no violating extension with ≤ {} tuple(s) over {} \
-                     candidate tuple(s) ({} fresh value(s))",
-                    budget.max_delta_tuples.min(pool.len()),
-                    pool.len(),
-                    budget.fresh_values
-                ),
-            )
-            .with_candidates(totals.ticks),
-        )
-    });
-    Ok((verdict, frontier))
 }
 
 enum ChooseOutcome {
@@ -884,7 +732,7 @@ fn choose(
 }
 
 /// Bounded RCQP for undecidable language combinations: search small candidate
-/// databases; a candidate that survives [`rcdp_bounded`] within budget is
+/// databases; a candidate that survives the bounded RCDP search within budget is
 /// reported (as evidence, not proof) in the `Unknown` description; finding a
 /// certified violating extension for *every* candidate is likewise not a
 /// proof of emptiness, because the candidate space is unbounded.
@@ -969,9 +817,17 @@ pub(crate) fn rcqp_bounded_inner(
                 // candidates would flood the sink with inner-search events;
                 // the outer meter already accounts for the work. The guard is
                 // shared so a deadline covers the inner searches too.
-                if let Verdict::Unknown { .. } =
-                    rcdp_bounded_inner(setting, query, &db, budget, guard, Probe::disabled(), None)?
-                {
+                let (verdict, _) = decide_bounded(
+                    setting,
+                    query,
+                    &db,
+                    budget,
+                    guard,
+                    Probe::disabled(),
+                    None,
+                    None,
+                )?;
+                if let Verdict::Unknown { .. } = verdict {
                     // An Unknown caused by a guard trip is not evidence that
                     // the candidate survived — the refutation search was cut
                     // short. Report nothing; the tripped guard ends the outer

@@ -116,18 +116,12 @@ impl DepthProfile {
     pub fn head_prunes(&self) -> u64 {
         self.head_prunes.get()
     }
-
-    /// The deepest slot at which any candidate was tried, if any.
-    pub fn max_depth(&self) -> Option<usize> {
-        (0..PROFILE_DEPTH)
-            .rev()
-            .find(|&i| self.candidates[i].get() > 0)
-    }
 }
 
 /// Emit a per-depth profile to `probe` under the stable
-/// [`DEPTH_CANDIDATES`] / [`DEPTH_PRUNED`] / `prune.head` names. Zero deltas
-/// are dropped by the probe, so quiet depths add no events.
+/// [`DEPTH_CANDIDATES`] / [`DEPTH_PRUNED`] / `prune.head` names, plus the
+/// deepest depth that tried a candidate as the `valuations.max_depth` gauge.
+/// Zero deltas are dropped by the probe, so quiet depths add no events.
 pub fn emit_profile(
     probe: Probe<'_>,
     candidates: &[u64; PROFILE_DEPTH],
@@ -141,6 +135,9 @@ pub fn emit_profile(
         probe.count(name, v);
     }
     probe.count("prune.head", head_prunes);
+    if let Some(d) = (0..PROFILE_DEPTH).rev().find(|&i| candidates[i] > 0) {
+        probe.gauge("valuations.max_depth", d as u64 + 1);
+    }
 }
 
 /// How an enumeration run ended.
@@ -317,9 +314,6 @@ impl<'a> ValuationSpace<'a> {
             &profile.pruned(),
             profile.head_prunes(),
         );
-        if let Some(d) = profile.max_depth() {
-            probe.gauge("valuations.max_depth", d as u64 + 1);
-        }
         outcome
     }
 
@@ -349,9 +343,11 @@ impl<'a> ValuationSpace<'a> {
 
     /// Enumerate the subtree of exactly one depth-0 candidate, as returned by
     /// [`Self::split_points`]. Semantics match [`Self::for_each_valid_pruned`]
-    /// restricted to `order[0] = value`: the meter ticks once for the
-    /// candidate itself and once per deeper assignment, so summing the ticks
-    /// of every chunk equals the sequential run's tick count, and
+    /// restricted to `order[0] = value` (for a space without head variables,
+    /// once its head filter has passed — see
+    /// [`Self::for_each_valid_pruned_chunk_profiled`]): the meter ticks once
+    /// for the candidate itself and once per deeper assignment, so summing
+    /// the ticks of every chunk equals the sequential run's tick count, and
     /// concatenating the chunks in `split_points` order visits valuations in
     /// exactly the sequential order.
     pub fn for_each_valid_pruned_chunk(
@@ -373,11 +369,12 @@ impl<'a> ValuationSpace<'a> {
     }
 
     /// [`Self::for_each_valid_pruned_chunk`] with per-depth profiling. The
-    /// per-chunk profiles sum to the sequential run's profile, with one
-    /// deliberate exception: the zero-head-variable re-check of the head
-    /// filter (see above) is not counted as a head prune, so a head prune at
-    /// depth 0 of a headless space is attributed once by the sequential
-    /// engine and not at all by the chunked one.
+    /// per-chunk profiles sum to the sequential run's profile.
+    ///
+    /// A chunk starts below depth 0, so the head filter of a space with no
+    /// head variables — which the sequential run applies once, before any
+    /// candidate — is never called here: the caller settles it once per
+    /// space (and counts its head prune) before running the space's chunks.
     pub fn for_each_valid_pruned_chunk_profiled(
         &self,
         profile: &DepthProfile,
@@ -388,13 +385,7 @@ impl<'a> ValuationSpace<'a> {
         mut visit: impl FnMut(&Valuation) -> ControlFlow<()>,
     ) -> EnumOutcome {
         let mut binding: Vec<Option<Value>> = vec![None; self.n_vars()];
-        // Mirror one iteration of `rec` at depth 0. With no head variables
-        // the head filter fires before the candidate loop; each chunk
-        // re-checks it, which is sound because the filter is pure in the
-        // (all-unbound) binding.
-        if self.head_prefix == 0 && !head_filter(&binding) {
-            return EnumOutcome::Exhausted;
-        }
+        // Mirror one iteration of `rec` at depth 0.
         if !meter.tick() {
             return EnumOutcome::BudgetExceeded;
         }

@@ -64,6 +64,10 @@
 #                              library code; tests are exempt via clippy.toml)
 #  21. docs                   (RUSTDOCFLAGS=-Dwarnings cargo doc --no-deps:
 #                              broken intra-doc links are build errors)
+#  22. benchmark self-test    (python3 perfbench/selftest.py --seconds 1:
+#                              builds perfbench against the library, so a
+#                              removed entry point it calls fails here; traced
+#                              counts and verdict digests must repeat exactly)
 #
 # Everything runs with --offline: the default build has zero third-party
 # dependencies, so no network access is ever required. The proptest suites
@@ -269,5 +273,10 @@ cargo clippy --offline -p ric-complete -p ric -p ric-plan -p ric-monitor -p ric-
 # doc attribute fails CI rather than shipping a dead reference.
 step "docs (rustdoc, warnings are errors)"
 RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace -q
+
+# The benchmark is a separate cargo package that calls the facade; building
+# and self-testing it here catches an entry point it uses going missing.
+step "benchmark self-test (perfbench builds, counts and digests repeat)"
+python3 perfbench/selftest.py --seconds 1
 
 printf '\nci.sh: all checks passed\n'

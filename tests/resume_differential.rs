@@ -17,9 +17,10 @@
 //!   behaves identically to resuming in-memory.
 //!
 //! Counter scope: the decision-level counters the parallel scheduler already
-//! guarantees bit-identical on decided runs (see `par_differential.rs`);
-//! schedule-dependent `par.*` counters and the `valuations.max_depth` gauge
-//! are excluded by the same reasoning as there.
+//! guarantees bit-identical on decided runs (see `par_differential.rs`),
+//! plus the exact path's `valuations.max_depth` gauge, derived from the
+//! merged per-depth profile; schedule-dependent `par.*` counters are
+//! excluded by the same reasoning as there.
 //!
 //! `RIC_RESUME_K` (comma-separated, default `2,5`) picks the installment
 //! counts; `RIC_WORKERS` (default `1,2,4`) the parallel worker counts — the
@@ -167,13 +168,15 @@ fn engines() -> Vec<Engine> {
     out
 }
 
-/// Decision-level counters compared bit-identically on the exact path.
-const EXACT_COUNTERS: [&str; 5] = [
+/// Decision-level counters (and the depth gauge) compared bit-identically on
+/// the exact path.
+const EXACT_COUNTERS: [&str; 6] = [
     "rcdp.valuations",
     "rcdp.cc_checks",
     "cc.skipped_by_delta",
     "index.probe",
     "valuations.assignments",
+    "valuations.max_depth",
 ];
 
 /// Decision-level counters compared on the bounded path.
@@ -188,7 +191,13 @@ const BOUNDED_COUNTERS: [&str; 5] = [
 fn scoped(report: &Report, names: &[&'static str]) -> BTreeMap<&'static str, u64> {
     names
         .iter()
-        .filter_map(|&n| report.counters.get(n).map(|&v| (n, v)))
+        .filter_map(|&n| {
+            report
+                .counters
+                .get(n)
+                .or_else(|| report.gauges.get(n))
+                .map(|&v| (n, v))
+        })
         .collect()
 }
 

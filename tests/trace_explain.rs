@@ -353,6 +353,34 @@ fn parallel_explain_carries_merged_profile_and_frontier() {
     );
 }
 
+/// A boolean query that already holds is complete for one reason only: its
+/// headless disjunct is answered before any assignment. Every engine —
+/// inline or sharded, one worker or four — must attribute that head prune
+/// exactly once, or the Explain loses the reason for the verdict.
+#[test]
+fn headless_answered_disjunct_counts_one_head_prune_on_every_engine() {
+    let (setting, _, db) = supt_instance(3, 2);
+    let q: Query = parse_cq(&setting.schema, "Q() :- Supt(E, C).")
+        .unwrap()
+        .into();
+    for engine in [
+        Engine::Indexed,
+        Engine::planned(1),
+        Engine::parallel(1),
+        Engine::planned(4),
+    ] {
+        let budget = SearchBudget::default().with_engine(engine);
+        let d = try_rcdp_probed(&setting, &q, &db, &budget, Probe::disabled()).unwrap();
+        assert!(d.verdict.is_complete(), "{engine:?}: {}", d.verdict);
+        assert_eq!(
+            d.explain.counters.get("prune.head").copied(),
+            Some(1),
+            "{engine:?}: {:?}",
+            d.explain.counters
+        );
+    }
+}
+
 /// When the caller attaches their own `TraceState` and sink, the same span
 /// stream that builds the in-process `Explain` is teed out — and the caller
 /// can rebuild the identical tree from it, which is exactly what the
