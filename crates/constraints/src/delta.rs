@@ -219,13 +219,12 @@ impl PreparedUpper {
         original: &ConstraintSet,
         ov: &Overlay<'_>,
     ) -> Result<DeltaCheck, TableauError> {
-        let novel: BTreeSet<RelId> = ov.novel_rels().collect();
         let mut checked = 0usize;
         let mut skipped = 0usize;
         // Lazily materialized union, shared by every FO/FP body.
         let mut materialized: Option<Database> = None;
         for (i, (prep, cc)) in self.ccs.iter().zip(original.ccs.iter()).enumerate() {
-            if prep.rels.is_disjoint(&novel) {
+            if !prep.rels.iter().any(|&rel| ov.has_novel(rel)) {
                 skipped += 1;
                 continue;
             }

@@ -17,15 +17,16 @@ use crate::budget::{Meter, MeterKind, SearchBudget};
 use crate::guard::Guard;
 use crate::query::Query;
 use crate::setting::Setting;
-use crate::valuations::{EnumOutcome, ValuationSpace};
+use crate::valuations::{instantiate_into, EnumOutcome, ValuationSpace};
 use crate::verdict::{RcError, Verdict};
-use ric_constraints::{CcBody, CcRhs};
+use ric_constraints::{CcBody, CcRhs, PreparedUpper};
 use ric_data::{Database, Value};
 use ric_query::tableau::Tableau;
 use ric_query::{Cq, Ucq};
 use ric_telemetry::Probe;
 use std::collections::BTreeSet;
 use std::ops::ControlFlow;
+use std::sync::Arc;
 
 /// C1/C2: is the CQ-constrained database bounded by `(D_m, V)` for `Q`?
 /// Equivalent to membership in `RCQ(Q, D_m, V)` by Proposition 3.3.
@@ -236,67 +237,103 @@ fn e2_check_guarded_probed(
     probe: Probe<'_>,
 ) -> Result<Option<bool>, RcError> {
     let span = probe.span("characterize.e2_check");
-    let result = e2_check_inner(setting, q, dv, bound_values, budget, guard, probe);
+    let result =
+        E2Disjunct::new(setting, q).check(setting, dv, bound_values, budget, guard, probe, None);
     drop(span);
     result
 }
 
-#[allow(clippy::too_many_arguments)]
-fn e2_check_inner(
-    setting: &Setting,
-    q: &Cq,
-    dv: &Database,
-    bound_values: &BTreeSet<Value>,
-    budget: &SearchBudget,
-    guard: &Guard,
-    probe: Probe<'_>,
-) -> Result<Option<bool>, RcError> {
-    if !setting.partially_closed(dv)? {
-        return Ok(Some(false));
-    }
-    let t = match Tableau::of(q) {
-        Ok(t) => t,
-        Err(ric_query::tableau::TableauError::Unsatisfiable) => return Ok(Some(true)),
-        Err(e) => return Err(e.into()),
-    };
-    let query = Query::Cq(q.clone());
-    let adom = Adom::build(dv, setting, &query, (t.n_vars as usize).max(1));
-    let doms = t.var_domains(&setting.schema);
-    let infinite_head: Vec<_> = t
-        .head_vars()
-        .into_iter()
-        .filter(|v| doms[v.idx()].is_none())
-        .collect();
-    let space = ValuationSpace::new(&t, &setting.schema, &adom);
-    let mut meter = Meter::guarded(MeterKind::Valuations, budget.max_valuations, guard);
-    // `D_𝒱` is partially closed (checked above) and lower bounds are
-    // preserved under extension, so `(D_𝒱 ∪ Δ, D_m) |= V` reduces to the
-    // upper bounds — exactly what the engine's check mode answers.
-    let mode = crate::rcdp::CheckMode::select(setting, budget.engine, dv, None)?;
-    let cc_skipped = std::cell::Cell::new(0u64);
-    let mut ok = true;
-    let outcome = space.for_each_valid(
-        &mut meter,
-        |_| true,
-        |mu| {
-            let delta = mu.instantiate(&t, setting.schema.len());
-            let closed = mode.upper_satisfied(setting, dv, &delta, &cc_skipped);
-            if closed {
-                for v in &infinite_head {
-                    if !bound_values.contains(&mu.0[v.idx()]) {
-                        ok = false;
-                        return ControlFlow::Break(());
-                    }
-                }
+/// The part of an E2 check that depends on the query disjunct alone — its
+/// tableau and its infinite-domain head variables — built once and reused
+/// across every candidate `D_𝒱` (the RCQP search checks one per maximal
+/// subset).
+pub(crate) struct E2Disjunct {
+    query: Query,
+    /// The disjunct's tableau, or why it has none. A tableau error is kept,
+    /// not raised, so that [`Self::check`] reports it only after the
+    /// partial-closure check, as a one-shot check does.
+    tableau: Result<Tableau, ric_query::tableau::TableauError>,
+    /// Indices of the head variables with an infinite domain.
+    infinite_head: Vec<usize>,
+}
+
+impl E2Disjunct {
+    pub(crate) fn new(setting: &Setting, q: &Cq) -> Self {
+        let tableau = Tableau::of(q);
+        let infinite_head = match &tableau {
+            Ok(t) => {
+                let doms = t.var_domains(&setting.schema);
+                t.head_vars()
+                    .into_iter()
+                    .map(|v| v.idx())
+                    .filter(|&i| doms[i].is_none())
+                    .collect()
             }
-            ControlFlow::Continue(())
-        },
-    );
-    probe.count("characterize.e2_valuations", meter.used());
-    probe.count("cc.skipped_by_delta", cc_skipped.get());
-    match outcome {
-        EnumOutcome::BudgetExceeded => Ok(None),
-        _ => Ok(Some(ok)),
+            Err(_) => Vec::new(),
+        };
+        E2Disjunct {
+            query: Query::Cq(q.clone()),
+            tableau,
+            infinite_head,
+        }
+    }
+
+    /// E2 for this disjunct over the candidate `dv` with bound values
+    /// `bound_values`. `reuse` is an upper-bound preparation to share instead
+    /// of compiling one from `dv` (the RCQP search passes its own).
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn check(
+        &self,
+        setting: &Setting,
+        dv: &Database,
+        bound_values: &BTreeSet<Value>,
+        budget: &SearchBudget,
+        guard: &Guard,
+        probe: Probe<'_>,
+        reuse: Option<&Arc<PreparedUpper>>,
+    ) -> Result<Option<bool>, RcError> {
+        if !setting.partially_closed(dv)? {
+            return Ok(Some(false));
+        }
+        let t = match &self.tableau {
+            Ok(t) => t,
+            Err(ric_query::tableau::TableauError::Unsatisfiable) => return Ok(Some(true)),
+            Err(e) => return Err(e.clone().into()),
+        };
+        let adom = Adom::build(dv, setting, &self.query, (t.n_vars as usize).max(1));
+        let space = ValuationSpace::new(t, &setting.schema, &adom);
+        let mut meter = Meter::guarded(MeterKind::Valuations, budget.max_valuations, guard);
+        // `D_𝒱` is partially closed (checked above) and lower bounds are
+        // preserved under extension, so `(D_𝒱 ∪ Δ, D_m) |= V` reduces to the
+        // upper bounds — exactly what the engine's check mode answers.
+        let mode = crate::rcdp::CheckMode::select(setting, budget.engine, dv, reuse)?;
+        let cc_skipped = std::cell::Cell::new(0u64);
+        let mut delta = Database::with_relations(setting.schema.len());
+        let mut ok = true;
+        let outcome = space.for_each_valid(
+            &mut meter,
+            |_| true,
+            |mu| {
+                instantiate_into(t, mu, &mut delta);
+                let closed = mode.upper_satisfied(setting, dv, &delta, &cc_skipped);
+                if closed
+                    && !self
+                        .infinite_head
+                        .iter()
+                        .all(|&v| bound_values.contains(&mu.0[v]))
+                {
+                    ok = false;
+                    return ControlFlow::Break(());
+                }
+                ControlFlow::Continue(())
+            },
+        );
+        probe.count("characterize.e2_valuations", meter.used());
+        probe.count("cc.skipped_by_delta", cc_skipped.get());
+        match outcome {
+            EnumOutcome::BudgetExceeded => Ok(None),
+            _ => Ok(Some(ok)),
+        }
     }
 }
 

@@ -1,8 +1,7 @@
 //! A hand-rolled work pool for the deciders' enumeration loops.
 //!
 //! The hot searches (valuation enumeration in `rcdp`, bounded extensions in
-//! `semidecide`, the candidate pre-filter in `rcqp`) are embarrassingly
-//! parallel: the candidate space splits into independent *chunks* whose
+//! `semidecide`) are embarrassingly parallel: the candidate space splits into independent *chunks* whose
 //! concatenation, in index order, is exactly the sequence the sequential
 //! engine enumerates. [`run_chunks`] fans the chunks out across
 //! `std::thread` workers (the workspace builds fully offline — no rayon) and
@@ -46,8 +45,7 @@ pub(crate) const CC_ATTR: usize = 16;
 /// How one chunk ended.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub(crate) enum ChunkEvent {
-    /// Ran to completion without deciding anything (or, for gather jobs,
-    /// produced its value).
+    /// Ran to completion without deciding anything.
     Clear,
     /// Terminal: found what the search is looking for (payload in
     /// [`ChunkResult::value`]).
@@ -126,8 +124,7 @@ impl ChunkStats {
 pub(crate) struct ChunkResult<R> {
     /// How the chunk ended.
     pub event: ChunkEvent,
-    /// The chunk's payload: the found witness for [`ChunkEvent::Hit`], or a
-    /// gathered value for all-must-run jobs.
+    /// The chunk's payload: the found witness for [`ChunkEvent::Hit`].
     pub value: Option<R>,
     /// Work counters.
     pub stats: ChunkStats,
@@ -207,45 +204,7 @@ pub(crate) struct PoolMerge<R> {
     pub deciding: Option<usize>,
 }
 
-/// A merged gather-style pool run: every chunk's value, in chunk index order.
-#[derive(Debug)]
-pub(crate) struct PoolGather<R> {
-    /// Per-chunk values, concatenation-ready in index order.
-    pub values: Vec<R>,
-    /// Chunks executed by a non-home worker.
-    pub steals: u64,
-    /// Chunks executed in total.
-    pub executed: u64,
-}
-
 impl<R> PoolRun<R> {
-    /// Merge a gather-style run — a job where every chunk runs to completion
-    /// and produces a value ([`ChunkEvent::Clear`], no terminal events, so no
-    /// chunk is ever skipped). Values come back in chunk index order, which
-    /// makes their concatenation schedule-independent. A recorded panic
-    /// re-throws on the calling thread, earliest chunk first.
-    pub(crate) fn merge_gather(self) -> PoolGather<R> {
-        let mut values = Vec::with_capacity(self.slots.len());
-        for slot in self.slots {
-            let filled = slot.unwrap_or_else(|| unreachable!("gather jobs never skip chunks"));
-            match filled {
-                ChunkSlot::Panicked(payload) => resume_unwind(payload),
-                ChunkSlot::Done(result) => {
-                    values.push(
-                        result.value.unwrap_or_else(|| {
-                            unreachable!("gather chunks always produce a value")
-                        }),
-                    );
-                }
-            }
-        }
-        PoolGather {
-            values,
-            steals: self.steals,
-            executed: self.executed,
-        }
-    }
-
     /// Merge with first-terminal-wins semantics: walk the chunks in index
     /// order and stop at the first terminal event, which is by construction
     /// the same chunk at which the sequential engine would have stopped. A

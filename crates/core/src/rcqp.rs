@@ -22,7 +22,12 @@
 //!
 //!   The decider therefore: (a) probes a greedy completion from the empty
 //!   database (fast, certified); (b) enumerates maximal consistent subsets
-//!   of the pool and checks E2 on each; all failing ⇒ `Empty`. The fresh
+//!   of the pool and checks E2 on each; all failing ⇒ `Empty`. The query
+//!   side of the E2 check is built once per disjunct and shares the
+//!   search's upper-bound preparation, and a leaf's maximality test skips
+//!   the entries refused on its branch — bodies are monotone and the
+//!   candidate only grows below a node, so a refused tuple stays refused
+//!   (see `SearchCtx::maximal_subsets`). The fresh
 //!   pool used to build candidate tuples is bounded by
 //!   `SearchBudget::fresh_values`; the paper's small-model bound can require
 //!   as many fresh values as the largest constraint tableau has variables,
@@ -36,6 +41,7 @@
 
 use crate::adom::Adom;
 use crate::budget::{Engine, Meter, MeterKind, SearchBudget};
+use crate::characterize::E2Disjunct;
 use crate::extend::{complete_extension_guarded, CompletionOutcome};
 use crate::guard::Guard;
 use crate::query::Query;
@@ -880,24 +886,20 @@ fn rcqp_general(
             ),
         )));
     }
-    let mut pool = candidate_pool(setting, tableaux, &values)?;
+    let pool = candidate_pool(setting, tableaux, &values)?;
 
     // Pre-filter: a tuple that violates V on its own can never belong to a
     // consistent subset. Upper bounds only: a lone tuple cannot be expected
     // to satisfy lower bounds (the seed provides those).
-    pool = if budget.engine.sharded() {
-        prefilter_parallel(setting, &pool, budget, guard, probe)?
-    } else {
-        let mut kept = Vec::with_capacity(pool.len());
-        for entry in pool {
-            let mut single = Database::with_relations(setting.schema.len());
-            single.insert(entry.rel, entry.tuple.clone());
-            if setting.v.upper_satisfied(&single, &setting.dm)? {
-                kept.push(entry);
-            }
+    let mut kept = Vec::with_capacity(pool.len());
+    for entry in pool {
+        let mut single = Database::with_relations(setting.schema.len());
+        single.insert(entry.rel, entry.tuple.clone());
+        if setting.v.upper_satisfied(&single, &setting.dm)? {
+            kept.push(entry);
         }
-        kept
-    };
+    }
+    let pool = kept;
     // A tuple is *inert* when its relation occurs in no multi-atom
     // constraint tableau: having survived the single-tuple filter it can
     // never participate in a violation, so every maximal subset contains it
@@ -923,15 +925,17 @@ fn rcqp_general(
     // D_𝒱, so checking maximal subsets decides ∃𝒱.E2.
     let mut meter = Meter::guarded(MeterKind::Candidates, budget.max_candidates, guard);
     let e2_checks = Cell::new(0u64);
-    let q_cqs = match query.as_ucq() {
-        Some(u) => u.disjuncts,
-        None => {
-            return Err(RcError::Unsupported(
-                "dispatch guarantees UCQ-expressible".into(),
-            ))
-        }
+    let Some(q_ucq) = query.as_ucq() else {
+        return Err(RcError::Unsupported(
+            "dispatch guarantees UCQ-expressible".into(),
+        ));
     };
-    let mut chosen: Vec<usize> = Vec::new();
+    // The disjunct half of every E2 check, built once for the whole search.
+    let e2_disjuncts: Vec<E2Disjunct> = q_ucq
+        .disjuncts
+        .iter()
+        .map(|cq| E2Disjunct::new(setting, cq))
+        .collect();
     let mut current = seed.clone();
     let mut result: Option<Database> = None;
     let check_mode = ConsistencyCheck::select(setting, budget.engine, seed, reuse)?;
@@ -945,34 +949,44 @@ fn rcqp_general(
     );
     let cc_skipped = Cell::new(0u64);
     let probes_before = probe_count();
-    let scratch = RefCell::new(Database::with_relations(setting.schema.len()));
-    let span = probe.span("rcqp.e2_search");
-    let outcome = maximal_subsets(
+    let ctx = SearchCtx {
         setting,
-        &pool,
-        &inert,
+        pool: &pool,
+        inert: &inert,
+        check_mode,
+        scratch: RefCell::new(Database::with_relations(setting.schema.len())),
+        cc_skipped: &cc_skipped,
+    };
+    let span = probe.span("rcqp.e2_search");
+    let outcome = ctx.maximal_subsets(
         0,
-        &mut chosen,
+        // Placeholders: each entry's state is set at its node, before any
+        // leaf reads it.
+        &mut vec![EntryState::Refused; pool.len()],
         &mut current,
-        &SearchCtx {
-            check_mode,
-            scratch,
-            cc_skipped: &cc_skipped,
-        },
         &mut meter,
-        &mut |db: &Database, entries: &[usize]| -> Result<bool, RcError> {
+        &mut |db: &Database, states: &[EntryState]| -> Result<bool, RcError> {
             // E2 over this maximal D_𝒱: bound values are the pinned
             // constraint-head values of the chosen instantiations.
-            let bound: BTreeSet<Value> = entries
+            let bound: BTreeSet<Value> = pool
                 .iter()
-                .flat_map(|&i| pool[i].bound.iter().cloned())
+                .zip(states)
+                .filter(|(_, &st)| st == EntryState::Chosen)
+                .flat_map(|(e, _)| e.bound.iter().cloned())
                 .collect();
-            for cq in &q_cqs {
+            for d in &e2_disjuncts {
                 e2_checks.set(e2_checks.get() + 1);
-                match crate::characterize::e2_check_guarded(setting, cq, db, &bound, budget, guard)?
-                {
-                    Some(true) => {}
-                    _ => return Ok(false),
+                let verdict = d.check(
+                    setting,
+                    db,
+                    &bound,
+                    budget,
+                    guard,
+                    Probe::disabled(),
+                    ctx.check_mode.prepared(),
+                )?;
+                if verdict != Some(true) {
+                    return Ok(false);
                 }
             }
             Ok(true)
@@ -1072,69 +1086,6 @@ fn rcqp_general(
     }
 }
 
-/// The single-tuple pre-filter, sharded across the worker pool as a
-/// *gather* job: the pool is cut into fixed ranges, every chunk filters its
-/// range, and the kept entries are concatenated in chunk index order —
-/// bitwise the same filtered pool the sequential loop produces, independent
-/// of thread count. Errors ride the value channel; the earliest erroring
-/// entry (in pool order) is the one reported, matching where the sequential
-/// loop would have stopped.
-fn prefilter_parallel(
-    setting: &Setting,
-    pool: &[PoolEntry],
-    budget: &SearchBudget,
-    guard: &Guard,
-    probe: Probe<'_>,
-) -> Result<Vec<PoolEntry>, RcError> {
-    use crate::par::{self, ChunkEvent, ChunkResult, ChunkStats};
-
-    const PREFILTER_CHUNK: usize = 64;
-    let n_chunks = pool.len().div_ceil(PREFILTER_CHUNK).max(1);
-    let job = |idx: usize, _wguard: &Guard| -> ChunkResult<Result<Vec<PoolEntry>, RcError>> {
-        let lo = idx * PREFILTER_CHUNK;
-        let hi = (lo + PREFILTER_CHUNK).min(pool.len());
-        let mut kept = Vec::new();
-        let mut value = Ok(());
-        for entry in &pool[lo..hi] {
-            let mut single = Database::with_relations(setting.schema.len());
-            single.insert(entry.rel, entry.tuple.clone());
-            match setting.v.upper_satisfied(&single, &setting.dm) {
-                Ok(true) => kept.push(entry.clone()),
-                Ok(false) => {}
-                Err(e) => {
-                    value = Err(RcError::from(e));
-                    break;
-                }
-            }
-        }
-        ChunkResult {
-            event: ChunkEvent::Clear,
-            value: Some(value.map(|()| kept)),
-            stats: ChunkStats::default(),
-        }
-    };
-    let run = par::run_chunks(budget.engine.workers(), n_chunks, guard, &job);
-    if probe.trace().is_some() {
-        for entry in &run.timeline {
-            let e = *entry;
-            probe.note("par.timeline", || {
-                format!(
-                    "worker {} chunk {} {}..{}us",
-                    e.worker, e.chunk, e.start_micros, e.end_micros
-                )
-            });
-        }
-    }
-    let gather = run.merge_gather();
-    probe.count("par.chunk", gather.executed);
-    probe.count("par.steal", gather.steals);
-    let mut kept = Vec::with_capacity(pool.len());
-    for chunk in gather.values {
-        kept.extend(chunk?);
-    }
-    Ok(kept)
-}
-
 #[derive(PartialEq, Eq, Debug)]
 enum MaxOutcome {
     Found,
@@ -1142,22 +1093,33 @@ enum MaxOutcome {
     Budget,
 }
 
+/// Where the enumeration left one pool entry on the current branch.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+enum EntryState {
+    /// In the subset (its tuple was admitted, or already present).
+    Chosen,
+    /// Out of the subset because `admits` refused it at its node.
+    Refused,
+    /// Out of the subset although it was admissible at its node.
+    Excluded,
+}
+
 /// Shared, read-mostly state of one maximal-subset enumeration.
 struct SearchCtx<'a> {
+    setting: &'a Setting,
+    pool: &'a [PoolEntry],
+    /// Entries whose relation occurs in no multi-atom constraint tableau:
+    /// every maximal subset contains them.
+    inert: &'a [bool],
     check_mode: ConsistencyCheck,
     scratch: RefCell<Database>,
     cc_skipped: &'a Cell<u64>,
 }
 
 impl SearchCtx<'_> {
-    fn admits(
-        &self,
-        setting: &Setting,
-        current: &Database,
-        entry: &PoolEntry,
-    ) -> Result<bool, RcError> {
+    fn admits(&self, current: &Database, entry: &PoolEntry) -> Result<bool, RcError> {
         self.check_mode.admits(
-            setting,
+            self.setting,
             current,
             entry.rel,
             &entry.tuple,
@@ -1165,97 +1127,70 @@ impl SearchCtx<'_> {
             self.cc_skipped,
         )
     }
-}
 
-/// Enumerate the maximal `V`-consistent subsets of the pool, invoking
-/// `check` on each; a `true` check stores the subset in `result` and stops.
-///
-/// `current` is mutated by backtracking (insert on include, remove on the way
-/// out) — no per-branch clone of the candidate database.
-#[allow(clippy::too_many_arguments)]
-fn maximal_subsets(
-    setting: &Setting,
-    pool: &[PoolEntry],
-    inert: &[bool],
-    idx: usize,
-    chosen: &mut Vec<usize>,
-    current: &mut Database,
-    ctx: &SearchCtx<'_>,
-    meter: &mut Meter,
-    check: &mut impl FnMut(&Database, &[usize]) -> Result<bool, RcError>,
-    result: &mut Option<Database>,
-) -> Result<MaxOutcome, RcError> {
-    if !meter.tick() {
-        return Ok(MaxOutcome::Budget);
-    }
-    if idx == pool.len() {
-        // Maximality: no excluded entry can be consistently added.
-        for (i, entry) in pool.iter().enumerate() {
-            if chosen.contains(&i) {
-                continue;
+    /// Enumerate the maximal `V`-consistent subsets of the pool, invoking
+    /// `check` on each with the per-entry states of the subset; a `true`
+    /// check stores the subset in `result` and stops.
+    ///
+    /// `current` is mutated by backtracking (insert on include, remove on the
+    /// way out) — no per-branch clone of the candidate database. At a leaf,
+    /// maximality re-tests only the [`EntryState::Excluded`] entries: `L_C`
+    /// is UCQ-expressible here, so every constraint body is monotone and
+    /// `current` only grows from a node to the leaves below it — a tuple
+    /// `admits` refused at its node (an upper-bound violation; lower bounds
+    /// hold on the seed and persist) is refused at every leaf below.
+    fn maximal_subsets(
+        &self,
+        idx: usize,
+        states: &mut [EntryState],
+        current: &mut Database,
+        meter: &mut Meter,
+        check: &mut impl FnMut(&Database, &[EntryState]) -> Result<bool, RcError>,
+        result: &mut Option<Database>,
+    ) -> Result<MaxOutcome, RcError> {
+        if !meter.tick() {
+            return Ok(MaxOutcome::Budget);
+        }
+        if idx == self.pool.len() {
+            // Maximality: no excluded entry can be consistently added. (Pool
+            // tuples are distinct and an excluded one was absent at its
+            // node, so it is absent here too.)
+            for (entry, &state) in self.pool.iter().zip(states.iter()) {
+                if state == EntryState::Excluded && self.admits(current, entry)? {
+                    return Ok(MaxOutcome::Exhausted); // not maximal; skip
+                }
             }
-            if current.instance(entry.rel).contains(&entry.tuple) {
-                continue; // same tuple contributed by another template
+            if check(current, states)? {
+                *result = Some(current.clone());
+                return Ok(MaxOutcome::Found);
             }
-            if ctx.admits(setting, current, entry)? {
-                return Ok(MaxOutcome::Exhausted); // not maximal; skip
-            }
-        }
-        if check(current, chosen)? {
-            *result = Some(current.clone());
-            return Ok(MaxOutcome::Found);
-        }
-        return Ok(MaxOutcome::Exhausted);
-    }
-    let entry = &pool[idx];
-    // Include branch (only if consistent).
-    let already = current.instance(entry.rel).contains(&entry.tuple);
-    if already || ctx.admits(setting, current, entry)? {
-        if !already {
-            current.insert(entry.rel, entry.tuple.clone());
-        }
-        chosen.push(idx);
-        let out = maximal_subsets(
-            setting,
-            pool,
-            inert,
-            idx + 1,
-            chosen,
-            current,
-            ctx,
-            meter,
-            check,
-            result,
-        )?;
-        chosen.pop();
-        if !already {
-            current.instance_mut(entry.rel).remove(&entry.tuple);
-        }
-        if out != MaxOutcome::Exhausted {
-            return Ok(out);
-        }
-        // Inert tuples belong to every maximal subset; skip their exclude
-        // branch.
-        if inert[idx] {
             return Ok(MaxOutcome::Exhausted);
         }
+        let entry = &self.pool[idx];
+        // Include branch (only if consistent).
+        let already = current.instance(entry.rel).contains(&entry.tuple);
+        if already || self.admits(current, entry)? {
+            if !already {
+                current.insert(entry.rel, entry.tuple.clone());
+            }
+            states[idx] = EntryState::Chosen;
+            let out = self.maximal_subsets(idx + 1, states, current, meter, check, result)?;
+            if !already {
+                current.instance_mut(entry.rel).remove(&entry.tuple);
+            }
+            // Inert tuples belong to every maximal subset, and an already
+            // present tuple gains nothing from excluding it: skip the
+            // exclude branch.
+            if out != MaxOutcome::Exhausted || already || self.inert[idx] {
+                return Ok(out);
+            }
+            states[idx] = EntryState::Excluded;
+        } else {
+            states[idx] = EntryState::Refused;
+        }
+        // Exclude branch.
+        self.maximal_subsets(idx + 1, states, current, meter, check, result)
     }
-    // Exclude branch (pointless if the tuple is already present).
-    if already {
-        return Ok(MaxOutcome::Exhausted);
-    }
-    maximal_subsets(
-        setting,
-        pool,
-        inert,
-        idx + 1,
-        chosen,
-        current,
-        ctx,
-        meter,
-        check,
-        result,
-    )
 }
 
 #[cfg(test)]
@@ -1454,6 +1389,129 @@ mod tests {
             QueryVerdict::Nonempty { witness: Some(w) } => assert!(w.is_all_empty()),
             other => panic!("expected nonempty with empty witness, got {other:?}"),
         }
+    }
+
+    /// A random small pool against a random mix of an FD, a denial and a
+    /// CQ-bodied CC into master data: under both consistency modes the
+    /// enumeration hands `check` exactly the maximal `V`-consistent subsets
+    /// a brute force over all 2ⁿ subsets finds — each once. This attacks the
+    /// leaf's refused-entry skip: dropping an entry that was excluded while
+    /// admissible would let non-maximal subsets through.
+    #[test]
+    fn maximal_subsets_match_brute_force() {
+        let schema =
+            Schema::from_relations(vec![RelationSchema::infinite("R", &["a", "b"])]).unwrap();
+        let r = schema.rel_id("R").unwrap();
+        let mschema = Schema::from_relations(vec![RelationSchema::infinite("M", &["a"])]).unwrap();
+        let m = mschema.rel_id("M").unwrap();
+        let mut dm = Database::empty(&mschema);
+        for v in [0, 2] {
+            dm.insert(m, Tuple::new([Value::int(v)]));
+        }
+        let fd = ric_constraints::Fd::new(r, vec![0], vec![1]);
+        let denial = ric_constraints::classical::at_most_k_per_key(r, 1, 0, 2, 2);
+        let chain = parse_cq(&schema, "Q(X) :- R(X, Y), R(Y, Z).").unwrap();
+        let mut rng = ric_data::SplitMix64::seed_from_u64(0x5B5E7);
+        let mut visited_total = 0usize;
+        for round in 0..48 {
+            let mut ccs = Vec::new();
+            if round % 3 != 1 || rng.random_bool(0.5) {
+                ccs.extend(ric_constraints::compile::fd_to_ccs(&fd, &schema));
+            }
+            if rng.random_bool(0.5) {
+                ccs.push(ric_constraints::compile::denial_to_cc(&denial));
+            }
+            if ccs.is_empty() || rng.random_bool(0.5) {
+                ccs.push(ContainmentConstraint::into_master(
+                    CcBody::Cq(chain.clone()),
+                    m,
+                    vec![0],
+                ));
+            }
+            let setting = Setting::new(
+                schema.clone(),
+                mschema.clone(),
+                dm.clone(),
+                ConstraintSet::new(ccs),
+            );
+            let mut tuples = BTreeSet::new();
+            for _ in 0..rng.random_range(1..13) {
+                let a = rng.random_range(0..4) as i64;
+                let b = rng.random_range(0..4) as i64;
+                tuples.insert(Tuple::new([Value::int(a), Value::int(b)]));
+            }
+            let pool: Vec<PoolEntry> = tuples
+                .into_iter()
+                .map(|tuple| PoolEntry {
+                    rel: r,
+                    tuple,
+                    bound: BTreeSet::new(),
+                })
+                .collect();
+            let n = pool.len();
+            let db_of = |mask: u32| {
+                let mut db = Database::empty(&schema);
+                for (i, e) in pool.iter().enumerate() {
+                    if mask & (1 << i) != 0 {
+                        db.insert(e.rel, e.tuple.clone());
+                    }
+                }
+                db
+            };
+            let closed = |mask: u32| setting.partially_closed(&db_of(mask)).unwrap();
+            let brute: Vec<u32> = (0..1u32 << n)
+                .filter(|&mask| {
+                    closed(mask) && (0..n).all(|i| mask & (1 << i) != 0 || !closed(mask | (1 << i)))
+                })
+                .collect();
+            let prepared = PreparedUpper::new(&setting.v, &setting.schema, &setting.dm).unwrap();
+            for check_mode in [
+                ConsistencyCheck::Full,
+                ConsistencyCheck::Delta(std::sync::Arc::new(prepared)),
+            ] {
+                let delta_mode = check_mode.prepared().is_some();
+                let cc_skipped = Cell::new(0);
+                let ctx = SearchCtx {
+                    setting: &setting,
+                    pool: &pool,
+                    inert: &vec![false; n],
+                    check_mode,
+                    scratch: RefCell::new(Database::empty(&schema)),
+                    cc_skipped: &cc_skipped,
+                };
+                let mut visited: Vec<u32> = Vec::new();
+                let outcome = ctx
+                    .maximal_subsets(
+                        0,
+                        &mut vec![EntryState::Refused; n],
+                        &mut Database::empty(&schema),
+                        &mut Meter::new(1 << 20),
+                        &mut |db: &Database, states: &[EntryState]| {
+                            let mask = states
+                                .iter()
+                                .enumerate()
+                                .filter(|(_, &st)| st == EntryState::Chosen)
+                                .fold(0u32, |acc, (i, _)| acc | (1 << i));
+                            assert_eq!(*db, db_of(mask), "states describe the database");
+                            visited.push(mask);
+                            Ok(false)
+                        },
+                        &mut None,
+                    )
+                    .unwrap();
+                assert_eq!(outcome, MaxOutcome::Exhausted);
+                visited_total += visited.len();
+                visited.sort_unstable();
+                assert_eq!(
+                    visited, brute,
+                    "round {round} (delta mode: {delta_mode}): pool {pool:?}"
+                );
+            }
+        }
+        assert!(
+            visited_total > 96,
+            "the pools exercise more than one subset"
+        );
     }
 
     /// The at-most-k denial constraint makes the query relatively complete:

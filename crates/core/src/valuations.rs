@@ -207,6 +207,11 @@ impl<'a> ValuationSpace<'a> {
         self.tableau.n_vars as usize
     }
 
+    /// The valuation buffer one run refills at each leaf.
+    fn leaf_buffer(&self) -> Valuation {
+        Valuation(Vec::with_capacity(self.n_vars()))
+    }
+
     /// Enumerate valid valuations.
     ///
     /// * `meter` — ticked once per assignment tried; exhaustion aborts.
@@ -226,6 +231,7 @@ impl<'a> ValuationSpace<'a> {
             0,
             0,
             &mut binding,
+            &mut self.leaf_buffer(),
             &DepthProfile::default(),
             meter,
             &mut head_filter,
@@ -274,6 +280,7 @@ impl<'a> ValuationSpace<'a> {
             0,
             0,
             &mut binding,
+            &mut self.leaf_buffer(),
             profile,
             meter,
             &mut head_filter,
@@ -397,6 +404,7 @@ impl<'a> ValuationSpace<'a> {
                 1,
                 next_fresh,
                 &mut binding,
+                &mut self.leaf_buffer(),
                 profile,
                 meter,
                 &mut head_filter,
@@ -435,6 +443,7 @@ impl<'a> ValuationSpace<'a> {
         depth: usize,
         fresh_used: usize,
         binding: &mut Vec<Option<Value>>,
+        leaf: &mut Valuation,
         profile: &DepthProfile,
         meter: &mut Meter<'_>,
         head_filter: &mut dyn FnMut(&[Option<Value>]) -> bool,
@@ -446,56 +455,47 @@ impl<'a> ValuationSpace<'a> {
             return EnumOutcome::Exhausted; // pruned subtree, not a stop
         }
         if depth == self.order.len() {
-            let mu = Valuation(
-                binding
-                    .iter()
-                    .map(|b| {
-                        b.clone()
-                            .unwrap_or_else(|| unreachable!("all variables bound at full depth"))
-                    })
-                    .collect(),
-            );
-            return match visit(&mu) {
+            // One buffer per run, refilled at every leaf.
+            leaf.0.clear();
+            leaf.0.extend(binding.iter().map(|b| {
+                b.clone()
+                    .unwrap_or_else(|| unreachable!("all variables bound at full depth"))
+            }));
+            return match visit(leaf) {
                 ControlFlow::Continue(()) => EnumOutcome::Exhausted,
                 ControlFlow::Break(()) => EnumOutcome::Stopped,
             };
         }
         let var = self.order[depth] as usize;
-        // Candidates paired with the fresh-pool usage after choosing them.
-        let candidates: Vec<(Value, usize)> = match &self.cands[var] {
-            Cands::Finite(vals) => vals.iter().map(|v| (v.clone(), fresh_used)).collect(),
-            Cands::Infinite => {
-                let mut out: Vec<(Value, usize)> = self
-                    .adom
-                    .constants
-                    .iter()
-                    .map(|v| (v.clone(), fresh_used))
-                    .collect();
-                // Symmetry-broken fresh pool: reuse any fresh value already in
-                // use, or introduce exactly the next unused one.
-                let limit = (fresh_used + 1).min(self.adom.fresh.len());
-                for (i, v) in self.adom.fresh[..limit].iter().enumerate() {
-                    let next = if i == fresh_used {
-                        fresh_used + 1
-                    } else {
-                        fresh_used
-                    };
-                    out.push((v.clone(), next));
-                }
-                out
-            }
+        // Candidates paired with the fresh-pool usage after choosing them,
+        // walked in place: a finite domain, or the shared constants followed
+        // by the symmetry-broken fresh pool — any fresh value already in use,
+        // or exactly the next unused one.
+        let (fixed, fresh): (&[Value], &[Value]) = match &self.cands[var] {
+            Cands::Finite(vals) => (vals, &[]),
+            Cands::Infinite => (
+                &self.adom.constants,
+                &self.adom.fresh[..(fresh_used + 1).min(self.adom.fresh.len())],
+            ),
         };
+        let candidates = fixed.iter().map(|v| (v, fresh_used)).chain(
+            fresh
+                .iter()
+                .enumerate()
+                .map(|(i, v)| (v, fresh_used + usize::from(i == fresh_used))),
+        );
         for (value, next_fresh) in candidates {
             if !meter.tick() {
                 return EnumOutcome::BudgetExceeded;
             }
             profile.candidate(depth);
-            binding[var] = Some(value);
+            binding[var] = Some(value.clone());
             let outcome = if self.neqs_consistent(binding) && partial_filter(binding) {
                 self.rec(
                     depth + 1,
                     next_fresh,
                     binding,
+                    leaf,
                     profile,
                     meter,
                     head_filter,
@@ -546,6 +546,19 @@ pub fn materialize(
             (atom.rel, tuple)
         })
         .collect()
+}
+
+/// Instantiate every atom of a tableau under a total valuation into
+/// `delta`, which is cleared first — `μ(T)` without allocating a database per
+/// valuation.
+pub(crate) fn instantiate_into(t: &Tableau, mu: &Valuation, delta: &mut ric_data::Database) {
+    delta.clear_tuples();
+    for atom in &t.atoms {
+        delta.insert(
+            atom.rel,
+            ric_data::Tuple::new(atom.args.iter().map(|term| mu.term(term))),
+        );
+    }
 }
 
 fn term_val<'b>(t: &'b Term, binding: &'b [Option<Value>]) -> Option<&'b Value> {

@@ -80,6 +80,11 @@ impl fmt::Display for Tuple {
     }
 }
 
+/// Instances with at most this many tuples and no index built are probed by
+/// a scan instead: the deciders' one-tuple deltas and freshly mutated small
+/// candidate databases would otherwise build a hash index per probe.
+pub const SCAN_PROBE_MAX: usize = 8;
+
 /// An instance of a single relation: a set of tuples.
 ///
 /// Carries a lazily built per-column hash index ([`Instance::index`]) for the
@@ -136,6 +141,23 @@ impl Instance {
     pub fn index(&self) -> &ColumnIndex {
         self.index
             .get_or_init(|| ColumnIndex::build(self.tuples.iter()))
+    }
+
+    /// Visit the tuples with value `v` at column `col`, in iteration order;
+    /// stop when `f` returns `false`. Returns `false` iff stopped early.
+    ///
+    /// Goes through [`Self::index`], except that an instance of at most
+    /// [`SCAN_PROBE_MAX`] tuples with no index built is scanned in place —
+    /// same tuples, same order (the index snapshot keeps iteration order and
+    /// omits tuples too short for `col`). Either way the call counts exactly
+    /// one probe ([`crate::index::probe_count`]).
+    pub fn probe(&self, col: usize, v: &Value, f: &mut dyn FnMut(&Tuple) -> bool) -> bool {
+        if self.index.get().is_none() && self.tuples.len() <= SCAN_PROBE_MAX {
+            crate::index::count_probe();
+            return self.tuples.iter().all(|t| t.0.get(col) != Some(v) || f(t));
+        }
+        let idx = self.index();
+        idx.probe(col, v).iter().all(|&id| f(idx.tuple(id)))
     }
 
     /// Insert a tuple; returns whether it was new.
@@ -511,6 +533,82 @@ mod tests {
         let x = t(&[10, 20, 30]);
         assert_eq!(x.project(&[2, 0]), t(&[30, 10]));
         assert_eq!(Tuple::unit().arity(), 0);
+    }
+
+    /// `n` tuples of arities 1–3 over values `0..4`, so some are too short
+    /// for the higher columns a probe asks about.
+    fn mixed_tuples(n: usize) -> Vec<Tuple> {
+        (0..n as i64)
+            .map(|i| {
+                let vals = [i % 4, (i / 2) % 4, (i / 3) % 4];
+                t(&vals[..1 + (i as usize) % 3])
+            })
+            .collect()
+    }
+
+    /// Probe `inst` at `(col, v)`: the tuples visited and the probes counted.
+    fn probed(inst: &Instance, col: usize, v: &Value) -> (Vec<Tuple>, u64) {
+        let before = crate::index::probe_count();
+        let mut hits = Vec::new();
+        assert!(inst.probe(col, v, &mut |t| {
+            hits.push(t.clone());
+            true
+        }));
+        (hits, crate::index::probe_count() - before)
+    }
+
+    #[test]
+    fn small_instance_scan_matches_the_index_probe() {
+        for n in [
+            0,
+            1,
+            SCAN_PROBE_MAX - 1,
+            SCAN_PROBE_MAX,
+            SCAN_PROBE_MAX + 1,
+            2 * SCAN_PROBE_MAX,
+        ] {
+            let cold = Instance::from_tuples(mixed_tuples(n));
+            let warm = Instance::from_tuples(mixed_tuples(n));
+            warm.index();
+            for col in 0..4 {
+                for v in (0..4).map(Value::int) {
+                    let expected: Vec<Tuple> = cold
+                        .iter()
+                        .filter(|t| t.0.get(col) == Some(&v))
+                        .cloned()
+                        .collect();
+                    let scanned = probed(&cold, col, &v);
+                    assert_eq!(
+                        scanned,
+                        (expected.clone(), 1),
+                        "n={n} col={col} v={v}: scan path"
+                    );
+                    assert_eq!(
+                        probed(&warm, col, &v),
+                        (expected, 1),
+                        "n={n} col={col} v={v}: index path"
+                    );
+                }
+            }
+            // Only instances above the threshold build an index to probe.
+            assert_eq!(cold.index.get().is_some(), n > SCAN_PROBE_MAX, "n={n}");
+        }
+    }
+
+    #[test]
+    fn scan_probe_stops_early_like_the_index_probe() {
+        let cold = Instance::from_tuples([t(&[1, 2]), t(&[1, 3]), t(&[1, 4])]);
+        let warm = cold.clone();
+        warm.index();
+        for inst in [&cold, &warm] {
+            let mut seen = Vec::new();
+            let completed = inst.probe(0, &Value::int(1), &mut |t| {
+                seen.push(t.clone());
+                seen.len() < 2
+            });
+            assert!(!completed);
+            assert_eq!(seen, vec![t(&[1, 2]), t(&[1, 3])]);
+        }
     }
 
     #[test]

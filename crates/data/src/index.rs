@@ -30,6 +30,11 @@ pub fn probe_count() -> u64 {
     PROBES.with(Cell::get)
 }
 
+/// Count one probe on the calling thread.
+pub(crate) fn count_probe() {
+    PROBES.with(|p| p.set(p.get() + 1));
+}
+
 const NO_MATCHES: &[u32] = &[];
 
 /// A per-column hash index over a snapshot of one instance's tuples.
@@ -60,7 +65,7 @@ impl ColumnIndex {
     /// order. Empty when the column exceeds every arity or the value is
     /// absent. Each call counts one probe.
     pub fn probe(&self, col: usize, v: &Value) -> &[u32] {
-        PROBES.with(|p| p.set(p.get() + 1));
+        count_probe();
         match self.by_col.get(col).and_then(|m| m.get(v)) {
             Some(ids) => ids,
             None => NO_MATCHES,

@@ -131,11 +131,14 @@ impl<'a> Overlay<'a> {
     /// Relations with at least one *novel* delta tuple (a tuple of `Δ` not
     /// already live in the base).
     pub fn novel_rels(&self) -> impl Iterator<Item = RelId> + '_ {
-        self.delta.iter().filter_map(|(rel, inst)| {
-            inst.iter()
-                .any(|t| !self.in_live_base(rel, t))
-                .then_some(rel)
-        })
+        self.delta
+            .iter()
+            .filter_map(|(rel, _)| self.has_novel(rel).then_some(rel))
+    }
+
+    /// Does `rel` hold a novel delta tuple?
+    pub fn has_novel(&self, rel: RelId) -> bool {
+        !self.for_each_novel(rel, &mut |_| false)
     }
 
     /// Visit the novel delta tuples of `rel`; stop early when `f` returns

@@ -9,8 +9,10 @@
 //! Visitors return `bool` (`false` = stop) so Boolean queries can exit on the
 //! first witness; the scan/probe methods mirror that, returning `false` iff
 //! they stopped early. Probes go through each instance's lazily built
-//! [`ColumnIndex`](crate::index::ColumnIndex) and are counted per thread
-//! ([`crate::index::probe_count`]).
+//! [`ColumnIndex`](crate::index::ColumnIndex) — or, for a small instance
+//! with no index built, a scan in iteration order
+//! ([`Instance::probe`](crate::Instance::probe)) — and are counted per
+//! thread ([`crate::index::probe_count`]), one per instance probed.
 
 use crate::database::{Database, Tuple};
 use crate::overlay::Overlay;
@@ -70,13 +72,7 @@ impl TupleStore for Database {
     }
 
     fn probe(&self, rel: RelId, col: usize, v: &Value, f: &mut dyn FnMut(&Tuple) -> bool) -> bool {
-        let idx = self.instance(rel).index();
-        for &id in idx.probe(col, v) {
-            if !f(idx.tuple(id)) {
-                return false;
-            }
-        }
-        true
+        self.instance(rel).probe(col, v, f)
     }
 
     fn active_domain_into(&self, out: &mut BTreeSet<Value>) {
@@ -120,16 +116,11 @@ impl TupleStore for Overlay<'_> {
         if !live {
             return false;
         }
-        let idx = self.delta().instance(rel).index();
-        for &id in idx.probe(col, v) {
-            let t = idx.tuple(id);
-            // Skip delta tuples already live in the base: the effective view
-            // yields each tuple once.
-            if !self.in_live_base(rel, t) && !f(t) {
-                return false;
-            }
-        }
-        true
+        // Skip delta tuples already live in the base: the effective view
+        // yields each tuple once.
+        self.delta()
+            .instance(rel)
+            .probe(col, v, &mut |t| self.in_live_base(rel, t) || f(t))
     }
 
     fn active_domain_into(&self, out: &mut BTreeSet<Value>) {
@@ -264,6 +255,63 @@ mod tests {
         });
         assert!(!completed);
         assert_eq!(seen, 1, "the tombstoned tuple must not reach the visitor");
+    }
+
+    /// Every probe of a small overlay — delta tuples already live in the
+    /// base, tombstoned base tuples, tuples too short for the column — gives
+    /// the same tuples in the same order, at the same probe count (one per
+    /// side), whether the instances are scanned in place or probed through
+    /// a built index.
+    #[test]
+    fn overlay_scan_probes_match_index_probes() {
+        let mut base = Database::with_relations(1);
+        for vs in [&[1, 2][..], &[1, 3], &[2, 3], &[3], &[1, 1, 1]] {
+            base.insert(RelId(0), t(vs));
+        }
+        let mut delta = Database::with_relations(1);
+        for vs in [&[1, 2][..], &[1, 9], &[2, 3], &[1], &[2, 3, 4]] {
+            delta.insert(RelId(0), t(vs)); // (1,2), (2,3) already live
+        }
+        let mut deletes = Database::with_relations(1);
+        deletes.insert(RelId(0), t(&[2, 3])); // re-inserted by the delta
+        deletes.insert(RelId(0), t(&[1, 3]));
+        let warmed = |db: &Database| {
+            let copy = db.clone();
+            copy.instance(RelId(0)).index();
+            copy
+        };
+        let (wbase, wdelta) = (warmed(&base), warmed(&delta));
+        let views = [
+            (
+                Overlay::new(&base, &delta).unwrap(),
+                Overlay::new(&wbase, &wdelta).unwrap(),
+            ),
+            (
+                Overlay::with_deletes(&base, &delta, &deletes).unwrap(),
+                Overlay::with_deletes(&wbase, &wdelta, &deletes).unwrap(),
+            ),
+        ];
+        for (cold, warm) in views {
+            let materialized = cold.materialize();
+            for col in 0..4 {
+                for v in (0..10).map(Value::int) {
+                    let before = crate::index::probe_count();
+                    let scanned = collect_probe(&cold, RelId(0), col, &v);
+                    let mid = crate::index::probe_count();
+                    let indexed = collect_probe(&warm, RelId(0), col, &v);
+                    let after = crate::index::probe_count();
+                    assert_eq!(scanned, indexed, "col={col} v={v}");
+                    assert_eq!((mid - before, after - mid), (2, 2), "col={col} v={v}");
+                    let mut sorted = scanned.clone();
+                    sorted.sort();
+                    assert_eq!(
+                        sorted,
+                        collect_probe(&materialized, RelId(0), col, &v),
+                        "the effective view, each tuple once (col={col} v={v})"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -114,6 +114,17 @@ for workers in 1 4; do
   RIC_WORKERS="${workers}" cargo test -q --offline --test plan_differential
 done
 
+# E2 search A/B: the RCQP maximal-subset search must visit the same subsets
+# and run the same E2 checks on every engine, with identical verdicts (and
+# Indexed/Planned witnesses). The suite honours RIC_WORKERS, so pin the
+# single-worker and 4-worker pools explicitly alongside the default run.
+step "rcqp E2 differential suite (engine identity of the E2 search, default)"
+cargo test -q --offline --test rcqp_e2_differential
+for workers in 1 4; do
+  step "rcqp E2 differential suite (RIC_WORKERS=${workers})"
+  RIC_WORKERS="${workers}" cargo test -q --offline --test rcqp_e2_differential
+done
+
 # Reason A/B: the symbolic pre-decision prover may drop implied constraints
 # and short-circuit statically decided settings, but every verdict, witness,
 # and pinned counter must match the full-V prepared path. The suite honours

@@ -361,7 +361,7 @@ fn exact_rcdp_installments_match_uninterrupted_runs() {
     let mut rng = SplitMix64::seed_from_u64(0x5e5e);
     let pool = cq_pool();
     let mut exercised = 0u64;
-    for round in 0..10 {
+    for round in 0..24 {
         let setting = random_setting(&mut rng);
         let db = random_db(&mut rng, 6, 5, 3);
         if !setting.partially_closed(&db).unwrap() {
