@@ -353,8 +353,8 @@ fn main() {
     let mut cells: Vec<MonitorCell> = Vec::new();
     for (n_customers, n_support, size) in [(24, 48, "n=24"), (48, 96, "n=48")] {
         for (engine, name) in [
-            (Engine::Indexed, "indexed"),
-            (Engine::Parallel { workers: 4 }, "parallel"),
+            (Engine::planned(1), "planned:1"),
+            (Engine::planned(4), "planned:4"),
         ] {
             for batch in [1usize, 8] {
                 cells.push(monitor_cell(&CellCfg {
@@ -372,7 +372,7 @@ fn main() {
     }
 
     println!(
-        "{:<34} {:<8} {:>5} {:>10} {:>10} {:>8}  ok",
+        "{:<34} {:<9} {:>5} {:>10} {:>10} {:>8}  ok",
         "cell", "engine", "batch", "inc µs", "scratch µs", "speedup"
     );
     println!("{}", "-".repeat(90));
@@ -380,7 +380,7 @@ fn main() {
     for c in &cells {
         all_ok &= c.ok && c.verdicts_identical;
         println!(
-            "{:<34} {:<8} {:>5} {:>10} {:>10} {:>7.1}x  {}{}",
+            "{:<34} {:<9} {:>5} {:>10} {:>10} {:>7.1}x  {}{}",
             c.cell,
             c.engine,
             c.batch,

@@ -245,7 +245,7 @@ fn rcqp_cell(label: &str, base: &SearchBudget, setting: &Setting, query: &Query)
     let ratio = final_installment_micros as f64 / from_scratch_micros.max(1) as f64;
     ResumeCell {
         cell: label.to_string(),
-        engine: "indexed",
+        engine: "planned:1",
         k: 2,
         installments,
         from_scratch_micros,
@@ -272,8 +272,8 @@ fn main() {
         };
         let inst = planted_rcdp(&params, true, &mut rng);
         for (engine, name) in [
-            (Engine::Indexed, "indexed"),
-            (Engine::Parallel { workers: 4 }, "parallel"),
+            (Engine::planned(1), "planned:1"),
+            (Engine::planned(4), "planned:4"),
         ] {
             for k in [2u32, 5] {
                 cells.push(rcdp_cell(
@@ -297,8 +297,8 @@ fn main() {
         let phi = qbf::ForallExists::random(6, 6, 12, &mut rng);
         let (setting, q, db) = rcdp_sigma2::to_rcdp_instance(&phi);
         for (engine, name) in [
-            (Engine::Indexed, "indexed"),
-            (Engine::Parallel { workers: 4 }, "parallel"),
+            (Engine::planned(1), "planned:1"),
+            (Engine::planned(4), "planned:4"),
         ] {
             for k in [2u32, 5] {
                 cells.push(rcdp_cell(
@@ -326,8 +326,8 @@ fn main() {
             ..SearchBudget::default()
         };
         for (engine, name) in [
-            (Engine::Indexed, "indexed"),
-            (Engine::Parallel { workers: 4 }, "parallel"),
+            (Engine::planned(1), "planned:1"),
+            (Engine::planned(4), "planned:4"),
         ] {
             for k in [2u32, 5] {
                 cells.push(rcdp_cell(
@@ -359,7 +359,7 @@ fn main() {
     }
 
     println!(
-        "{:<46} {:<8} {:>2} {:>12} {:>12} {:>8}  ok",
+        "{:<46} {:<9} {:>2} {:>12} {:>12} {:>8}  ok",
         "cell", "engine", "K", "scratch µs", "final µs", "ratio"
     );
     println!("{}", "-".repeat(100));
@@ -367,7 +367,7 @@ fn main() {
     for c in &cells {
         all_ok &= c.ok && c.verdict_identical;
         println!(
-            "{:<46} {:<8} {:>2} {:>12} {:>12} {:>7.2}x  {}{}",
+            "{:<46} {:<9} {:>2} {:>12} {:>12} {:>7.2}x  {}{}",
             c.cell,
             c.engine,
             c.k,

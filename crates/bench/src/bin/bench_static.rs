@@ -232,40 +232,37 @@ fn run_cell(
 
 fn main() {
     let mut cells: Vec<StaticCell> = Vec::new();
-    for (engine, engine_name) in [
-        (Engine::Indexed, "indexed"),
-        (Engine::planned(1), "planned"),
-    ] {
-        for n in [24usize, 48] {
-            let (setting, query, db) = redundant_workload(n, 6, 3);
-            cells.push(run_cell(
-                format!("redundant-V (1 IND + 6 implied 3-atom CQs) n={n}"),
-                "redundant_v",
-                n,
-                engine,
-                engine_name,
-                2.0,
-                &setting,
-                &query,
-                &db,
-            ));
-            let (setting, query, db) = static_workload(n);
-            cells.push(run_cell(
-                format!("statically-decidable (denial-killed query) n={n}"),
-                "static_verdict",
-                n,
-                engine,
-                engine_name,
-                10.0,
-                &setting,
-                &query,
-                &db,
-            ));
-        }
+    let engine = Engine::planned(1);
+    let engine_name = "planned:1";
+    for n in [24usize, 48] {
+        let (setting, query, db) = redundant_workload(n, 6, 3);
+        cells.push(run_cell(
+            format!("redundant-V (1 IND + 6 implied 3-atom CQs) n={n}"),
+            "redundant_v",
+            n,
+            engine,
+            engine_name,
+            2.0,
+            &setting,
+            &query,
+            &db,
+        ));
+        let (setting, query, db) = static_workload(n);
+        cells.push(run_cell(
+            format!("statically-decidable (denial-killed query) n={n}"),
+            "static_verdict",
+            n,
+            engine,
+            engine_name,
+            10.0,
+            &setting,
+            &query,
+            &db,
+        ));
     }
 
     println!(
-        "{:<50} {:<8} {:>10} {:>12} {:>8}  ok",
+        "{:<50} {:<9} {:>10} {:>12} {:>8}  ok",
         "cell", "engine", "full µs", "reasoned µs", "speedup"
     );
     println!("{}", "-".repeat(100));
@@ -273,7 +270,7 @@ fn main() {
     for c in &cells {
         all_ok &= c.ok && c.verdicts_identical;
         println!(
-            "{:<50} {:<8} {:>10} {:>12} {:>7.1}x  {}{}",
+            "{:<50} {:<9} {:>10} {:>12} {:>7.1}x  {}{}",
             c.cell,
             c.engine,
             c.median_full_micros,
@@ -300,7 +297,7 @@ fn main() {
             "meta",
             Json::obj([
                 ("schema_version", Json::from(1u64)),
-                ("engine", Json::from("indexed+planned")),
+                ("engine", Json::from(engine_name)),
                 ("workers", Json::from(1u64)),
                 ("deadline_ms", Json::from(0u64)),
             ]),

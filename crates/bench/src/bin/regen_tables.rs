@@ -9,23 +9,19 @@
 //! an honest `Unknown`, and the hardness reductions blow up where the
 //! bounds say they must.
 //!
-//! Beyond the human-readable tables on stdout, the run writes four
+//! Beyond the human-readable tables on stdout, the run writes five
 //! machine-readable artifacts to the current directory:
 //!
 //! * `BENCH_TABLE1.json` — one object per Table I (RCDP) cell;
 //! * `BENCH_TABLE2.json` — one object per Table II (RCQP) cell;
-//! * `BENCH_ENGINE.json` — the naive/indexed engine A/B comparison: every
-//!   cell of a scaling suite of CQ/UCQ decisions timed under both engines,
-//!   with the per-cell speedup and the median speedup at the largest size;
-//! * `BENCH_PAR.json` — the indexed/parallel scaling suite: the same
-//!   decisions timed under `Engine::Indexed` and `Engine::Parallel`, with
+//! * `BENCH_ENGINE.json` — the engine A/B comparison: every cell of a
+//!   scaling suite of CQ/UCQ decisions timed under `Engine::Naive` and
+//!   `Engine::planned(1)`, with the per-cell speedup and the median speedup
+//!   at the largest size;
+//! * `BENCH_PAR.json` — the sharding scaling suite: the same decisions
+//!   timed under `Engine::planned(1)` and `Engine::planned(workers)`, with
 //!   per-cell speedups, verdict-identity checks, and the median speedup at
 //!   the largest size;
-//! * `BENCH_PLAN.json` — the plan A/B suite: the same scaling decisions
-//!   timed under `Engine::Indexed` and `Engine::Planned` (cost-based
-//!   compiled query plans), with per-cell speedups, verdict-identity
-//!   checks, the median speedup at the largest size, and a prepared-reuse
-//!   cell amortizing one `prepare()` over a batch of decisions;
 //! * `BENCH_ANALYSIS.json` — the static-analysis A/B suite: FO-*syntax*
 //!   queries that `ric::analyze` certifies down to CQ, decided through the
 //!   naive FO-cell dispatch versus the analyzer-gated `try_rcdp_analyzed`
@@ -48,22 +44,18 @@
 //! well-formed artifacts, which is the point: the tables can be rebuilt on a
 //! time budget without ever reporting a wrong cell.
 //!
-//! Pass `--engine naive|indexed|parallel|planned` to pick the evaluation
-//! engine used for the Table I/II cells (default `indexed`; every engine is
-//! exact, so the verdicts must not differ). The A/B suite behind
-//! `BENCH_ENGINE.json` always runs both sequential engines regardless of the
-//! flag, and the plan suite behind `BENCH_PLAN.json` always runs indexed
-//! versus planned: the same scaling decisions timed under both, with
-//! per-cell verdict-identity checks, the median speedup at the largest
-//! size, and a prepared-reuse cell that amortizes one [`ric::prepare`] call
-//! over a batch of decisions.
+//! Pass `--engine naive|planned` to pick the evaluation engine used for the
+//! Table I/II cells (default `planned`, the sequential `Engine::planned(1)`;
+//! both engines are exact, so the verdicts must not differ). The A/B suite
+//! behind `BENCH_ENGINE.json` always runs both engines regardless of the
+//! flag.
 //!
-//! Pass `--workers N` to size the worker pool of the parallel engine
-//! (default 4). The parallel scaling suite behind `BENCH_PAR.json` times the
-//! same decision under `Engine::Indexed` and `Engine::Parallel` at growing
-//! instance sizes and reports the per-cell and median wall-clock speedups;
-//! the two engines must return identical verdicts (the scheduler's
-//! deterministic-merge guarantee), and the artifact records that too.
+//! Pass `--workers N` to size the sharded worker pool (default 4). The
+//! scaling suite behind `BENCH_PAR.json` times the same decision under
+//! `Engine::planned(1)` and `Engine::planned(N)` at growing instance sizes
+//! and reports the per-cell and median wall-clock speedups; the two runs
+//! must return identical verdicts (the scheduler's deterministic-merge
+//! guarantee), and the artifact records that too.
 
 use std::time::Duration;
 
@@ -153,7 +145,8 @@ struct Invocation {
     /// Engine used for the Table I/II cells. The A/B suite ignores this and
     /// always runs both.
     engine: Engine,
-    /// Worker-pool size for the parallel engine and the scaling suite.
+    /// Worker-pool size for the sharded arm of the scaling suite and the
+    /// sharded trace decision.
     workers: usize,
     /// Stream a JSONL decision trace of representative decisions to this
     /// path (`--trace FILE`), for `ric-trace` to render offline.
@@ -188,7 +181,7 @@ fn parse_invocation() -> Invocation {
         } else {
             eprintln!(
                 "usage: regen_tables [--deadline-ms N] \
-                 [--engine naive|indexed|parallel|planned] [--workers N] [--trace FILE]"
+                 [--engine naive|planned] [--workers N] [--trace FILE]"
             );
             std::process::exit(2);
         }
@@ -206,15 +199,10 @@ fn parse_invocation() -> Invocation {
         }
     };
     let engine = match engine_arg.as_deref() {
-        None | Some("indexed") => Engine::Indexed,
+        None | Some("planned") => Engine::planned(1),
         Some("naive") => Engine::Naive,
-        Some("parallel") => Engine::parallel(workers),
-        Some("planned") => Engine::planned(workers),
         Some(other) => {
-            eprintln!(
-                "regen_tables: --engine expects `naive`, `indexed`, `parallel`, \
-                 or `planned`, got {other:?}"
-            );
+            eprintln!("regen_tables: --engine expects `naive` or `planned`, got {other:?}");
             std::process::exit(2);
         }
     };
@@ -599,7 +587,7 @@ fn table2(inv: &Invocation) -> Vec<Cell> {
 }
 
 /// One cell of the engine A/B suite: the same decision timed under the
-/// naive and the indexed engine.
+/// naive and the sequential planned engine.
 struct EngineCell {
     cell: String,
     /// Instance-size parameter of the scaling family this cell belongs to.
@@ -608,7 +596,7 @@ struct EngineCell {
     /// median-speedup headline number).
     largest: bool,
     naive_us: u128,
-    indexed_us: u128,
+    planned_us: u128,
     /// Both engines are exact, so the verdicts must agree; recorded so a
     /// regression shows up in the artifact, not just in the test suite.
     agree: bool,
@@ -616,7 +604,7 @@ struct EngineCell {
 
 impl EngineCell {
     fn speedup(&self) -> f64 {
-        self.naive_us as f64 / self.indexed_us.max(1) as f64
+        self.naive_us as f64 / self.planned_us.max(1) as f64
     }
 
     fn to_json(&self) -> Json {
@@ -625,14 +613,14 @@ impl EngineCell {
             ("size", Json::from(self.size)),
             ("largest_size", Json::from(self.largest)),
             ("naive_micros", Json::from(self.naive_us)),
-            ("indexed_micros", Json::from(self.indexed_us)),
+            ("planned_micros", Json::from(self.planned_us)),
             ("speedup", Json::from(self.speedup())),
             ("verdicts_agree", Json::from(self.agree)),
         ])
     }
 }
 
-/// Time one RCDP decision under both engines. Returns the naive and indexed
+/// Time one RCDP decision under both engines. Returns the naive and planned
 /// wall times plus whether the verdicts agree (same variant — witness deltas
 /// may legitimately differ between enumeration orders).
 fn ab_rcdp(
@@ -649,11 +637,11 @@ fn ab_rcdp(
         (start.elapsed().as_micros(), v)
     };
     let (naive_us, vn) = run(Engine::Naive);
-    let (indexed_us, vi) = run(Engine::Indexed);
+    let (planned_us, vp) = run(Engine::planned(1));
     (
         naive_us,
-        indexed_us,
-        std::mem::discriminant(&vn) == std::mem::discriminant(&vi),
+        planned_us,
+        std::mem::discriminant(&vn) == std::mem::discriminant(&vp),
     )
 }
 
@@ -709,13 +697,13 @@ fn engine_suite(inv: &Invocation) -> Vec<EngineCell> {
         let query: Query = parse_cq(&setting.schema, "Q(C) :- Supt('e0', D, C).")
             .expect("fixed query")
             .into();
-        let (naive_us, indexed_us, agree) = ab_rcdp(&setting, &query, &db, inv);
+        let (naive_us, planned_us, agree) = ab_rcdp(&setting, &query, &db, inv);
         cells.push(EngineCell {
             cell: format!("(CQ, CQ) FD-pinned n={n}"),
             size: n,
             largest: n == largest,
             naive_us,
-            indexed_us,
+            planned_us,
             agree,
         });
     }
@@ -730,13 +718,13 @@ fn engine_suite(inv: &Invocation) -> Vec<EngineCell> {
         )
         .expect("fixed query")
         .into();
-        let (naive_us, indexed_us, agree) = ab_rcdp(&setting, &query, &db, inv);
+        let (naive_us, planned_us, agree) = ab_rcdp(&setting, &query, &db, inv);
         cells.push(EngineCell {
             cell: format!("(UCQ, CQ) FD-pinned two-disjunct n={n}"),
             size: n,
             largest: n == largest,
             naive_us,
-            indexed_us,
+            planned_us,
             agree,
         });
     }
@@ -763,25 +751,25 @@ fn median(mut s: Vec<f64>) -> f64 {
     }
 }
 
-/// One cell of the parallel scaling suite: the same decision timed under the
-/// indexed engine and the parallel engine at `workers` workers.
+/// One cell of the sharding scaling suite: the same decision timed under the
+/// planned engine at one worker and at `workers` workers.
 struct ParCell {
     cell: String,
     size: usize,
     /// Whether `size` is the largest in its family (these cells feed the
     /// median-speedup headline number).
     largest: bool,
-    indexed_us: u128,
-    parallel_us: u128,
-    /// The scheduler's deterministic merge makes parallel verdicts
-    /// *bit-identical* to the indexed ones — counterexamples included —
+    sequential_us: u128,
+    sharded_us: u128,
+    /// The scheduler's deterministic merge makes sharded verdicts
+    /// *bit-identical* to the sequential ones — counterexamples included —
     /// so this records full equality, not just variant agreement.
     identical: bool,
 }
 
 impl ParCell {
     fn speedup(&self) -> f64 {
-        self.indexed_us as f64 / self.parallel_us.max(1) as f64
+        self.sequential_us as f64 / self.sharded_us.max(1) as f64
     }
 
     fn to_json(&self) -> Json {
@@ -789,17 +777,17 @@ impl ParCell {
             ("cell", Json::from(self.cell.as_str())),
             ("size", Json::from(self.size)),
             ("largest_size", Json::from(self.largest)),
-            ("indexed_micros", Json::from(self.indexed_us)),
-            ("parallel_micros", Json::from(self.parallel_us)),
+            ("sequential_micros", Json::from(self.sequential_us)),
+            ("sharded_micros", Json::from(self.sharded_us)),
             ("speedup", Json::from(self.speedup())),
             ("verdicts_identical", Json::from(self.identical)),
         ])
     }
 }
 
-/// The parallel scaling suite: the engine A/B instance families at larger
-/// sizes, timed under `Engine::Indexed` versus `Engine::Parallel`. The
-/// instances are complete by construction, so both engines sweep the whole
+/// The sharding scaling suite: the engine A/B instance families at larger
+/// sizes, timed under `Engine::planned(1)` versus `Engine::planned(workers)`.
+/// The instances are complete by construction, so both runs sweep the whole
 /// valuation space — exactly the regime the chunked fan-out is built for.
 fn par_suite(inv: &Invocation) -> Vec<ParCell> {
     let mut cells = Vec::new();
@@ -826,15 +814,15 @@ fn par_suite(inv: &Invocation) -> Vec<ParCell> {
                 let v = rcdp(&setting, &query, &db, &budget).expect("well-formed instance");
                 (start.elapsed().as_micros(), v)
             };
-            let (indexed_us, vi) = run(Engine::Indexed);
-            let (parallel_us, vp) = run(Engine::parallel(inv.workers));
+            let (sequential_us, vs) = run(Engine::planned(1));
+            let (sharded_us, vp) = run(Engine::planned(inv.workers));
             cells.push(ParCell {
                 cell: format!("{name} n={n}"),
                 size: n,
                 largest: n == largest,
-                indexed_us,
-                parallel_us,
-                identical: vi == vp,
+                sequential_us,
+                sharded_us,
+                identical: vs == vp,
             });
         }
     }
@@ -842,19 +830,19 @@ fn par_suite(inv: &Invocation) -> Vec<ParCell> {
 }
 
 fn print_par_suite(cells: &[ParCell], workers: usize, median: f64) {
-    println!("\nParallel scaling - indexed vs parallel({workers})");
+    println!("\nSharded scaling - planned(1) vs planned({workers})");
     println!("==========================================");
     println!(
         "{:<42} {:>12} {:>12} {:>9} {:>10}",
-        "cell", "indexed", "parallel", "speedup", "identical"
+        "cell", "planned(1)", "sharded", "speedup", "identical"
     );
     println!("{}", "-".repeat(90));
     for c in cells {
         println!(
             "{:<42} {:>9} µs {:>9} µs {:>8.1}x {:>10}",
             c.cell,
-            c.indexed_us,
-            c.parallel_us,
+            c.sequential_us,
+            c.sharded_us,
             c.speedup(),
             c.identical
         );
@@ -868,7 +856,10 @@ fn write_par_suite(path: &str, cells: &[ParCell], workers: usize, median: f64, m
         ("meta", meta.clone()),
         (
             "engines",
-            Json::arr(["indexed", "parallel"].map(Json::from)),
+            Json::arr([
+                Json::from(Engine::planned(1).to_string()),
+                Json::from(Engine::planned(workers).to_string()),
+            ]),
         ),
         ("workers", Json::from(workers)),
         ("cells", Json::arr(cells.iter().map(ParCell::to_json))),
@@ -880,208 +871,12 @@ fn write_par_suite(path: &str, cells: &[ParCell], workers: usize, median: f64, m
     }
 }
 
-/// One cell of the plan A/B suite: the same decision timed under the indexed
-/// engine and the planned (cost-based compiled plans) engine.
-struct PlanCell {
-    cell: String,
-    size: usize,
-    /// Whether `size` is the largest in its family (these cells feed the
-    /// median-speedup headline number).
-    largest: bool,
-    indexed_us: u128,
-    planned_us: u128,
-    /// Plans fix join orders only, so planned verdicts are *bit-identical*
-    /// to the indexed ones — counterexamples included.
-    identical: bool,
-}
-
-impl PlanCell {
-    fn speedup(&self) -> f64 {
-        self.indexed_us as f64 / self.planned_us.max(1) as f64
-    }
-
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("cell", Json::from(self.cell.as_str())),
-            ("size", Json::from(self.size)),
-            ("largest_size", Json::from(self.largest)),
-            ("indexed_micros", Json::from(self.indexed_us)),
-            ("planned_micros", Json::from(self.planned_us)),
-            ("speedup", Json::from(self.speedup())),
-            ("verdicts_identical", Json::from(self.identical)),
-        ])
-    }
-}
-
-/// The prepared-reuse cell: one [`ric::prepare`] amortized over a batch of
-/// decisions, versus preparing from scratch inside every decision.
-struct ReuseCell {
-    cell: String,
-    decisions: usize,
-    fresh_us: u128,
-    prepared_us: u128,
-    identical: bool,
-}
-
-impl ReuseCell {
-    fn speedup(&self) -> f64 {
-        self.fresh_us as f64 / self.prepared_us.max(1) as f64
-    }
-
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("cell", Json::from(self.cell.as_str())),
-            ("decisions", Json::from(self.decisions)),
-            ("fresh_micros", Json::from(self.fresh_us)),
-            ("prepared_micros", Json::from(self.prepared_us)),
-            ("speedup", Json::from(self.speedup())),
-            ("verdicts_identical", Json::from(self.identical)),
-        ])
-    }
-}
-
-/// The plan A/B suite: the largest Table I cell family (the FD-pinned
-/// Example 3.1 instances, whose CQ-bodied constraints are where the delta
-/// check dominates) timed under `Engine::Indexed` versus `Engine::Planned`.
-/// The instances are complete by construction, so both engines sweep the
-/// whole valuation space; the planned arm's compiled plans with reusable
-/// scratch buffers are what the speedup measures.
-fn plan_suite(inv: &Invocation) -> (Vec<PlanCell>, ReuseCell) {
-    let mut cells = Vec::new();
-    let sizes = [20usize, 48, 96];
-    let largest = *sizes.last().unwrap();
-    let queries: [(&str, &str); 2] = [
-        ("(CQ, CQ) FD-pinned", "Q(C) :- Supt('e0', D, C)."),
-        (
-            "(UCQ, CQ) FD-pinned two-disjunct",
-            "Q(C) :- Supt('e0', D, C). Q(C) :- Supt('e1', D, C).",
-        ),
-    ];
-    for (name, src) in queries {
-        for &n in &sizes {
-            let (setting, db) = fd_instance(n);
-            let query: Query = if src.matches(":-").count() > 1 {
-                parse_ucq(&setting.schema, src).expect("fixed query").into()
-            } else {
-                parse_cq(&setting.schema, src).expect("fixed query").into()
-            };
-            let run = |engine: Engine| {
-                let budget = bounded(SearchBudget::default(), inv).with_engine(engine);
-                let start = Instant::now();
-                let v = rcdp(&setting, &query, &db, &budget).expect("well-formed instance");
-                (start.elapsed().as_micros(), v)
-            };
-            let (indexed_us, vi) = run(Engine::Indexed);
-            let (planned_us, vp) = run(Engine::planned(1));
-            cells.push(PlanCell {
-                cell: format!("{name} n={n}"),
-                size: n,
-                largest: n == largest,
-                indexed_us,
-                planned_us,
-                identical: vi == vp,
-            });
-        }
-    }
-
-    // Prepared reuse: the same planned decision repeated over a batch, once
-    // preparing from scratch every time and once against one shared
-    // `PreparedSetting`. Small instances are the regime preparation is for:
-    // there the per-decision compile (tableau normalization, rhs
-    // evaluation, planning) is a visible fraction of the decision.
-    let decisions = 200usize;
-    let reuse_n = 8usize;
-    let (setting, db) = fd_instance(reuse_n);
-    let query: Query = parse_cq(&setting.schema, "Q(C) :- Supt('e0', D, C).")
-        .expect("fixed query")
-        .into();
-    let budget = bounded(SearchBudget::default(), inv).with_engine(Engine::planned(1));
-
-    // One-time preparation cost counts against the prepared arm. The arms
-    // interleave decision-by-decision so clock-frequency drift over the
-    // batch cannot bias either side, and both use unprobed, unisolated
-    // entry points — the timing isolates the preparation reuse itself.
-    let start = Instant::now();
-    let prepared =
-        ric::prepare(&setting, &db, Engine::planned(1)).expect("well-formed preparation");
-    let mut prepared_us = start.elapsed().as_micros();
-    let mut fresh_us = 0u128;
-    let mut fresh_verdicts = Vec::new();
-    let mut prepared_verdicts = Vec::new();
-    for _ in 0..decisions {
-        let start = Instant::now();
-        fresh_verdicts.push(rcdp(&setting, &query, &db, &budget).expect("well-formed instance"));
-        fresh_us += start.elapsed().as_micros();
-        let start = Instant::now();
-        prepared_verdicts.push(
-            prepared
-                .rcdp(&query, &db, &budget)
-                .expect("well-formed instance"),
-        );
-        prepared_us += start.elapsed().as_micros();
-    }
-
-    let reuse = ReuseCell {
-        cell: format!("(CQ, CQ) FD-pinned n={reuse_n} prepared-reuse"),
-        decisions,
-        fresh_us,
-        prepared_us,
-        identical: fresh_verdicts == prepared_verdicts,
-    };
-    (cells, reuse)
-}
-
-fn print_plan_suite(cells: &[PlanCell], reuse: &ReuseCell, median: f64) {
-    println!("\nPlan A/B - indexed vs planned");
-    println!("=============================");
-    println!(
-        "{:<42} {:>12} {:>12} {:>9} {:>10}",
-        "cell", "indexed", "planned", "speedup", "identical"
-    );
-    println!("{}", "-".repeat(90));
-    for c in cells {
-        println!(
-            "{:<42} {:>9} µs {:>9} µs {:>8.1}x {:>10}",
-            c.cell,
-            c.indexed_us,
-            c.planned_us,
-            c.speedup(),
-            c.identical
-        );
-    }
-    println!(
-        "{:<42} {:>9} µs {:>9} µs {:>8.1}x {:>10}   ({} decisions)",
-        reuse.cell,
-        reuse.fresh_us,
-        reuse.prepared_us,
-        reuse.speedup(),
-        reuse.identical,
-        reuse.decisions
-    );
-    println!("median speedup at largest size: {median:.1}x");
-}
-
-fn write_plan_suite(path: &str, cells: &[PlanCell], reuse: &ReuseCell, median: f64, meta: &Json) {
-    let doc = Json::obj([
-        ("source", Json::from("regen_tables")),
-        ("meta", meta.clone()),
-        ("engines", Json::arr(["indexed", "planned"].map(Json::from))),
-        ("cells", Json::arr(cells.iter().map(PlanCell::to_json))),
-        ("prepared_reuse", reuse.to_json()),
-        ("median_speedup_at_largest", Json::from(median)),
-    ]);
-    match std::fs::write(path, format!("{}\n", doc.pretty())) {
-        Ok(()) => println!("wrote {path} ({} cells + prepared-reuse)", cells.len()),
-        Err(e) => eprintln!("could not write {path}: {e}"),
-    }
-}
-
 fn print_engine_suite(cells: &[EngineCell], median: f64) {
-    println!("\nEngine A/B - naive vs indexed");
-    println!("=============================");
+    println!("\nEngine A/B - naive vs planned(1)");
+    println!("================================");
     println!(
         "{:<42} {:>12} {:>12} {:>9} {:>7}",
-        "cell", "naive", "indexed", "speedup", "agree"
+        "cell", "naive", "planned(1)", "speedup", "agree"
     );
     println!("{}", "-".repeat(88));
     for c in cells {
@@ -1089,7 +884,7 @@ fn print_engine_suite(cells: &[EngineCell], median: f64) {
             "{:<42} {:>9} µs {:>9} µs {:>8.1}x {:>7}",
             c.cell,
             c.naive_us,
-            c.indexed_us,
+            c.planned_us,
             c.speedup(),
             c.agree
         );
@@ -1101,7 +896,7 @@ fn write_engine_suite(path: &str, cells: &[EngineCell], median: f64, meta: &Json
     let doc = Json::obj([
         ("source", Json::from("regen_tables")),
         ("meta", meta.clone()),
-        ("engines", Json::arr(["naive", "indexed"].map(Json::from))),
+        ("engines", Json::arr(["naive", "planned:1"].map(Json::from))),
         ("cells", Json::arr(cells.iter().map(EngineCell::to_json))),
         ("median_speedup_at_largest", Json::from(median)),
     ]);
@@ -1349,28 +1144,12 @@ fn main() {
             .collect(),
     );
     print_par_suite(&par_cells, inv.workers, par_median);
-    let (plan_cells, plan_reuse) = plan_suite(&inv);
-    let plan_median = self::median(
-        plan_cells
-            .iter()
-            .filter(|c| c.largest)
-            .map(PlanCell::speedup)
-            .collect(),
-    );
-    print_plan_suite(&plan_cells, &plan_reuse, plan_median);
     println!();
     let meta = meta_json(&inv);
     write_table("BENCH_TABLE1.json", "I", "RCDP(L_Q, L_C)", &t1, &meta);
     write_table("BENCH_TABLE2.json", "II", "RCQP(L_Q, L_C)", &t2, &meta);
     write_engine_suite("BENCH_ENGINE.json", &engine_cells, median, &meta);
     write_par_suite("BENCH_PAR.json", &par_cells, inv.workers, par_median, &meta);
-    write_plan_suite(
-        "BENCH_PLAN.json",
-        &plan_cells,
-        &plan_reuse,
-        plan_median,
-        &meta,
-    );
     write_analysis_suite(
         "BENCH_ANALYSIS.json",
         &analysis_cells,
@@ -1428,11 +1207,11 @@ fn write_trace(path: &str, inv: &Invocation) {
         .map_err(|e| e.to_string()),
     );
 
-    // Decision 2: the same decision under the parallel engine — adds the
-    // per-worker chunk timeline notes and the merged chunk profile.
-    let par_budget = budget.with_engine(Engine::parallel(inv.workers));
+    // Decision 2: the same decision sharded across `workers` threads — adds
+    // the per-worker chunk timeline notes and the merged chunk profile.
+    let par_budget = budget.with_engine(Engine::planned(inv.workers));
     run(
-        "parallel rcdp",
+        "sharded rcdp",
         try_rcdp_probed(
             &inst.setting,
             &inst.query,

@@ -276,11 +276,16 @@ fn diff_bench(name_a: &str, a: &Json, name_b: &str, b: &Json) -> Result<(), Stri
                     .to_string();
                 // Table cells time one decision (`micros`); the A/B suites
                 // time two arms — fall back to the second arm's column.
-                let micros = ["micros", "indexed_micros", "analyzed_micros"]
-                    .iter()
-                    .find_map(|k| cell.get(k).and_then(Json::as_int))
-                    .and_then(|i| u128::try_from(i).ok())
-                    .ok_or_else(|| format!("{name}: cell {key:?} has no timing field"))?;
+                let micros = [
+                    "micros",
+                    "planned_micros",
+                    "sharded_micros",
+                    "analyzed_micros",
+                ]
+                .iter()
+                .find_map(|k| cell.get(k).and_then(Json::as_int))
+                .and_then(|i| u128::try_from(i).ok())
+                .ok_or_else(|| format!("{name}: cell {key:?} has no timing field"))?;
                 let outcome = cell
                     .get("outcome")
                     .and_then(Json::as_str)

@@ -1,8 +1,7 @@
 //! End-to-end test of the `ric-trace plan` pipeline: a real planned-engine
 //! decision recorded through the JSONL sink parses back into a segment whose
 //! [`ric_bench::plan_report`] names the join order, the per-atom estimates,
-//! and the planned-vs-actual cardinalities — and an indexed-engine trace of
-//! the same decision reports no plan at all.
+//! and the planned-vs-actual cardinalities.
 
 use ric::prelude::*;
 use ric::JsonlSink;
@@ -96,19 +95,4 @@ fn planned_trace_reports_join_order_estimates_and_cardinalities() {
         assert_eq!(row.planned, 1, "each body relation holds one tuple");
     }
     assert!(report.contains("1.00x"), "drift ratio renders: {report}");
-}
-
-#[test]
-fn indexed_trace_has_no_plan_report() {
-    let budget = SearchBudget::default().with_engine(Engine::Indexed);
-    let segments = parse_trace(&record_trace(&budget)).expect("indexed trace parses");
-    assert_eq!(segments.len(), 1);
-    assert!(
-        plan_report(&segments[0]).is_none(),
-        "indexed decisions record no plan telemetry"
-    );
-    assert!(
-        segments[0].counters.keys().all(|k| !k.starts_with("plan.")),
-        "no plan.* counters under Engine::Indexed"
-    );
 }

@@ -9,8 +9,8 @@
 //! ```
 //!
 //! so with `q(D) ⊆ rhs` given, the union satisfies the constraint iff the
-//! *delta answers* do — computed by
-//! [`eval_tableau_delta`] without ever
+//! *delta answers* do — computed by compiled [`DeltaPlans`] (the planned
+//! mirror of `ric_query::eval::eval_tableau_delta`) without ever
 //! materializing the union. Constraints whose body reads no relation with a
 //! novel delta tuple are skipped outright (reported as
 //! [`DeltaCheck::skipped`], the deciders' `cc.skipped_by_delta` counter).
@@ -23,8 +23,7 @@ use crate::cc::{CcBody, ConstraintSet};
 use ric_data::{Database, Overlay, RelId, Tuple};
 use ric_plan::planner::{plan_tableau_delta, StatsProvider};
 use ric_plan::{exec, DeltaPlans};
-use ric_query::eval::eval_tableau_delta;
-use ric_query::tableau::{Tableau, TableauError};
+use ric_query::tableau::TableauError;
 use std::collections::BTreeSet;
 
 /// Outcome of one incremental upper-bound check.
@@ -50,12 +49,8 @@ pub struct DeltaCheck {
 struct PreparedCc {
     /// Relations the body reads.
     rels: BTreeSet<RelId>,
-    /// The body's tableaux (`None` for FO/FP bodies, which re-evaluate in
-    /// full on the materialized union).
-    tableaux: Option<Vec<Tableau>>,
-    /// Compiled delta plans, one per tableau, when this set was prepared
-    /// with [`PreparedUpper::with_plans`]. Plans and tableaux answer the
-    /// same question; the plans just fix the join order up front.
+    /// Compiled delta plans, one per tableau of the body (`None` for FO/FP
+    /// bodies, which re-evaluate in full on the materialized union).
     plans: Option<Vec<DeltaPlans>>,
     /// The right-hand side evaluated on the master data, fixed per decision.
     rhs: BTreeSet<Tuple>,
@@ -64,89 +59,66 @@ struct PreparedCc {
 /// A constraint set compiled against fixed master data, ready to answer
 /// "does `base ∪ delta` still satisfy the upper bounds?" many times.
 ///
-/// Preparation happens once per decision — tableau normalization and the
-/// right-hand-side projections move out of the per-candidate loop.
+/// Preparation happens once per decision — tableau normalization, plan
+/// compilation, and the right-hand-side projections move out of the
+/// per-candidate loop.
 pub struct PreparedUpper {
     ccs: Vec<PreparedCc>,
     /// Body of some constraint is FO/FP (forces materialization when its
     /// relations are touched).
     fo_bodies: Vec<usize>,
     /// Per-relation row counts the planner costed against, for every
-    /// relation read by a plan-bearing body. Empty when prepared without
-    /// plans. Telemetry compares these against the decision database so a
-    /// trace can show how stale the planning statistics were.
+    /// relation read by a plan-bearing body. Telemetry compares these
+    /// against the decision database so a trace can show how stale the
+    /// planning statistics were.
     planned_rows: Vec<(RelId, usize)>,
 }
 
 impl PreparedUpper {
-    /// Prepare the upper bounds of `v` against master data `dm`.
-    pub fn new(
-        v: &ConstraintSet,
-        schema: &ric_data::Schema,
-        dm: &Database,
-    ) -> Result<Self, TableauError> {
-        Self::build(v, schema, dm, None)
-    }
-
-    /// Prepare the upper bounds of `v` against master data `dm` *and*
-    /// compile every monotone body's tableaux into cost-based
-    /// [`DeltaPlans`] steered by `stats` (normally the base database).
+    /// Prepare the upper bounds of `v` against master data `dm`, compiling
+    /// every monotone body's tableaux into cost-based [`DeltaPlans`] steered
+    /// by `stats` (normally the base database).
     ///
-    /// Plan choice affects join order only, never answers:
-    /// [`Self::satisfied_delta`] on a plan-bearing preparation returns the
-    /// same [`DeltaCheck`] — including the violated-constraint index — as on
-    /// a plain one.
-    pub fn with_plans(
+    /// Plan choice affects join order only, never answers: with empty or
+    /// wrong statistics every plan still returns the same [`DeltaCheck`] —
+    /// including the violated-constraint index — from
+    /// [`Self::satisfied_delta`].
+    pub fn new(
         v: &ConstraintSet,
         schema: &ric_data::Schema,
         dm: &Database,
         stats: &dyn StatsProvider,
     ) -> Result<Self, TableauError> {
-        Self::build(v, schema, dm, Some(stats))
-    }
-
-    fn build(
-        v: &ConstraintSet,
-        schema: &ric_data::Schema,
-        dm: &Database,
-        stats: Option<&dyn StatsProvider>,
-    ) -> Result<Self, TableauError> {
         let mut ccs = Vec::with_capacity(v.ccs.len());
         let mut fo_bodies = Vec::new();
         for (i, cc) in v.ccs.iter().enumerate() {
-            let tableaux = match cc.body.as_ucq(schema) {
-                Some(ucq) => Some(ucq.tableaux()?),
+            let plans = match cc.body.as_ucq(schema) {
+                Some(ucq) => Some(
+                    ucq.tableaux()?
+                        .iter()
+                        .map(|t| plan_tableau_delta(t, stats))
+                        .collect(),
+                ),
                 None => {
                     fo_bodies.push(i);
                     None
                 }
             };
-            let plans = match (&tableaux, stats) {
-                (Some(ts), Some(stats)) => {
-                    Some(ts.iter().map(|t| plan_tableau_delta(t, stats)).collect())
-                }
-                _ => None,
-            };
             ccs.push(PreparedCc {
                 rels: cc.body.rels(),
-                tableaux,
                 plans,
                 rhs: cc.rhs.eval(dm),
             });
         }
-        let planned_rows = match stats {
-            Some(stats) => {
-                let rels: BTreeSet<RelId> = ccs
-                    .iter()
-                    .filter(|cc| cc.plans.is_some())
-                    .flat_map(|cc| cc.rels.iter().copied())
-                    .collect();
-                rels.into_iter()
-                    .map(|r| (r, stats.rel_stats(r).rows))
-                    .collect()
-            }
-            None => Vec::new(),
-        };
+        let rels: BTreeSet<RelId> = ccs
+            .iter()
+            .filter(|cc| cc.plans.is_some())
+            .flat_map(|cc| cc.rels.iter().copied())
+            .collect();
+        let planned_rows = rels
+            .into_iter()
+            .map(|r| (r, stats.rel_stats(r).rows))
+            .collect();
         Ok(PreparedUpper {
             ccs,
             fo_bodies,
@@ -155,15 +127,14 @@ impl PreparedUpper {
     }
 
     /// The row counts the planner costed against, per relation read by a
-    /// plan-bearing body (sorted by relation id). Empty when prepared
-    /// without plans.
+    /// plan-bearing body (sorted by relation id).
     pub fn planned_rows(&self) -> &[(RelId, usize)] {
         &self.planned_rows
     }
 
     /// Summary of the compiled plans for telemetry: `(constraints with
     /// plans, plans that fell back to the static order, total estimated
-    /// cost)`. All zeros when prepared without plans.
+    /// cost)`. All zeros when every body is FO/FP.
     pub fn plan_summary(&self) -> (usize, usize, f64) {
         let mut compiled = 0usize;
         let mut fallbacks = 0usize;
@@ -183,7 +154,7 @@ impl PreparedUpper {
     }
 
     /// Render every compiled plan (one constraint per paragraph) for the
-    /// Explain trace note. Empty when prepared without plans.
+    /// Explain trace note. Empty when every body is FO/FP.
     pub fn render_plans(&self, rel_name: impl Fn(RelId) -> String + Copy) -> String {
         let mut out = String::new();
         for (i, prep) in self.ccs.iter().enumerate() {
@@ -229,22 +200,15 @@ impl PreparedUpper {
                 continue;
             }
             checked += 1;
-            match &prep.tableaux {
-                Some(ts) => {
-                    let within = match &prep.plans {
-                        // Compiled path: early-exits on the first delta
-                        // answer outside the bound, no answer-set built.
-                        Some(plans) => exec::with_scratch(|scratch| {
-                            plans
-                                .iter()
-                                .all(|dp| dp.delta_answers_within(ov, scratch, &prep.rhs))
-                        }),
-                        None => ts.iter().all(|t| {
-                            eval_tableau_delta(t, ov)
-                                .iter()
-                                .all(|a| prep.rhs.contains(a))
-                        }),
-                    };
+            match &prep.plans {
+                Some(plans) => {
+                    // Early-exits on the first delta answer outside the
+                    // bound; no answer set is built.
+                    let within = exec::with_scratch(|scratch| {
+                        plans
+                            .iter()
+                            .all(|dp| dp.delta_answers_within(ov, scratch, &prep.rhs))
+                    });
                     if !within {
                         return Ok(DeltaCheck {
                             satisfied: false,
@@ -283,17 +247,17 @@ impl PreparedUpper {
 }
 
 impl ConstraintSet {
-    /// One-shot incremental upper-bound check: prepare against `dm`, then
-    /// verify what `ov`'s delta adds. For repeated checks against the same
-    /// `(V, dm)` (the deciders' loops), build a [`PreparedUpper`] once
-    /// instead.
+    /// One-shot incremental upper-bound check: prepare against `dm` with
+    /// plans costed from `ov.base()`, then verify what `ov`'s delta adds.
+    /// For repeated checks against the same `(V, dm)` (the deciders' loops),
+    /// build a [`PreparedUpper`] once instead.
     pub fn upper_satisfied_delta(
         &self,
         schema: &ric_data::Schema,
         dm: &Database,
         ov: &Overlay<'_>,
     ) -> Result<DeltaCheck, TableauError> {
-        PreparedUpper::new(self, schema, dm)?.satisfied_delta(self, ov)
+        PreparedUpper::new(self, schema, dm, ov.base())?.satisfied_delta(self, ov)
     }
 }
 
@@ -302,6 +266,7 @@ mod tests {
     use super::*;
     use crate::cc::{ContainmentConstraint, Projection};
     use ric_data::{RelationSchema, Schema, Value};
+    use ric_query::eval::eval_tableau_delta;
     use ric_query::parse_cq;
 
     fn schemas() -> (Schema, Schema) {
@@ -421,19 +386,29 @@ mod tests {
         dm.insert(dcust, t1(11));
         let mut db = Database::empty(&r);
         db.insert(cust, t2(10, 1));
-        let plain = PreparedUpper::new(&v, &r, &dm).unwrap();
-        let planned = PreparedUpper::with_plans(&v, &r, &dm, &db).unwrap();
-        assert_eq!(plain.plan_summary(), (0, 0, 0.0));
+        let planned = PreparedUpper::new(&v, &r, &dm, &db).unwrap();
         let (compiled, _, _) = planned.plan_summary();
         assert_eq!(compiled, 1);
         assert!(planned.render_plans(|_| "Cust".into()).contains("est="));
+        // Reference: the greedy delta evaluator plus right-hand-side
+        // containment, with the violated index it implies.
+        let tableaux = v.ccs[0].body.as_ucq(&r).unwrap().tableaux().unwrap();
+        let rhs = v.ccs[0].rhs.eval(&dm);
         for (cid, cc) in [(11, 1), (99, 1), (99, 2)] {
             let mut delta = Database::empty(&r);
             delta.insert(cust, t2(cid, cc));
             let ov = Overlay::new(&db, &delta).unwrap();
-            let a = plain.satisfied_delta(&v, &ov).unwrap();
-            let b = planned.satisfied_delta(&v, &ov).unwrap();
-            assert_eq!(a, b, "delta ({cid}, {cc})");
+            let within = tableaux
+                .iter()
+                .all(|t| eval_tableau_delta(t, &ov).iter().all(|a| rhs.contains(a)));
+            let expected = DeltaCheck {
+                satisfied: within,
+                checked: 1,
+                skipped: 0,
+                violated: (!within).then_some(0),
+            };
+            let got = planned.satisfied_delta(&v, &ov).unwrap();
+            assert_eq!(got, expected, "delta ({cid}, {cc})");
         }
     }
 

@@ -13,50 +13,39 @@ use crate::verdict::BudgetLimit;
 
 /// Which evaluation engine the deciders use for their inner loops.
 ///
-/// All engines are exact — `Naive` materializes each candidate extension
-/// `D ∪ Δ` and re-checks every constraint from scratch, `Indexed` works
-/// through overlays, per-column indexes, and delta-aware constraint checks,
-/// and `Parallel` shards the `Indexed` enumeration loops across a hand-rolled
-/// thread pool with a deterministic merge (same verdict and witness as the
-/// sequential engines, regardless of thread count or interleaving — see
-/// `DESIGN.md` §8). `Naive` exists as the differential-testing oracle and the
-/// baseline arm of the engine benchmark.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
+/// Both engines are exact. `Naive` materializes each candidate extension
+/// `D ∪ Δ` and re-checks every constraint from scratch; it exists as the
+/// differential-testing oracle and the baseline arm of the engine benchmark.
+/// `Planned` works through overlays, per-column indexes, and delta-aware
+/// constraint checks whose bodies are compiled to cost-based plans, and with
+/// `workers > 1` shards its enumeration loops across a hand-rolled thread
+/// pool with a deterministic merge (same verdict and witness regardless of
+/// thread count or interleaving — see `DESIGN.md` §8).
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Engine {
     /// Materialize unions, re-check all constraints per candidate.
     Naive,
-    /// Overlay views, index joins, delta-restricted constraint checks.
-    #[default]
-    Indexed,
-    /// The indexed engine with its hot enumeration loops sharded across
-    /// `workers` threads (clamped to at least 1; `workers: 1` runs the
-    /// parallel code path on the calling thread only).
-    Parallel {
-        /// Worker thread count for the chunked enumeration pool.
-        workers: usize,
-    },
-    /// The indexed engine with containment-constraint bodies compiled to
-    /// cost-based prepared plans (`ric-plan`): fixed binding orders chosen
-    /// from base-database statistics, pre-resolved index probes, pinned
-    /// inequality checks. `workers > 1` additionally shards the enumeration
-    /// loops like `Parallel`; `workers: 1` stays sequential. Falls back to
-    /// the static greedy order (plan-level, still exact) when statistics
-    /// are absent. Verdicts, witnesses, and checkpoints are identical to
-    /// `Indexed` by construction.
+    /// Overlay views, index joins, and delta-restricted constraint checks,
+    /// with containment-constraint bodies compiled to cost-based prepared
+    /// plans (`ric-plan`): fixed binding orders chosen from base-database
+    /// statistics, pre-resolved index probes, pinned inequality checks.
+    /// Falls back to the static greedy order (plan-level, still exact) when
+    /// statistics are absent. `workers > 1` shards the enumeration loops
+    /// across a thread pool; `workers: 1` runs them on the calling thread.
     Planned {
-        /// Worker thread count (1 = sequential, like `Indexed`).
+        /// Worker thread count (1 = sequential).
         workers: usize,
     },
 }
 
-impl Engine {
-    /// A parallel engine with `workers` threads (clamped to at least 1).
-    pub fn parallel(workers: usize) -> Self {
-        Engine::Parallel {
-            workers: workers.max(1),
-        }
+impl Default for Engine {
+    /// The sequential planned engine, `planned(1)`.
+    fn default() -> Self {
+        Engine::planned(1)
     }
+}
 
+impl Engine {
     /// A planned engine with `workers` threads (clamped to at least 1).
     pub fn planned(workers: usize) -> Self {
         Engine::Planned {
@@ -65,38 +54,24 @@ impl Engine {
     }
 
     /// Does this engine use the indexed data path (overlays, per-column
-    /// indexes, delta-restricted constraint checks)? `Parallel` shards the
-    /// indexed loops and `Planned` compiles them, so both do.
+    /// indexes, delta-restricted constraint checks)? Every engine but the
+    /// `Naive` oracle does.
     pub fn indexed(&self) -> bool {
-        matches!(
-            self,
-            Engine::Indexed | Engine::Parallel { .. } | Engine::Planned { .. }
-        )
-    }
-
-    /// Does this engine compile constraint bodies to prepared plans?
-    pub fn is_planned(&self) -> bool {
-        matches!(self, Engine::Planned { .. })
+        !matches!(self, Engine::Naive)
     }
 
     /// Does this engine shard its enumeration loops across a thread pool?
-    /// `Parallel` always does (`workers: 1` runs the parallel code path on
-    /// the calling thread, by contract); `Planned` only with more than one
-    /// worker — `planned:1` is the sequential engine plus plans.
+    /// Only with more than one worker.
     pub fn sharded(&self) -> bool {
-        match self {
-            Engine::Parallel { .. } => true,
-            Engine::Planned { workers } => *workers > 1,
-            _ => false,
-        }
+        self.workers() > 1
     }
 
     /// The number of worker threads this engine fans enumeration out to
     /// (1 for the sequential engines).
     pub fn workers(&self) -> usize {
         match self {
-            Engine::Parallel { workers } | Engine::Planned { workers } => (*workers).max(1),
-            _ => 1,
+            Engine::Planned { workers } => (*workers).max(1),
+            Engine::Naive => 1,
         }
     }
 }
@@ -105,8 +80,6 @@ impl std::fmt::Display for Engine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             Engine::Naive => write!(f, "naive"),
-            Engine::Indexed => write!(f, "indexed"),
-            Engine::Parallel { workers } => write!(f, "parallel:{workers}"),
             Engine::Planned { workers } => write!(f, "planned:{workers}"),
         }
     }
@@ -368,33 +341,23 @@ mod tests {
     }
 
     #[test]
-    fn engine_helpers_classify_parallel_as_indexed() {
-        assert!(Engine::Indexed.indexed());
+    fn engine_helpers_classify_naive() {
         assert!(!Engine::Naive.indexed());
-        assert!(Engine::parallel(4).indexed());
-        assert_eq!(Engine::parallel(0).workers(), 1);
-        assert_eq!(Engine::parallel(4).workers(), 4);
+        assert!(!Engine::Naive.sharded());
         assert_eq!(Engine::Naive.workers(), 1);
-        assert_eq!(Engine::parallel(4).to_string(), "parallel:4");
+        assert_eq!(Engine::Naive.to_string(), "naive");
+        assert_eq!(Engine::default(), Engine::planned(1));
     }
 
     #[test]
     fn engine_helpers_classify_planned() {
         assert!(Engine::planned(1).indexed());
-        assert!(Engine::planned(1).is_planned());
-        assert!(!Engine::Indexed.is_planned());
-        assert!(!Engine::parallel(4).is_planned());
         assert_eq!(Engine::planned(0).workers(), 1);
         assert_eq!(Engine::planned(4).workers(), 4);
         assert_eq!(Engine::planned(4).to_string(), "planned:4");
-        // Sharding: Parallel always runs the pool (even workers=1, by
-        // documented contract); Planned only fans out past one worker.
-        assert!(Engine::parallel(1).sharded());
-        assert!(Engine::parallel(4).sharded());
+        // Sharding: only past one worker.
         assert!(!Engine::planned(1).sharded());
         assert!(Engine::planned(4).sharded());
-        assert!(!Engine::Indexed.sharded());
-        assert!(!Engine::Naive.sharded());
     }
 
     #[test]

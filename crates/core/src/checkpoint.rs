@@ -7,7 +7,7 @@
 //! portion of the search is captured into a [`Checkpoint`]:
 //!
 //! - exact RCDP (all engines): the set of *cleared* enumeration chunks — the
-//!   same `(tableau, depth-0 candidate)` chunks the parallel engine shards
+//!   same `(tableau, depth-0 candidate)` chunks the sharded engine fans out
 //!   over — each with its committed per-chunk stats;
 //! - bounded RCDP (FO/FP fallback): the next unexplored extension size plus
 //!   the cumulative stats of all fully-searched smaller sizes;

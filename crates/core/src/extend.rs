@@ -91,7 +91,7 @@ pub fn complete_extension_guarded(
     // planned join orders only affect timing, so reusing the base-database
     // plans as `current` grows is sound.
     let reuse = crate::prepared::prepare_upper(setting, budget.engine, db)?;
-    crate::rcdp::emit_plan_telemetry(probe, setting, budget.engine, reuse.as_ref(), false, db);
+    crate::rcdp::emit_plan_telemetry(probe, setting, reuse.as_ref(), false, db);
     let span = probe.span("extend.completion");
     let mut current = db.clone();
     let mut added = Database::with_relations(setting.schema.len());

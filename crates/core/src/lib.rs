@@ -22,6 +22,11 @@
 //!   cells: it can certify *incompleteness* with a witness and otherwise
 //!   reports how far it searched.
 //!
+//! Every decider runs on one of two [`Engine`]s: `Naive`, the oracle that
+//! materializes every candidate union, or `Planned { workers }`, which checks
+//! candidates incrementally through compiled constraint plans and shards its
+//! enumeration loops when `workers > 1`. Both return the same verdicts.
+//!
 //! Every positive verdict carries a checkable certificate: `Incomplete` holds
 //! a violating extension Δ with `(D ∪ Δ, D_m) |= V` and `Q(D ∪ Δ) ≠ Q(D)`;
 //! `Nonempty` holds a database that the RCDP decider certifies complete.

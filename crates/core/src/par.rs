@@ -383,7 +383,8 @@ pub(crate) struct RecoveredRun<R> {
     pub recovered: u64,
     /// Chunks that panicked again on retry, in index order. When non-empty
     /// the run still holds their panic payloads (merging would re-raise);
-    /// callers degrade `Parallel → Indexed` instead of merging.
+    /// callers instead commit the cleared chunks and finish the search
+    /// inline on the calling thread, on the same preparation.
     pub lost: Vec<usize>,
 }
 

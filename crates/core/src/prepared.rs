@@ -2,8 +2,8 @@
 //! decide many times.
 //!
 //! Every decider entry point re-derives the same artifacts per call: the
-//! upper-bound delta preparation (per-constraint tableaux plus, under
-//! [`Engine::Planned`], cost-based compiled plans for each tableau body).
+//! upper-bound delta preparation (per-constraint tableaux compiled to
+//! cost-based plans under [`Engine::Planned`]).
 //! For a one-shot decision that is invisible; for a workload that asks many
 //! decisions against the same `(R, R_m, D_m, V)` setting — the extension
 //! loop, a benchmark sweep, a service holding a fixed schema — it is pure
@@ -27,28 +27,23 @@ use ric_telemetry::Probe;
 use std::sync::Arc;
 
 /// The one place a decision picks its upper-bound preparation: the shared
-/// `reuse` preparation when given, else a fresh compilation for `engine` —
-/// with cost-based plans costed from `stats` under [`Engine::Planned`]. Each
-/// caller keeps its own choice of *whether* it wants a preparation.
+/// `reuse` preparation when given, else a fresh compilation with plans
+/// costed from `stats`. Each caller keeps its own choice of *whether* it
+/// wants a preparation.
 pub(crate) fn upper_preparation(
     setting: &Setting,
-    engine: Engine,
     stats: &dyn StatsProvider,
     reuse: Option<&Arc<PreparedUpper>>,
 ) -> Result<Arc<PreparedUpper>, RcError> {
     if let Some(prep) = reuse {
         return Ok(Arc::clone(prep));
     }
-    let prep = if engine.is_planned() {
-        PreparedUpper::with_plans(&setting.v, &setting.schema, &setting.dm, stats)?
-    } else {
-        PreparedUpper::new(&setting.v, &setting.schema, &setting.dm)?
-    };
+    let prep = PreparedUpper::new(&setting.v, &setting.schema, &setting.dm, stats)?;
     Ok(Arc::new(prep))
 }
 
 /// Build the shared upper-bound preparation `engine` wants for `setting`,
-/// or `None` when the engine never consults one (naive engines use the
+/// or `None` when the engine never consults one (the naive engine uses the
 /// materialized union; IND-only settings use the C3 delta identity with no
 /// tableaux to prepare).
 pub(crate) fn prepare_upper(
@@ -59,15 +54,17 @@ pub(crate) fn prepare_upper(
     if setting.v.is_ind_set() || !engine.indexed() {
         return Ok(None);
     }
-    upper_preparation(setting, engine, stats, None).map(Some)
+    upper_preparation(setting, stats, None).map(Some)
 }
 
-/// A [`Setting`] with its per-engine constraint compilation done up front.
+/// A [`Setting`] with its constraint compilation done up front.
 ///
 /// Build one with [`PreparedSetting::prepare`], then call the mirrored
 /// decider methods ([`Self::rcdp`], [`Self::rcqp`], …) any number of times:
 /// each decision reuses the shared preparation instead of recompiling, and
-/// under [`Engine::Planned`] emits `plan.reuse` instead of `plan.compile`.
+/// emits `plan.reuse` instead of `plan.compile`. Under [`Engine::Naive`]
+/// (and for IND-only constraint sets) there is nothing to compile, and a
+/// prepared decision is a plain one.
 pub struct PreparedSetting {
     setting: Setting,
     engine: Engine,
@@ -77,10 +74,8 @@ pub struct PreparedSetting {
 impl PreparedSetting {
     /// Compile `setting`'s upper bounds once for `engine`. Under
     /// [`Engine::Planned`] the join orders are costed from `stats_db`'s
-    /// statistics; with empty or absent statistics every plan falls back to
-    /// the static greedy order (the indexed engine's dynamic choice), so
-    /// preparation degrades to [`Engine::Indexed`] behavior rather than
-    /// failing.
+    /// statistics; with empty statistics every plan falls back to the static
+    /// greedy most-bound-first order rather than failing.
     pub fn prepare(setting: Setting, stats_db: &Database, engine: Engine) -> Result<Self, RcError> {
         Self::prepare_with_stats(setting, stats_db, engine)
     }
@@ -115,7 +110,7 @@ impl PreparedSetting {
 
     /// `(plans compiled, static fallbacks, summed estimated cost)` across
     /// the prepared constraint bodies, when a preparation exists and plans
-    /// were compiled (planned engine only).
+    /// were compiled (planned engine, some monotone constraint body).
     pub fn plan_summary(&self) -> Option<(usize, usize, f64)> {
         let (compiled, fallbacks, cost) = self.upper.as_ref()?.plan_summary();
         (compiled > 0).then_some((compiled, fallbacks, cost))
@@ -137,9 +132,9 @@ impl PreparedSetting {
     }
 
     /// The per-relation row counts the compiled plans were costed from,
-    /// empty when no plans were compiled (non-planned engines, IND-only
-    /// settings). Streaming callers (`ric-monitor`) compare these against
-    /// live cardinalities to detect statistics drift and replan.
+    /// empty when no plans were compiled (naive engine, IND-only settings).
+    /// Streaming callers (`ric-monitor`) compare these against live
+    /// cardinalities to detect statistics drift and replan.
     pub fn planned_rows(&self) -> Vec<(ric_data::RelId, usize)> {
         self.upper
             .as_ref()
@@ -150,7 +145,7 @@ impl PreparedSetting {
     /// Incremental upper-bound check against this preparation: given that
     /// the upper bounds hold on `ov.base()` (minus any tombstones), do they
     /// hold on the effective view? `Ok(None)` when the engine compiled no
-    /// preparation (naive engines, IND-only settings) — the caller falls
+    /// preparation (naive engine, IND-only settings) — the caller falls
     /// back to a full check.
     pub fn upper_satisfied_delta(
         &self,
@@ -291,12 +286,7 @@ mod tests {
     fn prepared_rcdp_matches_fresh_decision_per_engine() {
         let (setting, db) = setting_and_db();
         let query = Query::Cq(parse_cq(&setting.schema, "Q(E) :- Supt(E, D, C).").unwrap());
-        for engine in [
-            Engine::Indexed,
-            Engine::planned(1),
-            Engine::planned(2),
-            Engine::parallel(2),
-        ] {
+        for engine in [Engine::planned(1), Engine::planned(2)] {
             let budget = SearchBudget {
                 engine,
                 ..SearchBudget::default()
@@ -318,12 +308,9 @@ mod tests {
     #[test]
     fn planned_preparation_exposes_summary_and_render() {
         let (setting, db) = setting_and_db();
-        let prepared = PreparedSetting::prepare(setting.clone(), &db, Engine::planned(1)).unwrap();
+        let prepared = PreparedSetting::prepare(setting, &db, Engine::planned(1)).unwrap();
         let (compiled, _fallbacks, _cost) = prepared.plan_summary().expect("plans compiled");
         assert!(compiled >= 1);
         assert!(prepared.render_plans().contains("est="));
-        // Indexed preparation compiles tableaux but no plans.
-        let indexed = PreparedSetting::prepare(setting, &db, Engine::Indexed).unwrap();
-        assert!(indexed.plan_summary().is_none());
     }
 }

@@ -75,9 +75,7 @@ impl CheckMode {
         } else if !engine.indexed() {
             CheckMode::Union
         } else {
-            CheckMode::Delta(crate::prepared::upper_preparation(
-                setting, engine, db, reuse,
-            )?)
+            CheckMode::Delta(crate::prepared::upper_preparation(setting, db, reuse)?)
         })
     }
 
@@ -296,22 +294,18 @@ pub(crate) fn decide(
     }
 }
 
-/// Emit `plan.*` telemetry for a planned-engine decision: compile/reuse,
-/// static-fallback count, total estimated cost, the rendered plan note, and
-/// the planned-vs-actual cardinality note (`plan.cards`) comparing the row
-/// counts the planner costed against with the decision database `db`.
-/// No-ops for every other engine so the indexed counter stream is untouched.
+/// Emit `plan.*` telemetry for a decision with an upper-bound preparation:
+/// compile/reuse, static-fallback count, total estimated cost, the rendered
+/// plan note, and the planned-vs-actual cardinality note (`plan.cards`)
+/// comparing the row counts the planner costed against with the decision
+/// database `db`. No-ops without a preparation (naive engine, IND-only sets).
 pub(crate) fn emit_plan_telemetry(
     probe: Probe<'_>,
     setting: &Setting,
-    engine: Engine,
     prep: Option<&Arc<PreparedUpper>>,
     reused: bool,
     db: &Database,
 ) {
-    if !engine.is_planned() {
-        return;
-    }
     let Some(prep) = prep else { return };
     let rel_name = |rel: ric_data::RelId| {
         setting
@@ -419,14 +413,7 @@ pub(crate) fn decide_exact(
     let adom = Adom::build(db, setting, query, n_fresh);
     probe.gauge("rcdp.adom_size", adom.len() as u64);
     let mode = CheckMode::select(setting, budget.engine, db, reuse)?;
-    emit_plan_telemetry(
-        probe,
-        setting,
-        budget.engine,
-        mode.prepared(),
-        reuse.is_some(),
-        db,
-    );
+    emit_plan_telemetry(probe, setting, mode.prepared(), reuse.is_some(), db);
     let search = ExactSearch::new(setting, db, &mode, &q_d, &tableaux, &adom);
     let n_chunks = search.chunks.len();
     if n_chunks == 0 {
@@ -780,7 +767,8 @@ impl<'a> ExactSearch<'a> {
             probe.note("degrade.engine", || {
                 format!(
                     "parallel engine lost {} chunk(s) after quarantine retry; \
-                     downgrading to the sequential indexed engine",
+                     downgrading to the sequential search, finishing inline \
+                     on the same preparation",
                     recovered.lost.len()
                 )
             });

@@ -91,7 +91,7 @@ impl ConsistencyCheck {
             return Ok(ConsistencyCheck::Full);
         }
         Ok(ConsistencyCheck::Delta(crate::prepared::upper_preparation(
-            setting, engine, stats, reuse,
+            setting, stats, reuse,
         )?))
     }
 
@@ -939,14 +939,7 @@ fn rcqp_general(
     let mut current = seed.clone();
     let mut result: Option<Database> = None;
     let check_mode = ConsistencyCheck::select(setting, budget.engine, seed, reuse)?;
-    crate::rcdp::emit_plan_telemetry(
-        probe,
-        setting,
-        budget.engine,
-        check_mode.prepared(),
-        reuse.is_some(),
-        seed,
-    );
+    crate::rcdp::emit_plan_telemetry(probe, setting, check_mode.prepared(), reuse.is_some(), seed);
     let cc_skipped = Cell::new(0u64);
     let probes_before = probe_count();
     let ctx = SearchCtx {
@@ -1464,7 +1457,13 @@ mod tests {
                     closed(mask) && (0..n).all(|i| mask & (1 << i) != 0 || !closed(mask | (1 << i)))
                 })
                 .collect();
-            let prepared = PreparedUpper::new(&setting.v, &setting.schema, &setting.dm).unwrap();
+            let prepared = PreparedUpper::new(
+                &setting.v,
+                &setting.schema,
+                &setting.dm,
+                &Database::empty(&schema),
+            )
+            .unwrap();
             for check_mode in [
                 ConsistencyCheck::Full,
                 ConsistencyCheck::Delta(std::sync::Arc::new(prepared)),

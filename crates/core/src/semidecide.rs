@@ -114,7 +114,7 @@ impl BoundedCheck {
             }
         }
         Ok(BoundedCheck::Delta {
-            prepared: crate::prepared::upper_preparation(setting, engine, db, reuse)?,
+            prepared: crate::prepared::upper_preparation(setting, db, reuse)?,
             recheck_lower,
         })
     }
@@ -235,14 +235,7 @@ pub(crate) fn decide_bounded(
     let q_d = query.eval(db)?;
     let probes_before = probe_count();
     let check = BoundedCheck::select(setting, db, budget.engine, reuse)?;
-    crate::rcdp::emit_plan_telemetry(
-        probe,
-        setting,
-        budget.engine,
-        check.prepared(),
-        reuse.is_some(),
-        db,
-    );
+    crate::rcdp::emit_plan_telemetry(probe, setting, check.prepared(), reuse.is_some(), db);
     let adom = Adom::build(db, setting, query, budget.fresh_values);
     let mut values = adom.constants.clone();
     values.extend(adom.fresh.iter().cloned());
@@ -586,7 +579,8 @@ impl BoundedSearch<'_> {
                 probe.note("degrade.engine", || {
                     format!(
                         "parallel engine lost {} chunk(s) after quarantine retry; \
-                         downgrading to the sequential indexed engine",
+                         downgrading to the sequential search, finishing inline \
+                         on the same preparation",
                         recovered.lost.len()
                     )
                 });

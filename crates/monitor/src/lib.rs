@@ -659,11 +659,11 @@ impl Monitor {
     }
 
     /// FNV-1a digest of the monitor's *semantic* state: both databases and
-    /// every setting's verdict, partial-closure flag, and plan-staleness
-    /// flag. A transaction followed by its exact inverse restores this
-    /// digest bitwise. The memo cache, cached frontiers, and counters are
-    /// deliberately excluded — they record *how* the state was reached, not
-    /// what it is (see DESIGN §12).
+    /// every setting's verdict and partial-closure flag. A transaction
+    /// followed by its exact inverse restores this digest bitwise. The memo
+    /// cache, cached frontiers, compiled plans with their staleness flag,
+    /// and counters are deliberately excluded — they record *how* the state
+    /// was reached, not what it is (see DESIGN §12).
     pub fn state_digest(&self) -> u64 {
         let mut h: u64 = 0xcbf2_9ce4_8422_2325;
         let mut eat = |bytes: &[u8]| {
@@ -685,7 +685,7 @@ impl Monitor {
         }
         for s in &self.settings {
             eat(s.name.as_bytes());
-            eat(format!("{:?}|{}|{}", s.state, s.pc, s.stale_plan).as_bytes());
+            eat(format!("{:?}|{}", s.state, s.pc).as_bytes());
         }
         h
     }
@@ -1284,23 +1284,23 @@ fn decide(
     probe: Probe<'_>,
     counters: &mut MonitorCounters,
 ) -> Result<SettingVerdict, MonitorError> {
-    if budget.engine.is_planned() {
-        if s.stale_plan {
-            // The previous decision flagged ≥2× drift; replan now, before
-            // deciding (recompute-or-degrade: degrade then, recompute now).
-            let setting = s.prepared.setting().clone();
-            s.prepared = PreparedSetting::prepare(setting, db, budget.engine)?;
-            s.stale_plan = false;
-            counters.replan += 1;
-            probe.count("monitor.replan", 1);
-            probe.note("monitor.replan", || s.name.clone());
-        } else if plan_drifted(&s.prepared, db) {
-            // Decide with the drifted plan (exact, possibly slower) and
-            // replan before the next decision.
-            s.stale_plan = true;
-            counters.plan_stale += 1;
-            probe.count("plan.stale", 1);
-        }
+    // Only a preparation has planned rows, so a setting without one (naive
+    // engine, IND-only set) never drifts and never replans.
+    if s.stale_plan {
+        // The previous decision flagged ≥2× drift; replan now, before
+        // deciding (recompute-or-degrade: degrade then, recompute now).
+        let setting = s.prepared.setting().clone();
+        s.prepared = PreparedSetting::prepare(setting, db, budget.engine)?;
+        s.stale_plan = false;
+        counters.replan += 1;
+        probe.count("monitor.replan", 1);
+        probe.note("monitor.replan", || s.name.clone());
+    } else if plan_drifted(&s.prepared, db) {
+        // Decide with the drifted plan (exact, possibly slower) and
+        // replan before the next decision.
+        s.stale_plan = true;
+        counters.plan_stale += 1;
+        probe.count("plan.stale", 1);
     }
     counters.redecide += 1;
     probe.count("monitor.redecide", 1);

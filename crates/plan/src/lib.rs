@@ -24,8 +24,8 @@
 //! order, so a stale, empty, or adversarially wrong [`RelStats`](ric_data::RelStats) can change
 //! timing but never answers. When no statistics are available the planner
 //! falls back to a static simulation of the greedy most-bound-first order
-//! ([`PreparedPlan::fallback`]), which is what the indexed engine would have
-//! done dynamically.
+//! ([`PreparedPlan::fallback`]), the order the greedy evaluator in
+//! `ric-query` chooses dynamically.
 //!
 //! [`DeltaPlans`] is the incremental variant mirroring
 //! [`eval_tableau_delta`](ric_query::eval::eval_tableau_delta): one plan per

@@ -1,9 +1,9 @@
 //! Prepared decisions: compile the setting once, decide many times.
 //!
-//! [`prepare`] builds a [`PreparedSetting`] — the setting's upper-bound
-//! tableaux plus, under [`Engine::Planned`](ric_complete::Engine::Planned),
-//! cost-based compiled query plans whose join orders are estimated from the
-//! statistics of a representative database. The `try_*_prepared` entry
+//! [`prepare`] builds a [`PreparedSetting`] — under
+//! [`Engine::Planned`](ric_complete::Engine::Planned), the setting's
+//! upper-bound tableaux compiled to cost-based query plans whose join orders
+//! are estimated from the statistics of a representative database. The `try_*_prepared` entry
 //! points mirror [`try_rcdp`](crate::try_rcdp) / [`try_rcqp`](crate::try_rcqp)
 //! (panic-isolated, explainable) but reuse the shared preparation, emitting
 //! `plan.reuse` instead of `plan.compile` per decision.
@@ -18,9 +18,9 @@ use ric_data::Database;
 use ric_telemetry::Probe;
 
 /// Compile `setting` once for `engine`, costing planned join orders from
-/// `stats_db`'s statistics. With a non-planned engine this still hoists the
-/// upper-bound tableau preparation out of the per-decision path; with
-/// [`Engine::Planned`](Engine::Planned) it also compiles the plans.
+/// `stats_db`'s statistics (an empty `stats_db` gives every plan the static
+/// greedy order). Under [`Engine::Naive`](Engine::Naive) there is nothing to
+/// compile and prepared decisions are plain ones.
 pub fn prepare(
     setting: &Setting,
     stats_db: &Database,

@@ -112,8 +112,9 @@ pub struct Report {
     pub counters: BTreeMap<&'static str, u64>,
     /// Last-observed gauge values by name.
     pub gauges: BTreeMap<&'static str, u64>,
-    /// Summed span times (µs) by name. Under `Engine::Parallel` a merged
-    /// report sums the per-worker spans too, so this reads as *total work
+    /// Summed span times (µs) by name. Under a sharded engine
+    /// (`Engine::Planned` with more than one worker) a merged report sums
+    /// the per-worker spans too, so this reads as *total work
     /// time*, not wall time — see [`Report::merge`].
     pub spans: BTreeMap<&'static str, u128>,
     /// Notes by name, in emission order.

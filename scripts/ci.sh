@@ -8,9 +8,10 @@
 #   4. parallel scheduler     (cargo test --test par_differential,
 #                              then a RIC_WORKERS=1 / RIC_WORKERS=4 matrix)
 #   5. plan A/B               (cargo test --test plan_differential, then a
-#                              RIC_WORKERS={1,4} matrix: the cost-based
-#                              planned engine must be verdict-identical to
-#                              the indexed engine on every decision)
+#                              RIC_WORKERS={1,4} matrix: cost-based plans
+#                              must be verdict-identical to plans compiled
+#                              without statistics (the static greedy order)
+#                              on every decision)
 #   6. reason A/B             (cargo test --test reason_differential, then a
 #                              RIC_WORKERS={1,4} matrix: the symbolic
 #                              pre-decision prover — certified V-minimization
@@ -44,7 +45,9 @@
 #                              bench_static regen smoke: BENCH_STATIC.json
 #                              must report all_ok — >=2x on redundant-V,
 #                              >=10x on statically-decidable cells, verdicts
-#                              identical everywhere)
+#                              identical everywhere. All three run in a temp
+#                              dir, so the tracked BENCH_*.json files are
+#                              never rewritten by CI)
 #  13. trace smoke            (the trace_decision example and the
 #                              regen_tables --trace stream must round-trip
 #                              through the ric-trace CLI: tree, prune, plan,
@@ -78,6 +81,7 @@
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
+root="${PWD}"
 
 step() { printf '\n== %s ==\n' "$*"; }
 
@@ -104,10 +108,11 @@ done
 
 # Plan A/B: the planned engine fixes join orders from cost estimates but
 # must change nothing else — every decision's verdict (and witness) under
-# Engine::Planned must be identical to Engine::Indexed. The differential
-# suite honours RIC_WORKERS, so pin the single-worker and 4-worker pools
-# explicitly alongside the default run.
-step "plan differential suite (planned vs indexed verdict identity, default)"
+# cost-based plans must be identical to plans compiled without statistics,
+# which take the static greedy order. The differential suite honours
+# RIC_WORKERS, so pin the single-worker and 4-worker pools explicitly
+# alongside the default run.
+step "plan differential suite (cost-based vs static-order verdict identity, default)"
 cargo test -q --offline --test plan_differential
 for workers in 1 4; do
   step "plan differential suite (RIC_WORKERS=${workers})"
@@ -116,7 +121,7 @@ done
 
 # E2 search A/B: the RCQP maximal-subset search must visit the same subsets
 # and run the same E2 checks on every engine, with identical verdicts (and
-# Indexed/Planned witnesses). The suite honours RIC_WORKERS, so pin the
+# identical witnesses at every planned worker count). The suite honours RIC_WORKERS, so pin the
 # single-worker and 4-worker pools explicitly alongside the default run.
 step "rcqp E2 differential suite (engine identity of the E2 search, default)"
 cargo test -q --offline --test rcqp_e2_differential
@@ -177,8 +182,8 @@ step "monitor tombstone-edge suite (net no-ops, digest stability, memo cap)"
 cargo test -q --offline --test monitor_tombstone_edges
 
 # Worker-death fault matrix: an injected mid-chunk panic must recover (one
-# death) or degrade Parallel -> Indexed (repeated deaths), never change a
-# verdict; the panic path must still flush buffered telemetry sinks.
+# death) or finish the search inline on the calling thread (repeated
+# deaths), never change a verdict; the panic path must still flush buffered telemetry sinks.
 step "worker-panic fault matrix (quarantine, degradation ladder, sink flush)"
 cargo test -q --offline --test guard_robustness worker_panic
 cargo test -q --offline --test guard_robustness worker_deaths
@@ -197,31 +202,36 @@ cargo test -q --offline --test analysis_properties
 # every shipped workload through the analyzer first and exits nonzero on any
 # Error-level diagnostic, so a broken bench setting fails CI here rather than
 # silently producing garbage artifacts. The same run streams a JSONL decision
-# trace (into a temp dir — wall-clock micros would make a tracked trace file
-# churn on every run) for the smoke step below.
+# trace for the smoke step below. The bench binaries write cwd-relative
+# paths, so they run inside a temp dir: fresh wall-clock micros would
+# otherwise rewrite the tracked BENCH_*.json files on every CI run.
 trace_dir="$(mktemp -d)"
 trap 'rm -rf "${trace_dir}"' EXIT
+bench() {
+  (cd "${trace_dir}" && cargo run -q --release --offline --manifest-path "${root}/Cargo.toml" \
+    -p ric-bench --bin "$@")
+}
 step "bench artifact regeneration (BENCH_*.json + decision trace, deadline-guarded)"
-cargo run -q --release --offline -p ric-bench --bin regen_tables -- --deadline-ms 15000 \
-  --trace "${trace_dir}/regen.jsonl" > /dev/null
+bench regen_tables -- --deadline-ms 15000 --trace "${trace_dir}/regen.jsonl" > /dev/null
 
-# Monitor bench smoke: regenerate BENCH_MONITOR.json in place and require the
-# artifact's own verdict — the run fails if any cell misses the >=5x median
-# speedup bar or sees an incremental/from-scratch verdict mismatch.
+# Monitor bench smoke: regenerate BENCH_MONITOR.json in the temp dir and
+# require the artifact's own verdict — the run fails if any cell misses the
+# >=5x median speedup bar or sees an incremental/from-scratch verdict
+# mismatch.
 step "monitor bench regeneration (BENCH_MONITOR.json, >=5x + verdict identity)"
-cargo run -q --release --offline -p ric-bench --bin bench_monitor > /dev/null
-grep -q '"all_ok": true' BENCH_MONITOR.json || {
+bench bench_monitor > /dev/null
+grep -q '"all_ok": true' "${trace_dir}/BENCH_MONITOR.json" || {
   echo "ci.sh: BENCH_MONITOR.json regenerated with all_ok != true" >&2
   exit 1
 }
 
-# Static-reasoning bench smoke: regenerate BENCH_STATIC.json in place and
-# require the artifact's own verdict — the run fails if the redundant-V cells
-# miss >=2x, the statically-decidable cells miss >=10x, or any repetition sees
-# a reasoned/full-V verdict mismatch.
+# Static-reasoning bench smoke: regenerate BENCH_STATIC.json in the temp dir
+# and require the artifact's own verdict — the run fails if the redundant-V
+# cells miss >=2x, the statically-decidable cells miss >=10x, or any
+# repetition sees a reasoned/full-V verdict mismatch.
 step "static-reasoning bench regeneration (BENCH_STATIC.json, >=2x/>=10x + verdict identity)"
-cargo run -q --release --offline -p ric-bench --bin bench_static > /dev/null
-grep -q '"all_ok": true' BENCH_STATIC.json || {
+bench bench_static > /dev/null
+grep -q '"all_ok": true' "${trace_dir}/BENCH_STATIC.json" || {
   echo "ci.sh: BENCH_STATIC.json regenerated with all_ok != true" >&2
   exit 1
 }
@@ -240,6 +250,7 @@ for trace in example regen; do
 done
 ric_trace diff "${trace_dir}/example.jsonl" "${trace_dir}/regen.jsonl" > /dev/null
 ric_trace diff BENCH_TABLE1.json BENCH_TABLE1.json > /dev/null
+ric_trace diff BENCH_ENGINE.json BENCH_ENGINE.json > /dev/null
 head -1 "${trace_dir}/example.jsonl" > "${trace_dir}/truncated.jsonl"
 if ric_trace tree "${trace_dir}/truncated.jsonl" > /dev/null 2>&1; then
   echo "ci.sh: ric-trace accepted a malformed trace (unclosed decision span)" >&2

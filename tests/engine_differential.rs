@@ -14,7 +14,7 @@
 //! * [`eval_tableau_delta`] + `q(D)` versus `q(D ∪ Δ)` (the incremental
 //!   identity the delta-aware CC checker relies on);
 //! * incremental upper-bound satisfaction versus the full re-check;
-//! * RCDP and RCQP verdicts under `Engine::Indexed` versus `Engine::Naive`.
+//! * RCDP and RCQP verdicts under `Engine::planned(1)` versus `Engine::Naive`.
 
 use ric::data::{Overlay, TupleStore};
 use ric::prelude::*;
@@ -309,7 +309,7 @@ fn delta_cc_check_matches_full_check() {
 fn rcdp_verdicts_agree_across_engines() {
     let mut rng = SplitMix64::seed_from_u64(0x7777);
     let naive = SearchBudget::default().with_engine(Engine::Naive);
-    let indexed = SearchBudget::default().with_engine(Engine::Indexed);
+    let sequential = SearchBudget::default().with_engine(Engine::planned(1));
     let mut decided = 0usize;
     for round in 0..40 {
         let setting = random_setting(&mut rng);
@@ -320,7 +320,7 @@ fn rcdp_verdicts_agree_across_engines() {
         for (qi, cq) in cq_pool().into_iter().enumerate() {
             let q: Query = cq.into();
             let vn = rcdp(&setting, &q, &db, &naive).unwrap();
-            let vi = rcdp(&setting, &q, &db, &indexed).unwrap();
+            let vi = rcdp(&setting, &q, &db, &sequential).unwrap();
             match (&vn, &vi) {
                 (Verdict::Complete, Verdict::Complete) => {}
                 (Verdict::Incomplete(a), Verdict::Incomplete(b)) => {
@@ -350,13 +350,13 @@ fn rcdp_verdicts_agree_across_engines() {
 fn rcqp_verdicts_agree_across_engines() {
     let mut rng = SplitMix64::seed_from_u64(0x9999);
     let naive = SearchBudget::default().with_engine(Engine::Naive);
-    let indexed = SearchBudget::default().with_engine(Engine::Indexed);
+    let sequential = SearchBudget::default().with_engine(Engine::planned(1));
     for round in 0..10 {
         let setting = random_setting(&mut rng);
         for (qi, cq) in cq_pool().into_iter().enumerate() {
             let q: Query = cq.into();
             let vn = rcqp(&setting, &q, &naive).unwrap();
-            let vi = rcqp(&setting, &q, &indexed).unwrap();
+            let vi = rcqp(&setting, &q, &sequential).unwrap();
             assert_eq!(
                 std::mem::discriminant(&vn),
                 std::mem::discriminant(&vi),
@@ -427,7 +427,7 @@ fn colliding_relation_names_do_not_cross_contaminate() {
     let q: Query = parse_cq(&schema(), "Q(X) :- R(X, Y), S(Y).")
         .unwrap()
         .into();
-    let budget = SearchBudget::default().with_engine(Engine::Indexed);
+    let budget = SearchBudget::default().with_engine(Engine::planned(1));
     let measure = || {
         let collector = Collector::new();
         rcdp_probed(&setting1, &q, &db, &budget, Probe::attached(&collector)).unwrap();
@@ -484,7 +484,7 @@ fn bounded_search_verdicts_agree_across_engines() {
         vec!["x".into()],
     );
     let naive = SearchBudget::small().with_engine(Engine::Naive);
-    let indexed = SearchBudget::small().with_engine(Engine::Indexed);
+    let sequential = SearchBudget::small().with_engine(Engine::planned(1));
     let mut rng = SplitMix64::seed_from_u64(0x1234);
     for round in 0..10 {
         let setting = random_setting(&mut rng);
@@ -494,7 +494,7 @@ fn bounded_search_verdicts_agree_across_engines() {
         }
         let q = Query::Fo(fo.clone());
         let vn = rcdp(&setting, &q, &db, &naive).unwrap();
-        let vi = rcdp(&setting, &q, &db, &indexed).unwrap();
+        let vi = rcdp(&setting, &q, &db, &sequential).unwrap();
         assert_eq!(
             std::mem::discriminant(&vn),
             std::mem::discriminant(&vi),

@@ -421,12 +421,13 @@ fn interrupts_are_recorded_with_site_and_tick() {
 #[test]
 fn a_single_worker_panic_is_quarantined_and_retried() {
     let (setting, q, db) = master_bounded_instance();
-    let indexed = SearchBudget::default().with_engine(Engine::Indexed);
-    let expected = rcdp(&setting, &q, &db, &indexed).unwrap();
+    let sequential = SearchBudget::default().with_engine(Engine::planned(1));
+    let expected = rcdp(&setting, &q, &db, &sequential).unwrap();
 
-    // One worker, so the first chunk's first tick deterministically dies;
-    // one fire, so the quarantine retry of that chunk survives.
-    let budget = SearchBudget::default().with_engine(Engine::parallel(1));
+    // Two pool workers; the fault fires only on worker guards and its one
+    // fire is a shared budget, so exactly one chunk dies and its quarantine
+    // retry survives.
+    let budget = SearchBudget::default().with_engine(Engine::planned(2));
     let guard = Guard::new(&budget).with_fault_plan(FaultPlan::new().worker_panic_at_tick(0, 1));
     let collector = Collector::new();
     let decision = ric::try_rcdp_guarded(
@@ -454,14 +455,15 @@ fn a_single_worker_panic_is_quarantined_and_retried() {
 }
 
 #[test]
-fn repeated_worker_deaths_degrade_parallel_to_indexed() {
+fn repeated_worker_deaths_finish_the_search_inline() {
     let (setting, q, db) = master_bounded_instance();
-    let indexed = SearchBudget::default().with_engine(Engine::Indexed);
-    let expected = rcdp(&setting, &q, &db, &indexed).unwrap();
+    let sequential = SearchBudget::default().with_engine(Engine::planned(1));
+    let expected = rcdp(&setting, &q, &db, &sequential).unwrap();
 
-    // Unlimited fires: the chunk dies again on its quarantine retry, so the
-    // scheduler must walk the degradation ladder instead of re-raising.
-    let budget = SearchBudget::default().with_engine(Engine::parallel(1));
+    // Unlimited fires: every chunk dies again on its quarantine retry, so
+    // the scheduler must walk the degradation ladder (finish inline on the
+    // decision guard, which the fault never fires on) instead of re-raising.
+    let budget = SearchBudget::default().with_engine(Engine::planned(2));
     let guard =
         Guard::new(&budget).with_fault_plan(FaultPlan::new().worker_panic_at_tick(0, u32::MAX));
     let collector = Collector::new();
@@ -494,10 +496,10 @@ fn repeated_worker_deaths_degrade_parallel_to_indexed() {
 #[test]
 fn repeated_worker_deaths_degrade_the_bounded_search_too() {
     let (setting, q, db) = fp_bounded_instance();
-    let indexed = SearchBudget::default().with_engine(Engine::Indexed);
-    let expected = rcdp(&setting, &q, &db, &indexed).unwrap();
+    let sequential = SearchBudget::default().with_engine(Engine::planned(1));
+    let expected = rcdp(&setting, &q, &db, &sequential).unwrap();
 
-    let budget = SearchBudget::default().with_engine(Engine::parallel(1));
+    let budget = SearchBudget::default().with_engine(Engine::planned(2));
     let guard =
         Guard::new(&budget).with_fault_plan(FaultPlan::new().worker_panic_at_tick(0, u32::MAX));
     let collector = Collector::new();

@@ -17,9 +17,9 @@
 //!   against the current state (the `engine_differential.rs` precedent:
 //!   witnesses are engine-dependent, certification is not).
 //!
-//! The matrix crosses engines (`Indexed`, `Planned`, `Parallel`) with the
-//! `RIC_WORKERS` (default 2) and `RIC_TXN_BATCH` (default both 1 and 8)
-//! environment knobs the CI harness sweeps. Every case fixes its seed, so a
+//! The matrix crosses the planned engine at one worker and at `RIC_WORKERS`
+//! workers (default 2, two seeds) with the `RIC_TXN_BATCH` (default both 1
+//! and 8) environment knobs the CI harness sweeps. Every case fixes its seed, so a
 //! failure reproduces exactly.
 
 use ric::complete::rcdp::certify_counterexample;
@@ -264,7 +264,7 @@ fn run_stream(engine: Engine, seed: u64, txns: usize, batch: usize) {
 fn indexed_stream_matches_from_scratch() {
     for (i, seed) in [0xA11CE, 0xB0B, 0xD1FF].into_iter().enumerate() {
         for &batch in &batches() {
-            run_stream(Engine::Indexed, seed + i as u64, 18, batch);
+            run_stream(Engine::planned(1), seed + i as u64, 18, batch);
         }
     }
 }
@@ -281,7 +281,7 @@ fn planned_stream_matches_from_scratch() {
 fn parallel_stream_matches_from_scratch() {
     let w = workers();
     for &batch in &batches() {
-        run_stream(Engine::parallel(w), 0xFA9, 18, batch);
+        run_stream(Engine::planned(w), 0xFA9, 18, batch);
     }
 }
 

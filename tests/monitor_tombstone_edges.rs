@@ -156,7 +156,7 @@ fn memo_cap_one_evicts_but_never_changes_verdicts() {
         schema.clone(),
         master.clone(),
         dm.clone(),
-        SearchBudget::default().with_engine(Engine::Indexed),
+        SearchBudget::default().with_engine(Engine::planned(1)),
     )
     .unwrap()
     .with_memo_cap(1);
@@ -165,7 +165,7 @@ fn memo_cap_one_evicts_but_never_changes_verdicts() {
         schema,
         master,
         dm,
-        SearchBudget::default().with_engine(Engine::Indexed),
+        SearchBudget::default().with_engine(Engine::planned(1)),
     )
     .unwrap();
     let sid = small.register("supt", v.clone(), q.clone()).unwrap();

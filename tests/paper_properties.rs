@@ -262,7 +262,7 @@ fn adding_entailed_tuples_never_flips_complete_to_incomplete() {
 fn characterizations_agree_with_brute_force_reference() {
     let mut rng = SplitMix64::seed_from_u64(0xC1C4);
     let budget = SearchBudget::default();
-    let par = SearchBudget::default().with_engine(Engine::parallel(3));
+    let par = SearchBudget::default().with_engine(Engine::planned(3));
     let s = schema();
     let mut compared = 0usize;
     let mut complete_seen = 0usize;

@@ -1,16 +1,16 @@
-//! Differential testing of the parallel scheduler: `Engine::Parallel` must
-//! return the *same verdict and the same telemetry-visible witness* as the
-//! sequential engines, at every worker count and under every chunk-claim
+//! Differential testing of the parallel scheduler: the sharded planned engine
+//! must return the *same verdict and the same telemetry-visible witness* as
+//! the sequential engines, at every worker count and under every chunk-claim
 //! schedule.
 //!
 //! The suite covers:
 //!
 //! * RCDP / RCQP / bounded-search verdict agreement across
-//!   `Engine::Parallel { workers }` for workers ∈ {1, 2, 4, 7} (overridable
+//!   `Engine::planned(workers)` for workers ∈ {1, 2, 4, 7} (overridable
 //!   with `RIC_WORKERS=a,b,…` — the CI worker matrix uses it) versus
-//!   `Engine::Indexed` and `Engine::Naive`;
+//!   `Engine::planned(1)` and `Engine::Naive`;
 //! * exact equality of the decision-level telemetry counters between the
-//!   parallel and the indexed engine on decided runs — the scheduler's
+//!   parallel and the sequential engine on decided runs — the scheduler's
 //!   "sums stop at the deciding chunk" merge makes them bit-identical;
 //! * schedule independence: seeded permutations of the chunk *claim order*
 //!   (via `ric::complete::sched_test`) must not change verdicts, witnesses,
@@ -135,7 +135,7 @@ const RCDP_COUNTERS: [&str; 5] = [
 fn rcdp_parallel_matches_sequential_verdicts_and_witnesses() {
     let mut rng = SplitMix64::seed_from_u64(0x7777);
     let naive = SearchBudget::default().with_engine(Engine::Naive);
-    let indexed = SearchBudget::default().with_engine(Engine::Indexed);
+    let sequential = SearchBudget::default().with_engine(Engine::planned(1));
     let mut decided = 0usize;
     for round in 0..25 {
         let setting = random_setting(&mut rng);
@@ -147,11 +147,17 @@ fn rcdp_parallel_matches_sequential_verdicts_and_witnesses() {
             let q: Query = cq.into();
             let vn = rcdp(&setting, &q, &db, &naive).unwrap();
             let seq_collector = Collector::new();
-            let vi =
-                rcdp_probed(&setting, &q, &db, &indexed, Probe::attached(&seq_collector)).unwrap();
+            let vi = rcdp_probed(
+                &setting,
+                &q,
+                &db,
+                &sequential,
+                Probe::attached(&seq_collector),
+            )
+            .unwrap();
             let seq_report = seq_collector.report();
             for workers in worker_counts() {
-                let budget = SearchBudget::default().with_engine(Engine::parallel(workers));
+                let budget = SearchBudget::default().with_engine(Engine::planned(workers));
                 let collector = Collector::new();
                 let vp =
                     rcdp_probed(&setting, &q, &db, &budget, Probe::attached(&collector)).unwrap();
@@ -173,7 +179,7 @@ fn rcdp_parallel_matches_sequential_verdicts_and_witnesses() {
                         );
                     }
                     other => panic!(
-                        "parallel and indexed disagree \
+                        "parallel and sequential disagree \
                          (round {round}, query {qi}, workers {workers}): {other:?}"
                     ),
                 }
@@ -205,7 +211,7 @@ fn rcdp_parallel_matches_sequential_verdicts_and_witnesses() {
 #[test]
 fn rcdp_parallel_is_schedule_independent() {
     let mut rng = SplitMix64::seed_from_u64(0xA5A5);
-    let budget = SearchBudget::default().with_engine(Engine::parallel(4));
+    let budget = SearchBudget::default().with_engine(Engine::planned(4));
     let mut compared = 0usize;
     for _ in 0..10 {
         let setting = random_setting(&mut rng);
@@ -255,20 +261,20 @@ fn rcdp_parallel_is_schedule_independent() {
 fn rcqp_parallel_agrees_with_sequential_engines() {
     let mut rng = SplitMix64::seed_from_u64(0x9999);
     let naive = SearchBudget::default().with_engine(Engine::Naive);
-    let indexed = SearchBudget::default().with_engine(Engine::Indexed);
+    let sequential = SearchBudget::default().with_engine(Engine::planned(1));
     for round in 0..8 {
         let setting = random_setting(&mut rng);
         for (qi, cq) in cq_pool().into_iter().enumerate() {
             let q: Query = cq.into();
             let vn = rcqp(&setting, &q, &naive).unwrap();
-            let vi = rcqp(&setting, &q, &indexed).unwrap();
+            let vi = rcqp(&setting, &q, &sequential).unwrap();
             for workers in worker_counts() {
-                let budget = SearchBudget::default().with_engine(Engine::parallel(workers));
+                let budget = SearchBudget::default().with_engine(Engine::planned(workers));
                 let vp = rcqp(&setting, &q, &budget).unwrap();
                 assert_eq!(
                     std::mem::discriminant(&vi),
                     std::mem::discriminant(&vp),
-                    "RCQP parallel vs indexed diverge \
+                    "RCQP parallel vs sequential diverge \
                      (round {round}, query {qi}, workers {workers}): {vi:?} vs {vp:?}"
                 );
                 assert_eq!(
@@ -303,7 +309,7 @@ fn bounded_search_parallel_agrees_with_sequential_engines() {
         vec!["x".into()],
     );
     let naive = SearchBudget::default().with_engine(Engine::Naive);
-    let indexed = SearchBudget::default().with_engine(Engine::Indexed);
+    let sequential = SearchBudget::default().with_engine(Engine::planned(1));
     let mut rng = SplitMix64::seed_from_u64(0x1234);
     for round in 0..6 {
         let setting = random_setting(&mut rng);
@@ -313,11 +319,11 @@ fn bounded_search_parallel_agrees_with_sequential_engines() {
         }
         let q = Query::Fo(fo.clone());
         let vn = rcdp(&setting, &q, &db, &naive).unwrap();
-        let vi = rcdp(&setting, &q, &db, &indexed).unwrap();
+        let vi = rcdp(&setting, &q, &db, &sequential).unwrap();
         for workers in worker_counts() {
-            let budget = SearchBudget::default().with_engine(Engine::parallel(workers));
+            let budget = SearchBudget::default().with_engine(Engine::planned(workers));
             let vp = rcdp(&setting, &q, &db, &budget).unwrap();
-            for (label, seq) in [("naive", &vn), ("indexed", &vi)] {
+            for (label, seq) in [("naive", &vn), ("sequential", &vi)] {
                 assert_eq!(
                     std::mem::discriminant(seq),
                     std::mem::discriminant(&vp),
@@ -366,7 +372,7 @@ fn wide_complete_instance() -> (Setting, Query, Database) {
 #[test]
 fn cancellation_mid_fanout_trips_every_worker() {
     let (setting, q, db) = wide_complete_instance();
-    let budget = SearchBudget::default().with_engine(Engine::parallel(4));
+    let budget = SearchBudget::default().with_engine(Engine::planned(4));
     let guard = Guard::new(&budget)
         .with_fault_plan(FaultPlan::new().cancel_at_tick(3))
         .with_check_interval(0);
@@ -412,7 +418,7 @@ fn cancellation_mid_fanout_trips_every_worker() {
 #[test]
 fn deadline_mid_fanout_is_reported_as_deadline() {
     let (setting, q, db) = wide_complete_instance();
-    let budget = SearchBudget::default().with_engine(Engine::parallel(4));
+    let budget = SearchBudget::default().with_engine(Engine::planned(4));
     let guard = Guard::new(&budget)
         .with_fault_plan(FaultPlan::new().deadline_at_tick(3))
         .with_check_interval(0);
@@ -436,7 +442,7 @@ fn deadline_mid_fanout_is_reported_as_deadline() {
 fn pre_cancelled_guard_stops_the_parallel_fanout() {
     let (setting, q, db) = wide_complete_instance();
     for workers in worker_counts() {
-        let budget = SearchBudget::default().with_engine(Engine::parallel(workers));
+        let budget = SearchBudget::default().with_engine(Engine::planned(workers));
         let token = CancelToken::new();
         token.cancel();
         let guard = Guard::new(&budget)
@@ -453,7 +459,7 @@ fn pre_cancelled_guard_stops_the_parallel_fanout() {
 }
 
 /// Pins the `Report::merge` semantics the parallel scheduler and the metrics
-/// exporter both rely on, exercised with real `Engine::Parallel` event
+/// exporter both rely on, exercised with real sharded-engine event
 /// streams: counters and spans *sum* (a merged span column reads as total
 /// work time, not wall time), gauges keep the *max*, notes append, and
 /// re-merging the same interrupt stream does not duplicate it — only a
@@ -462,7 +468,7 @@ fn pre_cancelled_guard_stops_the_parallel_fanout() {
 fn report_merge_semantics_are_pinned_under_parallel_runs() {
     let (setting, q, db) = wide_complete_instance();
     let supt = setting.schema.rel_id("Supt").unwrap();
-    let budget = SearchBudget::default().with_engine(Engine::parallel(4));
+    let budget = SearchBudget::default().with_engine(Engine::planned(4));
     let run = |setting: &Setting, db: &Database| {
         let collector = Collector::new();
         rcdp_probed(setting, &q, db, &budget, Probe::attached(&collector)).unwrap();
@@ -588,17 +594,17 @@ fn concurrent_decisions_do_not_share_probe_counts() {
             Tuple::new([Value::str(format!("e{e}")), Value::str("d0")]),
         );
     }
-    let indexed = SearchBudget::default().with_engine(Engine::Indexed);
+    let sequential = SearchBudget::default().with_engine(Engine::planned(1));
     let solo = {
         let collector = Collector::new();
-        rcdp_probed(&setting, &q, &db, &indexed, Probe::attached(&collector)).unwrap();
+        rcdp_probed(&setting, &q, &db, &sequential, Probe::attached(&collector)).unwrap();
         collector.report().counter("index.probe")
     };
     assert!(solo > 0, "the instance must exercise the index");
     let probes: Vec<u64> = std::thread::scope(|s| {
         let handles: Vec<_> = (0..2)
             .map(|_| {
-                let (setting, q, db, budget) = (&setting, &q, &db, &indexed);
+                let (setting, q, db, budget) = (&setting, &q, &db, &sequential);
                 s.spawn(move || {
                     let collector = Collector::new();
                     rcdp_probed(setting, q, db, budget, Probe::attached(&collector)).unwrap();
@@ -615,7 +621,7 @@ fn concurrent_decisions_do_not_share_probe_counts() {
         );
     }
     // The same isolation must hold when the decisions themselves fan out.
-    let parallel = SearchBudget::default().with_engine(Engine::parallel(3));
+    let parallel = SearchBudget::default().with_engine(Engine::planned(3));
     let solo_par = {
         let collector = Collector::new();
         rcdp_probed(&setting, &q, &db, &parallel, Probe::attached(&collector)).unwrap();

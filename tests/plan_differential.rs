@@ -1,21 +1,22 @@
-//! Differential testing of the planned engine: `Engine::Planned` must agree
-//! — verdict, witness, and deterministic counters — with `Engine::Indexed`
-//! and `Engine::Naive` on randomized instances, at every worker count, and
-//! under arbitrarily wrong statistics.
+//! Differential testing of the planned engine: cost-based plans must agree
+//! — verdict, witness, and deterministic counters — with plans compiled
+//! without statistics (the static greedy most-bound-first order) and with
+//! `Engine::Naive` on randomized instances, at every worker count, and under
+//! arbitrarily wrong statistics.
 //!
 //! The planner's contract is *estimates-in, exactness-out*: statistics steer
 //! only the join order of constraint-body evaluation, whose result is
 //! order-independent. This suite pins that contract end to end:
 //!
-//! * RCDP verdicts and witnesses identical to Indexed (and verdict kinds to
-//!   Naive) across workers {1, 4} and seeds;
+//! * RCDP verdicts and witnesses identical to the static order (and verdict
+//!   kinds to Naive) across workers {1, 4} and seeds;
 //! * the deterministic decision counters (`rcdp.valuations`,
-//!   `rcdp.cc_checks`, `cc.skipped_by_delta`) bit-identical to Indexed —
-//!   `index.probe` is legitimately order-dependent and excluded;
+//!   `rcdp.cc_checks`, `cc.skipped_by_delta`) bit-identical to the static
+//!   order — `index.probe` is legitimately order-dependent and excluded;
 //! * stale, empty, or adversarially lying statistics (a [`PreparedSetting`]
 //!   built from the wrong database) change timing only, never verdicts;
-//! * `plan.*` telemetry appears under Planned only, so the Indexed counter
-//!   stream stays byte-compatible with earlier releases.
+//! * planned decisions emit `plan.*` telemetry, and prepared decisions
+//!   reuse their plans instead of recompiling.
 
 use ric::prelude::*;
 use ric::SplitMix64;
@@ -105,12 +106,19 @@ fn worker_counts() -> Vec<usize> {
     }
 }
 
-/// Counters that must be bit-identical between Indexed and Planned: the plan
-/// changes join *order* only, so enumeration and check counts are invariant.
-/// `index.probe` is excluded by design — a different join order probes a
-/// different number of times.
+/// Counters that must be bit-identical between cost-based and static-order
+/// plans: the plan changes join *order* only, so enumeration and check
+/// counts are invariant. `index.probe` is excluded by design — a different
+/// join order probes a different number of times.
 const DETERMINISTIC_COUNTERS: [&str; 3] =
     ["rcdp.valuations", "rcdp.cc_checks", "cc.skipped_by_delta"];
+
+fn deterministic_counters(report: &Report) -> Vec<(&'static str, u64)> {
+    DETERMINISTIC_COUNTERS
+        .iter()
+        .map(|&n| (n, report.counter(n)))
+        .collect()
+}
 
 fn observed(
     setting: &Setting,
@@ -121,19 +129,40 @@ fn observed(
     let collector = Collector::new();
     let v = rcdp_probed(setting, q, db, budget, Probe::attached(&collector)).unwrap();
     let report = collector.report();
-    let counters = DETERMINISTIC_COUNTERS
-        .iter()
-        .map(|&n| (n, report.counter(n)))
-        .collect();
-    (v, counters, report)
+    (v, deterministic_counters(&report), report)
 }
 
-/// Planned ≡ Indexed ≡ Naive: verdicts, witnesses, deterministic counters.
+/// The other join order: `setting` prepared without statistics, so every
+/// plan takes the static greedy most-bound-first order.
+fn static_order(setting: &Setting) -> ric::PreparedSetting {
+    ric::prepare(
+        setting,
+        &Database::empty(&setting.schema),
+        Engine::planned(1),
+    )
+    .unwrap()
+}
+
+/// A sequential decision on the static-order preparation.
+fn observed_static(
+    prepared: &ric::PreparedSetting,
+    q: &Query,
+    db: &Database,
+) -> (Verdict, Vec<(&'static str, u64)>) {
+    let collector = Collector::new();
+    let budget = SearchBudget::default().with_engine(Engine::planned(1));
+    let v = ric::try_rcdp_prepared_probed(prepared, q, db, &budget, Probe::attached(&collector))
+        .unwrap()
+        .verdict;
+    (v, deterministic_counters(&collector.report()))
+}
+
+/// Cost-based ≡ static order ≡ Naive: verdicts, witnesses, deterministic
+/// counters.
 #[test]
 fn planned_rcdp_matches_indexed_and_naive() {
     let mut rng = SplitMix64::seed_from_u64(0x714A);
     let naive = SearchBudget::default().with_engine(Engine::Naive);
-    let indexed = SearchBudget::default().with_engine(Engine::Indexed);
     let mut decided = 0usize;
     for round in 0..30 {
         let setting = random_setting(&mut rng);
@@ -141,10 +170,11 @@ fn planned_rcdp_matches_indexed_and_naive() {
         if !setting.partially_closed(&db).unwrap() {
             continue;
         }
+        let static_prep = static_order(&setting);
         for (qi, cq) in cq_pool().into_iter().enumerate() {
             let q: Query = cq.into();
             let vn = rcdp(&setting, &q, &db, &naive).unwrap();
-            let (vi, ci, _) = observed(&setting, &q, &db, &indexed);
+            let (vi, ci) = observed_static(&static_prep, &q, &db);
             for workers in worker_counts() {
                 let planned = SearchBudget::default().with_engine(Engine::planned(workers));
                 let (vp, cp, _) = observed(&setting, &q, &db, &planned);
@@ -159,7 +189,7 @@ fn planned_rcdp_matches_indexed_and_naive() {
                         assert_eq!(
                             (&a.delta, &a.new_answer),
                             (&b.delta, &b.new_answer),
-                            "planned witness differs from indexed \
+                            "planned witness differs from static order \
                              (round {round}, query {qi}, workers {workers})"
                         );
                         assert!(
@@ -170,7 +200,7 @@ fn planned_rcdp_matches_indexed_and_naive() {
                         );
                     }
                     other => panic!(
-                        "planned and indexed disagree \
+                        "planned and static order disagree \
                          (round {round}, query {qi}, workers {workers}): {other:?}"
                     ),
                 }
@@ -191,11 +221,10 @@ fn planned_rcdp_matches_indexed_and_naive() {
 
 /// Statistics are advisory: a preparation built from the wrong database —
 /// stale (pre-growth), empty (no stats at all), or an adversarial lie — must
-/// return exactly the Indexed verdict on the real database.
+/// return exactly the static-order verdict on the real database.
 #[test]
 fn wrong_statistics_change_timing_not_verdicts() {
     let mut rng = SplitMix64::seed_from_u64(0x57A7);
-    let indexed = SearchBudget::default().with_engine(Engine::Indexed);
     let planned = SearchBudget::default().with_engine(Engine::planned(1));
     let mut decided = 0usize;
     for round in 0..20 {
@@ -216,9 +245,10 @@ fn wrong_statistics_change_timing_not_verdicts() {
         if !setting.partially_closed(&db).unwrap() {
             continue;
         }
+        let static_prep = static_order(&setting);
         for (qi, cq) in cq_pool().into_iter().enumerate() {
             let q: Query = cq.into();
-            let vi = rcdp(&setting, &q, &db, &indexed).unwrap();
+            let vi = ric::try_rcdp_prepared(&static_prep, &q, &db, &planned).unwrap();
             for (si, stats_db) in [&db, &empty, &lying].into_iter().enumerate() {
                 let prepared = ric::prepare(&setting, stats_db, Engine::planned(1)).unwrap();
                 let vp = ric::try_rcdp_prepared(&prepared, &q, &db, &planned).unwrap();
@@ -233,18 +263,20 @@ fn wrong_statistics_change_timing_not_verdicts() {
     assert!(decided >= 20, "too few instances decided ({decided})");
 }
 
-/// RCQP verdict kinds agree between Indexed and Planned at both worker
-/// counts (the general search compiles plans from the near-empty seed, so
-/// this also exercises the static-fallback executor in anger).
+/// RCQP verdict kinds agree between static-order and cost-based plans at
+/// both worker counts (the general search compiles plans from the
+/// near-empty seed, so this also exercises the static-fallback executor in
+/// anger).
 #[test]
 fn planned_rcqp_matches_indexed() {
     let mut rng = SplitMix64::seed_from_u64(0x9C9C);
-    let indexed = SearchBudget::default().with_engine(Engine::Indexed);
+    let sequential = SearchBudget::default().with_engine(Engine::planned(1));
     for round in 0..8 {
         let setting = random_setting(&mut rng);
+        let static_prep = static_order(&setting);
         for (qi, cq) in cq_pool().into_iter().enumerate() {
             let q: Query = cq.into();
-            let vi = rcqp(&setting, &q, &indexed).unwrap();
+            let vi = ric::try_rcqp_prepared(&static_prep, &q, &sequential).unwrap();
             for workers in worker_counts() {
                 let planned = SearchBudget::default().with_engine(Engine::planned(workers));
                 let vp = rcqp(&setting, &q, &planned).unwrap();
@@ -259,10 +291,9 @@ fn planned_rcqp_matches_indexed() {
     }
 }
 
-/// `plan.*` telemetry is planned-engine-only: Planned decisions emit
-/// `plan.compile`/`plan.cost` and the `plan.explain` note, prepared
-/// decisions emit `plan.reuse` instead of `plan.compile`, and Indexed
-/// decisions emit none of it (stream compatibility).
+/// `plan.*` telemetry: planned decisions emit `plan.compile`/`plan.cost`
+/// and the `plan.explain` note, and prepared decisions emit `plan.reuse`
+/// instead of `plan.compile`.
 #[test]
 fn plan_telemetry_only_under_planned_engine() {
     let mut rng = SplitMix64::seed_from_u64(0x7E1E);
@@ -293,15 +324,6 @@ fn plan_telemetry_only_under_planned_engine() {
             .iter()
             .any(|(n, _)| *n == "plan.explain"),
         "planned decision emitted no explain note"
-    );
-    let indexed_report = run(&SearchBudget::default().with_engine(Engine::Indexed));
-    assert!(
-        !indexed_report
-            .counters
-            .keys()
-            .any(|k| k.starts_with("plan.")),
-        "indexed decision leaked plan.* counters: {:?}",
-        indexed_report.counters
     );
 
     // The prepared path replaces per-decision compilation with reuse.

@@ -5,11 +5,11 @@
 //! Every setting mixes an FD (compiled to CCs by `fd_to_ccs`) and one IND
 //! with, at random, a CQ-bodied CC into master data and a denial, so no
 //! decision can take the IND path (Proposition 4.3). Across `Engine::Naive`,
-//! `Engine::Indexed` and `Engine::planned(w)` for every `w` in
+//! `Engine::planned(1)` and `Engine::planned(w)` for every `w` in
 //! `RIC_WORKERS` (default {1, 4}):
 //!
 //! * verdict kinds are identical;
-//! * Indexed and Planned witnesses are identical;
+//! * witnesses at one worker and at `w` workers are identical;
 //! * `rcqp.candidates` and `rcqp.e2_checks` are identical on every engine —
 //!   the engines differ in how a candidate's consistency is checked, never
 //!   in which subsets the search visits.
@@ -147,24 +147,24 @@ fn e2_search_agrees_across_engines() {
         for (qi, q) in query_pool().iter().enumerate() {
             let ctx = format!("round {round}, query {qi}");
             let (vn, cn, en, sn) = decide(&setting, q, fresh, Engine::Naive);
-            let (vi, ci, ei, si) = decide(&setting, q, fresh, Engine::Indexed);
+            let (vi, ci, ei, si) = decide(&setting, q, fresh, Engine::planned(1));
             assert_eq!(
                 std::mem::discriminant(&vn),
                 std::mem::discriminant(&vi),
-                "naive vs indexed verdicts diverge ({ctx}): {vn:?} vs {vi:?}"
+                "naive vs planned(1) verdicts diverge ({ctx}): {vn:?} vs {vi:?}"
             );
             assert_eq!(
                 (cn, en, sn),
                 (ci, ei, si),
-                "naive vs indexed counters ({ctx})"
+                "naive vs planned(1) counters ({ctx})"
             );
             for workers in worker_counts() {
                 let (vp, cp, ep, sp) = decide(&setting, q, fresh, Engine::planned(workers));
-                assert_eq!(vi, vp, "indexed vs planned({workers}) diverge ({ctx})");
+                assert_eq!(vi, vp, "planned(1) vs planned({workers}) diverge ({ctx})");
                 assert_eq!(
                     (ci, ei, si),
                     (cp, ep, sp),
-                    "indexed vs planned({workers}) counters ({ctx})"
+                    "planned(1) vs planned({workers}) counters ({ctx})"
                 );
             }
             searched += usize::from(si);

@@ -10,7 +10,7 @@
 //! end to end:
 //!
 //! * RCDP verdicts and witnesses identical to the full-`V` prepared path
-//!   across Indexed / Planned / Parallel engines, worker counts from
+//!   across the planned engine at one worker and at the worker counts from
 //!   `RIC_WORKERS`, and ≥24 seeded rounds;
 //! * when no static short-circuit fires, the deterministic search counters
 //!   (`rcdp.valuations`, `rcdp.cc_checks`) are bit-identical — minimization
@@ -136,9 +136,8 @@ fn worker_counts() -> Vec<usize> {
 }
 
 fn engines() -> Vec<Engine> {
-    let mut out = vec![Engine::Indexed];
+    let mut out = vec![Engine::planned(1)];
     for w in worker_counts() {
-        out.push(Engine::Parallel { workers: w });
         out.push(Engine::planned(w));
     }
     out

@@ -160,10 +160,9 @@ fn installment_counts() -> Vec<u64> {
 }
 
 fn engines() -> Vec<Engine> {
-    let mut out = vec![Engine::Naive, Engine::Indexed];
+    let mut out = vec![Engine::Naive, Engine::planned(1)];
     for workers in worker_counts() {
-        out.push(Engine::Parallel { workers });
-        out.push(Engine::Planned { workers });
+        out.push(Engine::planned(workers));
     }
     out
 }
@@ -486,15 +485,15 @@ fn foreign_checkpoints_are_rejected_up_front() {
 
 /// Engines are a runtime choice, not part of a decision's identity: the
 /// checkpoint fingerprint covers `(setting, query, db)` only, so a decision
-/// checkpointed under `Engine::Planned` resumes legally under
-/// `Engine::Indexed` and vice versa — and the cross-engine resume reaches
-/// the same verdict as either engine's uninterrupted run.
+/// checkpointed under `Engine::planned(1)` resumes legally under
+/// `Engine::Naive` and vice versa — and the cross-engine resume reaches the
+/// same verdict as either engine's uninterrupted run.
 #[test]
 fn checkpoints_resume_across_planned_and_indexed_engines() {
     let mut rng = SplitMix64::seed_from_u64(0xC0DE);
     let pool = cq_pool();
     let q: Query = pool[1].clone().into();
-    let indexed = SearchBudget::default().with_engine(Engine::Indexed);
+    let naive = SearchBudget::default().with_engine(Engine::Naive);
     let planned = SearchBudget::default().with_engine(Engine::planned(1));
 
     let mut exercised = 0usize;
@@ -504,13 +503,13 @@ fn checkpoints_resume_across_planned_and_indexed_engines() {
         if !setting.partially_closed(&db).unwrap() {
             continue;
         }
-        let t = total_ticks(&setting, &q, &db, &indexed);
+        let t = total_ticks(&setting, &q, &db, &planned);
         if t < 2 {
             continue;
         }
-        let baseline = try_rcdp(&setting, &q, &db, &indexed).expect("baseline");
+        let baseline = try_rcdp(&setting, &q, &db, &planned).expect("baseline");
 
-        for (first, second) in [(&planned, &indexed), (&indexed, &planned)] {
+        for (first, second) in [(&planned, &naive), (&naive, &planned)] {
             let starved = sliced(first, false, t / 2);
             let (v1, cp) = try_rcdp_resumed(&setting, &q, &db, &starved, None).expect("starved");
             let Some(cp) = cp else {

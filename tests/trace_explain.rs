@@ -167,7 +167,7 @@ fn assert_trace_neutral(setting: &Setting, q: &Query, db: &Database, budget: &Se
 #[test]
 fn tracing_is_verdict_neutral_sequential() {
     let mut rng = SplitMix64::seed_from_u64(0xBEEF);
-    let budget = SearchBudget::default().with_engine(Engine::Indexed);
+    let budget = SearchBudget::default().with_engine(Engine::planned(1));
     let mut compared = 0usize;
     for _ in 0..25 {
         let setting = random_setting(&mut rng);
@@ -186,7 +186,7 @@ fn tracing_is_verdict_neutral_sequential() {
 #[test]
 fn tracing_is_verdict_neutral_parallel() {
     let mut rng = SplitMix64::seed_from_u64(0xFACE);
-    let budget = SearchBudget::default().with_engine(Engine::parallel(4));
+    let budget = SearchBudget::default().with_engine(Engine::planned(4));
     let mut compared = 0usize;
     for _ in 0..16 {
         let setting = random_setting(&mut rng);
@@ -331,7 +331,7 @@ fn rcqp_explain_is_well_formed() {
 #[test]
 fn parallel_explain_carries_merged_profile_and_frontier() {
     let (setting, q, db) = supt_instance(8, 6);
-    let budget = SearchBudget::default().with_engine(Engine::parallel(4));
+    let budget = SearchBudget::default().with_engine(Engine::planned(4));
     let d = try_rcdp_probed(&setting, &q, &db, &budget, Probe::disabled()).unwrap();
     assert_well_formed(
         &d.explain,
@@ -354,21 +354,16 @@ fn parallel_explain_carries_merged_profile_and_frontier() {
 }
 
 /// A boolean query that already holds is complete for one reason only: its
-/// headless disjunct is answered before any assignment. Every engine —
-/// inline or sharded, one worker or four — must attribute that head prune
-/// exactly once, or the Explain loses the reason for the verdict.
+/// headless disjunct is answered before any assignment. The search —
+/// inline at one worker or sharded across four — must attribute that head
+/// prune exactly once, or the Explain loses the reason for the verdict.
 #[test]
 fn headless_answered_disjunct_counts_one_head_prune_on_every_engine() {
     let (setting, _, db) = supt_instance(3, 2);
     let q: Query = parse_cq(&setting.schema, "Q() :- Supt(E, C).")
         .unwrap()
         .into();
-    for engine in [
-        Engine::Indexed,
-        Engine::planned(1),
-        Engine::parallel(1),
-        Engine::planned(4),
-    ] {
+    for engine in [Engine::planned(1), Engine::planned(4)] {
         let budget = SearchBudget::default().with_engine(engine);
         let d = try_rcdp_probed(&setting, &q, &db, &budget, Probe::disabled()).unwrap();
         assert!(d.verdict.is_complete(), "{engine:?}: {}", d.verdict);
