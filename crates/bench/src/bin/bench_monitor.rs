@@ -44,7 +44,7 @@ const DEPTS: usize = 4;
 
 struct MonitorCell {
     cell: String,
-    engine: &'static str,
+    engine: String,
     batch: usize,
     txns: usize,
     settings: usize,
@@ -65,7 +65,7 @@ impl MonitorCell {
         use ric::telemetry::Json;
         Json::obj([
             ("cell", Json::from(self.cell.as_str())),
-            ("engine", Json::from(self.engine)),
+            ("engine", Json::from(self.engine.as_str())),
             ("batch", Json::from(self.batch as u64)),
             ("txns", Json::from(self.txns as u64)),
             ("settings", Json::from(self.settings as u64)),
@@ -204,7 +204,6 @@ struct CellCfg {
     n_customers: usize,
     n_support: usize,
     engine: Engine,
-    engine_name: &'static str,
     batch: usize,
     txns: usize,
     seed: u64,
@@ -219,20 +218,12 @@ fn monitor_cell(cfg: &CellCfg) -> MonitorCell {
         n_customers,
         n_support,
         engine,
-        engine_name,
         batch,
         txns,
         seed,
     } = cfg;
-    let (n_customers, n_support, engine, engine_name, batch, txns, seed) = (
-        *n_customers,
-        *n_support,
-        *engine,
-        *engine_name,
-        *batch,
-        *txns,
-        *seed,
-    );
+    let (n_customers, n_support, engine, batch, txns, seed) =
+        (*n_customers, *n_support, *engine, *batch, *txns, *seed);
     let budget = SearchBudget {
         engine,
         ..SearchBudget::default()
@@ -332,7 +323,7 @@ fn monitor_cell(cfg: &CellCfg) -> MonitorCell {
     let speedup_median = median_scratch_micros as f64 / median_incremental_micros as f64;
     MonitorCell {
         cell: label.to_string(),
-        engine: engine_name,
+        engine: engine.to_string(),
         batch,
         txns,
         settings: DEPTS,
@@ -352,22 +343,16 @@ fn monitor_cell(cfg: &CellCfg) -> MonitorCell {
 fn main() {
     let mut cells: Vec<MonitorCell> = Vec::new();
     for (n_customers, n_support, size) in [(24, 48, "n=24"), (48, 96, "n=48")] {
-        for (engine, name) in [
-            (Engine::planned(1), "planned:1"),
-            (Engine::planned(4), "planned:4"),
-        ] {
-            for batch in [1usize, 8] {
-                cells.push(monitor_cell(&CellCfg {
-                    label: format!("(CQ, INDs) 4-dept CRM {size} stream"),
-                    n_customers,
-                    n_support,
-                    engine,
-                    engine_name: name,
-                    batch,
-                    txns: 40,
-                    seed: 0x5EED ^ (batch as u64) << 8,
-                }));
-            }
+        for batch in [1usize, 8] {
+            cells.push(monitor_cell(&CellCfg {
+                label: format!("(CQ, INDs) 4-dept CRM {size} stream"),
+                n_customers,
+                n_support,
+                engine: Engine::planned(1),
+                batch,
+                txns: 40,
+                seed: 0x5EED ^ (batch as u64) << 8,
+            }));
         }
     }
 

@@ -37,7 +37,7 @@ use ric::reductions::two_head_dfa::{to_rcdp_instance, TwoHeadDfa};
 use ric::reductions::workload::{planted_rcdp, WorkloadParams};
 use ric::reductions::{qbf, rcdp_sigma2, rcqp_conp, sat};
 use ric::telemetry::Json;
-use ric::{rcdp_probed, try_rcdp_resumed, try_rcqp_resumed, Engine, SplitMix64};
+use ric::{rcdp_probed, try_rcdp_resumed, try_rcqp_resumed, SplitMix64};
 
 /// Which meter the cell's search burns, and therefore which budget knob the
 /// installment schedule scales.
@@ -69,7 +69,7 @@ impl TickKind {
 
 struct ResumeCell {
     cell: String,
-    engine: &'static str,
+    engine: String,
     k: u32,
     installments: u32,
     from_scratch_micros: u128,
@@ -86,7 +86,7 @@ impl ResumeCell {
     fn to_json(&self) -> Json {
         Json::obj([
             ("cell", Json::from(self.cell.as_str())),
-            ("engine", Json::from(self.engine)),
+            ("engine", Json::from(self.engine.as_str())),
             ("k", Json::from(u64::from(self.k))),
             ("installments", Json::from(u64::from(self.installments))),
             ("from_scratch_micros", Json::from(self.from_scratch_micros)),
@@ -125,25 +125,20 @@ fn time_min<T>(samples: u32, mut f: impl FnMut() -> T) -> (u128, T) {
 
 const SAMPLES: u32 = 9;
 
-/// Run one RCDP cell at engine × K: time from-scratch, count its ticks, then
-/// time the K-installment schedule at `ceil(T·i/K)` tick budgets.
-#[allow(clippy::too_many_arguments)]
+/// Run one RCDP cell at K installments: time from-scratch, count its ticks,
+/// then time the K-installment schedule at `ceil(T·i/K)` tick budgets.
 fn rcdp_cell(
     label: &str,
-    engine: Engine,
-    engine_name: &'static str,
     k: u32,
     kind: TickKind,
-    base: &SearchBudget,
+    budget: &SearchBudget,
     setting: &Setting,
     query: &Query,
     db: &Database,
 ) -> ResumeCell {
-    let budget = SearchBudget { engine, ..*base };
-
     // Tick count of the uninterrupted decision, read off a probed run.
     let collector = Collector::new();
-    let _ = rcdp_probed(setting, query, db, &budget, Probe::attached(&collector))
+    let _ = rcdp_probed(setting, query, db, budget, Probe::attached(&collector))
         .expect("bench instance must decide");
     let total_ticks = collector
         .report()
@@ -153,7 +148,7 @@ fn rcdp_cell(
         .unwrap_or(0);
 
     let (from_scratch_micros, (baseline, no_cp)) = time_min(SAMPLES, || {
-        try_rcdp_resumed(setting, query, db, &budget, None).expect("bench instance must decide")
+        try_rcdp_resumed(setting, query, db, budget, None).expect("bench instance must decide")
     });
     assert!(
         no_cp.is_none(),
@@ -170,9 +165,9 @@ fn rcdp_cell(
     let mut final_verdict: Option<Verdict> = None;
     for i in 1..=k {
         let slice = if i == k {
-            budget
+            *budget
         } else {
-            kind.scaled(&budget, (total_ticks * u64::from(i)).div_ceil(u64::from(k)))
+            kind.scaled(budget, (total_ticks * u64::from(i)).div_ceil(u64::from(k)))
         };
         let prior_ref = prior.clone();
         let (micros, (verdict, checkpoint)) = time_min(SAMPLES, || {
@@ -196,7 +191,7 @@ fn rcdp_cell(
     let overhead_ratio = final_installment_micros as f64 / from_scratch_micros.max(1) as f64;
     ResumeCell {
         cell: label.to_string(),
-        engine: engine_name,
+        engine: budget.engine.to_string(),
         k,
         installments,
         from_scratch_micros,
@@ -245,7 +240,7 @@ fn rcqp_cell(label: &str, base: &SearchBudget, setting: &Setting, query: &Query)
     let ratio = final_installment_micros as f64 / from_scratch_micros.max(1) as f64;
     ResumeCell {
         cell: label.to_string(),
-        engine: "planned:1",
+        engine: base.engine.to_string(),
         k: 2,
         installments,
         from_scratch_micros,
@@ -271,23 +266,16 @@ fn main() {
             n_support: 64,
         };
         let inst = planted_rcdp(&params, true, &mut rng);
-        for (engine, name) in [
-            (Engine::planned(1), "planned:1"),
-            (Engine::planned(4), "planned:4"),
-        ] {
-            for k in [2u32, 5] {
-                cells.push(rcdp_cell(
-                    "(CQ, INDs) planted n=32 complete",
-                    engine,
-                    name,
-                    k,
-                    TickKind::Valuations,
-                    &SearchBudget::default(),
-                    &inst.setting,
-                    &inst.query,
-                    &inst.db,
-                ));
-            }
+        for k in [2u32, 5] {
+            cells.push(rcdp_cell(
+                "(CQ, INDs) planted n=32 complete",
+                k,
+                TickKind::Valuations,
+                &SearchBudget::default(),
+                &inst.setting,
+                &inst.query,
+                &inst.db,
+            ));
         }
     }
 
@@ -296,23 +284,16 @@ fn main() {
         let mut rng = SplitMix64::seed_from_u64(11);
         let phi = qbf::ForallExists::random(6, 6, 12, &mut rng);
         let (setting, q, db) = rcdp_sigma2::to_rcdp_instance(&phi);
-        for (engine, name) in [
-            (Engine::planned(1), "planned:1"),
-            (Engine::planned(4), "planned:4"),
-        ] {
-            for k in [2u32, 5] {
-                cells.push(rcdp_cell(
-                    "(CQ, INDs) sigma2 forall=6/exists=6/clauses=12",
-                    engine,
-                    name,
-                    k,
-                    TickKind::Valuations,
-                    &SearchBudget::default(),
-                    &setting,
-                    &q,
-                    &db,
-                ));
-            }
+        for k in [2u32, 5] {
+            cells.push(rcdp_cell(
+                "(CQ, INDs) sigma2 forall=6/exists=6/clauses=12",
+                k,
+                TickKind::Valuations,
+                &SearchBudget::default(),
+                &setting,
+                &q,
+                &db,
+            ));
         }
     }
 
@@ -325,23 +306,16 @@ fn main() {
             max_candidates: 500_000,
             ..SearchBudget::default()
         };
-        for (engine, name) in [
-            (Engine::planned(1), "planned:1"),
-            (Engine::planned(4), "planned:4"),
-        ] {
-            for k in [2u32, 5] {
-                cells.push(rcdp_cell(
-                    "(FP, CQ) DFA L nonempty",
-                    engine,
-                    name,
-                    k,
-                    TickKind::Candidates,
-                    &budget,
-                    &setting,
-                    &q,
-                    &db,
-                ));
-            }
+        for k in [2u32, 5] {
+            cells.push(rcdp_cell(
+                "(FP, CQ) DFA L nonempty",
+                k,
+                TickKind::Candidates,
+                &budget,
+                &setting,
+                &q,
+                &db,
+            ));
         }
     }
 

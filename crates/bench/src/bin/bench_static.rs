@@ -31,7 +31,7 @@ const REPS: usize = 9;
 
 struct StaticCell {
     cell: String,
-    engine: &'static str,
+    engine: String,
     workload: &'static str,
     n: usize,
     dropped: usize,
@@ -50,7 +50,7 @@ impl StaticCell {
         use ric::telemetry::Json;
         Json::obj([
             ("cell", Json::from(self.cell.as_str())),
-            ("engine", Json::from(self.engine)),
+            ("engine", Json::from(self.engine.as_str())),
             ("workload", Json::from(self.workload)),
             ("n", Json::from(self.n as u64)),
             ("dropped", Json::from(self.dropped as u64)),
@@ -181,7 +181,6 @@ fn run_cell(
     workload: &'static str,
     n: usize,
     engine: Engine,
-    engine_name: &'static str,
     floor: f64,
     setting: &Setting,
     query: &Query,
@@ -215,7 +214,7 @@ fn run_cell(
     let speedup_median = median_full_micros as f64 / median_reasoned_micros as f64;
     StaticCell {
         cell: label,
-        engine: engine_name,
+        engine: engine.to_string(),
         workload,
         n,
         dropped: reasoned.facts().dropped(),
@@ -233,7 +232,6 @@ fn run_cell(
 fn main() {
     let mut cells: Vec<StaticCell> = Vec::new();
     let engine = Engine::planned(1);
-    let engine_name = "planned:1";
     for n in [24usize, 48] {
         let (setting, query, db) = redundant_workload(n, 6, 3);
         cells.push(run_cell(
@@ -241,7 +239,6 @@ fn main() {
             "redundant_v",
             n,
             engine,
-            engine_name,
             2.0,
             &setting,
             &query,
@@ -253,7 +250,6 @@ fn main() {
             "static_verdict",
             n,
             engine,
-            engine_name,
             10.0,
             &setting,
             &query,
@@ -297,8 +293,7 @@ fn main() {
             "meta",
             Json::obj([
                 ("schema_version", Json::from(1u64)),
-                ("engine", Json::from(engine_name)),
-                ("workers", Json::from(1u64)),
+                ("engine", Json::from(engine.to_string())),
                 ("deadline_ms", Json::from(0u64)),
             ]),
         ),

@@ -9,7 +9,7 @@
 //! an honest `Unknown`, and the hardness reductions blow up where the
 //! bounds say they must.
 //!
-//! Beyond the human-readable tables on stdout, the run writes five
+//! Beyond the human-readable tables on stdout, the run writes four
 //! machine-readable artifacts to the current directory:
 //!
 //! * `BENCH_TABLE1.json` — one object per Table I (RCDP) cell;
@@ -18,10 +18,6 @@
 //!   scaling suite of CQ/UCQ decisions timed under `Engine::Naive` and
 //!   `Engine::planned(1)`, with the per-cell speedup and the median speedup
 //!   at the largest size;
-//! * `BENCH_PAR.json` — the sharding scaling suite: the same decisions
-//!   timed under `Engine::planned(1)` and `Engine::planned(workers)`, with
-//!   per-cell speedups, verdict-identity checks, and the median speedup at
-//!   the largest size;
 //! * `BENCH_ANALYSIS.json` — the static-analysis A/B suite: FO-*syntax*
 //!   queries that `ric::analyze` certifies down to CQ, decided through the
 //!   naive FO-cell dispatch versus the analyzer-gated `try_rcdp_analyzed`
@@ -45,17 +41,9 @@
 //! time budget without ever reporting a wrong cell.
 //!
 //! Pass `--engine naive|planned` to pick the evaluation engine used for the
-//! Table I/II cells (default `planned`, the sequential `Engine::planned(1)`;
-//! both engines are exact, so the verdicts must not differ). The A/B suite
-//! behind `BENCH_ENGINE.json` always runs both engines regardless of the
-//! flag.
-//!
-//! Pass `--workers N` to size the sharded worker pool (default 4). The
-//! scaling suite behind `BENCH_PAR.json` times the same decision under
-//! `Engine::planned(1)` and `Engine::planned(N)` at growing instance sizes
-//! and reports the per-cell and median wall-clock speedups; the two runs
-//! must return identical verdicts (the scheduler's deterministic-merge
-//! guarantee), and the artifact records that too.
+//! Table I/II cells (default `planned`; both engines are exact, so the
+//! verdicts must not differ). The A/B suite behind `BENCH_ENGINE.json`
+//! always runs both engines regardless of the flag.
 
 use std::time::Duration;
 
@@ -145,9 +133,6 @@ struct Invocation {
     /// Engine used for the Table I/II cells. The A/B suite ignores this and
     /// always runs both.
     engine: Engine,
-    /// Worker-pool size for the sharded arm of the scaling suite and the
-    /// sharded trace decision.
-    workers: usize,
     /// Stream a JSONL decision trace of representative decisions to this
     /// path (`--trace FILE`), for `ric-trace` to render offline.
     trace: Option<String>,
@@ -159,7 +144,6 @@ fn parse_invocation() -> Invocation {
     let mut args = std::env::args().skip(1);
     let mut ms: Option<String> = None;
     let mut engine_arg: Option<String> = None;
-    let mut workers_arg: Option<String> = None;
     let mut trace: Option<String> = None;
     while let Some(arg) = args.next() {
         if arg == "--deadline-ms" {
@@ -170,10 +154,6 @@ fn parse_invocation() -> Invocation {
             engine_arg = Some(args.next().unwrap_or_default());
         } else if let Some(v) = arg.strip_prefix("--engine=") {
             engine_arg = Some(v.to_string());
-        } else if arg == "--workers" {
-            workers_arg = Some(args.next().unwrap_or_default());
-        } else if let Some(v) = arg.strip_prefix("--workers=") {
-            workers_arg = Some(v.to_string());
         } else if arg == "--trace" {
             trace = Some(args.next().unwrap_or_default());
         } else if let Some(v) = arg.strip_prefix("--trace=") {
@@ -181,7 +161,7 @@ fn parse_invocation() -> Invocation {
         } else {
             eprintln!(
                 "usage: regen_tables [--deadline-ms N] \
-                 [--engine naive|planned] [--workers N] [--trace FILE]"
+                 [--engine naive|planned] [--trace FILE]"
             );
             std::process::exit(2);
         }
@@ -190,14 +170,6 @@ fn parse_invocation() -> Invocation {
         eprintln!("regen_tables: --trace expects an output path");
         std::process::exit(2);
     }
-    let workers = match workers_arg.as_deref().map(str::parse::<usize>) {
-        None => 4,
-        Some(Ok(n)) if n >= 1 => n,
-        Some(_) => {
-            eprintln!("regen_tables: --workers expects a positive worker count");
-            std::process::exit(2);
-        }
-    };
     let engine = match engine_arg.as_deref() {
         None | Some("planned") => Engine::planned(1),
         Some("naive") => Engine::Naive,
@@ -218,7 +190,6 @@ fn parse_invocation() -> Invocation {
     Invocation {
         deadline,
         engine,
-        workers,
         trace,
     }
 }
@@ -243,7 +214,6 @@ fn meta_json(inv: &Invocation) -> Json {
     Json::obj([
         ("schema_version", Json::from(ARTIFACT_SCHEMA_VERSION)),
         ("engine", Json::from(inv.engine.to_string())),
-        ("workers", Json::from(inv.workers)),
         (
             "deadline_ms",
             match inv.deadline {
@@ -751,126 +721,6 @@ fn median(mut s: Vec<f64>) -> f64 {
     }
 }
 
-/// One cell of the sharding scaling suite: the same decision timed under the
-/// planned engine at one worker and at `workers` workers.
-struct ParCell {
-    cell: String,
-    size: usize,
-    /// Whether `size` is the largest in its family (these cells feed the
-    /// median-speedup headline number).
-    largest: bool,
-    sequential_us: u128,
-    sharded_us: u128,
-    /// The scheduler's deterministic merge makes sharded verdicts
-    /// *bit-identical* to the sequential ones — counterexamples included —
-    /// so this records full equality, not just variant agreement.
-    identical: bool,
-}
-
-impl ParCell {
-    fn speedup(&self) -> f64 {
-        self.sequential_us as f64 / self.sharded_us.max(1) as f64
-    }
-
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("cell", Json::from(self.cell.as_str())),
-            ("size", Json::from(self.size)),
-            ("largest_size", Json::from(self.largest)),
-            ("sequential_micros", Json::from(self.sequential_us)),
-            ("sharded_micros", Json::from(self.sharded_us)),
-            ("speedup", Json::from(self.speedup())),
-            ("verdicts_identical", Json::from(self.identical)),
-        ])
-    }
-}
-
-/// The sharding scaling suite: the engine A/B instance families at larger
-/// sizes, timed under `Engine::planned(1)` versus `Engine::planned(workers)`.
-/// The instances are complete by construction, so both runs sweep the whole
-/// valuation space — exactly the regime the chunked fan-out is built for.
-fn par_suite(inv: &Invocation) -> Vec<ParCell> {
-    let mut cells = Vec::new();
-    let sizes = [20usize, 48, 96];
-    let largest = *sizes.last().unwrap();
-    let queries: [(&str, &str); 2] = [
-        ("(CQ, CQ) FD-pinned", "Q(C) :- Supt('e0', D, C)."),
-        (
-            "(UCQ, CQ) FD-pinned two-disjunct",
-            "Q(C) :- Supt('e0', D, C). Q(C) :- Supt('e1', D, C).",
-        ),
-    ];
-    for (name, src) in queries {
-        for &n in &sizes {
-            let (setting, db) = fd_instance(n);
-            let query: Query = if src.matches(":-").count() > 1 {
-                parse_ucq(&setting.schema, src).expect("fixed query").into()
-            } else {
-                parse_cq(&setting.schema, src).expect("fixed query").into()
-            };
-            let run = |engine: Engine| {
-                let budget = bounded(SearchBudget::default(), inv).with_engine(engine);
-                let start = Instant::now();
-                let v = rcdp(&setting, &query, &db, &budget).expect("well-formed instance");
-                (start.elapsed().as_micros(), v)
-            };
-            let (sequential_us, vs) = run(Engine::planned(1));
-            let (sharded_us, vp) = run(Engine::planned(inv.workers));
-            cells.push(ParCell {
-                cell: format!("{name} n={n}"),
-                size: n,
-                largest: n == largest,
-                sequential_us,
-                sharded_us,
-                identical: vs == vp,
-            });
-        }
-    }
-    cells
-}
-
-fn print_par_suite(cells: &[ParCell], workers: usize, median: f64) {
-    println!("\nSharded scaling - planned(1) vs planned({workers})");
-    println!("==========================================");
-    println!(
-        "{:<42} {:>12} {:>12} {:>9} {:>10}",
-        "cell", "planned(1)", "sharded", "speedup", "identical"
-    );
-    println!("{}", "-".repeat(90));
-    for c in cells {
-        println!(
-            "{:<42} {:>9} µs {:>9} µs {:>8.1}x {:>10}",
-            c.cell,
-            c.sequential_us,
-            c.sharded_us,
-            c.speedup(),
-            c.identical
-        );
-    }
-    println!("median speedup at largest size: {median:.1}x");
-}
-
-fn write_par_suite(path: &str, cells: &[ParCell], workers: usize, median: f64, meta: &Json) {
-    let doc = Json::obj([
-        ("source", Json::from("regen_tables")),
-        ("meta", meta.clone()),
-        (
-            "engines",
-            Json::arr([
-                Json::from(Engine::planned(1).to_string()),
-                Json::from(Engine::planned(workers).to_string()),
-            ]),
-        ),
-        ("workers", Json::from(workers)),
-        ("cells", Json::arr(cells.iter().map(ParCell::to_json))),
-        ("median_speedup_at_largest", Json::from(median)),
-    ]);
-    match std::fs::write(path, format!("{}\n", doc.pretty())) {
-        Ok(()) => println!("wrote {path} ({} cells)", cells.len()),
-        Err(e) => eprintln!("could not write {path}: {e}"),
-    }
-}
-
 fn print_engine_suite(cells: &[EngineCell], median: f64) {
     println!("\nEngine A/B - naive vs planned(1)");
     println!("================================");
@@ -896,7 +746,10 @@ fn write_engine_suite(path: &str, cells: &[EngineCell], median: f64, meta: &Json
     let doc = Json::obj([
         ("source", Json::from("regen_tables")),
         ("meta", meta.clone()),
-        ("engines", Json::arr(["naive", "planned:1"].map(Json::from))),
+        (
+            "engines",
+            Json::arr([Engine::Naive, Engine::planned(1)].map(|e| Json::from(e.to_string()))),
+        ),
         ("cells", Json::arr(cells.iter().map(EngineCell::to_json))),
         ("median_speedup_at_largest", Json::from(median)),
     ]);
@@ -1135,21 +988,11 @@ fn main() {
             .collect(),
     );
     print_analysis_suite(&analysis_cells, analysis_median);
-    let par_cells = par_suite(&inv);
-    let par_median = self::median(
-        par_cells
-            .iter()
-            .filter(|c| c.largest)
-            .map(ParCell::speedup)
-            .collect(),
-    );
-    print_par_suite(&par_cells, inv.workers, par_median);
     println!();
     let meta = meta_json(&inv);
     write_table("BENCH_TABLE1.json", "I", "RCDP(L_Q, L_C)", &t1, &meta);
     write_table("BENCH_TABLE2.json", "II", "RCQP(L_Q, L_C)", &t2, &meta);
     write_engine_suite("BENCH_ENGINE.json", &engine_cells, median, &meta);
-    write_par_suite("BENCH_PAR.json", &par_cells, inv.workers, par_median, &meta);
     write_analysis_suite(
         "BENCH_ANALYSIS.json",
         &analysis_cells,
@@ -1207,23 +1050,7 @@ fn write_trace(path: &str, inv: &Invocation) {
         .map_err(|e| e.to_string()),
     );
 
-    // Decision 2: the same decision sharded across `workers` threads — adds
-    // the per-worker chunk timeline notes and the merged chunk profile.
-    let par_budget = budget.with_engine(Engine::planned(inv.workers));
-    run(
-        "sharded rcdp",
-        try_rcdp_probed(
-            &inst.setting,
-            &inst.query,
-            &inst.db,
-            &par_budget,
-            Probe::attached(&sink).with_trace(&trace),
-        )
-        .map(drop)
-        .map_err(|e| e.to_string()),
-    );
-
-    // Decision 3: RCQP on the same setting — the candidate-search span
+    // Decision 2: RCQP on the same setting — the candidate-search span
     // family, and on tight budgets an `explain.frontier` narration.
     run(
         "rcqp",
@@ -1237,7 +1064,7 @@ fn write_trace(path: &str, inv: &Invocation) {
         .map_err(|e| e.to_string()),
     );
 
-    // Decision 4: a CQ-bodied FD setting under the planned engine — the
+    // Decision 3: a CQ-bodied FD setting under the planned engine — the
     // plan.explain / plan.cards telemetry the `ric-trace plan` report
     // renders (the planted workload's projection-bodied constraint set is
     // a pure IND set, which takes the containment shortcut and plans

@@ -223,8 +223,8 @@ fn load_bench(path: &str) -> Result<Option<Json>, String> {
 }
 
 /// Warn (loudly, before the table) when two BENCH artifacts were produced
-/// under different conditions: comparing timings across engines, worker
-/// counts, or deadlines is apples to oranges, and outcome drift may be
+/// under different conditions: comparing timings across engines or
+/// deadlines is apples to oranges, and outcome drift may be
 /// expected rather than a regression. Previously `meta` was silently
 /// ignored.
 fn warn_meta_mismatch(name_a: &str, a: &Json, name_b: &str, b: &Json) {
@@ -241,7 +241,7 @@ fn warn_meta_mismatch(name_a: &str, a: &Json, name_b: &str, b: &Json) {
             .unwrap_or_else(|| "absent".into())
     };
     let mut drift = Vec::new();
-    for key in ["engine", "workers", "deadline_ms", "schema_version"] {
+    for key in ["engine", "deadline_ms", "schema_version"] {
         let va = field(a, key);
         let vb = field(b, key);
         if va != vb {
@@ -276,16 +276,11 @@ fn diff_bench(name_a: &str, a: &Json, name_b: &str, b: &Json) -> Result<(), Stri
                     .to_string();
                 // Table cells time one decision (`micros`); the A/B suites
                 // time two arms — fall back to the second arm's column.
-                let micros = [
-                    "micros",
-                    "planned_micros",
-                    "sharded_micros",
-                    "analyzed_micros",
-                ]
-                .iter()
-                .find_map(|k| cell.get(k).and_then(Json::as_int))
-                .and_then(|i| u128::try_from(i).ok())
-                .ok_or_else(|| format!("{name}: cell {key:?} has no timing field"))?;
+                let micros = ["micros", "planned_micros", "analyzed_micros"]
+                    .iter()
+                    .find_map(|k| cell.get(k).and_then(Json::as_int))
+                    .and_then(|i| u128::try_from(i).ok())
+                    .ok_or_else(|| format!("{name}: cell {key:?} has no timing field"))?;
                 let outcome = cell
                     .get("outcome")
                     .and_then(Json::as_str)

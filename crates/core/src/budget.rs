@@ -13,14 +13,12 @@ use crate::verdict::BudgetLimit;
 
 /// Which evaluation engine the deciders use for their inner loops.
 ///
-/// Both engines are exact. `Naive` materializes each candidate extension
-/// `D ∪ Δ` and re-checks every constraint from scratch; it exists as the
-/// differential-testing oracle and the baseline arm of the engine benchmark.
-/// `Planned` works through overlays, per-column indexes, and delta-aware
-/// constraint checks whose bodies are compiled to cost-based plans, and with
-/// `workers > 1` shards its enumeration loops across a hand-rolled thread
-/// pool with a deterministic merge (same verdict and witness regardless of
-/// thread count or interleaving — see `DESIGN.md` §8).
+/// Both engines are exact and run every search on the calling thread.
+/// `Naive` materializes each candidate extension `D ∪ Δ` and re-checks every
+/// constraint from scratch; it exists as the differential-testing oracle and
+/// the baseline arm of the engine benchmark. `Planned` works through
+/// overlays, per-column indexes, and delta-aware constraint checks whose
+/// bodies are compiled to cost-based plans.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Engine {
     /// Materialize unions, re-check all constraints per candidate.
@@ -30,27 +28,23 @@ pub enum Engine {
     /// plans (`ric-plan`): fixed binding orders chosen from base-database
     /// statistics, pre-resolved index probes, pinned inequality checks.
     /// Falls back to the static greedy order (plan-level, still exact) when
-    /// statistics are absent. `workers > 1` shards the enumeration loops
-    /// across a thread pool; `workers: 1` runs them on the calling thread.
-    Planned {
-        /// Worker thread count (1 = sequential).
-        workers: usize,
-    },
+    /// statistics are absent.
+    Planned,
 }
 
 impl Default for Engine {
-    /// The sequential planned engine, `planned(1)`.
+    /// The planned engine.
     fn default() -> Self {
-        Engine::planned(1)
+        Engine::Planned
     }
 }
 
 impl Engine {
-    /// A planned engine with `workers` threads (clamped to at least 1).
-    pub fn planned(workers: usize) -> Self {
-        Engine::Planned {
-            workers: workers.max(1),
-        }
+    /// The planned engine. The argument is ignored: every engine runs on the
+    /// calling thread, and the signature stays for existing
+    /// `Engine::planned(1)` callers.
+    pub fn planned(_workers: usize) -> Self {
+        Engine::Planned
     }
 
     /// Does this engine use the indexed data path (overlays, per-column
@@ -59,28 +53,13 @@ impl Engine {
     pub fn indexed(&self) -> bool {
         !matches!(self, Engine::Naive)
     }
-
-    /// Does this engine shard its enumeration loops across a thread pool?
-    /// Only with more than one worker.
-    pub fn sharded(&self) -> bool {
-        self.workers() > 1
-    }
-
-    /// The number of worker threads this engine fans enumeration out to
-    /// (1 for the sequential engines).
-    pub fn workers(&self) -> usize {
-        match self {
-            Engine::Planned { workers } => (*workers).max(1),
-            Engine::Naive => 1,
-        }
-    }
 }
 
 impl std::fmt::Display for Engine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             Engine::Naive => write!(f, "naive"),
-            Engine::Planned { workers } => write!(f, "planned:{workers}"),
+            Engine::Planned => write!(f, "planned"),
         }
     }
 }
@@ -343,8 +322,6 @@ mod tests {
     #[test]
     fn engine_helpers_classify_naive() {
         assert!(!Engine::Naive.indexed());
-        assert!(!Engine::Naive.sharded());
-        assert_eq!(Engine::Naive.workers(), 1);
         assert_eq!(Engine::Naive.to_string(), "naive");
         assert_eq!(Engine::default(), Engine::planned(1));
     }
@@ -352,12 +329,11 @@ mod tests {
     #[test]
     fn engine_helpers_classify_planned() {
         assert!(Engine::planned(1).indexed());
-        assert_eq!(Engine::planned(0).workers(), 1);
-        assert_eq!(Engine::planned(4).workers(), 4);
-        assert_eq!(Engine::planned(4).to_string(), "planned:4");
-        // Sharding: only past one worker.
-        assert!(!Engine::planned(1).sharded());
-        assert!(Engine::planned(4).sharded());
+        assert_eq!(Engine::planned(1).to_string(), "planned");
+        // The worker argument is ignored: every count is the one engine.
+        for workers in [0, 1, 4] {
+            assert_eq!(Engine::planned(workers), Engine::Planned);
+        }
     }
 
     #[test]

@@ -6,9 +6,9 @@
 //! limit (valuation/candidate budget, deadline, cancellation) the completed
 //! portion of the search is captured into a [`Checkpoint`]:
 //!
-//! - exact RCDP (all engines): the set of *cleared* enumeration chunks — the
-//!   same `(tableau, depth-0 candidate)` chunks the sharded engine fans out
-//!   over — each with its committed per-chunk stats;
+//! - exact RCDP (all engines): the set of *cleared* enumeration chunks — one
+//!   chunk per `(tableau, depth-0 candidate)` in the driver's canonical
+//!   order — each with its committed per-chunk stats;
 //! - bounded RCDP (FO/FP fallback): the next unexplored extension size plus
 //!   the cumulative stats of all fully-searched smaller sizes;
 //! - RCQP: a coarse restart marker (the candidate-database search is cheap
@@ -18,7 +18,7 @@
 //! (`tests/resume_differential.rs`): for every installment `i` run with
 //! budget `b_i` (non-decreasing), the resumed decision's verdict, witness,
 //! and scoped telemetry counters are identical to a single uninterrupted run
-//! at budget `b_i` on the same engine and worker count. Partial work inside
+//! at budget `b_i` on the same engine. Partial work inside
 //! an uncleared chunk (or size) is deliberately discarded — the unit re-runs
 //! from its start under a meter primed with the committed ticks, which is
 //! exactly the state an uninterrupted run has when it reaches that unit.
@@ -30,9 +30,8 @@
 
 use crate::budget::SearchBudget;
 use crate::guard::Guard;
-use crate::par::ChunkStats;
 use crate::query::Query;
-use crate::rcdp::Ledger;
+use crate::rcdp::{ChunkStats, Ledger};
 use crate::semidecide::BoundedResume;
 use crate::setting::Setting;
 use crate::verdict::{BudgetLimit, QueryVerdict, RcError, Verdict};
@@ -563,7 +562,9 @@ pub fn rcdp_resumed_guarded(
     let checkpoint = match (&verdict, frontier) {
         (Verdict::Unknown { stats }, Some(frontier)) if resumable_limit(stats.limit) => {
             let spent_ticks = match &frontier {
-                Frontier::RcdpChunks { cleared, .. } => cleared.iter().map(|(_, p)| p.ticks).sum(),
+                Frontier::RcdpChunks { cleared, .. } => cleared
+                    .iter()
+                    .fold(0u64, |sum, (_, p)| sum.saturating_add(p.ticks)),
                 Frontier::BoundedSizes { progress, .. } => progress.ticks,
                 Frontier::Restart => 0,
             };

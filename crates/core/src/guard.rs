@@ -27,7 +27,7 @@
 //! [`BudgetLimit`]: crate::BudgetLimit
 
 use std::cell::Cell;
-use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -104,29 +104,12 @@ impl Interrupt {
 ///   at which a panic should be injected. The plan only records the stage;
 ///   attach a [`FaultSink`](ric_telemetry::FaultSink) built from
 ///   [`FaultPlan::panic_stage`] to actually fire it through the probe seam.
-/// * [`worker_panic_at_tick`](FaultPlan::worker_panic_at_tick) — panic
-///   *mid-chunk* inside a parallel worker at an exact per-worker tick, a
-///   bounded number of times. Unlike `panic_at_stage` (which fires through a
-///   sink, outside the fan-out), this dies inside the pool, exercising the
-///   chunk quarantine/re-enqueue recovery path deterministically.
 #[derive(Clone, Default, Debug)]
 pub struct FaultPlan {
     deadline_after: Option<u64>,
     cancel_after: Option<u64>,
     exhaust: Option<(MeterKind, u64)>,
     panic_stage: Option<&'static str>,
-    worker_panic: Option<WorkerPanic>,
-}
-
-/// A mid-chunk worker-death schedule: panic when a guard derived from this
-/// plan observes its `at_tick`-th tick, at most `fires` times across every
-/// guard sharing the plan (the counter is shared through an `Arc`, so a
-/// recovery retry of the same chunk survives once the budgeted deaths are
-/// spent).
-#[derive(Clone, Debug)]
-struct WorkerPanic {
-    at_tick: u64,
-    fires: Arc<AtomicU32>,
 }
 
 impl FaultPlan {
@@ -167,46 +150,22 @@ impl FaultPlan {
     pub fn panic_stage(&self) -> Option<&'static str> {
         self.panic_stage
     }
-
-    /// Panic inside the guard poll when `ticks` ticks have been observed on
-    /// one guard (the panic fires on tick `ticks + 1`, mirroring
-    /// [`FaultPlan::deadline_at_tick`]), at most `fires` times in total
-    /// across every guard built from this plan. With `fires = 1` a parallel
-    /// chunk dies once and its recovery retry succeeds; with a larger budget
-    /// the retry dies too, forcing the engine downgrade.
-    pub fn worker_panic_at_tick(mut self, ticks: u64, fires: u32) -> Self {
-        self.worker_panic = Some(WorkerPanic {
-            at_tick: ticks,
-            fires: Arc::new(AtomicU32::new(fires)),
-        });
-        self
-    }
 }
 
 /// Per-decision interruption state, polled cooperatively by every guarded
 /// [`Meter`](crate::budget::Meter).
 ///
-/// A guard is cheap to create and not thread-safe by design (each decider
-/// thread polls its own guard); the cross-thread handle is the
+/// A guard is cheap to create and not thread-safe by design (a decision
+/// runs on the thread that polls its guard); the cross-thread handle is the
 /// [`CancelToken`]. Public `*_guarded` entry points take `&Guard` so one
 /// guard — one deadline, one token — spans an entire decision, including
-/// nested decider calls. The parallel scheduler derives one `Guard::worker`
-/// per pool thread from the decision guard: workers observe the same deadline
-/// and tokens plus a pool-local token, and any worker trip broadcasts through
-/// that pool token so every other worker stops at its next poll.
+/// nested decider calls.
 #[derive(Debug)]
 pub struct Guard {
     deadline: Option<Instant>,
     cancels: Vec<CancelToken>,
-    /// Fired (cancelled) whenever this guard trips, so sibling worker guards
-    /// observing the same token stop too. `None` outside worker pools.
-    broadcast: Option<CancelToken>,
     fault: FaultPlan,
     check_interval: u32,
-    /// Was this guard derived via [`Guard::worker`]? The worker-panic fault
-    /// only fires on pool-thread guards — the decision guard (and any
-    /// sequential fallback running on it) must survive the injected deaths.
-    is_worker: bool,
     ticks: Cell<u64>,
     countdown: Cell<u32>,
     tripped: Cell<Option<Interrupt>>,
@@ -226,10 +185,8 @@ impl Guard {
             // deadline must mean "never", not overflow.
             deadline: budget.deadline.and_then(|d| Instant::now().checked_add(d)),
             cancels: Vec::new(),
-            broadcast: None,
             fault: FaultPlan::default(),
             check_interval: Self::DEFAULT_CHECK_INTERVAL,
-            is_worker: false,
             ticks: Cell::new(0),
             countdown: Cell::new(0),
             tripped: Cell::new(None),
@@ -241,29 +198,6 @@ impl Guard {
     pub fn with_cancel(mut self, token: CancelToken) -> Self {
         self.cancels.push(token);
         self
-    }
-
-    /// A worker guard for one pool thread: same deadline instant, same fault
-    /// plan and check interval, observing every token this guard observes
-    /// *plus* the pool token, and broadcasting its own trips to the pool
-    /// token so sibling workers stop at their next poll. Tick state is fresh
-    /// (ticks are counted per worker).
-    pub(crate) fn worker(&self, pool: &CancelToken) -> Guard {
-        let mut cancels = self.cancels.clone();
-        cancels.push(pool.clone());
-        Guard {
-            deadline: self.deadline,
-            cancels,
-            broadcast: Some(pool.clone()),
-            fault: self.fault.clone(),
-            check_interval: self.check_interval,
-            is_worker: true,
-            ticks: Cell::new(0),
-            countdown: Cell::new(0),
-            // A decision guard that already tripped stays tripped in its
-            // workers — nested fan-out after an interrupt must fail fast.
-            tripped: Cell::new(self.tripped.get()),
-        }
     }
 
     /// This guard, also executing `plan`.
@@ -290,18 +224,6 @@ impl Guard {
         }
         let ticks = self.ticks.get().saturating_add(1);
         self.ticks.set(ticks);
-        if self.is_worker {
-            if let Some(wp) = &self.fault.worker_panic {
-                if ticks > wp.at_tick
-                    && wp
-                        .fires
-                        .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| n.checked_sub(1))
-                        .is_ok()
-                {
-                    panic!("injected worker panic at tick {ticks}");
-                }
-            }
-        }
         if let Some(after) = self.fault.deadline_after {
             if ticks > after {
                 return self.trip(Interrupt::Deadline);
@@ -361,9 +283,6 @@ impl Guard {
 
     fn trip(&self, interrupt: Interrupt) -> Option<Interrupt> {
         self.tripped.set(Some(interrupt));
-        if let Some(pool) = &self.broadcast {
-            pool.cancel();
-        }
         Some(interrupt)
     }
 }
@@ -468,58 +387,6 @@ mod tests {
         assert_eq!(v.interrupt(), None, "exhaustion, not an interrupt");
         let c = Meter::guarded(MeterKind::Candidates, budget.max_candidates, &guard);
         assert_eq!(c.limit(), budget.max_candidates, "other meters unaffected");
-    }
-
-    #[test]
-    fn worker_guards_observe_parent_tokens_and_broadcast_trips() {
-        let plan = FaultPlan::new().deadline_at_tick(0);
-        let parent = Guard::new(&SearchBudget::default()).with_fault_plan(plan);
-        let pool = CancelToken::new();
-        let a = parent.worker(&pool);
-        let b = parent.worker(&pool);
-        assert_eq!(b.check_now(), None, "pool token starts clean");
-        assert_eq!(
-            a.check(),
-            Some(Interrupt::Deadline),
-            "per-worker fault tick"
-        );
-        assert!(pool.is_cancelled(), "trip broadcasts to the pool token");
-        assert_eq!(
-            b.check_now(),
-            Some(Interrupt::Cancelled),
-            "sibling observes the broadcast as a cancellation"
-        );
-    }
-
-    #[test]
-    fn worker_panic_fires_only_on_worker_guards_and_only_fires_times() {
-        let plan = FaultPlan::new().worker_panic_at_tick(1, 1);
-        let parent = Guard::new(&SearchBudget::default()).with_fault_plan(plan);
-        // The decision guard itself never fires the worker fault.
-        for _ in 0..4 {
-            assert_eq!(parent.check(), None);
-        }
-        let pool = CancelToken::new();
-        let w = parent.worker(&pool);
-        assert_eq!(w.check(), None, "tick 1 is at the threshold, not past it");
-        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| w.check()));
-        assert!(caught.is_err(), "tick 2 dies");
-        // The fires budget is shared: a second worker guard (the recovery
-        // retry) survives the same tick.
-        let retry = parent.worker(&pool);
-        assert_eq!(retry.check(), None);
-        assert_eq!(retry.check(), None, "fires budget spent; no second death");
-    }
-
-    #[test]
-    fn worker_guard_inherits_a_parent_trip() {
-        let token = CancelToken::new();
-        token.cancel();
-        let parent = Guard::new(&SearchBudget::default()).with_cancel(token);
-        assert_eq!(parent.check_now(), Some(Interrupt::Cancelled));
-        let pool = CancelToken::new();
-        let w = parent.worker(&pool);
-        assert_eq!(w.tripped(), Some(Interrupt::Cancelled), "fails fast");
     }
 
     #[test]

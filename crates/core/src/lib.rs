@@ -23,9 +23,9 @@
 //!   reports how far it searched.
 //!
 //! Every decider runs on one of two [`Engine`]s: `Naive`, the oracle that
-//! materializes every candidate union, or `Planned { workers }`, which checks
-//! candidates incrementally through compiled constraint plans and shards its
-//! enumeration loops when `workers > 1`. Both return the same verdicts.
+//! materializes every candidate union, or `Planned`, which checks candidates
+//! incrementally through compiled constraint plans. Both return the same
+//! verdicts, and both run every search on the calling thread.
 //!
 //! Every positive verdict carries a checkable certificate: `Incomplete` holds
 //! a violating extension Δ with `(D ∪ Δ, D_m) |= V` and `Q(D ∪ Δ) ≠ Q(D)`;
@@ -48,7 +48,6 @@ pub mod characterize;
 pub mod checkpoint;
 pub mod extend;
 pub mod guard;
-pub(crate) mod par;
 pub mod prepared;
 pub mod query;
 pub mod rcdp;
@@ -66,7 +65,6 @@ pub use checkpoint::{
     CHECKPOINT_VERSION,
 };
 pub use guard::{CancelToken, FaultPlan, Guard, Interrupt};
-pub use par::sched_test;
 pub use prepared::PreparedSetting;
 pub use query::Query;
 pub use rcdp::{rcdp, rcdp_guarded, rcdp_probed};

@@ -8,8 +8,8 @@
 //! decisions against the same `(R, R_m, D_m, V)` setting — the extension
 //! loop, a benchmark sweep, a service holding a fixed schema — it is pure
 //! rework. [`PreparedSetting`] hoists the compilation out of the loop and
-//! hands the shared preparation ([`std::sync::Arc`]-backed, so parallel
-//! workers share it too) to every decision.
+//! hands the shared preparation ([`std::sync::Arc`]-backed) to every
+//! decision.
 //!
 //! Preparation never changes verdicts: plans fix the join *order* of checks
 //! whose result is order-independent, and the statistics that steer the

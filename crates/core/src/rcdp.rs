@@ -30,11 +30,10 @@
 use crate::adom::Adom;
 use crate::budget::{Engine, Meter, MeterKind, SearchBudget};
 use crate::guard::Guard;
-use crate::par::{self, ChunkEvent, ChunkResult, ChunkSlot, ChunkStats, PoolOutcome, PoolRun};
 use crate::query::Query;
 use crate::semidecide::BoundedResume;
 use crate::setting::Setting;
-use crate::valuations::{EnumOutcome, ValuationSpace};
+use crate::valuations::{EnumOutcome, ValuationSpace, PROFILE_DEPTH};
 use crate::verdict::{BudgetLimit, CounterExample, RcError, SearchStats, Verdict};
 use ric_constraints::PreparedUpper;
 use ric_data::{index::probe_count, Database, Overlay, Tuple, Value};
@@ -148,7 +147,7 @@ impl CheckMode {
 /// Stable counter names for pruning attribution by containment-constraint
 /// index: `prune.cc.NN` counts candidate rejections whose first violated
 /// constraint was `V[NN]` (slot 15 absorbs larger sets).
-pub(crate) const PRUNE_CC: [&str; par::CC_ATTR] = [
+pub(crate) const PRUNE_CC: [&str; CC_ATTR] = [
     "prune.cc.00",
     "prune.cc.01",
     "prune.cc.02",
@@ -168,15 +167,15 @@ pub(crate) const PRUNE_CC: [&str; par::CC_ATTR] = [
 ];
 
 /// Emit nonzero `prune.cc.NN` attribution counters.
-pub(crate) fn emit_cc_attribution(probe: Probe<'_>, viol: &[u64; par::CC_ATTR]) {
+pub(crate) fn emit_cc_attribution(probe: Probe<'_>, viol: &[u64; CC_ATTR]) {
     for (name, &v) in PRUNE_CC.iter().zip(viol) {
         probe.count(name, v);
     }
 }
 
 /// Bump the attribution slot for constraint index `i` (clamped).
-fn bump_viol(viol: &[Cell<u64>; par::CC_ATTR], i: usize) {
-    let c = &viol[i.min(par::CC_ATTR - 1)];
+fn bump_viol(viol: &[Cell<u64>; CC_ATTR], i: usize) {
+    let c = &viol[i.min(CC_ATTR - 1)];
     c.set(c.get() + 1);
 }
 
@@ -245,6 +244,71 @@ pub(crate) enum Ledger {
     Exact(ExactLedger),
     /// The bounded search's fully searched extension sizes.
     Bounded(Box<BoundedResume>),
+}
+
+/// Number of per-constraint pruning-attribution slots carried through the
+/// chunk stats; constraint indexes past the last slot clamp into it.
+pub(crate) const CC_ATTR: usize = 16;
+
+/// How one chunk of the exact search ended.
+enum ChunkEvent {
+    /// Ran to completion without finding a counterexample.
+    Clear,
+    /// Found a counterexample.
+    Hit(CounterExample),
+    /// The meter rejected a request: count budget exhausted or guard tripped.
+    Stopped,
+}
+
+/// Work counters of one chunk (exact search) or one committed prefix of
+/// extension sizes (bounded search). The ledger commits them per cleared
+/// chunk, and the decision counters are their sum.
+#[derive(Clone, Copy, Default, Debug)]
+pub(crate) struct ChunkStats {
+    /// Meter ticks consumed (valuations / candidates examined).
+    pub ticks: u64,
+    /// Containment-constraint checks performed.
+    pub cc_checks: u64,
+    /// CC checks skipped by the delta-aware strategy.
+    pub cc_skipped: u64,
+    /// Index probes issued (thread-local [`ric_data::index::probe_count`]
+    /// deltas).
+    pub probes: u64,
+    /// Query evaluations performed.
+    pub query_evals: u64,
+    /// Candidates tried per assignment depth (profiler data; see
+    /// [`crate::valuations::DepthProfile`]).
+    pub depth_candidates: [u64; PROFILE_DEPTH],
+    /// Subtrees pruned per assignment depth.
+    pub depth_pruned: [u64; PROFILE_DEPTH],
+    /// Subtrees pruned by the head filter.
+    pub head_prunes: u64,
+    /// Candidate rejections attributed to the index of the first violated
+    /// containment constraint (clamped at [`CC_ATTR`] slots).
+    pub cc_viol: [u64; CC_ATTR],
+}
+
+impl ChunkStats {
+    /// Fold `other` into `self`. Every field sums, saturating like
+    /// [`Meter::tick`]: the committed stats of a resumed decision come from
+    /// a checkpoint, and no count in a well-formed one may overflow the sum.
+    pub(crate) fn absorb(&mut self, other: &ChunkStats) {
+        let sum = |a: &mut u64, b: &u64| *a = a.saturating_add(*b);
+        sum(&mut self.ticks, &other.ticks);
+        sum(&mut self.cc_checks, &other.cc_checks);
+        sum(&mut self.cc_skipped, &other.cc_skipped);
+        sum(&mut self.probes, &other.probes);
+        sum(&mut self.query_evals, &other.query_evals);
+        sum(&mut self.head_prunes, &other.head_prunes);
+        let arrays = [
+            (&mut self.depth_candidates[..], &other.depth_candidates[..]),
+            (&mut self.depth_pruned[..], &other.depth_pruned[..]),
+            (&mut self.cc_viol[..], &other.cc_viol[..]),
+        ];
+        for (mine, theirs) in arrays {
+            mine.iter_mut().zip(theirs).for_each(|(a, b)| sum(a, b));
+        }
+    }
 }
 
 /// The one RCDP dispatch: check the FP bodies and partial closure, then run
@@ -340,7 +404,7 @@ pub(crate) fn emit_plan_telemetry(
     // Export the planner's statistics as gauges so metrics snapshots carry
     // the row counts each plan was costed against, keyed by relation id like
     // the `prune.cc.NN` attribution family (gauges max-merge, and the
-    // planning snapshot is fixed per preparation, so workers agree).
+    // planning snapshot is fixed per preparation).
     for &(rel, planned) in prep.planned_rows() {
         let slot = rel.0.min(STATS_ROWS.len() - 1);
         probe.gauge(STATS_ROWS[slot], planned as u64);
@@ -372,7 +436,7 @@ pub(crate) const STATS_ROWS: [&str; 16] = [
 /// The exact decider; callers must have verified the language combination
 /// and partial closure. The one setup — tableaux, `Q(D)`, `Adom`, check
 /// mode (sharing `reuse` when given), chunk layout — feeds the one chunk
-/// driver: inline under one meter, or sharded across the worker pool.
+/// driver, which runs under one meter on the calling thread.
 /// `committed` is `(n_chunks, cleared)` from a prior installment's
 /// checkpoint, `None` for a fresh decision; a ledger whose chunk count does
 /// not match this decision's canonical layout is discarded (with a
@@ -433,11 +497,7 @@ pub(crate) fn decide_exact(
         }
         None => BTreeMap::new(),
     };
-    let (verdict, ledger) = if budget.engine.sharded() {
-        search.run_parallel(budget, guard, probe, committed)
-    } else {
-        search.run_inline(budget, guard, probe, committed)
-    };
+    let (verdict, ledger) = search.run(budget, guard, probe, committed);
     emit_verdict(probe, &verdict);
     Ok((verdict, ledger.map(|l| (n_chunks, l))))
 }
@@ -453,7 +513,7 @@ struct Disjunct<'a> {
 }
 
 /// The exact search's shared inputs, built once per decision by
-/// [`decide_exact`] and read by every chunk, inline or on the pool.
+/// [`decide_exact`] and read by every chunk.
 struct ExactSearch<'a> {
     setting: &'a Setting,
     db: &'a Database,
@@ -466,8 +526,8 @@ struct ExactSearch<'a> {
     /// no depth-0 candidates enumerates nothing and contributes no chunk.
     /// Concatenating the chunks in this order reproduces the sequential
     /// enumeration and its tick sequence exactly (pinned in
-    /// `valuations.rs`), so a chunk index means the same thing to the inline
-    /// loop, the pool, and the checkpoint frontier.
+    /// `valuations.rs`), so a chunk index means the same thing to the
+    /// driver and the checkpoint frontier.
     chunks: Vec<(usize, Option<(Value, usize)>)>,
 }
 
@@ -519,16 +579,14 @@ impl<'a> ExactSearch<'a> {
     }
 
     /// Enumerate chunk `idx` against `meter`, with `scratch` as the delta
-    /// buffer of the partial filter. The inline loop hands every chunk the
-    /// decision's one meter and scratch; a pool job brings its own meter
-    /// slice and scratch. The per-chunk work — and therefore the committed
-    /// checkpoint stats — are engine-independent.
+    /// buffer of the partial filter. The per-chunk work — and therefore the
+    /// committed checkpoint stats — are engine-independent.
     fn run_chunk(
         &self,
         idx: usize,
         meter: &mut Meter<'_>,
         scratch: &RefCell<Database>,
-    ) -> ChunkResult<CounterExample> {
+    ) -> (ChunkEvent, ChunkStats) {
         let (di, point) = &self.chunks[idx];
         let Disjunct {
             tableau: t,
@@ -539,21 +597,18 @@ impl<'a> ExactSearch<'a> {
             // The head prune belongs to the disjunct: attribute it to its
             // first chunk, so it counts once whenever the walk reaches it.
             let first = idx == 0 || self.chunks[idx - 1].0 != *di;
-            return ChunkResult {
-                event: ChunkEvent::Clear,
-                value: None,
-                stats: ChunkStats {
-                    head_prunes: u64::from(first),
-                    ..ChunkStats::default()
-                },
+            let stats = ChunkStats {
+                head_prunes: u64::from(first),
+                ..ChunkStats::default()
             };
+            return (ChunkEvent::Clear, stats);
         }
         let (setting, db, mode) = (self.setting, self.db, self.mode);
         let used_before = meter.used();
         let probes_before = probe_count();
         let cc_checks = Cell::new(0u64);
         let cc_skipped = Cell::new(0u64);
-        let cc_viol: [Cell<u64>; par::CC_ATTR] = Default::default();
+        let cc_viol: [Cell<u64>; CC_ATTR] = Default::default();
         let profile = crate::valuations::DepthProfile::new();
         let mut found: Option<CounterExample> = None;
         // Prune: if the candidate output tuple is already answered, no
@@ -617,37 +672,33 @@ impl<'a> ExactSearch<'a> {
             ),
         };
         let event = match outcome {
-            EnumOutcome::Stopped => ChunkEvent::Hit,
+            EnumOutcome::Stopped => ChunkEvent::Hit(
+                found.unwrap_or_else(|| unreachable!("a stopped visit records its counterexample")),
+            ),
             EnumOutcome::Exhausted => ChunkEvent::Clear,
-            EnumOutcome::BudgetExceeded => match meter.interrupt() {
-                Some(interrupt) => ChunkEvent::Interrupted(interrupt),
-                None => ChunkEvent::Exhausted,
-            },
+            EnumOutcome::BudgetExceeded => ChunkEvent::Stopped,
         };
-        ChunkResult {
-            event,
-            value: found,
-            stats: ChunkStats {
-                ticks: meter.used() - used_before,
-                cc_checks: cc_checks.get(),
-                cc_skipped: cc_skipped.get(),
-                probes: probe_count().saturating_sub(probes_before),
-                query_evals: 0,
-                depth_candidates: profile.candidates(),
-                depth_pruned: profile.pruned(),
-                head_prunes: profile.head_prunes(),
-                cc_viol: std::array::from_fn(|i| cc_viol[i].get()),
-            },
-        }
+        let stats = ChunkStats {
+            ticks: meter.used() - used_before,
+            cc_checks: cc_checks.get(),
+            cc_skipped: cc_skipped.get(),
+            probes: probe_count().saturating_sub(probes_before),
+            query_evals: 0,
+            depth_candidates: profile.candidates(),
+            depth_pruned: profile.pruned(),
+            head_prunes: profile.head_prunes(),
+            cc_viol: std::array::from_fn(|i| cc_viol[i].get()),
+        };
+        (event, stats)
     }
 
-    /// The inline driver: walk the chunk list in index order under ONE meter
+    /// The driver: walk the chunk list in index order under ONE meter
     /// primed with the committed ticks, skipping chunks already cleared by an
     /// earlier installment (an empty `committed` is a fresh decision). The
     /// verdict, witness, and scoped counters are identical to an
     /// uninterrupted run at the same budget. Returns the cleared-chunk
     /// ledger when the search stopped on a budget-like limit.
-    fn run_inline(
+    fn run(
         &self,
         budget: &SearchBudget,
         guard: &Guard,
@@ -678,19 +729,15 @@ impl<'a> ExactSearch<'a> {
             if committed.contains_key(&idx) {
                 continue;
             }
-            let result = self.run_chunk(idx, &mut meter, &scratch);
-            totals.absorb(&result.stats);
-            match result.event {
-                ChunkEvent::Clear => ledger.push((idx, result.stats)),
-                ChunkEvent::Hit => {
-                    verdict = Verdict::Incomplete(
-                        result
-                            .value
-                            .unwrap_or_else(|| unreachable!("hit chunks carry a counterexample")),
-                    );
+            let (event, stats) = self.run_chunk(idx, &mut meter, &scratch);
+            totals.absorb(&stats);
+            match event {
+                ChunkEvent::Clear => ledger.push((idx, stats)),
+                ChunkEvent::Hit(ce) => {
+                    verdict = Verdict::Incomplete(ce);
                     break;
                 }
-                ChunkEvent::Exhausted | ChunkEvent::Interrupted(_) => {
+                ChunkEvent::Stopped => {
                     if let Some(interrupt) = meter.interrupt() {
                         probe.interrupt("rcdp.interrupt", interrupt.name(), guard.ticks());
                     }
@@ -719,155 +766,6 @@ impl<'a> ExactSearch<'a> {
         drop(span);
         emit_search_stats(probe, &totals);
         (verdict, frontier)
-    }
-
-    /// The sharded driver, resumable and loss-tolerant: chunks cleared by an
-    /// earlier installment become synthesized cleared slots (a cleared
-    /// chunk's stats are independent of its budget slice — clearing means
-    /// the whole subtree fit), the remaining chunks run on the pool under
-    /// their *current-budget* slices, and the merge is first-terminal-by-index
-    /// with stats summed up to the deciding chunk, so the verdict, witness,
-    /// and counters are independent of thread count and interleaving. A chunk
-    /// that dies twice (see [`par::run_chunks_recovering`]) triggers the
-    /// degradation ladder: commit every cleared chunk and finish inline,
-    /// recording `degrade.engine`.
-    fn run_parallel(
-        &self,
-        budget: &SearchBudget,
-        guard: &Guard,
-        probe: Probe<'_>,
-        committed: BTreeMap<usize, ChunkStats>,
-    ) -> (Verdict, Option<Vec<(usize, ChunkStats)>>) {
-        let n_chunks = self.chunks.len();
-        let total_valuations = budget.max_valuations;
-        let todo: Vec<usize> = (0..n_chunks)
-            .filter(|i| !committed.contains_key(i))
-            .collect();
-
-        let job = |pos: usize, wguard: &Guard| -> ChunkResult<CounterExample> {
-            let idx = todo[pos];
-            // The slice is computed from the *current* budget and the chunk's
-            // canonical index: an uninterrupted run at this budget hands the
-            // chunk exactly this slice, which is what the resume invariant pins.
-            let mut meter = Meter::guarded(
-                MeterKind::Valuations,
-                par::chunk_budget(total_valuations, n_chunks, idx),
-                wguard,
-            );
-            let scratch = RefCell::new(Database::with_relations(self.setting.schema.len()));
-            self.run_chunk(idx, &mut meter, &scratch)
-        };
-
-        let span = probe.span("rcdp.enumerate");
-        let recovered =
-            par::run_chunks_recovering(budget.engine.workers(), todo.len(), guard, &job);
-        probe.count("recover.chunk", recovered.recovered);
-        if !recovered.lost.is_empty() {
-            probe.count("degrade.chunk", recovered.lost.len() as u64);
-            probe.note("degrade.engine", || {
-                format!(
-                    "parallel engine lost {} chunk(s) after quarantine retry; \
-                     downgrading to the sequential search, finishing inline \
-                     on the same preparation",
-                    recovered.lost.len()
-                )
-            });
-            let mut ledger = committed;
-            for (pos, slot) in recovered.run.slots.iter().enumerate() {
-                if let Some(ChunkSlot::Done(result)) = slot {
-                    if matches!(result.event, ChunkEvent::Clear) {
-                        ledger.insert(todo[pos], result.stats);
-                    }
-                }
-            }
-            drop(span);
-            return self.run_inline(budget, guard, probe, ledger);
-        }
-
-        let run = recovered.run;
-        if probe.trace().is_some() {
-            for entry in &run.timeline {
-                let e = *entry;
-                let chunk = todo.get(e.chunk).copied().unwrap_or(e.chunk);
-                probe.note("par.timeline", || {
-                    format!(
-                        "worker {} chunk {} {}..{}us",
-                        e.worker, chunk, e.start_micros, e.end_micros
-                    )
-                });
-            }
-        }
-        // Compose the full canonical slot list: committed chunks appear as
-        // synthesized cleared slots, fresh chunks take their pool slot (both
-        // walks ascend, so the zip is positional).
-        let mut fresh = run.slots.into_iter();
-        let slots: Vec<Option<ChunkSlot<CounterExample>>> = (0..n_chunks)
-            .map(|idx| match committed.get(&idx) {
-                Some(stats) => Some(ChunkSlot::Done(Box::new(ChunkResult {
-                    event: ChunkEvent::Clear,
-                    value: None,
-                    stats: *stats,
-                }))),
-                None => fresh
-                    .next()
-                    .unwrap_or_else(|| unreachable!("one pool slot per uncommitted chunk")),
-            })
-            .collect();
-        let mut ledger: Vec<(usize, ChunkStats)> = Vec::new();
-        for (idx, slot) in slots.iter().enumerate() {
-            if let Some(ChunkSlot::Done(result)) = slot {
-                if matches!(result.event, ChunkEvent::Clear) {
-                    ledger.push((idx, result.stats));
-                }
-            }
-        }
-        let full = PoolRun {
-            slots,
-            steals: run.steals,
-            executed: run.executed,
-            timeline: Vec::new(),
-        };
-        let merged = full.merge_search();
-        drop(span);
-
-        probe.count("par.chunk", merged.executed);
-        probe.count("par.steal", merged.steals);
-        emit_search_stats(probe, &merged.stats);
-        let deciding = merged.deciding;
-        let resumable = matches!(
-            merged.outcome,
-            PoolOutcome::Exhausted | PoolOutcome::Interrupted(_)
-        );
-        if resumable {
-            probe.note("explain.frontier", || {
-                let at = deciding.map_or(n_chunks, |k| k + 1);
-                format!(
-                    "parallel fan-out stopped at chunk {at}/{n_chunks}; higher-index chunks unexplored"
-                )
-            });
-        }
-        let verdict = match merged.outcome {
-            PoolOutcome::Clear => Verdict::Complete,
-            PoolOutcome::Hit(ce) => Verdict::Incomplete(ce),
-            PoolOutcome::Exhausted => Verdict::unknown(
-                SearchStats::new(
-                    BudgetLimit::MaxValuations,
-                    format!("valuation budget of {total_valuations} exhausted"),
-                )
-                .with_valuations(merged.stats.ticks),
-            ),
-            PoolOutcome::Interrupted(interrupt) => {
-                probe.interrupt("rcdp.interrupt", interrupt.name(), merged.stats.ticks);
-                Verdict::unknown(
-                    SearchStats::new(
-                        interrupt.limit(),
-                        par::interrupt_detail(interrupt, merged.stats.ticks, "valuation"),
-                    )
-                    .with_valuations(merged.stats.ticks),
-                )
-            }
-        };
-        (verdict, resumable.then_some(ledger))
     }
 }
 

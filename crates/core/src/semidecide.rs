@@ -10,8 +10,8 @@
 //!   small fresh pool, up to `budget.max_delta_tuples` tuples. Finding `Δ`
 //!   with `(D ∪ Δ, D_m) |= V` and `Q(D ∪ Δ) ≠ Q(D)` *certifies*
 //!   incompleteness; exhausting the bound yields `Unknown`. One setup feeds
-//!   one size-by-size driver (inline or sharded), and a fresh run is a
-//!   resume from size 1 with empty committed stats.
+//!   one size-by-size driver, and a fresh run is a resume from size 1 with
+//!   empty committed stats.
 //! * [`rcqp_bounded`] — search for a candidate database that the bounded
 //!   RCDP search cannot refute within the bound. Because completeness itself
 //!   is undecidable here, a surviving candidate is only evidence, so the
@@ -21,8 +21,8 @@
 use crate::adom::Adom;
 use crate::budget::{Engine, Meter, MeterKind, SearchBudget};
 use crate::guard::Guard;
-use crate::par::ChunkStats;
 use crate::query::Query;
+use crate::rcdp::ChunkStats;
 use crate::setting::Setting;
 use crate::verdict::{BudgetLimit, CounterExample, QueryVerdict, RcError, SearchStats, Verdict};
 use ric_constraints::PreparedUpper;
@@ -216,10 +216,10 @@ pub(crate) struct BoundedResume {
 /// The bounded decider: certify incompleteness with a small witness
 /// extension, or report `Unknown`. The one setup — query evaluation, check
 /// mode (sharing `reuse` when given), active domain, candidate pool — feeds
-/// the one size-by-size driver: inline under one meter, or sharded across
-/// the worker pool. `committed` is a prior installment's resume point, `None`
-/// for a fresh run (size 1, empty stats). The setup is deterministic, so the
-/// emitted telemetry stays installment-independent.
+/// the one size-by-size driver under one meter. `committed` is a prior
+/// installment's resume point, `None` for a fresh run (size 1, empty stats).
+/// The setup is deterministic, so the emitted telemetry stays
+/// installment-independent.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn decide_bounded(
     setting: &Setting,
@@ -269,17 +269,13 @@ pub(crate) fn decide_bounded(
     // Probes issued while building the check mode, active domain, and pool
     // count into `index.probe` ahead of the enumeration's own.
     let setup_probes = probe_count().saturating_sub(probes_before);
-    let (verdict, frontier) = if budget.engine.sharded() {
-        search.run_parallel(guard, probe, start_size, &committed, setup_probes)?
-    } else {
-        search.run_inline(guard, probe, start_size, &committed, setup_probes)?
-    };
+    let (verdict, frontier) = search.run(guard, probe, start_size, &committed, setup_probes)?;
     crate::rcdp::emit_verdict(probe, &verdict);
     Ok((verdict, frontier))
 }
 
 /// The bounded search's shared inputs, built once per decision by
-/// [`decide_bounded`] and read by every subset check, inline or on the pool.
+/// [`decide_bounded`] and read by every subset check.
 struct BoundedSearch<'a> {
     setting: &'a Setting,
     query: &'a Query,
@@ -291,7 +287,6 @@ struct BoundedSearch<'a> {
 }
 
 /// Work counters of the per-subset check.
-#[derive(Default)]
 struct Tally {
     cc_checks: Cell<u64>,
     cc_skipped: Cell<u64>,
@@ -380,12 +375,12 @@ impl BoundedSearch<'_> {
         )
     }
 
-    /// The inline driver: sizes from `start_size` up under one meter primed
+    /// The driver: sizes from `start_size` up under one meter primed
     /// with the committed ticks and counters primed with the committed
     /// totals, so the search rejects — and reports — at exactly the point an
     /// uninterrupted run at the same budget would. Returns the resume point
     /// alongside the verdict when the search stopped on a budget-like limit.
-    fn run_inline(
+    fn run(
         &self,
         guard: &Guard,
         probe: Probe<'_>,
@@ -468,211 +463,6 @@ impl BoundedSearch<'_> {
         );
         Ok((
             verdict.unwrap_or_else(|| self.no_extension(meter.used())),
-            frontier,
-        ))
-    }
-
-    /// The sharded driver: for each extension size, one chunk per choice of
-    /// the subset's *first* pool index. Chunk `i`'s subtree enumerates
-    /// exactly the subsets the inline [`choose`] visits after pushing `i`
-    /// first, so concatenating the chunks in index order reproduces the
-    /// inline candidate order and the first-terminal-by-index merge keeps the
-    /// verdict schedule-independent. A decider error inside a chunk rides the
-    /// `Hit` channel as `Err`, so the earliest erroring/finding chunk — the
-    /// one the inline driver would have reached first — decides.
-    ///
-    /// Resumable at size granularity: sizes below `start_size` are skipped
-    /// and the per-size `remaining` budget is derived from the committed
-    /// ticks exactly as an uninterrupted run would. A chunk lost twice (panic
-    /// plus failed quarantine retry, see [`par::run_chunks_recovering`])
-    /// downgrades the rest of the decision to the inline driver, re-running
-    /// the failed size from its start — verdict- and witness-sound, though
-    /// the inline meter's death point may differ from the parallel slicing's.
-    fn run_parallel(
-        &self,
-        guard: &Guard,
-        probe: Probe<'_>,
-        start_size: usize,
-        committed: &ChunkStats,
-        setup_probes: u64,
-    ) -> Result<(Verdict, Option<BoundedResume>), RcError> {
-        use crate::par::{self, ChunkEvent, ChunkResult, PoolOutcome};
-
-        let budget = self.budget;
-        let mut totals = *committed;
-        let mut ledger = *committed;
-        let mut executed = 0u64;
-        let mut steals = 0u64;
-        let mut verdict = None;
-        let mut frontier = None;
-
-        let span = probe.span("semidecide.extension_search");
-        let max_size = self.max_size();
-        for size in start_size..=max_size {
-            let remaining = budget.max_candidates.saturating_sub(totals.ticks);
-            if remaining == 0 {
-                verdict = Some(Verdict::unknown(
-                    SearchStats::new(
-                        BudgetLimit::MaxCandidates,
-                        format!(
-                            "bounded search: candidate budget {} exhausted at extension \
-                             size {size}",
-                            budget.max_candidates
-                        ),
-                    )
-                    .with_candidates(totals.ticks),
-                ));
-                frontier = Some(BoundedResume {
-                    next_size: size,
-                    stats: ledger,
-                });
-                break;
-            }
-            // Subsets of `size` tuples whose smallest pool index is `i` exist
-            // for i ≤ pool.len() - size.
-            let n_chunks = self.pool.len() - size + 1;
-            let job =
-                |idx: usize, wguard: &Guard| -> ChunkResult<Result<CounterExample, RcError>> {
-                    let worker_probes_before = probe_count();
-                    let mut meter = Meter::guarded(
-                        MeterKind::Candidates,
-                        par::chunk_budget(remaining, n_chunks, idx),
-                        wguard,
-                    );
-                    let tally = Tally::default();
-                    let mut chosen: Vec<usize> = Vec::with_capacity(size);
-                    chosen.push(idx);
-                    let found = choose(
-                        &self.pool,
-                        idx + 1,
-                        size - 1,
-                        &mut chosen,
-                        &mut meter,
-                        &mut |subset| self.try_subset(subset, &tally),
-                    );
-                    let (event, value) = match found {
-                        Ok(ChooseOutcome::Found(ce)) => (ChunkEvent::Hit, Some(Ok(ce))),
-                        Ok(ChooseOutcome::Budget) => match meter.interrupt() {
-                            Some(interrupt) => (ChunkEvent::Interrupted(interrupt), None),
-                            None => (ChunkEvent::Exhausted, None),
-                        },
-                        Ok(ChooseOutcome::Exhausted) => (ChunkEvent::Clear, None),
-                        Err(e) => (ChunkEvent::Hit, Some(Err(e))),
-                    };
-                    ChunkResult {
-                        event,
-                        value,
-                        stats: tally.stats(
-                            meter.used(),
-                            probe_count().saturating_sub(worker_probes_before),
-                        ),
-                    }
-                };
-            let recovered =
-                par::run_chunks_recovering(budget.engine.workers(), n_chunks, guard, &job);
-            probe.count("recover.chunk", recovered.recovered);
-            if !recovered.lost.is_empty() {
-                // Degradation ladder: quarantine retry failed too. Commit the
-                // fully-searched sizes and finish inline, re-running the
-                // failed size from its start.
-                probe.count("degrade.chunk", recovered.lost.len() as u64);
-                probe.note("degrade.engine", || {
-                    format!(
-                        "parallel engine lost {} chunk(s) after quarantine retry; \
-                         downgrading to the sequential search, finishing inline \
-                         on the same preparation",
-                        recovered.lost.len()
-                    )
-                });
-                executed += recovered.run.executed;
-                steals += recovered.run.steals;
-                drop(span);
-                probe.count("par.chunk", executed);
-                probe.count("par.steal", steals);
-                return self.run_inline(guard, probe, size, &ledger, setup_probes);
-            }
-            let run = recovered.run;
-            if probe.trace().is_some() {
-                for entry in &run.timeline {
-                    let e = *entry;
-                    probe.note("par.timeline", || {
-                        format!(
-                            "worker {} chunk {} {}..{}us",
-                            e.worker, e.chunk, e.start_micros, e.end_micros
-                        )
-                    });
-                }
-            }
-            let merged = run.merge_search();
-            totals.absorb(&merged.stats);
-            executed += merged.executed;
-            steals += merged.steals;
-            match merged.outcome {
-                PoolOutcome::Clear => {
-                    // Commit this fully-searched size for the resume frontier.
-                    ledger = totals;
-                    continue;
-                }
-                PoolOutcome::Hit(Ok(ce)) => {
-                    verdict = Some(Verdict::Incomplete(ce));
-                }
-                PoolOutcome::Hit(Err(e)) => return Err(e),
-                PoolOutcome::Exhausted => {
-                    let deciding = merged.deciding;
-                    probe.note("explain.frontier", || {
-                        let at = deciding.map_or(n_chunks, |k| k + 1);
-                        format!(
-                            "bounded search stopped at extension size {size}/{max_size} \
-                             (chunk {at}/{n_chunks}); larger sizes unexplored"
-                        )
-                    });
-                    verdict = Some(Verdict::unknown(
-                        SearchStats::new(
-                            BudgetLimit::MaxCandidates,
-                            format!(
-                                "bounded search: candidate budget {} exhausted at extension \
-                                 size {size}",
-                                budget.max_candidates
-                            ),
-                        )
-                        .with_candidates(totals.ticks),
-                    ));
-                    frontier = Some(BoundedResume {
-                        next_size: size,
-                        stats: ledger,
-                    });
-                }
-                PoolOutcome::Interrupted(interrupt) => {
-                    probe.interrupt("semidecide.interrupt", interrupt.name(), guard.ticks());
-                    let deciding = merged.deciding;
-                    probe.note("explain.frontier", || {
-                        let at = deciding.map_or(n_chunks, |k| k + 1);
-                        format!(
-                            "bounded search interrupted at extension size {size}/{max_size} \
-                             (chunk {at}/{n_chunks}); larger sizes unexplored"
-                        )
-                    });
-                    verdict = Some(Verdict::unknown(
-                        SearchStats::new(
-                            interrupt.limit(),
-                            par::interrupt_detail(interrupt, totals.ticks, "candidate"),
-                        )
-                        .with_candidates(totals.ticks),
-                    ));
-                    frontier = Some(BoundedResume {
-                        next_size: size,
-                        stats: ledger,
-                    });
-                }
-            }
-            break;
-        }
-        drop(span);
-        probe.count("par.chunk", executed);
-        probe.count("par.steal", steals);
-        emit_totals(probe, &totals, setup_probes);
-        Ok((
-            verdict.unwrap_or_else(|| self.no_extension(totals.ticks)),
             frontier,
         ))
     }

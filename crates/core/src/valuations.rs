@@ -264,9 +264,8 @@ impl<'a> ValuationSpace<'a> {
     }
 
     /// Like [`Self::for_each_valid_pruned`], accumulating per-depth search
-    /// statistics into `profile` (the parallel engine's chunk jobs hand the
-    /// profile back through their chunk stats; the sequential probed path
-    /// emits it directly).
+    /// statistics into `profile` (the exact search's chunk driver commits
+    /// the profile through its chunk stats).
     pub fn for_each_valid_pruned_profiled(
         &self,
         profile: &DepthProfile,
@@ -324,8 +323,8 @@ impl<'a> ValuationSpace<'a> {
         outcome
     }
 
-    /// The depth-0 candidates of this space — the chunk boundaries the
-    /// parallel scheduler shards on — paired with the fresh-pool usage after
+    /// The depth-0 candidates of this space — the chunk boundaries of the
+    /// exact search's chunk ledger — paired with the fresh-pool usage after
     /// choosing each. Replicates exactly the candidate list `Self::rec`
     /// builds at depth 0 (constants first, then the single symmetry-broken
     /// fresh representative), so concatenating the per-candidate subtrees in

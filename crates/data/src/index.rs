@@ -12,7 +12,7 @@
 //! report an exact `index.probe` telemetry counter without threading state
 //! through the storage layer: a decision snapshots its own thread's counter
 //! before and after, and concurrent decisions on other threads cannot inflate
-//! the figure. Parallel deciders snapshot on each worker thread and sum.
+//! the figure.
 
 use crate::database::Tuple;
 use crate::value::Value;

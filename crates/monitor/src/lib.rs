@@ -48,7 +48,7 @@
 //!
 //! Every fast path is exact: the incremental verdict equals a from-scratch
 //! decision on the materialized database (`tests/monitor_differential.rs`
-//! pins this across engines, worker counts, and batch sizes). Determinism
+//! pins this across engines and batch sizes). Determinism
 //! caveats — where "equals" means "same verdict kind and a certifying
 //! witness" rather than bitwise equality — are catalogued in DESIGN §12.
 //!

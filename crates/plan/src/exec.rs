@@ -22,7 +22,7 @@ use std::collections::BTreeSet;
 /// Reusable per-thread execution state: the variable binding array.
 ///
 /// Executions borrow it mutably, so one scratch serves any number of plans
-/// sequentially. Cross-thread sharing is not needed — each worker keeps its
+/// sequentially. Cross-thread sharing is not needed — each thread keeps its
 /// own (see [`with_scratch`]).
 #[derive(Default, Debug)]
 pub struct PlanScratch {

@@ -214,7 +214,7 @@ pub fn try_rcdp_guarded(
 /// `prior` of the next installment. The resume invariant (DESIGN.md §10): a
 /// decision completed in K installments with non-decreasing budgets returns
 /// the same verdict, witness, and search counters as one uninterrupted run
-/// at the final budget, on the same engine and worker count.
+/// at the final budget, on the same engine.
 #[derive(Clone, PartialEq, Debug)]
 pub struct Resumed<T> {
     /// The installment's verdict and explanation.

@@ -23,8 +23,8 @@
 //!   assign parent/child ids to spans; [`Explain`] rebuilds the decision
 //!   tree from the event stream and rides on every facade verdict.
 //! * [`metrics`] — a [`Metrics`] registry with log-bucketed histograms and
-//!   Prometheus-text / JSON snapshot exporters, merged bit-identically
-//!   across workers.
+//!   Prometheus-text / JSON snapshot exporters, merged bit-identically in
+//!   any order.
 //!
 //! No external dependencies, std only.
 

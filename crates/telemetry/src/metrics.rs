@@ -5,7 +5,7 @@
 //! a report summarises one decision, a [`Metrics`] accumulates many (a bench
 //! sweep, a service's request stream) into distributions. Everything is
 //! integer arithmetic over fixed bucket boundaries, so merging two
-//! registries — or absorbing per-worker reports in any order — is
+//! registries — or absorbing many reports in any order — is
 //! bit-identical to absorbing the underlying observations in any other
 //! order, the same discipline `Report::merge` pins for counters.
 //!
@@ -210,7 +210,7 @@ impl Metrics {
     }
 
     /// Merge another registry in: counters and histogram buckets add, gauges
-    /// max. Merging per-worker registries in any order is bit-identical.
+    /// max. Merging registries in any order is bit-identical.
     pub fn merge(&mut self, other: &Metrics) {
         for (name, delta) in &other.counters {
             *self.counters.entry(name.clone()).or_insert(0) += delta;
@@ -385,7 +385,7 @@ mod tests {
 
     #[test]
     fn metrics_merge_is_order_independent() {
-        // Two "workers" recording overlapping counter/gauge/histogram sets,
+        // Two registries recording overlapping counter/gauge/histogram sets,
         // including the planned-engine families (`plan.*` counters, the
         // `stats.rows.*` statistics gauges): merge order must not matter,
         // down to the exported bytes.

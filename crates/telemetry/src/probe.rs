@@ -35,9 +35,8 @@ pub trait TickSource {
 
 /// Span-id allocator and current-parent tracker for one traced decision.
 ///
-/// Single-threaded by design (interior `Cell`s, not atomics): worker threads
-/// of the parallel engine never emit probe events directly, so one decision's
-/// spans always open and close on the calling thread. Ids start at 1; 0 means
+/// Single-threaded by design (interior `Cell`s, not atomics): a decision
+/// runs on the calling thread, so its spans always open and close there. Ids start at 1; 0 means
 /// "no span" (the root's parent, and every span of an untraced probe).
 #[derive(Debug, Default)]
 pub struct TraceState {

@@ -112,10 +112,9 @@ pub struct Report {
     pub counters: BTreeMap<&'static str, u64>,
     /// Last-observed gauge values by name.
     pub gauges: BTreeMap<&'static str, u64>,
-    /// Summed span times (µs) by name. Under a sharded engine
-    /// (`Engine::Planned` with more than one worker) a merged report sums
-    /// the per-worker spans too, so this reads as *total work
-    /// time*, not wall time — see [`Report::merge`].
+    /// Summed span times (µs) by name. A merged report sums the spans of
+    /// every report folded in, so it reads as *total work time*, not wall
+    /// time — see [`Report::merge`].
     pub spans: BTreeMap<&'static str, u128>,
     /// Notes by name, in emission order.
     pub notes: BTreeMap<&'static str, Vec<String>>,
@@ -135,23 +134,23 @@ pub struct InterruptRecord {
 }
 
 impl Report {
-    /// Fold `other` into `self`. Pinned merge semantics (the parallel
-    /// scheduler and the metrics exporter both rely on these):
+    /// Fold `other` into `self`, e.g. to aggregate the reports of many
+    /// decisions. Pinned merge semantics (the metrics exporter relies on
+    /// these):
     ///
     /// * **counters sum** — they count work, and work adds up;
     /// * **spans sum** — a merged span total is *total work time across
-    ///   workers* (CPU-seconds), deliberately not wall time: wall time is
-    ///   what the caller's own clock around the decision measures, while the
-    ///   summed span answers "how much work did this phase cost?";
+    ///   the merged decisions* (CPU-seconds), deliberately not wall time:
+    ///   wall time is what the caller's own clock measures, while the summed
+    ///   span answers "how much work did this phase cost?";
     /// * **gauges max** — a merged report answers "how big did it get?";
     /// * **notes append** in `other`'s emission order;
-    /// * **interrupts append, exact duplicates skipped** — one guard trip is
-    ///   broadcast to every worker of a parallel fan-out, so the same
-    ///   `(name, reason, at_tick)` record can surface once per worker report;
-    ///   a merged report keeps one.
+    /// * **interrupts append, exact duplicates skipped** — folding the same
+    ///   report in twice must not record one guard trip twice, so an
+    ///   identical `(name, reason, at_tick)` record is kept once.
     ///
-    /// Merging per-worker reports in any order yields the same counters,
-    /// gauges, spans, and interrupt set.
+    /// Merging reports in any order yields the same counters, gauges, spans,
+    /// and interrupt set.
     pub fn merge(&mut self, other: &Report) {
         for (name, delta) in &other.counters {
             *self.counters.entry(name).or_insert(0) += delta;
@@ -608,7 +607,7 @@ mod tests {
         let a = Collector::new();
         let pa = Probe::attached(&a);
         pa.count("index.probe", 10);
-        pa.count("par.chunk", 2);
+        pa.count("rcdp.cc_checks", 2);
         pa.gauge("adom", 6);
         pa.note("strategy", || "delta".into());
 
@@ -623,7 +622,7 @@ mod tests {
         let mut merged = a.report();
         merged.merge(&b.report());
         assert_eq!(merged.counter("index.probe"), 42);
-        assert_eq!(merged.counter("par.chunk"), 2);
+        assert_eq!(merged.counter("rcdp.cc_checks"), 2);
         assert_eq!(merged.gauge("adom"), Some(6)); // max wins
         assert_eq!(merged.gauge("pool"), Some(9));
         assert_eq!(
@@ -643,9 +642,9 @@ mod tests {
 
     #[test]
     fn merge_skips_duplicate_interrupt_records() {
-        // One guard trip is observed by every worker of a parallel fan-out;
-        // the merged report must keep a single record of it, while genuinely
-        // distinct interrupts (different tick or reason) all survive.
+        // The same guard trip folded in twice must leave a single record,
+        // while genuinely distinct interrupts (different tick or reason) all
+        // survive.
         let a = Collector::new();
         Probe::attached(&a).interrupt("rcdp.interrupt", "deadline", 7);
         let b = Collector::new();

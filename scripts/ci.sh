@@ -5,32 +5,31 @@
 #   1. release build          (cargo build --release)
 #   2. test suite, fast       (cargo test -q; heavy tests are #[ignore]d)
 #   3. fault injection        (cargo test --test guard_robustness)
-#   4. parallel scheduler     (cargo test --test par_differential,
-#                              then a RIC_WORKERS=1 / RIC_WORKERS=4 matrix)
-#   5. plan A/B               (cargo test --test plan_differential, then a
-#                              RIC_WORKERS={1,4} matrix: cost-based plans
-#                              must be verdict-identical to plans compiled
-#                              without statistics (the static greedy order)
-#                              on every decision)
-#   6. reason A/B             (cargo test --test reason_differential, then a
-#                              RIC_WORKERS={1,4} matrix: the symbolic
-#                              pre-decision prover — certified V-minimization
-#                              and static verdicts — must be verdict- and
-#                              witness-identical to the full-V prepared path)
-#   7. checkpoint/resume      (cargo test --test resume_differential, then a
-#                              RIC_RESUME_K=2,5 x RIC_WORKERS={1,4} matrix:
-#                              K-installment decisions must be identical to
-#                              uninterrupted runs)
+#   4. plan A/B               (cargo test --test plan_differential: cost-based
+#                              plans must be verdict-identical to plans
+#                              compiled without statistics (the static
+#                              greedy order) on every decision)
+#   5. E2 search A/B          (cargo test --test rcqp_e2_differential: the
+#                              RCQP maximal-subset search visits the same
+#                              subsets on every engine)
+#   6. reason A/B             (cargo test --test reason_differential: the
+#                              symbolic pre-decision prover — certified
+#                              V-minimization and static verdicts — must be
+#                              verdict- and witness-identical to the full-V
+#                              prepared path)
+#   7. checkpoint/resume      (cargo test --test resume_differential, then
+#                              RIC_RESUME_K=2,5: K-installment decisions must
+#                              be identical to uninterrupted runs)
 #   8. monitor differential   (cargo test --test monitor_differential, then
-#                              a RIC_TXN_BATCH={1,8} x RIC_WORKERS={1,4}
-#                              matrix: every incremental verdict must equal
-#                              a from-scratch decision after every txn) and
-#                              the monitor metamorphic suite (inversion,
-#                              coalescing, splitting, monotonicity) plus the
+#                              a RIC_TXN_BATCH={1,8} matrix: every
+#                              incremental verdict must equal a from-scratch
+#                              decision after every txn) and the monitor
+#                              metamorphic suite (inversion, coalescing,
+#                              splitting, monotonicity) plus the
 #                              tombstone-edge suite (net no-op txns, digest
 #                              stability, capped-memo eviction)
-#   9. worker-panic faults    (guard_robustness quarantine/degradation/flush
-#                              tests plus the ric-trace torn-record suite)
+#   9. panic-path faults      (guard_robustness sink-flush test plus the
+#                              ric-trace torn-record suite)
 #  10. paper properties       (cargo test --test paper_properties)
 #  11. static analysis        (cargo test -p ric-analysis, cargo test
 #                              -p ric-reason,
@@ -94,79 +93,42 @@ cargo test -q --offline
 step "fault injection (deadline / cancel / panic degradation paths)"
 cargo test -q --offline --test guard_robustness
 
-step "parallel scheduler differential suite (default worker set {1,2,4,7})"
-cargo test -q --offline --test par_differential
-
-# Worker matrix: the differential suite honours RIC_WORKERS, so pin the
-# degenerate single-worker pool and the standard 4-worker pool explicitly —
-# the two configurations most likely to diverge if the deterministic merge
-# regresses.
-for workers in 1 4; do
-  step "parallel scheduler differential suite (RIC_WORKERS=${workers})"
-  RIC_WORKERS="${workers}" cargo test -q --offline --test par_differential
-done
-
 # Plan A/B: the planned engine fixes join orders from cost estimates but
 # must change nothing else — every decision's verdict (and witness) under
 # cost-based plans must be identical to plans compiled without statistics,
-# which take the static greedy order. The differential suite honours
-# RIC_WORKERS, so pin the single-worker and 4-worker pools explicitly
-# alongside the default run.
-step "plan differential suite (cost-based vs static-order verdict identity, default)"
+# which take the static greedy order.
+step "plan differential suite (cost-based vs static-order verdict identity)"
 cargo test -q --offline --test plan_differential
-for workers in 1 4; do
-  step "plan differential suite (RIC_WORKERS=${workers})"
-  RIC_WORKERS="${workers}" cargo test -q --offline --test plan_differential
-done
 
 # E2 search A/B: the RCQP maximal-subset search must visit the same subsets
-# and run the same E2 checks on every engine, with identical verdicts (and
-# identical witnesses at every planned worker count). The suite honours RIC_WORKERS, so pin the
-# single-worker and 4-worker pools explicitly alongside the default run.
-step "rcqp E2 differential suite (engine identity of the E2 search, default)"
+# and run the same E2 checks on every engine, with identical verdicts.
+step "rcqp E2 differential suite (engine identity of the E2 search)"
 cargo test -q --offline --test rcqp_e2_differential
-for workers in 1 4; do
-  step "rcqp E2 differential suite (RIC_WORKERS=${workers})"
-  RIC_WORKERS="${workers}" cargo test -q --offline --test rcqp_e2_differential
-done
 
 # Reason A/B: the symbolic pre-decision prover may drop implied constraints
 # and short-circuit statically decided settings, but every verdict, witness,
-# and pinned counter must match the full-V prepared path. The suite honours
-# RIC_WORKERS, so pin the single-worker and 4-worker pools explicitly
-# alongside the default run.
-step "reason differential suite (reasoned vs full-V verdict identity, default)"
+# and pinned counter must match the full-V prepared path.
+step "reason differential suite (reasoned vs full-V verdict identity)"
 cargo test -q --offline --test reason_differential
-for workers in 1 4; do
-  step "reason differential suite (RIC_WORKERS=${workers})"
-  RIC_WORKERS="${workers}" cargo test -q --offline --test reason_differential
-done
 
 # Resume equivalence: a decision finished in K installments must be
 # verdict-, witness-, and counter-identical to one uninterrupted run. The
-# suite honours RIC_RESUME_K and RIC_WORKERS, so pin the K x workers matrix
-# explicitly alongside the default run.
+# suite honours RIC_RESUME_K, so pin the K set explicitly alongside the
+# default run.
 step "checkpoint/resume differential suite (default K set {2,5})"
 cargo test -q --offline --test resume_differential
-for workers in 1 4; do
-  step "checkpoint/resume differential suite (RIC_RESUME_K=2,5 RIC_WORKERS=${workers})"
-  RIC_RESUME_K=2,5 RIC_WORKERS="${workers}" \
-    cargo test -q --offline --test resume_differential
-done
+step "checkpoint/resume differential suite (RIC_RESUME_K=2,5)"
+RIC_RESUME_K=2,5 cargo test -q --offline --test resume_differential
 
 # Monitor differential: after EVERY transaction in a seeded stream, the
 # incremental verdict must equal a from-scratch prepared decision on the
-# same state. The suite honours RIC_TXN_BATCH (ops per transaction) and
-# RIC_WORKERS, so pin the batch x workers matrix explicitly alongside the
-# default run.
+# same state. The suite honours RIC_TXN_BATCH (ops per transaction), so pin
+# the batch sizes explicitly alongside the default run.
 step "monitor differential suite (incremental vs from-scratch, default)"
 cargo test -q --offline --test monitor_differential
-for workers in 1 4; do
-  for batch in 1 8; do
-    step "monitor differential suite (RIC_TXN_BATCH=${batch} RIC_WORKERS=${workers})"
-    RIC_TXN_BATCH="${batch}" RIC_WORKERS="${workers}" \
-      cargo test -q --offline --test monitor_differential
-  done
+for batch in 1 8; do
+  step "monitor differential suite (RIC_TXN_BATCH=${batch})"
+  RIC_TXN_BATCH="${batch}" cargo test -q --offline --test monitor_differential
 done
 
 # Monitor metamorphic: inverse transactions restore state bitwise, op
@@ -181,12 +143,9 @@ cargo test -q --offline --test monitor_metamorphic
 step "monitor tombstone-edge suite (net no-ops, digest stability, memo cap)"
 cargo test -q --offline --test monitor_tombstone_edges
 
-# Worker-death fault matrix: an injected mid-chunk panic must recover (one
-# death) or finish the search inline on the calling thread (repeated
-# deaths), never change a verdict; the panic path must still flush buffered telemetry sinks.
-step "worker-panic fault matrix (quarantine, degradation ladder, sink flush)"
-cargo test -q --offline --test guard_robustness worker_panic
-cargo test -q --offline --test guard_robustness worker_deaths
+# Panic path: an injected panic must still flush buffered telemetry sinks,
+# and a torn trace record must be rejected, not rendered.
+step "panic-path faults (sink flush, torn trace records)"
 cargo test -q --offline --test guard_robustness flushed_on_the_facade_panic_path
 cargo test -q --offline -p ric-bench --test trace_load
 

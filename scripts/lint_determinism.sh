@@ -2,8 +2,7 @@
 # lint_determinism.sh — grep-based determinism lint for the workspace.
 #
 # The deciders promise bit-identical verdicts, witnesses, and counters across
-# runs, engines, and worker counts. Two classes of std API quietly break that
-# promise:
+# runs and engines. Two classes of std API quietly break that promise:
 #
 #   hash   std::collections::HashMap/HashSet — iteration order is randomized
 #          per process, so any iteration feeding a verdict-affecting or

@@ -188,15 +188,12 @@ fn random_db(rng: &mut SplitMix64, vals: i64, r_max: usize, s_max: usize) -> Dat
 }
 
 /// The analyzed entry point must return the same verdict the certified
-/// rewrite gets from direct dispatch — under `Engine::planned(1)` and
-/// `Engine::planned(4)` — and both engines must agree with each other.
+/// rewrite gets from direct dispatch — under `Engine::Naive` and
+/// `Engine::planned(1)` — and both engines must agree with each other.
 #[test]
 fn analyzed_dispatch_matches_direct_dispatch_per_engine() {
     let s = schema();
-    let engines = [
-        ("planned:1", Engine::planned(1)),
-        ("planned:4", Engine::planned(4)),
-    ];
+    let engines = [("naive", Engine::Naive), ("planned", Engine::planned(1))];
     let mut rng = SplitMix64::seed_from_u64(0xA9A9);
     let mut decided = 0usize;
     for round in 0..12 {

@@ -415,116 +415,6 @@ fn interrupts_are_recorded_with_site_and_tick() {
 }
 
 // ---------------------------------------------------------------------------
-// Worker-death recovery and the engine degradation ladder
-// ---------------------------------------------------------------------------
-
-#[test]
-fn a_single_worker_panic_is_quarantined_and_retried() {
-    let (setting, q, db) = master_bounded_instance();
-    let sequential = SearchBudget::default().with_engine(Engine::planned(1));
-    let expected = rcdp(&setting, &q, &db, &sequential).unwrap();
-
-    // Two pool workers; the fault fires only on worker guards and its one
-    // fire is a shared budget, so exactly one chunk dies and its quarantine
-    // retry survives.
-    let budget = SearchBudget::default().with_engine(Engine::planned(2));
-    let guard = Guard::new(&budget).with_fault_plan(FaultPlan::new().worker_panic_at_tick(0, 1));
-    let collector = Collector::new();
-    let decision = ric::try_rcdp_guarded(
-        &setting,
-        &q,
-        &db,
-        &budget,
-        &guard,
-        Probe::attached(&collector),
-    )
-    .expect("one worker death must not kill the decision");
-    assert_eq!(decision.verdict, expected, "verdict after chunk recovery");
-
-    let report = collector.report();
-    assert!(
-        report.counter("recover.chunk") >= 1,
-        "the quarantined chunk retry must be recorded: {:?}",
-        report.counters
-    );
-    assert_eq!(report.counter("degrade.chunk"), 0);
-    assert!(
-        report.notes("degrade.engine").is_empty(),
-        "a recovered run must not degrade"
-    );
-}
-
-#[test]
-fn repeated_worker_deaths_finish_the_search_inline() {
-    let (setting, q, db) = master_bounded_instance();
-    let sequential = SearchBudget::default().with_engine(Engine::planned(1));
-    let expected = rcdp(&setting, &q, &db, &sequential).unwrap();
-
-    // Unlimited fires: every chunk dies again on its quarantine retry, so
-    // the scheduler must walk the degradation ladder (finish inline on the
-    // decision guard, which the fault never fires on) instead of re-raising.
-    let budget = SearchBudget::default().with_engine(Engine::planned(2));
-    let guard =
-        Guard::new(&budget).with_fault_plan(FaultPlan::new().worker_panic_at_tick(0, u32::MAX));
-    let collector = Collector::new();
-    let decision = ric::try_rcdp_guarded(
-        &setting,
-        &q,
-        &db,
-        &budget,
-        &guard,
-        Probe::attached(&collector),
-    )
-    .expect("a lost chunk must degrade, not error");
-    assert_eq!(decision.verdict, expected, "verdict after degradation");
-
-    let report = collector.report();
-    assert!(
-        report.counter("degrade.chunk") >= 1,
-        "{:?}",
-        report.counters
-    );
-    let notes = report.notes("degrade.engine");
-    assert_eq!(notes.len(), 1, "exactly one degradation note: {notes:?}");
-    assert!(
-        notes[0].contains("downgrading to the sequential"),
-        "note should explain the downgrade: {}",
-        notes[0]
-    );
-}
-
-#[test]
-fn repeated_worker_deaths_degrade_the_bounded_search_too() {
-    let (setting, q, db) = fp_bounded_instance();
-    let sequential = SearchBudget::default().with_engine(Engine::planned(1));
-    let expected = rcdp(&setting, &q, &db, &sequential).unwrap();
-
-    let budget = SearchBudget::default().with_engine(Engine::planned(2));
-    let guard =
-        Guard::new(&budget).with_fault_plan(FaultPlan::new().worker_panic_at_tick(0, u32::MAX));
-    let collector = Collector::new();
-    let decision = ric::try_rcdp_guarded(
-        &setting,
-        &q,
-        &db,
-        &budget,
-        &guard,
-        Probe::attached(&collector),
-    )
-    .expect("a lost chunk must degrade, not error");
-    assert_eq!(
-        decision.verdict, expected,
-        "bounded verdict after degradation"
-    );
-    let report = collector.report();
-    assert!(
-        !report.notes("degrade.engine").is_empty(),
-        "the bounded scheduler must record its downgrade: {:?}",
-        report.counters
-    );
-}
-
-// ---------------------------------------------------------------------------
 // Sink flushing on the panic path
 // ---------------------------------------------------------------------------
 

@@ -17,10 +17,10 @@
 //!   against the current state (the `engine_differential.rs` precedent:
 //!   witnesses are engine-dependent, certification is not).
 //!
-//! The matrix crosses the planned engine at one worker and at `RIC_WORKERS`
-//! workers (default 2, two seeds) with the `RIC_TXN_BATCH` (default both 1
-//! and 8) environment knobs the CI harness sweeps. Every case fixes its seed, so a
-//! failure reproduces exactly.
+//! The matrix crosses `Engine::planned(1)` (four seeds) and `Engine::Naive`
+//! (one seed) with the `RIC_TXN_BATCH` (default both 1 and 8) environment
+//! knob the CI harness sweeps. Every case fixes its seed, so a failure
+//! reproduces exactly.
 
 use ric::complete::rcdp::certify_counterexample;
 use ric::prelude::*;
@@ -194,14 +194,6 @@ fn assert_matches_ground_truth(
     }
 }
 
-fn workers() -> usize {
-    std::env::var("RIC_WORKERS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .filter(|&w| w >= 1)
-        .unwrap_or(2)
-}
-
 fn batches() -> Vec<usize> {
     match std::env::var("RIC_TXN_BATCH")
         .ok()
@@ -271,17 +263,15 @@ fn indexed_stream_matches_from_scratch() {
 
 #[test]
 fn planned_stream_matches_from_scratch() {
-    let w = workers();
     for &batch in &batches() {
-        run_stream(Engine::planned(w), 0x91A, 18, batch);
+        run_stream(Engine::planned(1), 0x91A, 18, batch);
     }
 }
 
 #[test]
-fn parallel_stream_matches_from_scratch() {
-    let w = workers();
+fn naive_stream_matches_from_scratch() {
     for &batch in &batches() {
-        run_stream(Engine::planned(w), 0xFA9, 18, batch);
+        run_stream(Engine::Naive, 0xFA9, 18, batch);
     }
 }
 

@@ -11,7 +11,7 @@
 //! * **C1–C4** (Proposition 3.3, Corollaries 3.4 and 3.5). The RCDP decider,
 //!   through the [`characterize`] predicates — CQ (C1/C2), IND constraint
 //!   sets (C3), UCQ (C4) — agrees with the doubly-exponential brute-force
-//!   reference on tiny instances, under the sequential *and* the parallel
+//!   reference on tiny instances, under the planned *and* the naive
 //!   engine.
 //! * **RCQP witnesses.** A `Nonempty` answer carrying a witness database
 //!   must hand back something checkable: the witness is partially closed and
@@ -256,13 +256,13 @@ fn adding_entailed_tuples_never_flips_complete_to_incomplete() {
     assert!(grown >= 20, "only {grown} grown instances exercised");
 }
 
-/// C1–C4: the decider (sequential and parallel) agrees with the brute-force
+/// C1–C4: the decider (planned and naive) agrees with the brute-force
 /// reference wherever the reference is feasible.
 #[test]
 fn characterizations_agree_with_brute_force_reference() {
     let mut rng = SplitMix64::seed_from_u64(0xC1C4);
     let budget = SearchBudget::default();
-    let par = SearchBudget::default().with_engine(Engine::planned(3));
+    let naive = SearchBudget::default().with_engine(Engine::Naive);
     let s = schema();
     let mut compared = 0usize;
     let mut complete_seen = 0usize;
@@ -279,7 +279,7 @@ fn characterizations_agree_with_brute_force_reference() {
             let Some(expected) = brute_force_complete(&setting, &query, &db, 1, 12).unwrap() else {
                 continue;
             };
-            // C1/C2 (CQ), C3 (V is a set of INDs), and the parallel engine
+            // C1/C2 (CQ), C3 (V is a set of INDs), and the naive engine
             // must all reproduce the reference bit.
             assert_eq!(
                 bounded_database_cq(&setting, &cq, &db, &budget).unwrap(),
@@ -292,9 +292,9 @@ fn characterizations_agree_with_brute_force_reference() {
                 "C3 disagrees with brute force on {db}"
             );
             assert_eq!(
-                bounded_database_cq(&setting, &cq, &db, &par).unwrap(),
+                bounded_database_cq(&setting, &cq, &db, &naive).unwrap(),
                 Some(expected),
-                "parallel C1/C2 disagree with brute force on {db}"
+                "naive C1/C2 disagree with brute force on {db}"
             );
             compared += 1;
             if expected {
@@ -313,9 +313,9 @@ fn characterizations_agree_with_brute_force_reference() {
                 "C4 disagrees with brute force on {db}"
             );
             assert_eq!(
-                bounded_database_ucq(&setting, &u, &db, &par).unwrap(),
+                bounded_database_ucq(&setting, &u, &db, &naive).unwrap(),
                 Some(expected),
-                "parallel C4 disagrees with brute force on {db}"
+                "naive C4 disagrees with brute force on {db}"
             );
             compared += 1;
         }

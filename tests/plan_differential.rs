@@ -1,15 +1,15 @@
 //! Differential testing of the planned engine: cost-based plans must agree
 //! — verdict, witness, and deterministic counters — with plans compiled
 //! without statistics (the static greedy most-bound-first order) and with
-//! `Engine::Naive` on randomized instances, at every worker count, and under
-//! arbitrarily wrong statistics.
+//! `Engine::Naive` on randomized instances and under arbitrarily wrong
+//! statistics.
 //!
 //! The planner's contract is *estimates-in, exactness-out*: statistics steer
 //! only the join order of constraint-body evaluation, whose result is
 //! order-independent. This suite pins that contract end to end:
 //!
 //! * RCDP verdicts and witnesses identical to the static order (and verdict
-//!   kinds to Naive) across workers {1, 4} and seeds;
+//!   kinds to Naive) across seeds;
 //! * the deterministic decision counters (`rcdp.valuations`,
 //!   `rcdp.cc_checks`, `cc.skipped_by_delta`) bit-identical to the static
 //!   order — `index.probe` is legitimately order-dependent and excluded;
@@ -96,16 +96,6 @@ fn cq_pool() -> Vec<Cq> {
     .collect()
 }
 
-fn worker_counts() -> Vec<usize> {
-    match std::env::var("RIC_WORKERS") {
-        Ok(spec) => spec
-            .split(',')
-            .map(|w| w.trim().parse().expect("RIC_WORKERS must be integers"))
-            .collect(),
-        Err(_) => vec![1, 4],
-    }
-}
-
 /// Counters that must be bit-identical between cost-based and static-order
 /// plans: the plan changes join *order* only, so enumeration and check
 /// counts are invariant. `index.probe` is excluded by design — a different
@@ -175,41 +165,38 @@ fn planned_rcdp_matches_indexed_and_naive() {
             let q: Query = cq.into();
             let vn = rcdp(&setting, &q, &db, &naive).unwrap();
             let (vi, ci) = observed_static(&static_prep, &q, &db);
-            for workers in worker_counts() {
-                let planned = SearchBudget::default().with_engine(Engine::planned(workers));
-                let (vp, cp, _) = observed(&setting, &q, &db, &planned);
-                assert_eq!(
-                    std::mem::discriminant(&vn),
-                    std::mem::discriminant(&vp),
-                    "planned and naive disagree (round {round}, query {qi}, workers {workers})"
-                );
-                match (&vi, &vp) {
-                    (Verdict::Complete, Verdict::Complete) => {}
-                    (Verdict::Incomplete(a), Verdict::Incomplete(b)) => {
-                        assert_eq!(
-                            (&a.delta, &a.new_answer),
-                            (&b.delta, &b.new_answer),
-                            "planned witness differs from static order \
-                             (round {round}, query {qi}, workers {workers})"
-                        );
-                        assert!(
-                            ric::complete::rcdp::certify_counterexample(&setting, &q, &db, b)
-                                .unwrap(),
-                            "uncertified planned counterexample \
-                             (round {round}, query {qi}, workers {workers})"
-                        );
-                    }
-                    other => panic!(
-                        "planned and static order disagree \
-                         (round {round}, query {qi}, workers {workers}): {other:?}"
-                    ),
+            let planned = SearchBudget::default().with_engine(Engine::planned(1));
+            let (vp, cp, _) = observed(&setting, &q, &db, &planned);
+            assert_eq!(
+                std::mem::discriminant(&vn),
+                std::mem::discriminant(&vp),
+                "planned and naive disagree (round {round}, query {qi})"
+            );
+            match (&vi, &vp) {
+                (Verdict::Complete, Verdict::Complete) => {}
+                (Verdict::Incomplete(a), Verdict::Incomplete(b)) => {
+                    assert_eq!(
+                        (&a.delta, &a.new_answer),
+                        (&b.delta, &b.new_answer),
+                        "planned witness differs from static order \
+                         (round {round}, query {qi})"
+                    );
+                    assert!(
+                        ric::complete::rcdp::certify_counterexample(&setting, &q, &db, b).unwrap(),
+                        "uncertified planned counterexample \
+                         (round {round}, query {qi})"
+                    );
                 }
-                assert_eq!(
-                    ci, cp,
-                    "deterministic counters diverge \
-                     (round {round}, query {qi}, workers {workers})"
-                );
+                other => panic!(
+                    "planned and static order disagree \
+                     (round {round}, query {qi}): {other:?}"
+                ),
             }
+            assert_eq!(
+                ci, cp,
+                "deterministic counters diverge \
+                 (round {round}, query {qi})"
+            );
             decided += 1;
         }
     }
@@ -263,8 +250,8 @@ fn wrong_statistics_change_timing_not_verdicts() {
     assert!(decided >= 20, "too few instances decided ({decided})");
 }
 
-/// RCQP verdict kinds agree between static-order and cost-based plans at
-/// both worker counts (the general search compiles plans from the
+/// RCQP verdict kinds agree between static-order and cost-based plans (the
+/// general search compiles plans from the
 /// near-empty seed, so this also exercises the static-fallback executor in
 /// anger).
 #[test]
@@ -277,16 +264,14 @@ fn planned_rcqp_matches_indexed() {
         for (qi, cq) in cq_pool().into_iter().enumerate() {
             let q: Query = cq.into();
             let vi = ric::try_rcqp_prepared(&static_prep, &q, &sequential).unwrap();
-            for workers in worker_counts() {
-                let planned = SearchBudget::default().with_engine(Engine::planned(workers));
-                let vp = rcqp(&setting, &q, &planned).unwrap();
-                assert_eq!(
-                    std::mem::discriminant(&vi),
-                    std::mem::discriminant(&vp),
-                    "RCQP diverges (round {round}, query {qi}, workers {workers}): \
-                     {vi:?} vs {vp:?}"
-                );
-            }
+            let planned = SearchBudget::default().with_engine(Engine::planned(1));
+            let vp = rcqp(&setting, &q, &planned).unwrap();
+            assert_eq!(
+                std::mem::discriminant(&vi),
+                std::mem::discriminant(&vp),
+                "RCQP diverges (round {round}, query {qi}): \
+                 {vi:?} vs {vp:?}"
+            );
         }
     }
 }

@@ -10,8 +10,7 @@
 //! end to end:
 //!
 //! * RCDP verdicts and witnesses identical to the full-`V` prepared path
-//!   across the planned engine at one worker and at the worker counts from
-//!   `RIC_WORKERS`, and ≥24 seeded rounds;
+//!   under `Engine::Naive` and `Engine::planned(1)`, and ≥24 seeded rounds;
 //! * when no static short-circuit fires, the deterministic search counters
 //!   (`rcdp.valuations`, `rcdp.cc_checks`) are bit-identical — minimization
 //!   drops *checks of implied constraints*, not candidates, and the
@@ -125,22 +124,8 @@ fn cq_pool() -> Vec<Cq> {
     .collect()
 }
 
-fn worker_counts() -> Vec<usize> {
-    match std::env::var("RIC_WORKERS") {
-        Ok(spec) => spec
-            .split(',')
-            .map(|w| w.trim().parse().expect("RIC_WORKERS must be integers"))
-            .collect(),
-        Err(_) => vec![1, 4],
-    }
-}
-
-fn engines() -> Vec<Engine> {
-    let mut out = vec![Engine::planned(1)];
-    for w in worker_counts() {
-        out.push(Engine::planned(w));
-    }
-    out
+fn engines() -> [Engine; 2] {
+    [Engine::Naive, Engine::planned(1)]
 }
 
 /// Counters invariant under V-minimization: the candidate stream and the

@@ -1,6 +1,6 @@
 //! Differential testing of checkpoint/resume: a decision completed in K
 //! installments must be verdict-, witness-, and counter-identical to one
-//! uninterrupted run, at every engine and worker count.
+//! uninterrupted run, on every engine.
 //!
 //! The schedule: measure the ticks T an uninterrupted decision needs, then
 //! run installments at budgets `ceil(T·i/K)` (i = 1..K-1, each dying on its
@@ -16,22 +16,18 @@
 //!   (serialize → parse → resume), so resuming across a process boundary
 //!   behaves identically to resuming in-memory.
 //!
-//! Counter scope: the decision-level counters the parallel scheduler already
-//! guarantees bit-identical on decided runs (see `par_differential.rs`),
-//! plus the exact path's `valuations.max_depth` gauge, derived from the
-//! merged per-depth profile; schedule-dependent `par.*` counters are
-//! excluded by the same reasoning as there.
+//! Counter scope: the decision-level work counters, plus the exact path's
+//! `valuations.max_depth` gauge, derived from the summed per-depth profile.
 //!
 //! `RIC_RESUME_K` (comma-separated, default `2,5`) picks the installment
-//! counts; `RIC_WORKERS` (default `1,2,4`) the parallel worker counts — the
-//! CI matrix drives both.
+//! counts; the CI matrix drives it.
 
 use std::collections::BTreeMap;
 
 use ric::prelude::*;
 use ric::reductions::two_head_dfa::{to_rcdp_instance, TwoHeadDfa};
 use ric::reductions::{rcqp_conp, sat};
-use ric::SplitMix64;
+use ric::{Frontier, SplitMix64};
 
 // ---------------------------------------------------------------------------
 // Instances
@@ -139,16 +135,6 @@ fn rcqp_instance() -> (Setting, Query) {
 // Matrix + scoped counters
 // ---------------------------------------------------------------------------
 
-fn worker_counts() -> Vec<usize> {
-    match std::env::var("RIC_WORKERS") {
-        Ok(spec) => spec
-            .split(',')
-            .map(|w| w.trim().parse().expect("RIC_WORKERS must be integers"))
-            .collect(),
-        Err(_) => vec![1, 2, 4],
-    }
-}
-
 fn installment_counts() -> Vec<u64> {
     match std::env::var("RIC_RESUME_K") {
         Ok(spec) => spec
@@ -159,12 +145,8 @@ fn installment_counts() -> Vec<u64> {
     }
 }
 
-fn engines() -> Vec<Engine> {
-    let mut out = vec![Engine::Naive, Engine::planned(1)];
-    for workers in worker_counts() {
-        out.push(Engine::planned(workers));
-    }
-    out
+fn engines() -> [Engine; 2] {
+    [Engine::Naive, Engine::planned(1)]
 }
 
 /// Decision-level counters (and the depth gauge) compared bit-identically on
@@ -354,13 +336,13 @@ fn check_schedule(
 // ---------------------------------------------------------------------------
 
 /// Exact RCDP across random CQ instances: the K-installment schedule is
-/// identical to uninterrupted runs on every engine and worker count.
+/// identical to uninterrupted runs on every engine.
 #[test]
 fn exact_rcdp_installments_match_uninterrupted_runs() {
     let mut rng = SplitMix64::seed_from_u64(0x5e5e);
     let pool = cq_pool();
     let mut exercised = 0u64;
-    for round in 0..24 {
+    for round in 0..48 {
         let setting = random_setting(&mut rng);
         let db = random_db(&mut rng, 6, 5, 3);
         if !setting.partially_closed(&db).unwrap() {
@@ -543,5 +525,74 @@ fn checkpoints_resume_across_planned_and_indexed_engines() {
     assert!(
         exercised >= 4,
         "too few interruptible instances for the cross-engine matrix ({exercised})"
+    );
+}
+
+/// A well-formed checkpoint may commit counts that do not fit a sum: two
+/// cleared chunks of `u64::MAX` ticks each, or a bounded frontier whose
+/// committed ticks are already `u64::MAX`. Resuming from one must saturate
+/// the committed totals — the committed work exhausts any finite budget —
+/// and return a typed verdict, never an arithmetic-overflow panic.
+#[test]
+fn resume_saturates_overflowing_checkpoint_counts() {
+    // Exact: a complete instance whose every chunk clears, starved so the
+    // first installment commits several cleared chunks.
+    let schema =
+        Schema::from_relations(vec![RelationSchema::infinite("Supt", &["eid", "cid"])]).unwrap();
+    let supt = schema.rel_id("Supt").unwrap();
+    let mschema =
+        Schema::from_relations(vec![RelationSchema::infinite("DCust", &["cid"])]).unwrap();
+    let dcust = mschema.rel_id("DCust").unwrap();
+    let mut dm = Database::empty(&mschema);
+    let mut db = Database::empty(&schema);
+    for c in 0..8 {
+        dm.insert(dcust, Tuple::new([Value::str(format!("c{c}"))]));
+        db.insert(
+            supt,
+            Tuple::new([Value::str("e0"), Value::str(format!("c{c}"))]),
+        );
+    }
+    let v = ConstraintSet::new(vec![ContainmentConstraint::into_master(
+        CcBody::Proj(Projection::new(supt, vec![1])),
+        dcust,
+        vec![0],
+    )]);
+    let setting = Setting::new(schema.clone(), mschema, dm, v);
+    let q: Query = parse_cq(&schema, "Q(C) :- Supt('e0', C).").unwrap().into();
+    let budget = SearchBudget::default();
+    let (_, cp) = try_rcdp_resumed(&setting, &q, &db, &sliced(&budget, false, 4), None)
+        .expect("starved installment");
+    let mut cp = cp.expect("a starved exact search checkpoints");
+    let Frontier::RcdpChunks { cleared, .. } = &mut cp.frontier else {
+        panic!("exact search must commit cleared chunks: {:?}", cp.frontier);
+    };
+    assert!(cleared.len() >= 2, "need two cleared chunks: {cleared:?}");
+    for (_, progress) in cleared.iter_mut().take(2) {
+        progress.ticks = u64::MAX;
+    }
+    let (verdict, next) = try_rcdp_resumed(&setting, &q, &db, &budget, Some(&cp))
+        .expect("overflowing committed ticks must not panic");
+    match &verdict {
+        Verdict::Unknown { stats } => assert_eq!(stats.limit, BudgetLimit::MaxValuations),
+        other => panic!("committed work past the budget must stop the search: {other:?}"),
+    }
+    let next = next.expect("the stopped search checkpoints again");
+    assert_eq!(next.spent_ticks, u64::MAX, "spent ticks saturate");
+
+    // Bounded (FP): the size-granular frontier carries cumulative ticks.
+    let (setting, q, db) = fp_bounded_instance();
+    let base = fp_bounded_budget();
+    let (_, cp) = try_rcdp_resumed(&setting, &q, &db, &sliced(&base, true, 50), None)
+        .expect("starved bounded installment");
+    let mut cp = cp.expect("a starved bounded search checkpoints");
+    let Frontier::BoundedSizes { progress, .. } = &mut cp.frontier else {
+        panic!("bounded search must commit sizes: {:?}", cp.frontier);
+    };
+    progress.ticks = u64::MAX;
+    let (verdict, _) = try_rcdp_resumed(&setting, &q, &db, &base, Some(&cp))
+        .expect("overflowing committed ticks must not panic");
+    assert!(
+        matches!(verdict, Verdict::Unknown { .. }),
+        "committed work past the budget must stop the search: {verdict:?}"
     );
 }

@@ -365,7 +365,7 @@ fn interrupted_reports_serialize_the_interrupt_records() {
 
 /// The planned engine's `plan.*` counters and `stats.rows.NN` statistics
 /// gauges export through the [`Metrics`] registry, and merging the
-/// per-worker-count registries in either order produces byte-identical
+/// two registries in either order produces byte-identical
 /// Prometheus-text and JSON snapshots — the same bit-identical-merge
 /// guarantee the counter layer pins.
 #[test]
@@ -404,11 +404,11 @@ fn plan_counters_and_stats_gauges_export_through_metrics_snapshots() {
         Tuple::new([Value::str("e0"), Value::str("d0"), Value::str("c1")]),
     );
 
-    // One registry per worker count, as a sharded service would keep them.
+    // Two registries, as two replicas of a service would keep them.
     let mut registries = Vec::new();
-    for workers in [1usize, 4] {
+    for _ in 0..2 {
         let collector = Collector::new();
-        let budget = SearchBudget::default().with_engine(Engine::planned(workers));
+        let budget = SearchBudget::default().with_engine(Engine::planned(1));
         rcdp_probed(&setting, &q, &db, &budget, Probe::attached(&collector)).unwrap();
         let mut m = Metrics::new();
         m.absorb_report(&collector.report());
@@ -454,4 +454,207 @@ fn plan_counters_and_stats_gauges_export_through_metrics_snapshots() {
             .and_then(ric::telemetry::Json::as_int),
         Some(1)
     );
+}
+
+/// The decision counters whose totals a merged report sums.
+const RCDP_COUNTERS: [&str; 5] = [
+    "rcdp.valuations",
+    "rcdp.cc_checks",
+    "cc.skipped_by_delta",
+    "index.probe",
+    "valuations.assignments",
+];
+
+/// A blocked-but-wide instance the exact decider must fully enumerate: every
+/// candidate extension is outside the master list, so no counterexample
+/// exists, and the enumeration visits the whole valuation space.
+fn wide_complete_instance() -> (Setting, Query, Database) {
+    let schema =
+        Schema::from_relations(vec![RelationSchema::infinite("Supt", &["eid", "cid"])]).unwrap();
+    let supt = schema.rel_id("Supt").unwrap();
+    let mschema =
+        Schema::from_relations(vec![RelationSchema::infinite("DCust", &["cid"])]).unwrap();
+    let dcust = mschema.rel_id("DCust").unwrap();
+    let mut dm = Database::empty(&mschema);
+    for c in 0..12 {
+        dm.insert(dcust, Tuple::new([Value::str(format!("c{c}"))]));
+    }
+    let v = ConstraintSet::new(vec![ContainmentConstraint::into_master(
+        CcBody::Proj(Projection::new(supt, vec![1])),
+        dcust,
+        vec![0],
+    )]);
+    let setting = Setting::new(schema.clone(), mschema, dm, v);
+    let q: Query = parse_cq(&schema, "Q(C) :- Supt('e0', C).").unwrap().into();
+    let mut db = Database::empty(&schema);
+    for c in 0..12 {
+        db.insert(
+            supt,
+            Tuple::new([Value::str("e0"), Value::str(format!("c{c}"))]),
+        );
+    }
+    (setting, q, db)
+}
+
+/// Pins the `Report::merge` semantics the metrics exporter relies on,
+/// exercised with real decision event streams: counters and spans *sum* (a
+/// merged span column reads as total work time, not wall time), gauges keep
+/// the *max*, notes append, and re-merging the same interrupt stream does not
+/// duplicate it — only a genuinely distinct interrupt record appends.
+#[test]
+fn report_merge_semantics_are_pinned_on_real_decisions() {
+    let (setting, q, db) = wide_complete_instance();
+    let supt = setting.schema.rel_id("Supt").unwrap();
+    let budget = SearchBudget::default().with_engine(Engine::planned(1));
+    let run = |setting: &Setting, db: &Database| {
+        let collector = Collector::new();
+        rcdp_probed(setting, &q, db, &budget, Probe::attached(&collector)).unwrap();
+        collector.report()
+    };
+    // Two runs over different instance sizes — the small one gets its own
+    // one-customer master, so the adom gauge differs and the max rule is
+    // observable (equal inputs would pin nothing).
+    let big = run(&setting, &db);
+    let small = {
+        let mschema =
+            Schema::from_relations(vec![RelationSchema::infinite("DCust", &["cid"])]).unwrap();
+        let dcust = mschema.rel_id("DCust").unwrap();
+        let mut dm = Database::empty(&mschema);
+        dm.insert(dcust, Tuple::new([Value::str("c0")]));
+        let v = ConstraintSet::new(vec![ContainmentConstraint::into_master(
+            CcBody::Proj(Projection::new(supt, vec![1])),
+            dcust,
+            vec![0],
+        )]);
+        let small_setting = Setting::new(setting.schema.clone(), mschema, dm, v);
+        let mut small_db = Database::empty(&small_setting.schema);
+        small_db.insert(supt, Tuple::new([Value::str("e0"), Value::str("c0")]));
+        run(&small_setting, &small_db)
+    };
+    let (gauge_big, gauge_small) = (
+        big.gauge("rcdp.adom_size").expect("gauge on the big run"),
+        small
+            .gauge("rcdp.adom_size")
+            .expect("gauge on the small run"),
+    );
+    assert!(
+        gauge_small < gauge_big,
+        "the two runs must disagree on the gauge for the max rule to show \
+         ({gauge_small} vs {gauge_big})"
+    );
+
+    let mut merged = big.clone();
+    merged.merge(&small);
+    for name in RCDP_COUNTERS {
+        assert_eq!(
+            merged.counter(name),
+            big.counter(name) + small.counter(name),
+            "counter {name} must sum under merge"
+        );
+    }
+    for (name, micros) in &merged.spans {
+        let expect = big.span_micros(name).unwrap_or(0) + small.span_micros(name).unwrap_or(0);
+        assert_eq!(*micros, expect, "span {name} must sum under merge");
+    }
+    assert_eq!(
+        merged.gauge("rcdp.adom_size"),
+        Some(gauge_big),
+        "gauges must keep the max under merge"
+    );
+    assert_eq!(
+        merged.notes("rcdp.outcome").len(),
+        big.notes("rcdp.outcome").len() + small.notes("rcdp.outcome").len(),
+        "notes must append under merge"
+    );
+
+    // Interrupt dedup: a cancelled decision records the interrupt; folding
+    // the same report in again must not duplicate it, while a record
+    // differing in any field must append.
+    let guard = Guard::new(&budget)
+        .with_fault_plan(FaultPlan::new().cancel_at_tick(3))
+        .with_check_interval(0);
+    let collector = Collector::new();
+    rcdp_guarded(
+        &setting,
+        &q,
+        &db,
+        &budget,
+        &guard,
+        Probe::attached(&collector),
+    )
+    .unwrap();
+    let cancelled = collector.report();
+    let recorded = cancelled.interrupts.len();
+    assert!(recorded >= 1, "the cancellation must be recorded");
+    let mut remerged = cancelled.clone();
+    remerged.merge(&cancelled);
+    assert_eq!(
+        remerged.interrupts.len(),
+        recorded,
+        "exact-duplicate interrupts must dedup under merge"
+    );
+    let mut shifted = cancelled.clone();
+    for record in &mut shifted.interrupts {
+        record.at_tick += 1;
+    }
+    remerged.merge(&shifted);
+    assert_eq!(
+        remerged.interrupts.len(),
+        recorded + shifted.interrupts.len(),
+        "distinct interrupt records must append under merge"
+    );
+}
+
+/// The probe-isolation regression test: two decisions running concurrently
+/// on two threads must each report exactly the `index.probe` count they
+/// would report alone — the counter is per-thread, not process-global.
+#[test]
+fn concurrent_decisions_do_not_share_probe_counts() {
+    // An FD-constrained instance: the non-IND constraint set selects the
+    // delta-aware check mode, whose overlay evaluation probes the index.
+    let schema =
+        Schema::from_relations(vec![RelationSchema::infinite("Supt", &["eid", "dept"])]).unwrap();
+    let supt = schema.rel_id("Supt").unwrap();
+    let fd = Fd::new(supt, vec![0], vec![1]);
+    let v = ConstraintSet::new(ric::constraints::compile::fd_to_ccs(&fd, &schema));
+    let setting = Setting::new(
+        schema.clone(),
+        Schema::new(),
+        Database::with_relations(0),
+        v,
+    );
+    let q: Query = parse_cq(&schema, "Q(E) :- Supt(E, 'd0').").unwrap().into();
+    let mut db = Database::empty(&schema);
+    for e in 0..4 {
+        db.insert(
+            supt,
+            Tuple::new([Value::str(format!("e{e}")), Value::str("d0")]),
+        );
+    }
+    let sequential = SearchBudget::default().with_engine(Engine::planned(1));
+    let solo = {
+        let collector = Collector::new();
+        rcdp_probed(&setting, &q, &db, &sequential, Probe::attached(&collector)).unwrap();
+        collector.report().counter("index.probe")
+    };
+    assert!(solo > 0, "the instance must exercise the index");
+    let probes: Vec<u64> = std::thread::scope(|s| {
+        let handles: Vec<_> = (0..2)
+            .map(|_| {
+                let (setting, q, db, budget) = (&setting, &q, &db, &sequential);
+                s.spawn(move || {
+                    let collector = Collector::new();
+                    rcdp_probed(setting, q, db, budget, Probe::attached(&collector)).unwrap();
+                    collector.report().counter("index.probe")
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().unwrap()).collect()
+    });
+    for (i, p) in probes.iter().enumerate() {
+        assert_eq!(
+            *p, solo,
+            "decision {i} saw foreign probes: {p} vs solo {solo}"
+        );
+    }
 }

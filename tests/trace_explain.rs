@@ -5,10 +5,9 @@
 //!
 //! 1. **Neutrality** — attaching a [`TraceState`] to a probe changes what is
 //!    *recorded* (span ids, open markers), never what is *decided*: verdicts,
-//!    witnesses, counters, and gauges are bit-identical with tracing on and
-//!    off, under the sequential and the parallel engine. The only sanctioned
-//!    trace-gated emission is the `par.timeline` note family (wall-clock
-//!    worker timelines, meaningless without a trace to hang them on).
+//!    witnesses, counters, gauges, and notes are bit-identical with tracing
+//!    on and off, under the planned and the naive engine. No emission is
+//!    trace-gated.
 //! 2. **Explain well-formedness** — every `try_rcdp_probed` /
 //!    `try_rcqp_probed` verdict carries a span tree with exactly one root
 //!    named `decision`, every span closed, an `outcome` matching the verdict,
@@ -92,32 +91,13 @@ fn cq_pool() -> Vec<Cq> {
     .collect()
 }
 
-/// The one sanctioned trace-gated emission: wall-clock worker timelines.
-fn drop_timeline(report: &mut Report) {
-    report.notes.retain(|name, _| *name != "par.timeline");
-}
-
-/// `par.steal` and `par.chunk` count scheduler events — steals and chunk
-/// claims depend on thread timing (workers race past the deciding chunk
-/// before the stop broadcast lands), so they differ between *any* two
-/// parallel runs, traced or not. They are outside the neutrality criterion;
-/// the decision counters, which the merge sums deterministically up to the
-/// deciding chunk, stay in.
-fn drop_scheduler_counters(report: &mut Report) {
-    report
-        .counters
-        .retain(|name, _| !matches!(*name, "par.steal" | "par.chunk"));
-}
-
 /// Run one decision with and without a [`TraceState`] attached and require
-/// bit-identical verdicts, counters, gauges, notes (minus `par.timeline`),
-/// and span families.
+/// bit-identical verdicts, counters, gauges, notes, and span families.
 fn assert_trace_neutral(setting: &Setting, q: &Query, db: &Database, budget: &SearchBudget) {
     let plain_collector = Collector::new();
     let plain_verdict =
         rcdp_probed(setting, q, db, budget, Probe::attached(&plain_collector)).unwrap();
-    let mut plain = plain_collector.report();
-    drop_scheduler_counters(&mut plain);
+    let plain = plain_collector.report();
 
     let trace = TraceState::new();
     let traced_collector = Collector::new();
@@ -129,8 +109,7 @@ fn assert_trace_neutral(setting: &Setting, q: &Query, db: &Database, budget: &Se
         Probe::attached(&traced_collector).with_trace(&trace),
     )
     .unwrap();
-    let mut traced = traced_collector.report();
-    drop_scheduler_counters(&mut traced);
+    let traced = traced_collector.report();
 
     assert_eq!(
         plain_verdict, traced_verdict,
@@ -147,10 +126,9 @@ fn assert_trace_neutral(setting: &Setting, q: &Query, db: &Database, budget: &Se
         "tracing changed a gauge (engine {})",
         budget.engine
     );
-    drop_timeline(&mut traced);
     assert_eq!(
         plain.notes, traced.notes,
-        "tracing changed a note other than par.timeline (engine {})",
+        "tracing changed a note (engine {})",
         budget.engine
     );
     // Span durations are wall-clock; only the *family* of span names must
@@ -184,9 +162,9 @@ fn tracing_is_verdict_neutral_sequential() {
 }
 
 #[test]
-fn tracing_is_verdict_neutral_parallel() {
+fn tracing_is_verdict_neutral_naive() {
     let mut rng = SplitMix64::seed_from_u64(0xFACE);
-    let budget = SearchBudget::default().with_engine(Engine::planned(4));
+    let budget = SearchBudget::default().with_engine(Engine::Naive);
     let mut compared = 0usize;
     for _ in 0..16 {
         let setting = random_setting(&mut rng);
@@ -329,41 +307,43 @@ fn rcqp_explain_is_well_formed() {
 }
 
 #[test]
-fn parallel_explain_carries_merged_profile_and_frontier() {
+fn explain_carries_the_depth_profile_on_every_engine() {
     let (setting, q, db) = supt_instance(8, 6);
-    let budget = SearchBudget::default().with_engine(Engine::planned(4));
-    let d = try_rcdp_probed(&setting, &q, &db, &budget, Probe::disabled()).unwrap();
-    assert_well_formed(
-        &d.explain,
-        if d.verdict.is_complete() {
-            "complete"
-        } else {
-            "incomplete"
-        },
-    );
-    // The merged per-depth profile from the workers' chunk stats must be
-    // visible in the explain's counters.
-    assert!(
-        d.explain
-            .counters
-            .keys()
-            .any(|name| name.starts_with("depth.candidates.")),
-        "parallel explains must carry the merged depth profile: {:?}",
-        d.explain.counters
-    );
+    for engine in [Engine::Naive, Engine::planned(1)] {
+        let budget = SearchBudget::default().with_engine(engine);
+        let d = try_rcdp_probed(&setting, &q, &db, &budget, Probe::disabled()).unwrap();
+        assert_well_formed(
+            &d.explain,
+            if d.verdict.is_complete() {
+                "complete"
+            } else {
+                "incomplete"
+            },
+        );
+        // The per-depth profile summed from the chunk stats must be
+        // visible in the explain's counters.
+        assert!(
+            d.explain
+                .counters
+                .keys()
+                .any(|name| name.starts_with("depth.candidates.")),
+            "{engine:?} explains must carry the depth profile: {:?}",
+            d.explain.counters
+        );
+    }
 }
 
 /// A boolean query that already holds is complete for one reason only: its
-/// headless disjunct is answered before any assignment. The search —
-/// inline at one worker or sharded across four — must attribute that head
-/// prune exactly once, or the Explain loses the reason for the verdict.
+/// headless disjunct is answered before any assignment. The search must
+/// attribute that head prune exactly once on every engine, or the Explain
+/// loses the reason for the verdict.
 #[test]
 fn headless_answered_disjunct_counts_one_head_prune_on_every_engine() {
     let (setting, _, db) = supt_instance(3, 2);
     let q: Query = parse_cq(&setting.schema, "Q() :- Supt(E, C).")
         .unwrap()
         .into();
-    for engine in [Engine::planned(1), Engine::planned(4)] {
+    for engine in [Engine::Naive, Engine::planned(1)] {
         let budget = SearchBudget::default().with_engine(engine);
         let d = try_rcdp_probed(&setting, &q, &db, &budget, Probe::disabled()).unwrap();
         assert!(d.verdict.is_complete(), "{engine:?}: {}", d.verdict);
