@@ -9,59 +9,50 @@
 //! an honest `Unknown`, and the hardness reductions blow up where the
 //! bounds say they must.
 //!
-//! Beyond the human-readable tables on stdout, the run writes four
+//! Beyond the human-readable tables on stdout, the run writes two
 //! machine-readable artifacts to the current directory:
 //!
 //! * `BENCH_TABLE1.json` — one object per Table I (RCDP) cell;
-//! * `BENCH_TABLE2.json` — one object per Table II (RCQP) cell;
-//! * `BENCH_ENGINE.json` — the engine A/B comparison: every cell of a
-//!   scaling suite of CQ/UCQ decisions timed under `Engine::Naive` and
-//!   `Engine::planned(1)`, with the per-cell speedup and the median speedup
-//!   at the largest size;
-//! * `BENCH_ANALYSIS.json` — the static-analysis A/B suite: FO-*syntax*
-//!   queries that `ric::analyze` certifies down to CQ, decided through the
-//!   naive FO-cell dispatch versus the analyzer-gated `try_rcdp_analyzed`
-//!   dispatch, with per-cell speedups, verdict identity, and downgrade
-//!   counts. Any Error-level diagnostic on a shipped workload aborts the
-//!   run with a nonzero exit (the CI gate).
+//! * `BENCH_TABLE2.json` — one object per Table II (RCQP) cell.
 //!
 //! Each cell object carries `cell`, `paper_bound`, `outcome`, an `oracle`
 //! sub-object (`checked`, and `agrees` when a ground-truth oracle exists),
 //! `micros`, and the full telemetry report (`counters` / `gauges` /
 //! `spans_micros` / `notes`) of the decision. See EXPERIMENTS.md for the
-//! schema.
+//! schema. The run exits 1 when a checked verdict disagrees with its oracle
+//! or an artifact cannot be written.
 //!
 //! Run with `cargo run --release -p ric-bench --bin regen_tables`.
 //!
-//! Pass `--deadline-ms N` (or set `RIC_DEADLINE_MS=N`) to put a wall-clock
-//! deadline of `N` milliseconds on every decision. Cells that cannot finish
-//! inside the deadline degrade to an honest `Unknown` whose stats name the
-//! `deadline` limit — the regeneration still terminates and still writes
+//! Pass `--deadline-ms N` to put a wall-clock deadline of `N` milliseconds
+//! on every decision. Cells that cannot finish inside the deadline degrade
+//! to an honest `Unknown` whose stats name the `deadline` limit and record
+//! `checked: false` — the regeneration still terminates and still writes
 //! well-formed artifacts, which is the point: the tables can be rebuilt on a
 //! time budget without ever reporting a wrong cell.
 //!
-//! Pass `--engine naive|planned` to pick the evaluation engine used for the
-//! Table I/II cells (default `planned`; both engines are exact, so the
-//! verdicts must not differ). The A/B suite behind `BENCH_ENGINE.json`
-//! always runs both engines regardless of the flag.
+//! Pass `--trace FILE` to also stream a JSONL decision trace of
+//! representative decisions for `ric-trace` to render offline.
 
 use std::time::Duration;
 
 use ric::prelude::*;
-use ric::query::{Atom as QueryAtom, FoExpr, FoQuery};
 use ric::reductions::two_head_dfa::{to_rcdp_instance, TwoHeadDfa};
 use ric::reductions::workload::{planted_rcdp, WorkloadParams};
 use ric::reductions::{qbf, rcdp_sigma2, rcqp_conp, rcqp_pi3, sat, tiling};
 use ric::telemetry::Json;
 use ric::{rcdp_probed, rcqp_probed, SplitMix64};
+use ric_bench::bars::{meta, write_artifact};
+use ric_bench::{disagreements, fd_instance, oracle_check};
 use std::time::Instant;
 
 struct Cell {
     cell: &'static str,
     paper: &'static str,
     outcome: String,
-    /// `Some(agrees)` when an independent ground-truth oracle exists for the
-    /// cell, `None` when the expectation is structural only.
+    /// `Some(agrees)` when an independent ground-truth oracle checked the
+    /// cell, `None` when the expectation is structural only or the verdict
+    /// degraded to `Unknown` on the deadline (see [`oracle_check`]).
     oracle: Option<bool>,
     micros: u128,
     report: Report,
@@ -103,7 +94,8 @@ fn print_table(title: &str, cells: &[Cell]) {
     }
 }
 
-fn write_table(path: &str, table: &str, title: &str, cells: &[Cell], meta: &Json) {
+/// Write one table artifact; false (after saying why) when the write fails.
+fn write_table(path: &str, table: &str, title: &str, cells: &[Cell], meta: &Json) -> bool {
     let doc = Json::obj([
         ("table", Json::from(table)),
         ("title", Json::from(title)),
@@ -111,9 +103,31 @@ fn write_table(path: &str, table: &str, title: &str, cells: &[Cell], meta: &Json
         ("meta", meta.clone()),
         ("cells", Json::arr(cells.iter().map(Cell::to_json))),
     ]);
-    match std::fs::write(path, format!("{}\n", doc.pretty())) {
-        Ok(()) => println!("wrote {path} ({} cells)", cells.len()),
-        Err(e) => eprintln!("could not write {path}: {e}"),
+    match write_artifact(path, &doc) {
+        Ok(()) => {
+            println!("wrote {path} ({} cells)", cells.len());
+            true
+        }
+        Err(e) => {
+            eprintln!("regen_tables: {e}");
+            false
+        }
+    }
+}
+
+/// The limit an `Unknown` RCDP verdict names.
+fn limit(v: &Verdict) -> Option<BudgetLimit> {
+    match v {
+        Verdict::Unknown { stats } => Some(stats.limit),
+        _ => None,
+    }
+}
+
+/// The limit an `Unknown` RCQP verdict names.
+fn query_limit(v: &QueryVerdict) -> Option<BudgetLimit> {
+    match v {
+        QueryVerdict::Unknown { stats } => Some(stats.limit),
+        _ => None,
     }
 }
 
@@ -126,13 +140,10 @@ fn probed<T>(f: impl FnOnce(Probe<'_>) -> T) -> (T, u128, Report) {
     (out, start.elapsed().as_micros(), collector.report())
 }
 
-/// The run-wide knobs requested on the command line (or the environment).
+/// The run-wide knobs requested on the command line.
 struct Invocation {
     /// Per-decision wall-clock deadline, if any.
     deadline: Option<Duration>,
-    /// Engine used for the Table I/II cells. The A/B suite ignores this and
-    /// always runs both.
-    engine: Engine,
     /// Stream a JSONL decision trace of representative decisions to this
     /// path (`--trace FILE`), for `ric-trace` to render offline.
     trace: Option<String>,
@@ -143,26 +154,18 @@ struct Invocation {
 fn parse_invocation() -> Invocation {
     let mut args = std::env::args().skip(1);
     let mut ms: Option<String> = None;
-    let mut engine_arg: Option<String> = None;
     let mut trace: Option<String> = None;
     while let Some(arg) = args.next() {
         if arg == "--deadline-ms" {
             ms = Some(args.next().unwrap_or_default());
         } else if let Some(v) = arg.strip_prefix("--deadline-ms=") {
             ms = Some(v.to_string());
-        } else if arg == "--engine" {
-            engine_arg = Some(args.next().unwrap_or_default());
-        } else if let Some(v) = arg.strip_prefix("--engine=") {
-            engine_arg = Some(v.to_string());
         } else if arg == "--trace" {
             trace = Some(args.next().unwrap_or_default());
         } else if let Some(v) = arg.strip_prefix("--trace=") {
             trace = Some(v.to_string());
         } else {
-            eprintln!(
-                "usage: regen_tables [--deadline-ms N] \
-                 [--engine naive|planned] [--trace FILE]"
-            );
+            eprintln!("usage: regen_tables [--deadline-ms N] [--trace FILE]");
             std::process::exit(2);
         }
     }
@@ -170,64 +173,18 @@ fn parse_invocation() -> Invocation {
         eprintln!("regen_tables: --trace expects an output path");
         std::process::exit(2);
     }
-    let engine = match engine_arg.as_deref() {
-        None | Some("planned") => Engine::planned(1),
-        Some("naive") => Engine::Naive,
-        Some(other) => {
-            eprintln!("regen_tables: --engine expects `naive` or `planned`, got {other:?}");
+    let deadline = ms.map(|ms| match ms.parse::<u64>() {
+        Ok(n) => Duration::from_millis(n),
+        Err(_) => {
+            eprintln!("regen_tables: --deadline-ms expects a millisecond count, got {ms:?}");
             std::process::exit(2);
         }
-    };
-    let deadline = ms
-        .or_else(|| std::env::var("RIC_DEADLINE_MS").ok())
-        .map(|ms| match ms.parse::<u64>() {
-            Ok(n) => Duration::from_millis(n),
-            Err(_) => {
-                eprintln!("regen_tables: --deadline-ms expects a millisecond count, got {ms:?}");
-                std::process::exit(2);
-            }
-        });
-    Invocation {
-        deadline,
-        engine,
-        trace,
-    }
+    });
+    Invocation { deadline, trace }
 }
 
-/// Version of the artifact layout. Bump when a key is renamed or removed;
-/// additions are backwards-compatible and do not bump it.
-const ARTIFACT_SCHEMA_VERSION: u64 = 1;
-
-/// The provenance block stamped into every `BENCH_*.json` artifact: how the
-/// run was invoked and which tree produced it, so two artifacts can be
-/// compared (`ric-trace diff`) without guessing at their origins. `git`
-/// degrades to `"unknown"` outside a checkout.
-fn meta_json(inv: &Invocation) -> Json {
-    let git = std::process::Command::new("git")
-        .args(["describe", "--always", "--dirty"])
-        .output()
-        .ok()
-        .filter(|out| out.status.success())
-        .map(|out| String::from_utf8_lossy(&out.stdout).trim().to_string())
-        .filter(|describe| !describe.is_empty())
-        .unwrap_or_else(|| "unknown".to_string());
-    Json::obj([
-        ("schema_version", Json::from(ARTIFACT_SCHEMA_VERSION)),
-        ("engine", Json::from(inv.engine.to_string())),
-        (
-            "deadline_ms",
-            match inv.deadline {
-                Some(d) => Json::from(d.as_millis()),
-                None => Json::Null,
-            },
-        ),
-        ("git", Json::from(git)),
-    ])
-}
-
-/// Apply the run-wide deadline and engine choice to a cell's budget.
+/// Apply the run-wide deadline to a cell's budget.
 fn bounded(budget: SearchBudget, inv: &Invocation) -> SearchBudget {
-    let budget = budget.with_engine(inv.engine);
     match inv.deadline {
         Some(d) => budget.with_deadline(d),
         None => budget,
@@ -253,13 +210,14 @@ fn table1(inv: &Invocation) -> Vec<Cell> {
             cell: "(CQ, INDs) workload",
             paper: "Sigma-p-2-complete",
             outcome: format!("{v} (planted: incomplete)"),
-            oracle: Some(v.is_incomplete()),
+            oracle: oracle_check(v.is_incomplete(), limit(&v)),
             micros: us,
             report,
         });
     }
     {
         let mut agree = 0;
+        let mut cut = None;
         let mut total_us = 0;
         let n = 4;
         let collector = Collector::new();
@@ -273,12 +231,13 @@ fn table1(inv: &Invocation) -> Vec<Cell> {
             if v.is_complete() == truth {
                 agree += 1;
             }
+            cut = cut.or(limit(&v).filter(|l| *l == BudgetLimit::Deadline));
         }
         cells.push(Cell {
             cell: "(CQ, INDs) forall-exists-3SAT",
             paper: "Sigma-p-2-hard (Thm 3.6)",
             outcome: format!("{agree}/{n} agree with QBF oracle"),
-            oracle: Some(agree == n),
+            oracle: oracle_check(agree == n, cut),
             micros: total_us / n as u128,
             report: collector.report(),
         });
@@ -312,7 +271,7 @@ fn table1(inv: &Invocation) -> Vec<Cell> {
             cell: "(CQ, CQ) FD-blocked",
             paper: "Sigma-p-2-complete",
             outcome: format!("{verdict} (Example 3.1: complete)"),
-            oracle: Some(verdict.is_complete()),
+            oracle: oracle_check(verdict.is_complete(), limit(&verdict)),
             micros: us,
             report,
         });
@@ -349,7 +308,7 @@ fn table1(inv: &Invocation) -> Vec<Cell> {
             cell: "(FP, CQ) DFA L nonempty",
             paper: "undecidable (Thm 3.1)",
             outcome: format!("{v} - witness encodes a word"),
-            oracle: Some(v.is_incomplete()),
+            oracle: oracle_check(v.is_incomplete(), limit(&v)),
             micros: us,
             report,
         });
@@ -375,6 +334,7 @@ fn table2(inv: &Invocation) -> Vec<Cell> {
     // (CQ, INDs): coNP-complete via 3SAT.
     {
         let mut agree = 0;
+        let mut cut = None;
         let mut total_us = 0;
         let n = 4;
         let collector = Collector::new();
@@ -388,12 +348,13 @@ fn table2(inv: &Invocation) -> Vec<Cell> {
             if v.is_nonempty() == truth {
                 agree += 1;
             }
+            cut = cut.or(query_limit(&v).filter(|l| *l == BudgetLimit::Deadline));
         }
         cells.push(Cell {
             cell: "(CQ, INDs) 3SAT reduction",
             paper: "coNP-complete (Thm 4.5)",
             outcome: format!("{agree}/{n} agree with DPLL oracle"),
-            oracle: Some(agree == n),
+            oracle: oracle_check(agree == n, cut),
             micros: total_us / n as u128,
             report: collector.report(),
         });
@@ -422,7 +383,7 @@ fn table2(inv: &Invocation) -> Vec<Cell> {
                 },
                 paper: "NEXPTIME-complete",
                 outcome: format!("witness certified: {v}"),
-                oracle: Some(v.is_complete()),
+                oracle: oracle_check(v.is_complete(), limit(&v)),
                 micros: us,
                 report,
             });
@@ -464,7 +425,7 @@ fn table2(inv: &Invocation) -> Vec<Cell> {
                     "UNEXPECTED"
                 }
             ),
-            oracle: Some(verdict.is_nonempty()),
+            oracle: oracle_check(verdict.is_nonempty(), query_limit(&verdict)),
             micros: us,
             report,
         });
@@ -481,7 +442,7 @@ fn table2(inv: &Invocation) -> Vec<Cell> {
                     "UNEXPECTED"
                 }
             ),
-            oracle: Some(verdict.is_empty_verdict()),
+            oracle: oracle_check(verdict.is_empty_verdict(), query_limit(&verdict)),
             micros: us,
             report,
         });
@@ -506,7 +467,7 @@ fn table2(inv: &Invocation) -> Vec<Cell> {
             } else {
                 "UNEXPECTED".into()
             },
-            oracle: Some(v.is_nonempty()),
+            oracle: oracle_check(v.is_nonempty(), query_limit(&v)),
             micros: us,
             report,
         });
@@ -520,7 +481,7 @@ fn table2(inv: &Invocation) -> Vec<Cell> {
             } else {
                 "UNEXPECTED".into()
             },
-            oracle: Some(v.is_empty_verdict()),
+            oracle: oracle_check(v.is_empty_verdict(), query_limit(&v)),
             micros: us,
             report,
         });
@@ -548,7 +509,7 @@ fn table2(inv: &Invocation) -> Vec<Cell> {
                 }
                 _ => "UNEXPECTED".into(),
             },
-            oracle: Some(matches!(v, QueryVerdict::Unknown { .. })),
+            oracle: oracle_check(matches!(v, QueryVerdict::Unknown { .. }), query_limit(&v)),
             micros: us,
             report,
         });
@@ -556,415 +517,10 @@ fn table2(inv: &Invocation) -> Vec<Cell> {
     cells
 }
 
-/// One cell of the engine A/B suite: the same decision timed under the
-/// naive and the sequential planned engine.
-struct EngineCell {
-    cell: String,
-    /// Instance-size parameter of the scaling family this cell belongs to.
-    size: usize,
-    /// Whether `size` is the largest in its family (these cells feed the
-    /// median-speedup headline number).
-    largest: bool,
-    naive_us: u128,
-    planned_us: u128,
-    /// Both engines are exact, so the verdicts must agree; recorded so a
-    /// regression shows up in the artifact, not just in the test suite.
-    agree: bool,
-}
-
-impl EngineCell {
-    fn speedup(&self) -> f64 {
-        self.naive_us as f64 / self.planned_us.max(1) as f64
-    }
-
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("cell", Json::from(self.cell.as_str())),
-            ("size", Json::from(self.size)),
-            ("largest_size", Json::from(self.largest)),
-            ("naive_micros", Json::from(self.naive_us)),
-            ("planned_micros", Json::from(self.planned_us)),
-            ("speedup", Json::from(self.speedup())),
-            ("verdicts_agree", Json::from(self.agree)),
-        ])
-    }
-}
-
-/// Time one RCDP decision under both engines. Returns the naive and planned
-/// wall times plus whether the verdicts agree (same variant — witness deltas
-/// may legitimately differ between enumeration orders).
-fn ab_rcdp(
-    setting: &Setting,
-    query: &Query,
-    db: &Database,
-    inv: &Invocation,
-) -> (u128, u128, bool) {
-    let run = |engine: Engine| {
-        // `bounded` pins the table-cell engine; the A/B arms override it.
-        let budget = bounded(SearchBudget::default(), inv).with_engine(engine);
-        let start = Instant::now();
-        let v = rcdp(setting, query, db, &budget).expect("A/B instances are well-formed");
-        (start.elapsed().as_micros(), v)
-    };
-    let (naive_us, vn) = run(Engine::Naive);
-    let (planned_us, vp) = run(Engine::planned(1));
-    (
-        naive_us,
-        planned_us,
-        std::mem::discriminant(&vn) == std::mem::discriminant(&vp),
-    )
-}
-
-/// The FD-constrained Example 3.1 setting at size `n`: `Supt(eid, dept,
-/// cid)` under the FD `eid → dept, cid` (compiled to CQ-bodied CCs), with
-/// one tuple per employee so the FD pins every employee's row.
-fn fd_instance(n: usize) -> (Setting, Database) {
-    let schema = Schema::from_relations(vec![RelationSchema::infinite(
-        "Supt",
-        &["eid", "dept", "cid"],
-    )])
-    .expect("fixed schema");
-    let supt = schema.rel_id("Supt").unwrap();
-    let fd = Fd::new(supt, vec![0], vec![1, 2]);
-    let v = ConstraintSet::new(ric::constraints::compile::fd_to_ccs(&fd, &schema));
-    let setting = Setting::new(
-        schema.clone(),
-        Schema::new(),
-        Database::with_relations(0),
-        v,
-    );
-    let mut db = Database::empty(&schema);
-    for i in 0..n {
-        db.insert(
-            supt,
-            Tuple::new([
-                Value::str(format!("e{i}")),
-                Value::str(format!("d{i}")),
-                Value::str(format!("c{i}")),
-            ]),
-        );
-    }
-    (setting, db)
-}
-
-/// The engine A/B suite: CQ and UCQ decisions over the Example 3.1 FD
-/// setting at growing instance sizes. CQ-bodied constraints are where the
-/// engines genuinely diverge — pure IND sets take the C3 shortcut (check `Δ`
-/// alone) in *both* engines, so there is nothing to compare there. Every
-/// database is *complete* by construction (the FD pins each employee's
-/// single row), so both engines must exhaust the full Σᵖ₂ candidate space —
-/// the timing measures the engines, not an early counterexample exit.
-fn engine_suite(inv: &Invocation) -> Vec<EngineCell> {
-    let mut cells = Vec::new();
-    let sizes = [8usize, 20, 48];
-    let largest = *sizes.last().unwrap();
-
-    // (CQ, CQ): per candidate, the naive arm materializes D ∪ Δ and
-    // re-evaluates every FD-join body over it; the delta arm overlays Δ and
-    // joins the novel tuples through the column indexes.
-    for &n in &sizes {
-        let (setting, db) = fd_instance(n);
-        let query: Query = parse_cq(&setting.schema, "Q(C) :- Supt('e0', D, C).")
-            .expect("fixed query")
-            .into();
-        let (naive_us, planned_us, agree) = ab_rcdp(&setting, &query, &db, inv);
-        cells.push(EngineCell {
-            cell: format!("(CQ, CQ) FD-pinned n={n}"),
-            size: n,
-            largest: n == largest,
-            naive_us,
-            planned_us,
-            agree,
-        });
-    }
-
-    // (UCQ, CQ): two-disjunct query over the same setting; both disjuncts
-    // are FD-pinned, so the per-disjunct enumeration runs to exhaustion.
-    for &n in &sizes {
-        let (setting, db) = fd_instance(n);
-        let query: Query = parse_ucq(
-            &setting.schema,
-            "Q(C) :- Supt('e0', D, C). Q(C) :- Supt('e1', D, C).",
-        )
-        .expect("fixed query")
-        .into();
-        let (naive_us, planned_us, agree) = ab_rcdp(&setting, &query, &db, inv);
-        cells.push(EngineCell {
-            cell: format!("(UCQ, CQ) FD-pinned two-disjunct n={n}"),
-            size: n,
-            largest: n == largest,
-            naive_us,
-            planned_us,
-            agree,
-        });
-    }
-    cells
-}
-
-/// Median of the per-cell speedups at the largest instance size.
-fn median_speedup_at_largest(cells: &[EngineCell]) -> f64 {
-    median(
-        cells
-            .iter()
-            .filter(|c| c.largest)
-            .map(EngineCell::speedup)
-            .collect(),
-    )
-}
-
-fn median(mut s: Vec<f64>) -> f64 {
-    s.sort_by(|a, b| a.total_cmp(b));
-    match s.len() {
-        0 => 0.0,
-        n if n % 2 == 1 => s[n / 2],
-        n => (s[n / 2 - 1] + s[n / 2]) / 2.0,
-    }
-}
-
-fn print_engine_suite(cells: &[EngineCell], median: f64) {
-    println!("\nEngine A/B - naive vs planned(1)");
-    println!("================================");
-    println!(
-        "{:<42} {:>12} {:>12} {:>9} {:>7}",
-        "cell", "naive", "planned(1)", "speedup", "agree"
-    );
-    println!("{}", "-".repeat(88));
-    for c in cells {
-        println!(
-            "{:<42} {:>9} µs {:>9} µs {:>8.1}x {:>7}",
-            c.cell,
-            c.naive_us,
-            c.planned_us,
-            c.speedup(),
-            c.agree
-        );
-    }
-    println!("median speedup at largest size: {median:.1}x");
-}
-
-fn write_engine_suite(path: &str, cells: &[EngineCell], median: f64, meta: &Json) {
-    let doc = Json::obj([
-        ("source", Json::from("regen_tables")),
-        ("meta", meta.clone()),
-        (
-            "engines",
-            Json::arr([Engine::Naive, Engine::planned(1)].map(|e| Json::from(e.to_string()))),
-        ),
-        ("cells", Json::arr(cells.iter().map(EngineCell::to_json))),
-        ("median_speedup_at_largest", Json::from(median)),
-    ]);
-    match std::fs::write(path, format!("{}\n", doc.pretty())) {
-        Ok(()) => println!("wrote {path} ({} cells)", cells.len()),
-        Err(e) => eprintln!("could not write {path}: {e}"),
-    }
-}
-
-/// One cell of the analysis A/B suite: an FO-*syntax* query that the static
-/// analyzer certifies down to CQ, decided once through the naive FO-cell
-/// dispatch and once through the analysis gate.
-struct AnalysisCell {
-    cell: String,
-    size: usize,
-    /// Whether `size` is the largest in its family (these cells feed the
-    /// median-speedup headline number).
-    largest: bool,
-    fo_us: u128,
-    analyzed_us: u128,
-    /// Verdict identity: both dispatches must return the same verdict
-    /// variant (the instances are incomplete by construction, so both sides
-    /// land on `Incomplete`, which the FO semi-decision can certify).
-    agree: bool,
-    /// `analysis.downgrade` counter emitted by the gate.
-    downgrades: u64,
-}
-
-impl AnalysisCell {
-    fn speedup(&self) -> f64 {
-        self.fo_us as f64 / self.analyzed_us.max(1) as f64
-    }
-
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("cell", Json::from(self.cell.as_str())),
-            ("size", Json::from(self.size)),
-            ("largest_size", Json::from(self.largest)),
-            ("fo_micros", Json::from(self.fo_us)),
-            ("analyzed_micros", Json::from(self.analyzed_us)),
-            ("speedup", Json::from(self.speedup())),
-            ("verdicts_agree", Json::from(self.agree)),
-            ("downgrades", Json::from(self.downgrades)),
-        ])
-    }
-}
-
-/// The analysis A/B instance at master size `n`: `Supt(eid, cid)` bounded by
-/// the `DCust` master list, `Pref` unconstrained, and an FO-written query
-/// `Q(c) := exists e (Supt(e, c) and not not Pref(c))` that is semantically
-/// the CQ `Q(C) :- Supt(E, C), Pref(C).`. The database supports every master
-/// customer but the last, so the instance is *incomplete* by construction —
-/// a ground truth both the FO semi-decision and the CQ cell can certify.
-fn analysis_instance(n: usize) -> (Setting, Query, Database) {
-    let schema = Schema::from_relations(vec![
-        RelationSchema::infinite("Supt", &["eid", "cid"]),
-        RelationSchema::infinite("Pref", &["cid"]),
-    ])
-    .expect("fixed schema");
-    let supt = schema.rel_id("Supt").unwrap();
-    let pref = schema.rel_id("Pref").unwrap();
-    let master = Schema::from_relations(vec![RelationSchema::infinite("DCust", &["cid"])])
-        .expect("fixed master schema");
-    let dcust = master.rel_id("DCust").unwrap();
-    let mut dm = Database::empty(&master);
-    for c in 0..n {
-        dm.insert(dcust, Tuple::new([Value::str(format!("c{c}"))]));
-    }
-    let v = ConstraintSet::new(vec![ContainmentConstraint::into_master(
-        CcBody::Proj(Projection::new(supt, vec![1])),
-        dcust,
-        vec![0],
-    )]);
-    let setting = Setting::new(schema.clone(), master, dm, v);
-
-    let mut db = Database::empty(&schema);
-    for c in 0..n {
-        db.insert(pref, Tuple::new([Value::str(format!("c{c}"))]));
-    }
-    for c in 0..n.saturating_sub(1) {
-        db.insert(
-            supt,
-            Tuple::new([Value::str("e0"), Value::str(format!("c{c}"))]),
-        );
-    }
-
-    let (c, e) = (Var(0), Var(1));
-    let fo = FoQuery::new(
-        vec![c],
-        FoExpr::Exists(
-            vec![e],
-            Box::new(FoExpr::And(vec![
-                FoExpr::Atom(QueryAtom::new(supt, vec![Term::Var(e), Term::Var(c)])),
-                FoExpr::not(FoExpr::not(FoExpr::Atom(QueryAtom::new(
-                    pref,
-                    vec![Term::Var(c)],
-                )))),
-            ])),
-        ),
-        vec!["c".into(), "e".into()],
-    );
-    (setting, Query::Fo(fo), db)
-}
-
-/// The analysis A/B suite. Every shipped workload must pass the analyzer
-/// with no Error-level diagnostics — a broken bench instance fails the run
-/// (and therefore CI) instead of silently benchmarking garbage.
-fn analysis_suite(inv: &Invocation) -> Vec<AnalysisCell> {
-    let mut cells = Vec::new();
-    let sizes = [8usize, 16, 32];
-    let largest = *sizes.last().unwrap();
-    for &n in &sizes {
-        let (setting, query, db) = analysis_instance(n);
-        let report = ric::analyze(&setting, &query);
-        fail_on_error_diagnostics("analysis A/B workload", &report);
-        let budget = bounded(SearchBudget::default(), inv);
-
-        let start = Instant::now();
-        let vf = rcdp(&setting, &query, &db, &budget).expect("well-formed instance");
-        let fo_us = start.elapsed().as_micros();
-
-        let collector = Collector::new();
-        let start = Instant::now();
-        let va =
-            try_rcdp_analyzed_probed(&setting, &query, &db, &budget, Probe::attached(&collector))
-                .expect("analyzer-gated decision")
-                .verdict;
-        let analyzed_us = start.elapsed().as_micros();
-
-        cells.push(AnalysisCell {
-            cell: format!("(FO syntax, CQ fragment) master n={n}"),
-            size: n,
-            largest: n == largest,
-            fo_us,
-            analyzed_us,
-            agree: std::mem::discriminant(&vf) == std::mem::discriminant(&va),
-            downgrades: collector.report().counter("analysis.downgrade"),
-        });
-    }
-    cells
-}
-
-/// CI gate: any Error-level diagnostic in a shipped workload aborts the run.
-fn fail_on_error_diagnostics(what: &str, report: &ric::AnalysisReport) {
-    if report.has_errors() {
-        eprintln!("regen_tables: {what} fails static analysis:");
-        for d in report.errors() {
-            eprintln!("  {d}");
-        }
-        std::process::exit(1);
-    }
-}
-
-/// Run the shipped engine/par-suite workloads through the analyzer too — the
-/// artifacts must never be regenerated from settings the gate would reject.
-fn lint_shipped_workloads() {
-    let (setting, db) = fd_instance(8);
-    let _ = db;
-    let cq: Query = parse_cq(&setting.schema, "Q(C) :- Supt('e0', D, C).")
-        .expect("fixed query")
-        .into();
-    fail_on_error_diagnostics("engine A/B CQ workload", &ric::analyze(&setting, &cq));
-    let ucq: Query = parse_ucq(
-        &setting.schema,
-        "Q(C) :- Supt('e0', D, C). Q(C) :- Supt('e1', D, C).",
-    )
-    .expect("fixed query")
-    .into();
-    fail_on_error_diagnostics("engine A/B UCQ workload", &ric::analyze(&setting, &ucq));
-}
-
-fn print_analysis_suite(cells: &[AnalysisCell], median: f64) {
-    println!("\nAnalysis A/B - naive FO dispatch vs analyzer-gated dispatch");
-    println!("===========================================================");
-    println!(
-        "{:<42} {:>12} {:>12} {:>9} {:>7} {:>6}",
-        "cell", "fo", "analyzed", "speedup", "agree", "downgr"
-    );
-    println!("{}", "-".repeat(95));
-    for c in cells {
-        println!(
-            "{:<42} {:>9} us {:>9} us {:>8.1}x {:>7} {:>6}",
-            c.cell,
-            c.fo_us,
-            c.analyzed_us,
-            c.speedup(),
-            c.agree,
-            c.downgrades
-        );
-    }
-    println!("median speedup at largest size: {median:.1}x");
-}
-
-fn write_analysis_suite(path: &str, cells: &[AnalysisCell], median: f64, meta: &Json) {
-    let doc = Json::obj([
-        ("source", Json::from("regen_tables")),
-        ("meta", meta.clone()),
-        (
-            "dispatches",
-            Json::arr(["fo_cell", "analyzed"].map(Json::from)),
-        ),
-        ("cells", Json::arr(cells.iter().map(AnalysisCell::to_json))),
-        ("median_speedup_at_largest", Json::from(median)),
-    ]);
-    match std::fs::write(path, format!("{}\n", doc.pretty())) {
-        Ok(()) => println!("wrote {path} ({} cells)", cells.len()),
-        Err(e) => eprintln!("could not write {path}: {e}"),
-    }
-}
-
 fn main() {
     println!("Relative Information Completeness: empirical Tables I and II");
     println!("(Fan & Geerts, PODS 2009 / TODS 2010; see EXPERIMENTS.md)");
     let inv = parse_invocation();
-    println!("evaluation engine for the table cells: {}", inv.engine);
     if let Some(d) = inv.deadline {
         println!(
             "per-decision wall-clock deadline: {} ms (slow cells degrade to Unknown)",
@@ -975,32 +531,19 @@ fn main() {
     print_table("Table I - RCDP(L_Q, L_C)", &t1);
     let t2 = table2(&inv);
     print_table("Table II - RCQP(L_Q, L_C)", &t2);
-    let engine_cells = engine_suite(&inv);
-    let median = median_speedup_at_largest(&engine_cells);
-    print_engine_suite(&engine_cells, median);
-    lint_shipped_workloads();
-    let analysis_cells = analysis_suite(&inv);
-    let analysis_median = self::median(
-        analysis_cells
-            .iter()
-            .filter(|c| c.largest)
-            .map(AnalysisCell::speedup)
-            .collect(),
-    );
-    print_analysis_suite(&analysis_cells, analysis_median);
     println!();
-    let meta = meta_json(&inv);
-    write_table("BENCH_TABLE1.json", "I", "RCDP(L_Q, L_C)", &t1, &meta);
-    write_table("BENCH_TABLE2.json", "II", "RCQP(L_Q, L_C)", &t2, &meta);
-    write_engine_suite("BENCH_ENGINE.json", &engine_cells, median, &meta);
-    write_analysis_suite(
-        "BENCH_ANALYSIS.json",
-        &analysis_cells,
-        analysis_median,
-        &meta,
-    );
+    let meta = meta(Engine::default(), inv.deadline);
+    let written = write_table("BENCH_TABLE1.json", "I", "RCDP(L_Q, L_C)", &t1, &meta)
+        & write_table("BENCH_TABLE2.json", "II", "RCQP(L_Q, L_C)", &t2, &meta);
     if let Some(path) = &inv.trace {
         write_trace(path, &inv);
+    }
+    let wrong = disagreements(t1.iter().chain(&t2).map(|c| (c.cell, c.oracle)));
+    for cell in &wrong {
+        eprintln!("regen_tables: {cell}: the verdict disagrees with its oracle");
+    }
+    if !written || !wrong.is_empty() {
+        std::process::exit(1);
     }
 }
 
@@ -1035,8 +578,8 @@ fn write_trace(path: &str, inv: &Invocation) {
         Err(e) => eprintln!("regen_tables: traced {what} failed: {e}"),
     };
 
-    // Decision 1: the planted RCDP workload under the invocation's engine —
-    // the typical sequential trace with depth profile and cc attribution.
+    // Decision 1: the planted RCDP workload — the typical sequential trace
+    // with depth profile and cc attribution.
     run(
         "rcdp",
         try_rcdp_probed(
@@ -1073,14 +616,13 @@ fn write_trace(path: &str, inv: &Invocation) {
     let plan_query: Query = parse_cq(&plan_setting.schema, "Q(C) :- Supt('e0', D, C).")
         .expect("fixed query")
         .into();
-    let plan_budget = budget.with_engine(Engine::planned(1));
     run(
         "planned rcdp",
         try_rcdp_probed(
             &plan_setting,
             &plan_query,
             &plan_db,
-            &plan_budget,
+            &budget,
             Probe::attached(&sink).with_trace(&trace),
         )
         .map(drop)

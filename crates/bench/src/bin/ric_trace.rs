@@ -21,8 +21,10 @@
 //!   the decision database's actual ones (the `plan.cards` note).
 //! * `ric-trace diff A B` — compare two trace files (summed counters, span
 //!   wall/tick totals, decision counts) or two `BENCH_*.json` artifacts
-//!   (per-cell micros and outcome drift, keyed by the `cell` string). The
-//!   artifact mode is detected by the top-level `cells` array.
+//!   (per-cell timing and outcome, keyed by the `cell` string). A bar
+//!   cell's timing drift is flagged only when its arm-B medians differ by
+//!   more than `K_IQR` × the larger IQR; outcome drift is always flagged.
+//!   The artifact mode is detected by the top-level `cells` array.
 //!
 //! Exit codes: 0 on success, 1 on malformed input, 2 on usage errors.
 //!
@@ -36,6 +38,7 @@ use std::process::ExitCode;
 
 use ric::telemetry::json::{self, Json};
 use ric::telemetry::{top_k_counters, SpanTree, TreeBuilder};
+use ric_bench::bars;
 use ric_bench::trace_load::{load_trace as load_trace_typed, Segment};
 
 const USAGE: &str = "usage: ric-trace <command> [args]\n\
@@ -222,118 +225,58 @@ fn load_bench(path: &str) -> Result<Option<Json>, String> {
     }
 }
 
-/// Warn (loudly, before the table) when two BENCH artifacts were produced
-/// under different conditions: comparing timings across engines or
-/// deadlines is apples to oranges, and outcome drift may be
-/// expected rather than a regression. Previously `meta` was silently
-/// ignored.
-fn warn_meta_mismatch(name_a: &str, a: &Json, name_b: &str, b: &Json) {
-    let field = |doc: &Json, key: &str| -> String {
-        doc.get("meta")
-            .and_then(|m| m.get(key))
-            .map(|v| match v.as_str() {
-                Some(s) => s.to_string(),
-                None => v
-                    .as_int()
-                    .map(|i| i.to_string())
-                    .unwrap_or_else(|| "?".into()),
-            })
-            .unwrap_or_else(|| "absent".into())
-    };
-    let mut drift = Vec::new();
-    for key in ["engine", "deadline_ms", "schema_version"] {
-        let va = field(a, key);
-        let vb = field(b, key);
-        if va != vb {
-            drift.push(format!("{key}: A={va} B={vb}"));
-        }
-    }
-    if !drift.is_empty() {
+/// Print the cell-by-cell comparison of two artifacts. A warning block
+/// comes first when their `meta` differs. A cell is flagged for timing
+/// drift only beyond the artifacts' recorded spread (see [`bars::diff`]),
+/// and always for outcome drift.
+fn diff_bench(name_a: &str, a: &Json, name_b: &str, b: &Json) -> Result<(), String> {
+    let mismatch = bars::meta_mismatch(a, b);
+    if !mismatch.is_empty() {
         println!("WARNING: artifacts were produced under different conditions; timings and");
         println!("         outcomes may differ for that reason alone, not as a regression.");
-        for line in &drift {
+        for line in &mismatch {
             println!("         {line}");
         }
         println!("         (A = {name_a}, B = {name_b})");
         println!();
     }
-}
-
-fn diff_bench(name_a: &str, a: &Json, name_b: &str, b: &Json) -> Result<(), String> {
-    warn_meta_mismatch(name_a, a, name_b, b);
-    let cells = |doc: &Json, name: &str| -> Result<Vec<(String, u128, String)>, String> {
-        let arr = doc
-            .get("cells")
-            .and_then(Json::as_arr)
-            .ok_or_else(|| format!("{name}: `cells` is not an array"))?;
-        arr.iter()
-            .enumerate()
-            .map(|(i, cell)| {
-                let key = cell
-                    .get("cell")
-                    .and_then(Json::as_str)
-                    .ok_or_else(|| format!("{name}: cell {i} has no `cell` string"))?
-                    .to_string();
-                // Table cells time one decision (`micros`); the A/B suites
-                // time two arms — fall back to the second arm's column.
-                let micros = ["micros", "planned_micros", "analyzed_micros"]
-                    .iter()
-                    .find_map(|k| cell.get(k).and_then(Json::as_int))
-                    .and_then(|i| u128::try_from(i).ok())
-                    .ok_or_else(|| format!("{name}: cell {key:?} has no timing field"))?;
-                let outcome = cell
-                    .get("outcome")
-                    .and_then(Json::as_str)
-                    .unwrap_or("-")
-                    .to_string();
-                Ok((key, micros, outcome))
-            })
-            .collect()
-    };
-    let ca = cells(a, name_a)?;
-    let cb = cells(b, name_b)?;
-    let index_b: BTreeMap<&str, (u128, &str)> = cb
-        .iter()
-        .map(|(k, us, out)| (k.as_str(), (*us, out.as_str())))
-        .collect();
+    let diff = bars::diff(a, b)?;
     println!(
-        "{:<42} {:>12} {:>12} {:>9}",
+        "{:<48} {:>12} {:>12} {:>9}",
         "cell", "A µs", "B µs", "ratio"
     );
-    println!("{}", "-".repeat(80));
-    let mut only_a = 0usize;
-    for (key, us_a, out_a) in &ca {
-        match index_b.get(key.as_str()) {
-            Some((us_b, out_b)) => {
-                let ratio = *us_b as f64 / (*us_a).max(1) as f64;
-                let drift = if out_a != out_b {
-                    "  OUTCOME DRIFT"
-                } else {
-                    ""
-                };
-                println!("{key:<42} {us_a:>12} {us_b:>12} {ratio:>8.2}x{drift}");
-                if out_a != out_b {
-                    println!("    A: {out_a}");
-                    println!("    B: {out_b}");
-                }
-            }
-            None => {
-                only_a += 1;
-                println!("{key:<42} {us_a:>12} {:>12} {:>9}", "-", "-");
-            }
+    println!("{}", "-".repeat(86));
+    for row in &diff.rows {
+        let [ta, tb] = row.timing;
+        let flag = match (row.outcome_drift(), row.timing_drift) {
+            (true, _) => "  OUTCOME DRIFT",
+            (false, true) => "  TIMING DRIFT",
+            (false, false) => "",
+        };
+        println!(
+            "{:<48} {:>12.0} {:>12.0} {:>8.2}x{flag}",
+            row.cell,
+            ta.us,
+            tb.us,
+            tb.us / ta.us.max(1.0)
+        );
+        if row.outcome_drift() {
+            println!("    A: {}", row.outcome[0]);
+            println!("    B: {}", row.outcome[1]);
         }
     }
-    let keys_a: std::collections::BTreeSet<&str> = ca.iter().map(|(k, ..)| k.as_str()).collect();
-    let only_b: Vec<&str> = cb
-        .iter()
-        .map(|(k, ..)| k.as_str())
-        .filter(|k| !keys_a.contains(k))
-        .collect();
-    for key in &only_b {
-        println!("{key:<42} {:>12} {:>12} {:>9}", "-", "?", "-");
+    for key in &diff.only_a {
+        println!("{key:<48} {:>12} {:>12} {:>9}", "?", "-", "-");
     }
-    if only_a > 0 || !only_b.is_empty() {
-        println!("(cells only in A: {only_a}, only in B: {})", only_b.len());
+    for key in &diff.only_b {
+        println!("{key:<48} {:>12} {:>12} {:>9}", "-", "?", "-");
+    }
+    if !diff.only_a.is_empty() || !diff.only_b.is_empty() {
+        println!(
+            "(cells only in A: {}, only in B: {})",
+            diff.only_a.len(),
+            diff.only_b.len()
+        );
     }
     Ok(())
 }

@@ -1,101 +1,79 @@
-//! Shared instance builders for the Table I / Table II benchmarks.
-//!
-//! Each function returns ready-to-decide instances for one complexity cell;
-//! the in-tree benches (`cargo bench`) time the deciders on them, and the
-//! `regen_tables` binary prints the empirical tables (verdicts validated
-//! against the ground-truth oracles of `ric::reductions`) and writes the
-//! machine-readable `BENCH_TABLE1.json` / `BENCH_TABLE2.json` artifacts.
+//! The empirical Table I / Table II regeneration (`regen_tables`), the
+//! timing bars (`bench_bars`, on the [`bars`] runner) and the `ric-trace`
+//! trace tooling.
 
-pub mod harness;
+pub mod bars;
 pub mod plan_report;
 pub mod trace_load;
 
 use ric::prelude::*;
-use ric::reductions::workload::{planted_rcdp, PlantedInstance, WorkloadParams};
-use ric::reductions::{qbf, rcdp_sigma2, rcqp_conp, sat, tiling};
-use ric::SplitMix64;
 
-/// RCDP(CQ, INDs) on typical master-data workloads of growing size.
-pub fn rcdp_workloads(sizes: &[usize]) -> Vec<(String, PlantedInstance)> {
-    let mut rng = SplitMix64::seed_from_u64(7);
-    let mut out = Vec::new();
-    for &n in sizes {
-        for complete in [true, false] {
-            let params = WorkloadParams {
-                n_customers: n,
-                n_employees: 4,
-                n_support: 2 * n,
-            };
-            let label = format!(
-                "customers={n}/{}",
-                if complete { "complete" } else { "incomplete" }
-            );
-            out.push((label, planted_rcdp(&params, complete, &mut rng)));
-        }
+/// The FD-constrained Example 3.1 setting at size `n`: `Supt(eid, dept,
+/// cid)` under the FD `eid → dept, cid` (compiled to CQ-bodied CCs), with
+/// one tuple per employee so the FD pins every employee's row.
+pub fn fd_instance(n: usize) -> (Setting, Database) {
+    let schema = Schema::from_relations(vec![RelationSchema::infinite(
+        "Supt",
+        &["eid", "dept", "cid"],
+    )])
+    .expect("fixed schema");
+    let supt = schema.rel_id("Supt").unwrap();
+    let fd = Fd::new(supt, vec![0], vec![1, 2]);
+    let v = ConstraintSet::new(ric::constraints::compile::fd_to_ccs(&fd, &schema));
+    let setting = Setting::new(
+        schema.clone(),
+        Schema::new(),
+        Database::with_relations(0),
+        v,
+    );
+    let mut db = Database::empty(&schema);
+    for i in 0..n {
+        db.insert(
+            supt,
+            Tuple::new([
+                Value::str(format!("e{i}")),
+                Value::str(format!("d{i}")),
+                Value::str(format!("c{i}")),
+            ]),
+        );
     }
-    out
+    (setting, db)
 }
 
-/// RCDP(CQ, INDs) hardness instances from ∀*∃*-3SAT (Theorem 3.6), with the
-/// oracle truth attached.
-pub fn rcdp_sigma2_instances(
-    shapes: &[(usize, usize, usize)],
-) -> Vec<(String, Setting, Query, Database, bool)> {
-    let mut rng = SplitMix64::seed_from_u64(11);
-    let mut out = Vec::new();
-    for &(n_forall, n_exists, n_clauses) in shapes {
-        let phi = qbf::ForallExists::random(n_forall, n_exists, n_clauses, &mut rng);
-        let truth = phi.eval();
-        let (setting, q, db) = rcdp_sigma2::to_rcdp_instance(&phi);
-        out.push((
-            format!("forall={n_forall}/exists={n_exists}/clauses={n_clauses}"),
-            setting,
-            q,
-            db,
-            truth,
-        ));
-    }
-    out
+/// A Table I/II cell's oracle check: whether its verdict agrees with the
+/// independent oracle, or `None` (written `checked: false`) when the
+/// verdict degraded to `Unknown` on the run's wall-clock deadline. Such an
+/// `Unknown` says nothing about the oracle.
+pub fn oracle_check(agrees: bool, limit: Option<BudgetLimit>) -> Option<bool> {
+    (limit != Some(BudgetLimit::Deadline)).then_some(agrees)
 }
 
-/// RCQP(CQ, INDs) hardness instances from 3SAT (Theorem 4.5(1)).
-pub fn rcqp_conp_instances(shapes: &[(usize, usize)]) -> Vec<(String, Setting, Query, bool)> {
-    let mut rng = SplitMix64::seed_from_u64(13);
-    let mut out = Vec::new();
-    for &(n_vars, n_clauses) in shapes {
-        let phi = sat::Cnf::random_3sat(n_vars, n_clauses, &mut rng);
-        let sat_truth = phi.satisfiable();
-        let (setting, q) = rcqp_conp::to_rcqp_instance(&phi);
-        out.push((
-            format!("vars={n_vars}/clauses={n_clauses}"),
-            setting,
-            q,
-            !sat_truth, // RCQ nonempty iff φ unsatisfiable
-        ));
-    }
-    out
-}
-
-/// Tiling instances with their reductions (Theorem 4.5(2)); witness
-/// verification is the decidable part the bench times.
-pub fn tiling_instances(ns: &[u32]) -> Vec<(String, tiling::TilingInstance)> {
-    ns.iter()
-        .map(|&n| {
-            (
-                format!("grid={}x{}", 1 << n, 1 << n),
-                tiling::TilingInstance {
-                    n_tiles: 2,
-                    horiz: [(0, 1), (1, 0)].into_iter().collect(),
-                    vert: [(0, 1), (1, 0)].into_iter().collect(),
-                    t0: 0,
-                    n,
-                },
-            )
-        })
+/// The labels of the cells whose checked verdict disagrees with its oracle.
+pub fn disagreements<'a>(cells: impl IntoIterator<Item = (&'a str, Option<bool>)>) -> Vec<&'a str> {
+    cells
+        .into_iter()
+        .filter(|(_, oracle)| *oracle == Some(false))
+        .map(|(cell, _)| cell)
         .collect()
 }
 
-/// A standard budget for the benches.
-pub fn bench_budget() -> SearchBudget {
-    SearchBudget::default()
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn only_a_conclusive_disagreement_fails_a_table() {
+        let agree = oracle_check(true, None);
+        let disagree = oracle_check(false, Some(BudgetLimit::MaxCandidates));
+        let cut = oracle_check(false, Some(BudgetLimit::Deadline));
+        assert_eq!((agree, disagree, cut), (Some(true), Some(false), None));
+        let cells = [
+            ("agree", agree),
+            ("disagree", disagree),
+            ("deadline", cut),
+            ("no oracle", None),
+        ];
+        assert_eq!(disagreements(cells), ["disagree"]);
+        assert!(disagreements([("agree", agree), ("deadline", cut)]).is_empty());
+    }
 }

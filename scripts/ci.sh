@@ -35,18 +35,17 @@
 #                              -p ric-reason,
 #                              cargo test --test analysis_properties)
 #  12. bench artifacts        (regen_tables --deadline-ms guard; the run
-#                              fails if any shipped workload draws an
-#                              Error-level analyzer diagnostic, and also
-#                              streams a JSONL decision trace; then a
-#                              bench_monitor regen smoke: BENCH_MONITOR.json
-#                              must report all_ok — >=5x median speedup and
-#                              verdict identity in every cell; then a
-#                              bench_static regen smoke: BENCH_STATIC.json
-#                              must report all_ok — >=2x on redundant-V,
-#                              >=10x on statically-decidable cells, verdicts
-#                              identical everywhere. All three run in a temp
-#                              dir, so the tracked BENCH_*.json files are
-#                              never rewritten by CI)
+#                              fails if a checked Table I/II verdict
+#                              disagrees with its oracle or an artifact
+#                              write fails, and also streams a JSONL
+#                              decision trace; then one bench_bars run:
+#                              BENCH_BARS.json must report all_ok — every
+#                              bar holds (monitor >=5x, static >=2x/>=10x,
+#                              resume <=1.10x) with identical verdicts in
+#                              every cell, and no bar workload draws an
+#                              Error-level analyzer diagnostic. Both run in
+#                              a temp dir, so the tracked BENCH_*.json files
+#                              are never rewritten by CI)
 #  13. trace smoke            (the trace_decision example and the
 #                              regen_tables --trace stream must round-trip
 #                              through the ric-trace CLI: tree, prune, plan,
@@ -157,41 +156,31 @@ cargo test -q --offline -p ric-analysis
 cargo test -q --offline -p ric-reason
 cargo test -q --offline --test analysis_properties
 
-# Regenerate the bench artifacts under a wall-clock guard. regen_tables runs
-# every shipped workload through the analyzer first and exits nonzero on any
-# Error-level diagnostic, so a broken bench setting fails CI here rather than
-# silently producing garbage artifacts. The same run streams a JSONL decision
-# trace for the smoke step below. The bench binaries write cwd-relative
-# paths, so they run inside a temp dir: fresh wall-clock micros would
-# otherwise rewrite the tracked BENCH_*.json files on every CI run.
+# Regenerate the table artifacts under a wall-clock guard: regen_tables exits
+# nonzero when a checked verdict disagrees with its ground-truth oracle (a
+# cell cut short by the deadline records `checked: false` instead) or when
+# an artifact cannot be written. The same run streams a JSONL decision trace
+# for the smoke step below. The bench binaries write cwd-relative paths, so
+# they run inside a temp dir: fresh wall-clock micros would otherwise
+# rewrite the tracked BENCH_*.json files on every CI run.
 trace_dir="$(mktemp -d)"
 trap 'rm -rf "${trace_dir}"' EXIT
 bench() {
   (cd "${trace_dir}" && cargo run -q --release --offline --manifest-path "${root}/Cargo.toml" \
     -p ric-bench --bin "$@")
 }
-step "bench artifact regeneration (BENCH_*.json + decision trace, deadline-guarded)"
+step "bench artifact regeneration (BENCH_TABLE*.json + decision trace, deadline-guarded)"
 bench regen_tables -- --deadline-ms 15000 --trace "${trace_dir}/regen.jsonl" > /dev/null
 
-# Monitor bench smoke: regenerate BENCH_MONITOR.json in the temp dir and
-# require the artifact's own verdict — the run fails if any cell misses the
-# >=5x median speedup bar or sees an incremental/from-scratch verdict
-# mismatch.
-step "monitor bench regeneration (BENCH_MONITOR.json, >=5x + verdict identity)"
-bench bench_monitor > /dev/null
-grep -q '"all_ok": true' "${trace_dir}/BENCH_MONITOR.json" || {
-  echo "ci.sh: BENCH_MONITOR.json regenerated with all_ok != true" >&2
-  exit 1
-}
-
-# Static-reasoning bench smoke: regenerate BENCH_STATIC.json in the temp dir
-# and require the artifact's own verdict — the run fails if the redundant-V
-# cells miss >=2x, the statically-decidable cells miss >=10x, or any
-# repetition sees a reasoned/full-V verdict mismatch.
-step "static-reasoning bench regeneration (BENCH_STATIC.json, >=2x/>=10x + verdict identity)"
-bench bench_static > /dev/null
-grep -q '"all_ok": true' "${trace_dir}/BENCH_STATIC.json" || {
-  echo "ci.sh: BENCH_STATIC.json regenerated with all_ok != true" >&2
+# Timing bars: one bench_bars run lints every bar workload through the
+# analyzer, times every suite on interleaved A/B pairs, and writes
+# BENCH_BARS.json. Require the artifact's own verdict — the run fails if any
+# bar misses (monitor >=5x, static >=2x/>=10x, resume <=1.10x at the median)
+# or any cell sees a verdict mismatch between its arms.
+step "timing bars (BENCH_BARS.json: every bar holds, verdicts identical)"
+bench bench_bars > /dev/null
+grep -q '"all_ok": true' "${trace_dir}/BENCH_BARS.json" || {
+  echo "ci.sh: BENCH_BARS.json regenerated with all_ok != true" >&2
   exit 1
 }
 
@@ -209,7 +198,7 @@ for trace in example regen; do
 done
 ric_trace diff "${trace_dir}/example.jsonl" "${trace_dir}/regen.jsonl" > /dev/null
 ric_trace diff BENCH_TABLE1.json BENCH_TABLE1.json > /dev/null
-ric_trace diff BENCH_ENGINE.json BENCH_ENGINE.json > /dev/null
+ric_trace diff BENCH_BARS.json "${trace_dir}/BENCH_BARS.json" > /dev/null
 head -1 "${trace_dir}/example.jsonl" > "${trace_dir}/truncated.jsonl"
 if ric_trace tree "${trace_dir}/truncated.jsonl" > /dev/null 2>&1; then
   echo "ci.sh: ric-trace accepted a malformed trace (unclosed decision span)" >&2

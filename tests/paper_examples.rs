@@ -203,6 +203,18 @@ fn example_4_1_contrast() {
         "a blocking tuple (e0, d′) makes a complete database"
     );
 
+    // More constants in Q4 grow the Adom and the E2 pool; blocking still
+    // works.
+    for n_consts in 1..=3 {
+        let eqs: Vec<String> = (0..n_consts).map(|d| format!("E != 'x{d}'")).collect();
+        let src = format!("Q(E) :- Supt(E, 'd0'), E = 'e0', {}.", eqs.join(", "));
+        let q: Query = parse_cq(&schema, &src).unwrap().into();
+        assert!(
+            rcqp(&setting, &q, &budget).unwrap().is_nonempty(),
+            "{n_consts} extra constant(s)"
+        );
+    }
+
     let q2: Query = parse_cq(&schema, "Q(E) :- Supt(E, 'd0').").unwrap().into();
     assert_eq!(
         rcqp(&setting, &q2, &budget).unwrap(),

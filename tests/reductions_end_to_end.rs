@@ -10,8 +10,11 @@ use ric::reductions::{qbf, rcdp_sigma2, rcqp_conp, sat, tiling, two_head_dfa};
 #[test]
 fn sigma2_reduction_matches_oracle() {
     let mut rng = ric::SplitMix64::seed_from_u64(100);
-    for _ in 0..6 {
-        let phi = qbf::ForallExists::random(2, 2, 3, &mut rng);
+    // Six formulas of shape (∀ 2, ∃ 2, 3 clauses), then one each of
+    // smaller and larger shapes.
+    let shapes = [(1, 1, 1), (1, 2, 2), (2, 2, 2), (2, 3, 3), (3, 2, 3)];
+    for (n_forall, n_exists, n_clauses) in std::iter::repeat_n((2, 2, 3), 6).chain(shapes) {
+        let phi = qbf::ForallExists::random(n_forall, n_exists, n_clauses, &mut rng);
         let truth = phi.eval();
         let (setting, q, db) = rcdp_sigma2::to_rcdp_instance(&phi);
         let verdict = rcdp(&setting, &q, &db, &SearchBudget::default()).unwrap();
@@ -29,8 +32,9 @@ fn sigma2_reduction_matches_oracle() {
 #[test]
 fn conp_reduction_matches_dpll() {
     let mut rng = ric::SplitMix64::seed_from_u64(101);
-    for n_clauses in [2, 5, 9, 14] {
-        let phi = sat::Cnf::random_3sat(3, n_clauses, &mut rng);
+    // (variables, clauses): across the SAT/UNSAT transition.
+    for (n_vars, n_clauses) in [(3, 2), (3, 5), (3, 9), (3, 14), (2, 4), (4, 8), (4, 16)] {
+        let phi = sat::Cnf::random_3sat(n_vars, n_clauses, &mut rng);
         let (setting, q) = rcqp_conp::to_rcqp_instance(&phi);
         let verdict = rcqp(&setting, &q, &SearchBudget::default()).unwrap();
         assert_eq!(
@@ -121,6 +125,24 @@ fn two_head_dfa_reduction_end_to_end() {
         rcdp(&setting, &q, &db, &budget).unwrap(),
         Verdict::Unknown { .. }
     ));
+
+    // RCQP (Theorem 4.1) has only bounded evidence on either language.
+    let budget = SearchBudget {
+        max_delta_tuples: 2,
+        fresh_values: 1,
+        max_candidates: 50_000,
+        ..SearchBudget::default()
+    };
+    for dfa in [
+        two_head_dfa::TwoHeadDfa::ones(),
+        two_head_dfa::TwoHeadDfa::empty_language(),
+    ] {
+        let (setting, q, _) = two_head_dfa::to_rcdp_instance(&dfa);
+        assert!(matches!(
+            rcqp(&setting, &q, &budget).unwrap(),
+            QueryVerdict::Unknown { .. }
+        ));
+    }
 }
 
 /// The FP query of the DFA reduction is *equivalent to the automaton* on
@@ -155,4 +177,11 @@ fn sigma2_master_and_constraints_are_fixed() {
     assert_eq!(s1.dm, s2.dm, "master data is formula-independent");
     assert_eq!(s1.v, s2.v, "constraints are formula-independent");
     assert_eq!(d1, d2, "the input database is formula-independent");
+    // Across formula sizes too: master data and constraints stay fixed.
+    for (n_forall, n_exists, n_clauses) in [(1, 1, 1), (1, 2, 2), (2, 3, 3)] {
+        let phi = qbf::ForallExists::random(n_forall, n_exists, n_clauses, &mut rng);
+        let (s, _, _) = rcdp_sigma2::to_rcdp_instance(&phi);
+        assert_eq!(s.dm, s1.dm, "master data is size-independent");
+        assert_eq!(s.v, s1.v, "constraints are size-independent");
+    }
 }
