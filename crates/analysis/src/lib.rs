@@ -22,9 +22,9 @@
 //! forcing-empty constraints).
 //!
 //! The `ric` facade wires this in: `ric::analyze` produces the report, and
-//! the analysis-gated `try_rcdp_analyzed` / `try_rcqp_analyzed` entry points
-//! reject Error-level settings and dispatch the certified rewrite to the
-//! cheapest cell (see DESIGN.md §9).
+//! an analysis-gated request (`ric::Request::analyzed`) rejects Error-level
+//! settings and dispatches the certified rewrite to the cheapest cell (see
+//! DESIGN.md §9).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

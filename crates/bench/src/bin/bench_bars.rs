@@ -4,7 +4,7 @@
 //! [`ric_bench::bars`] (interleaved pairs, median and IQR per arm,
 //! `ratio = median(A) / median(B)`):
 //!
-//! * **engine** — `Engine::Naive` vs `Engine::planned(1)` on the Example
+//! * **engine** — `Engine::Naive` vs `Engine::Planned` on the Example
 //!   3.1 FD setting, CQ and two-disjunct UCQ, at growing sizes (recorded);
 //! * **analysis** — an FO-*syntax* query that `ric::analyze` certifies down
 //!   to CQ, decided through the FO cell vs the analyzer gate (recorded);
@@ -94,7 +94,7 @@ fn engine_suite() -> Vec<BarCell> {
                 ["naive", "planned"],
                 Bar::Record,
                 || run(Engine::Naive),
-                || run(Engine::planned(1)),
+                || run(Engine::Planned),
                 same_kind,
             ));
         }
@@ -176,7 +176,10 @@ fn analysis_suite() -> Vec<BarCell> {
                 Bar::Record,
                 || rcdp(&setting, &query, &db, &budget).expect("well-formed instance"),
                 || {
-                    try_rcdp_analyzed(&setting, &query, &db, &budget)
+                    Request::analyzed(&setting)
+                        .budget(&budget)
+                        .rcdp(&query, &db)
+                        .map(|d| d.verdict)
                         .expect("analyzer-gated decision")
                 },
                 same_kind,
@@ -295,12 +298,12 @@ fn verdicts_agree(
 
 /// Stream `txns` transactions of `batch` ops through a monitor over the
 /// four-department workload. Each transaction is timed twice: one
-/// incremental `Monitor::apply` (arm B), and `try_rcdp_prepared` for *all
+/// incremental `Monitor::apply` (arm B), and a prepared `Request` for *all
 /// four* settings on the materialized database (arm A). The baseline
 /// reuses one preparation per setting for the whole stream (the master
 /// data never changes here), so it pays only the decides.
 fn monitor_cell(n_customers: usize, n_support: usize, batch: usize, txns: usize) -> BarCell {
-    let engine = Engine::planned(1);
+    let engine = Engine::Planned;
     let budget = SearchBudget::default().with_engine(engine);
     let mut rng = SplitMix64::seed_from_u64(0x5EED ^ (batch as u64) << 8);
     let w = workload(n_customers);
@@ -374,7 +377,10 @@ fn monitor_cell(n_customers: usize, n_support: usize, batch: usize, txns: usize)
             .iter()
             .zip(&w.settings)
             .map(|(p, (_, q))| {
-                ric::try_rcdp_prepared(p, q, mon.db(), &budget)
+                ric::Request::new(p)
+                    .budget(&budget)
+                    .rcdp(q, mon.db())
+                    .map(|d| d.verdict)
                     .expect("materialized state stays partially closed")
             })
             .collect();
@@ -518,7 +524,7 @@ fn static_workload(n: usize) -> (Setting, Query, Database) {
 /// match as `reason_differential.rs` pins them: kinds agree, and Incomplete
 /// witnesses match on `delta` and `new_answer`.
 fn static_suite() -> Vec<BarCell> {
-    let engine = Engine::planned(1);
+    let engine = Engine::Planned;
     let budget = SearchBudget::default().with_engine(engine);
     let mut cells = Vec::new();
     for n in [24usize, 48] {
@@ -543,8 +549,20 @@ fn static_suite() -> Vec<BarCell> {
                 format!("{label} n={n}"),
                 ["full_v", "reasoned"],
                 Bar::AtLeast(floor),
-                || try_rcdp_prepared(&prepared, &query, &db, &budget).expect("full-V decision"),
-                || try_rcdp_static(&reasoned, &db, &budget).expect("reasoned decision"),
+                || {
+                    Request::new(&prepared)
+                        .budget(&budget)
+                        .rcdp(&query, &db)
+                        .map(|d| d.verdict)
+                        .expect("full-V decision")
+                },
+                || {
+                    Request::new(&reasoned)
+                        .budget(&budget)
+                        .rcdp(reasoned.query(), &db)
+                        .expect("reasoned decision")
+                        .verdict
+                },
                 |vf, vr| match (vf, vr) {
                     (Verdict::Incomplete(a), Verdict::Incomplete(b)) => {
                         a.delta == b.delta && a.new_answer == b.new_answer
@@ -604,13 +622,21 @@ fn resume_rcdp_cell(
 ) -> BarCell {
     lint(label, setting, query);
     let collector = Collector::new();
-    let _ = rcdp_probed(setting, query, db, budget, Probe::attached(&collector))
+    let _ = ric::complete::Request::new(setting)
+        .budget(budget)
+        .probe(Probe::attached(&collector))
+        .rcdp(query, db)
+        .map(|o| o.verdict)
         .expect("bench instance must decide");
     let total_ticks = collector.report().counter(kind.counter());
     let mut prior: Option<Checkpoint> = None;
     for i in 1..k {
         let slice = kind.scaled(budget, (total_ticks * u64::from(i)).div_ceil(u64::from(k)));
-        match try_rcdp_resumed(setting, query, db, &slice, prior.as_ref())
+        match Request::new(setting)
+            .budget(&slice)
+            .resume(prior.as_ref())
+            .rcdp(query, db)
+            .map(|d| (d.verdict, d.checkpoint))
             .expect("installment must not error")
         {
             (_, Some(cp)) => prior = Some(cp),
@@ -618,8 +644,12 @@ fn resume_rcdp_cell(
         }
     }
     let run = |from: Option<&Checkpoint>| {
-        let (verdict, cp) =
-            try_rcdp_resumed(setting, query, db, budget, from).expect("bench instance must decide");
+        let (verdict, cp) = Request::new(setting)
+            .budget(budget)
+            .resume(from)
+            .rcdp(query, db)
+            .map(|d| (d.verdict, d.checkpoint))
+            .expect("bench instance must decide");
         (verdict, cp.is_none())
     };
     measure(
@@ -648,11 +678,18 @@ fn resume_rcqp_cell(
         max_candidates: 1,
         ..*budget
     };
-    let (_, prior) =
-        try_rcqp_resumed(setting, query, &tiny, None).expect("starved installment must not error");
+    let (_, prior) = Request::new(setting)
+        .budget(&tiny)
+        .rcqp(query)
+        .map(|d| (d.verdict, d.checkpoint))
+        .expect("starved installment must not error");
     let run = |from: Option<&Checkpoint>| {
-        let (verdict, cp) =
-            try_rcqp_resumed(setting, query, budget, from).expect("bench instance must decide");
+        let (verdict, cp) = Request::new(setting)
+            .budget(budget)
+            .resume(from)
+            .rcqp(query)
+            .map(|d| (d.verdict, d.checkpoint))
+            .expect("bench instance must decide");
         (verdict, cp.is_none())
     };
     measure(
@@ -752,7 +789,7 @@ fn main() {
         cells.extend(suite());
     }
     bars::print_table(&cells);
-    let doc = bars::bars_doc(&cells, bars::meta(Engine::planned(1), None));
+    let doc = bars::bars_doc(&cells, bars::meta(Engine::Planned, None));
     let all_ok = cells.iter().all(BarCell::passes);
     match bars::write_artifact("BENCH_BARS.json", &doc) {
         Ok(()) => println!(

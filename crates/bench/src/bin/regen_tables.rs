@@ -41,7 +41,7 @@ use ric::reductions::two_head_dfa::{to_rcdp_instance, TwoHeadDfa};
 use ric::reductions::workload::{planted_rcdp, WorkloadParams};
 use ric::reductions::{qbf, rcdp_sigma2, rcqp_conp, rcqp_pi3, sat, tiling};
 use ric::telemetry::Json;
-use ric::{rcdp_probed, rcqp_probed, SplitMix64};
+use ric::SplitMix64;
 use ric_bench::bars::{meta, write_artifact};
 use ric_bench::{disagreements, fd_instance, oracle_check};
 use std::time::Instant;
@@ -204,8 +204,14 @@ fn table1(inv: &Invocation) -> Vec<Cell> {
             n_support: 50,
         };
         let inst = planted_rcdp(&params, false, &mut rng);
-        let (v, us, report) =
-            probed(|p| rcdp_probed(&inst.setting, &inst.query, &inst.db, &budget, p).unwrap());
+        let (v, us, report) = probed(|p| {
+            ric::complete::Request::new(&inst.setting)
+                .budget(&budget)
+                .probe(p)
+                .rcdp(&inst.query, &inst.db)
+                .map(|o| o.verdict)
+                .unwrap()
+        });
         cells.push(Cell {
             cell: "(CQ, INDs) workload",
             paper: "Sigma-p-2-complete",
@@ -226,7 +232,12 @@ fn table1(inv: &Invocation) -> Vec<Cell> {
             let truth = phi.eval();
             let (setting, q, db) = rcdp_sigma2::to_rcdp_instance(&phi);
             let start = Instant::now();
-            let v = rcdp_probed(&setting, &q, &db, &budget, Probe::attached(&collector)).unwrap();
+            let v = ric::complete::Request::new(&setting)
+                .budget(&budget)
+                .probe(Probe::attached(&collector))
+                .rcdp(&q, &db)
+                .map(|o| o.verdict)
+                .unwrap();
             total_us += start.elapsed().as_micros();
             if v.is_complete() == truth {
                 agree += 1;
@@ -266,7 +277,14 @@ fn table1(inv: &Invocation) -> Vec<Cell> {
             supt,
             Tuple::new([Value::str("e0"), Value::str("d0"), Value::str("c0")]),
         );
-        let (verdict, us, report) = probed(|p| rcdp_probed(&setting, &q, &db, &budget, p).unwrap());
+        let (verdict, us, report) = probed(|p| {
+            ric::complete::Request::new(&setting)
+                .budget(&budget)
+                .probe(p)
+                .rcdp(&q, &db)
+                .map(|o| o.verdict)
+                .unwrap()
+        });
         cells.push(Cell {
             cell: "(CQ, CQ) FD-blocked",
             paper: "Sigma-p-2-complete",
@@ -281,7 +299,14 @@ fn table1(inv: &Invocation) -> Vec<Cell> {
         )
         .unwrap()
         .into();
-        let (verdict, us, report) = probed(|p| rcdp_probed(&setting, &u, &db, &budget, p).unwrap());
+        let (verdict, us, report) = probed(|p| {
+            ric::complete::Request::new(&setting)
+                .budget(&budget)
+                .probe(p)
+                .rcdp(&u, &db)
+                .map(|o| o.verdict)
+                .unwrap()
+        });
         cells.push(Cell {
             cell: "(UCQ, UCQ) per-disjunct",
             paper: "Sigma-p-2-complete",
@@ -303,7 +328,14 @@ fn table1(inv: &Invocation) -> Vec<Cell> {
             inv,
         );
         let (setting, q, db) = to_rcdp_instance(&TwoHeadDfa::ones());
-        let (v, us, report) = probed(|p| rcdp_probed(&setting, &q, &db, &budget_fp, p).unwrap());
+        let (v, us, report) = probed(|p| {
+            ric::complete::Request::new(&setting)
+                .budget(&budget_fp)
+                .probe(p)
+                .rcdp(&q, &db)
+                .map(|o| o.verdict)
+                .unwrap()
+        });
         cells.push(Cell {
             cell: "(FP, CQ) DFA L nonempty",
             paper: "undecidable (Thm 3.1)",
@@ -313,7 +345,14 @@ fn table1(inv: &Invocation) -> Vec<Cell> {
             report,
         });
         let (setting, q, db) = to_rcdp_instance(&TwoHeadDfa::empty_language());
-        let (v, us, report) = probed(|p| rcdp_probed(&setting, &q, &db, &budget_fp, p).unwrap());
+        let (v, us, report) = probed(|p| {
+            ric::complete::Request::new(&setting)
+                .budget(&budget_fp)
+                .probe(p)
+                .rcdp(&q, &db)
+                .map(|o| o.verdict)
+                .unwrap()
+        });
         cells.push(Cell {
             cell: "(FP, CQ) DFA L empty",
             paper: "undecidable (Thm 3.1)",
@@ -343,7 +382,12 @@ fn table2(inv: &Invocation) -> Vec<Cell> {
             let truth = !phi.satisfiable(); // RCQ nonempty iff unsat
             let (setting, q) = rcqp_conp::to_rcqp_instance(&phi);
             let start = Instant::now();
-            let v = rcqp_probed(&setting, &q, &budget, Probe::attached(&collector)).unwrap();
+            let v = ric::complete::Request::new(&setting)
+                .budget(&budget)
+                .probe(Probe::attached(&collector))
+                .rcqp(&q)
+                .map(|o| o.verdict)
+                .unwrap();
             total_us += start.elapsed().as_micros();
             if v.is_nonempty() == truth {
                 agree += 1;
@@ -373,8 +417,14 @@ fn table2(inv: &Invocation) -> Vec<Cell> {
             let (setting, q) = tiling::to_rcqp_instance(&inst);
             let grid = inst.solve().expect("checkerboard");
             let witness = tiling::tiling_witness(&setting.schema, &inst, &grid);
-            let (v, us, report) =
-                probed(|p| rcdp_probed(&setting, &q, &witness, &budget, p).unwrap());
+            let (v, us, report) = probed(|p| {
+                ric::complete::Request::new(&setting)
+                    .budget(&budget)
+                    .probe(p)
+                    .rcdp(&q, &witness)
+                    .map(|o| o.verdict)
+                    .unwrap()
+            });
             cells.push(Cell {
                 cell: if n == 1 {
                     "(CQ, CQ) tiling 2x2 witness"
@@ -413,7 +463,14 @@ fn table2(inv: &Invocation) -> Vec<Cell> {
         let q4: Query = parse_cq(&schema, "Q(E) :- Supt(E, 'd0'), E = 'e0'.")
             .unwrap()
             .into();
-        let (verdict, us, report) = probed(|p| rcqp_probed(&setting, &q4, &bqt, p).unwrap());
+        let (verdict, us, report) = probed(|p| {
+            ric::complete::Request::new(&setting)
+                .budget(&bqt)
+                .probe(p)
+                .rcqp(&q4)
+                .map(|o| o.verdict)
+                .unwrap()
+        });
         cells.push(Cell {
             cell: "(CQ, CQ) blocking witness",
             paper: "NEXPTIME-complete",
@@ -430,7 +487,14 @@ fn table2(inv: &Invocation) -> Vec<Cell> {
             report,
         });
         let q2: Query = parse_cq(&schema, "Q(E) :- Supt(E, 'd0').").unwrap().into();
-        let (verdict, us, report) = probed(|p| rcqp_probed(&setting, &q2, &bqt, p).unwrap());
+        let (verdict, us, report) = probed(|p| {
+            ric::complete::Request::new(&setting)
+                .budget(&bqt)
+                .probe(p)
+                .rcqp(&q2)
+                .map(|o| o.verdict)
+                .unwrap()
+        });
         cells.push(Cell {
             cell: "(CQ, CQ) unbounded head",
             paper: "NEXPTIME-complete",
@@ -458,7 +522,14 @@ fn table2(inv: &Invocation) -> Vec<Cell> {
             inv,
         );
         let q = rcqp_pi3::bounded_query(&setting, 0);
-        let (v, us, report) = probed(|p| rcqp_probed(&setting, &q, &bqt, p).unwrap());
+        let (v, us, report) = probed(|p| {
+            ric::complete::Request::new(&setting)
+                .budget(&bqt)
+                .probe(p)
+                .rcqp(&q)
+                .map(|o| o.verdict)
+                .unwrap()
+        });
         cells.push(Cell {
             cell: "fixed (Dm,V), bounded query",
             paper: "Pi-p-3-complete (Cor 4.6)",
@@ -472,7 +543,14 @@ fn table2(inv: &Invocation) -> Vec<Cell> {
             report,
         });
         let q = rcqp_pi3::unbounded_query(&setting, 0);
-        let (v, us, report) = probed(|p| rcqp_probed(&setting, &q, &bqt, p).unwrap());
+        let (v, us, report) = probed(|p| {
+            ric::complete::Request::new(&setting)
+                .budget(&bqt)
+                .probe(p)
+                .rcqp(&q)
+                .map(|o| o.verdict)
+                .unwrap()
+        });
         cells.push(Cell {
             cell: "fixed (Dm,V), unbounded query",
             paper: "Pi-p-3-complete (Cor 4.6)",
@@ -499,7 +577,14 @@ fn table2(inv: &Invocation) -> Vec<Cell> {
             },
             inv,
         );
-        let (v, us, report) = probed(|p| rcqp_probed(&setting, &q, &bqt, p).unwrap());
+        let (v, us, report) = probed(|p| {
+            ric::complete::Request::new(&setting)
+                .budget(&bqt)
+                .probe(p)
+                .rcqp(&q)
+                .map(|o| o.verdict)
+                .unwrap()
+        });
         cells.push(Cell {
             cell: "(FP, CQ) DFA reduction",
             paper: "undecidable (Thm 4.1)",
@@ -582,29 +667,24 @@ fn write_trace(path: &str, inv: &Invocation) {
     // with depth profile and cc attribution.
     run(
         "rcdp",
-        try_rcdp_probed(
-            &inst.setting,
-            &inst.query,
-            &inst.db,
-            &budget,
-            Probe::attached(&sink).with_trace(&trace),
-        )
-        .map(drop)
-        .map_err(|e| e.to_string()),
+        Request::new(&inst.setting)
+            .budget(&budget)
+            .probe(Probe::attached(&sink).with_trace(&trace))
+            .rcdp(&inst.query, &inst.db)
+            .map(drop)
+            .map_err(|e| e.to_string()),
     );
 
     // Decision 2: RCQP on the same setting — the candidate-search span
     // family, and on tight budgets an `explain.frontier` narration.
     run(
         "rcqp",
-        try_rcqp_probed(
-            &inst.setting,
-            &inst.query,
-            &budget,
-            Probe::attached(&sink).with_trace(&trace),
-        )
-        .map(drop)
-        .map_err(|e| e.to_string()),
+        Request::new(&inst.setting)
+            .budget(&budget)
+            .probe(Probe::attached(&sink).with_trace(&trace))
+            .rcqp(&inst.query)
+            .map(drop)
+            .map_err(|e| e.to_string()),
     );
 
     // Decision 3: a CQ-bodied FD setting under the planned engine — the
@@ -618,15 +698,12 @@ fn write_trace(path: &str, inv: &Invocation) {
         .into();
     run(
         "planned rcdp",
-        try_rcdp_probed(
-            &plan_setting,
-            &plan_query,
-            &plan_db,
-            &budget,
-            Probe::attached(&sink).with_trace(&trace),
-        )
-        .map(drop)
-        .map_err(|e| e.to_string()),
+        Request::new(&plan_setting)
+            .budget(&budget)
+            .probe(Probe::attached(&sink).with_trace(&trace))
+            .rcdp(&plan_query, &plan_db)
+            .map(drop)
+            .map_err(|e| e.to_string()),
     );
 
     sink.flush();

@@ -48,20 +48,17 @@ fn record_trace(budget: &SearchBudget) -> String {
     let (setting, q, db) = instance();
     let sink = JsonlSink::new(Vec::new());
     let trace = TraceState::new();
-    ric::try_rcdp_probed(
-        &setting,
-        &q,
-        &db,
-        budget,
-        Probe::attached(&sink).with_trace(&trace),
-    )
-    .unwrap();
+    ric::Request::new(&setting)
+        .budget(budget)
+        .probe(Probe::attached(&sink).with_trace(&trace))
+        .rcdp(&q, &db)
+        .unwrap();
     String::from_utf8(sink.into_inner()).unwrap()
 }
 
 #[test]
 fn planned_trace_reports_join_order_estimates_and_cardinalities() {
-    let budget = SearchBudget::default().with_engine(Engine::planned(1));
+    let budget = SearchBudget::default().with_engine(Engine::Planned);
     let segments = parse_trace(&record_trace(&budget)).expect("planned trace parses");
     assert_eq!(segments.len(), 1);
     let report = plan_report(&segments[0]).expect("a planned decision has a plan report");

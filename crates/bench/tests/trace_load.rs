@@ -10,7 +10,7 @@ use ric::JsonlSink;
 use ric_bench::trace_load::{load_trace, parse_trace, TraceLoadError};
 
 /// A real trace: one RCDP decision recorded through a traced JSONL sink,
-/// exactly what `try_rcdp_probed` leaves behind in a trace file.
+/// exactly what a probed facade `Request` leaves behind in a trace file.
 fn fixture_trace() -> String {
     let schema =
         Schema::from_relations(vec![RelationSchema::infinite("Supt", &["eid", "cid"])]).unwrap();
@@ -33,14 +33,11 @@ fn fixture_trace() -> String {
 
     let sink = JsonlSink::new(Vec::new());
     let trace = TraceState::new();
-    ric::try_rcdp_probed(
-        &setting,
-        &q,
-        &db,
-        &SearchBudget::default(),
-        Probe::attached(&sink).with_trace(&trace),
-    )
-    .unwrap();
+    ric::Request::new(&setting)
+        .budget(&SearchBudget::default())
+        .probe(Probe::attached(&sink).with_trace(&trace))
+        .rcdp(&q, &db)
+        .unwrap();
     String::from_utf8(sink.into_inner()).unwrap()
 }
 

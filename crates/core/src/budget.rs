@@ -41,8 +41,8 @@ impl Default for Engine {
 
 impl Engine {
     /// The planned engine. The argument is ignored: every engine runs on the
-    /// calling thread, and the signature stays for existing
-    /// `Engine::planned(1)` callers.
+    /// calling thread. This constructor stays only for the `perfbench`
+    /// adapter; everything else names [`Engine::Planned`].
     pub fn planned(_workers: usize) -> Self {
         Engine::Planned
     }
@@ -323,13 +323,13 @@ mod tests {
     fn engine_helpers_classify_naive() {
         assert!(!Engine::Naive.indexed());
         assert_eq!(Engine::Naive.to_string(), "naive");
-        assert_eq!(Engine::default(), Engine::planned(1));
+        assert_eq!(Engine::default(), Engine::Planned);
     }
 
     #[test]
     fn engine_helpers_classify_planned() {
-        assert!(Engine::planned(1).indexed());
-        assert_eq!(Engine::planned(1).to_string(), "planned");
+        assert!(Engine::Planned.indexed());
+        assert_eq!(Engine::Planned.to_string(), "planned");
         // The worker argument is ignored: every count is the one engine.
         for workers in [0, 1, 4] {
             assert_eq!(Engine::planned(workers), Engine::Planned);

@@ -171,7 +171,7 @@ pub fn ind_bounded(t: &Tableau, schema: &ric_data::Schema, setting: &Setting) ->
 /// `ν_j(u_j)` head values of the chosen partial valuations. Checks that
 /// `(D_𝒱, D_m) |= V` and that every valid valuation `μ` with
 /// `(D_𝒱 ∪ μ(T_Q), D_m) |= V` keeps all infinite-domain head variables
-/// inside `bound_values`.
+/// inside `bound_values`. `Ok(None)` when the budget ran out first.
 pub fn e2_check(
     setting: &Setting,
     q: &Cq,
@@ -179,68 +179,16 @@ pub fn e2_check(
     bound_values: &BTreeSet<Value>,
     budget: &SearchBudget,
 ) -> Result<Option<bool>, RcError> {
-    e2_check_probed(setting, q, dv, bound_values, budget, Probe::disabled())
-}
-
-/// [`e2_check`] with a telemetry probe attached: reports the valuations
-/// enumerated (`characterize.e2_valuations`) and the check's wall time.
-pub fn e2_check_probed(
-    setting: &Setting,
-    q: &Cq,
-    dv: &Database,
-    bound_values: &BTreeSet<Value>,
-    budget: &SearchBudget,
-    probe: Probe<'_>,
-) -> Result<Option<bool>, RcError> {
-    e2_check_guarded_probed(
+    let guard = Guard::new(budget);
+    E2Disjunct::new(setting, q).check(
         setting,
-        q,
         dv,
         bound_values,
         budget,
-        &Guard::new(budget),
-        probe,
-    )
-}
-
-/// [`e2_check`] under an externally shared [`Guard`]: a deadline or
-/// cancellation observed mid-enumeration makes the check inconclusive
-/// (`Ok(None)`), and the *caller* must consult [`Guard::tripped`] before
-/// treating an inconclusive check as plain budget exhaustion.
-pub fn e2_check_guarded(
-    setting: &Setting,
-    q: &Cq,
-    dv: &Database,
-    bound_values: &BTreeSet<Value>,
-    budget: &SearchBudget,
-    guard: &Guard,
-) -> Result<Option<bool>, RcError> {
-    e2_check_guarded_probed(
-        setting,
-        q,
-        dv,
-        bound_values,
-        budget,
-        guard,
+        &guard,
         Probe::disabled(),
+        None,
     )
-}
-
-#[allow(clippy::too_many_arguments)]
-fn e2_check_guarded_probed(
-    setting: &Setting,
-    q: &Cq,
-    dv: &Database,
-    bound_values: &BTreeSet<Value>,
-    budget: &SearchBudget,
-    guard: &Guard,
-    probe: Probe<'_>,
-) -> Result<Option<bool>, RcError> {
-    let span = probe.span("characterize.e2_check");
-    let result =
-        E2Disjunct::new(setting, q).check(setting, dv, bound_values, budget, guard, probe, None);
-    drop(span);
-    result
 }
 
 /// The part of an E2 check that depends on the query disjunct alone — its

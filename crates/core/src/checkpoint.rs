@@ -28,15 +28,12 @@
 //! `(setting, query, database)`; mismatches surface as typed
 //! [`CheckpointError`]s instead of silently resuming the wrong search.
 
-use crate::budget::SearchBudget;
-use crate::guard::Guard;
 use crate::query::Query;
 use crate::rcdp::{ChunkStats, Ledger};
 use crate::semidecide::BoundedResume;
 use crate::setting::Setting;
-use crate::verdict::{BudgetLimit, QueryVerdict, RcError, Verdict};
 use ric_data::Database;
-use ric_telemetry::{json, Json, Probe};
+use ric_telemetry::{json, Json};
 use std::fmt;
 
 /// Current checkpoint schema version. Parsers reject anything else with
@@ -190,7 +187,7 @@ pub enum Frontier {
 
 impl Frontier {
     /// The engine ledger this frontier commits, if any.
-    fn ledger(&self) -> Option<Ledger> {
+    pub(crate) fn ledger(&self) -> Option<Ledger> {
         match self {
             Frontier::RcdpChunks { n_chunks, cleared } => Some(Ledger::Exact((
                 *n_chunks as usize,
@@ -210,8 +207,19 @@ impl Frontier {
         }
     }
 
+    /// Metered ticks committed into this frontier (saturating).
+    pub(crate) fn committed_ticks(&self) -> u64 {
+        match self {
+            Frontier::RcdpChunks { cleared, .. } => cleared
+                .iter()
+                .fold(0u64, |sum, (_, p)| sum.saturating_add(p.ticks)),
+            Frontier::BoundedSizes { progress, .. } => progress.ticks,
+            Frontier::Restart => 0,
+        }
+    }
+
     /// The serializable form of an engine ledger.
-    fn from_ledger(ledger: Ledger) -> Frontier {
+    pub(crate) fn from_ledger(ledger: Ledger) -> Frontier {
         match ledger {
             Ledger::Exact((n_chunks, cleared)) => Frontier::RcdpChunks {
                 n_chunks: n_chunks as u64,
@@ -490,158 +498,6 @@ pub fn rcdp_fingerprint(setting: &Setting, query: &Query, db: &Database) -> u64 
 /// Structural fingerprint of an RCQP decision's inputs.
 pub fn rcqp_fingerprint(setting: &Setting, query: &Query) -> u64 {
     fingerprint_parts(&["rcqp", &format!("{setting:?}"), &format!("{query:?}")])
-}
-
-/// Is an `Unknown` verdict with this limit worth checkpointing? Structural
-/// limits (pool bound, extension-size cap, unsupported input) do not improve
-/// under a bigger budget; budget and interruption limits do.
-pub(crate) fn resumable_limit(limit: BudgetLimit) -> bool {
-    matches!(
-        limit,
-        BudgetLimit::MaxValuations
-            | BudgetLimit::MaxCandidates
-            | BudgetLimit::Deadline
-            | BudgetLimit::Cancelled
-    )
-}
-
-// --- Resumable drivers ------------------------------------------------------
-
-/// Outcome of a resumable RCDP installment: the verdict, plus a checkpoint
-/// when the search stopped on a resumable limit with committed progress.
-#[derive(Clone, PartialEq, Debug)]
-pub struct Resumption {
-    /// The installment's verdict (identical to an uninterrupted run at the
-    /// same budget when resuming from a same-engine checkpoint).
-    pub verdict: Verdict,
-    /// The frontier to pass to the next installment, if the decision is
-    /// still `Unknown` for a budget-like reason.
-    pub checkpoint: Option<Checkpoint>,
-}
-
-/// Outcome of a resumable RCQP installment.
-#[derive(Clone, PartialEq, Debug)]
-pub struct QueryResumption {
-    /// The installment's verdict.
-    pub verdict: QueryVerdict,
-    /// The restart marker for the next installment, if still `Unknown`.
-    pub checkpoint: Option<Checkpoint>,
-}
-
-/// [`crate::rcdp_guarded`] with checkpoint capture and resume: the same
-/// dispatch and search driver, handed the committed ledger of `prior` — a
-/// checkpoint from an earlier installment of the *same* decision (validate
-/// with [`Checkpoint::validate`] first; this driver re-checks defensively and
-/// discards rather than errors, so core stays panic- and surprise-free).
-/// This layer adds only the fingerprint and the capture.
-///
-/// On an `Unknown` verdict whose limit is resumable, the returned
-/// [`Resumption::checkpoint`] carries the committed frontier; the driver also
-/// emits `checkpoint.captured` and machine-readable `explain.frontier.json`
-/// telemetry notes.
-pub fn rcdp_resumed_guarded(
-    setting: &Setting,
-    query: &Query,
-    db: &Database,
-    budget: &SearchBudget,
-    guard: &Guard,
-    probe: Probe<'_>,
-    prior: Option<&Checkpoint>,
-) -> Result<Resumption, RcError> {
-    let probe = probe.with_ticks(guard);
-    let fingerprint = rcdp_fingerprint(setting, query, db);
-    let attempt = prior.map_or(1, |c| c.attempt.saturating_add(1));
-    probe.note("resume.attempt", || attempt.to_string());
-    let ledger = prior
-        .filter(|c| c.validate(DecisionKind::Rcdp, fingerprint).is_ok())
-        .and_then(|c| c.frontier.ledger());
-    let (verdict, ledger) =
-        crate::rcdp::decide(setting, query, db, budget, guard, probe, None, ledger)?;
-    let frontier = ledger.map(Frontier::from_ledger);
-
-    let checkpoint = match (&verdict, frontier) {
-        (Verdict::Unknown { stats }, Some(frontier)) if resumable_limit(stats.limit) => {
-            let spent_ticks = match &frontier {
-                Frontier::RcdpChunks { cleared, .. } => cleared
-                    .iter()
-                    .fold(0u64, |sum, (_, p)| sum.saturating_add(p.ticks)),
-                Frontier::BoundedSizes { progress, .. } => progress.ticks,
-                Frontier::Restart => 0,
-            };
-            let cp = Checkpoint {
-                version: CHECKPOINT_VERSION,
-                kind: DecisionKind::Rcdp,
-                fingerprint,
-                attempt,
-                spent_ticks,
-                frontier,
-            };
-            emit_checkpoint(probe, &cp);
-            Some(cp)
-        }
-        _ => None,
-    };
-    Ok(Resumption {
-        verdict,
-        checkpoint,
-    })
-}
-
-/// [`crate::rcqp_guarded`] with coarse checkpoint capture: the RCQP search
-/// keeps no reusable frontier, so the checkpoint is a [`Frontier::Restart`]
-/// marker that carries the attempt count across installments (used by the
-/// retry loop for escalation bookkeeping).
-pub fn rcqp_resumed_guarded(
-    setting: &Setting,
-    query: &Query,
-    budget: &SearchBudget,
-    guard: &Guard,
-    probe: Probe<'_>,
-    prior: Option<&Checkpoint>,
-) -> Result<QueryResumption, RcError> {
-    let probe = probe.with_ticks(guard);
-    let fingerprint = rcqp_fingerprint(setting, query);
-    let attempt = prior.map_or(1, |c| c.attempt.saturating_add(1));
-    probe.note("resume.attempt", || attempt.to_string());
-    let verdict = crate::rcqp::rcqp_guarded(setting, query, budget, guard, probe)?;
-    let checkpoint = match &verdict {
-        QueryVerdict::Unknown { stats } if resumable_limit(stats.limit) => {
-            let cp = Checkpoint {
-                version: CHECKPOINT_VERSION,
-                kind: DecisionKind::Rcqp,
-                fingerprint,
-                attempt,
-                spent_ticks: stats.valuations.max(stats.candidates),
-                frontier: Frontier::Restart,
-            };
-            emit_checkpoint(probe, &cp);
-            Some(cp)
-        }
-        _ => None,
-    };
-    Ok(QueryResumption {
-        verdict,
-        checkpoint,
-    })
-}
-
-fn emit_checkpoint(probe: Probe<'_>, cp: &Checkpoint) {
-    probe.note("checkpoint.captured", || {
-        let what = match &cp.frontier {
-            Frontier::RcdpChunks { n_chunks, cleared } => {
-                format!("{}/{} chunk(s) cleared", cleared.len(), n_chunks)
-            }
-            Frontier::BoundedSizes { next_size, .. } => {
-                format!("sizes below {next_size} cleared")
-            }
-            Frontier::Restart => "restart marker".into(),
-        };
-        format!(
-            "attempt {} committed {} tick(s); {what}",
-            cp.attempt, cp.spent_ticks
-        )
-    });
-    probe.note("explain.frontier.json", || cp.to_json().to_string());
 }
 
 #[cfg(test)]

@@ -48,33 +48,20 @@ pub fn complete_extension(
     db: &Database,
     budget: &SearchBudget,
 ) -> Result<CompletionOutcome, RcError> {
-    complete_extension_probed(setting, query, db, budget, Probe::disabled())
+    complete_extension_guarded(setting, query, db, budget, &Guard::new(budget))
 }
 
-/// [`complete_extension`] with a telemetry probe attached: reports the
-/// number of completion rounds, the tuples collected, and the outcome.
-pub fn complete_extension_probed(
-    setting: &Setting,
-    query: &Query,
-    db: &Database,
-    budget: &SearchBudget,
-    probe: Probe<'_>,
-) -> Result<CompletionOutcome, RcError> {
-    complete_extension_guarded(setting, query, db, budget, &Guard::new(budget), probe)
-}
-
-/// [`complete_extension`] under an externally shared [`Guard`]: the deadline
-/// spans the *whole* loop (every round's RCDP decision polls the same clock),
-/// and a trip breaks to `CompletionOutcome::Budget` with the progress so far.
-pub fn complete_extension_guarded(
+/// [`complete_extension`] under an externally shared [`Guard`] (the RCQP
+/// witness search's): the deadline spans the *whole* loop (every round's
+/// RCDP decision polls the same clock), and a trip breaks to
+/// `CompletionOutcome::Budget` with the progress so far.
+pub(crate) fn complete_extension_guarded(
     setting: &Setting,
     query: &Query,
     db: &Database,
     budget: &SearchBudget,
     guard: &Guard,
-    probe: Probe<'_>,
 ) -> Result<CompletionOutcome, RcError> {
-    let probe = probe.with_ticks(guard);
     // Validate the input once; the loop preserves partial closure by
     // construction (every round's delta comes from a counterexample whose
     // extended database satisfied `V`), so the per-round decisions can skip
@@ -91,26 +78,18 @@ pub fn complete_extension_guarded(
     // planned join orders only affect timing, so reusing the base-database
     // plans as `current` grows is sound.
     let reuse = crate::prepared::prepare_upper(setting, budget.engine, db)?;
-    crate::rcdp::emit_plan_telemetry(probe, setting, reuse.as_ref(), false, db);
-    let span = probe.span("extend.completion");
     let mut current = db.clone();
     let mut added = Database::with_relations(setting.schema.len());
     let mut first = true;
-    let mut rounds: u64 = 0;
-    let outcome = loop {
-        rounds += 1;
+    Ok(loop {
         // Poll the guard once per round so a trip is observed even when the
         // per-round decision is too cheap to reach its own meter check.
-        if let Some(interrupt) = guard.check_now() {
-            probe.interrupt("extend.interrupt", interrupt.name(), guard.ticks());
+        if guard.check_now().is_some() {
             break CompletionOutcome::Budget {
                 added,
                 partial: current,
             };
         }
-        // The per-round decisions run unprobed: an unbounded query can take
-        // hundreds of rounds, and each round's counters would swamp the
-        // sink; rounds and collected tuples summarise the loop.
         let verdict = if exact {
             crate::rcdp::decide_exact(
                 setting,
@@ -169,23 +148,7 @@ pub fn complete_extension_guarded(
                 };
             }
         }
-    };
-    drop(span);
-    probe.count("extend.rounds", rounds);
-    match &outcome {
-        CompletionOutcome::AlreadyComplete => {
-            probe.note("extend.outcome", || "already_complete".into());
-        }
-        CompletionOutcome::Completed { added, .. } => {
-            probe.count("extend.added_tuples", added.tuple_count() as u64);
-            probe.note("extend.outcome", || "completed".into());
-        }
-        CompletionOutcome::Budget { added, .. } => {
-            probe.count("extend.added_tuples", added.tuple_count() as u64);
-            probe.note("extend.outcome", || "budget".into());
-        }
-    }
-    Ok(outcome)
+    })
 }
 
 #[cfg(test)]

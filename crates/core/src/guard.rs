@@ -157,9 +157,9 @@ impl FaultPlan {
 ///
 /// A guard is cheap to create and not thread-safe by design (a decision
 /// runs on the thread that polls its guard); the cross-thread handle is the
-/// [`CancelToken`]. Public `*_guarded` entry points take `&Guard` so one
-/// guard — one deadline, one token — spans an entire decision, including
-/// nested decider calls.
+/// [`CancelToken`]. [`Request::guard`](crate::Request::guard) takes
+/// `&Guard` so one guard — one deadline, one token — spans an entire
+/// decision, including nested decider calls.
 #[derive(Debug)]
 pub struct Guard {
     deadline: Option<Instant>,

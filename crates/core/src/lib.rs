@@ -31,16 +31,23 @@
 //! a violating extension Δ with `(D ∪ Δ, D_m) |= V` and `Q(D ∪ Δ) ≠ Q(D)`;
 //! `Nonempty` holds a database that the RCDP decider certifies complete.
 //!
+//! ## One request per decision
+//!
+//! Every decision is a [`Request`]: a source ([`Setting`] or
+//! [`PreparedSetting`]) plus an optional [`SearchBudget`], caller-owned
+//! [`Guard`] (deadline, [`CancelToken`], fault plan), telemetry probe, and
+//! prior [`Checkpoint`], run to [`Request::rcdp`] or [`Request::rcqp`].
+//! [`rcdp()`] and [`rcqp()`] are the one-line forms with a budget only.
+//!
 //! ## Observability
 //!
 //! Every `Unknown` verdict carries a [`SearchStats`] naming the specific
 //! [`BudgetLimit`] that ended the search. For live insight into a running
-//! decision, the `*_probed` entry points ([`rcdp::rcdp_probed`],
-//! [`rcqp::rcqp_probed`], …) accept a [`ric_telemetry::Probe`]: attach a
-//! [`ric_telemetry::Collector`] to get counters (valuations enumerated,
+//! decision, [`Request::probe`] attaches a [`ric_telemetry::Probe`]: attach
+//! a [`ric_telemetry::Collector`] to get counters (valuations enumerated,
 //! candidates built, CC checks, query evaluations), gauges (active-domain
-//! size, pool size), and per-phase span timings. The plain entry points
-//! delegate with a disabled probe, which costs one branch per emission site.
+//! size, pool size), and per-phase span timings. A request without a probe
+//! runs with a disabled one, which costs one branch per emission site.
 
 pub mod adom;
 pub mod budget;
@@ -52,6 +59,7 @@ pub mod prepared;
 pub mod query;
 pub mod rcdp;
 pub mod rcqp;
+pub mod request;
 pub mod semidecide;
 pub mod setting;
 pub mod valuations;
@@ -60,14 +68,14 @@ pub mod verdict;
 pub use adom::Adom;
 pub use budget::{Engine, Meter, MeterKind, SearchBudget};
 pub use checkpoint::{
-    rcdp_fingerprint, rcdp_resumed_guarded, rcqp_fingerprint, rcqp_resumed_guarded, Checkpoint,
-    CheckpointError, DecisionKind, Frontier, Progress, QueryResumption, Resumption,
-    CHECKPOINT_VERSION,
+    rcdp_fingerprint, rcqp_fingerprint, Checkpoint, CheckpointError, DecisionKind, Frontier,
+    Progress, CHECKPOINT_VERSION,
 };
 pub use guard::{CancelToken, FaultPlan, Guard, Interrupt};
 pub use prepared::PreparedSetting;
 pub use query::Query;
-pub use rcdp::{rcdp, rcdp_guarded, rcdp_probed};
-pub use rcqp::{rcqp, rcqp_guarded, rcqp_probed};
+pub use rcdp::rcdp;
+pub use rcqp::rcqp;
+pub use request::{Outcome, Request, Source};
 pub use setting::Setting;
 pub use verdict::{BudgetLimit, CounterExample, QueryVerdict, RcError, SearchStats, Verdict};

@@ -17,13 +17,12 @@
 //! legally decide another — only timing shifts.
 
 use crate::budget::{Engine, SearchBudget};
-use crate::guard::Guard;
 use crate::query::Query;
+use crate::request::Request;
 use crate::setting::Setting;
 use crate::verdict::{QueryVerdict, RcError, Verdict};
 use ric_constraints::{PreparedUpper, StatsProvider};
 use ric_data::Database;
-use ric_telemetry::Probe;
 use std::sync::Arc;
 
 /// The one place a decision picks its upper-bound preparation: the shared
@@ -59,9 +58,10 @@ pub(crate) fn prepare_upper(
 
 /// A [`Setting`] with its constraint compilation done up front.
 ///
-/// Build one with [`PreparedSetting::prepare`], then call the mirrored
-/// decider methods ([`Self::rcdp`], [`Self::rcqp`], …) any number of times:
-/// each decision reuses the shared preparation instead of recompiling, and
+/// Build one with [`PreparedSetting::prepare`], then decide against it any
+/// number of times ([`Self::rcdp`], [`Self::rcqp`], or a
+/// [`Request`] for a guard, probe, or checkpoint): each
+/// decision reuses the shared preparation instead of recompiling, and
 /// emits `plan.reuse` instead of `plan.compile`. Under [`Engine::Naive`]
 /// (and for IND-only constraint sets) there is nothing to compile, and a
 /// prepared decision is a plain one.
@@ -73,19 +73,13 @@ pub struct PreparedSetting {
 
 impl PreparedSetting {
     /// Compile `setting`'s upper bounds once for `engine`. Under
-    /// [`Engine::Planned`] the join orders are costed from `stats_db`'s
-    /// statistics; with empty statistics every plan falls back to the static
-    /// greedy most-bound-first order rather than failing.
-    pub fn prepare(setting: Setting, stats_db: &Database, engine: Engine) -> Result<Self, RcError> {
-        Self::prepare_with_stats(setting, stats_db, engine)
-    }
-
-    /// Like [`PreparedSetting::prepare`], but the join-order statistics come
-    /// from an arbitrary [`StatsProvider`] — e.g. a live database clamped by
-    /// chase-derived cardinality caps, or precomputed workload statistics.
-    /// Statistics are advisory everywhere: they steer join order under
-    /// [`Engine::Planned`] and never change answers.
-    pub fn prepare_with_stats(
+    /// [`Engine::Planned`] the join orders are costed from `stats` — a
+    /// database's statistics, a live database clamped by chase-derived
+    /// cardinality caps, or precomputed workload statistics. Statistics are
+    /// advisory everywhere: they steer join order and never change answers;
+    /// with empty statistics every plan falls back to the static greedy
+    /// most-bound-first order rather than failing.
+    pub fn prepare(
         setting: Setting,
         stats: &dyn StatsProvider,
         engine: Engine,
@@ -157,90 +151,26 @@ impl PreparedSetting {
         }
     }
 
-    /// The shared preparation, for the `*_reusing` decider internals.
+    /// The shared preparation a [`Request`] against this setting reuses.
     pub(crate) fn upper(&self) -> Option<&Arc<PreparedUpper>> {
         self.upper.as_ref()
     }
 
-    /// The budget this preparation expects: the caller's limits with the
-    /// engine pinned to the prepared one.
-    fn budget_for(&self, budget: &SearchBudget) -> SearchBudget {
-        let mut b = *budget;
-        b.engine = self.engine;
-        b
-    }
-
-    /// [`crate::rcdp::rcdp`] reusing this preparation.
+    /// [`crate::rcdp::rcdp`] reusing this preparation: a
+    /// [`Request`] against `self` under `budget` (on this
+    /// preparation's engine).
     pub fn rcdp(
         &self,
         query: &Query,
         db: &Database,
         budget: &SearchBudget,
     ) -> Result<Verdict, RcError> {
-        self.rcdp_probed(query, db, budget, Probe::disabled())
-    }
-
-    /// [`crate::rcdp::rcdp_probed`] reusing this preparation.
-    pub fn rcdp_probed(
-        &self,
-        query: &Query,
-        db: &Database,
-        budget: &SearchBudget,
-        probe: Probe<'_>,
-    ) -> Result<Verdict, RcError> {
-        let budget = self.budget_for(budget);
-        self.rcdp_guarded(query, db, &budget, &Guard::new(&budget), probe)
-    }
-
-    /// [`crate::rcdp::rcdp_guarded`] reusing this preparation.
-    pub fn rcdp_guarded(
-        &self,
-        query: &Query,
-        db: &Database,
-        budget: &SearchBudget,
-        guard: &Guard,
-        probe: Probe<'_>,
-    ) -> Result<Verdict, RcError> {
-        let budget = self.budget_for(budget);
-        let (verdict, _) = crate::rcdp::decide(
-            &self.setting,
-            query,
-            db,
-            &budget,
-            guard,
-            probe,
-            self.upper(),
-            None,
-        )?;
-        Ok(verdict)
+        Ok(Request::new(self).budget(budget).rcdp(query, db)?.verdict)
     }
 
     /// [`crate::rcqp::rcqp`] reusing this preparation.
     pub fn rcqp(&self, query: &Query, budget: &SearchBudget) -> Result<QueryVerdict, RcError> {
-        self.rcqp_probed(query, budget, Probe::disabled())
-    }
-
-    /// [`crate::rcqp::rcqp_probed`] reusing this preparation.
-    pub fn rcqp_probed(
-        &self,
-        query: &Query,
-        budget: &SearchBudget,
-        probe: Probe<'_>,
-    ) -> Result<QueryVerdict, RcError> {
-        let budget = self.budget_for(budget);
-        self.rcqp_guarded(query, &budget, &Guard::new(&budget), probe)
-    }
-
-    /// [`crate::rcqp::rcqp_guarded`] reusing this preparation.
-    pub fn rcqp_guarded(
-        &self,
-        query: &Query,
-        budget: &SearchBudget,
-        guard: &Guard,
-        probe: Probe<'_>,
-    ) -> Result<QueryVerdict, RcError> {
-        let budget = self.budget_for(budget);
-        crate::rcqp::rcqp_guarded_reusing(&self.setting, query, &budget, guard, probe, self.upper())
+        Ok(Request::new(self).budget(budget).rcqp(query)?.verdict)
     }
 }
 
@@ -286,7 +216,7 @@ mod tests {
     fn prepared_rcdp_matches_fresh_decision_per_engine() {
         let (setting, db) = setting_and_db();
         let query = Query::Cq(parse_cq(&setting.schema, "Q(E) :- Supt(E, D, C).").unwrap());
-        for engine in [Engine::planned(1), Engine::planned(2)] {
+        for engine in [Engine::Naive, Engine::Planned] {
             let budget = SearchBudget {
                 engine,
                 ..SearchBudget::default()
@@ -308,7 +238,7 @@ mod tests {
     #[test]
     fn planned_preparation_exposes_summary_and_render() {
         let (setting, db) = setting_and_db();
-        let prepared = PreparedSetting::prepare(setting, &db, Engine::planned(1)).unwrap();
+        let prepared = PreparedSetting::prepare(setting, &db, Engine::Planned).unwrap();
         let (compiled, _fallbacks, _cost) = prepared.plan_summary().expect("plans compiled");
         assert!(compiled >= 1);
         assert!(prepared.render_plans().contains("est="));

@@ -20,9 +20,9 @@
 //! [`crate::semidecide`], which can certify incompleteness but reports
 //! `Unknown` otherwise.
 //!
-//! Every entry point — [`rcdp`], a [`crate::PreparedSetting`] decision, and
-//! the checkpointed [`crate::checkpoint::rcdp_resumed_guarded`] — runs the
-//! same dispatch (`decide`) and the same search driver: the exact search
+//! Every decision — [`rcdp`], a [`crate::PreparedSetting`] decision, and a
+//! resumed [`crate::Request`] — runs the same dispatch (`decide`) and the
+//! same search driver: the exact search
 //! walks one canonical chunk list (a chunk is one depth-0 candidate of one
 //! disjunct) and a fresh decision is a resume with an empty ledger of
 //! cleared chunks.
@@ -31,6 +31,7 @@ use crate::adom::Adom;
 use crate::budget::{Engine, Meter, MeterKind, SearchBudget};
 use crate::guard::Guard;
 use crate::query::Query;
+use crate::request::Request;
 use crate::semidecide::BoundedResume;
 use crate::setting::Setting;
 use crate::valuations::{EnumOutcome, ValuationSpace, PROFILE_DEPTH};
@@ -187,7 +188,8 @@ pub(crate) fn exactly_decidable(l: QueryLanguage) -> bool {
     )
 }
 
-/// Decide RCDP. Dispatches to the exact Σᵖ₂ decider when both `L_Q` and
+/// Decide RCDP: [`Request::rcdp`](crate::Request::rcdp) against `setting`
+/// under `budget`. Dispatches to the exact Σᵖ₂ decider when both `L_Q` and
 /// `L_C` avoid negation and recursion, and to the bounded semi-decision
 /// procedure otherwise.
 ///
@@ -199,37 +201,10 @@ pub fn rcdp(
     db: &Database,
     budget: &SearchBudget,
 ) -> Result<Verdict, RcError> {
-    rcdp_probed(setting, query, db, budget, Probe::disabled())
-}
-
-/// [`rcdp`] with a telemetry probe attached: reports the dispatch strategy,
-/// active-domain size, valuations enumerated, CC checks, query evaluations,
-/// per-phase wall time, and the outcome (see the crate-level Observability
-/// notes).
-pub fn rcdp_probed(
-    setting: &Setting,
-    query: &Query,
-    db: &Database,
-    budget: &SearchBudget,
-    probe: Probe<'_>,
-) -> Result<Verdict, RcError> {
-    rcdp_guarded(setting, query, db, budget, &Guard::new(budget), probe)
-}
-
-/// [`rcdp_probed`] under a caller-supplied [`Guard`], so one deadline and one
-/// [`CancelToken`](crate::CancelToken) span this decision (and any nested
-/// decider calls). This is the entry point the facade's cancellable API uses;
-/// `rcdp`/`rcdp_probed` delegate here with a fresh guard built from the
-/// budget.
-pub fn rcdp_guarded(
-    setting: &Setting,
-    query: &Query,
-    db: &Database,
-    budget: &SearchBudget,
-    guard: &Guard,
-    probe: Probe<'_>,
-) -> Result<Verdict, RcError> {
-    Ok(decide(setting, query, db, budget, guard, probe, None, None)?.0)
+    Ok(Request::new(setting)
+        .budget(budget)
+        .rcdp(query, db)?
+        .verdict)
 }
 
 /// A resumable exact run's committed ledger: the number of frontier chunks

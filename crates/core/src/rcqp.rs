@@ -33,8 +33,8 @@
 //!   as many fresh values as the largest constraint tableau has variables,
 //!   so when the configured pool is smaller than that an exhausted search
 //!   reports `Unknown` rather than `Empty`.
-//! * FO/FP: undecidable (Theorem 4.1); falls back to
-//!   [`crate::semidecide::rcqp_bounded`].
+//! * FO/FP: undecidable (Theorem 4.1); falls back to the bounded candidate
+//!   search in [`crate::semidecide`].
 //!
 //! With `(D_m, V)` fixed the same search runs in Πᵖ₃ (Corollary 4.6); the
 //! benches exercise exactly that regime.
@@ -46,6 +46,7 @@ use crate::extend::{complete_extension_guarded, CompletionOutcome};
 use crate::guard::Guard;
 use crate::query::Query;
 use crate::rcdp::exactly_decidable;
+use crate::request::Request;
 use crate::setting::Setting;
 use crate::valuations::{EnumOutcome, ValuationSpace};
 use crate::verdict::{BudgetLimit, QueryVerdict, RcError, SearchStats, Verdict};
@@ -132,54 +133,14 @@ impl ConsistencyCheck {
     }
 }
 
-/// Decide RCQP, dispatching on the language combination.
+/// Decide RCQP, dispatching on the language combination:
+/// [`Request::rcqp`](crate::Request::rcqp) against `setting` under `budget`.
 pub fn rcqp(
     setting: &Setting,
     query: &Query,
     budget: &SearchBudget,
 ) -> Result<QueryVerdict, RcError> {
-    rcqp_probed(setting, query, budget, Probe::disabled())
-}
-
-/// [`rcqp`] with a telemetry probe attached: reports the dispatch strategy,
-/// candidate-pool sizes, valuations and candidates examined, per-phase wall
-/// time, and the outcome (see the crate-level Observability notes).
-pub fn rcqp_probed(
-    setting: &Setting,
-    query: &Query,
-    budget: &SearchBudget,
-    probe: Probe<'_>,
-) -> Result<QueryVerdict, RcError> {
-    rcqp_guarded(setting, query, budget, &Guard::new(budget), probe)
-}
-
-/// [`rcqp_probed`] under a caller-supplied [`Guard`], so one deadline and one
-/// [`CancelToken`](crate::CancelToken) span the whole decision, including the
-/// nested RCDP certifications.
-pub fn rcqp_guarded(
-    setting: &Setting,
-    query: &Query,
-    budget: &SearchBudget,
-    guard: &Guard,
-    probe: Probe<'_>,
-) -> Result<QueryVerdict, RcError> {
-    rcqp_guarded_reusing(setting, query, budget, guard, probe, None)
-}
-
-/// [`rcqp_guarded`] with an optional pre-built upper-bound preparation from a
-/// [`crate::PreparedSetting`].
-pub(crate) fn rcqp_guarded_reusing(
-    setting: &Setting,
-    query: &Query,
-    budget: &SearchBudget,
-    guard: &Guard,
-    probe: Probe<'_>,
-    reuse: Option<&std::sync::Arc<PreparedUpper>>,
-) -> Result<QueryVerdict, RcError> {
-    let probe = probe.with_ticks(guard);
-    let verdict = rcqp_inner(setting, query, budget, guard, probe, reuse)?;
-    emit_query_verdict(probe, &verdict);
-    Ok(verdict)
+    Ok(Request::new(setting).budget(budget).rcqp(query)?.verdict)
 }
 
 /// Emit the outcome note (and the exhausted limit, for `Unknown`) for an
@@ -200,7 +161,7 @@ pub(crate) fn emit_query_verdict(probe: Probe<'_>, verdict: &QueryVerdict) {
     }
 }
 
-fn rcqp_inner(
+pub(crate) fn rcqp_inner(
     setting: &Setting,
     query: &Query,
     budget: &SearchBudget,
@@ -210,8 +171,7 @@ fn rcqp_inner(
 ) -> Result<QueryVerdict, RcError> {
     if !(exactly_decidable(query.language()) && exactly_decidable(setting.v.language())) {
         probe.note("rcqp.strategy", || "bounded".into());
-        // The caller (rcqp_probed) emits the outcome note, so route through
-        // the note-free inner variant of the bounded search.
+        // The caller (`Request::rcqp`) emits the outcome note.
         return crate::semidecide::rcqp_bounded_inner(setting, query, budget, guard, probe);
     }
     // Lower-bound constraints (the Section 5 extension) force minimal
@@ -326,8 +286,7 @@ fn greedy_witness(
         max_witness_tuples: max_tuples,
         ..*budget
     };
-    let outcome =
-        complete_extension_guarded(setting, query, seed, &capped, guard, Probe::disabled())?;
+    let outcome = complete_extension_guarded(setting, query, seed, &capped, guard)?;
     Ok(match outcome {
         CompletionOutcome::AlreadyComplete => Some(seed.clone()),
         CompletionOutcome::Completed { result, .. } => Some(result),

@@ -12,8 +12,9 @@
 //!   incompleteness; exhausting the bound yields `Unknown`. One setup feeds
 //!   one size-by-size driver, and a fresh run is a resume from size 1 with
 //!   empty committed stats.
-//! * [`rcqp_bounded`] — search for a candidate database that the bounded
-//!   RCDP search cannot refute within the bound. Because completeness itself
+//! * bounded RCQP, reached through [`crate::rcqp::rcqp`]'s dispatch —
+//!   search for a candidate database that the bounded RCDP search cannot
+//!   refute within the bound. Because completeness itself
 //!   is undecidable here, a surviving candidate is only evidence, so the
 //!   result is at best `Unknown` with a description of how far the search
 //!   went — exactly the epistemic state the undecidability theorems force.
@@ -515,43 +516,12 @@ fn choose(
     Ok(ChooseOutcome::Exhausted)
 }
 
-/// Bounded RCQP for undecidable language combinations: search small candidate
-/// databases; a candidate that survives the bounded RCDP search within budget is
-/// reported (as evidence, not proof) in the `Unknown` description; finding a
+/// Bounded RCQP for undecidable language combinations, reached through
+/// [`crate::rcqp::rcqp`]'s dispatch: search small candidate databases; a
+/// candidate that survives the bounded RCDP search within budget is reported
+/// (as evidence, not proof) in the `Unknown` description; finding a
 /// certified violating extension for *every* candidate is likewise not a
 /// proof of emptiness, because the candidate space is unbounded.
-pub fn rcqp_bounded(
-    setting: &Setting,
-    query: &Query,
-    budget: &SearchBudget,
-) -> Result<QueryVerdict, RcError> {
-    rcqp_bounded_probed(setting, query, budget, Probe::disabled())
-}
-
-/// [`rcqp_bounded`] with a telemetry probe attached.
-pub fn rcqp_bounded_probed(
-    setting: &Setting,
-    query: &Query,
-    budget: &SearchBudget,
-    probe: Probe<'_>,
-) -> Result<QueryVerdict, RcError> {
-    rcqp_bounded_guarded(setting, query, budget, &Guard::new(budget), probe)
-}
-
-/// [`rcqp_bounded`] with an explicit [`Guard`] and a telemetry probe.
-pub fn rcqp_bounded_guarded(
-    setting: &Setting,
-    query: &Query,
-    budget: &SearchBudget,
-    guard: &Guard,
-    probe: Probe<'_>,
-) -> Result<QueryVerdict, RcError> {
-    let probe = probe.with_ticks(guard);
-    let verdict = rcqp_bounded_inner(setting, query, budget, guard, probe)?;
-    crate::rcqp::emit_query_verdict(probe, &verdict);
-    Ok(verdict)
-}
-
 pub(crate) fn rcqp_bounded_inner(
     setting: &Setting,
     query: &Query,
@@ -847,7 +817,7 @@ mod tests {
             "Tc",
         )
         .unwrap();
-        let verdict = rcqp_bounded(&setting, &Query::Fp(p), &SearchBudget::small()).unwrap();
+        let verdict = crate::rcqp(&setting, &Query::Fp(p), &SearchBudget::small()).unwrap();
         match verdict {
             QueryVerdict::Unknown { .. } => {}
             other => panic!("expected unknown, got {other:?}"),

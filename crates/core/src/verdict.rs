@@ -248,11 +248,22 @@ pub enum RcError {
     /// An entry point was invoked outside its supported language combination
     /// (e.g. the exact Σᵖ₂ decider on an FO query). Formerly a panic.
     Unsupported(String),
+    /// The prior [`Checkpoint`](crate::Checkpoint) handed to a
+    /// [`Request`](crate::Request) does not belong to this decision (wrong
+    /// schema version, wrong decision kind, or a fingerprint mismatch); the
+    /// search never started.
+    Checkpoint(crate::checkpoint::CheckpointError),
 }
 
 impl From<TableauError> for RcError {
     fn from(e: TableauError) -> Self {
         RcError::Query(e)
+    }
+}
+
+impl From<crate::checkpoint::CheckpointError> for RcError {
+    fn from(e: crate::checkpoint::CheckpointError) -> Self {
+        RcError::Checkpoint(e)
     }
 }
 
@@ -265,6 +276,7 @@ impl fmt::Display for RcError {
             RcError::Query(e) => write!(f, "malformed query: {e}"),
             RcError::Program(e) => write!(f, "malformed datalog program: {e}"),
             RcError::Unsupported(e) => write!(f, "unsupported invocation: {e}"),
+            RcError::Checkpoint(e) => write!(f, "checkpoint rejected: {e}"),
         }
     }
 }

@@ -56,9 +56,11 @@
 //! [`Query::rels`]: ric_complete::Query::rels
 //! [`planned_rows`]: PreparedSetting::planned_rows
 
-use ric_complete::checkpoint::{rcdp_fingerprint, rcdp_resumed_guarded, Checkpoint};
+use ric_complete::checkpoint::{rcdp_fingerprint, Checkpoint};
 use ric_complete::rcdp::certify_counterexample;
-use ric_complete::{Guard, PreparedSetting, Query, RcError, SearchBudget, Setting, Verdict};
+use ric_complete::{
+    Guard, PreparedSetting, Query, RcError, Request, SearchBudget, Setting, Verdict,
+};
 use ric_constraints::{CcBody, ConstraintSet};
 use ric_data::{DataError, Database, Overlay, RelId, Schema, Tuple};
 use ric_telemetry::Probe;
@@ -482,6 +484,43 @@ struct Registered {
 }
 
 impl Registered {
+    /// Decide this setting on `db` through the prepared preparation (which
+    /// pins the monitor's engine), and cache the frontier of a resumably
+    /// stopped search. With `resume`, a cached frontier captured on exactly
+    /// this database (its [`rcdp_fingerprint`] matches — O(|D|), negligible
+    /// against the decision) is continued instead of restarted; the resumed
+    /// driver is verdict-identical to an uninterrupted run (DESIGN §10).
+    #[allow(clippy::too_many_arguments)]
+    fn rcdp(
+        &mut self,
+        db: &Database,
+        budget: &SearchBudget,
+        guard: &Guard,
+        resume: bool,
+        probe: Probe<'_>,
+        counters: &mut MonitorCounters,
+    ) -> Result<Verdict, RcError> {
+        let prior = match self.frontier.take() {
+            Some(cp) if resume => {
+                let fp = rcdp_fingerprint(self.prepared.setting(), &self.query, db);
+                (cp.fingerprint == fp).then_some(cp)
+            }
+            _ => None,
+        };
+        if prior.is_some() {
+            counters.frontier_resume += 1;
+            probe.count("monitor.frontier.resume", 1);
+        }
+        let out = Request::new(&self.prepared)
+            .budget(budget)
+            .guard(guard)
+            .probe(probe)
+            .resume(prior.as_ref())
+            .rcdp(&self.query, db)?;
+        self.frontier = out.checkpoint;
+        Ok(out.verdict)
+    }
+
     /// Memo lookup with LRU refresh: a hit moves `fp` to most-recent, so
     /// the fingerprint of the *current* state is always the last to be
     /// evicted — an immediately undone transaction always replays its
@@ -888,26 +927,9 @@ impl Monitor {
         if !s.pc {
             return Ok(None);
         }
-        let fp = rcdp_fingerprint(s.prepared.setting(), &s.query, &self.db);
-        let prior = s.frontier.take().filter(|c| c.fingerprint == fp);
-        if prior.is_some() {
-            self.counters.frontier_resume += 1;
-            probe.count("monitor.frontier.resume", 1);
-        }
-        let mut b = *budget;
-        b.engine = self.budget.engine;
-        let guard = Guard::new(&b);
-        let res = rcdp_resumed_guarded(
-            s.prepared.setting(),
-            &s.query,
-            &self.db,
-            &b,
-            &guard,
-            probe,
-            prior.as_ref(),
-        )?;
-        s.frontier = res.checkpoint;
-        let new_state = SettingVerdict::Decided(res.verdict);
+        let guard = Guard::new(budget);
+        let verdict = s.rcdp(&self.db, budget, &guard, true, probe, &mut self.counters)?;
+        let new_state = SettingVerdict::Decided(verdict);
         // Only budget-independent verdicts enter the memo: an `Unknown` at
         // the escalated budget says nothing about the monitor's own budget.
         if matches!(
@@ -1304,39 +1326,14 @@ fn decide(
     }
     counters.redecide += 1;
     probe.count("monitor.redecide", 1);
+    // Continue an interrupted search; restart anything else.
     let continuing_unknown = matches!(s.state, SettingVerdict::Decided(Verdict::Unknown { .. }));
-    let verdict = if continuing_unknown {
-        // Continue an interrupted search: resume its committed frontier if
-        // the database still matches, restart otherwise. The checkpoint's
-        // own [`rcdp_fingerprint`] validates the match (computing it is
-        // O(|D|), negligible against the decision this path is about to
-        // run). The resumed driver is verdict-identical to an uninterrupted
-        // run (DESIGN §10).
-        let fp = rcdp_fingerprint(s.prepared.setting(), &s.query, db);
-        let prior = s.frontier.take().filter(|c| c.fingerprint == fp);
-        if prior.is_some() {
-            counters.frontier_resume += 1;
-            probe.count("monitor.frontier.resume", 1);
-        }
-        let res = rcdp_resumed_guarded(
-            s.prepared.setting(),
-            &s.query,
-            db,
-            budget,
-            guard,
-            probe,
-            prior.as_ref(),
-        )?;
-        s.frontier = res.checkpoint;
-        res.verdict
-    } else {
-        match s.prepared.rcdp_guarded(&s.query, db, budget, guard, probe) {
-            Ok(v) => v,
-            // Defensive: the monitor's own partial-closure tracking said
-            // closed; trust the decider's full check if it disagrees.
-            Err(RcError::NotPartiallyClosed) => return Ok(SettingVerdict::NotPartiallyClosed),
-            Err(e) => return Err(MonitorError::Rc(e)),
-        }
+    let verdict = match s.rcdp(db, budget, guard, continuing_unknown, probe, counters) {
+        Ok(v) => v,
+        // Defensive: the monitor's own partial-closure tracking said
+        // closed; trust the decider's full check if it disagrees.
+        Err(RcError::NotPartiallyClosed) => return Ok(SettingVerdict::NotPartiallyClosed),
+        Err(e) => return Err(MonitorError::Rc(e)),
     };
     let state = SettingVerdict::Decided(verdict);
     let evicted = s.memoize(key, &state, memo_cap);

@@ -265,6 +265,28 @@ fn starved_budget_reports_unknown_and_escalate_resolves_it() {
 }
 
 #[test]
+fn escalate_resumes_the_frontier_of_a_starved_registration() {
+    let budget = SearchBudget {
+        max_valuations: 1,
+        max_candidates: 1,
+        ..SearchBudget::default()
+    };
+    let (mut mon, id) = monitor(budget);
+    assert_eq!(mon.verdict(id).unwrap().status(), Status::Unknown);
+
+    // The registration's starved decision left a frontier on this very
+    // database, so escalation continues it instead of restarting.
+    let change = mon.escalate(id, &SearchBudget::default()).unwrap();
+    assert_eq!(mon.counters().frontier_resume, 1);
+    let change = change.expect("escalation decides the starved setting");
+    assert_eq!(change.to, Status::Incomplete);
+    match mon.verdict(id).unwrap().verdict() {
+        Some(Verdict::Incomplete(_)) => {}
+        other => panic!("expected a counterexample, got {other:?}"),
+    }
+}
+
+#[test]
 fn escalate_on_npc_setting_is_a_no_op() {
     let (mut mon, id) = monitor(SearchBudget::default());
     mon.apply(&Txn::new([Op::insert(r(), t(&[30, 5]))]))
@@ -282,7 +304,7 @@ fn escalate_on_npc_setting_is_a_no_op() {
 #[test]
 fn planned_engine_detects_cardinality_drift_then_replans() {
     let budget = SearchBudget {
-        engine: Engine::planned(1),
+        engine: Engine::Planned,
         ..SearchBudget::default()
     };
     let (mut mon, id) = monitor(budget);

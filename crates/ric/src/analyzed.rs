@@ -1,7 +1,8 @@
-//! Analysis-gated decision entry points.
+//! The static-analysis gate in front of facade decisions.
 //!
 //! [`analyze`] runs the `ric-analysis` static pass over a setting and query;
-//! the `*_analyzed` functions here put that pass in front of the deciders:
+//! [`Request::analyzed`](crate::Request::analyzed) puts that pass in front of
+//! the deciders:
 //!
 //! 1. **Gate** — a report with Error-level diagnostics (unsafe FO, invalid
 //!    FP, arity-broken constraints, …) is rejected up front with
@@ -12,27 +13,26 @@
 //!    cell of Tables I/II rather than the bounded FO search. Each applied
 //!    downgrade bumps the `analysis.downgrade` telemetry counter, and the
 //!    full report is attached as an `analysis.report` note (JSON, the same
-//!    shape [`AnalysisReport::to_json`] serializes).
+//!    shape [`AnalysisReport::to_json`](ric_analysis::AnalysisReport::to_json)
+//!    serializes).
 //!
 //! The rewrites are equivalence-certified by differential evaluation, so the
 //! verdict is the same one the naive dispatch would eventually produce —
-//! only cheaper. `BENCH_ANALYSIS.json` (see EXPERIMENTS.md) measures the
-//! effect.
+//! only cheaper. The `analysis` suite of `BENCH_BARS.json` (see
+//! EXPERIMENTS.md) measures the effect.
 
-use crate::guard::{try_rcdp_guarded, try_rcqp_guarded, Decision, DecisionError};
+use crate::guard::DecisionError;
 pub use ric_analysis::analyze;
-use ric_analysis::AnalysisReport;
-use ric_complete::{Guard, Query, QueryVerdict, SearchBudget, Setting, Verdict};
-use ric_data::Database;
+use ric_complete::{Query, Setting};
 use ric_telemetry::Probe;
 
 /// Run the gate: reject Error-level reports, otherwise apply the certified
 /// rewrites and record telemetry.
-fn gate(
+pub(crate) fn gate(
     setting: &Setting,
     query: &Query,
     probe: Probe<'_>,
-) -> Result<(Setting, Query, AnalysisReport), DecisionError> {
+) -> Result<(Setting, Query), DecisionError> {
     let report = analyze(setting, query);
     probe.note("analysis.report", || report.to_json().pretty());
     if report.has_errors() {
@@ -43,52 +43,5 @@ fn gate(
     if downgrades > 0 {
         probe.count("analysis.downgrade", downgrades as u64);
     }
-    let (s, q) = report.apply(setting, query);
-    Ok((s, q, report))
-}
-
-/// [`try_rcdp`](crate::try_rcdp) behind the static-analysis gate: rejects
-/// Error-level settings with [`DecisionError::Rejected`] and dispatches the
-/// certified minimal-fragment rewrite to the cheapest Table I cell.
-pub fn try_rcdp_analyzed(
-    setting: &Setting,
-    query: &Query,
-    db: &Database,
-    budget: &SearchBudget,
-) -> Result<Verdict, DecisionError> {
-    try_rcdp_analyzed_probed(setting, query, db, budget, Probe::disabled()).map(|d| d.verdict)
-}
-
-/// [`try_rcdp_analyzed`] with a telemetry probe attached. The probe sees the
-/// `analysis.report` note, the `analysis.downgrade` / `analysis.rejected`
-/// counters, and then the ordinary decision telemetry.
-pub fn try_rcdp_analyzed_probed(
-    setting: &Setting,
-    query: &Query,
-    db: &Database,
-    budget: &SearchBudget,
-    probe: Probe<'_>,
-) -> Result<Decision<Verdict>, DecisionError> {
-    let (s, q, _report) = gate(setting, query, probe)?;
-    try_rcdp_guarded(&s, &q, db, budget, &Guard::new(budget), probe)
-}
-
-/// [`try_rcqp`](crate::try_rcqp) behind the static-analysis gate (Table II).
-pub fn try_rcqp_analyzed(
-    setting: &Setting,
-    query: &Query,
-    budget: &SearchBudget,
-) -> Result<QueryVerdict, DecisionError> {
-    try_rcqp_analyzed_probed(setting, query, budget, Probe::disabled()).map(|d| d.verdict)
-}
-
-/// [`try_rcqp_analyzed`] with a telemetry probe attached.
-pub fn try_rcqp_analyzed_probed(
-    setting: &Setting,
-    query: &Query,
-    budget: &SearchBudget,
-    probe: Probe<'_>,
-) -> Result<Decision<QueryVerdict>, DecisionError> {
-    let (s, q, _report) = gate(setting, query, probe)?;
-    try_rcqp_guarded(&s, &q, budget, &Guard::new(budget), probe)
+    Ok(report.apply(setting, query))
 }

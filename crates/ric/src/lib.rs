@@ -50,8 +50,8 @@
 //! * [`mdm`] — master-data-management scenarios and the Section 2.3
 //!   paradigms;
 //! * [`telemetry`] — the [`Probe`]/[`Sink`] observability layer: attach a
-//!   [`Collector`] to `rcdp_probed`/`rcqp_probed` for counters, span
-//!   timings, and decision notes (see `examples/observe_search.rs`);
+//!   [`Collector`] to a [`Request`] with [`Request::probe`] for counters,
+//!   span timings, and decision notes (see `examples/observe_search.rs`);
 //! * [`monitor`] — streaming incremental monitoring: a [`Monitor`] keeps
 //!   many registered settings' RCDP verdicts continuously up to date across
 //!   a transactional insert/delete stream, with footprint-based skipping,
@@ -59,46 +59,44 @@
 //!   `examples/monitor_stream.rs` and DESIGN.md §12);
 //! * [`analysis`] — the static pass in front of the deciders: typed
 //!   diagnostics (`RIC001`…) and certified minimal-fragment classification.
-//!   [`analyze`] produces the [`AnalysisReport`]; [`try_rcdp_analyzed`] /
-//!   [`try_rcqp_analyzed`] reject Error-level settings and dispatch
-//!   certified downgrades to the cheapest Table I/II cell (see
-//!   `examples/analyze_setting.rs` and DESIGN.md §9).
+//!   [`analyze`] produces the [`AnalysisReport`]; [`Request::analyzed`]
+//!   rejects Error-level settings and dispatches certified downgrades to
+//!   the cheapest Table I/II cell (see `examples/analyze_setting.rs` and
+//!   DESIGN.md §9).
 //!
 //! ## Robustness
 //!
 //! Decisions can run for a long time (the decidable cells are Σᵖ₂ /
 //! NEXPTIME-complete). Beyond the count budgets, [`SearchBudget::deadline`]
 //! adds a wall-clock limit, a [`CancelToken`] aborts an in-flight decision
-//! from another thread, and the [`try_rcdp`] / [`try_rcqp`] entry points
-//! convert panics into a typed [`DecisionError`] instead of unwinding. All
-//! of these degrade to `Unknown` (or a typed error) — never a wrong answer.
-//! See `examples/guarded_decisions.rs` and the "Robustness & degradation
-//! semantics" section of `DESIGN.md`.
+//! from another thread, and every [`Request`] converts panics into a typed
+//! [`DecisionError`] instead of unwinding. All of these degrade to `Unknown`
+//! (or a typed error) — never a wrong answer. An `Unknown` on a resumable
+//! limit carries a [`Checkpoint`]; [`Request::resume`] continues the search
+//! from it. See `examples/guarded_decisions.rs` and the "Robustness &
+//! degradation semantics" section of `DESIGN.md`.
+//!
+//! ## One request per decision
+//!
+//! [`rcdp`](fn@rcdp) and [`rcqp`](fn@rcqp) are the one-line core forms. A
+//! [`Request`] is the facade's full form: a source (a [`Setting`], a
+//! [`PreparedSetting`] from [`prepare`], or a [`ReasonedSetting`]), or
+//! [`Request::analyzed`] for the analysis gate, plus an optional budget,
+//! [`Guard`], [`Probe`], and prior checkpoint. Its two terminals,
+//! [`Request::rcdp`] and [`Request::rcqp`], return a [`Decision`]: verdict,
+//! [`Explain`], and checkpoint.
 
 mod analyzed;
 mod guard;
 mod prepared;
 mod reasoned;
-mod retry;
+mod request;
 
-pub use analyzed::{
-    analyze, try_rcdp_analyzed, try_rcdp_analyzed_probed, try_rcqp_analyzed,
-    try_rcqp_analyzed_probed,
-};
-pub use guard::{
-    try_rcdp, try_rcdp_guarded, try_rcdp_probed, try_rcdp_resumed, try_rcdp_resumed_guarded,
-    try_rcdp_resumed_probed, try_rcqp, try_rcqp_guarded, try_rcqp_probed, try_rcqp_resumed,
-    try_rcqp_resumed_guarded, try_rcqp_resumed_probed, Decision, DecisionError, Resumed,
-};
-pub use prepared::{
-    prepare, try_rcdp_prepared, try_rcdp_prepared_probed, try_rcqp_prepared,
-    try_rcqp_prepared_probed,
-};
-pub use reasoned::{
-    try_rcdp_static, try_rcdp_static_probed, try_rcqp_static, try_rcqp_static_probed,
-    ReasonedSetting,
-};
-pub use retry::{decide_query_with_retry, decide_with_retry, RetryOutcome, RetryPolicy};
+pub use analyzed::analyze;
+pub use guard::{Decision, DecisionError};
+pub use prepared::{prepare, try_rcqp_prepared, try_rcqp_prepared_probed};
+pub use reasoned::{try_rcdp_static, try_rcdp_static_probed, ReasonedSetting};
+pub use request::{Request, Source};
 
 pub use ric_analysis as analysis;
 pub use ric_complete as complete;
@@ -114,10 +112,10 @@ pub use ric_telemetry as telemetry;
 
 pub use ric_analysis::{AnalysisReport, Classification, Code, Diagnostic, Pointer, Severity};
 pub use ric_complete::{
-    rcdp, rcdp_fingerprint, rcdp_guarded, rcdp_probed, rcqp, rcqp_fingerprint, rcqp_guarded,
-    rcqp_probed, BudgetLimit, CancelToken, Checkpoint, CheckpointError, DecisionKind, Engine,
-    FaultPlan, Frontier, Guard, Interrupt, MeterKind, PreparedSetting, Progress, Query,
-    QueryVerdict, RcError, SearchBudget, SearchStats, Setting, Verdict, CHECKPOINT_VERSION,
+    rcdp, rcdp_fingerprint, rcqp, rcqp_fingerprint, BudgetLimit, CancelToken, Checkpoint,
+    CheckpointError, DecisionKind, Engine, FaultPlan, Frontier, Guard, Interrupt, MeterKind,
+    PreparedSetting, Progress, Query, QueryVerdict, RcError, SearchBudget, SearchStats, Setting,
+    Verdict, CHECKPOINT_VERSION,
 };
 pub use ric_data::SplitMix64;
 pub use ric_monitor::{
@@ -132,30 +130,16 @@ pub use ric_telemetry::{
 
 /// One-stop imports for applications.
 pub mod prelude {
-    pub use crate::analyzed::{
-        analyze, try_rcdp_analyzed, try_rcdp_analyzed_probed, try_rcqp_analyzed,
-        try_rcqp_analyzed_probed,
-    };
-    pub use crate::guard::{
-        try_rcdp, try_rcdp_guarded, try_rcdp_probed, try_rcdp_resumed, try_rcdp_resumed_guarded,
-        try_rcdp_resumed_probed, try_rcqp, try_rcqp_guarded, try_rcqp_probed, try_rcqp_resumed,
-        try_rcqp_resumed_guarded, try_rcqp_resumed_probed, Decision, DecisionError, Resumed,
-    };
-    pub use crate::prepared::{
-        prepare, try_rcdp_prepared, try_rcdp_prepared_probed, try_rcqp_prepared,
-        try_rcqp_prepared_probed,
-    };
-    pub use crate::reasoned::{
-        try_rcdp_static, try_rcdp_static_probed, try_rcqp_static, try_rcqp_static_probed,
-        ReasonedSetting,
-    };
-    pub use crate::retry::{decide_query_with_retry, decide_with_retry, RetryOutcome, RetryPolicy};
+    pub use crate::analyzed::analyze;
+    pub use crate::guard::{Decision, DecisionError};
+    pub use crate::prepared::prepare;
+    pub use crate::reasoned::ReasonedSetting;
+    pub use crate::request::Request;
     pub use ric_analysis::{AnalysisReport, Code, Diagnostic, Pointer, Severity};
     pub use ric_complete::{
-        rcdp, rcdp_guarded, rcdp_probed, rcqp, rcqp_guarded, rcqp_probed, BudgetLimit, CancelToken,
-        Checkpoint, CheckpointError, CounterExample, DecisionKind, Engine, FaultPlan, Guard,
-        Interrupt, MeterKind, PreparedSetting, Query, QueryVerdict, RcError, SearchBudget,
-        SearchStats, Setting, Verdict,
+        rcdp, rcqp, BudgetLimit, CancelToken, Checkpoint, CheckpointError, CounterExample,
+        DecisionKind, Engine, FaultPlan, Guard, Interrupt, MeterKind, PreparedSetting, Query,
+        QueryVerdict, RcError, SearchBudget, SearchStats, Setting, Verdict,
     };
     pub use ric_constraints::{
         CcBody, CcRhs, Cfd, Cind, ConstraintSet, ContainmentConstraint, Denial, Fd, IndCc,

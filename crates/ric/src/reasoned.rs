@@ -19,8 +19,12 @@
 //! decisions verdict-, witness-, and counter-identical to the plain
 //! prepared paths.
 
-use crate::guard::{isolate, Decision, DecisionError};
-use ric_complete::{Engine, PreparedSetting, Query, QueryVerdict, RcError, Setting, Verdict};
+use crate::guard::{Decision, DecisionError};
+use crate::Request;
+use ric_complete::{
+    rcdp_fingerprint, Checkpoint, DecisionKind, Engine, Outcome, PreparedSetting, Query, RcError,
+    Setting, Verdict,
+};
 use ric_data::{Database, Tuple};
 use ric_plan::CappedStats;
 use ric_reason::{CapKind, StaticFacts};
@@ -73,8 +77,7 @@ impl ReasonedSetting {
                 CapKind::DistinctAt { col, limit } => stats.cap_distinct(cap.rel, col, limit),
             };
         }
-        let prepared =
-            PreparedSetting::prepare_with_stats(facts.minimized_setting(setting), &stats, engine)?;
+        let prepared = PreparedSetting::prepare(facts.minimized_setting(setting), &stats, engine)?;
         let cover_dm = facts.cover.map(|c| match &setting.v.ccs[c.cc].rhs {
             ric_constraints::CcRhs::Master(p) => p.eval(&setting.dm),
             // Cover facts are only derived for master right-hand sides.
@@ -99,53 +102,83 @@ impl ReasonedSetting {
         &self.query
     }
 
+    /// The preparation over the minimized setting that decisions search.
+    pub(crate) fn prepared(&self) -> &PreparedSetting {
+        &self.prepared
+    }
+
+    /// A reasoned source answers only the query its facts were derived for.
+    pub(crate) fn expect_query(&self, query: &Query) -> Result<(), RcError> {
+        if std::ptr::eq(query, &self.query) || *query == self.query {
+            Ok(())
+        } else {
+            Err(RcError::Unsupported(
+                "a reasoned setting decides only the query it was prepared for".into(),
+            ))
+        }
+    }
+
     /// RCDP against the reasoned preparation: static verdicts first, then
-    /// the search over the minimized setting.
+    /// `req` — a request against [`Self::prepared`] resuming from `prior`
+    /// and reporting to `probe` — searches the minimized setting.
+    pub(crate) fn decide(
+        &self,
+        req: ric_complete::Request<'_>,
+        prior: Option<&Checkpoint>,
+        probe: Probe<'_>,
+        db: &Database,
+    ) -> Result<Outcome<Verdict>, RcError> {
+        // The input contract is checked against the FULL constraint set, so
+        // reasoned and unreasoned paths accept exactly the same inputs.
+        if !self.setting.partially_closed(db)? {
+            return Err(RcError::NotPartiallyClosed);
+        }
+        // A foreign checkpoint is rejected before a static verdict can
+        // answer over it.
+        if let Some(prior) = prior {
+            let fingerprint = rcdp_fingerprint(self.prepared.setting(), &self.query, db);
+            prior.validate(DecisionKind::Rcdp, fingerprint)?;
+        }
+        if self.facts.statically_complete {
+            probe.count("reason.static_verdict", 1);
+        } else {
+            // Q ⊆ body(φ_j) ⊆ p_j(R_m) is certified, so on every legal
+            // extension Q(D ∪ ΔD) ⊆ p_j(D_m); if p_j(D_m) ⊆ Q(D) already,
+            // monotonicity closes the loop: Q(D ∪ ΔD) = Q(D).
+            let Some(p_dm) = &self.cover_dm else {
+                return req.rcdp(&self.query, db);
+            };
+            if !p_dm.is_subset(&self.query.eval(db)?) {
+                probe.count("reason.cover_miss", 1);
+                return req.rcdp(&self.query, db);
+            }
+            probe.count("reason.cover_hit", 1);
+        }
+        probe.note("rcdp.outcome", || "complete".into());
+        Ok(Outcome {
+            verdict: Verdict::Complete,
+            checkpoint: None,
+        })
+    }
+
+    /// RCDP against the reasoned preparation, without panic isolation or
+    /// explain. Kept with this signature for the `perfbench` adapter; new
+    /// code uses a [`Request`](crate::Request) against the reasoned setting.
     pub fn rcdp_probed(
         &self,
         db: &Database,
         budget: &ric_complete::SearchBudget,
         probe: Probe<'_>,
     ) -> Result<Verdict, RcError> {
-        // The input contract is checked against the FULL constraint set, so
-        // reasoned and unreasoned paths accept exactly the same inputs.
-        if !self.setting.partially_closed(db)? {
-            return Err(RcError::NotPartiallyClosed);
-        }
-        if self.facts.statically_complete {
-            probe.count("reason.static_verdict", 1);
-            probe.note("rcdp.outcome", || "complete".into());
-            return Ok(Verdict::Complete);
-        }
-        if let Some(p_dm) = &self.cover_dm {
-            // Q ⊆ body(φ_j) ⊆ p_j(R_m) is certified, so on every legal
-            // extension Q(D ∪ ΔD) ⊆ p_j(D_m); if p_j(D_m) ⊆ Q(D) already,
-            // monotonicity closes the loop: Q(D ∪ ΔD) = Q(D).
-            let q_ans = self.query.eval(db)?;
-            if p_dm.is_subset(&q_ans) {
-                probe.count("reason.cover_hit", 1);
-                probe.note("rcdp.outcome", || "complete".into());
-                return Ok(Verdict::Complete);
-            }
-            probe.count("reason.cover_miss", 1);
-        }
-        self.prepared.rcdp_probed(&self.query, db, budget, probe)
-    }
-
-    /// RCQP through the minimized preparation (no static shortcut: RCQP's
-    /// existential form is not decided by the RCDP facts).
-    pub fn rcqp_probed(
-        &self,
-        budget: &ric_complete::SearchBudget,
-        probe: Probe<'_>,
-    ) -> Result<QueryVerdict, RcError> {
-        self.prepared.rcqp_probed(&self.query, budget, probe)
+        let req = ric_complete::Request::new(&self.prepared)
+            .budget(budget)
+            .probe(probe);
+        Ok(self.decide(req, None, probe, db)?.verdict)
     }
 }
 
-/// [`crate::try_rcdp`] against a [`ReasonedSetting`]: certified static
-/// verdicts short-circuit the search, everything else runs over the
-/// minimized constraint set.
+/// [`Request`](crate::Request) against a [`ReasonedSetting`], verdict only.
+/// Kept with this signature for the `perfbench` adapter.
 pub fn try_rcdp_static(
     reasoned: &ReasonedSetting,
     db: &Database,
@@ -154,29 +187,16 @@ pub fn try_rcdp_static(
     try_rcdp_static_probed(reasoned, db, budget, Probe::disabled()).map(|d| d.verdict)
 }
 
-/// [`try_rcdp_static`] with a telemetry probe attached.
+/// [`try_rcdp_static`] with a telemetry probe attached. Kept with this
+/// signature for the `perfbench` adapter.
 pub fn try_rcdp_static_probed(
     reasoned: &ReasonedSetting,
     db: &Database,
     budget: &ric_complete::SearchBudget,
     probe: Probe<'_>,
 ) -> Result<Decision<Verdict>, DecisionError> {
-    isolate(probe, |p| reasoned.rcdp_probed(db, budget, p))
-}
-
-/// [`crate::try_rcqp`] against a [`ReasonedSetting`].
-pub fn try_rcqp_static(
-    reasoned: &ReasonedSetting,
-    budget: &ric_complete::SearchBudget,
-) -> Result<QueryVerdict, DecisionError> {
-    try_rcqp_static_probed(reasoned, budget, Probe::disabled()).map(|d| d.verdict)
-}
-
-/// [`try_rcqp_static`] with a telemetry probe attached.
-pub fn try_rcqp_static_probed(
-    reasoned: &ReasonedSetting,
-    budget: &ric_complete::SearchBudget,
-    probe: Probe<'_>,
-) -> Result<Decision<QueryVerdict>, DecisionError> {
-    isolate(probe, |p| reasoned.rcqp_probed(budget, p))
+    Request::new(reasoned)
+        .budget(budget)
+        .probe(probe)
+        .rcdp(reasoned.query(), db)
 }

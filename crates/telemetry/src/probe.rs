@@ -156,8 +156,8 @@ impl Event {
 /// A telemetry handle threaded through the decision stack.
 ///
 /// `Probe` is `Copy` (three thin references); pass it by value. The disabled
-/// probe is the default everywhere — the public `rcdp`/`rcqp` entry points
-/// delegate to their `*_probed` variants with `Probe::disabled()`.
+/// probe is the default everywhere — a decision request without a probe
+/// runs with `Probe::disabled()`.
 #[derive(Clone, Copy, Default)]
 pub struct Probe<'a> {
     sink: Option<&'a dyn Sink>,

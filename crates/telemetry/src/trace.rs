@@ -258,8 +258,8 @@ impl SpanTree {
 pub struct Explain {
     /// The decision's span tree: single root, every span closed.
     pub tree: SpanTree,
-    /// The decider's outcome note (`rcdp.outcome` / `rcqp.outcome` /
-    /// `extend.outcome`), when one fired.
+    /// The decider's outcome note (`rcdp.outcome` / `rcqp.outcome`), when
+    /// one fired.
     pub outcome: Option<String>,
     /// The budget that cut the search short (`*.limit` note), for Unknown.
     pub limit: Option<String>,

@@ -5,9 +5,9 @@
 //! Builds a small support setting whose query is written in FO syntax but is
 //! really a conjunctive query, runs `ric::analyze` to get the diagnostic
 //! report and the certified fragment downgrades, and then lets the
-//! analysis-gated entry point `try_rcdp_analyzed` dispatch the decision to
-//! the cheap Σᵖ₂ CQ cell of Table I. A second, deliberately broken setting
-//! shows the Error path: the gated entry point rejects it with
+//! analysis-gated request `Request::analyzed` dispatch the decision to the
+//! cheap Σᵖ₂ CQ cell of Table I. A second, deliberately broken setting
+//! shows the Error path: the gated request rejects it with
 //! `DecisionError::Rejected` before any search starts.
 
 use ric::prelude::*;
@@ -79,14 +79,11 @@ fn main() {
     db.insert(pref, Tuple::new([Value::str("c1")]));
 
     let collector = Collector::new();
-    let decision = try_rcdp_analyzed_probed(
-        &setting,
-        &query,
-        &db,
-        &SearchBudget::default(),
-        Probe::attached(&collector),
-    )
-    .expect("analysis-gated rcdp");
+    let decision = Request::analyzed(&setting)
+        .budget(&SearchBudget::default())
+        .probe(Probe::attached(&collector))
+        .rcdp(&query, &db)
+        .expect("analysis-gated rcdp");
     println!(
         "\nverdict (dispatched to the {:?} cell): {}",
         report.query.minimal, decision.verdict
@@ -105,7 +102,11 @@ fn main() {
         FoExpr::Atom(Atom::new(supt, vec![Term::Var(e), Term::Var(c)])),
         vec!["c".into(), "e".into()],
     ));
-    match try_rcdp_analyzed(&setting, &broken, &db, &SearchBudget::default()) {
+    match Request::analyzed(&setting)
+        .budget(&SearchBudget::default())
+        .rcdp(&broken, &db)
+        .map(|d| d.verdict)
+    {
         Err(DecisionError::Rejected(report)) => {
             println!("\nbroken query rejected before any search:");
             for d in report.errors() {

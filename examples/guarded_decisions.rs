@@ -1,5 +1,5 @@
-//! Guarding long-running decisions: deadlines, cancellation, and panic
-//! isolation on the CRM scenario.
+//! Guarding long-running decisions: deadlines, cancellation, panic
+//! isolation, and budget escalation on the CRM scenario.
 //!
 //! Run with `cargo run --example guarded_decisions`.
 //!
@@ -55,8 +55,12 @@ fn main() {
     canceller.join().expect("canceller thread");
     let budget = SearchBudget::default();
     let guard = Guard::new(&budget).with_cancel(token);
-    let verdict =
-        rcdp_guarded(&sc.setting, &q2, &sc.db, &budget, &guard, Probe::disabled()).expect("rcdp");
+    let verdict = Request::new(&sc.setting)
+        .budget(&budget)
+        .guard(&guard)
+        .rcdp(&q2, &sc.db)
+        .expect("rcdp")
+        .verdict;
     println!("\nQ2 after a cancellation from another thread:");
     report(&verdict);
 
@@ -65,15 +69,13 @@ fn main() {
     // FaultPlan fires a simulated deadline at an exact guard tick.
     let guard = Guard::new(&budget).with_fault_plan(FaultPlan::new().deadline_at_tick(8));
     let collector = Collector::new();
-    let verdict = rcdp_guarded(
-        &sc.setting,
-        &q2,
-        &sc.db,
-        &budget,
-        &guard,
-        Probe::attached(&collector),
-    )
-    .expect("rcdp");
+    let verdict = Request::new(&sc.setting)
+        .budget(&budget)
+        .guard(&guard)
+        .probe(Probe::attached(&collector))
+        .rcdp(&q2, &sc.db)
+        .expect("rcdp")
+        .verdict;
     println!("\nQ2 with a simulated deadline at guard tick 8:");
     report(&verdict);
     for i in &collector.report().interrupts {
@@ -85,24 +87,20 @@ fn main() {
 
     // ── 4. Panic isolation at the facade ───────────────────────────────
     // A panic — ours, or in a user-supplied telemetry sink, as simulated
-    // here — must not unwind through a request handler. The try_* entry
-    // points convert it into a typed DecisionError that carries the
-    // decision-path notes recorded before the fault.
+    // here — must not unwind through a request handler. Every Request
+    // converts it into a typed DecisionError that carries the decision-path
+    // notes recorded before the fault.
     let faulty_sink = FaultSink::new("rcdp.enumerate", None);
     // Silence the default panic hook while the fault fires — catch_unwind
     // still runs it, and this demo's panic is intentional.
     let hook = std::panic::take_hook();
     std::panic::set_hook(Box::new(|_| {}));
-    let err = ric::try_rcdp_probed(
-        &sc.setting,
-        &q2,
-        &sc.db,
-        &budget,
-        Probe::attached(&faulty_sink),
-    )
-    .expect_err("the injected panic surfaces as an error");
+    let err = Request::new(&sc.setting)
+        .probe(Probe::attached(&faulty_sink))
+        .rcdp(&q2, &sc.db)
+        .expect_err("the injected panic surfaces as an error");
     std::panic::set_hook(hook);
-    println!("\nQ2 with a panicking telemetry sink, behind try_rcdp:");
+    println!("\nQ2 with a panicking telemetry sink, behind a Request:");
     println!("error: {err}");
     if let DecisionError::Panic { notes, .. } = &err {
         for note in notes {
@@ -110,10 +108,32 @@ fn main() {
         }
     }
 
-    // And on a clean run the try_ variant is just the decider:
-    let verdict = ric::try_rcdp(&sc.setting, &q2, &sc.db, &budget).expect("no fault this time");
-    println!("\nQ2 with no faults (try_rcdp):");
-    report(&verdict);
+    // ── 5. Budget escalation ───────────────────────────────────────────
+    // An `Unknown` on a count budget often just needs a bigger one. Each
+    // starved installment hands back a checkpoint; resuming from it never
+    // repeats committed work, and the final verdict equals one uninterrupted
+    // run at the final budget.
+    let mut budget = SearchBudget {
+        max_valuations: 2,
+        ..SearchBudget::default()
+    };
+    let mut prior: Option<Checkpoint> = None;
+    let decision = loop {
+        let d = Request::new(&sc.setting)
+            .budget(&budget)
+            .resume(prior.as_ref())
+            .rcdp(&q2, &sc.db)
+            .expect("rcdp");
+        let Some(cp) = d.checkpoint else { break d };
+        println!(
+            "\nQ2 at {} valuations: {}",
+            budget.max_valuations, d.verdict
+        );
+        budget.max_valuations *= 4;
+        prior = Some(cp);
+    };
+    println!("\nQ2 resumed at {} valuations:", budget.max_valuations);
+    report(&decision.verdict);
 }
 
 /// Print a verdict plus the structured `SearchStats` when it is `Unknown`.

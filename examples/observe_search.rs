@@ -13,7 +13,6 @@
 
 use ric::mdm::{CrmScenario, ScenarioParams};
 use ric::prelude::*;
-use ric::{rcdp_probed, rcqp_probed};
 
 fn main() {
     let mut rng = ric::SplitMix64::seed_from_u64(2026);
@@ -33,14 +32,12 @@ fn main() {
     // ── RCDP with a collector attached ─────────────────────────────────
     let q2 = sc.q2();
     let collector = Collector::new();
-    let verdict = rcdp_probed(
-        &sc.setting,
-        &q2,
-        &sc.db,
-        &budget,
-        Probe::attached(&collector),
-    )
-    .expect("rcdp");
+    let verdict = Request::new(&sc.setting)
+        .budget(&budget)
+        .probe(Probe::attached(&collector))
+        .rcdp(&q2, &sc.db)
+        .expect("rcdp")
+        .verdict;
     println!("Q2 = customers supported by e0");
     println!("verdict: {verdict}");
     println!("\ndecision report (RCDP):");
@@ -48,8 +45,12 @@ fn main() {
 
     // ── RCQP on the same query ─────────────────────────────────────────
     let collector = Collector::new();
-    let verdict =
-        rcqp_probed(&sc.setting, &q2, &budget, Probe::attached(&collector)).expect("rcqp");
+    let verdict = Request::new(&sc.setting)
+        .budget(&budget)
+        .probe(Probe::attached(&collector))
+        .rcqp(&q2)
+        .expect("rcqp")
+        .verdict;
     println!("\nRCQ(Q2, Dm, V) nonempty? {verdict}");
     println!("\ndecision report (RCQP):");
     print!("{}", collector.report());
@@ -66,8 +67,12 @@ fn main() {
         ..SearchBudget::default()
     };
     let collector = Collector::new();
-    let verdict =
-        rcdp_probed(&sc.setting, &q3, &sc.db, &tiny, Probe::attached(&collector)).expect("rcdp");
+    let verdict = Request::new(&sc.setting)
+        .budget(&tiny)
+        .probe(Probe::attached(&collector))
+        .rcdp(&q3, &sc.db)
+        .expect("rcdp")
+        .verdict;
     println!("\nQ3 (datalog, undecidable cell) under a starved budget:");
     report_unknown(&verdict);
     println!("\ndecision report (bounded semi-decision):");
@@ -85,14 +90,12 @@ fn main() {
         ..SearchBudget::default()
     };
     let collector = Collector::new();
-    let verdict = rcdp_probed(
-        &dfa_setting,
-        &dfa_q,
-        &dfa_db,
-        &starved,
-        Probe::attached(&collector),
-    )
-    .expect("rcdp");
+    let verdict = Request::new(&dfa_setting)
+        .budget(&starved)
+        .probe(Probe::attached(&collector))
+        .rcdp(&dfa_q, &dfa_db)
+        .expect("rcdp")
+        .verdict;
     println!("\n2-head DFA reduction (FP, undecidable cell), candidate budget 64:");
     report_unknown(&verdict);
     println!("\ndecision report (bounded semi-decision):");

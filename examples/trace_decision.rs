@@ -58,22 +58,17 @@ fn main() {
     let trace = TraceState::new();
     let budget = SearchBudget::default();
 
-    let rcdp_decision = try_rcdp_probed(
-        &setting,
-        &q,
-        &db,
-        &budget,
-        Probe::attached(&sink).with_trace(&trace),
-    )
-    .expect("well-formed instance");
+    let rcdp_decision = Request::new(&setting)
+        .budget(&budget)
+        .probe(Probe::attached(&sink).with_trace(&trace))
+        .rcdp(&q, &db)
+        .expect("well-formed instance");
 
-    let rcqp_decision = try_rcqp_probed(
-        &setting,
-        &q,
-        &budget,
-        Probe::attached(&sink).with_trace(&trace),
-    )
-    .expect("well-formed instance");
+    let rcqp_decision = Request::new(&setting)
+        .budget(&budget)
+        .probe(Probe::attached(&sink).with_trace(&trace))
+        .rcqp(&q)
+        .expect("well-formed instance");
     sink.flush();
 
     // ── The Explain artifacts ──────────────────────────────────────────

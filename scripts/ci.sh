@@ -19,7 +19,9 @@
 #                              prepared path)
 #   7. checkpoint/resume      (cargo test --test resume_differential, then
 #                              RIC_RESUME_K=2,5: K-installment decisions must
-#                              be identical to uninterrupted runs)
+#                              be identical to uninterrupted runs; then the
+#                              guarded_decisions example runs, including its
+#                              budget-escalation loop over Request::resume)
 #   8. monitor differential   (cargo test --test monitor_differential, then
 #                              a RIC_TXN_BATCH={1,8} matrix: every
 #                              incremental verdict must equal a from-scratch
@@ -118,6 +120,8 @@ step "checkpoint/resume differential suite (default K set {2,5})"
 cargo test -q --offline --test resume_differential
 step "checkpoint/resume differential suite (RIC_RESUME_K=2,5)"
 RIC_RESUME_K=2,5 cargo test -q --offline --test resume_differential
+step "budget escalation (the guarded_decisions example runs to completion)"
+cargo run -q --release --offline --example guarded_decisions > /dev/null
 
 # Monitor differential: after EVERY transaction in a seeded stream, the
 # incremental verdict must equal a from-scratch prepared decision on the

@@ -12,7 +12,7 @@
 use ric::analysis::{classify_query, random_database};
 use ric::prelude::*;
 use ric::query::{Atom, FoExpr, FoQuery, QueryLanguage};
-use ric::{try_rcdp_analyzed, try_rcdp_analyzed_probed, try_rcqp_analyzed, SplitMix64};
+use ric::SplitMix64;
 
 /// Fixed two-relation schema: `R(a, b)`, `S(a)`.
 fn schema() -> Schema {
@@ -189,11 +189,11 @@ fn random_db(rng: &mut SplitMix64, vals: i64, r_max: usize, s_max: usize) -> Dat
 
 /// The analyzed entry point must return the same verdict the certified
 /// rewrite gets from direct dispatch — under `Engine::Naive` and
-/// `Engine::planned(1)` — and both engines must agree with each other.
+/// `Engine::Planned` — and both engines must agree with each other.
 #[test]
 fn analyzed_dispatch_matches_direct_dispatch_per_engine() {
     let s = schema();
-    let engines = [("naive", Engine::Naive), ("planned", Engine::planned(1))];
+    let engines = [("naive", Engine::Naive), ("planned", Engine::Planned)];
     let mut rng = SplitMix64::seed_from_u64(0xA9A9);
     let mut decided = 0usize;
     for round in 0..12 {
@@ -209,7 +209,11 @@ fn analyzed_dispatch_matches_direct_dispatch_per_engine() {
             let mut kinds = Vec::new();
             for (name, engine) in engines {
                 let budget = SearchBudget::default().with_engine(engine);
-                let via_gate = try_rcdp_analyzed(&setting, &original, &db, &budget).unwrap();
+                let via_gate = Request::analyzed(&setting)
+                    .budget(&budget)
+                    .rcdp(&original, &db)
+                    .map(|d| d.verdict)
+                    .unwrap();
                 let direct = rcdp(&setting, &rewritten, &db, &budget).unwrap();
                 assert_eq!(
                     std::mem::discriminant(&via_gate),
@@ -250,7 +254,11 @@ fn analyzed_rcqp_matches_direct_dispatch() {
             let (cls, _) = classify_query(&s, &original, 0xD0 + qi as u64);
             let rewritten = cls.rewritten.expect("pool queries downgrade");
             let budget = SearchBudget::default();
-            let via_gate = try_rcqp_analyzed(&setting, &original, &budget).unwrap();
+            let via_gate = Request::analyzed(&setting)
+                .budget(&budget)
+                .rcqp(&original)
+                .map(|d| d.verdict)
+                .unwrap();
             let direct = rcqp(&setting, &rewritten, &budget).unwrap();
             assert_eq!(
                 std::mem::discriminant(&via_gate),
@@ -270,14 +278,11 @@ fn gate_emits_downgrade_counter_and_report_note() {
     let db = Database::empty(&setting.schema);
     let original = Query::Fo(wrap_cq_in_fo(&cq_pool().remove(0)));
     let collector = Collector::new();
-    try_rcdp_analyzed_probed(
-        &setting,
-        &original,
-        &db,
-        &SearchBudget::default(),
-        Probe::attached(&collector),
-    )
-    .unwrap();
+    Request::analyzed(&setting)
+        .budget(&SearchBudget::default())
+        .probe(Probe::attached(&collector))
+        .rcdp(&original, &db)
+        .unwrap();
     let report = collector.report();
     assert_eq!(report.counter("analysis.downgrade"), 1);
     let note = report
@@ -306,14 +311,11 @@ fn error_settings_are_rejected_with_typed_report() {
         vec!["x".into(), "y".into()],
     ));
     let collector = Collector::new();
-    let err = try_rcdp_analyzed_probed(
-        &setting,
-        &broken,
-        &db,
-        &SearchBudget::default(),
-        Probe::attached(&collector),
-    )
-    .unwrap_err();
+    let err = Request::analyzed(&setting)
+        .budget(&SearchBudget::default())
+        .probe(Probe::attached(&collector))
+        .rcdp(&broken, &db)
+        .unwrap_err();
     match err {
         DecisionError::Rejected(report) => {
             assert!(report.has_errors());
@@ -325,7 +327,11 @@ fn error_settings_are_rejected_with_typed_report() {
     }
     assert_eq!(collector.report().counter("analysis.rejected"), 1);
     // RCQP takes the same gate.
-    let err = try_rcqp_analyzed(&setting, &broken, &SearchBudget::default()).unwrap_err();
+    let err = Request::analyzed(&setting)
+        .budget(&SearchBudget::default())
+        .rcqp(&broken)
+        .map(|d| d.verdict)
+        .unwrap_err();
     assert!(matches!(err, DecisionError::Rejected(_)));
 }
 
@@ -346,14 +352,11 @@ fn genuine_fo_passes_the_gate_undowngraded() {
         vec!["x".into()],
     ));
     let collector = Collector::new();
-    let gated = try_rcdp_analyzed_probed(
-        &setting,
-        &q,
-        &db,
-        &SearchBudget::small(),
-        Probe::attached(&collector),
-    )
-    .unwrap();
+    let gated = Request::analyzed(&setting)
+        .budget(&SearchBudget::small())
+        .probe(Probe::attached(&collector))
+        .rcdp(&q, &db)
+        .unwrap();
     let direct = rcdp(&setting, &q, &db, &SearchBudget::small()).unwrap();
     assert_eq!(
         std::mem::discriminant(&gated.verdict),

@@ -14,7 +14,7 @@
 //! * [`eval_tableau_delta`] + `q(D)` versus `q(D ∪ Δ)` (the incremental
 //!   identity the delta-aware CC checker relies on);
 //! * incremental upper-bound satisfaction versus the full re-check;
-//! * RCDP and RCQP verdicts under `Engine::planned(1)` versus `Engine::Naive`.
+//! * RCDP and RCQP verdicts under `Engine::Planned` versus `Engine::Naive`.
 
 use ric::data::{Overlay, TupleStore};
 use ric::prelude::*;
@@ -309,7 +309,7 @@ fn delta_cc_check_matches_full_check() {
 fn rcdp_verdicts_agree_across_engines() {
     let mut rng = SplitMix64::seed_from_u64(0x7777);
     let naive = SearchBudget::default().with_engine(Engine::Naive);
-    let sequential = SearchBudget::default().with_engine(Engine::planned(1));
+    let sequential = SearchBudget::default().with_engine(Engine::Planned);
     let mut decided = 0usize;
     for round in 0..40 {
         let setting = random_setting(&mut rng);
@@ -350,7 +350,7 @@ fn rcdp_verdicts_agree_across_engines() {
 fn rcqp_verdicts_agree_across_engines() {
     let mut rng = SplitMix64::seed_from_u64(0x9999);
     let naive = SearchBudget::default().with_engine(Engine::Naive);
-    let sequential = SearchBudget::default().with_engine(Engine::planned(1));
+    let sequential = SearchBudget::default().with_engine(Engine::Planned);
     for round in 0..10 {
         let setting = random_setting(&mut rng);
         for (qi, cq) in cq_pool().into_iter().enumerate() {
@@ -427,10 +427,15 @@ fn colliding_relation_names_do_not_cross_contaminate() {
     let q: Query = parse_cq(&schema(), "Q(X) :- R(X, Y), S(Y).")
         .unwrap()
         .into();
-    let budget = SearchBudget::default().with_engine(Engine::planned(1));
+    let budget = SearchBudget::default().with_engine(Engine::Planned);
     let measure = || {
         let collector = Collector::new();
-        rcdp_probed(&setting1, &q, &db, &budget, Probe::attached(&collector)).unwrap();
+        ric::complete::Request::new(&setting1)
+            .budget(&budget)
+            .probe(Probe::attached(&collector))
+            .rcdp(&q, &db)
+            .map(|o| o.verdict)
+            .unwrap();
         collector.report().counter("index.probe")
     };
     let before = measure();
@@ -454,7 +459,12 @@ fn colliding_relation_names_do_not_cross_contaminate() {
     );
     let q2: Query = parse_cq(&s2, "Q(A) :- S(A, B, C), R(A).").unwrap().into();
     let collector = Collector::new();
-    rcdp_probed(&setting2, &q2, &db2, &budget, Probe::attached(&collector)).unwrap();
+    ric::complete::Request::new(&setting2)
+        .budget(&budget)
+        .probe(Probe::attached(&collector))
+        .rcdp(&q2, &db2)
+        .map(|o| o.verdict)
+        .unwrap();
 
     let after = measure();
     assert_eq!(
@@ -484,7 +494,7 @@ fn bounded_search_verdicts_agree_across_engines() {
         vec!["x".into()],
     );
     let naive = SearchBudget::small().with_engine(Engine::Naive);
-    let sequential = SearchBudget::small().with_engine(Engine::planned(1));
+    let sequential = SearchBudget::small().with_engine(Engine::Planned);
     let mut rng = SplitMix64::seed_from_u64(0x1234);
     for round in 0..10 {
         let setting = random_setting(&mut rng);

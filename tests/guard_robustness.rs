@@ -74,7 +74,13 @@ fn fault_deadline_degrades_the_exact_rcdp_decider() {
     let (setting, q, db) = master_bounded_instance();
     let budget = SearchBudget::default();
     let guard = Guard::new(&budget).with_fault_plan(FaultPlan::new().deadline_at_tick(0));
-    let v = rcdp_guarded(&setting, &q, &db, &budget, &guard, Probe::disabled()).unwrap();
+    let v = ric::complete::Request::new(&setting)
+        .budget(&budget)
+        .guard(&guard)
+        .probe(Probe::disabled())
+        .rcdp(&q, &db)
+        .map(|o| o.verdict)
+        .unwrap();
     match &v {
         Verdict::Unknown { stats } => {
             assert_eq!(stats.limit, BudgetLimit::Deadline);
@@ -96,7 +102,13 @@ fn fault_deadline_degrades_the_rcqp_decider() {
     // bounds the head variable, so a witness database exists).
     assert!(rcqp(&setting, &q, &budget).unwrap().is_nonempty());
     let guard = Guard::new(&budget).with_fault_plan(FaultPlan::new().deadline_at_tick(0));
-    let v = rcqp_guarded(&setting, &q, &budget, &guard, Probe::disabled()).unwrap();
+    let v = ric::complete::Request::new(&setting)
+        .budget(&budget)
+        .guard(&guard)
+        .probe(Probe::disabled())
+        .rcqp(&q)
+        .map(|o| o.verdict)
+        .unwrap();
     match &v {
         QueryVerdict::Unknown { stats } => {
             assert_eq!(stats.limit, BudgetLimit::Deadline);
@@ -117,7 +129,13 @@ fn fault_deadline_degrades_the_bounded_semidecision() {
     let (setting, fp, db) = fp_bounded_instance();
     let budget = SearchBudget::default();
     let guard = Guard::new(&budget).with_fault_plan(FaultPlan::new().deadline_at_tick(0));
-    let v = rcdp_guarded(&setting, &fp, &db, &budget, &guard, Probe::disabled()).unwrap();
+    let v = ric::complete::Request::new(&setting)
+        .budget(&budget)
+        .guard(&guard)
+        .probe(Probe::disabled())
+        .rcdp(&fp, &db)
+        .map(|o| o.verdict)
+        .unwrap();
     match &v {
         Verdict::Unknown { stats } => assert_eq!(stats.limit, BudgetLimit::Deadline),
         other => panic!("expected unknown, got {other:?}"),
@@ -130,7 +148,13 @@ fn fault_deadline_mid_search_reports_the_work_done_so_far() {
     let budget = SearchBudget::default();
     // Let exactly two ticks through, then trip.
     let guard = Guard::new(&budget).with_fault_plan(FaultPlan::new().deadline_at_tick(2));
-    let v = rcdp_guarded(&setting, &q, &db, &budget, &guard, Probe::disabled()).unwrap();
+    let v = ric::complete::Request::new(&setting)
+        .budget(&budget)
+        .guard(&guard)
+        .probe(Probe::disabled())
+        .rcdp(&q, &db)
+        .map(|o| o.verdict)
+        .unwrap();
     match &v {
         Verdict::Unknown { stats } => {
             assert_eq!(stats.limit, BudgetLimit::Deadline);
@@ -176,7 +200,13 @@ fn precancelled_token_degrades_to_unknown_with_no_work() {
     let token = CancelToken::new();
     token.cancel();
     let guard = Guard::new(&budget).with_cancel(token);
-    let v = rcdp_guarded(&setting, &q, &db, &budget, &guard, Probe::disabled()).unwrap();
+    let v = ric::complete::Request::new(&setting)
+        .budget(&budget)
+        .guard(&guard)
+        .probe(Probe::disabled())
+        .rcdp(&q, &db)
+        .map(|o| o.verdict)
+        .unwrap();
     match &v {
         Verdict::Unknown { stats } => {
             assert_eq!(stats.limit, BudgetLimit::Cancelled);
@@ -198,7 +228,13 @@ fn cancellation_from_another_thread_is_observed() {
     std::thread::spawn(move || remote.cancel()).join().unwrap();
     assert!(token.is_cancelled());
     let guard = Guard::new(&budget).with_cancel(token);
-    let v = rcdp_guarded(&setting, &q, &db, &budget, &guard, Probe::disabled()).unwrap();
+    let v = ric::complete::Request::new(&setting)
+        .budget(&budget)
+        .guard(&guard)
+        .probe(Probe::disabled())
+        .rcdp(&q, &db)
+        .map(|o| o.verdict)
+        .unwrap();
     match &v {
         Verdict::Unknown { stats } => assert_eq!(stats.limit, BudgetLimit::Cancelled),
         other => panic!("expected unknown, got {other:?}"),
@@ -209,7 +245,14 @@ fn cancellation_from_another_thread_is_observed() {
 fn fault_cancel_degrades_rcqp_and_the_bounded_search() {
     let (setting, q, budget) = ind_rcqp_instance();
     let guard = Guard::new(&budget).with_fault_plan(FaultPlan::new().cancel_at_tick(0));
-    match rcqp_guarded(&setting, &q, &budget, &guard, Probe::disabled()).unwrap() {
+    match ric::complete::Request::new(&setting)
+        .budget(&budget)
+        .guard(&guard)
+        .probe(Probe::disabled())
+        .rcqp(&q)
+        .map(|o| o.verdict)
+        .unwrap()
+    {
         QueryVerdict::Unknown { stats } => assert_eq!(stats.limit, BudgetLimit::Cancelled),
         other => panic!("expected unknown, got {other:?}"),
     }
@@ -217,7 +260,14 @@ fn fault_cancel_degrades_rcqp_and_the_bounded_search() {
     let (setting, fp, db) = fp_bounded_instance();
     let budget = SearchBudget::default();
     let guard = Guard::new(&budget).with_fault_plan(FaultPlan::new().cancel_at_tick(0));
-    match rcdp_guarded(&setting, &fp, &db, &budget, &guard, Probe::disabled()).unwrap() {
+    match ric::complete::Request::new(&setting)
+        .budget(&budget)
+        .guard(&guard)
+        .probe(Probe::disabled())
+        .rcdp(&fp, &db)
+        .map(|o| o.verdict)
+        .unwrap()
+    {
         Verdict::Unknown { stats } => assert_eq!(stats.limit, BudgetLimit::Cancelled),
         other => panic!("expected unknown, got {other:?}"),
     }
@@ -232,7 +282,14 @@ fn a_tripped_guard_fails_fast_on_reuse() {
     token.cancel();
     let guard = Guard::new(&budget).with_cancel(token);
     for _ in 0..2 {
-        match rcdp_guarded(&setting, &q, &db, &budget, &guard, Probe::disabled()).unwrap() {
+        match ric::complete::Request::new(&setting)
+            .budget(&budget)
+            .guard(&guard)
+            .probe(Probe::disabled())
+            .rcdp(&q, &db)
+            .map(|o| o.verdict)
+            .unwrap()
+        {
             Verdict::Unknown { stats } => {
                 assert_eq!(stats.limit, BudgetLimit::Cancelled);
                 assert_eq!(stats.valuations, 0);
@@ -252,7 +309,13 @@ fn fault_exhausted_meter_reports_the_count_limit_not_an_interrupt() {
     let budget = SearchBudget::default();
     let guard = Guard::new(&budget)
         .with_fault_plan(FaultPlan::new().exhaust_meter(MeterKind::Valuations, 0));
-    let v = rcdp_guarded(&setting, &q, &db, &budget, &guard, Probe::disabled()).unwrap();
+    let v = ric::complete::Request::new(&setting)
+        .budget(&budget)
+        .guard(&guard)
+        .probe(Probe::disabled())
+        .rcdp(&q, &db)
+        .map(|o| o.verdict)
+        .unwrap();
     match &v {
         Verdict::Unknown { stats } => {
             assert_eq!(stats.limit, BudgetLimit::MaxValuations);
@@ -276,7 +339,14 @@ fn fault_exhausted_candidate_meter_stops_the_bounded_rcqp_search() {
     };
     let guard = Guard::new(&budget)
         .with_fault_plan(FaultPlan::new().exhaust_meter(MeterKind::Candidates, 0));
-    match rcqp_guarded(&setting, &fp, &budget, &guard, Probe::disabled()).unwrap() {
+    match ric::complete::Request::new(&setting)
+        .budget(&budget)
+        .guard(&guard)
+        .probe(Probe::disabled())
+        .rcqp(&fp)
+        .map(|o| o.verdict)
+        .unwrap()
+    {
         QueryVerdict::Unknown { stats } => {
             assert_eq!(stats.limit, BudgetLimit::MaxCandidates);
             assert_eq!(stats.candidates, 0);
@@ -298,7 +368,10 @@ fn try_rcdp_converts_an_injected_panic_into_a_typed_error() {
     // FaultSink fires it when that telemetry event is emitted.
     let plan = FaultPlan::new().panic_at_stage("rcdp.enumerate");
     let sink = FaultSink::new(plan.panic_stage().unwrap(), None);
-    let err = ric::try_rcdp_probed(&setting, &q, &db, &budget, Probe::attached(&sink))
+    let err = ric::Request::new(&setting)
+        .budget(&budget)
+        .probe(Probe::attached(&sink))
+        .rcdp(&q, &db)
         .expect_err("the injected panic must surface as an error");
     match &err {
         DecisionError::Panic { message, notes } => {
@@ -325,7 +398,10 @@ fn try_rcdp_converts_an_injected_panic_into_a_typed_error() {
 fn try_rcqp_converts_an_injected_panic_into_a_typed_error() {
     let (setting, q, budget) = ind_rcqp_instance();
     let sink = FaultSink::new("rcqp.strategy", None);
-    let err = ric::try_rcqp_probed(&setting, &q, &budget, Probe::attached(&sink))
+    let err = ric::Request::new(&setting)
+        .budget(&budget)
+        .probe(Probe::attached(&sink))
+        .rcqp(&q)
         .expect_err("the injected panic must surface as an error");
     match err {
         DecisionError::Panic { message, .. } => {
@@ -340,12 +416,20 @@ fn try_variants_agree_with_the_plain_deciders_on_normal_runs() {
     let (setting, q, db) = master_bounded_instance();
     let budget = SearchBudget::default();
     let plain = rcdp(&setting, &q, &db, &budget).unwrap();
-    let guarded = ric::try_rcdp(&setting, &q, &db, &budget).unwrap();
+    let guarded = ric::Request::new(&setting)
+        .budget(&budget)
+        .rcdp(&q, &db)
+        .map(|d| d.verdict)
+        .unwrap();
     assert_eq!(plain, guarded);
 
     let (setting, q, budget) = ind_rcqp_instance();
     let plain = rcqp(&setting, &q, &budget).unwrap();
-    let guarded = ric::try_rcqp(&setting, &q, &budget).unwrap();
+    let guarded = ric::Request::new(&setting)
+        .budget(&budget)
+        .rcqp(&q)
+        .map(|d| d.verdict)
+        .unwrap();
     assert_eq!(plain, guarded);
 }
 
@@ -357,7 +441,10 @@ fn try_variants_pass_typed_decider_errors_through() {
     let supt = schema.rel_id("Supt").unwrap();
     let mut open = Database::empty(&schema);
     open.insert(supt, Tuple::new([Value::str("e9"), Value::str("c9")]));
-    let err = ric::try_rcdp(&setting, &q, &open, &SearchBudget::default())
+    let err = ric::Request::new(&setting)
+        .budget(&SearchBudget::default())
+        .rcdp(&q, &open)
+        .map(|d| d.verdict)
         .expect_err("c9 is outside the master list");
     match err {
         DecisionError::Rc(RcError::NotPartiallyClosed) => {}
@@ -369,14 +456,11 @@ fn try_variants_pass_typed_decider_errors_through() {
 fn try_variants_still_tee_telemetry_to_the_caller_sink() {
     let (setting, q, db) = master_bounded_instance();
     let collector = Collector::new();
-    let v = ric::try_rcdp_probed(
-        &setting,
-        &q,
-        &db,
-        &SearchBudget::default(),
-        Probe::attached(&collector),
-    )
-    .unwrap();
+    let v = ric::Request::new(&setting)
+        .budget(&SearchBudget::default())
+        .probe(Probe::attached(&collector))
+        .rcdp(&q, &db)
+        .unwrap();
     assert!(v.verdict.is_incomplete());
     // The facade attaches a structured explanation built from its own trace.
     assert_eq!(v.explain.outcome.as_deref(), Some("incomplete"));
@@ -397,15 +481,13 @@ fn interrupts_are_recorded_with_site_and_tick() {
     let budget = SearchBudget::default();
     let guard = Guard::new(&budget).with_fault_plan(FaultPlan::new().deadline_at_tick(0));
     let collector = Collector::new();
-    rcdp_guarded(
-        &setting,
-        &q,
-        &db,
-        &budget,
-        &guard,
-        Probe::attached(&collector),
-    )
-    .unwrap();
+    ric::complete::Request::new(&setting)
+        .budget(&budget)
+        .guard(&guard)
+        .probe(Probe::attached(&collector))
+        .rcdp(&q, &db)
+        .map(|o| o.verdict)
+        .unwrap();
     let report = collector.report();
     assert_eq!(report.interrupts.len(), 1);
     assert_eq!(report.interrupts[0].name, "rcdp.interrupt");
@@ -443,14 +525,11 @@ fn buffered_sinks_are_flushed_on_the_facade_panic_path() {
     // stage. Events recorded before the trigger sit in the BufWriter; only
     // the facade's exit-path flush can get them out.
     let fault = FaultSink::new("rcdp.enumerate", Some(&jsonl));
-    let err = ric::try_rcdp_probed(
-        &setting,
-        &q,
-        &db,
-        &SearchBudget::default(),
-        Probe::attached(&fault),
-    )
-    .expect_err("the injected panic must surface as an error");
+    let err = ric::Request::new(&setting)
+        .budget(&SearchBudget::default())
+        .probe(Probe::attached(&fault))
+        .rcdp(&q, &db)
+        .expect_err("the injected panic must surface as an error");
     assert!(matches!(err, DecisionError::Panic { .. }));
 
     // `jsonl` is still alive, so its BufWriter has not been dropped: every

@@ -17,7 +17,7 @@
 //!   against the current state (the `engine_differential.rs` precedent:
 //!   witnesses are engine-dependent, certification is not).
 //!
-//! The matrix crosses `Engine::planned(1)` (four seeds) and `Engine::Naive`
+//! The matrix crosses `Engine::Planned` (four seeds) and `Engine::Naive`
 //! (one seed) with the `RIC_TXN_BATCH` (default both 1 and 8) environment
 //! knob the CI harness sweeps. Every case fixes its seed, so a failure
 //! reproduces exactly.
@@ -151,10 +151,14 @@ fn ground_truth(
 ) -> Result<Verdict, RcError> {
     let setting = Setting::new(schema(), master_schema(), dm.clone(), v.clone());
     let prepared = prepare(&setting, db, budget.engine)?;
-    try_rcdp_prepared(&prepared, query, db, budget).map_err(|e| match e {
-        DecisionError::Rc(e) => e,
-        other => panic!("decision must not panic: {other:?}"),
-    })
+    Request::new(&prepared)
+        .budget(budget)
+        .rcdp(query, db)
+        .map(|d| d.verdict)
+        .map_err(|e| match e {
+            DecisionError::Rc(e) => e,
+            other => panic!("decision must not panic: {other:?}"),
+        })
 }
 
 /// Assert one monitored verdict equals the from-scratch one.
@@ -256,7 +260,7 @@ fn run_stream(engine: Engine, seed: u64, txns: usize, batch: usize) {
 fn indexed_stream_matches_from_scratch() {
     for (i, seed) in [0xA11CE, 0xB0B, 0xD1FF].into_iter().enumerate() {
         for &batch in &batches() {
-            run_stream(Engine::planned(1), seed + i as u64, 18, batch);
+            run_stream(Engine::Planned, seed + i as u64, 18, batch);
         }
     }
 }
@@ -264,7 +268,7 @@ fn indexed_stream_matches_from_scratch() {
 #[test]
 fn planned_stream_matches_from_scratch() {
     for &batch in &batches() {
-        run_stream(Engine::planned(1), 0x91A, 18, batch);
+        run_stream(Engine::Planned, 0x91A, 18, batch);
     }
 }
 

@@ -117,7 +117,12 @@ fn observed(
     budget: &SearchBudget,
 ) -> (Verdict, Vec<(&'static str, u64)>, Report) {
     let collector = Collector::new();
-    let v = rcdp_probed(setting, q, db, budget, Probe::attached(&collector)).unwrap();
+    let v = ric::complete::Request::new(setting)
+        .budget(budget)
+        .probe(Probe::attached(&collector))
+        .rcdp(q, db)
+        .map(|o| o.verdict)
+        .unwrap();
     let report = collector.report();
     (v, deterministic_counters(&report), report)
 }
@@ -125,12 +130,7 @@ fn observed(
 /// The other join order: `setting` prepared without statistics, so every
 /// plan takes the static greedy most-bound-first order.
 fn static_order(setting: &Setting) -> ric::PreparedSetting {
-    ric::prepare(
-        setting,
-        &Database::empty(&setting.schema),
-        Engine::planned(1),
-    )
-    .unwrap()
+    ric::prepare(setting, &Database::empty(&setting.schema), Engine::Planned).unwrap()
 }
 
 /// A sequential decision on the static-order preparation.
@@ -140,8 +140,11 @@ fn observed_static(
     db: &Database,
 ) -> (Verdict, Vec<(&'static str, u64)>) {
     let collector = Collector::new();
-    let budget = SearchBudget::default().with_engine(Engine::planned(1));
-    let v = ric::try_rcdp_prepared_probed(prepared, q, db, &budget, Probe::attached(&collector))
+    let budget = SearchBudget::default().with_engine(Engine::Planned);
+    let v = ric::Request::new(prepared)
+        .budget(&budget)
+        .probe(Probe::attached(&collector))
+        .rcdp(q, db)
         .unwrap()
         .verdict;
     (v, deterministic_counters(&collector.report()))
@@ -165,7 +168,7 @@ fn planned_rcdp_matches_indexed_and_naive() {
             let q: Query = cq.into();
             let vn = rcdp(&setting, &q, &db, &naive).unwrap();
             let (vi, ci) = observed_static(&static_prep, &q, &db);
-            let planned = SearchBudget::default().with_engine(Engine::planned(1));
+            let planned = SearchBudget::default().with_engine(Engine::Planned);
             let (vp, cp, _) = observed(&setting, &q, &db, &planned);
             assert_eq!(
                 std::mem::discriminant(&vn),
@@ -212,7 +215,7 @@ fn planned_rcdp_matches_indexed_and_naive() {
 #[test]
 fn wrong_statistics_change_timing_not_verdicts() {
     let mut rng = SplitMix64::seed_from_u64(0x57A7);
-    let planned = SearchBudget::default().with_engine(Engine::planned(1));
+    let planned = SearchBudget::default().with_engine(Engine::Planned);
     let mut decided = 0usize;
     for round in 0..20 {
         let setting = random_setting(&mut rng);
@@ -235,10 +238,18 @@ fn wrong_statistics_change_timing_not_verdicts() {
         let static_prep = static_order(&setting);
         for (qi, cq) in cq_pool().into_iter().enumerate() {
             let q: Query = cq.into();
-            let vi = ric::try_rcdp_prepared(&static_prep, &q, &db, &planned).unwrap();
+            let vi = ric::Request::new(&static_prep)
+                .budget(&planned)
+                .rcdp(&q, &db)
+                .map(|d| d.verdict)
+                .unwrap();
             for (si, stats_db) in [&db, &empty, &lying].into_iter().enumerate() {
-                let prepared = ric::prepare(&setting, stats_db, Engine::planned(1)).unwrap();
-                let vp = ric::try_rcdp_prepared(&prepared, &q, &db, &planned).unwrap();
+                let prepared = ric::prepare(&setting, stats_db, Engine::Planned).unwrap();
+                let vp = ric::Request::new(&prepared)
+                    .budget(&planned)
+                    .rcdp(&q, &db)
+                    .map(|d| d.verdict)
+                    .unwrap();
                 assert_eq!(
                     vi, vp,
                     "stats source {si} changed the verdict (round {round}, query {qi})"
@@ -257,14 +268,18 @@ fn wrong_statistics_change_timing_not_verdicts() {
 #[test]
 fn planned_rcqp_matches_indexed() {
     let mut rng = SplitMix64::seed_from_u64(0x9C9C);
-    let sequential = SearchBudget::default().with_engine(Engine::planned(1));
+    let sequential = SearchBudget::default().with_engine(Engine::Planned);
     for round in 0..8 {
         let setting = random_setting(&mut rng);
         let static_prep = static_order(&setting);
         for (qi, cq) in cq_pool().into_iter().enumerate() {
             let q: Query = cq.into();
-            let vi = ric::try_rcqp_prepared(&static_prep, &q, &sequential).unwrap();
-            let planned = SearchBudget::default().with_engine(Engine::planned(1));
+            let vi = Request::new(&static_prep)
+                .budget(&sequential)
+                .rcqp(&q)
+                .unwrap()
+                .verdict;
+            let planned = SearchBudget::default().with_engine(Engine::Planned);
             let vp = rcqp(&setting, &q, &planned).unwrap();
             assert_eq!(
                 std::mem::discriminant(&vi),
@@ -295,10 +310,15 @@ fn plan_telemetry_only_under_planned_engine() {
 
     let run = |budget: &SearchBudget| {
         let collector = Collector::new();
-        rcdp_probed(&setting, &q, &db, budget, Probe::attached(&collector)).unwrap();
+        ric::complete::Request::new(&setting)
+            .budget(budget)
+            .probe(Probe::attached(&collector))
+            .rcdp(&q, &db)
+            .map(|o| o.verdict)
+            .unwrap();
         collector.report()
     };
-    let planned_report = run(&SearchBudget::default().with_engine(Engine::planned(1)));
+    let planned_report = run(&SearchBudget::default().with_engine(Engine::Planned));
     assert!(
         planned_report.counter("plan.compile") >= 1,
         "planned decision compiled no plans"
@@ -312,10 +332,13 @@ fn plan_telemetry_only_under_planned_engine() {
     );
 
     // The prepared path replaces per-decision compilation with reuse.
-    let prepared = ric::prepare(&setting, &db, Engine::planned(1)).unwrap();
+    let prepared = ric::prepare(&setting, &db, Engine::Planned).unwrap();
     let collector = Collector::new();
-    let budget = SearchBudget::default().with_engine(Engine::planned(1));
-    ric::try_rcdp_prepared_probed(&prepared, &q, &db, &budget, Probe::attached(&collector))
+    let budget = SearchBudget::default().with_engine(Engine::Planned);
+    ric::Request::new(&prepared)
+        .budget(&budget)
+        .probe(Probe::attached(&collector))
+        .rcdp(&q, &db)
         .unwrap();
     let report = collector.report();
     assert_eq!(

@@ -5,7 +5,7 @@
 //! Every setting mixes an FD (compiled to CCs by `fd_to_ccs`) and one IND
 //! with, at random, a CQ-bodied CC into master data and a denial, so no
 //! decision can take the IND path (Proposition 4.3). Across `Engine::Naive`
-//! and `Engine::planned(1)`:
+//! and `Engine::Planned`:
 //!
 //! * verdict kinds are identical;
 //! * `rcqp.candidates` and `rcqp.e2_checks` are identical on every engine —
@@ -111,7 +111,12 @@ fn decide(
     }
     .with_engine(engine);
     let collector = Collector::new();
-    let v = rcqp_probed(setting, q, &budget, Probe::attached(&collector)).unwrap();
+    let v = ric::complete::Request::new(setting)
+        .budget(&budget)
+        .probe(Probe::attached(&collector))
+        .rcqp(q)
+        .map(|o| o.verdict)
+        .unwrap();
     let report = collector.report();
     (
         v,
@@ -133,7 +138,7 @@ fn e2_search_agrees_across_engines() {
         for (qi, q) in query_pool().iter().enumerate() {
             let ctx = format!("round {round}, query {qi}");
             let (vn, cn, en, sn) = decide(&setting, q, fresh, Engine::Naive);
-            let (vi, ci, ei, si) = decide(&setting, q, fresh, Engine::planned(1));
+            let (vi, ci, ei, si) = decide(&setting, q, fresh, Engine::Planned);
             assert_eq!(
                 std::mem::discriminant(&vn),
                 std::mem::discriminant(&vi),

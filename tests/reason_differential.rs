@@ -10,7 +10,7 @@
 //! end to end:
 //!
 //! * RCDP verdicts and witnesses identical to the full-`V` prepared path
-//!   under `Engine::Naive` and `Engine::planned(1)`, and ≥24 seeded rounds;
+//!   under `Engine::Naive` and `Engine::Planned`, and ≥24 seeded rounds;
 //! * when no static short-circuit fires, the deterministic search counters
 //!   (`rcdp.valuations`, `rcdp.cc_checks`) are bit-identical — minimization
 //!   drops *checks of implied constraints*, not candidates, and the
@@ -25,7 +25,7 @@
 
 use ric::prelude::*;
 use ric::reason::{apply_candidates, certify_kept_mask, REASON_SEED};
-use ric::{try_rcdp_prepared_probed, try_rcdp_static_probed, ReasonedSetting, SplitMix64};
+use ric::{ReasonedSetting, SplitMix64};
 
 /// Fixed two-relation schema: `R(a, b)`, `S(a)`.
 fn schema() -> Schema {
@@ -125,7 +125,7 @@ fn cq_pool() -> Vec<Cq> {
 }
 
 fn engines() -> [Engine; 2] {
-    [Engine::Naive, Engine::planned(1)]
+    [Engine::Naive, Engine::Planned]
 }
 
 /// Counters invariant under V-minimization: the candidate stream and the
@@ -142,8 +142,11 @@ struct Arm {
 fn full_arm(setting: &Setting, q: &Query, db: &Database, budget: &SearchBudget) -> Arm {
     let collector = Collector::new();
     let prepared = ric::prepare(setting, db, budget.engine).unwrap();
-    let d =
-        try_rcdp_prepared_probed(&prepared, q, db, budget, Probe::attached(&collector)).unwrap();
+    let d = Request::new(&prepared)
+        .budget(budget)
+        .probe(Probe::attached(&collector))
+        .rcdp(q, db)
+        .unwrap();
     let report = collector.report();
     Arm {
         verdict: d.verdict,
@@ -158,7 +161,11 @@ fn full_arm(setting: &Setting, q: &Query, db: &Database, budget: &SearchBudget) 
 fn reasoned_arm(setting: &Setting, q: &Query, db: &Database, budget: &SearchBudget) -> Arm {
     let collector = Collector::new();
     let reasoned = ReasonedSetting::prepare(setting, q, db, budget.engine, budget).unwrap();
-    let d = try_rcdp_static_probed(&reasoned, db, budget, Probe::attached(&collector)).unwrap();
+    let d = Request::new(&reasoned)
+        .budget(budget)
+        .probe(Probe::attached(&collector))
+        .rcdp(q, db)
+        .unwrap();
     let report = collector.report();
     Arm {
         verdict: d.verdict,
@@ -278,7 +285,7 @@ fn static_complete_short_circuit_agrees_with_full_search() {
     let budget = SearchBudget::default();
     let reasoned = ReasonedSetting::prepare(&setting, &q, &db, budget.engine, &budget).unwrap();
     assert!(matches!(
-        ric::try_rcdp_static(&reasoned, &db, &budget),
+        Request::new(&reasoned).budget(&budget).rcdp(&q, &db),
         Err(ric::DecisionError::Rc(RcError::NotPartiallyClosed))
     ));
     assert!(matches!(
@@ -319,7 +326,11 @@ fn wrong_implication_is_discarded_and_never_decides() {
     let budget = SearchBudget::default();
     let reasoned = ReasonedSetting::prepare(&setting, &q, &db, budget.engine, &budget).unwrap();
     assert!(reasoned.facts().kept.iter().all(|k| *k));
-    let vs = ric::try_rcdp_static(&reasoned, &db, &budget).unwrap();
+    let vs = Request::new(&reasoned)
+        .budget(&budget)
+        .rcdp(&q, &db)
+        .unwrap()
+        .verdict;
     let vf = rcdp(&setting, &q, &db, &budget).unwrap();
     assert_eq!(vs, vf);
 }
@@ -338,7 +349,11 @@ fn reasoned_rcqp_kinds_agree() {
             let vi = rcqp(&setting, &q, &budget).unwrap();
             let reasoned =
                 ReasonedSetting::prepare(&setting, &q, &stats, budget.engine, &budget).unwrap();
-            let vr = ric::try_rcqp_static(&reasoned, &budget).unwrap();
+            let vr = ric::Request::new(&reasoned)
+                .budget(&budget)
+                .rcqp(reasoned.query())
+                .map(|d| d.verdict)
+                .unwrap();
             assert_eq!(
                 std::mem::discriminant(&vi),
                 std::mem::discriminant(&vr),

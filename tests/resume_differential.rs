@@ -1,17 +1,20 @@
 //! Differential testing of checkpoint/resume: a decision completed in K
 //! installments must be verdict-, witness-, and counter-identical to one
-//! uninterrupted run, on every engine.
+//! uninterrupted run, on every engine and from every request source (plain,
+//! analyzed, prepared, reasoned).
 //!
-//! The schedule: measure the ticks T an uninterrupted decision needs, then
-//! run installments at budgets `ceil(T·i/K)` (i = 1..K-1, each dying on its
-//! meter and capturing a checkpoint) and finish at the full budget. Three
-//! identities are pinned for every installment i with budget `b_i`:
+//! The schedule: measure the ticks T an uninterrupted decision needs from
+//! the source, then run installments at budgets `ceil(T·i/K)` (i = 1..K-1,
+//! each dying on its meter and capturing a checkpoint) and finish at the
+//! full budget. Three identities are pinned for every installment i with
+//! budget `b_i`:
 //!
-//! * the resumed installment equals a fresh `try_rcdp_resumed(…, None)` run
-//!   at `b_i` — same verdict (including the `Unknown` detail string and
-//!   stats), same scoped decision counters;
-//! * both equal the *plain* `try_rcdp_probed` path at `b_i` — the resumable
-//!   machinery may not disagree with the unsuspecting entry points;
+//! * the resumed installment equals a fresh run from the same source at
+//!   `b_i` — same verdict (including the `Unknown` detail string and stats),
+//!   same scoped decision counters;
+//! * from the analyzed and prepared sources, both equal the plain source at
+//!   `b_i` (the reasoned source searches a minimized constraint set, so it
+//!   is pinned to the plain source's verdict kind at full budget only);
 //! * the checkpoint handed to installment i+1 survives a JSON round-trip
 //!   (serialize → parse → resume), so resuming across a process boundary
 //!   behaves identically to resuming in-memory.
@@ -146,7 +149,7 @@ fn installment_counts() -> Vec<u64> {
 }
 
 fn engines() -> [Engine; 2] {
-    [Engine::Naive, Engine::planned(1)]
+    [Engine::Naive, Engine::Planned]
 }
 
 /// Decision-level counters (and the depth gauge) compared bit-identically on
@@ -188,47 +191,82 @@ struct Observed {
     checkpoint: Option<Checkpoint>,
 }
 
-/// One resumed run under a collector, scoped to `names`.
-fn run_resumed(
-    setting: &Setting,
-    q: &Query,
-    db: &Database,
-    budget: &SearchBudget,
-    prior: Option<&Checkpoint>,
-    names: &[&'static str],
-) -> Observed {
-    let collector = Collector::new();
-    let r = try_rcdp_resumed_probed(setting, q, db, budget, Probe::attached(&collector), prior)
-        .expect("resumed decision must not error");
-    Observed {
-        verdict: r.decision.verdict,
-        counters: scoped(&collector.report(), names),
-        checkpoint: r.checkpoint,
-    }
+/// What a facade request decides against: every source is resumable.
+#[derive(Clone, Copy, PartialEq, Debug)]
+enum Src {
+    Plain,
+    Analyzed,
+    Prepared,
+    Reasoned,
 }
 
-/// The plain (checkpoint-oblivious) path at the same budget.
-fn run_plain(
-    setting: &Setting,
-    q: &Query,
-    db: &Database,
-    budget: &SearchBudget,
-    names: &[&'static str],
-) -> Observed {
-    let collector = Collector::new();
-    let d = try_rcdp_probed(setting, q, db, budget, Probe::attached(&collector))
-        .expect("plain decision must not error");
-    Observed {
-        verdict: d.verdict,
-        counters: scoped(&collector.report(), names),
-        checkpoint: None,
+const SOURCES: [Src; 4] = [Src::Plain, Src::Analyzed, Src::Prepared, Src::Reasoned];
+
+/// One decision's inputs with the prepared and reasoned sources compiled
+/// for the budget's engine.
+struct Subject<'a> {
+    setting: &'a Setting,
+    q: &'a Query,
+    db: &'a Database,
+    prepared: PreparedSetting,
+    reasoned: ReasonedSetting,
+}
+
+impl<'a> Subject<'a> {
+    fn new(setting: &'a Setting, q: &'a Query, db: &'a Database, base: &SearchBudget) -> Self {
+        Subject {
+            setting,
+            q,
+            db,
+            prepared: ric::prepare(setting, db, base.engine).expect("preparation"),
+            reasoned: ReasonedSetting::prepare(setting, q, db, base.engine, base)
+                .expect("reasoned preparation"),
+        }
+    }
+
+    fn request(&self, src: Src) -> Request<'_> {
+        match src {
+            Src::Plain => Request::new(self.setting),
+            Src::Analyzed => Request::analyzed(self.setting),
+            Src::Prepared => Request::new(&self.prepared),
+            Src::Reasoned => Request::new(&self.reasoned),
+        }
+    }
+
+    /// One run from `src` under a collector, scoped to `names`.
+    fn run(
+        &self,
+        src: Src,
+        budget: &SearchBudget,
+        prior: Option<&Checkpoint>,
+        names: &[&'static str],
+    ) -> Observed {
+        let collector = Collector::new();
+        let d = self
+            .request(src)
+            .budget(budget)
+            .probe(Probe::attached(&collector))
+            .resume(prior)
+            .rcdp(self.q, self.db)
+            .expect("decision must not error");
+        Observed {
+            verdict: d.verdict,
+            counters: scoped(&collector.report(), names),
+            checkpoint: d.checkpoint,
+        }
     }
 }
 
 /// Ticks an uninterrupted run burns, read off the meter counter.
 fn total_ticks(setting: &Setting, q: &Query, db: &Database, budget: &SearchBudget) -> u64 {
+    ticks(Request::new(setting).budget(budget), q, db)
+}
+
+fn ticks(req: Request<'_>, q: &Query, db: &Database) -> u64 {
     let collector = Collector::new();
-    let _ = try_rcdp_probed(setting, q, db, budget, Probe::attached(&collector))
+    let _ = req
+        .probe(Probe::attached(&collector))
+        .rcdp(q, db)
         .expect("baseline must not error");
     let report = collector.report();
     let tick_counter = if report.counters.contains_key("semidecide.candidates") {
@@ -250,9 +288,9 @@ fn sliced(base: &SearchBudget, bounded: bool, ticks: u64) -> SearchBudget {
     b
 }
 
-/// Drive one instance through the full K-installment schedule at one engine,
-/// asserting the three identities at every step. Returns how many
-/// installments actually ran.
+/// Drive one instance from every source through the full K-installment
+/// schedule at one engine, asserting the three identities at every step.
+/// Returns how many installments actually ran, summed over the sources.
 fn check_schedule(
     label: &str,
     setting: &Setting,
@@ -262,17 +300,46 @@ fn check_schedule(
     bounded: bool,
     k: u64,
 ) -> u64 {
+    let subject = Subject::new(setting, q, db, base);
+    let plain_final = subject.run(Src::Plain, base, None, &[]).verdict;
+    SOURCES
+        .iter()
+        .map(|&src| {
+            let ran = check_source(&format!("{label} {src:?}"), &subject, src, base, bounded, k);
+            // The reasoned source searches the minimized constraint set (or
+            // skips the search on a static verdict); the others search the
+            // same one. Every source decides the same way at full budget.
+            let full = subject.run(src, base, None, &[]).verdict;
+            assert_eq!(
+                std::mem::discriminant(&full),
+                std::mem::discriminant(&plain_final),
+                "{label} {src:?}: full-budget verdict kind differs from the plain source"
+            );
+            ran
+        })
+        .sum()
+}
+
+/// The schedule from one source.
+fn check_source(
+    label: &str,
+    subject: &Subject<'_>,
+    src: Src,
+    base: &SearchBudget,
+    bounded: bool,
+    k: u64,
+) -> u64 {
     let names: &[&'static str] = if bounded {
         &BOUNDED_COUNTERS
     } else {
         &EXACT_COUNTERS
     };
-    let t = total_ticks(setting, q, db, base);
+    let t = ticks(subject.request(src).budget(base), subject.q, subject.db);
     if t < k {
         // Not enough metered work to split into K distinct installments.
         return 0;
     }
-    let baseline = run_plain(setting, q, db, base, names);
+    let baseline = subject.run(src, base, None, names);
 
     let mut prior: Option<Checkpoint> = None;
     for i in 1..=k {
@@ -281,10 +348,10 @@ fn check_schedule(
         } else {
             sliced(base, bounded, (t * i).div_ceil(k))
         };
-        let got = run_resumed(setting, q, db, &slice, prior.as_ref(), names);
+        let got = subject.run(src, &slice, prior.as_ref(), names);
 
         // Identity 1: resumed installment == fresh uninterrupted run at b_i.
-        let fresh = run_resumed(setting, q, db, &slice, None, names);
+        let fresh = subject.run(src, &slice, None, names);
         assert_eq!(
             got.verdict, fresh.verdict,
             "{label}: installment {i}/{k} verdict differs from uninterrupted run at its budget"
@@ -294,16 +361,20 @@ fn check_schedule(
             "{label}: installment {i}/{k} counters differ from uninterrupted run at its budget"
         );
 
-        // Identity 2: both == the plain entry point at b_i.
-        let plain = run_plain(setting, q, db, &slice, names);
-        assert_eq!(
-            fresh.verdict, plain.verdict,
-            "{label}: resumable entry at budget {i}/{k} differs from the plain entry point"
-        );
-        assert_eq!(
-            fresh.counters, plain.counters,
-            "{label}: resumable-entry counters at budget {i}/{k} differ from the plain entry point"
-        );
+        // Identity 2: the analysis gate (a no-op rewrite on these inputs)
+        // and a preparation change neither verdict nor counters, so those
+        // sources equal the plain source at b_i.
+        if matches!(src, Src::Analyzed | Src::Prepared) {
+            let plain = subject.run(Src::Plain, &slice, None, names);
+            assert_eq!(
+                fresh.verdict, plain.verdict,
+                "{label}: run at budget {i}/{k} differs from the plain source"
+            );
+            assert_eq!(
+                fresh.counters, plain.counters,
+                "{label}: counters at budget {i}/{k} differ from the plain source"
+            );
+        }
 
         match got.checkpoint {
             Some(cp) => {
@@ -316,8 +387,8 @@ fn check_schedule(
                 prior = Some(round_tripped);
             }
             None => {
-                // Conclusive — and identical to the uninterrupted (and plain)
-                // run at this budget, per the assertions above. The final
+                // Conclusive — and identical to the uninterrupted run at
+                // this budget, per the assertions above. The final
                 // installment runs at the full budget, so by transitivity it
                 // matches the full-budget baseline.
                 if i == k {
@@ -397,14 +468,22 @@ fn bounded_rcdp_installments_match_uninterrupted_runs() {
 fn rcqp_restart_resume_matches_uninterrupted_runs() {
     let (setting, q) = rcqp_instance();
     let base = SearchBudget::default();
-    let baseline = try_rcqp(&setting, &q, &base).expect("baseline must decide");
+    let baseline = Request::new(&setting)
+        .budget(&base)
+        .rcqp(&q)
+        .map(|d| d.verdict)
+        .expect("baseline must decide");
 
     let starved = SearchBudget {
         max_valuations: 1,
         max_candidates: 1,
         ..base
     };
-    let (v1, cp) = try_rcqp_resumed(&setting, &q, &starved, None).expect("starved run");
+    let (v1, cp) = Request::new(&setting)
+        .budget(&starved)
+        .rcqp(&q)
+        .map(|d| (d.verdict, d.checkpoint))
+        .expect("starved run");
     match cp {
         Some(cp) => {
             assert!(
@@ -415,8 +494,12 @@ fn rcqp_restart_resume_matches_uninterrupted_runs() {
             let round_tripped = Checkpoint::from_json_str(&cp.to_json().to_string())
                 .expect("rcqp checkpoint round-trip");
             assert_eq!(round_tripped, cp);
-            let (v2, cp2) =
-                try_rcqp_resumed(&setting, &q, &base, Some(&round_tripped)).expect("resumed run");
+            let (v2, cp2) = Request::new(&setting)
+                .budget(&base)
+                .resume(Some(&round_tripped))
+                .rcqp(&q)
+                .map(|d| (d.verdict, d.checkpoint))
+                .expect("resumed run");
             assert_eq!(v2, baseline, "resumed RCQP verdict");
             assert_eq!(cp2.map(|c| c.attempt), None, "full budget must conclude");
         }
@@ -448,26 +531,43 @@ fn foreign_checkpoints_are_rejected_up_front() {
             continue;
         }
         let slice = sliced(&base, false, t / 2);
-        let (_, cp) = try_rcdp_resumed(&setting, &q, &db, &slice, None).expect("starved run");
-        if let Some(cp) = cp {
+        let d = Request::new(&setting).budget(&slice).rcdp(&q, &db);
+        if let Some(cp) = d.expect("starved run").checkpoint {
             found = Some((setting, db, cp));
             break;
         }
     }
     let (setting, db, cp) = found.expect("no interruptible instance in 50 seeded draws");
-    match try_rcdp_resumed(&setting, &other_q, &db, &base, Some(&cp)) {
-        Err(DecisionError::Checkpoint(CheckpointError::FingerprintMismatch { .. })) => {}
-        other => panic!("expected a fingerprint rejection, got {other:?}"),
-    }
-    match try_rcqp_resumed(&setting, &q, &base, Some(&cp)) {
-        Err(DecisionError::Checkpoint(CheckpointError::KindMismatch { .. })) => {}
-        other => panic!("expected a kind rejection, got {other:?}"),
+    let other = Subject::new(&setting, &other_q, &db, &base);
+    let same = Subject::new(&setting, &q, &db, &base);
+    for src in SOURCES {
+        let collector = Collector::new();
+        let probe = Probe::attached(&collector);
+        let req = other.request(src).budget(&base).probe(probe);
+        match req.resume(Some(&cp)).rcdp(&other_q, &db) {
+            Err(DecisionError::Checkpoint(CheckpointError::FingerprintMismatch { .. })) => {}
+            other => panic!("{src:?}: expected a fingerprint rejection, got {other:?}"),
+        }
+        let req = same.request(src).budget(&base).probe(probe);
+        match req.resume(Some(&cp)).rcqp(&q) {
+            Err(DecisionError::Checkpoint(CheckpointError::KindMismatch { .. })) => {}
+            other => panic!("{src:?}: expected a kind rejection, got {other:?}"),
+        }
+        // Rejected before any search: no dispatch, no metered work.
+        let report = collector.report();
+        for searched in ["rcdp.strategy", "rcqp.strategy"] {
+            assert!(
+                !report.notes.contains_key(searched),
+                "{src:?}: {searched} recorded"
+            );
+        }
+        assert_eq!(report.counter("rcdp.valuations"), 0, "{src:?}");
     }
 }
 
 /// Engines are a runtime choice, not part of a decision's identity: the
 /// checkpoint fingerprint covers `(setting, query, db)` only, so a decision
-/// checkpointed under `Engine::planned(1)` resumes legally under
+/// checkpointed under `Engine::Planned` resumes legally under
 /// `Engine::Naive` and vice versa — and the cross-engine resume reaches the
 /// same verdict as either engine's uninterrupted run.
 #[test]
@@ -476,7 +576,7 @@ fn checkpoints_resume_across_planned_and_indexed_engines() {
     let pool = cq_pool();
     let q: Query = pool[1].clone().into();
     let naive = SearchBudget::default().with_engine(Engine::Naive);
-    let planned = SearchBudget::default().with_engine(Engine::planned(1));
+    let planned = SearchBudget::default().with_engine(Engine::Planned);
 
     let mut exercised = 0usize;
     for _ in 0..50 {
@@ -489,11 +589,19 @@ fn checkpoints_resume_across_planned_and_indexed_engines() {
         if t < 2 {
             continue;
         }
-        let baseline = try_rcdp(&setting, &q, &db, &planned).expect("baseline");
+        let baseline = Request::new(&setting)
+            .budget(&planned)
+            .rcdp(&q, &db)
+            .map(|d| d.verdict)
+            .expect("baseline");
 
         for (first, second) in [(&planned, &naive), (&naive, &planned)] {
             let starved = sliced(first, false, t / 2);
-            let (v1, cp) = try_rcdp_resumed(&setting, &q, &db, &starved, None).expect("starved");
+            let (v1, cp) = Request::new(&setting)
+                .budget(&starved)
+                .rcdp(&q, &db)
+                .map(|d| (d.verdict, d.checkpoint))
+                .expect("starved");
             let Some(cp) = cp else {
                 continue; // this instance decided before the meter tripped
             };
@@ -506,8 +614,12 @@ fn checkpoints_resume_across_planned_and_indexed_engines() {
             )
             .expect("fingerprint must not depend on the engine");
             // Resume on the *other* engine at full budget.
-            let (v2, cp2) =
-                try_rcdp_resumed(&setting, &q, &db, second, Some(&cp)).expect("cross resume");
+            let (v2, cp2) = Request::new(&setting)
+                .budget(second)
+                .resume(Some(&cp))
+                .rcdp(&q, &db)
+                .map(|d| (d.verdict, d.checkpoint))
+                .expect("cross resume");
             match (&baseline, &v2) {
                 (Verdict::Complete, Verdict::Complete) => {}
                 (Verdict::Incomplete(_), Verdict::Incomplete(b)) => {
@@ -560,7 +672,10 @@ fn resume_saturates_overflowing_checkpoint_counts() {
     let setting = Setting::new(schema.clone(), mschema, dm, v);
     let q: Query = parse_cq(&schema, "Q(C) :- Supt('e0', C).").unwrap().into();
     let budget = SearchBudget::default();
-    let (_, cp) = try_rcdp_resumed(&setting, &q, &db, &sliced(&budget, false, 4), None)
+    let (_, cp) = Request::new(&setting)
+        .budget(&sliced(&budget, false, 4))
+        .rcdp(&q, &db)
+        .map(|d| (d.verdict, d.checkpoint))
         .expect("starved installment");
     let mut cp = cp.expect("a starved exact search checkpoints");
     let Frontier::RcdpChunks { cleared, .. } = &mut cp.frontier else {
@@ -570,7 +685,11 @@ fn resume_saturates_overflowing_checkpoint_counts() {
     for (_, progress) in cleared.iter_mut().take(2) {
         progress.ticks = u64::MAX;
     }
-    let (verdict, next) = try_rcdp_resumed(&setting, &q, &db, &budget, Some(&cp))
+    let (verdict, next) = Request::new(&setting)
+        .budget(&budget)
+        .resume(Some(&cp))
+        .rcdp(&q, &db)
+        .map(|d| (d.verdict, d.checkpoint))
         .expect("overflowing committed ticks must not panic");
     match &verdict {
         Verdict::Unknown { stats } => assert_eq!(stats.limit, BudgetLimit::MaxValuations),
@@ -582,14 +701,21 @@ fn resume_saturates_overflowing_checkpoint_counts() {
     // Bounded (FP): the size-granular frontier carries cumulative ticks.
     let (setting, q, db) = fp_bounded_instance();
     let base = fp_bounded_budget();
-    let (_, cp) = try_rcdp_resumed(&setting, &q, &db, &sliced(&base, true, 50), None)
+    let (_, cp) = Request::new(&setting)
+        .budget(&sliced(&base, true, 50))
+        .rcdp(&q, &db)
+        .map(|d| (d.verdict, d.checkpoint))
         .expect("starved bounded installment");
     let mut cp = cp.expect("a starved bounded search checkpoints");
     let Frontier::BoundedSizes { progress, .. } = &mut cp.frontier else {
         panic!("bounded search must commit sizes: {:?}", cp.frontier);
     };
     progress.ticks = u64::MAX;
-    let (verdict, _) = try_rcdp_resumed(&setting, &q, &db, &base, Some(&cp))
+    let (verdict, _) = Request::new(&setting)
+        .budget(&base)
+        .resume(Some(&cp))
+        .rcdp(&q, &db)
+        .map(|d| (d.verdict, d.checkpoint))
         .expect("overflowing committed ticks must not panic");
     assert!(
         matches!(verdict, Verdict::Unknown { .. }),

@@ -5,7 +5,7 @@
 
 use ric::prelude::*;
 use ric::telemetry::{json, JsonlSink};
-use ric::{rcdp_probed, rcqp_probed, BudgetLimit, SearchStats};
+use ric::{BudgetLimit, SearchStats};
 
 /// Example 2.1 in miniature: Supt(eid, cid) with cid bounded by the master
 /// customer list {c1, c2}; the database only knows e0 supports c1.
@@ -35,14 +35,12 @@ fn master_bounded_instance() -> (Setting, Query, Database) {
 fn rcdp_counters_match_hand_computation() {
     let (setting, q, db) = master_bounded_instance();
     let collector = Collector::new();
-    let v = rcdp_probed(
-        &setting,
-        &q,
-        &db,
-        &SearchBudget::default(),
-        Probe::attached(&collector),
-    )
-    .unwrap();
+    let v = ric::complete::Request::new(&setting)
+        .budget(&SearchBudget::default())
+        .probe(Probe::attached(&collector))
+        .rcdp(&q, &db)
+        .map(|o| o.verdict)
+        .unwrap();
     assert!(v.is_incomplete(), "c2 can still be collected");
 
     let report = collector.report();
@@ -81,7 +79,12 @@ fn rcdp_unknown_names_the_exhausted_limit() {
         ..SearchBudget::default()
     };
     let collector = Collector::new();
-    let v = rcdp_probed(&setting, &q, &db, &budget, Probe::attached(&collector)).unwrap();
+    let v = ric::complete::Request::new(&setting)
+        .budget(&budget)
+        .probe(Probe::attached(&collector))
+        .rcdp(&q, &db)
+        .map(|o| o.verdict)
+        .unwrap();
     match &v {
         Verdict::Unknown { stats } => {
             assert_eq!(stats.limit, BudgetLimit::MaxValuations);
@@ -124,7 +127,12 @@ fn rcqp_counters_and_outcome_notes() {
     };
 
     let collector = Collector::new();
-    let verdict = rcqp_probed(&setting, &q, &budget, Probe::attached(&collector)).unwrap();
+    let verdict = ric::complete::Request::new(&setting)
+        .budget(&budget)
+        .probe(Probe::attached(&collector))
+        .rcqp(&q)
+        .map(|o| o.verdict)
+        .unwrap();
     assert!(verdict.is_nonempty());
 
     let report = collector.report();
@@ -157,7 +165,12 @@ fn rcqp_unknown_carries_structured_stats() {
     };
 
     let collector = Collector::new();
-    let verdict = rcqp_probed(&setting, &q, &budget, Probe::attached(&collector)).unwrap();
+    let verdict = ric::complete::Request::new(&setting)
+        .budget(&budget)
+        .probe(Probe::attached(&collector))
+        .rcqp(&q)
+        .map(|o| o.verdict)
+        .unwrap();
     match &verdict {
         QueryVerdict::Unknown { stats } => {
             assert_eq!(stats.limit, BudgetLimit::MaxCandidates);
@@ -179,14 +192,12 @@ fn collector_reports_are_deterministic() {
     let (setting, q, db) = master_bounded_instance();
     let run = || {
         let collector = Collector::new();
-        rcdp_probed(
-            &setting,
-            &q,
-            &db,
-            &SearchBudget::default(),
-            Probe::attached(&collector),
-        )
-        .unwrap();
+        ric::complete::Request::new(&setting)
+            .budget(&SearchBudget::default())
+            .probe(Probe::attached(&collector))
+            .rcdp(&q, &db)
+            .map(|o| o.verdict)
+            .unwrap();
         collector.report()
     };
     let (a, b) = (run(), run());
@@ -200,14 +211,12 @@ fn collector_reports_are_deterministic() {
 fn jsonl_stream_is_parseable_line_delimited_json() {
     let (setting, q, db) = master_bounded_instance();
     let sink = JsonlSink::new(Vec::new());
-    rcdp_probed(
-        &setting,
-        &q,
-        &db,
-        &SearchBudget::default(),
-        Probe::attached(&sink),
-    )
-    .unwrap();
+    ric::complete::Request::new(&setting)
+        .budget(&SearchBudget::default())
+        .probe(Probe::attached(&sink))
+        .rcdp(&q, &db)
+        .map(|o| o.verdict)
+        .unwrap();
     let text = String::from_utf8(sink.into_inner()).unwrap();
     assert!(!text.is_empty());
     let mut kinds = std::collections::BTreeSet::new();
@@ -300,7 +309,13 @@ fn interrupt_events_round_trip_through_jsonl() {
     let budget = SearchBudget::default();
     let guard = Guard::new(&budget).with_fault_plan(FaultPlan::new().deadline_at_tick(0));
     let sink = JsonlSink::new(Vec::new());
-    let v = ric::rcdp_guarded(&setting, &q, &db, &budget, &guard, Probe::attached(&sink)).unwrap();
+    let v = ric::complete::Request::new(&setting)
+        .budget(&budget)
+        .guard(&guard)
+        .probe(Probe::attached(&sink))
+        .rcdp(&q, &db)
+        .map(|o| o.verdict)
+        .unwrap();
     match &v {
         Verdict::Unknown { stats } => assert_eq!(stats.limit, BudgetLimit::Deadline),
         other => panic!("expected unknown, got {other:?}"),
@@ -335,15 +350,13 @@ fn interrupted_reports_serialize_the_interrupt_records() {
     let budget = SearchBudget::default();
     let guard = Guard::new(&budget).with_fault_plan(FaultPlan::new().cancel_at_tick(0));
     let collector = Collector::new();
-    let v = ric::rcdp_guarded(
-        &setting,
-        &q,
-        &db,
-        &budget,
-        &guard,
-        Probe::attached(&collector),
-    )
-    .unwrap();
+    let v = ric::complete::Request::new(&setting)
+        .budget(&budget)
+        .guard(&guard)
+        .probe(Probe::attached(&collector))
+        .rcdp(&q, &db)
+        .map(|o| o.verdict)
+        .unwrap();
     match &v {
         Verdict::Unknown { stats } => {
             assert_eq!(stats.limit, BudgetLimit::Cancelled);
@@ -408,8 +421,13 @@ fn plan_counters_and_stats_gauges_export_through_metrics_snapshots() {
     let mut registries = Vec::new();
     for _ in 0..2 {
         let collector = Collector::new();
-        let budget = SearchBudget::default().with_engine(Engine::planned(1));
-        rcdp_probed(&setting, &q, &db, &budget, Probe::attached(&collector)).unwrap();
+        let budget = SearchBudget::default().with_engine(Engine::Planned);
+        ric::complete::Request::new(&setting)
+            .budget(&budget)
+            .probe(Probe::attached(&collector))
+            .rcdp(&q, &db)
+            .map(|o| o.verdict)
+            .unwrap();
         let mut m = Metrics::new();
         m.absorb_report(&collector.report());
         assert!(
@@ -505,10 +523,15 @@ fn wide_complete_instance() -> (Setting, Query, Database) {
 fn report_merge_semantics_are_pinned_on_real_decisions() {
     let (setting, q, db) = wide_complete_instance();
     let supt = setting.schema.rel_id("Supt").unwrap();
-    let budget = SearchBudget::default().with_engine(Engine::planned(1));
+    let budget = SearchBudget::default().with_engine(Engine::Planned);
     let run = |setting: &Setting, db: &Database| {
         let collector = Collector::new();
-        rcdp_probed(setting, &q, db, &budget, Probe::attached(&collector)).unwrap();
+        ric::complete::Request::new(setting)
+            .budget(&budget)
+            .probe(Probe::attached(&collector))
+            .rcdp(&q, db)
+            .map(|o| o.verdict)
+            .unwrap();
         collector.report()
     };
     // Two runs over different instance sizes — the small one gets its own
@@ -574,15 +597,13 @@ fn report_merge_semantics_are_pinned_on_real_decisions() {
         .with_fault_plan(FaultPlan::new().cancel_at_tick(3))
         .with_check_interval(0);
     let collector = Collector::new();
-    rcdp_guarded(
-        &setting,
-        &q,
-        &db,
-        &budget,
-        &guard,
-        Probe::attached(&collector),
-    )
-    .unwrap();
+    ric::complete::Request::new(&setting)
+        .budget(&budget)
+        .guard(&guard)
+        .probe(Probe::attached(&collector))
+        .rcdp(&q, &db)
+        .map(|o| o.verdict)
+        .unwrap();
     let cancelled = collector.report();
     let recorded = cancelled.interrupts.len();
     assert!(recorded >= 1, "the cancellation must be recorded");
@@ -631,10 +652,15 @@ fn concurrent_decisions_do_not_share_probe_counts() {
             Tuple::new([Value::str(format!("e{e}")), Value::str("d0")]),
         );
     }
-    let sequential = SearchBudget::default().with_engine(Engine::planned(1));
+    let sequential = SearchBudget::default().with_engine(Engine::Planned);
     let solo = {
         let collector = Collector::new();
-        rcdp_probed(&setting, &q, &db, &sequential, Probe::attached(&collector)).unwrap();
+        ric::complete::Request::new(&setting)
+            .budget(&sequential)
+            .probe(Probe::attached(&collector))
+            .rcdp(&q, &db)
+            .map(|o| o.verdict)
+            .unwrap();
         collector.report().counter("index.probe")
     };
     assert!(solo > 0, "the instance must exercise the index");
@@ -644,7 +670,12 @@ fn concurrent_decisions_do_not_share_probe_counts() {
                 let (setting, q, db, budget) = (&setting, &q, &db, &sequential);
                 s.spawn(move || {
                     let collector = Collector::new();
-                    rcdp_probed(setting, q, db, budget, Probe::attached(&collector)).unwrap();
+                    ric::complete::Request::new(setting)
+                        .budget(budget)
+                        .probe(Probe::attached(&collector))
+                        .rcdp(q, db)
+                        .map(|o| o.verdict)
+                        .unwrap();
                     collector.report().counter("index.probe")
                 })
             })

@@ -8,8 +8,8 @@
 //!    witnesses, counters, gauges, and notes are bit-identical with tracing
 //!    on and off, under the planned and the naive engine. No emission is
 //!    trace-gated.
-//! 2. **Explain well-formedness** — every `try_rcdp_probed` /
-//!    `try_rcqp_probed` verdict carries a span tree with exactly one root
+//! 2. **Explain well-formedness** — every probed facade `Request` verdict
+//!    carries a span tree with exactly one root
 //!    named `decision`, every span closed, an `outcome` matching the verdict,
 //!    and — when the verdict is `Unknown` — the dead budget in `limit` plus
 //!    an `explain.frontier` note describing what was left unexplored.
@@ -95,20 +95,22 @@ fn cq_pool() -> Vec<Cq> {
 /// bit-identical verdicts, counters, gauges, notes, and span families.
 fn assert_trace_neutral(setting: &Setting, q: &Query, db: &Database, budget: &SearchBudget) {
     let plain_collector = Collector::new();
-    let plain_verdict =
-        rcdp_probed(setting, q, db, budget, Probe::attached(&plain_collector)).unwrap();
+    let plain_verdict = ric::complete::Request::new(setting)
+        .budget(budget)
+        .probe(Probe::attached(&plain_collector))
+        .rcdp(q, db)
+        .map(|o| o.verdict)
+        .unwrap();
     let plain = plain_collector.report();
 
     let trace = TraceState::new();
     let traced_collector = Collector::new();
-    let traced_verdict = rcdp_probed(
-        setting,
-        q,
-        db,
-        budget,
-        Probe::attached(&traced_collector).with_trace(&trace),
-    )
-    .unwrap();
+    let traced_verdict = ric::complete::Request::new(setting)
+        .budget(budget)
+        .probe(Probe::attached(&traced_collector).with_trace(&trace))
+        .rcdp(q, db)
+        .map(|o| o.verdict)
+        .unwrap();
     let traced = traced_collector.report();
 
     assert_eq!(
@@ -145,7 +147,7 @@ fn assert_trace_neutral(setting: &Setting, q: &Query, db: &Database, budget: &Se
 #[test]
 fn tracing_is_verdict_neutral_sequential() {
     let mut rng = SplitMix64::seed_from_u64(0xBEEF);
-    let budget = SearchBudget::default().with_engine(Engine::planned(1));
+    let budget = SearchBudget::default().with_engine(Engine::Planned);
     let mut compared = 0usize;
     for _ in 0..25 {
         let setting = random_setting(&mut rng);
@@ -231,27 +233,21 @@ fn assert_well_formed(explain: &ric::Explain, expected_outcome: &str) {
 fn rcdp_explain_is_well_formed_for_every_verdict_variant() {
     // Complete: every master customer is already supported.
     let (setting, q, db) = supt_instance(6, 6);
-    let d = try_rcdp_probed(
-        &setting,
-        &q,
-        &db,
-        &SearchBudget::default(),
-        Probe::disabled(),
-    )
-    .unwrap();
+    let d = Request::new(&setting)
+        .budget(&SearchBudget::default())
+        .probe(Probe::disabled())
+        .rcdp(&q, &db)
+        .unwrap();
     assert!(d.verdict.is_complete(), "planted complete: {}", d.verdict);
     assert_well_formed(&d.explain, "complete");
 
     // Incomplete: two master customers remain unsupported.
     let (setting, q, db) = supt_instance(6, 4);
-    let d = try_rcdp_probed(
-        &setting,
-        &q,
-        &db,
-        &SearchBudget::default(),
-        Probe::disabled(),
-    )
-    .unwrap();
+    let d = Request::new(&setting)
+        .budget(&SearchBudget::default())
+        .probe(Probe::disabled())
+        .rcdp(&q, &db)
+        .unwrap();
     assert!(
         d.verdict.is_incomplete(),
         "planted incomplete: {}",
@@ -271,7 +267,11 @@ fn rcdp_explain_is_well_formed_for_every_verdict_variant() {
         max_valuations: 1,
         ..SearchBudget::default()
     };
-    let d = try_rcdp_probed(&setting, &q, &db, &tight, Probe::disabled()).unwrap();
+    let d = Request::new(&setting)
+        .budget(&tight)
+        .probe(Probe::disabled())
+        .rcdp(&q, &db)
+        .unwrap();
     let Verdict::Unknown { stats } = &d.verdict else {
         panic!(
             "expected Unknown under a one-valuation meter, got {}",
@@ -297,7 +297,11 @@ fn rcdp_explain_is_well_formed_for_every_verdict_variant() {
 #[test]
 fn rcqp_explain_is_well_formed() {
     let (setting, q, _) = supt_instance(6, 4);
-    let d = try_rcqp_probed(&setting, &q, &SearchBudget::default(), Probe::disabled()).unwrap();
+    let d = Request::new(&setting)
+        .budget(&SearchBudget::default())
+        .probe(Probe::disabled())
+        .rcqp(&q)
+        .unwrap();
     assert!(
         matches!(d.verdict, QueryVerdict::Nonempty { .. }),
         "a satisfiable setting must have a witness: {:?}",
@@ -309,9 +313,13 @@ fn rcqp_explain_is_well_formed() {
 #[test]
 fn explain_carries_the_depth_profile_on_every_engine() {
     let (setting, q, db) = supt_instance(8, 6);
-    for engine in [Engine::Naive, Engine::planned(1)] {
+    for engine in [Engine::Naive, Engine::Planned] {
         let budget = SearchBudget::default().with_engine(engine);
-        let d = try_rcdp_probed(&setting, &q, &db, &budget, Probe::disabled()).unwrap();
+        let d = Request::new(&setting)
+            .budget(&budget)
+            .probe(Probe::disabled())
+            .rcdp(&q, &db)
+            .unwrap();
         assert_well_formed(
             &d.explain,
             if d.verdict.is_complete() {
@@ -343,9 +351,13 @@ fn headless_answered_disjunct_counts_one_head_prune_on_every_engine() {
     let q: Query = parse_cq(&setting.schema, "Q() :- Supt(E, C).")
         .unwrap()
         .into();
-    for engine in [Engine::Naive, Engine::planned(1)] {
+    for engine in [Engine::Naive, Engine::Planned] {
         let budget = SearchBudget::default().with_engine(engine);
-        let d = try_rcdp_probed(&setting, &q, &db, &budget, Probe::disabled()).unwrap();
+        let d = Request::new(&setting)
+            .budget(&budget)
+            .probe(Probe::disabled())
+            .rcdp(&q, &db)
+            .unwrap();
         assert!(d.verdict.is_complete(), "{engine:?}: {}", d.verdict);
         assert_eq!(
             d.explain.counters.get("prune.head").copied(),
@@ -365,14 +377,11 @@ fn caller_sink_stream_rebuilds_the_explain_tree() {
     let (setting, q, db) = supt_instance(6, 4);
     let collector = Collector::new();
     let trace = TraceState::new();
-    let d = try_rcdp_probed(
-        &setting,
-        &q,
-        &db,
-        &SearchBudget::default(),
-        Probe::attached(&collector).with_trace(&trace),
-    )
-    .unwrap();
+    let d = Request::new(&setting)
+        .budget(&SearchBudget::default())
+        .probe(Probe::attached(&collector).with_trace(&trace))
+        .rcdp(&q, &db)
+        .unwrap();
     let mut builder = ric::telemetry::TreeBuilder::new();
     for event in collector.events() {
         match event {
