@@ -46,13 +46,6 @@ impl Engine {
     pub fn planned(_workers: usize) -> Self {
         Engine::Planned
     }
-
-    /// Does this engine use the indexed data path (overlays, per-column
-    /// indexes, delta-restricted constraint checks)? Every engine but the
-    /// `Naive` oracle does.
-    pub fn indexed(&self) -> bool {
-        !matches!(self, Engine::Naive)
-    }
 }
 
 impl std::fmt::Display for Engine {
@@ -281,13 +274,20 @@ impl<'g> Meter<'g> {
     /// log surface and must not drift.
     pub fn stop_detail(&self, noun: &str) -> String {
         match self.interrupt {
-            Some(Interrupt::Deadline) => {
+            Some(interrupt) => self.interrupt_detail(interrupt, noun),
+            None => format!("{noun} budget of {} exhausted", self.limit),
+        }
+    }
+
+    /// The [`Self::stop_detail`] wording for `interrupt` after this meter's
+    /// accepted work — also for a guard that tripped inside a nested check
+    /// after the meter's last tick, which the meter itself never observed.
+    pub(crate) fn interrupt_detail(&self, interrupt: Interrupt, noun: &str) -> String {
+        match interrupt {
+            Interrupt::Deadline => {
                 format!("wall-clock deadline expired after {} {noun}(s)", self.used)
             }
-            Some(Interrupt::Cancelled) => {
-                format!("cancelled after {} {noun}(s)", self.used)
-            }
-            None => format!("{noun} budget of {} exhausted", self.limit),
+            Interrupt::Cancelled => format!("cancelled after {} {noun}(s)", self.used),
         }
     }
 }
@@ -321,14 +321,12 @@ mod tests {
 
     #[test]
     fn engine_helpers_classify_naive() {
-        assert!(!Engine::Naive.indexed());
         assert_eq!(Engine::Naive.to_string(), "naive");
         assert_eq!(Engine::default(), Engine::Planned);
     }
 
     #[test]
     fn engine_helpers_classify_planned() {
-        assert!(Engine::Planned.indexed());
         assert_eq!(Engine::Planned.to_string(), "planned");
         // The worker argument is ignored: every count is the one engine.
         for workers in [0, 1, 4] {

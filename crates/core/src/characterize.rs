@@ -14,19 +14,19 @@
 
 use crate::adom::Adom;
 use crate::budget::{Meter, MeterKind, SearchBudget};
+use crate::check::UpperCheck;
 use crate::guard::Guard;
 use crate::query::Query;
 use crate::setting::Setting;
 use crate::valuations::{instantiate_into, EnumOutcome, ValuationSpace};
 use crate::verdict::{RcError, Verdict};
-use ric_constraints::{CcBody, CcRhs, PreparedUpper};
+use ric_constraints::{CcBody, CcRhs};
 use ric_data::{Database, Value};
 use ric_query::tableau::Tableau;
 use ric_query::{Cq, Ucq};
 use ric_telemetry::Probe;
 use std::collections::BTreeSet;
 use std::ops::ControlFlow;
-use std::sync::Arc;
 
 /// C1/C2: is the CQ-constrained database bounded by `(D_m, V)` for `Q`?
 /// Equivalent to membership in `RCQ(Q, D_m, V)` by Proposition 3.3.
@@ -70,6 +70,7 @@ fn exact_bound(
     budget: &SearchBudget,
 ) -> Result<Option<bool>, RcError> {
     let guard = Guard::new(budget);
+    let check = UpperCheck::new(setting, budget.engine, db)?;
     let (verdict, _) = crate::rcdp::decide_exact(
         setting,
         query,
@@ -77,7 +78,8 @@ fn exact_bound(
         budget,
         &guard,
         Probe::disabled(),
-        None,
+        &check,
+        false,
         None,
     )?;
     Ok(match verdict {
@@ -180,6 +182,7 @@ pub fn e2_check(
     budget: &SearchBudget,
 ) -> Result<Option<bool>, RcError> {
     let guard = Guard::new(budget);
+    let check = UpperCheck::new(setting, budget.engine, dv)?;
     E2Disjunct::new(setting, q).check(
         setting,
         dv,
@@ -187,7 +190,7 @@ pub fn e2_check(
         budget,
         &guard,
         Probe::disabled(),
-        None,
+        &check,
     )
 }
 
@@ -227,8 +230,8 @@ impl E2Disjunct {
     }
 
     /// E2 for this disjunct over the candidate `dv` with bound values
-    /// `bound_values`. `reuse` is an upper-bound preparation to share instead
-    /// of compiling one from `dv` (the RCQP search passes its own).
+    /// `bound_values`, gating each valuation through `check` (the RCQP
+    /// search passes its decision's own).
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn check(
         &self,
@@ -238,7 +241,7 @@ impl E2Disjunct {
         budget: &SearchBudget,
         guard: &Guard,
         probe: Probe<'_>,
-        reuse: Option<&Arc<PreparedUpper>>,
+        check: &UpperCheck,
     ) -> Result<Option<bool>, RcError> {
         if !setting.partially_closed(dv)? {
             return Ok(Some(false));
@@ -253,8 +256,7 @@ impl E2Disjunct {
         let mut meter = Meter::guarded(MeterKind::Valuations, budget.max_valuations, guard);
         // `D_𝒱` is partially closed (checked above) and lower bounds are
         // preserved under extension, so `(D_𝒱 ∪ Δ, D_m) |= V` reduces to the
-        // upper bounds — exactly what the engine's check mode answers.
-        let mode = crate::rcdp::CheckMode::select(setting, budget.engine, dv, reuse)?;
+        // upper bounds — exactly what the decision's check answers.
         let cc_skipped = std::cell::Cell::new(0u64);
         let mut delta = Database::with_relations(setting.schema.len());
         let mut ok = true;
@@ -263,7 +265,9 @@ impl E2Disjunct {
             |_| true,
             |mu| {
                 instantiate_into(t, mu, &mut delta);
-                let closed = mode.upper_satisfied(setting, dv, &delta, &cc_skipped);
+                let closed = check
+                    .first_violation(setting, dv, &delta, &cc_skipped)
+                    .is_none();
                 if closed
                     && !self
                         .infinite_head

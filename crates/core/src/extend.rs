@@ -10,6 +10,7 @@
 //! the (stable) extended active domain.
 
 use crate::budget::SearchBudget;
+use crate::check::UpperCheck;
 use crate::guard::Guard;
 use crate::query::Query;
 use crate::setting::Setting;
@@ -48,36 +49,31 @@ pub fn complete_extension(
     db: &Database,
     budget: &SearchBudget,
 ) -> Result<CompletionOutcome, RcError> {
-    complete_extension_guarded(setting, query, db, budget, &Guard::new(budget))
+    // One check for the whole loop: the constraint set is fixed across
+    // rounds, and the statistics that steer planned join orders only affect
+    // timing, so reusing the base-database plans as `current` grows is sound.
+    let check = UpperCheck::new(setting, budget.engine, db)?;
+    complete_extension_guarded(setting, query, db, budget, &Guard::new(budget), &check)
 }
 
-/// [`complete_extension`] under an externally shared [`Guard`] (the RCQP
-/// witness search's): the deadline spans the *whole* loop (every round's
-/// RCDP decision polls the same clock), and a trip breaks to
-/// `CompletionOutcome::Budget` with the progress so far.
+/// [`complete_extension`] under an externally shared [`Guard`] and
+/// candidate check (the RCQP witness search's): the deadline spans the
+/// *whole* loop (every round's RCDP decision polls the same clock), and a
+/// trip breaks to `CompletionOutcome::Budget` with the progress so far.
 pub(crate) fn complete_extension_guarded(
     setting: &Setting,
     query: &Query,
     db: &Database,
     budget: &SearchBudget,
     guard: &Guard,
+    check: &UpperCheck,
 ) -> Result<CompletionOutcome, RcError> {
-    // Validate the input once; the loop preserves partial closure by
+    // Check the input once; the loop preserves partial closure by
     // construction (every round's delta comes from a counterexample whose
-    // extended database satisfied `V`), so the per-round decisions can skip
-    // straight to the dispatch target instead of re-checking the whole
-    // growing database each time.
-    crate::rcdp::validate_fp_bodies(setting, query)?;
-    if !setting.partially_closed(db)? {
-        return Err(RcError::NotPartiallyClosed);
-    }
-    let exact = crate::rcdp::exactly_decidable(query.language())
-        && crate::rcdp::exactly_decidable(setting.v.language());
-    // Compile the upper-bound preparation once for the whole loop: the
-    // constraint set is fixed across rounds, and the statistics that steer
-    // planned join orders only affect timing, so reusing the base-database
-    // plans as `current` grows is sound.
-    let reuse = crate::prepared::prepare_upper(setting, budget.engine, db)?;
+    // extended database satisfied `V`), so the per-round decisions skip
+    // straight to the search instead of re-checking the whole growing
+    // database each time.
+    crate::rcdp::check_input(setting, query, db)?;
     let mut current = db.clone();
     let mut added = Database::with_relations(setting.schema.len());
     let mut first = true;
@@ -90,31 +86,17 @@ pub(crate) fn complete_extension_guarded(
                 partial: current,
             };
         }
-        let verdict = if exact {
-            crate::rcdp::decide_exact(
-                setting,
-                query,
-                &current,
-                budget,
-                guard,
-                Probe::disabled(),
-                reuse.as_ref(),
-                None,
-            )?
-            .0
-        } else {
-            crate::semidecide::decide_bounded(
-                setting,
-                query,
-                &current,
-                budget,
-                guard,
-                Probe::disabled(),
-                reuse.as_ref(),
-                None,
-            )?
-            .0
-        };
+        let (verdict, _) = crate::rcdp::search(
+            setting,
+            query,
+            &current,
+            budget,
+            guard,
+            Probe::disabled(),
+            check,
+            false,
+            None,
+        )?;
         match verdict {
             Verdict::Complete => {
                 break if first {

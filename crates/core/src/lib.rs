@@ -52,6 +52,7 @@
 pub mod adom;
 pub mod budget;
 pub mod characterize;
+mod check;
 pub mod checkpoint;
 pub mod extend;
 pub mod guard;

@@ -1,15 +1,14 @@
 //! Prepared decision settings: compile the constraint machinery **once**,
 //! decide many times.
 //!
-//! Every decider entry point re-derives the same artifacts per call: the
-//! upper-bound delta preparation (per-constraint tableaux compiled to
-//! cost-based plans under [`Engine::Planned`]).
+//! Every decision checks its candidates through one upper-bound check,
+//! chosen from the engine once per decision (per-constraint tableaux
+//! compiled to cost-based plans under [`Engine::Planned`]).
 //! For a one-shot decision that is invisible; for a workload that asks many
 //! decisions against the same `(R, R_m, D_m, V)` setting — the extension
 //! loop, a benchmark sweep, a service holding a fixed schema — it is pure
-//! rework. [`PreparedSetting`] hoists the compilation out of the loop and
-//! hands the shared preparation ([`std::sync::Arc`]-backed) to every
-//! decision.
+//! rework. [`PreparedSetting`] resolves the check up front and hands the
+//! same check (its plans [`std::sync::Arc`]-backed) to every decision.
 //!
 //! Preparation never changes verdicts: plans fix the join *order* of checks
 //! whose result is order-independent, and the statistics that steer the
@@ -17,44 +16,13 @@
 //! legally decide another — only timing shifts.
 
 use crate::budget::{Engine, SearchBudget};
+use crate::check::UpperCheck;
 use crate::query::Query;
 use crate::request::Request;
 use crate::setting::Setting;
 use crate::verdict::{QueryVerdict, RcError, Verdict};
-use ric_constraints::{PreparedUpper, StatsProvider};
+use ric_constraints::StatsProvider;
 use ric_data::Database;
-use std::sync::Arc;
-
-/// The one place a decision picks its upper-bound preparation: the shared
-/// `reuse` preparation when given, else a fresh compilation with plans
-/// costed from `stats`. Each caller keeps its own choice of *whether* it
-/// wants a preparation.
-pub(crate) fn upper_preparation(
-    setting: &Setting,
-    stats: &dyn StatsProvider,
-    reuse: Option<&Arc<PreparedUpper>>,
-) -> Result<Arc<PreparedUpper>, RcError> {
-    if let Some(prep) = reuse {
-        return Ok(Arc::clone(prep));
-    }
-    let prep = PreparedUpper::new(&setting.v, &setting.schema, &setting.dm, stats)?;
-    Ok(Arc::new(prep))
-}
-
-/// Build the shared upper-bound preparation `engine` wants for `setting`,
-/// or `None` when the engine never consults one (the naive engine uses the
-/// materialized union; IND-only settings use the C3 delta identity with no
-/// tableaux to prepare).
-pub(crate) fn prepare_upper(
-    setting: &Setting,
-    engine: Engine,
-    stats: &dyn StatsProvider,
-) -> Result<Option<Arc<PreparedUpper>>, RcError> {
-    if setting.v.is_ind_set() || !engine.indexed() {
-        return Ok(None);
-    }
-    upper_preparation(setting, stats, None).map(Some)
-}
 
 /// A [`Setting`] with its constraint compilation done up front.
 ///
@@ -67,8 +35,7 @@ pub(crate) fn prepare_upper(
 /// prepared decision is a plain one.
 pub struct PreparedSetting {
     setting: Setting,
-    engine: Engine,
-    upper: Option<Arc<PreparedUpper>>,
+    check: UpperCheck,
 }
 
 impl PreparedSetting {
@@ -84,12 +51,8 @@ impl PreparedSetting {
         stats: &dyn StatsProvider,
         engine: Engine,
     ) -> Result<Self, RcError> {
-        let upper = prepare_upper(&setting, engine, stats)?;
-        Ok(PreparedSetting {
-            setting,
-            engine,
-            upper,
-        })
+        let check = UpperCheck::new(&setting, engine, stats)?;
+        Ok(PreparedSetting { setting, check })
     }
 
     /// The underlying setting.
@@ -97,23 +60,18 @@ impl PreparedSetting {
         &self.setting
     }
 
-    /// The engine this preparation was compiled for.
-    pub fn engine(&self) -> Engine {
-        self.engine
-    }
-
     /// `(plans compiled, static fallbacks, summed estimated cost)` across
     /// the prepared constraint bodies, when a preparation exists and plans
     /// were compiled (planned engine, some monotone constraint body).
     pub fn plan_summary(&self) -> Option<(usize, usize, f64)> {
-        let (compiled, fallbacks, cost) = self.upper.as_ref()?.plan_summary();
+        let (compiled, fallbacks, cost) = self.check.prepared()?.plan_summary();
         (compiled > 0).then_some((compiled, fallbacks, cost))
     }
 
     /// Human-readable rendering of every compiled plan (the Explain note),
     /// empty when no plans were compiled.
     pub fn render_plans(&self) -> String {
-        match &self.upper {
+        match self.check.prepared() {
             Some(prep) => prep.render_plans(|rel| {
                 self.setting
                     .schema
@@ -130,8 +88,8 @@ impl PreparedSetting {
     /// Streaming callers (`ric-monitor`) compare these against live
     /// cardinalities to detect statistics drift and replan.
     pub fn planned_rows(&self) -> Vec<(ric_data::RelId, usize)> {
-        self.upper
-            .as_ref()
+        self.check
+            .prepared()
             .map(|u| u.planned_rows().to_vec())
             .unwrap_or_default()
     }
@@ -145,20 +103,20 @@ impl PreparedSetting {
         &self,
         ov: &ric_data::Overlay<'_>,
     ) -> Result<Option<ric_constraints::DeltaCheck>, RcError> {
-        match &self.upper {
+        match self.check.prepared() {
             Some(prep) => Ok(Some(prep.satisfied_delta(&self.setting.v, ov)?)),
             None => Ok(None),
         }
     }
 
-    /// The shared preparation a [`Request`] against this setting reuses.
-    pub(crate) fn upper(&self) -> Option<&Arc<PreparedUpper>> {
-        self.upper.as_ref()
+    /// The check every [`Request`] against this setting shares.
+    pub(crate) fn check(&self) -> &UpperCheck {
+        &self.check
     }
 
     /// [`crate::rcdp::rcdp`] reusing this preparation: a
-    /// [`Request`] against `self` under `budget` (on this
-    /// preparation's engine).
+    /// [`Request`] against `self` under `budget` (checked the way this
+    /// preparation's engine checks).
     pub fn rcdp(
         &self,
         query: &Query,

@@ -21,14 +21,16 @@
 //! `Unknown` otherwise.
 //!
 //! Every decision — [`rcdp`], a [`crate::PreparedSetting`] decision, and a
-//! resumed [`crate::Request`] — runs the same dispatch (`decide`) and the
-//! same search driver: the exact search
-//! walks one canonical chunk list (a chunk is one depth-0 candidate of one
-//! disjunct) and a fresh decision is a resume with an empty ledger of
-//! cleared chunks.
+//! resumed [`crate::Request`] — checks its input once (`check_input`) and
+//! runs the one exact-or-bounded dispatch (`search`, which the completion
+//! loop of [`crate::extend`] shares) with the candidate check its request
+//! resolved (`crate::check::UpperCheck`). The exact search walks one
+//! canonical chunk list (a chunk is one depth-0 candidate of one disjunct)
+//! and a fresh decision is a resume with an empty ledger of cleared chunks.
 
 use crate::adom::Adom;
-use crate::budget::{Engine, Meter, MeterKind, SearchBudget};
+use crate::budget::{Meter, MeterKind, SearchBudget};
+use crate::check::UpperCheck;
 use crate::guard::Guard;
 use crate::query::Query;
 use crate::request::Request;
@@ -36,114 +38,12 @@ use crate::semidecide::BoundedResume;
 use crate::setting::Setting;
 use crate::valuations::{EnumOutcome, ValuationSpace, PROFILE_DEPTH};
 use crate::verdict::{BudgetLimit, CounterExample, RcError, SearchStats, Verdict};
-use ric_constraints::PreparedUpper;
-use ric_data::{index::probe_count, Database, Overlay, Tuple, Value};
+use ric_data::{index::probe_count, Database, Tuple, Value};
 use ric_query::tableau::Tableau;
 use ric_query::{QueryLanguage, Term};
 use ric_telemetry::Probe;
 use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::Arc;
-
-/// How the inner loop checks `(D ∪ Δ, D_m) |= V` per candidate.
-pub(crate) enum CheckMode {
-    /// IND constraint sets: projections distribute over unions and `D` is
-    /// partially closed, so checking `Δ` alone is equivalent (C3).
-    IndOnly,
-    /// Materialize `D ∪ Δ` and re-check every constraint (naive engine).
-    Union,
-    /// Overlay `D ∪ Δ` and re-check only what the novel tuples can break.
-    /// Shared (`Arc`) so a [`crate::PreparedSetting`] can compile once and
-    /// hand the same preparation to every decision.
-    Delta(Arc<PreparedUpper>),
-}
-
-impl CheckMode {
-    /// Pick the mode for this decision. The delta mode's precondition —
-    /// upper bounds hold on the base — is the partial-closure input
-    /// requirement, verified by the callers. `db` supplies the statistics
-    /// the planned engine compiles its join orders from; a given `reuse`
-    /// preparation (the prepared-decision path) is shared instead.
-    pub(crate) fn select(
-        setting: &Setting,
-        engine: Engine,
-        db: &Database,
-        reuse: Option<&Arc<PreparedUpper>>,
-    ) -> Result<CheckMode, RcError> {
-        Ok(if setting.v.is_ind_set() {
-            CheckMode::IndOnly
-        } else if !engine.indexed() {
-            CheckMode::Union
-        } else {
-            CheckMode::Delta(crate::prepared::upper_preparation(setting, db, reuse)?)
-        })
-    }
-
-    /// The shared preparation backing the delta mode, if any.
-    pub(crate) fn prepared(&self) -> Option<&Arc<PreparedUpper>> {
-        match self {
-            CheckMode::Delta(prep) => Some(prep),
-            _ => None,
-        }
-    }
-
-    /// Is `(D ∪ Δ, D_m) |= V` for the delta overlaid on `db`? Counts skipped
-    /// constraints into `cc_skipped`.
-    pub(crate) fn upper_satisfied(
-        &self,
-        setting: &Setting,
-        db: &Database,
-        delta: &Database,
-        cc_skipped: &Cell<u64>,
-    ) -> bool {
-        self.upper_check(setting, db, delta, cc_skipped).is_none()
-    }
-
-    /// Like [`Self::upper_satisfied`], reporting the index of the first
-    /// violated constraint (`None` = satisfied). Every strategy evaluates the
-    /// constraints in set order and short-circuits on the first violation, so
-    /// this does exactly the work of the boolean check — the search profiler
-    /// keys its `prune.cc.NN` attribution counters on the result without
-    /// perturbing any other counter.
-    pub(crate) fn upper_check(
-        &self,
-        setting: &Setting,
-        db: &Database,
-        delta: &Database,
-        cc_skipped: &Cell<u64>,
-    ) -> Option<usize> {
-        match self {
-            CheckMode::IndOnly => setting
-                .v
-                .first_violated_upper(delta, &setting.dm)
-                .unwrap_or_else(|e| {
-                    unreachable!("constraint bodies validated by the precondition check: {e:?}")
-                }),
-            CheckMode::Union => {
-                let extended = db
-                    .union(delta)
-                    .unwrap_or_else(|e| unreachable!("delta shares the setting schema: {e:?}"));
-                setting
-                    .v
-                    .first_violated_upper(&extended, &setting.dm)
-                    .unwrap_or_else(|e| {
-                        unreachable!("constraint bodies validated by the precondition check: {e:?}")
-                    })
-            }
-            CheckMode::Delta(prepared) => {
-                let ov = Overlay::new(db, delta)
-                    .unwrap_or_else(|e| unreachable!("delta shares the setting schema: {e:?}"));
-                let res = prepared
-                    .satisfied_delta(&setting.v, &ov)
-                    .unwrap_or_else(|e| {
-                        unreachable!("constraint bodies validated by the precondition check: {e:?}")
-                    });
-                cc_skipped.set(cc_skipped.get() + res.skipped as u64);
-                res.violated
-            }
-        }
-    }
-}
 
 /// Stable counter names for pruning attribution by containment-constraint
 /// index: `prune.cc.NN` counts candidate rejections whose first violated
@@ -286,13 +186,10 @@ impl ChunkStats {
     }
 }
 
-/// The one RCDP dispatch: check the FP bodies and partial closure, then run
-/// the exact search or the bounded semi-decision. `reuse` is a
-/// [`crate::PreparedSetting`]'s shared upper-bound preparation; `prior` is
-/// the ledger of an earlier installment (`None` for a fresh decision), used
-/// only when it belongs to the search this dispatch picks. Returns the
-/// verdict and, when the search stopped on a budget-like limit, the ledger
-/// to resume from.
+/// The one RCDP decision: [`check_input`], then [`search`] with the
+/// decision's `check` (`reused` when a [`crate::PreparedSetting`] built it)
+/// from `prior`, an earlier installment's ledger. Returns the verdict and,
+/// when the search stopped on a budget-like limit, the ledger to resume from.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn decide(
     setting: &Setting,
@@ -301,24 +198,54 @@ pub(crate) fn decide(
     budget: &SearchBudget,
     guard: &Guard,
     probe: Probe<'_>,
-    reuse: Option<&Arc<PreparedUpper>>,
+    check: &UpperCheck,
+    reused: bool,
     prior: Option<Ledger>,
 ) -> Result<(Verdict, Option<Ledger>), RcError> {
     // The guard is the decision's deterministic timebase: spans opened below
     // carry tick deltas alongside wall-clock micros.
     let probe = probe.with_ticks(guard);
+    check_input(setting, query, db)?;
+    search(
+        setting, query, db, budget, guard, probe, check, reused, prior,
+    )
+}
+
+/// The RCDP input precondition, on which every candidate check relies: the
+/// FP bodies validate and `db` is partially closed.
+pub(crate) fn check_input(setting: &Setting, query: &Query, db: &Database) -> Result<(), RcError> {
     validate_fp_bodies(setting, query)?;
     if !setting.partially_closed(db)? {
         return Err(RcError::NotPartiallyClosed);
     }
+    Ok(())
+}
+
+/// The one exact-or-bounded dispatch over an input that passed
+/// [`check_input`]: the exact search when both `L_Q` and `L_C` avoid
+/// negation and recursion, the bounded semi-decision otherwise. `prior` is
+/// used only when it belongs to the search this dispatch picks.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn search(
+    setting: &Setting,
+    query: &Query,
+    db: &Database,
+    budget: &SearchBudget,
+    guard: &Guard,
+    probe: Probe<'_>,
+    check: &UpperCheck,
+    reused: bool,
+    prior: Option<Ledger>,
+) -> Result<(Verdict, Option<Ledger>), RcError> {
     if exactly_decidable(query.language()) && exactly_decidable(setting.v.language()) {
         probe.note("rcdp.strategy", || "exact".into());
         let committed = match prior {
             Some(Ledger::Exact(ledger)) => Some(ledger),
             _ => None,
         };
-        let (verdict, ledger) =
-            decide_exact(setting, query, db, budget, guard, probe, reuse, committed)?;
+        let (verdict, ledger) = decide_exact(
+            setting, query, db, budget, guard, probe, check, reused, committed,
+        )?;
         Ok((verdict, ledger.map(Ledger::Exact)))
     } else {
         probe.note("rcdp.strategy", || "bounded".into());
@@ -327,7 +254,7 @@ pub(crate) fn decide(
             _ => None,
         };
         let (verdict, resume) = crate::semidecide::decide_bounded(
-            setting, query, db, budget, guard, probe, reuse, committed,
+            setting, query, db, budget, guard, probe, check, reused, committed,
         )?;
         Ok((verdict, resume.map(|r| Ledger::Bounded(Box::new(r)))))
     }
@@ -341,11 +268,11 @@ pub(crate) fn decide(
 pub(crate) fn emit_plan_telemetry(
     probe: Probe<'_>,
     setting: &Setting,
-    prep: Option<&Arc<PreparedUpper>>,
+    check: &UpperCheck,
     reused: bool,
     db: &Database,
 ) {
-    let Some(prep) = prep else { return };
+    let Some(prep) = check.prepared() else { return };
     let rel_name = |rel: ric_data::RelId| {
         setting
             .schema
@@ -376,7 +303,7 @@ pub(crate) fn emit_plan_telemetry(
             .collect::<Vec<_>>()
             .join("; ")
     });
-    // Export the planner's statistics as gauges so metrics snapshots carry
+    // Export the planner's statistics as gauges so decision reports carry
     // the row counts each plan was costed against, keyed by relation id like
     // the `prune.cc.NN` attribution family (gauges max-merge, and the
     // planning snapshot is fixed per preparation).
@@ -409,9 +336,9 @@ pub(crate) const STATS_ROWS: [&str; 16] = [
 ];
 
 /// The exact decider; callers must have verified the language combination
-/// and partial closure. The one setup — tableaux, `Q(D)`, `Adom`, check
-/// mode (sharing `reuse` when given), chunk layout — feeds the one chunk
-/// driver, which runs under one meter on the calling thread.
+/// and partial closure. The one setup — tableaux, `Q(D)`, `Adom`, chunk
+/// layout over the decision's `check` — feeds the one chunk driver, which
+/// runs under one meter on the calling thread.
 /// `committed` is `(n_chunks, cleared)` from a prior installment's
 /// checkpoint, `None` for a fresh decision; a ledger whose chunk count does
 /// not match this decision's canonical layout is discarded (with a
@@ -425,7 +352,8 @@ pub(crate) fn decide_exact(
     budget: &SearchBudget,
     guard: &Guard,
     probe: Probe<'_>,
-    reuse: Option<&Arc<PreparedUpper>>,
+    check: &UpperCheck,
+    reused: bool,
     committed: Option<ExactLedger>,
 ) -> Result<(Verdict, Option<ExactLedger>), RcError> {
     let probe = probe.with_ticks(guard);
@@ -451,9 +379,8 @@ pub(crate) fn decide_exact(
         .max(1);
     let adom = Adom::build(db, setting, query, n_fresh);
     probe.gauge("rcdp.adom_size", adom.len() as u64);
-    let mode = CheckMode::select(setting, budget.engine, db, reuse)?;
-    emit_plan_telemetry(probe, setting, mode.prepared(), reuse.is_some(), db);
-    let search = ExactSearch::new(setting, db, &mode, &q_d, &tableaux, &adom);
+    emit_plan_telemetry(probe, setting, check, reused, db);
+    let search = ExactSearch::new(setting, db, check, &q_d, &tableaux, &adom);
     let n_chunks = search.chunks.len();
     if n_chunks == 0 {
         let verdict = Verdict::Complete;
@@ -492,7 +419,7 @@ struct Disjunct<'a> {
 struct ExactSearch<'a> {
     setting: &'a Setting,
     db: &'a Database,
-    mode: &'a CheckMode,
+    check: &'a UpperCheck,
     q_d: &'a BTreeSet<Tuple>,
     disjuncts: Vec<Disjunct<'a>>,
     /// The canonical chunk list: `(disjunct index, depth-0 split point)`, one
@@ -522,7 +449,7 @@ impl<'a> ExactSearch<'a> {
     fn new(
         setting: &'a Setting,
         db: &'a Database,
-        mode: &'a CheckMode,
+        check: &'a UpperCheck,
         q_d: &'a BTreeSet<Tuple>,
         tableaux: &'a [Tableau],
         adom: &'a Adom,
@@ -546,7 +473,7 @@ impl<'a> ExactSearch<'a> {
         ExactSearch {
             setting,
             db,
-            mode,
+            check,
             q_d,
             disjuncts,
             chunks,
@@ -578,7 +505,7 @@ impl<'a> ExactSearch<'a> {
             };
             return (ChunkEvent::Clear, stats);
         }
-        let (setting, db, mode) = (self.setting, self.db, self.mode);
+        let (setting, db, check) = (self.setting, self.db, self.check);
         let used_before = meter.used();
         let probes_before = probe_count();
         let cc_checks = Cell::new(0u64);
@@ -605,7 +532,7 @@ impl<'a> ExactSearch<'a> {
                 delta.insert(rel, tuple);
             }
             cc_checks.set(cc_checks.get() + 1);
-            match mode.upper_check(setting, db, &delta, &cc_skipped) {
+            match check.first_violation(setting, db, &delta, &cc_skipped) {
                 None => true,
                 Some(i) => {
                     bump_viol(&cc_viol, i);
@@ -616,7 +543,7 @@ impl<'a> ExactSearch<'a> {
         let visit = |mu: &ric_query::tableau::Valuation| {
             let delta = mu.instantiate(t, setting.schema.len());
             cc_checks.set(cc_checks.get() + 1);
-            if let Some(i) = mode.upper_check(setting, db, &delta, &cc_skipped) {
+            if let Some(i) = check.first_violation(setting, db, &delta, &cc_skipped) {
                 bump_viol(&cc_viol, i);
                 return std::ops::ControlFlow::Continue(());
             }

@@ -22,9 +22,11 @@
 //!
 //!   The decider therefore: (a) probes a greedy completion from the empty
 //!   database (fast, certified); (b) enumerates maximal consistent subsets
-//!   of the pool and checks E2 on each; all failing ⇒ `Empty`. The query
-//!   side of the E2 check is built once per disjunct and shares the
-//!   search's upper-bound preparation, and a leaf's maximality test skips
+//!   of the pool and checks E2 on each; all failing ⇒ `Empty`. Every
+//!   consistency test, E2 check, greedy completion, and witness
+//!   certification runs through the decision's one candidate check
+//!   (`crate::check::UpperCheck`). The query side of the E2 check is built
+//!   once per disjunct, and a leaf's maximality test skips
 //!   the entries refused on its branch — bodies are monotone and the
 //!   candidate only grows below a node, so a refused tuple stays refused
 //!   (see `SearchCtx::maximal_subsets`). The fresh
@@ -42,6 +44,7 @@
 use crate::adom::Adom;
 use crate::budget::{Engine, Meter, MeterKind, SearchBudget};
 use crate::characterize::E2Disjunct;
+use crate::check::UpperCheck;
 use crate::extend::{complete_extension_guarded, CompletionOutcome};
 use crate::guard::Guard;
 use crate::query::Query;
@@ -50,8 +53,7 @@ use crate::request::Request;
 use crate::setting::Setting;
 use crate::valuations::{EnumOutcome, ValuationSpace};
 use crate::verdict::{BudgetLimit, QueryVerdict, RcError, SearchStats, Verdict};
-use ric_constraints::PreparedUpper;
-use ric_data::{index::probe_count, Database, Overlay, RelId, Tuple, Value};
+use ric_data::{index::probe_count, Database, RelId, Tuple, Value};
 use ric_query::tableau::Tableau;
 use ric_query::Term;
 use ric_telemetry::Probe;
@@ -62,76 +64,6 @@ use std::ops::ControlFlow;
 /// Rounds allowed for the greedy fast-path probe before falling back to the
 /// characterization-driven search.
 const GREEDY_PROBE_TUPLES: usize = 8;
-
-/// Per-candidate consistency test for the maximal-subset enumeration:
-/// "is `current ∪ {tuple}` still partially closed?", asked once per include
-/// branch and once per maximality probe.
-enum ConsistencyCheck {
-    /// Clone the candidate database, insert, re-check `V` in full.
-    Full,
-    /// Check only what the one new tuple can break, on an overlay. Sound
-    /// because every `current` in the search is partially closed by
-    /// construction (the seed is checked up front, and only admitted tuples
-    /// are ever inserted) and `L_C` is UCQ-expressible here, so lower-bound
-    /// bodies are monotone and stay satisfied under extension.
-    Delta(std::sync::Arc<PreparedUpper>),
-}
-
-impl ConsistencyCheck {
-    /// `stats` is the search's seed database — the only instance in hand when
-    /// RCQP starts (candidate databases are enumerated, not given). For the
-    /// planned engine it is typically near-empty, so plans usually compile in
-    /// static-fallback order; order only affects timing, never admission.
-    fn select(
-        setting: &Setting,
-        engine: Engine,
-        stats: &Database,
-        reuse: Option<&std::sync::Arc<PreparedUpper>>,
-    ) -> Result<Self, RcError> {
-        if !engine.indexed() {
-            return Ok(ConsistencyCheck::Full);
-        }
-        Ok(ConsistencyCheck::Delta(crate::prepared::upper_preparation(
-            setting, stats, reuse,
-        )?))
-    }
-
-    /// The shared preparation backing the delta mode, if any.
-    fn prepared(&self) -> Option<&std::sync::Arc<PreparedUpper>> {
-        match self {
-            ConsistencyCheck::Delta(prep) => Some(prep),
-            ConsistencyCheck::Full => None,
-        }
-    }
-
-    fn admits(
-        &self,
-        setting: &Setting,
-        current: &Database,
-        rel: RelId,
-        tuple: &Tuple,
-        scratch: &RefCell<Database>,
-        cc_skipped: &Cell<u64>,
-    ) -> Result<bool, RcError> {
-        match self {
-            ConsistencyCheck::Full => {
-                let mut extended = current.clone();
-                extended.insert(rel, tuple.clone());
-                Ok(setting.partially_closed(&extended)?)
-            }
-            ConsistencyCheck::Delta(prepared) => {
-                let mut delta = scratch.borrow_mut();
-                delta.clear_tuples();
-                delta.insert(rel, tuple.clone());
-                let ov = Overlay::new(current, &delta)
-                    .unwrap_or_else(|e| unreachable!("delta shares the setting schema: {e:?}"));
-                let res = prepared.satisfied_delta(&setting.v, &ov)?;
-                cc_skipped.set(cc_skipped.get() + res.skipped as u64);
-                Ok(res.satisfied)
-            }
-        }
-    }
-}
 
 /// Decide RCQP, dispatching on the language combination:
 /// [`Request::rcqp`](crate::Request::rcqp) against `setting` under `budget`.
@@ -161,18 +93,21 @@ pub(crate) fn emit_query_verdict(probe: Probe<'_>, verdict: &QueryVerdict) {
     }
 }
 
+/// The one RCQP dispatch; every nested completion, E2 check, and
+/// certification shares the decision's `check`.
 pub(crate) fn rcqp_inner(
     setting: &Setting,
     query: &Query,
     budget: &SearchBudget,
     guard: &Guard,
     probe: Probe<'_>,
-    reuse: Option<&std::sync::Arc<PreparedUpper>>,
+    check: &UpperCheck,
+    reused: bool,
 ) -> Result<QueryVerdict, RcError> {
     if !(exactly_decidable(query.language()) && exactly_decidable(setting.v.language())) {
         probe.note("rcqp.strategy", || "bounded".into());
         // The caller (`Request::rcqp`) emits the outcome note.
-        return crate::semidecide::rcqp_bounded_inner(setting, query, budget, guard, probe);
+        return crate::semidecide::rcqp_bounded_inner(setting, query, budget, guard, probe, check);
     }
     // Lower-bound constraints (the Section 5 extension) force minimal
     // content into every candidate database; build that seed first. With no
@@ -220,19 +155,30 @@ pub(crate) fn rcqp_inner(
             &seed,
             budget,
             guard,
+            check,
             budget.max_witness_tuples,
         )?;
         return Ok(QueryVerdict::Nonempty { witness });
     }
     if setting.v.is_ind_set() {
         probe.note("rcqp.strategy", || "ind".into());
-        rcqp_ind(setting, query, &seed, &tableaux, budget, guard, probe)
+        rcqp_ind(
+            setting, query, &seed, &tableaux, budget, guard, probe, check,
+        )
     } else {
         probe.note("rcqp.strategy", || "general".into());
         rcqp_general(
-            setting, query, &seed, &tableaux, budget, guard, probe, reuse,
+            setting, query, &seed, &tableaux, budget, guard, probe, check, reused,
         )
     }
+}
+
+/// The check a plain RCQP request builds, planned from the lower-bound seed:
+/// the only instance in hand when RCQP starts. Typically near-empty, so
+/// plans usually take the static order — which affects timing only.
+pub(crate) fn plain_check(setting: &Setting, engine: Engine) -> Result<UpperCheck, RcError> {
+    let seed = lower_bound_seed(setting).unwrap_or_else(|| Database::empty(&setting.schema));
+    UpperCheck::new(setting, engine, &seed)
 }
 
 /// Construct the minimal database forced by the lower-bound constraints:
@@ -280,13 +226,14 @@ fn greedy_witness(
     seed: &Database,
     budget: &SearchBudget,
     guard: &Guard,
+    check: &UpperCheck,
     max_tuples: usize,
 ) -> Result<Option<Database>, RcError> {
     let capped = SearchBudget {
         max_witness_tuples: max_tuples,
         ..*budget
     };
-    let outcome = complete_extension_guarded(setting, query, seed, &capped, guard)?;
+    let outcome = complete_extension_guarded(setting, query, seed, &capped, guard, check)?;
     Ok(match outcome {
         CompletionOutcome::AlreadyComplete => Some(seed.clone()),
         CompletionOutcome::Completed { result, .. } => Some(result),
@@ -304,6 +251,7 @@ fn rcqp_ind(
     budget: &SearchBudget,
     guard: &Guard,
     probe: Probe<'_>,
+    check: &UpperCheck,
 ) -> Result<QueryVerdict, RcError> {
     let n_fresh = tableaux
         .iter()
@@ -392,6 +340,7 @@ fn rcqp_ind(
         seed,
         budget,
         guard,
+        check,
         budget.max_witness_tuples,
     )?;
     drop(greedy_span);
@@ -409,39 +358,36 @@ struct PoolEntry {
 }
 
 /// Build the candidate pool over `values`: every instantiation of every atom
-/// of every constraint tableau (head-variable values recorded as bound), and
-/// the constant tuples of the query tableaux (no bound contribution).
+/// of every constraint tableau in `cc_tableaux` (head-variable values
+/// recorded as bound), and the constant tuples of the query tableaux (no
+/// bound contribution).
 fn candidate_pool(
     setting: &Setting,
+    cc_tableaux: &[Tableau],
     query_tableaux: &[Tableau],
     values: &[Value],
-) -> Result<Vec<PoolEntry>, RcError> {
+) -> Vec<PoolEntry> {
     let mut pool: BTreeMap<(RelId, Tuple), BTreeSet<Value>> = BTreeMap::new();
-    for cc in &setting.v.ccs {
-        let Some(ucq) = cc.body.as_ucq(&setting.schema) else {
-            continue;
-        };
-        for t in ucq.tableaux()? {
-            let doms = t.var_domains(&setting.schema);
-            let head_vars = t.head_vars();
-            for atom in &t.atoms {
-                let mut binding: BTreeMap<u32, Value> = BTreeMap::new();
-                instantiate_atom(
-                    atom,
-                    &doms,
-                    values,
-                    0,
-                    &mut binding,
-                    &mut |tuple, binding| {
-                        let bound: BTreeSet<Value> = atom
-                            .vars()
-                            .filter(|v| head_vars.contains(v))
-                            .map(|v| binding[&v.0].clone())
-                            .collect();
-                        pool.entry((atom.rel, tuple)).or_default().extend(bound);
-                    },
-                );
-            }
+    for t in cc_tableaux {
+        let doms = t.var_domains(&setting.schema);
+        let head_vars = t.head_vars();
+        for atom in &t.atoms {
+            let mut binding: BTreeMap<u32, Value> = BTreeMap::new();
+            instantiate_atom(
+                atom,
+                &doms,
+                values,
+                0,
+                &mut binding,
+                &mut |tuple, binding| {
+                    let bound: BTreeSet<Value> = atom
+                        .vars()
+                        .filter(|v| head_vars.contains(v))
+                        .map(|v| binding[&v.0].clone())
+                        .collect();
+                    pool.entry((atom.rel, tuple)).or_default().extend(bound);
+                },
+            );
         }
     }
     for t in query_tableaux {
@@ -456,10 +402,9 @@ fn candidate_pool(
             pool.entry((atom.rel, tuple)).or_default();
         }
     }
-    Ok(pool
-        .into_iter()
+    pool.into_iter()
         .map(|((rel, tuple), bound)| PoolEntry { rel, tuple, bound })
-        .collect())
+        .collect()
 }
 
 fn instantiate_atom(
@@ -775,7 +720,8 @@ fn rcqp_general(
     budget: &SearchBudget,
     guard: &Guard,
     probe: Probe<'_>,
-    reuse: Option<&std::sync::Arc<PreparedUpper>>,
+    check: &UpperCheck,
+    reused: bool,
 ) -> Result<QueryVerdict, RcError> {
     // Sound emptiness fast path: a disjunct whose generic instantiation
     // escapes every constraint dooms all candidate databases.
@@ -797,6 +743,7 @@ fn rcqp_general(
             seed,
             budget,
             guard,
+            check,
             GREEDY_PROBE_TUPLES.min(budget.max_witness_tuples),
         )? {
             return Ok(QueryVerdict::Nonempty {
@@ -808,14 +755,17 @@ fn rcqp_general(
     // need as many fresh values as the largest constraint tableau has
     // variables; track whether the configured pool reaches that, since an
     // exhausted search only proves emptiness relative to its pool.
-    let mut needed_fresh: usize = 0;
+    let mut cc_tableaux = Vec::new();
     for cc in &setting.v.ccs {
         if let Some(ucq) = cc.body.as_ucq(&setting.schema) {
-            for t in ucq.tableaux()? {
-                needed_fresh = needed_fresh.max(t.n_vars as usize);
-            }
+            cc_tableaux.extend(ucq.tableaux()?);
         }
     }
+    let needed_fresh = cc_tableaux
+        .iter()
+        .map(|t| t.n_vars as usize)
+        .max()
+        .unwrap_or(0);
     let n_fresh = budget.fresh_values.max(1);
     let pool_is_exact = n_fresh >= needed_fresh;
     let adom = Adom::build(seed, setting, query, n_fresh);
@@ -825,16 +775,9 @@ fn rcqp_general(
     // Estimate the pool before materialising it: Σ |values|^{vars per atom}.
     const MAX_POOL: usize = 4096;
     let mut estimate = 0usize;
-    for cc in &setting.v.ccs {
-        if let Some(ucq) = cc.body.as_ucq(&setting.schema) {
-            for t in ucq.tableaux()? {
-                for atom in &t.atoms {
-                    let vars: BTreeSet<_> = atom.vars().collect();
-                    estimate = estimate
-                        .saturating_add(values.len().max(1).saturating_pow(vars.len() as u32));
-                }
-            }
-        }
+    for atom in cc_tableaux.iter().flat_map(|t| &t.atoms) {
+        let vars: BTreeSet<_> = atom.vars().collect();
+        estimate = estimate.saturating_add(values.len().max(1).saturating_pow(vars.len() as u32));
     }
     if estimate > MAX_POOL {
         return Ok(QueryVerdict::unknown(SearchStats::new(
@@ -845,7 +788,7 @@ fn rcqp_general(
             ),
         )));
     }
-    let pool = candidate_pool(setting, tableaux, &values)?;
+    let pool = candidate_pool(setting, &cc_tableaux, tableaux, &values);
 
     // Pre-filter: a tuple that violates V on its own can never belong to a
     // consistent subset. Upper bounds only: a lone tuple cannot be expected
@@ -863,16 +806,11 @@ fn rcqp_general(
     // constraint tableau: having survived the single-tuple filter it can
     // never participate in a violation, so every maximal subset contains it
     // (its exclude branch is skipped below).
-    let mut multi_atom_rels: BTreeSet<RelId> = BTreeSet::new();
-    for cc in &setting.v.ccs {
-        if let Some(ucq) = cc.body.as_ucq(&setting.schema) {
-            for t in ucq.tableaux()? {
-                if t.atoms.len() >= 2 {
-                    multi_atom_rels.extend(t.atoms.iter().map(|a| a.rel));
-                }
-            }
-        }
-    }
+    let multi_atom_rels: BTreeSet<RelId> = cc_tableaux
+        .iter()
+        .filter(|t| t.atoms.len() >= 2)
+        .flat_map(|t| t.atoms.iter().map(|a| a.rel))
+        .collect();
     let inert: Vec<bool> = pool
         .iter()
         .map(|e| !multi_atom_rels.contains(&e.rel))
@@ -897,15 +835,14 @@ fn rcqp_general(
         .collect();
     let mut current = seed.clone();
     let mut result: Option<Database> = None;
-    let check_mode = ConsistencyCheck::select(setting, budget.engine, seed, reuse)?;
-    crate::rcdp::emit_plan_telemetry(probe, setting, check_mode.prepared(), reuse.is_some(), seed);
+    crate::rcdp::emit_plan_telemetry(probe, setting, check, reused, seed);
     let cc_skipped = Cell::new(0u64);
     let probes_before = probe_count();
     let ctx = SearchCtx {
         setting,
         pool: &pool,
         inert: &inert,
-        check_mode,
+        check,
         scratch: RefCell::new(Database::with_relations(setting.schema.len())),
         cc_skipped: &cc_skipped,
     };
@@ -928,15 +865,8 @@ fn rcqp_general(
                 .collect();
             for d in &e2_disjuncts {
                 e2_checks.set(e2_checks.get() + 1);
-                let verdict = d.check(
-                    setting,
-                    db,
-                    &bound,
-                    budget,
-                    guard,
-                    Probe::disabled(),
-                    ctx.check_mode.prepared(),
-                )?;
+                let verdict =
+                    d.check(setting, db, &bound, budget, guard, Probe::disabled(), check)?;
                 if verdict != Some(true) {
                     return Ok(false);
                 }
@@ -968,15 +898,7 @@ fn rcqp_general(
             return Ok(QueryVerdict::unknown(
                 SearchStats::new(
                     interrupt.limit(),
-                    match interrupt {
-                        crate::guard::Interrupt::Deadline => format!(
-                            "wall-clock deadline expired after {} candidate(s)",
-                            meter.used()
-                        ),
-                        crate::guard::Interrupt::Cancelled => {
-                            format!("cancelled after {} candidate(s)", meter.used())
-                        }
-                    },
+                    meter.interrupt_detail(interrupt, "candidate"),
                 )
                 .with_candidates(meter.used()),
             ));
@@ -995,7 +917,8 @@ fn rcqp_general(
                 budget,
                 guard,
                 Probe::disabled(),
-                None,
+                check,
+                false,
                 None,
             )?;
             let certified = matches!(verdict, Verdict::Complete);
@@ -1063,21 +986,24 @@ struct SearchCtx<'a> {
     /// Entries whose relation occurs in no multi-atom constraint tableau:
     /// every maximal subset contains them.
     inert: &'a [bool],
-    check_mode: ConsistencyCheck,
+    /// The decision's candidate check. Sound here because every `current`
+    /// in the search is partially closed by construction (the seed is
+    /// checked up front, and only admitted tuples are ever inserted).
+    check: &'a UpperCheck,
     scratch: RefCell<Database>,
     cc_skipped: &'a Cell<u64>,
 }
 
 impl SearchCtx<'_> {
-    fn admits(&self, current: &Database, entry: &PoolEntry) -> Result<bool, RcError> {
-        self.check_mode.admits(
-            self.setting,
-            current,
-            entry.rel,
-            &entry.tuple,
-            &self.scratch,
-            self.cc_skipped,
-        )
+    /// Is `current ∪ {entry}` still partially closed? Asked once per include
+    /// branch and once per maximality probe.
+    fn admits(&self, current: &Database, entry: &PoolEntry) -> bool {
+        let mut delta = self.scratch.borrow_mut();
+        delta.clear_tuples();
+        delta.insert(entry.rel, entry.tuple.clone());
+        self.check
+            .first_violation(self.setting, current, &delta, self.cc_skipped)
+            .is_none()
     }
 
     /// Enumerate the maximal `V`-consistent subsets of the pool, invoking
@@ -1108,7 +1034,7 @@ impl SearchCtx<'_> {
             // tuples are distinct and an excluded one was absent at its
             // node, so it is absent here too.)
             for (entry, &state) in self.pool.iter().zip(states.iter()) {
-                if state == EntryState::Excluded && self.admits(current, entry)? {
+                if state == EntryState::Excluded && self.admits(current, entry) {
                     return Ok(MaxOutcome::Exhausted); // not maximal; skip
                 }
             }
@@ -1121,7 +1047,7 @@ impl SearchCtx<'_> {
         let entry = &self.pool[idx];
         // Include branch (only if consistent).
         let already = current.instance(entry.rel).contains(&entry.tuple);
-        if already || self.admits(current, entry)? {
+        if already || self.admits(current, entry) {
             if !already {
                 current.insert(entry.rel, entry.tuple.clone());
             }
@@ -1416,24 +1342,24 @@ mod tests {
                     closed(mask) && (0..n).all(|i| mask & (1 << i) != 0 || !closed(mask | (1 << i)))
                 })
                 .collect();
-            let prepared = PreparedUpper::new(
+            let prepared = ric_constraints::PreparedUpper::new(
                 &setting.v,
                 &setting.schema,
                 &setting.dm,
                 &Database::empty(&schema),
             )
             .unwrap();
-            for check_mode in [
-                ConsistencyCheck::Full,
-                ConsistencyCheck::Delta(std::sync::Arc::new(prepared)),
+            for check in [
+                UpperCheck::Union,
+                UpperCheck::Delta(std::sync::Arc::new(prepared)),
             ] {
-                let delta_mode = check_mode.prepared().is_some();
+                let delta_mode = check.prepared().is_some();
                 let cc_skipped = Cell::new(0);
                 let ctx = SearchCtx {
                     setting: &setting,
                     pool: &pool,
                     inert: &vec![false; n],
-                    check_mode,
+                    check: &check,
                     scratch: RefCell::new(Database::empty(&schema)),
                     cc_skipped: &cc_skipped,
                 };

@@ -35,6 +35,7 @@
 //! final budget, on the same engine.
 
 use crate::budget::SearchBudget;
+use crate::check::UpperCheck;
 use crate::checkpoint::{
     rcdp_fingerprint, rcqp_fingerprint, Checkpoint, DecisionKind, Frontier, CHECKPOINT_VERSION,
 };
@@ -43,18 +44,17 @@ use crate::prepared::PreparedSetting;
 use crate::query::Query;
 use crate::setting::Setting;
 use crate::verdict::{BudgetLimit, QueryVerdict, RcError, Verdict};
-use ric_constraints::PreparedUpper;
 use ric_data::Database;
 use ric_telemetry::Probe;
-use std::sync::Arc;
 
 /// What a [`Request`] decides against.
 #[derive(Clone, Copy)]
 pub enum Source<'a> {
-    /// A plain setting: each decision compiles what its engine needs.
+    /// A plain setting: each decision builds the candidate check its
+    /// budget's engine runs.
     Setting(&'a Setting),
-    /// A prepared setting: decisions reuse its compiled upper bounds and run
-    /// on the engine it was prepared for.
+    /// A prepared setting: decisions share its candidate check, which its
+    /// engine chose and compiled once.
     Prepared(&'a PreparedSetting),
 }
 
@@ -105,7 +105,8 @@ impl<'a> Request<'a> {
         }
     }
 
-    /// Search under `budget`. A prepared source keeps its own engine.
+    /// Search under `budget`. A prepared source keeps its own engine's
+    /// candidate check.
     pub fn budget(mut self, budget: &SearchBudget) -> Self {
         self.budget = *budget;
         self
@@ -142,10 +143,20 @@ impl<'a> Request<'a> {
         self.run(
             DecisionKind::Rcdp,
             fingerprint,
-            |setting, upper, budget, guard, probe| {
+            |setting| UpperCheck::new(setting, self.budget.engine, db),
+            |setting, check, reused, guard, probe| {
                 let prior = self.prior.and_then(|cp| cp.frontier.ledger());
-                let (verdict, ledger) =
-                    crate::rcdp::decide(setting, query, db, budget, guard, probe, upper, prior)?;
+                let (verdict, ledger) = crate::rcdp::decide(
+                    setting,
+                    query,
+                    db,
+                    &self.budget,
+                    guard,
+                    probe,
+                    check,
+                    reused,
+                    prior,
+                )?;
                 let frontier = match (&verdict, ledger) {
                     (Verdict::Unknown { stats }, Some(ledger)) if resumable_limit(stats.limit) => {
                         let frontier = Frontier::from_ledger(ledger);
@@ -167,8 +178,17 @@ impl<'a> Request<'a> {
         self.run(
             DecisionKind::Rcqp,
             fingerprint,
-            |setting, upper, budget, guard, probe| {
-                let verdict = crate::rcqp::rcqp_inner(setting, query, budget, guard, probe, upper)?;
+            |setting| crate::rcqp::plain_check(setting, self.budget.engine),
+            |setting, check, reused, guard, probe| {
+                let verdict = crate::rcqp::rcqp_inner(
+                    setting,
+                    query,
+                    &self.budget,
+                    guard,
+                    probe,
+                    check,
+                    reused,
+                )?;
                 crate::rcqp::emit_query_verdict(probe, &verdict);
                 let frontier = match &verdict {
                     QueryVerdict::Unknown { stats } if resumable_limit(stats.limit) => {
@@ -181,38 +201,39 @@ impl<'a> Request<'a> {
         )
     }
 
-    /// Run one decision: resolve the source (a prepared source pins its
-    /// engine), take the caller's guard or a fresh one from the budget,
-    /// validate the prior against the decision's fingerprint, run `decide`,
-    /// and capture a checkpoint from the `(committed ticks, frontier)` it
-    /// hands back. The fingerprint is computed at most once, and only when
+    /// Run one decision: resolve its one candidate check (a prepared
+    /// source's own, else the one `plain_check` builds), take the caller's
+    /// guard or a fresh one from the budget, validate the prior against the
+    /// decision's fingerprint, run `decide` with the check, and capture a
+    /// checkpoint from the `(committed ticks, frontier)` it hands back. The fingerprint is computed at most once, and only when
     /// a prior is given or a checkpoint is captured.
     fn run<T>(
         &self,
         kind: DecisionKind,
         fingerprint: impl Fn(&Setting) -> u64,
+        plain_check: impl FnOnce(&Setting) -> Result<UpperCheck, RcError>,
         decide: impl FnOnce(
             &'a Setting,
-            Option<&'a Arc<PreparedUpper>>,
-            &SearchBudget,
+            &UpperCheck,
+            bool,
             &Guard,
             Probe<'_>,
         ) -> Result<(T, Option<(u64, Frontier)>), RcError>,
     ) -> Result<Outcome<T>, RcError> {
-        let (setting, upper, budget) = match self.source {
-            Source::Setting(setting) => (setting, None, self.budget),
-            Source::Prepared(prepared) => {
-                let mut budget = self.budget;
-                budget.engine = prepared.engine();
-                (prepared.setting(), prepared.upper(), budget)
+        let own_check;
+        let (setting, check, reused) = match self.source {
+            Source::Setting(setting) => {
+                own_check = plain_check(setting)?;
+                (setting, &own_check, false)
             }
+            Source::Prepared(prepared) => (prepared.setting(), prepared.check(), true),
         };
-        let own;
+        let own_guard;
         let guard = match self.guard {
             Some(guard) => guard,
             None => {
-                own = Guard::new(&budget);
-                &own
+                own_guard = Guard::new(&self.budget);
+                &own_guard
             }
         };
         let probe = self.probe.with_ticks(guard);
@@ -225,7 +246,7 @@ impl<'a> Request<'a> {
                 prior.attempt.saturating_add(1).to_string()
             });
         }
-        let (verdict, frontier) = decide(setting, upper, &budget, guard, probe)?;
+        let (verdict, frontier) = decide(setting, check, reused, guard, probe)?;
         let checkpoint = frontier.map(|(spent_ticks, frontier)| {
             let cp = Checkpoint {
                 version: CHECKPOINT_VERSION,

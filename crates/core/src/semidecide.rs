@@ -18,20 +18,25 @@
 //!   is undecidable here, a surviving candidate is only evidence, so the
 //!   result is at best `Unknown` with a description of how far the search
 //!   went — exactly the epistemic state the undecidability theorems force.
+//!
+//! Both searches gate candidates through the decision's one upper-bound
+//! check (`crate::check::UpperCheck`). What stays here is the bounded
+//! search's own work: materializing each surviving union for the FO/FP
+//! query, and re-checking the lower bounds on it when some lower-bound body
+//! is not UCQ-expressible (not monotone, so extension can break it).
 
 use crate::adom::Adom;
-use crate::budget::{Engine, Meter, MeterKind, SearchBudget};
+use crate::budget::{Meter, MeterKind, SearchBudget};
+use crate::check::UpperCheck;
 use crate::guard::Guard;
 use crate::query::Query;
 use crate::rcdp::ChunkStats;
 use crate::setting::Setting;
 use crate::verdict::{BudgetLimit, CounterExample, QueryVerdict, RcError, SearchStats, Verdict};
-use ric_constraints::PreparedUpper;
-use ric_data::{index::probe_count, Database, Overlay, RelId, Tuple, Value};
+use ric_data::{index::probe_count, Database, RelId, Tuple, Value};
 use ric_telemetry::Probe;
 use std::cell::Cell;
 use std::collections::BTreeSet;
-use std::sync::Arc;
 
 /// Upper bound on the materialised candidate pool; beyond it the bounded
 /// searches report `Unknown` instead of exhausting memory.
@@ -72,105 +77,6 @@ pub(crate) fn tuple_pool(
         });
     }
     pool
-}
-
-/// Per-candidate closure check for the bounded search. Unlike the exact
-/// decider's [`CheckMode`](crate::rcdp::CheckMode), this one must hand back a
-/// materialized union for the surviving candidates: `L_Q` here may be FO/FP,
-/// which the query evaluator wants as a concrete [`Database`].
-enum BoundedCheck {
-    /// Materialize every candidate union and check `V` in full.
-    Full,
-    /// Check upper bounds incrementally on the overlay and materialize only
-    /// the survivors. Requires the upper bounds to hold on the base.
-    Delta {
-        prepared: Arc<PreparedUpper>,
-        /// Lower bounds must be re-checked on each surviving union — some
-        /// body is FO/FP (not monotone) or the base does not satisfy them
-        /// yet (an extension can repair a missing lower bound).
-        recheck_lower: bool,
-    },
-}
-
-impl BoundedCheck {
-    fn select(
-        setting: &Setting,
-        db: &Database,
-        engine: Engine,
-        reuse: Option<&Arc<PreparedUpper>>,
-    ) -> Result<Self, RcError> {
-        // The incremental identity for monotone upper bodies needs the upper
-        // bounds to hold on the base; when they do not, the naive path keeps
-        // the original semantics.
-        if !engine.indexed() || !setting.v.upper_satisfied(db, &setting.dm)? {
-            return Ok(BoundedCheck::Full);
-        }
-        let mut recheck_lower = false;
-        for lb in &setting.v.lower_bounds {
-            if !crate::rcdp::exactly_decidable(lb.body.language())
-                || !lb.satisfied(db, &setting.dm)?
-            {
-                recheck_lower = true;
-                break;
-            }
-        }
-        Ok(BoundedCheck::Delta {
-            prepared: crate::prepared::upper_preparation(setting, db, reuse)?,
-            recheck_lower,
-        })
-    }
-
-    /// The shared preparation backing the delta mode, if any.
-    fn prepared(&self) -> Option<&Arc<PreparedUpper>> {
-        match self {
-            BoundedCheck::Delta { prepared, .. } => Some(prepared),
-            BoundedCheck::Full => None,
-        }
-    }
-
-    /// `(D ∪ Δ, D_m) |= V`? Returns the materialized union for survivors so
-    /// the caller can evaluate the query on it, `None` for rejects.
-    fn closed_union(
-        &self,
-        setting: &Setting,
-        db: &Database,
-        delta: &Database,
-        cc_skipped: &Cell<u64>,
-    ) -> Result<Option<Database>, RcError> {
-        match self {
-            BoundedCheck::Full => {
-                let extended = db
-                    .union(delta)
-                    .unwrap_or_else(|e| unreachable!("delta shares the setting schema: {e:?}"));
-                if setting.partially_closed(&extended)? {
-                    Ok(Some(extended))
-                } else {
-                    Ok(None)
-                }
-            }
-            BoundedCheck::Delta {
-                prepared,
-                recheck_lower,
-            } => {
-                let ov = Overlay::new(db, delta)
-                    .unwrap_or_else(|e| unreachable!("delta shares the setting schema: {e:?}"));
-                let res = prepared.satisfied_delta(&setting.v, &ov)?;
-                cc_skipped.set(cc_skipped.get() + res.skipped as u64);
-                if !res.satisfied {
-                    return Ok(None);
-                }
-                let extended = ov.materialize();
-                if *recheck_lower {
-                    for lb in &setting.v.lower_bounds {
-                        if !lb.satisfied(&extended, &setting.dm)? {
-                            return Ok(None);
-                        }
-                    }
-                }
-                Ok(Some(extended))
-            }
-        }
-    }
 }
 
 fn fill(
@@ -215,9 +121,10 @@ pub(crate) struct BoundedResume {
 }
 
 /// The bounded decider: certify incompleteness with a small witness
-/// extension, or report `Unknown`. The one setup — query evaluation, check
-/// mode (sharing `reuse` when given), active domain, candidate pool — feeds
-/// the one size-by-size driver under one meter. `committed` is a prior
+/// extension, or report `Unknown`. Callers must have verified partial
+/// closure. The one setup — query evaluation, active domain, candidate
+/// pool — feeds the one size-by-size driver under one meter, which checks
+/// each candidate through the decision's `check`. `committed` is a prior
 /// installment's resume point, `None` for a fresh run (size 1, empty stats).
 /// The setup is deterministic, so the emitted telemetry stays
 /// installment-independent.
@@ -229,14 +136,14 @@ pub(crate) fn decide_bounded(
     budget: &SearchBudget,
     guard: &Guard,
     probe: Probe<'_>,
-    reuse: Option<&Arc<PreparedUpper>>,
+    check: &UpperCheck,
+    reused: bool,
     committed: Option<BoundedResume>,
 ) -> Result<(Verdict, Option<BoundedResume>), RcError> {
     let probe = probe.with_ticks(guard);
     let q_d = query.eval(db)?;
     let probes_before = probe_count();
-    let check = BoundedCheck::select(setting, db, budget.engine, reuse)?;
-    crate::rcdp::emit_plan_telemetry(probe, setting, check.prepared(), reuse.is_some(), db);
+    crate::rcdp::emit_plan_telemetry(probe, setting, check, reused, db);
     let adom = Adom::build(db, setting, query, budget.fresh_values);
     let mut values = adom.constants.clone();
     values.extend(adom.fresh.iter().cloned());
@@ -263,12 +170,17 @@ pub(crate) fn decide_bounded(
         budget,
         q_d,
         check,
+        recheck_lower: setting
+            .v
+            .lower_bounds
+            .iter()
+            .any(|lb| !crate::rcdp::exactly_decidable(lb.body.language())),
         pool,
     };
     let (start_size, committed) =
         committed.map_or((1, ChunkStats::default()), |r| (r.next_size, r.stats));
-    // Probes issued while building the check mode, active domain, and pool
-    // count into `index.probe` ahead of the enumeration's own.
+    // Probes issued while building the active domain and pool count into
+    // `index.probe` ahead of the enumeration's own.
     let setup_probes = probe_count().saturating_sub(probes_before);
     let (verdict, frontier) = search.run(guard, probe, start_size, &committed, setup_probes)?;
     crate::rcdp::emit_verdict(probe, &verdict);
@@ -283,7 +195,9 @@ struct BoundedSearch<'a> {
     db: &'a Database,
     budget: &'a SearchBudget,
     q_d: BTreeSet<Tuple>,
-    check: BoundedCheck,
+    check: &'a UpperCheck,
+    /// Some lower-bound body is FO/FP: survivors re-check the lower bounds.
+    recheck_lower: bool,
     pool: Vec<(RelId, Tuple)>,
 }
 
@@ -340,12 +254,26 @@ impl BoundedSearch<'_> {
             delta.insert(*rel, t.clone());
         }
         tally.cc_checks.set(tally.cc_checks.get() + 1);
-        let Some(extended) =
-            self.check
-                .closed_union(self.setting, self.db, &delta, &tally.cc_skipped)?
-        else {
+        let (setting, db, skipped) = (self.setting, self.db, &tally.cc_skipped);
+        if self
+            .check
+            .first_violation(setting, db, &delta, skipped)
+            .is_some()
+        {
             return Ok(None);
-        };
+        }
+        // `L_Q` may be FO/FP here, which the evaluator wants as a concrete
+        // database: materialize the surviving union.
+        let extended = db
+            .union(&delta)
+            .unwrap_or_else(|e| unreachable!("delta shares the setting schema: {e:?}"));
+        if self.recheck_lower {
+            for lb in &setting.v.lower_bounds {
+                if !lb.satisfied(&extended, &setting.dm)? {
+                    return Ok(None);
+                }
+            }
+        }
         let q_after = self.query.eval(&extended)?;
         tally.query_evals.set(tally.query_evals.get() + 1);
         if q_after == self.q_d {
@@ -528,6 +456,7 @@ pub(crate) fn rcqp_bounded_inner(
     budget: &SearchBudget,
     guard: &Guard,
     probe: Probe<'_>,
+    check: &UpperCheck,
 ) -> Result<QueryVerdict, RcError> {
     let empty = Database::empty(&setting.schema);
     let adom = Adom::build(&empty, setting, query, budget.fresh_values);
@@ -570,7 +499,8 @@ pub(crate) fn rcqp_bounded_inner(
                 // The per-candidate refutation runs unprobed: thousands of
                 // candidates would flood the sink with inner-search events;
                 // the outer meter already accounts for the work. The guard is
-                // shared so a deadline covers the inner searches too.
+                // shared so a deadline covers the inner searches too, and so
+                // is the decision's check.
                 let (verdict, _) = decide_bounded(
                     setting,
                     query,
@@ -578,7 +508,8 @@ pub(crate) fn rcqp_bounded_inner(
                     budget,
                     guard,
                     Probe::disabled(),
-                    None,
+                    check,
+                    false,
                     None,
                 )?;
                 if let Verdict::Unknown { .. } = verdict {
@@ -652,15 +583,7 @@ pub(crate) fn rcqp_bounded_inner(
             verdict = Some(QueryVerdict::unknown(
                 SearchStats::new(
                     interrupt.limit(),
-                    match interrupt {
-                        crate::guard::Interrupt::Deadline => format!(
-                            "wall-clock deadline expired after {} candidate(s)",
-                            meter.used()
-                        ),
-                        crate::guard::Interrupt::Cancelled => {
-                            format!("cancelled after {} candidate(s)", meter.used())
-                        }
-                    },
+                    meter.interrupt_detail(interrupt, "candidate"),
                 )
                 .with_candidates(meter.used()),
             ));

@@ -124,8 +124,8 @@ pub use ric_monitor::{
 };
 pub use ric_reason::{CapKind, CardinalityCap, CoverFact, ImpliedCc, ReasonNote, StaticFacts};
 pub use ric_telemetry::{
-    Collector, Event, Explain, FaultSink, JsonlSink, Metrics, PrettySink, Probe, Report, Sink,
-    SpanTree, TeeSink, TraceState,
+    Collector, Event, Explain, FaultSink, JsonlSink, PrettySink, Probe, Report, Sink, SpanTree,
+    TeeSink, TraceState,
 };
 
 /// One-stop imports for applications.

@@ -22,20 +22,15 @@
 //! * [`trace`] — hierarchical span trees. Probes carrying a [`TraceState`]
 //!   assign parent/child ids to spans; [`Explain`] rebuilds the decision
 //!   tree from the event stream and rides on every facade verdict.
-//! * [`metrics`] — a [`Metrics`] registry with log-bucketed histograms and
-//!   Prometheus-text / JSON snapshot exporters, merged bit-identically in
-//!   any order.
 //!
 //! No external dependencies, std only.
 
 pub mod json;
-pub mod metrics;
 pub mod probe;
 pub mod sink;
 pub mod trace;
 
 pub use json::Json;
-pub use metrics::{Histogram, Metrics};
 pub use probe::{Event, Probe, SpanGuard, TickSource, TraceState};
 pub use sink::{
     Collector, FaultSink, InterruptRecord, JsonlSink, PrettySink, Report, Sink, TeeSink,

@@ -135,8 +135,7 @@ pub struct InterruptRecord {
 
 impl Report {
     /// Fold `other` into `self`, e.g. to aggregate the reports of many
-    /// decisions. Pinned merge semantics (the metrics exporter relies on
-    /// these):
+    /// decisions. Pinned merge semantics:
     ///
     /// * **counters sum** — they count work, and work adds up;
     /// * **spans sum** — a merged span total is *total work time across

@@ -9,20 +9,25 @@
 #                              plans must be verdict-identical to plans
 #                              compiled without statistics (the static
 #                              greedy order) on every decision)
-#   5. E2 search A/B          (cargo test --test rcqp_e2_differential: the
+#   5. engine A/B             (cargo test --test engine_differential: the
+#                              naive oracle and the planned engine must
+#                              return identical verdict kinds, with
+#                              certified counterexamples, on the exact and
+#                              the bounded search)
+#   6. E2 search A/B          (cargo test --test rcqp_e2_differential: the
 #                              RCQP maximal-subset search visits the same
 #                              subsets on every engine)
-#   6. reason A/B             (cargo test --test reason_differential: the
+#   7. reason A/B             (cargo test --test reason_differential: the
 #                              symbolic pre-decision prover — certified
 #                              V-minimization and static verdicts — must be
 #                              verdict- and witness-identical to the full-V
 #                              prepared path)
-#   7. checkpoint/resume      (cargo test --test resume_differential, then
+#   8. checkpoint/resume      (cargo test --test resume_differential, then
 #                              RIC_RESUME_K=2,5: K-installment decisions must
 #                              be identical to uninterrupted runs; then the
 #                              guarded_decisions example runs, including its
 #                              budget-escalation loop over Request::resume)
-#   8. monitor differential   (cargo test --test monitor_differential, then
+#   9. monitor differential   (cargo test --test monitor_differential, then
 #                              a RIC_TXN_BATCH={1,8} matrix: every
 #                              incremental verdict must equal a from-scratch
 #                              decision after every txn) and the monitor
@@ -30,13 +35,13 @@
 #                              splitting, monotonicity) plus the
 #                              tombstone-edge suite (net no-op txns, digest
 #                              stability, capped-memo eviction)
-#   9. panic-path faults      (guard_robustness sink-flush test plus the
+#  10. panic-path faults      (guard_robustness sink-flush test plus the
 #                              ric-trace torn-record suite)
-#  10. paper properties       (cargo test --test paper_properties)
-#  11. static analysis        (cargo test -p ric-analysis, cargo test
+#  11. paper properties       (cargo test --test paper_properties)
+#  12. static analysis        (cargo test -p ric-analysis, cargo test
 #                              -p ric-reason,
 #                              cargo test --test analysis_properties)
-#  12. bench artifacts        (regen_tables --deadline-ms guard; the run
+#  13. bench artifacts        (regen_tables --deadline-ms guard; the run
 #                              fails if a checked Table I/II verdict
 #                              disagrees with its oracle or an artifact
 #                              write fails, and also streams a JSONL
@@ -48,26 +53,26 @@
 #                              Error-level analyzer diagnostic. Both run in
 #                              a temp dir, so the tracked BENCH_*.json files
 #                              are never rewritten by CI)
-#  13. trace smoke            (the trace_decision example and the
+#  14. trace smoke            (the trace_decision example and the
 #                              regen_tables --trace stream must round-trip
 #                              through the ric-trace CLI: tree, prune, plan,
 #                              and diff all parse and render; a malformed
 #                              trace is rejected with a nonzero exit)
-#  14. disabled probes        (cargo test -p ric-telemetry disabled_probe:
+#  15. disabled probes        (cargo test -p ric-telemetry disabled_probe:
 #                              Probe::disabled adds zero events, traced or
 #                              not)
-#  15. full test suite        (cargo test -q -- --include-ignored)
-#  16. determinism lint       (scripts/lint_determinism.sh: no std hash
+#  16. full test suite        (cargo test -q -- --include-ignored)
+#  17. determinism lint       (scripts/lint_determinism.sh: no std hash
 #                              containers or wall-clock reads in library
 #                              crates outside the audited allowlist)
-#  17. formatting             (cargo fmt --check)
-#  18. lints                  (cargo clippy --all-targets -D warnings)
-#  19. lints, workspace       (cargo clippy --workspace -D warnings)
-#  20. lints, unwrap ban      (clippy -D clippy::unwrap_used/expect_used on
+#  18. formatting             (cargo fmt --check)
+#  19. lints                  (cargo clippy --all-targets -D warnings)
+#  20. lints, workspace       (cargo clippy --workspace -D warnings)
+#  21. lints, unwrap ban      (clippy -D clippy::unwrap_used/expect_used on
 #                              library code; tests are exempt via clippy.toml)
-#  21. docs                   (RUSTDOCFLAGS=-Dwarnings cargo doc --no-deps:
+#  22. docs                   (RUSTDOCFLAGS=-Dwarnings cargo doc --no-deps:
 #                              broken intra-doc links are build errors)
-#  22. benchmark self-test    (python3 perfbench/selftest.py --seconds 1:
+#  23. benchmark self-test    (python3 perfbench/selftest.py --seconds 1:
 #                              builds perfbench against the library, so a
 #                              removed entry point it calls fails here; traced
 #                              counts and verdict digests must repeat exactly)
@@ -100,6 +105,13 @@ cargo test -q --offline --test guard_robustness
 # which take the static greedy order.
 step "plan differential suite (cost-based vs static-order verdict identity)"
 cargo test -q --offline --test plan_differential
+
+# Engine A/B: every decision checks its candidates through one check chosen
+# from the engine; the naive oracle (materialized unions) and the planned
+# engine (compiled delta checks) must agree on every verdict kind, with
+# certified counterexamples, on the exact and the bounded search.
+step "engine differential suite (naive vs planned verdict identity)"
+cargo test -q --offline --test engine_differential
 
 # E2 search A/B: the RCQP maximal-subset search must visit the same subsets
 # and run the same E2 checks on every engine, with identical verdicts.

@@ -473,15 +473,92 @@ fn colliding_relation_names_do_not_cross_contaminate() {
     );
 }
 
+/// The setting shapes the bounded-search differential runs over.
+#[derive(Clone, Copy, Debug)]
+enum BoundedShape {
+    /// `random_setting`'s two projection upper bounds.
+    IndOnly,
+    /// Plus a join-bodied upper bound `R(X, Y), S(X) ⊆ N` (Y side).
+    Join,
+    /// The join setting plus two lower bounds over master `L = {0}`: a
+    /// projection body (`L ⊆ π_a(R)`) and an FO body
+    /// (`L ⊆ {x | ∃y R(x, y) ∧ ¬S(x)}`), which is not monotone.
+    Lower,
+}
+
+/// `random_setting` reshaped by `shape`, with a database over it that
+/// carries what the lower bounds demand.
+fn bounded_instance(rng: &mut SplitMix64, shape: BoundedShape) -> (Setting, Database) {
+    let base = random_setting(rng);
+    let mut db = random_db(rng, 5, 4, 2);
+    if let BoundedShape::IndOnly = shape {
+        return (base, db);
+    }
+    let s = schema();
+    let (r, srel) = (s.rel_id("R").unwrap(), s.rel_id("S").unwrap());
+    let m = Schema::from_relations(vec![
+        RelationSchema::infinite("M", &["a"]),
+        RelationSchema::infinite("N", &["a"]),
+        RelationSchema::infinite("L", &["a"]),
+    ])
+    .unwrap();
+    let (nrel, lrel) = (m.rel_id("N").unwrap(), m.rel_id("L").unwrap());
+    let mut dm = Database::empty(&m);
+    for rel in [m.rel_id("M").unwrap(), nrel] {
+        for t in base.dm.instance(rel).iter() {
+            dm.insert(rel, t.clone());
+        }
+    }
+    let mut v = base.v.clone();
+    let join = parse_cq(&s, "Q(Y) :- R(X, Y), S(X).").unwrap();
+    v.push(ContainmentConstraint::into_master(
+        CcBody::Cq(join),
+        nrel,
+        vec![0],
+    ));
+    if let BoundedShape::Lower = shape {
+        dm.insert(lrel, Tuple::new([Value::int(0)]));
+        let (x, y) = (Var(0), Var(1));
+        let fo = FoQuery::new(
+            vec![x],
+            FoExpr::And(vec![
+                FoExpr::Exists(
+                    vec![y],
+                    Box::new(FoExpr::Atom(ric::query::Atom::new(
+                        r,
+                        vec![Term::Var(x), Term::Var(y)],
+                    ))),
+                ),
+                FoExpr::not(FoExpr::Atom(ric::query::Atom::new(
+                    srel,
+                    vec![Term::Var(x)],
+                ))),
+            ]),
+            vec!["x".into(), "y".into()],
+        );
+        for body in [CcBody::Proj(Projection::new(r, vec![0])), CcBody::Fo(fo)] {
+            v.push_lower_bound(ric::constraints::LowerBound {
+                master: Projection::new(lrel, vec![0]),
+                body,
+            });
+        }
+        let y = rng.random_range(0..5) as i64;
+        db.insert(r, Tuple::new([Value::int(0), Value::int(y)]));
+        db.instance_mut(srel).remove(&Tuple::new([Value::int(0)]));
+    }
+    (Setting::new(s, m, dm, v), db)
+}
+
 /// FO/FP settings route through the bounded semi-decision; its verdicts must
-/// also be engine-independent.
+/// also be engine-independent — with projection-only upper bounds, with a
+/// join-bodied upper bound, and with lower bounds whose FO body each
+/// surviving candidate re-checks.
 #[test]
 fn bounded_search_verdicts_agree_across_engines() {
     let s = schema();
     let srel = s.rel_id("S").unwrap();
     let x = Var(0);
-    // Non-monotone query: values of S with no R successor... keep it simple:
-    // Q() := ¬∃x S(x).
+    // Non-monotone query: Q() := ¬∃x S(x).
     let fo = FoQuery::new(
         vec![],
         FoExpr::not(FoExpr::Exists(
@@ -493,22 +570,38 @@ fn bounded_search_verdicts_agree_across_engines() {
         )),
         vec!["x".into()],
     );
+    let q = Query::Fo(fo);
     let naive = SearchBudget::small().with_engine(Engine::Naive);
-    let sequential = SearchBudget::small().with_engine(Engine::Planned);
-    let mut rng = SplitMix64::seed_from_u64(0x1234);
-    for round in 0..10 {
-        let setting = random_setting(&mut rng);
-        let db = random_db(&mut rng, 5, 4, 2);
-        if !setting.partially_closed(&db).unwrap() {
-            continue;
+    let planned = SearchBudget::small().with_engine(Engine::Planned);
+    for shape in [
+        BoundedShape::IndOnly,
+        BoundedShape::Join,
+        BoundedShape::Lower,
+    ] {
+        let mut rng = SplitMix64::seed_from_u64(0x1234);
+        let mut decided = 0usize;
+        for round in 0..10 {
+            let (setting, db) = bounded_instance(&mut rng, shape);
+            if !setting.partially_closed(&db).unwrap() {
+                continue;
+            }
+            let vn = rcdp(&setting, &q, &db, &naive).unwrap();
+            let vp = rcdp(&setting, &q, &db, &planned).unwrap();
+            assert_eq!(
+                std::mem::discriminant(&vn),
+                std::mem::discriminant(&vp),
+                "bounded verdicts diverge ({shape:?}, round {round}): {vn:?} vs {vp:?}"
+            );
+            for v in [&vn, &vp] {
+                if let Verdict::Incomplete(ce) = v {
+                    assert!(
+                        ric::complete::rcdp::certify_counterexample(&setting, &q, &db, ce).unwrap(),
+                        "uncertified counterexample ({shape:?}, round {round})"
+                    );
+                }
+            }
+            decided += 1;
         }
-        let q = Query::Fo(fo.clone());
-        let vn = rcdp(&setting, &q, &db, &naive).unwrap();
-        let vi = rcdp(&setting, &q, &db, &sequential).unwrap();
-        assert_eq!(
-            std::mem::discriminant(&vn),
-            std::mem::discriminant(&vi),
-            "bounded verdicts diverge (round {round}): {vn:?} vs {vi:?}"
-        );
+        assert!(decided >= 1, "no {shape:?} instance was partially closed");
     }
 }
