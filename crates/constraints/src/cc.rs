@@ -8,7 +8,7 @@ use std::collections::BTreeSet;
 /// A projection query `π_cols(R_i)` — the only query form allowed on the
 /// right-hand side, and the left-hand side form when `L_C` is the class of
 /// inclusion dependencies.
-#[derive(Clone, PartialEq, Eq, Debug)]
+#[derive(Clone, PartialEq, Eq, Debug, Hash)]
 pub struct Projection {
     /// The projected relation.
     pub rel: RelId,
@@ -39,7 +39,7 @@ impl Projection {
 
 /// The left-hand side `q_v` of a containment constraint, in one of the
 /// languages `L_C` of the paper.
-#[derive(Clone, PartialEq, Eq, Debug)]
+#[derive(Clone, PartialEq, Eq, Debug, Hash)]
 pub enum CcBody {
     /// A projection on the database — `L_C` = INDs.
     Proj(Projection),
@@ -215,7 +215,7 @@ impl CcBody {
 }
 
 /// The right-hand side `p` of a containment constraint.
-#[derive(Clone, PartialEq, Eq, Debug)]
+#[derive(Clone, PartialEq, Eq, Debug, Hash)]
 pub enum CcRhs {
     /// `q_v ⊆ ∅` — containment in an empty master relation.
     Empty,
@@ -234,7 +234,7 @@ impl CcRhs {
 }
 
 /// A containment constraint `q_v(R) ⊆ p(R_m)`.
-#[derive(Clone, PartialEq, Eq, Debug)]
+#[derive(Clone, PartialEq, Eq, Debug, Hash)]
 pub struct ContainmentConstraint {
     /// The query on the database.
     pub body: CcBody,
@@ -279,7 +279,7 @@ impl ContainmentConstraint {
 /// unchanged: with a monotone body `q`, a satisfied lower bound stays
 /// satisfied in every extension `D′ ⊇ D`, so lower bounds gate the *input*
 /// (partial closure) but can never be violated by adding tuples.
-#[derive(Clone, PartialEq, Eq, Debug)]
+#[derive(Clone, PartialEq, Eq, Debug, Hash)]
 pub struct LowerBound {
     /// The projection on the master data.
     pub master: Projection,
@@ -299,7 +299,7 @@ impl LowerBound {
 }
 
 /// A set `V` of containment constraints.
-#[derive(Clone, PartialEq, Eq, Debug, Default)]
+#[derive(Clone, PartialEq, Eq, Debug, Default, Hash)]
 pub struct ConstraintSet {
     /// The upper-bound constraints `q(R) ⊆ p(R_m)` of the paper.
     pub ccs: Vec<ContainmentConstraint>,

@@ -179,6 +179,51 @@ impl PreparedUpper {
         !self.fo_bodies.is_empty()
     }
 
+    /// Each prepared upper bound in set order: its compiled delta plans
+    /// (`None` for an FO/FP body) and its right-hand side on the master
+    /// data. A checker over another row representation (the exact RCDP
+    /// search's dense ids) translates these once per decision.
+    pub fn bounds(
+        &self,
+    ) -> impl ExactSizeIterator<Item = (Option<&[DeltaPlans]>, &BTreeSet<Tuple>)> + '_ {
+        self.ccs.iter().map(|cc| (cc.plans.as_deref(), &cc.rhs))
+    }
+
+    /// The one constraint loop of every delta check, over any row
+    /// representation: in set order, skip each bound whose body reads no
+    /// relation holding a novel delta row (`has_novel`), ask `holds(i)`
+    /// whether bound `i` survives the delta, and stop at the first that
+    /// does not.
+    pub fn check_with<E>(
+        &self,
+        has_novel: impl Fn(RelId) -> bool,
+        mut holds: impl FnMut(usize) -> Result<bool, E>,
+    ) -> Result<DeltaCheck, E> {
+        let mut checked = 0usize;
+        let mut skipped = 0usize;
+        for (i, prep) in self.ccs.iter().enumerate() {
+            if !prep.rels.iter().any(|&rel| has_novel(rel)) {
+                skipped += 1;
+                continue;
+            }
+            checked += 1;
+            if !holds(i)? {
+                return Ok(DeltaCheck {
+                    satisfied: false,
+                    checked,
+                    skipped,
+                    violated: Some(i),
+                });
+            }
+        }
+        Ok(DeltaCheck {
+            satisfied: true,
+            checked,
+            skipped,
+            violated: None,
+        })
+    }
+
     /// Given that the upper bounds hold on `ov.base()`, do they hold on the
     /// union `ov.base() ∪ ov.delta()`?
     ///
@@ -190,59 +235,33 @@ impl PreparedUpper {
         original: &ConstraintSet,
         ov: &Overlay<'_>,
     ) -> Result<DeltaCheck, TableauError> {
-        let mut checked = 0usize;
-        let mut skipped = 0usize;
         // Lazily materialized union, shared by every FO/FP body.
         let mut materialized: Option<Database> = None;
-        for (i, (prep, cc)) in self.ccs.iter().zip(original.ccs.iter()).enumerate() {
-            if !prep.rels.iter().any(|&rel| ov.has_novel(rel)) {
-                skipped += 1;
-                continue;
-            }
-            checked += 1;
-            match &prep.plans {
-                Some(plans) => {
+        self.check_with(
+            |rel| ov.has_novel(rel),
+            |i| {
+                let prep = &self.ccs[i];
+                match &prep.plans {
                     // Early-exits on the first delta answer outside the
                     // bound; no answer set is built.
-                    let within = exec::with_scratch(|scratch| {
+                    Some(plans) => Ok(exec::with_scratch(|scratch| {
                         plans
                             .iter()
                             .all(|dp| dp.delta_answers_within(ov, scratch, &prep.rhs))
-                    });
-                    if !within {
-                        return Ok(DeltaCheck {
-                            satisfied: false,
-                            checked,
-                            skipped,
-                            violated: Some(i),
-                        });
+                    })),
+                    None => {
+                        let union = materialized.get_or_insert_with(|| ov.materialize());
+                        let lhs = match &original.ccs[i].body {
+                            CcBody::Fo(q) => q.try_eval(union)?,
+                            CcBody::Fp(p) => p.eval(union),
+                            // as_ucq only fails on FO/FP bodies.
+                            _ => unreachable!("monotone bodies are prepared as tableaux"),
+                        };
+                        Ok(lhs.iter().all(|a| prep.rhs.contains(a)))
                     }
                 }
-                None => {
-                    let union = materialized.get_or_insert_with(|| ov.materialize());
-                    let lhs = match &cc.body {
-                        CcBody::Fo(q) => q.try_eval(union)?,
-                        CcBody::Fp(p) => p.eval(union),
-                        // as_ucq only fails on FO/FP bodies.
-                        _ => unreachable!("monotone bodies are prepared as tableaux"),
-                    };
-                    if !lhs.iter().all(|a| prep.rhs.contains(a)) {
-                        return Ok(DeltaCheck {
-                            satisfied: false,
-                            checked,
-                            skipped,
-                            violated: Some(i),
-                        });
-                    }
-                }
-            }
-        }
-        Ok(DeltaCheck {
-            satisfied: true,
-            checked,
-            skipped,
-            violated: None,
-        })
+            },
+        )
     }
 }
 

@@ -21,5 +21,8 @@ pub use cc::{CcBody, CcRhs, ConstraintSet, ContainmentConstraint, LowerBound, Pr
 pub use classical::{Cfd, Cind, Denial, Fd, IndCc};
 pub use delta::{DeltaCheck, PreparedUpper};
 // Re-exported so downstream crates (notably `ric-complete`) can accept
-// arbitrary statistics providers without a direct `ric-plan` dependency.
+// arbitrary statistics providers, and run compiled delta plans over their
+// own row representation, without a direct `ric-plan` dependency.
+pub use ric_plan::exec::{DeltaRows, PlanScratch, Rows};
 pub use ric_plan::planner::StatsProvider;
+pub use ric_plan::DeltaPlans;

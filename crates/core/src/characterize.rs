@@ -18,7 +18,7 @@ use crate::check::UpperCheck;
 use crate::guard::Guard;
 use crate::query::Query;
 use crate::setting::Setting;
-use crate::valuations::{instantiate_into, EnumOutcome, ValuationSpace};
+use crate::valuations::{decode_into, instantiate_into, DepthProfile, EnumOutcome, ValuationSpace};
 use crate::verdict::{RcError, Verdict};
 use ric_constraints::{CcBody, CcRhs};
 use ric_data::{Database, Value};
@@ -106,7 +106,7 @@ pub fn brute_force_complete(
     if !setting.partially_closed(db)? {
         return Err(RcError::NotPartiallyClosed);
     }
-    let adom = Adom::build(db, setting, query, fresh);
+    let adom = Adom::build(db, setting, query, fresh)?;
     let mut values = adom.constants.clone();
     values.extend(adom.fresh.iter().cloned());
     let pool = crate::semidecide::tuple_pool(setting, db, &values);
@@ -251,20 +251,26 @@ impl E2Disjunct {
             Err(ric_query::tableau::TableauError::Unsatisfiable) => return Ok(Some(true)),
             Err(e) => return Err(e.clone().into()),
         };
-        let adom = Adom::build(dv, setting, &self.query, (t.n_vars as usize).max(1));
-        let space = ValuationSpace::new(t, &setting.schema, &adom);
+        let adom = Adom::build(dv, setting, &self.query, (t.n_vars as usize).max(1))?;
+        let space = ValuationSpace::new(t, &setting.schema, &adom)?;
         let mut meter = Meter::guarded(MeterKind::Valuations, budget.max_valuations, guard);
         // `D_𝒱` is partially closed (checked above) and lower bounds are
         // preserved under extension, so `(D_𝒱 ∪ Δ, D_m) |= V` reduces to the
         // upper bounds — exactly what the decision's check answers.
         let cc_skipped = std::cell::Cell::new(0u64);
         let mut delta = Database::with_relations(setting.schema.len());
+        // Each valuation decodes into one reused buffer: a value clone per
+        // variable.
+        let mut mu = ric_query::tableau::Valuation(Vec::with_capacity(space.n_vars()));
         let mut ok = true;
-        let outcome = space.for_each_valid(
+        let outcome = space.for_each_valid_pruned_profiled(
+            &DepthProfile::default(),
             &mut meter,
             |_| true,
-            |mu| {
-                instantiate_into(t, mu, &mut delta);
+            |_| true,
+            |ids| {
+                decode_into(&adom, ids, &mut mu);
+                instantiate_into(t, &mu, &mut delta);
                 let closed = check
                     .first_violation(setting, dv, &delta, &cc_skipped)
                     .is_none();

@@ -467,37 +467,66 @@ fn u64_list(v: &Json, key: &str) -> Result<Vec<u64>, CheckpointError> {
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
-fn fnv(hash: &mut u64, bytes: &[u8]) {
-    for &b in bytes {
-        *hash ^= u64::from(b);
-        *hash = hash.wrapping_mul(FNV_PRIME);
+/// The fingerprint hasher: FNV-1a over byte strings, and one multiply-mix
+/// per integer, so a fingerprint walks the inputs' structure (their derived
+/// `Hash`) without formatting them. Deterministic: no per-process keys.
+struct Fingerprint(u64);
+
+impl std::hash::Hasher for Fingerprint {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(FNV_PRIME);
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0 ^ n).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        self.0 ^= self.0 >> 29;
+    }
+
+    fn write_u8(&mut self, n: u8) {
+        self.write_u64(n.into());
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.write_u64(n.into());
+    }
+
+    fn write_usize(&mut self, n: usize) {
+        self.write_u64(n as u64);
+    }
+
+    fn write_isize(&mut self, n: isize) {
+        self.write_u64(n as u64);
+    }
+
+    fn write_i64(&mut self, n: i64) {
+        self.write_u64(n as u64);
     }
 }
 
-fn fingerprint_parts(parts: &[&str]) -> u64 {
-    let mut hash = FNV_OFFSET;
-    for part in parts {
-        fnv(&mut hash, part.as_bytes());
-        fnv(&mut hash, &[0x1f]);
-    }
-    hash
+fn fingerprint(parts: impl std::hash::Hash) -> u64 {
+    use std::hash::Hasher;
+    let mut h = Fingerprint(FNV_OFFSET);
+    parts.hash(&mut h);
+    h.finish()
 }
 
 /// Structural fingerprint of an RCDP decision's inputs. Deliberately excludes
 /// the budget and engine so a checkpoint survives budget escalation and
 /// engine-preserving retries.
 pub fn rcdp_fingerprint(setting: &Setting, query: &Query, db: &Database) -> u64 {
-    fingerprint_parts(&[
-        "rcdp",
-        &format!("{setting:?}"),
-        &format!("{query:?}"),
-        &format!("{db:?}"),
-    ])
+    fingerprint(("rcdp", setting, query, db))
 }
 
 /// Structural fingerprint of an RCQP decision's inputs.
 pub fn rcqp_fingerprint(setting: &Setting, query: &Query) -> u64 {
-    fingerprint_parts(&["rcqp", &format!("{setting:?}"), &format!("{query:?}")])
+    fingerprint(("rcqp", setting, query))
 }
 
 #[cfg(test)]

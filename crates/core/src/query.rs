@@ -6,7 +6,7 @@ use ric_query::{Cq, EfoQuery, FoQuery, Program, QueryLanguage, Ucq};
 use std::collections::BTreeSet;
 
 /// A query in one of the languages of Section 2.1.
-#[derive(Clone, PartialEq, Debug)]
+#[derive(Clone, PartialEq, Debug, Hash)]
 pub enum Query {
     /// Conjunctive query.
     Cq(Cq),

@@ -30,7 +30,7 @@
 
 use crate::adom::Adom;
 use crate::budget::{Meter, MeterKind, SearchBudget};
-use crate::check::UpperCheck;
+use crate::check::{IdCheck, IdRows, IdScratch, UpperCheck};
 use crate::guard::Guard;
 use crate::query::Query;
 use crate::request::Request;
@@ -38,9 +38,9 @@ use crate::semidecide::BoundedResume;
 use crate::setting::Setting;
 use crate::valuations::{EnumOutcome, ValuationSpace, PROFILE_DEPTH};
 use crate::verdict::{BudgetLimit, CounterExample, RcError, SearchStats, Verdict};
-use ric_data::{index::probe_count, Database, Tuple, Value};
+use ric_data::{index::probe_count, Database, Tuple};
 use ric_query::tableau::Tableau;
-use ric_query::{QueryLanguage, Term};
+use ric_query::QueryLanguage;
 use ric_telemetry::Probe;
 use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, BTreeSet};
@@ -377,10 +377,10 @@ pub(crate) fn decide_exact(
         .max()
         .unwrap_or(0)
         .max(1);
-    let adom = Adom::build(db, setting, query, n_fresh);
+    let adom = Adom::build(db, setting, query, n_fresh)?;
     probe.gauge("rcdp.adom_size", adom.len() as u64);
     emit_plan_telemetry(probe, setting, check, reused, db);
-    let search = ExactSearch::new(setting, db, check, &q_d, &tableaux, &adom);
+    let search = ExactSearch::new(setting, db, check, &q_d, &tableaux, &adom)?;
     let n_chunks = search.chunks.len();
     if n_chunks == 0 {
         let verdict = Verdict::Complete;
@@ -406,7 +406,6 @@ pub(crate) fn decide_exact(
 
 /// One domain-consistent disjunct of the exact search.
 struct Disjunct<'a> {
-    tableau: &'a Tableau,
     space: ValuationSpace<'a>,
     /// A headless disjunct whose (constant) answer is already in `Q(D)`: the
     /// head filter prunes its whole space before any assignment. Settled once
@@ -415,12 +414,15 @@ struct Disjunct<'a> {
 }
 
 /// The exact search's shared inputs, built once per decision by
-/// [`decide_exact`] and read by every chunk.
+/// [`decide_exact`] and read by every chunk. Everything a candidate touches
+/// is in dense ids: the valuation, its instantiated atoms, `Q(D)`, and the
+/// decision's check; only a witness is decoded to values.
 struct ExactSearch<'a> {
-    setting: &'a Setting,
     db: &'a Database,
-    check: &'a UpperCheck,
-    q_d: &'a BTreeSet<Tuple>,
+    adom: &'a Adom,
+    check: IdCheck<'a>,
+    /// `Q(D)` as sorted id rows.
+    q_d: IdRows,
     disjuncts: Vec<Disjunct<'a>>,
     /// The canonical chunk list: `(disjunct index, depth-0 split point)`, one
     /// chunk per depth-0 candidate of each disjunct's valuation space; a
@@ -430,19 +432,7 @@ struct ExactSearch<'a> {
     /// enumeration and its tick sequence exactly (pinned in
     /// `valuations.rs`), so a chunk index means the same thing to the
     /// driver and the checkpoint frontier.
-    chunks: Vec<(usize, Option<(Value, usize)>)>,
-}
-
-/// The candidate answer `μ(u)` for a binding that covers the head.
-fn head_answer(head: &[Term], binding: &[Option<Value>]) -> Tuple {
-    Tuple::new(head.iter().map(|term| {
-        match term {
-            Term::Var(v) => binding[v.idx()]
-                .clone()
-                .unwrap_or_else(|| unreachable!("head vars bound first")),
-            Term::Const(c) => c.clone(),
-        }
-    }))
+    chunks: Vec<(usize, Option<(u32, usize)>)>,
 }
 
 impl<'a> ExactSearch<'a> {
@@ -450,19 +440,24 @@ impl<'a> ExactSearch<'a> {
         setting: &'a Setting,
         db: &'a Database,
         check: &'a UpperCheck,
-        q_d: &'a BTreeSet<Tuple>,
+        q_d: &BTreeSet<Tuple>,
         tableaux: &'a [Tableau],
         adom: &'a Adom,
-    ) -> Self {
-        let disjuncts: Vec<Disjunct<'a>> = tableaux
+    ) -> Result<Self, RcError> {
+        let q_d = IdRows::encode(adom, q_d)?;
+        let mut head = Vec::new();
+        let mut disjuncts = Vec::new();
+        for t in tableaux
             .iter()
             .filter(|t| t.domain_consistent(&setting.schema))
-            .map(|t| Disjunct {
-                tableau: t,
-                space: ValuationSpace::new(t, &setting.schema, adom),
-                answered: t.head_vars().is_empty() && q_d.contains(&head_answer(&t.head, &[])),
-            })
-            .collect();
+        {
+            let space = ValuationSpace::new(t, &setting.schema, adom)?;
+            let answered = t.head_vars().is_empty() && {
+                space.head_into(|_| None, &mut head);
+                q_d.contains(&head)
+            };
+            disjuncts.push(Disjunct { space, answered });
+        }
         let mut chunks = Vec::new();
         for (di, d) in disjuncts.iter().enumerate() {
             match d.space.split_points() {
@@ -470,31 +465,27 @@ impl<'a> ExactSearch<'a> {
                 None => chunks.push((di, None)),
             }
         }
-        ExactSearch {
-            setting,
+        Ok(ExactSearch {
             db,
-            check,
+            adom,
+            check: IdCheck::new(check, setting, db, adom)?,
             q_d,
             disjuncts,
             chunks,
-        }
+        })
     }
 
-    /// Enumerate chunk `idx` against `meter`, with `scratch` as the delta
-    /// buffer of the partial filter. The per-chunk work — and therefore the
-    /// committed checkpoint stats — are engine-independent.
+    /// Enumerate chunk `idx` against `meter`, with `scratch` as the arena
+    /// every candidate check writes into. The per-chunk work — and therefore
+    /// the committed checkpoint stats — are engine-independent.
     fn run_chunk(
         &self,
         idx: usize,
         meter: &mut Meter<'_>,
-        scratch: &RefCell<Database>,
+        scratch: &RefCell<IdScratch>,
     ) -> (ChunkEvent, ChunkStats) {
         let (di, point) = &self.chunks[idx];
-        let Disjunct {
-            tableau: t,
-            space,
-            answered,
-        } = &self.disjuncts[*di];
+        let Disjunct { space, answered } = &self.disjuncts[*di];
         if *answered {
             // The head prune belongs to the disjunct: attribute it to its
             // first chunk, so it counts once whenever the walk reaches it.
@@ -505,9 +496,8 @@ impl<'a> ExactSearch<'a> {
             };
             return (ChunkEvent::Clear, stats);
         }
-        let (setting, db, check) = (self.setting, self.db, self.check);
         let used_before = meter.used();
-        let probes_before = probe_count();
+        let probes_before = probe_count() + scratch.borrow().probes;
         let cc_checks = Cell::new(0u64);
         let cc_skipped = Cell::new(0u64);
         let cc_viol: [Cell<u64>; CC_ATTR] = Default::default();
@@ -515,24 +505,16 @@ impl<'a> ExactSearch<'a> {
         let mut found: Option<CounterExample> = None;
         // Prune: if the candidate output tuple is already answered, no
         // valuation with these head values is a counterexample.
-        let head_filter =
-            |binding: &[Option<Value>]| !self.q_d.contains(&head_answer(&t.head, binding));
-        // Prune subtrees whose already-instantiated tuples violate V:
-        // constraint bodies are monotone, so the violation persists in every
-        // completion. Upper bounds only: lower bounds hold on D and are
-        // preserved by extension (monotone bodies).
-        let partial_filter = |binding: &[Option<Value>]| {
-            let bound = space.bound_atoms(binding);
-            if bound.is_empty() {
-                return true;
-            }
-            let mut delta = scratch.borrow_mut();
-            delta.clear_tuples();
-            for (rel, tuple) in bound {
-                delta.insert(rel, tuple);
-            }
+        let head_filter = |binding: &[Option<u32>]| {
+            let s = &mut *scratch.borrow_mut();
+            space.head_into(|v| binding[v], &mut s.row);
+            !self.q_d.contains(&s.row)
+        };
+        // Check the candidate the caller wrote into the arena, attributing
+        // a violation to its first violated constraint.
+        let survives = |s: &mut IdScratch| {
             cc_checks.set(cc_checks.get() + 1);
-            match check.first_violation(setting, db, &delta, &cc_skipped) {
+            match self.check.first_violation(s, &cc_skipped) {
                 None => true,
                 Some(i) => {
                     bump_viol(&cc_viol, i);
@@ -540,26 +522,39 @@ impl<'a> ExactSearch<'a> {
                 }
             }
         };
-        let visit = |mu: &ric_query::tableau::Valuation| {
-            let delta = mu.instantiate(t, setting.schema.len());
-            cc_checks.set(cc_checks.get() + 1);
-            if let Some(i) = check.first_violation(setting, db, &delta, &cc_skipped) {
-                bump_viol(&cc_viol, i);
+        // Prune subtrees whose already-instantiated tuples violate V:
+        // constraint bodies are monotone, so the violation persists in every
+        // completion. Upper bounds only: lower bounds hold on D and are
+        // preserved by extension (monotone bodies).
+        let partial_filter = |binding: &[Option<u32>]| {
+            let s = &mut *scratch.borrow_mut();
+            s.delta.clear();
+            space.write_atoms(|v| binding[v], &mut s.delta);
+            s.delta.is_empty() || survives(s)
+        };
+        let visit = |mu: &[u32]| {
+            let s = &mut *scratch.borrow_mut();
+            s.delta.clear();
+            space.write_atoms(|v| Some(mu[v]), &mut s.delta);
+            if !survives(s) {
                 return std::ops::ControlFlow::Continue(());
             }
-            let added = delta
-                .difference(db)
+            let added = self
+                .check
+                .decode(s)
+                .difference(self.db)
                 .unwrap_or_else(|e| unreachable!("delta shares the setting schema: {e:?}"));
+            space.head_into(|v| Some(mu[v]), &mut s.row);
             found = Some(CounterExample {
                 delta: added,
-                new_answer: mu.head_tuple(t),
+                new_answer: Tuple::new(s.row.iter().map(|&id| self.adom.value(id).clone())),
             });
             std::ops::ControlFlow::Break(())
         };
         let outcome = match point {
             Some(p) => space.for_each_valid_pruned_chunk_profiled(
                 &profile,
-                p.clone(),
+                *p,
                 meter,
                 head_filter,
                 partial_filter,
@@ -584,7 +579,7 @@ impl<'a> ExactSearch<'a> {
             ticks: meter.used() - used_before,
             cc_checks: cc_checks.get(),
             cc_skipped: cc_skipped.get(),
-            probes: probe_count().saturating_sub(probes_before),
+            probes: (probe_count() + scratch.borrow().probes).saturating_sub(probes_before),
             query_evals: 0,
             depth_candidates: profile.candidates(),
             depth_pruned: profile.pruned(),
@@ -621,9 +616,9 @@ impl<'a> ExactSearch<'a> {
         let mut ledger: Vec<(usize, ChunkStats)> = Vec::with_capacity(n_chunks);
         ledger.extend(committed.iter().map(|(&i, s)| (i, *s)));
         let mut frontier = None;
-        // Scratch delta shared by every chunk: steady-state, a candidate
-        // costs index probes and a few inserts, never a clone of `db`.
-        let scratch = RefCell::new(Database::with_relations(self.setting.schema.len()));
+        // One arena shared by every chunk: steady state, a candidate writes
+        // a few id rows and allocates nothing.
+        let scratch = RefCell::new(IdScratch::default());
 
         let span = probe.span("rcdp.enumerate");
         let mut verdict = Verdict::Complete;

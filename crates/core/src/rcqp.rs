@@ -44,14 +44,14 @@
 use crate::adom::Adom;
 use crate::budget::{Engine, Meter, MeterKind, SearchBudget};
 use crate::characterize::E2Disjunct;
-use crate::check::UpperCheck;
+use crate::check::{IdCheck, IdScratch, UpperCheck};
 use crate::extend::{complete_extension_guarded, CompletionOutcome};
 use crate::guard::Guard;
 use crate::query::Query;
 use crate::rcdp::exactly_decidable;
 use crate::request::Request;
 use crate::setting::Setting;
-use crate::valuations::{EnumOutcome, ValuationSpace};
+use crate::valuations::{emit_profile, DepthProfile, EnumOutcome, ValuationSpace};
 use crate::verdict::{BudgetLimit, QueryVerdict, RcError, SearchStats, Verdict};
 use ric_data::{index::probe_count, Database, RelId, Tuple, Value};
 use ric_query::tableau::Tableau;
@@ -260,8 +260,13 @@ fn rcqp_ind(
         .unwrap_or(0)
         .max(1);
     let empty = Database::empty(&setting.schema);
-    let adom = Adom::build(&empty, setting, query, n_fresh);
+    let adom = Adom::build(&empty, setting, query, n_fresh)?;
     probe.gauge("rcqp.adom_size", adom.len() as u64);
+    // The IND check on ids; one arena serves every partial instantiation.
+    // It checks `Δ` alone, so it never skips a constraint.
+    let ind_check = IdCheck::new(check, setting, &empty, &adom)?;
+    let mut scratch = IdScratch::default();
+    let no_skips = Cell::new(0u64);
     let mut meter = Meter::guarded(MeterKind::Valuations, budget.max_valuations, guard);
     let span = probe.span("rcqp.blockedness");
     for (ti, t) in tableaux.iter().enumerate() {
@@ -269,33 +274,36 @@ fn rcqp_ind(
             continue; // blocked: matches no valid tuple at all
         }
         // Is the disjunct blocked — no valid valuation with (μ(T), D_m) |= V?
-        let space = ValuationSpace::new(t, &setting.schema, &adom);
+        let space = ValuationSpace::new(t, &setting.schema, &adom)?;
         let mut has_valid = false;
-        let outcome = space.for_each_valid_pruned_probed(
-            probe,
+        let before = meter.used();
+        let profile = DepthProfile::new();
+        let enumerate = probe.span("valuations.enumerate");
+        let outcome = space.for_each_valid_pruned_profiled(
+            &profile,
             &mut meter,
             |_| true,
             |binding| {
                 // Partial pruning: a partially instantiated tableau that
                 // already escapes the master projections cannot become valid.
-                let bound = space.bound_atoms(binding);
-                if bound.is_empty() {
-                    return true;
-                }
-                let mut delta = Database::with_relations(setting.schema.len());
-                for (rel, tuple) in bound {
-                    delta.insert(rel, tuple);
-                }
-                setting
-                    .v
-                    .upper_satisfied(&delta, &setting.dm)
-                    .unwrap_or_else(|e| unreachable!("IND bodies never error: {e:?}"))
+                scratch.delta.clear();
+                space.write_atoms(|v| binding[v], &mut scratch.delta);
+                scratch.delta.is_empty()
+                    || ind_check.first_violation(&mut scratch, &no_skips).is_none()
             },
             |_mu| {
                 // The partial filter already validated the full instantiation.
                 has_valid = true;
                 ControlFlow::Break(())
             },
+        );
+        drop(enumerate);
+        probe.count("valuations.assignments", meter.used() - before);
+        emit_profile(
+            probe,
+            &profile.candidates(),
+            &profile.pruned(),
+            profile.head_prunes(),
         );
         if outcome == EnumOutcome::BudgetExceeded {
             drop(span);
@@ -768,7 +776,7 @@ fn rcqp_general(
         .unwrap_or(0);
     let n_fresh = budget.fresh_values.max(1);
     let pool_is_exact = n_fresh >= needed_fresh;
-    let adom = Adom::build(seed, setting, query, n_fresh);
+    let adom = Adom::build(seed, setting, query, n_fresh)?;
     probe.gauge("rcqp.adom_size", adom.len() as u64);
     let mut values = adom.constants.clone();
     values.extend(adom.fresh.iter().cloned());

@@ -144,7 +144,7 @@ pub(crate) fn decide_bounded(
     let q_d = query.eval(db)?;
     let probes_before = probe_count();
     crate::rcdp::emit_plan_telemetry(probe, setting, check, reused, db);
-    let adom = Adom::build(db, setting, query, budget.fresh_values);
+    let adom = Adom::build(db, setting, query, budget.fresh_values)?;
     let mut values = adom.constants.clone();
     values.extend(adom.fresh.iter().cloned());
     probe.gauge("semidecide.adom_size", values.len() as u64);
@@ -459,7 +459,7 @@ pub(crate) fn rcqp_bounded_inner(
     check: &UpperCheck,
 ) -> Result<QueryVerdict, RcError> {
     let empty = Database::empty(&setting.schema);
-    let adom = Adom::build(&empty, setting, query, budget.fresh_values);
+    let adom = Adom::build(&empty, setting, query, budget.fresh_values)?;
     let mut values = adom.constants.clone();
     values.extend(adom.fresh.iter().cloned());
     probe.gauge("semidecide.adom_size", values.len() as u64);

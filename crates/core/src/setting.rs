@@ -8,7 +8,7 @@ use ric_query::tableau::TableauError;
 ///
 /// A database `D` over [`Setting::schema`] is *partially closed* with respect
 /// to the setting when `(D, D_m) |= V` ([`Setting::partially_closed`]).
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Hash)]
 pub struct Setting {
     /// The database schema `R`.
     pub schema: Schema,

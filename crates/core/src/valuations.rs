@@ -13,14 +13,21 @@
 //! only tried after fresh values `0..k` are in use. Symmetry breaking is
 //! sound because no input mentions a fresh value, so every predicate the
 //! deciders evaluate is invariant under permutations of the pool.
+//!
+//! The enumerator binds dense ids of the decision's [`Adom`] catalog, never
+//! [`Value`]s: candidates, inequality checks, and the symmetry break are
+//! integer operations, and a caller decodes ids only at its boundary (the
+//! E2 check per valuation, the exact RCDP search only for its witness).
 
 use crate::adom::Adom;
 use crate::budget::Meter;
-use ric_data::{Schema, Value};
+use crate::check::IdDelta;
+use crate::verdict::RcError;
+use ric_data::{RelId, Schema, Value};
 use ric_query::tableau::{Tableau, Valuation};
 use ric_query::Term;
 use ric_telemetry::Probe;
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
 use std::collections::BTreeSet;
 use std::ops::ControlFlow;
 
@@ -151,39 +158,77 @@ pub enum EnumOutcome {
     BudgetExceeded,
 }
 
-/// Candidate values for one variable.
+/// A tableau term over catalog ids.
+#[derive(Clone, Copy, Debug)]
+enum IdTerm {
+    Const(u32),
+    Var(u32),
+}
+
+impl IdTerm {
+    fn of(t: &Term, adom: &Adom) -> Result<Self, RcError> {
+        Ok(match t {
+            Term::Var(v) => IdTerm::Var(v.0),
+            Term::Const(c) => IdTerm::Const(adom.id(c).ok_or_else(|| {
+                RcError::Unsupported(format!("tableau constant {c} is missing from Adom"))
+            })?),
+        })
+    }
+
+    fn get(self, var: impl Fn(usize) -> Option<u32>) -> Option<u32> {
+        match self {
+            IdTerm::Const(id) => Some(id),
+            IdTerm::Var(v) => var(v as usize),
+        }
+    }
+}
+
+/// Candidate ids for one variable.
 #[derive(Clone, Debug)]
 enum Cands {
-    /// A finite-domain variable: exactly these values.
-    Finite(Vec<Value>),
+    /// A finite-domain variable: exactly these values, in value order.
+    Finite(Vec<u32>),
     /// An infinite-domain variable: the shared constants plus the
     /// (symmetry-broken) fresh pool.
     Infinite,
 }
 
-/// A prepared enumeration over the valid valuations of one tableau.
+/// A prepared enumeration over the valid valuations of one tableau, binding
+/// catalog ids.
 pub struct ValuationSpace<'a> {
-    tableau: &'a Tableau,
     adom: &'a Adom,
     cands: Vec<Cands>,
     /// Variable assignment order; head variables first.
     order: Vec<u32>,
     /// How many leading entries of `order` are head variables.
     head_prefix: usize,
+    atoms: Vec<(RelId, Box<[IdTerm]>)>,
+    head: Box<[IdTerm]>,
+    neqs: Box<[(IdTerm, IdTerm)]>,
+    /// The binding and leaf buffers, reused by every run over this space.
+    buffers: RefCell<(Vec<Option<u32>>, Vec<u32>)>,
 }
 
 impl<'a> ValuationSpace<'a> {
     /// Prepare the space for `tableau` over `adom`, reading per-variable
-    /// domains from `schema`.
-    pub fn new(tableau: &'a Tableau, schema: &Schema, adom: &'a Adom) -> Self {
-        let doms = tableau.var_domains(schema);
-        let cands = doms
+    /// domains from `schema`. Errors when a tableau constant is missing
+    /// from the catalog (`Adom` is built from the query, so it never is).
+    pub fn new(tableau: &Tableau, schema: &Schema, adom: &'a Adom) -> Result<Self, RcError> {
+        let missing = |v: &Value| {
+            RcError::Unsupported(format!("finite-domain value {v} is missing from Adom"))
+        };
+        let cands = tableau
+            .var_domains(schema)
             .into_iter()
             .map(|d| match d {
-                Some(set) => Cands::Finite(set.into_iter().collect()),
-                None => Cands::Infinite,
+                Some(set) => set
+                    .iter()
+                    .map(|v| adom.id(v).ok_or_else(|| missing(v)))
+                    .collect::<Result<_, _>>()
+                    .map(Cands::Finite),
+                None => Ok(Cands::Infinite),
             })
-            .collect();
+            .collect::<Result<_, _>>()?;
         // Head variables first, then the rest in index order.
         let head: BTreeSet<u32> = tableau.head_vars().iter().map(|v| v.0).collect();
         let mut order: Vec<u32> = head.iter().copied().collect();
@@ -192,135 +237,82 @@ impl<'a> ValuationSpace<'a> {
                 order.push(v);
             }
         }
-        let head_prefix = head.len();
-        ValuationSpace {
-            tableau,
+        let terms = |ts: &[Term]| -> Result<Box<[IdTerm]>, RcError> {
+            ts.iter().map(|t| IdTerm::of(t, adom)).collect()
+        };
+        Ok(ValuationSpace {
             adom,
             cands,
             order,
-            head_prefix,
-        }
+            head_prefix: head.len(),
+            atoms: tableau
+                .atoms
+                .iter()
+                .map(|a| Ok((a.rel, terms(&a.args)?)))
+                .collect::<Result<_, RcError>>()?,
+            head: terms(&tableau.head)?,
+            neqs: tableau
+                .neqs
+                .iter()
+                .map(|(l, r)| Ok((IdTerm::of(l, adom)?, IdTerm::of(r, adom)?)))
+                .collect::<Result<_, RcError>>()?,
+            buffers: RefCell::default(),
+        })
     }
 
     /// Number of variables.
     pub fn n_vars(&self) -> usize {
-        self.tableau.n_vars as usize
+        self.cands.len()
     }
 
-    /// The valuation buffer one run refills at each leaf.
-    fn leaf_buffer(&self) -> Valuation {
-        Valuation(Vec::with_capacity(self.n_vars()))
+    /// Run `f` on this space's binding (all unbound) and leaf buffers. The
+    /// buffers are taken out for the run, so a re-entrant run allocates its
+    /// own instead of aliasing.
+    fn with_buffers<R>(&self, f: impl FnOnce(&mut [Option<u32>], &mut Vec<u32>) -> R) -> R {
+        let (mut binding, mut leaf) = self.buffers.take();
+        binding.clear();
+        binding.resize(self.n_vars(), None);
+        let out = f(&mut binding, &mut leaf);
+        self.buffers.replace((binding, leaf));
+        out
     }
 
-    /// Enumerate valid valuations.
+    /// Enumerate valid valuations, accumulating per-depth search statistics
+    /// into `profile`.
     ///
     /// * `meter` — ticked once per assignment tried; exhaustion aborts.
     /// * `head_filter` — called once all head variables are bound, with the
     ///   partial binding; returning `false` prunes the subtree.
-    /// * `visit` — called for each valid valuation; `Break` stops the run.
-    pub fn for_each_valid(
-        &self,
-        meter: &mut Meter<'_>,
-        mut head_filter: impl FnMut(&[Option<Value>]) -> bool,
-        mut visit: impl FnMut(&Valuation) -> ControlFlow<()>,
-    ) -> EnumOutcome {
-        let mut binding: Vec<Option<Value>> = vec![None; self.n_vars()];
-        let mut no_prune = |_: &[Option<Value>]| true;
-        // Special case: no variables at all — one (empty) valuation.
-        self.rec(
-            0,
-            0,
-            &mut binding,
-            &mut self.leaf_buffer(),
-            &DepthProfile::default(),
-            meter,
-            &mut head_filter,
-            &mut no_prune,
-            &mut visit,
-        )
-    }
-
-    /// Like [`Self::for_each_valid`], with an additional `partial_filter`
-    /// invoked after every consistent binding step; returning `false` prunes
-    /// the subtree. Sound for any property that is *anti-monotone in the
-    /// instantiated tuples* — in particular "the tuples instantiated so far
-    /// do not yet violate `V`": constraint bodies are monotone, so a partial
-    /// violation persists in every completion (the pruning the Σᵖ₂
-    /// reduction instances of Theorem 3.6 rely on to stay tractable).
-    pub fn for_each_valid_pruned(
-        &self,
-        meter: &mut Meter<'_>,
-        head_filter: impl FnMut(&[Option<Value>]) -> bool,
-        partial_filter: impl FnMut(&[Option<Value>]) -> bool,
-        visit: impl FnMut(&Valuation) -> ControlFlow<()>,
-    ) -> EnumOutcome {
-        self.for_each_valid_pruned_profiled(
-            &DepthProfile::default(),
-            meter,
-            head_filter,
-            partial_filter,
-            visit,
-        )
-    }
-
-    /// Like [`Self::for_each_valid_pruned`], accumulating per-depth search
-    /// statistics into `profile` (the exact search's chunk driver commits
-    /// the profile through its chunk stats).
+    /// * `partial_filter` — called after every consistent binding step;
+    ///   returning `false` prunes the subtree. Sound for any property that
+    ///   is *anti-monotone in the instantiated tuples* — in particular "the
+    ///   tuples instantiated so far do not yet violate `V`": constraint
+    ///   bodies are monotone, so a partial violation persists in every
+    ///   completion (the pruning the Σᵖ₂ reduction instances of Theorem 3.6
+    ///   rely on to stay tractable).
+    /// * `visit` — called with each valid valuation (one id per variable);
+    ///   `Break` stops the run.
     pub fn for_each_valid_pruned_profiled(
         &self,
         profile: &DepthProfile,
         meter: &mut Meter<'_>,
-        mut head_filter: impl FnMut(&[Option<Value>]) -> bool,
-        mut partial_filter: impl FnMut(&[Option<Value>]) -> bool,
-        mut visit: impl FnMut(&Valuation) -> ControlFlow<()>,
+        mut head_filter: impl FnMut(&[Option<u32>]) -> bool,
+        mut partial_filter: impl FnMut(&[Option<u32>]) -> bool,
+        mut visit: impl FnMut(&[u32]) -> ControlFlow<()>,
     ) -> EnumOutcome {
-        let mut binding: Vec<Option<Value>> = vec![None; self.n_vars()];
-        self.rec(
-            0,
-            0,
-            &mut binding,
-            &mut self.leaf_buffer(),
-            profile,
-            meter,
-            &mut head_filter,
-            &mut partial_filter,
-            &mut visit,
-        )
-    }
-
-    /// Like [`Self::for_each_valid_pruned`], reporting the run to `probe`:
-    /// the assignments tried (metered ticks) as `valuations.assignments`, the
-    /// wall time as the `valuations.enumerate` span, per-depth candidate and
-    /// prune counters under the [`DEPTH_CANDIDATES`] / [`DEPTH_PRUNED`]
-    /// families, head-filter prunes as `prune.head`, and the deepest depth
-    /// reached as the `valuations.max_depth` gauge.
-    pub fn for_each_valid_pruned_probed(
-        &self,
-        probe: Probe<'_>,
-        meter: &mut Meter<'_>,
-        head_filter: impl FnMut(&[Option<Value>]) -> bool,
-        partial_filter: impl FnMut(&[Option<Value>]) -> bool,
-        visit: impl FnMut(&Valuation) -> ControlFlow<()>,
-    ) -> EnumOutcome {
-        let before = meter.used();
-        let profile = DepthProfile::default();
-        let span = probe.span("valuations.enumerate");
-        let outcome = self.for_each_valid_pruned_profiled(
-            &profile,
-            meter,
-            head_filter,
-            partial_filter,
-            visit,
-        );
-        drop(span);
-        probe.count("valuations.assignments", meter.used() - before);
-        emit_profile(
-            probe,
-            &profile.candidates(),
-            &profile.pruned(),
-            profile.head_prunes(),
-        );
-        outcome
+        self.with_buffers(|binding, leaf| {
+            self.rec(
+                0,
+                0,
+                binding,
+                leaf,
+                profile,
+                meter,
+                &mut head_filter,
+                &mut partial_filter,
+                &mut visit,
+            )
+        })
     }
 
     /// The depth-0 candidates of this space — the chunk boundaries of the
@@ -330,17 +322,17 @@ impl<'a> ValuationSpace<'a> {
     /// fresh representative), so concatenating the per-candidate subtrees in
     /// this order reproduces the sequential enumeration. `None` when the
     /// space has no variables: the single empty valuation is unsplittable.
-    pub fn split_points(&self) -> Option<Vec<(Value, usize)>> {
+    pub fn split_points(&self) -> Option<Vec<(u32, usize)>> {
         let var = *self.order.first()? as usize;
         Some(match &self.cands[var] {
-            Cands::Finite(vals) => vals.iter().map(|v| (v.clone(), 0)).collect(),
+            Cands::Finite(ids) => ids.iter().map(|&id| (id, 0)).collect(),
             Cands::Infinite => {
-                let mut out: Vec<(Value, usize)> =
-                    self.adom.constants.iter().map(|v| (v.clone(), 0)).collect();
+                let mut out: Vec<(u32, usize)> =
+                    self.adom.constant_ids().iter().map(|&id| (id, 0)).collect();
                 // At depth 0 no fresh value is in use yet, so the symmetry
                 // break admits exactly the first pool value.
-                if let Some(v) = self.adom.fresh.first() {
-                    out.push((v.clone(), 1));
+                if let Some(&id) = self.adom.fresh_ids().first() {
+                    out.push((id, 1));
                 }
                 out
             }
@@ -348,34 +340,14 @@ impl<'a> ValuationSpace<'a> {
     }
 
     /// Enumerate the subtree of exactly one depth-0 candidate, as returned by
-    /// [`Self::split_points`]. Semantics match [`Self::for_each_valid_pruned`]
-    /// restricted to `order[0] = value` (for a space without head variables,
-    /// once its head filter has passed — see
-    /// [`Self::for_each_valid_pruned_chunk_profiled`]): the meter ticks once
-    /// for the candidate itself and once per deeper assignment, so summing
-    /// the ticks of every chunk equals the sequential run's tick count, and
-    /// concatenating the chunks in `split_points` order visits valuations in
-    /// exactly the sequential order.
-    pub fn for_each_valid_pruned_chunk(
-        &self,
-        point: (Value, usize),
-        meter: &mut Meter<'_>,
-        head_filter: impl FnMut(&[Option<Value>]) -> bool,
-        partial_filter: impl FnMut(&[Option<Value>]) -> bool,
-        visit: impl FnMut(&Valuation) -> ControlFlow<()>,
-    ) -> EnumOutcome {
-        self.for_each_valid_pruned_chunk_profiled(
-            &DepthProfile::default(),
-            point,
-            meter,
-            head_filter,
-            partial_filter,
-            visit,
-        )
-    }
-
-    /// [`Self::for_each_valid_pruned_chunk`] with per-depth profiling. The
-    /// per-chunk profiles sum to the sequential run's profile.
+    /// [`Self::split_points`], with per-depth profiling. Semantics match
+    /// [`Self::for_each_valid_pruned_profiled`] restricted to
+    /// `order[0] = id`: the meter ticks once for the candidate itself and
+    /// once per deeper assignment, so summing the ticks of every chunk equals
+    /// the sequential run's tick count, the per-chunk profiles sum to the
+    /// sequential run's profile, and concatenating the chunks in
+    /// `split_points` order visits valuations in exactly the sequential
+    /// order.
     ///
     /// A chunk starts below depth 0, so the head filter of a space with no
     /// head variables — which the sequential run applies once, before any
@@ -384,56 +356,55 @@ impl<'a> ValuationSpace<'a> {
     pub fn for_each_valid_pruned_chunk_profiled(
         &self,
         profile: &DepthProfile,
-        (value, next_fresh): (Value, usize),
+        (id, next_fresh): (u32, usize),
         meter: &mut Meter<'_>,
-        mut head_filter: impl FnMut(&[Option<Value>]) -> bool,
-        mut partial_filter: impl FnMut(&[Option<Value>]) -> bool,
-        mut visit: impl FnMut(&Valuation) -> ControlFlow<()>,
+        mut head_filter: impl FnMut(&[Option<u32>]) -> bool,
+        mut partial_filter: impl FnMut(&[Option<u32>]) -> bool,
+        mut visit: impl FnMut(&[u32]) -> ControlFlow<()>,
     ) -> EnumOutcome {
-        let mut binding: Vec<Option<Value>> = vec![None; self.n_vars()];
         // Mirror one iteration of `rec` at depth 0.
         if !meter.tick() {
             return EnumOutcome::BudgetExceeded;
         }
         profile.candidate(0);
         let var = self.order[0] as usize;
-        binding[var] = Some(value);
-        if self.neqs_consistent(&binding) && partial_filter(&binding) {
-            self.rec(
-                1,
-                next_fresh,
-                &mut binding,
-                &mut self.leaf_buffer(),
-                profile,
-                meter,
-                &mut head_filter,
-                &mut partial_filter,
-                &mut visit,
-            )
-        } else {
-            profile.prune(0);
-            EnumOutcome::Exhausted
+        self.with_buffers(|binding, leaf| {
+            binding[var] = Some(id);
+            if self.neqs_consistent(binding) && partial_filter(binding) {
+                self.rec(
+                    1,
+                    next_fresh,
+                    binding,
+                    leaf,
+                    profile,
+                    meter,
+                    &mut head_filter,
+                    &mut partial_filter,
+                    &mut visit,
+                )
+            } else {
+                profile.prune(0);
+                EnumOutcome::Exhausted
+            }
+        })
+    }
+
+    /// Write `μ(T_Q)`'s fully bound atoms (constants-only atoms always
+    /// qualify) into `out`, as id rows; `var` reads a variable's id.
+    pub(crate) fn write_atoms(&self, var: impl Fn(usize) -> Option<u32>, out: &mut IdDelta) {
+        for (rel, args) in &self.atoms {
+            out.push_row(*rel, args.iter().map(|t| t.get(&var)));
         }
     }
 
-    /// The tuples of `μ(T_Q)` whose atoms are fully bound under a partial
-    /// binding (constants-only atoms always qualify).
-    pub fn bound_atoms(
-        &self,
-        binding: &[Option<Value>],
-    ) -> Vec<(ric_data::RelId, ric_data::Tuple)> {
-        let mut out = Vec::new();
-        'atoms: for atom in &self.tableau.atoms {
-            let mut fields = Vec::with_capacity(atom.args.len());
-            for t in &atom.args {
-                match term_val(t, binding) {
-                    Some(v) => fields.push(v.clone()),
-                    None => continue 'atoms,
-                }
-            }
-            out.push((atom.rel, ric_data::Tuple::new(fields)));
-        }
-        out
+    /// Write the candidate answer `μ(u)` of a binding that covers the head
+    /// into `out`, as ids.
+    pub(crate) fn head_into(&self, var: impl Fn(usize) -> Option<u32>, out: &mut Vec<u32>) {
+        out.clear();
+        out.extend(self.head.iter().map(|t| {
+            t.get(&var)
+                .unwrap_or_else(|| unreachable!("head vars bound first"))
+        }));
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -441,25 +412,26 @@ impl<'a> ValuationSpace<'a> {
         &self,
         depth: usize,
         fresh_used: usize,
-        binding: &mut Vec<Option<Value>>,
-        leaf: &mut Valuation,
+        binding: &mut [Option<u32>],
+        leaf: &mut Vec<u32>,
         profile: &DepthProfile,
         meter: &mut Meter<'_>,
-        head_filter: &mut dyn FnMut(&[Option<Value>]) -> bool,
-        partial_filter: &mut dyn FnMut(&[Option<Value>]) -> bool,
-        visit: &mut dyn FnMut(&Valuation) -> ControlFlow<()>,
+        head_filter: &mut dyn FnMut(&[Option<u32>]) -> bool,
+        partial_filter: &mut dyn FnMut(&[Option<u32>]) -> bool,
+        visit: &mut dyn FnMut(&[u32]) -> ControlFlow<()>,
     ) -> EnumOutcome {
         if depth == self.head_prefix && !head_filter(binding) {
             profile.head_prune();
             return EnumOutcome::Exhausted; // pruned subtree, not a stop
         }
         if depth == self.order.len() {
-            // One buffer per run, refilled at every leaf.
-            leaf.0.clear();
-            leaf.0.extend(binding.iter().map(|b| {
-                b.clone()
-                    .unwrap_or_else(|| unreachable!("all variables bound at full depth"))
-            }));
+            // One buffer per space, refilled at every leaf.
+            leaf.clear();
+            leaf.extend(
+                binding.iter().map(|b| {
+                    b.unwrap_or_else(|| unreachable!("all variables bound at full depth"))
+                }),
+            );
             return match visit(leaf) {
                 ControlFlow::Continue(()) => EnumOutcome::Exhausted,
                 ControlFlow::Break(()) => EnumOutcome::Stopped,
@@ -470,25 +442,28 @@ impl<'a> ValuationSpace<'a> {
         // walked in place: a finite domain, or the shared constants followed
         // by the symmetry-broken fresh pool — any fresh value already in use,
         // or exactly the next unused one.
-        let (fixed, fresh): (&[Value], &[Value]) = match &self.cands[var] {
-            Cands::Finite(vals) => (vals, &[]),
-            Cands::Infinite => (
-                &self.adom.constants,
-                &self.adom.fresh[..(fresh_used + 1).min(self.adom.fresh.len())],
-            ),
+        let (fixed, fresh): (&[u32], &[u32]) = match &self.cands[var] {
+            Cands::Finite(ids) => (ids, &[]),
+            Cands::Infinite => {
+                let pool = self.adom.fresh_ids();
+                (
+                    self.adom.constant_ids(),
+                    &pool[..(fresh_used + 1).min(pool.len())],
+                )
+            }
         };
-        let candidates = fixed.iter().map(|v| (v, fresh_used)).chain(
+        let candidates = fixed.iter().map(|&id| (id, fresh_used)).chain(
             fresh
                 .iter()
                 .enumerate()
-                .map(|(i, v)| (v, fresh_used + usize::from(i == fresh_used))),
+                .map(|(i, &id)| (id, fresh_used + usize::from(i == fresh_used))),
         );
-        for (value, next_fresh) in candidates {
+        for (id, next_fresh) in candidates {
             if !meter.tick() {
                 return EnumOutcome::BudgetExceeded;
             }
             profile.candidate(depth);
-            binding[var] = Some(value.clone());
+            binding[var] = Some(id);
             let outcome = if self.neqs_consistent(binding) && partial_filter(binding) {
                 self.rec(
                     depth + 1,
@@ -515,13 +490,15 @@ impl<'a> ValuationSpace<'a> {
     }
 
     /// Are the tableau inequalities consistent with the partial binding?
-    fn neqs_consistent(&self, binding: &[Option<Value>]) -> bool {
-        self.tableau.neqs.iter().all(
-            |(l, r)| match (term_val(l, binding), term_val(r, binding)) {
+    /// Ids are equal exactly when their values are.
+    fn neqs_consistent(&self, binding: &[Option<u32>]) -> bool {
+        let var = |v: usize| binding[v];
+        self.neqs
+            .iter()
+            .all(|&(l, r)| match (l.get(var), r.get(var)) {
                 (Some(a), Some(b)) => a != b,
                 _ => true,
-            },
-        )
+            })
     }
 }
 
@@ -547,6 +524,13 @@ pub fn materialize(
         .collect()
 }
 
+/// Decode a valuation of catalog ids into `out`'s values, reusing its
+/// buffer: one value clone per variable.
+pub(crate) fn decode_into(adom: &Adom, mu: &[u32], out: &mut Valuation) {
+    out.0.clear();
+    out.0.extend(mu.iter().map(|&id| adom.value(id).clone()));
+}
+
 /// Instantiate every atom of a tableau under a total valuation into
 /// `delta`, which is cleared first — `μ(T)` without allocating a database per
 /// valuation.
@@ -557,13 +541,6 @@ pub(crate) fn instantiate_into(t: &Tableau, mu: &Valuation, delta: &mut ric_data
             atom.rel,
             ric_data::Tuple::new(atom.args.iter().map(|term| mu.term(term))),
         );
-    }
-}
-
-fn term_val<'b>(t: &'b Term, binding: &'b [Option<Value>]) -> Option<&'b Value> {
-    match t {
-        Term::Const(c) => Some(c),
-        Term::Var(v) => binding[v.idx()].as_ref(),
     }
 }
 
@@ -584,7 +561,7 @@ mod tests {
     fn adom_for(schema: &Schema, q: &Cq, n_fresh: usize) -> Adom {
         let setting = crate::Setting::open_world(schema.clone());
         let db = Database::empty(schema);
-        Adom::build(&db, &setting, &crate::Query::Cq(q.clone()), n_fresh)
+        Adom::build(&db, &setting, &crate::Query::Cq(q.clone()), n_fresh).unwrap()
     }
 
     #[test]
@@ -593,14 +570,16 @@ mod tests {
         let q = parse_cq(&s, "Q(X) :- B(X, Y).").unwrap();
         let t = ric_query::Tableau::of(&q).unwrap();
         let adom = adom_for(&s, &q, 2);
-        let space = ValuationSpace::new(&t, &s, &adom);
+        let space = ValuationSpace::new(&t, &s, &adom).unwrap();
         let mut seen = Vec::new();
         let mut meter = Meter::new(1_000_000);
-        let out = space.for_each_valid(
+        let out = space.for_each_valid_pruned_profiled(
+            &DepthProfile::default(),
             &mut meter,
             |_| true,
+            |_| true,
             |mu| {
-                seen.push(mu.clone());
+                seen.push(mu.to_vec());
                 ControlFlow::Continue(())
             },
         );
@@ -616,11 +595,13 @@ mod tests {
         let q = parse_cq(&s, "Q(X, Y) :- R(X, Y), X != Y.").unwrap();
         let t = ric_query::Tableau::of(&q).unwrap();
         let adom = adom_for(&s, &q, 3);
-        let space = ValuationSpace::new(&t, &s, &adom);
+        let space = ValuationSpace::new(&t, &s, &adom).unwrap();
         let mut count = 0;
         let mut meter = Meter::new(1_000_000);
-        space.for_each_valid(
+        space.for_each_valid_pruned_profiled(
+            &DepthProfile::default(),
             &mut meter,
+            |_| true,
             |_| true,
             |_| {
                 count += 1;
@@ -639,12 +620,14 @@ mod tests {
         let q = parse_cq(&s, "Q(X) :- R(X, Y).").unwrap();
         let t = ric_query::Tableau::of(&q).unwrap();
         let adom = adom_for(&s, &q, 2);
-        let space = ValuationSpace::new(&t, &s, &adom);
+        let space = ValuationSpace::new(&t, &s, &adom).unwrap();
         let mut visited = 0;
         let mut meter = Meter::new(1_000_000);
-        let out = space.for_each_valid(
+        let out = space.for_each_valid_pruned_profiled(
+            &DepthProfile::default(),
             &mut meter,
             |_| false, // prune everything
+            |_| true,
             |_| {
                 visited += 1;
                 ControlFlow::Continue(())
@@ -660,9 +643,15 @@ mod tests {
         let q = parse_cq(&s, "Q(X, Y) :- R(X, Y).").unwrap();
         let t = ric_query::Tableau::of(&q).unwrap();
         let adom = adom_for(&s, &q, 3);
-        let space = ValuationSpace::new(&t, &s, &adom);
+        let space = ValuationSpace::new(&t, &s, &adom).unwrap();
         let mut meter = Meter::new(1);
-        let out = space.for_each_valid(&mut meter, |_| true, |_| ControlFlow::Continue(()));
+        let out = space.for_each_valid_pruned_profiled(
+            &DepthProfile::default(),
+            &mut meter,
+            |_| true,
+            |_| true,
+            |_| ControlFlow::Continue(()),
+        );
         assert_eq!(out, EnumOutcome::BudgetExceeded);
     }
 
@@ -672,9 +661,15 @@ mod tests {
         let q = parse_cq(&s, "Q(X, Y) :- R(X, Y).").unwrap();
         let t = ric_query::Tableau::of(&q).unwrap();
         let adom = adom_for(&s, &q, 3);
-        let space = ValuationSpace::new(&t, &s, &adom);
+        let space = ValuationSpace::new(&t, &s, &adom).unwrap();
         let mut meter = Meter::new(1_000_000);
-        let out = space.for_each_valid(&mut meter, |_| true, |_| ControlFlow::Break(()));
+        let out = space.for_each_valid_pruned_profiled(
+            &DepthProfile::default(),
+            &mut meter,
+            |_| true,
+            |_| true,
+            |_| ControlFlow::Break(()),
+        );
         assert_eq!(out, EnumOutcome::Stopped);
     }
 
@@ -687,17 +682,18 @@ mod tests {
         let mut db = Database::empty(&s);
         let r = s.rel_id("R").unwrap();
         db.insert(r, ric_data::Tuple::new([Value::int(1), Value::int(2)]));
-        let adom = Adom::build(&db, &setting, &crate::Query::Cq(q.clone()), 2);
-        let space = ValuationSpace::new(&t, &s, &adom);
+        let adom = Adom::build(&db, &setting, &crate::Query::Cq(q.clone()), 2).unwrap();
+        let space = ValuationSpace::new(&t, &s, &adom).unwrap();
 
         let mut sequential = Vec::new();
         let mut seq_meter = Meter::new(1_000_000);
-        let out = space.for_each_valid_pruned(
+        let out = space.for_each_valid_pruned_profiled(
+            &DepthProfile::default(),
             &mut seq_meter,
             |_| true,
             |_| true,
             |mu| {
-                sequential.push(mu.clone());
+                sequential.push(mu.to_vec());
                 ControlFlow::Continue(())
             },
         );
@@ -710,13 +706,14 @@ mod tests {
         assert!(points.len() > 1, "multiple chunks exercise the split");
         for point in points {
             let mut meter = Meter::new(1_000_000);
-            let out = space.for_each_valid_pruned_chunk(
+            let out = space.for_each_valid_pruned_chunk_profiled(
+                &DepthProfile::default(),
                 point,
                 &mut meter,
                 |_| true,
                 |_| true,
                 |mu| {
-                    chunked.push(mu.clone());
+                    chunked.push(mu.to_vec());
                     ControlFlow::Continue(())
                 },
             );
@@ -733,14 +730,16 @@ mod tests {
         let q = parse_cq(&s, "Q() :- R(5).").unwrap();
         let t = ric_query::Tableau::of(&q).unwrap();
         let adom = adom_for(&s, &q, 1);
-        let space = ValuationSpace::new(&t, &s, &adom);
+        let space = ValuationSpace::new(&t, &s, &adom).unwrap();
         let mut seen = 0;
         let mut meter = Meter::new(10);
-        let out = space.for_each_valid(
+        let out = space.for_each_valid_pruned_profiled(
+            &DepthProfile::default(),
             &mut meter,
             |_| true,
+            |_| true,
             |mu| {
-                assert!(mu.0.is_empty());
+                assert!(mu.is_empty());
                 seen += 1;
                 ControlFlow::Continue(())
             },

@@ -49,6 +49,14 @@ impl Tuple {
     }
 }
 
+/// A tuple orders, compares, and hashes exactly as its field slice, so sets
+/// of tuples answer membership for a borrowed row without building a tuple.
+impl std::borrow::Borrow<[Value]> for Tuple {
+    fn borrow(&self) -> &[Value] {
+        &self.0
+    }
+}
+
 impl<const N: usize> From<[Value; N]> for Tuple {
     fn from(vs: [Value; N]) -> Self {
         Tuple::new(vs)
@@ -89,9 +97,9 @@ pub const SCAN_PROBE_MAX: usize = 8;
 ///
 /// Carries a lazily built per-column hash index ([`Instance::index`]) for the
 /// evaluators' joins; the cache is dropped on every mutation and excluded
-/// from equality, ordering, cloning, and `Debug` (two semantically equal
-/// instances render identically whether or not their index is warm — the
-/// structural fingerprints hash the `Debug` form).
+/// from equality, hashing, ordering, cloning, and `Debug` (two semantically
+/// equal instances compare, hash, and render identically whether or not
+/// their index is warm — the structural checkpoint fingerprints hash them).
 #[derive(Default)]
 pub struct Instance {
     tuples: BTreeSet<Tuple>,
@@ -121,6 +129,13 @@ impl PartialEq for Instance {
 }
 
 impl Eq for Instance {}
+
+/// Hashes the tuples only, like equality.
+impl std::hash::Hash for Instance {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        self.tuples.hash(state);
+    }
+}
 
 impl Instance {
     /// The empty instance.
@@ -238,9 +253,9 @@ pub struct Database {
 
 impl std::fmt::Debug for Database {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        // The adom cache is derived data; like equality, rendering ignores
-        // it so warm and cold databases with the same tuples print (and
-        // fingerprint) identically.
+        // The adom cache is derived data; like equality and hashing,
+        // rendering ignores it so warm and cold databases with the same
+        // tuples print identically.
         f.debug_list().entries(self.instances.iter()).finish()
     }
 }
@@ -261,6 +276,14 @@ impl PartialEq for Database {
 }
 
 impl Eq for Database {}
+
+/// Hashes the instances only, like equality: the active-domain cache is
+/// derived data.
+impl std::hash::Hash for Database {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        self.instances.hash(state);
+    }
+}
 
 impl Database {
     /// The empty database over a schema with `n` relations.

@@ -1,123 +1,36 @@
-//! Value interning.
+//! String interning.
 //!
 //! String constants flow through every layer of the decision stack — they are
-//! cloned into candidate tuples, hashed into indexes, and compared millions of
-//! times during valuation enumeration. Interning gives every distinct string a
-//! single shared allocation (so clones are reference-count bumps and equality
-//! can short-circuit on pointer identity) and a dense [`Sym`] id (so callers
-//! that want `u32` keys — per-setting lookup tables, dense bitsets — can have
-//! them without re-hashing the text).
+//! cloned into candidate tuples, hashed into indexes, and compared during
+//! evaluation. Interning gives every distinct string a single shared
+//! allocation process-wide, so clones are reference-count bumps and equality
+//! can short-circuit on pointer identity. [`Value::str`](crate::Value::str)
+//! interns through [`intern_str`].
 //!
-//! Two pools are provided:
-//!
-//! * a **global** pool behind [`intern_str`] / [`intern`] / [`resolve`], used
-//!   by [`Value::str`](crate::Value::str) so that equal string constants share
-//!   one `Arc<str>` process-wide;
-//! * **per-setting** pools: any number of private [`Interner`]s, for callers
-//!   that want ids dense in *their* universe (e.g. one decision setting)
-//!   rather than the whole process.
+//! Dense ids are not issued here: a decision that wants `u32` keys numbers
+//! its own active domain (the exact search's `Adom` catalog), which is dense
+//! in that decision's universe rather than the whole process.
 
-use std::collections::HashMap;
-use std::fmt;
+use std::collections::HashSet;
 use std::sync::{Arc, Mutex, OnceLock};
-
-/// A dense id for an interned string. Ids are only meaningful relative to the
-/// pool that issued them (the global pool for [`intern`], a specific
-/// [`Interner`] otherwise).
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct Sym(pub u32);
-
-impl fmt::Debug for Sym {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "Sym({})", self.0)
-    }
-}
-
-impl Sym {
-    /// The raw id.
-    pub fn idx(self) -> usize {
-        self.0 as usize
-    }
-}
-
-/// A string interning pool: each distinct string gets one shared allocation
-/// and one dense [`Sym`] id.
-#[derive(Debug, Default)]
-pub struct Interner {
-    ids: HashMap<Arc<str>, u32>,
-    strings: Vec<Arc<str>>,
-}
-
-impl Interner {
-    /// An empty pool.
-    pub fn new() -> Self {
-        Interner::default()
-    }
-
-    /// Intern `s`, returning its id (allocating one if unseen).
-    pub fn intern(&mut self, s: &str) -> Sym {
-        if let Some(&id) = self.ids.get(s) {
-            return Sym(id);
-        }
-        let id = self.strings.len() as u32;
-        let shared: Arc<str> = Arc::from(s);
-        self.strings.push(Arc::clone(&shared));
-        self.ids.insert(shared, id);
-        Sym(id)
-    }
-
-    /// Intern `s`, returning the pool's shared allocation for it.
-    pub fn intern_arc(&mut self, s: &str) -> Arc<str> {
-        let sym = self.intern(s);
-        Arc::clone(&self.strings[sym.idx()])
-    }
-
-    /// The id of `s`, if it has been interned.
-    pub fn get(&self, s: &str) -> Option<Sym> {
-        self.ids.get(s).map(|&id| Sym(id))
-    }
-
-    /// The string behind `sym`. `None` when the id was issued by a different
-    /// pool (or fabricated).
-    pub fn resolve(&self, sym: Sym) -> Option<&Arc<str>> {
-        self.strings.get(sym.idx())
-    }
-
-    /// Number of distinct strings interned.
-    pub fn len(&self) -> usize {
-        self.strings.len()
-    }
-
-    /// Is the pool empty?
-    pub fn is_empty(&self) -> bool {
-        self.strings.is_empty()
-    }
-}
-
-fn global() -> std::sync::MutexGuard<'static, Interner> {
-    static POOL: OnceLock<Mutex<Interner>> = OnceLock::new();
-    // The interner is append-only, so a panic mid-insert cannot leave it in
-    // a state a later caller would misread — recover from poison.
-    POOL.get_or_init(|| Mutex::new(Interner::new()))
-        .lock()
-        .unwrap_or_else(|poisoned| poisoned.into_inner())
-}
 
 /// Intern `s` in the global pool, returning the shared allocation. Equal
 /// strings interned anywhere in the process return clones of the same `Arc`,
 /// so equality checks between them can short-circuit on pointer identity.
 pub fn intern_str(s: &str) -> Arc<str> {
-    global().intern_arc(s)
-}
-
-/// Intern `s` in the global pool, returning its [`Sym`].
-pub fn intern(s: &str) -> Sym {
-    global().intern(s)
-}
-
-/// The global-pool string behind `sym`.
-pub fn resolve(sym: Sym) -> Option<Arc<str>> {
-    global().resolve(sym).cloned()
+    static POOL: OnceLock<Mutex<HashSet<Arc<str>>>> = OnceLock::new();
+    // The pool is append-only, so a panic mid-insert cannot leave it in a
+    // state a later caller would misread — recover from poison.
+    let mut pool = POOL
+        .get_or_init(Mutex::default)
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner());
+    if let Some(shared) = pool.get(s) {
+        return Arc::clone(shared);
+    }
+    let shared: Arc<str> = Arc::from(s);
+    pool.insert(Arc::clone(&shared));
+    shared
 }
 
 #[cfg(test)]
@@ -125,37 +38,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn interner_issues_dense_stable_ids() {
-        let mut pool = Interner::new();
-        let a = pool.intern("alpha");
-        let b = pool.intern("beta");
-        let a2 = pool.intern("alpha");
-        assert_eq!(a, a2);
-        assert_ne!(a, b);
-        assert_eq!(a.idx(), 0);
-        assert_eq!(b.idx(), 1);
-        assert_eq!(pool.len(), 2);
-        assert_eq!(pool.resolve(a).unwrap().as_ref(), "alpha");
-        assert_eq!(pool.get("beta"), Some(b));
-        assert_eq!(pool.get("gamma"), None);
-        assert_eq!(pool.resolve(Sym(99)), None);
-    }
-
-    #[test]
-    fn interned_arcs_share_allocation() {
-        let mut pool = Interner::new();
-        let x = pool.intern_arc("shared");
-        let y = pool.intern_arc("shared");
-        assert!(Arc::ptr_eq(&x, &y));
-    }
-
-    #[test]
     fn global_pool_shares_across_calls() {
         let x = intern_str("ric-global-intern-test");
         let y = intern_str("ric-global-intern-test");
         assert!(Arc::ptr_eq(&x, &y));
-        let sym = intern("ric-global-intern-test");
-        assert_eq!(intern("ric-global-intern-test"), sym);
-        assert_eq!(resolve(sym).unwrap().as_ref(), "ric-global-intern-test");
     }
 }

@@ -35,7 +35,6 @@ pub use database::{Database, Instance, Tuple};
 pub use error::DataError;
 pub use fresh::FreshValues;
 pub use index::ColumnIndex;
-pub use intern::{Interner, Sym};
 pub use overlay::Overlay;
 pub use rng::SplitMix64;
 pub use schema::{Attribute, DomainKind, RelId, RelationSchema, Schema};

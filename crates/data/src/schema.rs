@@ -22,7 +22,7 @@ impl fmt::Display for RelId {
 }
 
 /// The domain an attribute draws its values from.
-#[derive(Clone, PartialEq, Eq, Debug)]
+#[derive(Clone, PartialEq, Eq, Debug, Hash)]
 pub enum DomainKind {
     /// The countably infinite domain `d`.
     Infinite,
@@ -64,7 +64,7 @@ impl DomainKind {
 }
 
 /// A named, typed attribute.
-#[derive(Clone, PartialEq, Eq, Debug)]
+#[derive(Clone, PartialEq, Eq, Debug, Hash)]
 pub struct Attribute {
     /// Attribute name, unique within its relation.
     pub name: String,
@@ -99,7 +99,7 @@ impl Attribute {
 }
 
 /// A relation schema: a name plus an ordered attribute list.
-#[derive(Clone, PartialEq, Eq, Debug)]
+#[derive(Clone, PartialEq, Eq, Debug, Hash)]
 pub struct RelationSchema {
     /// Relation name, unique within its [`Schema`].
     pub name: String,
@@ -136,7 +136,7 @@ impl RelationSchema {
 ///
 /// Used for both the database schema `R` and the master-data schema `R_m`;
 /// the two are kept as *separate* `Schema` values throughout the workspace.
-#[derive(Clone, PartialEq, Eq, Debug, Default)]
+#[derive(Clone, PartialEq, Eq, Debug, Default, Hash)]
 pub struct Schema {
     relations: Vec<RelationSchema>,
 }

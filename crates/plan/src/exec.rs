@@ -1,39 +1,107 @@
 //! Plan executors: run a [`PreparedPlan`] / [`DeltaPlans`] against any
-//! [`TupleStore`].
+//! store of rows.
 //!
 //! The executor is a direct loop over the compiled step list: each step
 //! either scans its relation or probes the pre-resolved column, matches the
-//! tuple against the step's arena'd column `Action`s (constants, equality
+//! row against the step's arena'd column `Action`s (constants, equality
 //! checks against bound slots, fresh binds), runs the inequality checks
 //! pinned to this step, and recurses. The only mutable state is the binding
-//! array inside a reusable [`PlanScratch`]; a candidate tuple that fails
+//! array inside a reusable [`PlanScratch`]; a candidate row that fails
 //! mid-match undoes exactly the binds it performed (a second pass over the
 //! same action slice — no allocation).
+//!
+//! One executor body serves every binding value type `V`: [`Value`] rows of
+//! any [`TupleStore`] (and of an [`Overlay`] for delta plans), or the dense
+//! `u32` id rows the exact RCDP search keeps per decision. The caller passes
+//! the plan's constant pool in its own representation — the plan's
+//! [`PreparedPlan::consts`] for `Value`, a per-decision translation for ids.
 //!
 //! Answer-set equality with the greedy evaluator is by construction: both
 //! enumerate exactly the valuations satisfying every atom and inequality,
 //! and answers land in a `BTreeSet`, so join order is unobservable.
 
 use crate::planner::{Action, DeltaPlans, NeqCheck, PreparedPlan, ProbeChoice, Src};
-use ric_data::{Overlay, Tuple, TupleStore, Value};
+use ric_data::{Overlay, RelId, Tuple, TupleStore, Value};
+use std::borrow::Borrow;
 use std::cell::RefCell;
 use std::collections::BTreeSet;
 
-/// Reusable per-thread execution state: the variable binding array.
+/// The rows a plan joins over: each row borrows as a slice of binding
+/// values `V`. Visitors return `false` to stop; so do the methods, iff they
+/// stopped early.
+pub trait Rows<V> {
+    /// One row as the store holds it (a [`Tuple`], or a slice of ids).
+    type Row: Borrow<[V]> + ?Sized;
+
+    /// Visit every row of `rel` in the store's deterministic order.
+    fn scan_rows(&self, rel: RelId, f: &mut dyn FnMut(&Self::Row) -> bool) -> bool;
+
+    /// Visit the rows of `rel` holding `key` at column `col`, in scan order.
+    fn probe_rows(
+        &self,
+        rel: RelId,
+        col: usize,
+        key: &V,
+        f: &mut dyn FnMut(&Self::Row) -> bool,
+    ) -> bool;
+}
+
+/// A base-plus-delta view a [`DeltaPlans`] runs on: its pinned step reads
+/// the *novel* delta rows (those not already in the base).
+pub trait DeltaRows<V>: Rows<V> {
+    /// Visit the novel delta rows of `rel`.
+    fn novel_rows(&self, rel: RelId, f: &mut dyn FnMut(&Self::Row) -> bool) -> bool;
+}
+
+impl<S: TupleStore> Rows<Value> for S {
+    type Row = Tuple;
+
+    fn scan_rows(&self, rel: RelId, f: &mut dyn FnMut(&Tuple) -> bool) -> bool {
+        self.scan(rel, f)
+    }
+
+    fn probe_rows(
+        &self,
+        rel: RelId,
+        col: usize,
+        key: &Value,
+        f: &mut dyn FnMut(&Tuple) -> bool,
+    ) -> bool {
+        self.probe(rel, col, key, f)
+    }
+}
+
+impl DeltaRows<Value> for Overlay<'_> {
+    fn novel_rows(&self, rel: RelId, f: &mut dyn FnMut(&Tuple) -> bool) -> bool {
+        self.for_each_novel(rel, f)
+    }
+}
+
+/// Reusable execution state: the variable binding array and the head row.
 ///
 /// Executions borrow it mutably, so one scratch serves any number of plans
 /// sequentially. Cross-thread sharing is not needed — each thread keeps its
 /// own (see [`with_scratch`]).
-#[derive(Default, Debug)]
-pub struct PlanScratch {
-    binding: Vec<Option<Value>>,
+#[derive(Debug)]
+pub struct PlanScratch<V = Value> {
+    binding: Vec<Option<V>>,
+    head: Vec<V>,
 }
 
-impl PlanScratch {
-    fn enter(&mut self, n_vars: usize) -> &mut [Option<Value>] {
+impl<V> Default for PlanScratch<V> {
+    fn default() -> Self {
+        PlanScratch {
+            binding: Vec::new(),
+            head: Vec::new(),
+        }
+    }
+}
+
+impl<V: Clone> PlanScratch<V> {
+    fn enter(&mut self, n_vars: usize) -> (&mut [Option<V>], &mut Vec<V>) {
         self.binding.clear();
         self.binding.resize(n_vars, None);
-        &mut self.binding
+        (&mut self.binding, &mut self.head)
     }
 }
 
@@ -50,72 +118,82 @@ pub fn with_scratch<R>(f: impl FnOnce(&mut PlanScratch) -> R) -> R {
     })
 }
 
-fn src_value<'a>(s: &'a Src, binding: &'a [Option<Value>]) -> &'a Value {
-    match s {
-        Src::Const(c) => c,
-        Src::Var(v) => binding[*v as usize]
-            .as_ref()
-            .unwrap_or_else(|| unreachable!("planner pins checks after both sides are bound")),
-    }
+/// One execution of a plan over `store`, with the constant pool `consts` in
+/// the store's value representation.
+struct Exec<'a, V, S> {
+    plan: &'a PreparedPlan,
+    consts: &'a [V],
+    store: &'a S,
 }
 
-fn neqs_hold(checks: &[NeqCheck], binding: &[Option<Value>]) -> bool {
-    checks
-        .iter()
-        .all(|c| src_value(&c.l, binding) != src_value(&c.r, binding))
-}
-
-impl PreparedPlan {
-    /// The head tuple of a complete binding.
-    fn head_tuple(&self, binding: &[Option<Value>]) -> Tuple {
-        Tuple::new(self.head.iter().map(|s| src_value(s, binding).clone()))
+impl<V: Clone + PartialEq, S: Rows<V>> Exec<'_, V, S> {
+    fn src<'b>(&'b self, s: &Src, binding: &'b [Option<V>]) -> &'b V {
+        match s {
+            Src::Const(c) => &self.consts[*c as usize],
+            Src::Var(v) => binding[*v as usize]
+                .as_ref()
+                .unwrap_or_else(|| unreachable!("planner pins checks after both sides are bound")),
+        }
     }
 
-    /// Match `tuple` against step `k`'s actions and pinned inequalities,
+    fn neqs_hold(&self, checks: &[NeqCheck], binding: &[Option<V>]) -> bool {
+        checks
+            .iter()
+            .all(|c| self.src(&c.l, binding) != self.src(&c.r, binding))
+    }
+
+    /// Write the head row of a complete binding into `out`.
+    fn head_into(&self, binding: &[Option<V>], out: &mut Vec<V>) {
+        out.clear();
+        out.extend(self.plan.head.iter().map(|s| self.src(s, binding).clone()));
+    }
+
+    /// Match `row` against step `k`'s actions and pinned inequalities,
     /// recurse on success, and undo exactly the binds performed. Returns
     /// `false` iff the visitor below requested a stop.
-    fn match_and_descend<S: TupleStore>(
+    fn match_and_descend(
         &self,
-        store: &S,
         k: usize,
-        tuple: &Tuple,
-        binding: &mut [Option<Value>],
-        f: &mut dyn FnMut(&[Option<Value>]) -> bool,
+        row: &S::Row,
+        binding: &mut [Option<V>],
+        f: &mut dyn FnMut(&[Option<V>]) -> bool,
     ) -> bool {
-        let step = &self.steps[k];
+        let row: &[V] = row.borrow();
+        let plan = self.plan;
+        let step = &plan.steps[k];
         let (start, len) = step.actions;
-        let actions = &self.actions[start as usize..(start + len) as usize];
-        if tuple.arity() != actions.len() {
+        let actions = &plan.actions[start as usize..(start + len) as usize];
+        if row.len() != actions.len() {
             return true;
         }
         let mut bound = 0usize;
         let mut ok = true;
-        for (col, act) in actions.iter().enumerate() {
+        for (v, act) in row.iter().zip(actions) {
             match act {
                 Action::Const(c) => {
-                    if tuple.get(col) != c {
+                    if *v != self.consts[*c as usize] {
                         ok = false;
                         break;
                     }
                 }
                 Action::Check(slot) => {
-                    if binding[*slot as usize].as_ref() != Some(tuple.get(col)) {
+                    if binding[*slot as usize].as_ref() != Some(v) {
                         ok = false;
                         break;
                     }
                 }
                 Action::Bind(slot) => {
-                    binding[*slot as usize] = Some(tuple.get(col).clone());
+                    binding[*slot as usize] = Some(v.clone());
                     bound += 1;
                 }
             }
         }
         if ok {
             let (ns, nl) = step.neqs;
-            ok = neqs_hold(&self.neqs[ns as usize..(ns + nl) as usize], binding);
+            ok = self.neqs_hold(&plan.neqs[ns as usize..(ns + nl) as usize], binding);
         }
         let keep_going = if ok {
-            self.step(store, k + 1, binding, f)
+            self.step(k + 1, binding, f)
         } else {
             true
         };
@@ -137,104 +215,120 @@ impl PreparedPlan {
     }
 
     /// Execute from step `k` onward. Returns `false` iff `f` stopped early.
-    fn step<S: TupleStore>(
+    fn step(
         &self,
-        store: &S,
         k: usize,
-        binding: &mut [Option<Value>],
-        f: &mut dyn FnMut(&[Option<Value>]) -> bool,
+        binding: &mut [Option<V>],
+        f: &mut dyn FnMut(&[Option<V>]) -> bool,
     ) -> bool {
-        if k == self.steps.len() {
+        if k == self.plan.steps.len() {
             return f(binding);
         }
-        let step = &self.steps[k];
+        let step = &self.plan.steps[k];
         match &step.probe {
-            ProbeChoice::Scan => store.scan(step.rel, &mut |t| {
-                self.match_and_descend(store, k, t, binding, f)
+            ProbeChoice::Scan => self.store.scan_rows(step.rel, &mut |row| {
+                self.match_and_descend(k, row, binding, f)
             }),
-            ProbeChoice::ConstKey { col, key } => {
-                store.probe(step.rel, *col as usize, key, &mut |t| {
-                    self.match_and_descend(store, k, t, binding, f)
-                })
-            }
+            ProbeChoice::ConstKey { col, key } => self.store.probe_rows(
+                step.rel,
+                *col as usize,
+                &self.consts[*key as usize],
+                &mut |row| self.match_and_descend(k, row, binding, f),
+            ),
             ProbeChoice::VarKey { col, var } => {
                 let key = binding[*var as usize]
                     .clone()
                     .unwrap_or_else(|| unreachable!("planner probes only earlier-bound slots"));
-                store.probe(step.rel, *col as usize, &key, &mut |t| {
-                    self.match_and_descend(store, k, t, binding, f)
-                })
+                self.store
+                    .probe_rows(step.rel, *col as usize, &key, &mut |row| {
+                        self.match_and_descend(k, row, binding, f)
+                    })
             }
         }
     }
+}
 
-    /// Visit every answer (head tuple) of the plan over `store`; stop when
-    /// `f` returns `false`. Returns `false` iff stopped early.
-    pub fn for_each_answer<S: TupleStore>(
-        &self,
-        store: &S,
-        scratch: &mut PlanScratch,
-        f: &mut dyn FnMut(Tuple) -> bool,
-    ) -> bool {
-        debug_assert!(!self.pinned, "delta plans execute through DeltaPlans");
-        let binding = scratch.enter(self.n_vars as usize);
-        self.step(store, 0, binding, &mut |b| f(self.head_tuple(b)))
-    }
-
-    /// Evaluate the plan and insert every answer into `out`.
+impl PreparedPlan {
+    /// Evaluate the plan over `store` and insert every answer into `out`.
     pub fn eval_into<S: TupleStore>(
         &self,
         store: &S,
         scratch: &mut PlanScratch,
         out: &mut BTreeSet<Tuple>,
     ) {
-        self.for_each_answer(store, scratch, &mut |t| {
-            out.insert(t);
+        debug_assert!(!self.pinned, "delta plans execute through DeltaPlans");
+        let exec = Exec {
+            plan: self,
+            consts: &self.consts,
+            store,
+        };
+        let (binding, head) = scratch.enter(self.n_vars as usize);
+        exec.step(0, binding, &mut |b| {
+            exec.head_into(b, head);
+            out.insert(Tuple::new(head.iter().cloned()));
             true
         });
     }
 
-    /// Boolean evaluation: does the plan produce at least one answer?
-    pub fn holds<S: TupleStore>(&self, store: &S, scratch: &mut PlanScratch) -> bool {
-        !self.for_each_answer(store, scratch, &mut |_| false)
-    }
-
-    /// Execute one pin plan over `ov`: step 0 iterates novel Δ-tuples, the
-    /// remaining steps join over the full overlay. Returns `false` iff `f`
+    /// Execute one pin plan over `store`: step 0 iterates novel Δ-rows, the
+    /// remaining steps join over the full view. Returns `false` iff `f`
     /// stopped early.
-    fn for_each_delta_answer(
+    fn delta_answers<V: Clone + PartialEq, S: DeltaRows<V>>(
         &self,
-        ov: &Overlay<'_>,
-        scratch: &mut PlanScratch,
-        f: &mut dyn FnMut(Tuple) -> bool,
+        consts: &[V],
+        store: &S,
+        scratch: &mut PlanScratch<V>,
+        f: &mut dyn FnMut(&[V]) -> bool,
     ) -> bool {
         debug_assert!(self.pinned, "not a delta pin plan");
-        let binding = scratch.enter(self.n_vars as usize);
         let Some(step0) = self.steps.first() else {
             return true; // atomless: no pins, nothing novel to derive.
         };
-        let mut g = |b: &[Option<Value>]| f(self.head_tuple(b));
-        ov.for_each_novel(step0.rel, &mut |t| {
-            self.match_and_descend(ov, 0, t, binding, &mut g)
+        let exec = Exec {
+            plan: self,
+            consts,
+            store,
+        };
+        let (binding, head) = scratch.enter(self.n_vars as usize);
+        let mut g = |b: &[Option<V>]| {
+            exec.head_into(b, head);
+            f(head)
+        };
+        store.novel_rows(step0.rel, &mut |row| {
+            exec.match_and_descend(0, row, binding, &mut g)
         })
     }
 }
 
 impl DeltaPlans {
-    /// Every answer derivable *using at least one novel Δ-tuple* — the
-    /// compiled mirror of `eval_tableau_delta` — inserted into `out`.
+    /// Visit every answer derivable *using at least one novel Δ-row* — the
+    /// compiled mirror of `eval_tableau_delta` — pin by pin, with the
+    /// constant pool `consts` ([`Self::consts`] in the store's value
+    /// representation); stop when `f` returns `false`. Returns `false` iff
+    /// stopped early.
+    pub fn delta_answers<V: Clone + PartialEq, S: DeltaRows<V>>(
+        &self,
+        consts: &[V],
+        store: &S,
+        scratch: &mut PlanScratch<V>,
+        f: &mut dyn FnMut(&[V]) -> bool,
+    ) -> bool {
+        self.pins
+            .iter()
+            .all(|plan| plan.delta_answers(consts, store, scratch, f))
+    }
+
+    /// Every Δ-derived answer over `ov`, inserted into `out`.
     pub fn eval_delta_into(
         &self,
         ov: &Overlay<'_>,
         scratch: &mut PlanScratch,
         out: &mut BTreeSet<Tuple>,
     ) {
-        for plan in self.pins.iter() {
-            plan.for_each_delta_answer(ov, scratch, &mut |t| {
-                out.insert(t);
-                true
-            });
-        }
+        self.delta_answers(self.consts(), ov, scratch, &mut |row| {
+            out.insert(Tuple::new(row.iter().cloned()));
+            true
+        });
     }
 
     /// Are all Δ-derived answers contained in `rhs`? Exits on the first
@@ -246,12 +340,6 @@ impl DeltaPlans {
         scratch: &mut PlanScratch,
         rhs: &BTreeSet<Tuple>,
     ) -> bool {
-        for plan in self.pins.iter() {
-            let complete = plan.for_each_delta_answer(ov, scratch, &mut |t| rhs.contains(&t));
-            if !complete {
-                return false;
-            }
-        }
-        true
+        self.delta_answers(self.consts(), ov, scratch, &mut |row| rhs.contains(row))
     }
 }

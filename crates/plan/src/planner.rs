@@ -54,8 +54,8 @@ impl StatsProvider for NoStats {
 /// What to do with one column of a step's tuple, precompiled.
 #[derive(Clone, Debug)]
 pub(crate) enum Action {
-    /// The column must equal this constant.
-    Const(Value),
+    /// The column must equal the constant at this index of the plan's pool.
+    Const(u32),
     /// The column must equal the already-bound variable slot.
     Check(u32),
     /// First occurrence of the variable along the binding order: bind it.
@@ -67,16 +67,17 @@ pub(crate) enum Action {
 pub(crate) enum ProbeChoice {
     /// No column is bound before this step: full scan.
     Scan,
-    /// Probe on a constant key.
-    ConstKey { col: u32, key: Value },
+    /// Probe on a constant key (an index into the plan's pool).
+    ConstKey { col: u32, key: u32 },
     /// Probe on the value of an earlier-bound variable slot.
     VarKey { col: u32, var: u32 },
 }
 
-/// One side of a pinned inequality or one head column.
+/// One side of a pinned inequality or one head column: a constant (an index
+/// into the plan's pool) or a variable slot.
 #[derive(Clone, Debug)]
 pub(crate) enum Src {
-    Const(Value),
+    Const(u32),
     Var(u32),
 }
 
@@ -109,9 +110,16 @@ pub(crate) struct Step {
 /// times through the methods in [`crate::exec`] with a reusable
 /// [`PlanScratch`](crate::PlanScratch) — steady state, an execution
 /// allocates nothing beyond the answers it reports.
+///
+/// Constants live in one pool ([`Self::consts`]) that actions, probe keys,
+/// inequalities, and the head refer to by index, so an executor over
+/// another value representation (dense ids) translates the pool once and
+/// runs the same plan.
 #[derive(Clone, Debug)]
 pub struct PreparedPlan {
     pub(crate) n_vars: u32,
+    /// The constant pool: the tableau's distinct constants, sorted.
+    pub(crate) consts: Box<[Value]>,
     pub(crate) steps: Box<[Step]>,
     /// Arena: every step's column actions, contiguous, in step order.
     pub(crate) actions: Box<[Action]>,
@@ -126,6 +134,11 @@ pub struct PreparedPlan {
 }
 
 impl PreparedPlan {
+    /// The constant pool the plan's steps refer to by index.
+    pub fn consts(&self) -> &[Value] {
+        &self.consts
+    }
+
     /// Total estimated cost (sum of running intermediate cardinalities).
     pub fn cost(&self) -> f64 {
         self.cost
@@ -197,6 +210,12 @@ pub struct DeltaPlans {
 }
 
 impl DeltaPlans {
+    /// The constant pool every pin plan refers to by index (all pins share
+    /// their tableau's pool).
+    pub fn consts(&self) -> &[Value] {
+        self.pins.first().map_or(&[], |p| p.consts())
+    }
+
     /// Total estimated cost across all pin plans.
     pub fn cost(&self) -> f64 {
         self.pins.iter().map(PreparedPlan::cost).sum()
@@ -245,6 +264,15 @@ pub fn plan_tableau_delta(t: &Tableau, stats: &dyn StatsProvider) -> DeltaPlans 
 
 fn compile(t: &Tableau, stats: &dyn StatsProvider, pin: Option<usize>) -> PreparedPlan {
     let n_atoms = t.atoms.len();
+    // The tableau's distinct constants, sorted: every pin of one tableau
+    // builds the same pool.
+    let consts: Box<[Value]> = t.constants().into_iter().collect();
+    let const_idx = |c: &Value| -> u32 {
+        consts
+            .binary_search(c)
+            .map(|i| i as u32)
+            .unwrap_or_else(|_| unreachable!("the pool holds every tableau constant"))
+    };
     let rel_stats: Vec<RelStats> = t.atoms.iter().map(|a| stats.rel_stats(a.rel)).collect();
     let have_stats = rel_stats.iter().any(|s| !s.is_empty());
 
@@ -321,7 +349,7 @@ fn compile(t: &Tableau, stats: &dyn StatsProvider, pin: Option<usize>) -> Prepar
             let choice = match arg {
                 Term::Const(c) => Some(ProbeChoice::ConstKey {
                     col: col as u32,
-                    key: c.clone(),
+                    key: const_idx(c),
                 }),
                 Term::Var(v) if bound_at[v.idx()].is_some() => Some(ProbeChoice::VarKey {
                     col: col as u32,
@@ -349,7 +377,7 @@ fn compile(t: &Tableau, stats: &dyn StatsProvider, pin: Option<usize>) -> Prepar
         let start = actions.len() as u32;
         for arg in atom.args.iter() {
             match arg {
-                Term::Const(c) => actions.push(Action::Const(c.clone())),
+                Term::Const(c) => actions.push(Action::Const(const_idx(c))),
                 Term::Var(v) => {
                     if bound_at[v.idx()].is_some() {
                         actions.push(Action::Check(v.idx() as u32));
@@ -389,7 +417,7 @@ fn compile(t: &Tableau, stats: &dyn StatsProvider, pin: Option<usize>) -> Prepar
         let at = step_of(l).max(step_of(r));
         let src = |term: &Term| -> Src {
             match term {
-                Term::Const(c) => Src::Const(c.clone()),
+                Term::Const(c) => Src::Const(const_idx(c)),
                 Term::Var(v) => Src::Var(v.idx() as u32),
             }
         };
@@ -410,13 +438,14 @@ fn compile(t: &Tableau, stats: &dyn StatsProvider, pin: Option<usize>) -> Prepar
         .head
         .iter()
         .map(|term| match term {
-            Term::Const(c) => Src::Const(c.clone()),
+            Term::Const(c) => Src::Const(const_idx(c)),
             Term::Var(v) => Src::Var(v.idx() as u32),
         })
         .collect();
 
     PreparedPlan {
         n_vars: t.n_vars,
+        consts,
         steps: steps.into_boxed_slice(),
         actions: actions.into_boxed_slice(),
         neqs: neqs.into_boxed_slice(),

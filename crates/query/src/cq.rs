@@ -33,7 +33,7 @@ impl Atom {
 }
 
 /// A conjunctive query `Q(u) :- A_1, …, A_m, eqs, neqs`.
-#[derive(Clone, PartialEq, Eq, Debug)]
+#[derive(Clone, PartialEq, Eq, Debug, Hash)]
 pub struct Cq {
     /// Number of variables; variables are `Var(0) .. Var(n_vars-1)`.
     pub n_vars: u32,

@@ -17,7 +17,7 @@ use std::fmt;
 pub struct PredId(pub usize);
 
 /// A body literal.
-#[derive(Clone, PartialEq, Eq, Debug)]
+#[derive(Clone, PartialEq, Eq, Debug, Hash)]
 pub enum Literal {
     /// An EDB atom over the database schema.
     Edb(Atom),
@@ -30,7 +30,7 @@ pub enum Literal {
 }
 
 /// A rule `p(x̄) ← l_1, …, l_n`.
-#[derive(Clone, PartialEq, Eq, Debug)]
+#[derive(Clone, PartialEq, Eq, Debug, Hash)]
 pub struct Rule {
     /// Head predicate.
     pub head: PredId,
@@ -81,7 +81,7 @@ impl fmt::Display for ProgramError {
 impl std::error::Error for ProgramError {}
 
 /// A datalog program with a designated output predicate.
-#[derive(Clone, PartialEq, Eq, Debug)]
+#[derive(Clone, PartialEq, Eq, Debug, Hash)]
 pub struct Program {
     /// Predicate display names.
     pub pred_names: Vec<String>,

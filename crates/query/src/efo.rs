@@ -14,7 +14,7 @@ use std::collections::BTreeSet;
 
 /// Body of an ∃FO⁺ query. Existential quantification is implicit: every
 /// variable not in the head is existentially quantified.
-#[derive(Clone, PartialEq, Eq, Debug)]
+#[derive(Clone, PartialEq, Eq, Debug, Hash)]
 pub enum EfoExpr {
     /// A relation atom.
     Atom(Atom),
@@ -58,7 +58,7 @@ enum Leaf {
 }
 
 /// An ∃FO⁺ query with an output summary.
-#[derive(Clone, PartialEq, Eq, Debug)]
+#[derive(Clone, PartialEq, Eq, Debug, Hash)]
 pub struct EfoQuery {
     /// Number of variables.
     pub n_vars: u32,

@@ -23,7 +23,7 @@ use std::collections::BTreeSet;
 pub const MAX_FO_DEPTH: usize = 512;
 
 /// An FO formula.
-#[derive(Clone, PartialEq, Eq, Debug)]
+#[derive(Clone, PartialEq, Eq, Debug, Hash)]
 pub enum FoExpr {
     /// A relation atom.
     Atom(Atom),
@@ -79,7 +79,7 @@ impl FoExpr {
 }
 
 /// An FO query `{ x̄ | φ(x̄) }` with free variables `head`.
-#[derive(Clone, PartialEq, Eq, Debug)]
+#[derive(Clone, PartialEq, Eq, Debug, Hash)]
 pub struct FoQuery {
     /// Number of variables (free and bound).
     pub n_vars: u32,

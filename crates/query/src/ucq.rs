@@ -6,7 +6,7 @@ use ric_data::Value;
 use std::collections::BTreeSet;
 
 /// A UCQ `Q_1 ∪ … ∪ Q_k`. All disjuncts must share the same head arity.
-#[derive(Clone, PartialEq, Eq, Debug)]
+#[derive(Clone, PartialEq, Eq, Debug, Hash)]
 pub struct Ucq {
     /// The component CQs.
     pub disjuncts: Vec<Cq>,

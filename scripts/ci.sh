@@ -11,23 +11,27 @@
 #                              greedy order) on every decision)
 #   5. engine A/B             (cargo test --test engine_differential: the
 #                              naive oracle and the planned engine must
-#                              return identical verdict kinds, with
-#                              certified counterexamples, on the exact and
-#                              the bounded search)
-#   6. E2 search A/B          (cargo test --test rcqp_e2_differential: the
+#                              return identical verdicts, witnesses, and
+#                              search counters on the exact search, and
+#                              identical verdict kinds with certified
+#                              counterexamples on the bounded search)
+#   6. allocation bound       (cargo test --release --test alloc_per_valuation:
+#                              an exact RCDP decision's allocations must not
+#                              grow with the valuations it walks)
+#   7. E2 search A/B          (cargo test --test rcqp_e2_differential: the
 #                              RCQP maximal-subset search visits the same
 #                              subsets on every engine)
-#   7. reason A/B             (cargo test --test reason_differential: the
+#   8. reason A/B             (cargo test --test reason_differential: the
 #                              symbolic pre-decision prover — certified
 #                              V-minimization and static verdicts — must be
 #                              verdict- and witness-identical to the full-V
 #                              prepared path)
-#   8. checkpoint/resume      (cargo test --test resume_differential, then
+#   9. checkpoint/resume      (cargo test --test resume_differential, then
 #                              RIC_RESUME_K=2,5: K-installment decisions must
 #                              be identical to uninterrupted runs; then the
 #                              guarded_decisions example runs, including its
 #                              budget-escalation loop over Request::resume)
-#   9. monitor differential   (cargo test --test monitor_differential, then
+#  10. monitor differential   (cargo test --test monitor_differential, then
 #                              a RIC_TXN_BATCH={1,8} matrix: every
 #                              incremental verdict must equal a from-scratch
 #                              decision after every txn) and the monitor
@@ -35,13 +39,13 @@
 #                              splitting, monotonicity) plus the
 #                              tombstone-edge suite (net no-op txns, digest
 #                              stability, capped-memo eviction)
-#  10. panic-path faults      (guard_robustness sink-flush test plus the
+#  11. panic-path faults      (guard_robustness sink-flush test plus the
 #                              ric-trace torn-record suite)
-#  11. paper properties       (cargo test --test paper_properties)
-#  12. static analysis        (cargo test -p ric-analysis, cargo test
+#  12. paper properties       (cargo test --test paper_properties)
+#  13. static analysis        (cargo test -p ric-analysis, cargo test
 #                              -p ric-reason,
 #                              cargo test --test analysis_properties)
-#  13. bench artifacts        (regen_tables --deadline-ms guard; the run
+#  14. bench artifacts        (regen_tables --deadline-ms guard; the run
 #                              fails if a checked Table I/II verdict
 #                              disagrees with its oracle or an artifact
 #                              write fails, and also streams a JSONL
@@ -53,26 +57,26 @@
 #                              Error-level analyzer diagnostic. Both run in
 #                              a temp dir, so the tracked BENCH_*.json files
 #                              are never rewritten by CI)
-#  14. trace smoke            (the trace_decision example and the
+#  15. trace smoke            (the trace_decision example and the
 #                              regen_tables --trace stream must round-trip
 #                              through the ric-trace CLI: tree, prune, plan,
 #                              and diff all parse and render; a malformed
 #                              trace is rejected with a nonzero exit)
-#  15. disabled probes        (cargo test -p ric-telemetry disabled_probe:
+#  16. disabled probes        (cargo test -p ric-telemetry disabled_probe:
 #                              Probe::disabled adds zero events, traced or
 #                              not)
-#  16. full test suite        (cargo test -q -- --include-ignored)
-#  17. determinism lint       (scripts/lint_determinism.sh: no std hash
+#  17. full test suite        (cargo test -q -- --include-ignored)
+#  18. determinism lint       (scripts/lint_determinism.sh: no std hash
 #                              containers or wall-clock reads in library
 #                              crates outside the audited allowlist)
-#  18. formatting             (cargo fmt --check)
-#  19. lints                  (cargo clippy --all-targets -D warnings)
-#  20. lints, workspace       (cargo clippy --workspace -D warnings)
-#  21. lints, unwrap ban      (clippy -D clippy::unwrap_used/expect_used on
+#  19. formatting             (cargo fmt --check)
+#  20. lints                  (cargo clippy --all-targets -D warnings)
+#  21. lints, workspace       (cargo clippy --workspace -D warnings)
+#  22. lints, unwrap ban      (clippy -D clippy::unwrap_used/expect_used on
 #                              library code; tests are exempt via clippy.toml)
-#  22. docs                   (RUSTDOCFLAGS=-Dwarnings cargo doc --no-deps:
+#  23. docs                   (RUSTDOCFLAGS=-Dwarnings cargo doc --no-deps:
 #                              broken intra-doc links are build errors)
-#  23. benchmark self-test    (python3 perfbench/selftest.py --seconds 1:
+#  24. benchmark self-test    (python3 perfbench/selftest.py --seconds 1:
 #                              builds perfbench against the library, so a
 #                              removed entry point it calls fails here; traced
 #                              counts and verdict digests must repeat exactly)
@@ -107,11 +111,18 @@ step "plan differential suite (cost-based vs static-order verdict identity)"
 cargo test -q --offline --test plan_differential
 
 # Engine A/B: every decision checks its candidates through one check chosen
-# from the engine; the naive oracle (materialized unions) and the planned
-# engine (compiled delta checks) must agree on every verdict kind, with
-# certified counterexamples, on the exact and the bounded search.
+# from the engine; the naive oracle (materialized unions on values) and the
+# planned engine (compiled delta checks on dense ids) must agree on every
+# exact verdict, witness, and search counter, and on every bounded verdict
+# kind with certified counterexamples.
 step "engine differential suite (naive vs planned verdict identity)"
 cargo test -q --offline --test engine_differential
+
+# Allocation bound: the exact search binds dense ids and reuses one arena,
+# so two decisions over the same database whose valuation counts differ
+# more than 10x must allocate within a small fixed margin of each other.
+step "allocation bound (no allocation per valuation, --release)"
+cargo test -q --offline --release --test alloc_per_valuation
 
 # E2 search A/B: the RCQP maximal-subset search must visit the same subsets
 # and run the same E2 checks on every engine, with identical verdicts.

@@ -303,46 +303,230 @@ fn delta_cc_check_matches_full_check() {
     assert!(exercised >= 20, "too few bases satisfied the constraints");
 }
 
-/// RCDP must return the same verdict kind (and equally certified
-/// counterexamples) under both engines.
-#[test]
-fn rcdp_verdicts_agree_across_engines() {
-    let mut rng = SplitMix64::seed_from_u64(0x7777);
-    let naive = SearchBudget::default().with_engine(Engine::Naive);
-    let sequential = SearchBudget::default().with_engine(Engine::Planned);
-    let mut decided = 0usize;
-    for round in 0..40 {
-        let setting = random_setting(&mut rng);
-        let db = random_db(&mut rng, 5, 5, 3);
-        if !setting.partially_closed(&db).unwrap() {
-            continue;
-        }
-        for (qi, cq) in cq_pool().into_iter().enumerate() {
-            let q: Query = cq.into();
-            let vn = rcdp(&setting, &q, &db, &naive).unwrap();
-            let vi = rcdp(&setting, &q, &db, &sequential).unwrap();
-            match (&vn, &vi) {
-                (Verdict::Complete, Verdict::Complete) => {}
-                (Verdict::Incomplete(a), Verdict::Incomplete(b)) => {
-                    // Both counterexamples must certify; the exact witness may
-                    // legitimately differ with enumeration order.
-                    for ce in [a, b] {
-                        assert!(
-                            ric::complete::rcdp::certify_counterexample(&setting, &q, &db, ce)
-                                .unwrap(),
-                            "uncertified counterexample (round {round}, query {qi})"
-                        );
-                    }
-                }
-                other => panic!("engines disagree (round {round}, query {qi}): {other:?}"),
-            }
-            decided += 1;
+/// The constraint shapes the RCDP engine differential runs over. Every
+/// shape but `IndOnly` has a non-projection upper bound, so the naive engine
+/// materializes unions while the planned engine runs compiled delta plans —
+/// two code paths, where an IND-only set checks `Δ` alone on both.
+#[derive(Clone, Copy, Debug)]
+enum RcdpShape {
+    /// `R.a ⊆ M`, `S.a ⊆ N`.
+    IndOnly,
+    /// Plus the FD `R: a → b`, compiled by `fd_to_ccs`.
+    Fd,
+    /// Plus the join `π_Y(R(X, Y) ⋈ S(X)) ⊆ N`.
+    Join,
+    /// Plus the denial `R(X, Y), T(X, 1), X ≠ Y ⊆ ∅`.
+    Denial,
+}
+
+/// `R(a, b)`, `S(a)`, and `T(a, f)` with a boolean `f`.
+fn mixed_schema() -> Schema {
+    Schema::from_relations(vec![
+        RelationSchema::infinite("R", &["a", "b"]),
+        RelationSchema::infinite("S", &["a"]),
+        RelationSchema::new("T", vec![Attribute::new("a"), Attribute::boolean("f")]),
+    ])
+    .unwrap()
+}
+
+/// Mixed constants: `Int(0)` beside `Str("0")`, ints, and strings.
+fn mixed_value(rng: &mut SplitMix64) -> Value {
+    match rng.random_range(0..5) {
+        0 => Value::int(0),
+        1 => Value::str("0"),
+        2 => Value::int(1),
+        3 => Value::str("a"),
+        _ => Value::int(2),
+    }
+}
+
+/// A setting of `shape` over `mixed_schema()`. The master relations hold
+/// random pool values plus `"m-only"`, which neither a database nor a query
+/// mentions.
+fn rcdp_setting(rng: &mut SplitMix64, shape: RcdpShape) -> Setting {
+    let s = mixed_schema();
+    let (r, srel) = (s.rel_id("R").unwrap(), s.rel_id("S").unwrap());
+    let m = Schema::from_relations(vec![
+        RelationSchema::infinite("M", &["a"]),
+        RelationSchema::infinite("N", &["a"]),
+    ])
+    .unwrap();
+    let (mrel, nrel) = (m.rel_id("M").unwrap(), m.rel_id("N").unwrap());
+    let mut dm = Database::empty(&m);
+    for rel in [mrel, nrel] {
+        dm.insert(rel, Tuple::new([Value::str("m-only")]));
+        for _ in 0..3 {
+            dm.insert(rel, Tuple::new([mixed_value(rng)]));
         }
     }
-    assert!(
-        decided >= 40,
-        "too few partially closed instances generated"
+    let mut v = ConstraintSet::new(vec![
+        ContainmentConstraint::into_master(
+            CcBody::Proj(Projection::new(r, vec![0])),
+            mrel,
+            vec![0],
+        ),
+        ContainmentConstraint::into_master(
+            CcBody::Proj(Projection::new(srel, vec![0])),
+            nrel,
+            vec![0],
+        ),
+    ]);
+    match shape {
+        RcdpShape::IndOnly => {}
+        RcdpShape::Fd => {
+            let fd = ric::constraints::Fd::new(r, vec![0], vec![1]);
+            for cc in ric::constraints::compile::fd_to_ccs(&fd, &s) {
+                v.push(cc);
+            }
+        }
+        RcdpShape::Join => v.push(ContainmentConstraint::into_master(
+            CcBody::Cq(parse_cq(&s, "Q(Y) :- R(X, Y), S(X).").unwrap()),
+            nrel,
+            vec![0],
+        )),
+        RcdpShape::Denial => v.push(ContainmentConstraint::into_empty(CcBody::Cq(
+            parse_cq(&s, "Q(X, Y) :- R(X, Y), T(X, 1), X != Y.").unwrap(),
+        ))),
+    }
+    Setting::new(s, m, dm, v)
+}
+
+/// A small random database over `mixed_schema()`.
+fn mixed_db(rng: &mut SplitMix64) -> Database {
+    let s = mixed_schema();
+    let mut db = Database::empty(&s);
+    let (r, srel, t) = (
+        s.rel_id("R").unwrap(),
+        s.rel_id("S").unwrap(),
+        s.rel_id("T").unwrap(),
     );
+    for _ in 0..rng.random_range(0..4) {
+        db.insert(r, Tuple::new([mixed_value(rng), mixed_value(rng)]));
+    }
+    for _ in 0..rng.random_range(0..3) {
+        db.insert(srel, Tuple::new([mixed_value(rng)]));
+    }
+    for _ in 0..rng.random_range(0..4) {
+        let f = rng.random_range(0..2) as i64;
+        db.insert(t, Tuple::new([mixed_value(rng), Value::int(f)]));
+    }
+    db
+}
+
+/// Queries over `mixed_schema()`: joins, `≠`, `Int(0)` and `Str("0")`
+/// constants, and finite-domain head variables. The last four can be
+/// complete (the last under the FD); the others reach `"m-only"` or an
+/// unbounded column.
+fn mixed_queries() -> Vec<Query> {
+    let s = mixed_schema();
+    [
+        "Q(X) :- R(X, Y).",
+        "Q(X, Z) :- R(X, Y), R(Y, Z).",
+        "Q(X) :- R(X, Y), S(Y).",
+        "Q(X, Y) :- R(X, Y), X != Y.",
+        "Q(X) :- R(X, 0).",
+        "Q(X) :- R(X, '0').",
+        "Q(X, F) :- T(X, F).",
+        "Q(X) :- T(X, 1), R(X, Y), Y != 0.",
+        "Q(F) :- T(X, F).",
+        "Q() :- R(X, Y), S(X).",
+        "Q() :- T(X, F).",
+        "Q(Y) :- R(0, Y).",
+    ]
+    .iter()
+    .map(|src| parse_cq(&s, src).unwrap().into())
+    .collect()
+}
+
+/// The search counters both engines must report identically: they share
+/// one enumeration order and check the same candidates.
+fn search_counters(report: &ric::telemetry::Report) -> Vec<(&'static str, u64)> {
+    let mut names = vec!["rcdp.valuations", "rcdp.cc_checks", "prune.head"];
+    names.extend(ric::complete::valuations::DEPTH_CANDIDATES);
+    names.extend(ric::complete::valuations::DEPTH_PRUNED);
+    names.extend((0..16).map(|i| PRUNE_CC[i]));
+    names.into_iter().map(|n| (n, report.counter(n))).collect()
+}
+
+const PRUNE_CC: [&str; 16] = [
+    "prune.cc.00",
+    "prune.cc.01",
+    "prune.cc.02",
+    "prune.cc.03",
+    "prune.cc.04",
+    "prune.cc.05",
+    "prune.cc.06",
+    "prune.cc.07",
+    "prune.cc.08",
+    "prune.cc.09",
+    "prune.cc.10",
+    "prune.cc.11",
+    "prune.cc.12",
+    "prune.cc.13",
+    "prune.cc.14",
+    "prune.cc.15",
+];
+
+/// RCDP must return the same verdict — counterexample included — and the
+/// same search counters under both engines, on every constraint shape.
+#[test]
+fn rcdp_verdicts_agree_across_engines() {
+    let naive = SearchBudget::default().with_engine(Engine::Naive);
+    let planned = SearchBudget::default().with_engine(Engine::Planned);
+    let decide = |setting: &Setting, q: &Query, db: &Database, budget: &SearchBudget| {
+        let collector = Collector::new();
+        let verdict = ric::complete::Request::new(setting)
+            .budget(budget)
+            .probe(Probe::attached(&collector))
+            .rcdp(q, db)
+            .unwrap()
+            .verdict;
+        (verdict, search_counters(&collector.report()))
+    };
+    for shape in [
+        RcdpShape::IndOnly,
+        RcdpShape::Fd,
+        RcdpShape::Join,
+        RcdpShape::Denial,
+    ] {
+        let mut rng = SplitMix64::seed_from_u64(0x7777);
+        let (mut decided, mut incomplete) = (0usize, 0usize);
+        for round in 0..40 {
+            let setting = rcdp_setting(&mut rng, shape);
+            let db = mixed_db(&mut rng);
+            if !setting.partially_closed(&db).unwrap() {
+                continue;
+            }
+            for (qi, q) in mixed_queries().iter().enumerate() {
+                let (vn, cn) = decide(&setting, q, &db, &naive);
+                let (vp, cp) = decide(&setting, q, &db, &planned);
+                assert_eq!(
+                    vn, vp,
+                    "verdicts or witnesses differ ({shape:?}, round {round}, query {qi})"
+                );
+                assert_eq!(
+                    cn, cp,
+                    "search counters differ ({shape:?}, round {round}, query {qi})"
+                );
+                if let Verdict::Incomplete(ce) = &vp {
+                    assert!(
+                        ric::complete::rcdp::certify_counterexample(&setting, q, &db, ce).unwrap(),
+                        "uncertified counterexample ({shape:?}, round {round}, query {qi})"
+                    );
+                    incomplete += 1;
+                }
+                decided += 1;
+            }
+        }
+        assert!(
+            decided >= 40,
+            "too few partially closed {shape:?} instances ({decided})"
+        );
+        assert!(
+            incomplete >= 5 && decided - incomplete >= 5,
+            "{shape:?} needs several verdicts of each kind ({incomplete} of {decided} incomplete)"
+        );
+    }
 }
 
 /// RCQP must return the same verdict kind under both engines.
