@@ -1,4 +1,4 @@
-//! Minimal-fragment classification with certified rewrite witnesses.
+//! Minimal-fragment classification with proven rewrite witnesses.
 //!
 //! Tables I and II of the paper assign a complexity cell to the *pair*
 //! `(L_Q, L_C)` — and the cell is determined by the smallest language the
@@ -7,20 +7,35 @@
 //! in an undecidable cell and pays a bounded search; recognized as CQ it
 //! gets the exact Σᵖ₂ decider.
 //!
-//! The classifier is deliberately *sound-by-construction plus certified*:
-//! each structural rewrite (FO → ∃FO⁺ rectification, ∃FO⁺ → UCQ via DNF,
-//! FP → UCQ for non-recursive output-only programs, singleton UCQ → CQ,
-//! projection-shaped CQ → IND) is then validated by differential evaluation
-//! on randomized databases; a rewrite that cannot be certified is discarded
-//! and the declared fragment kept. The certified rewrite *is* the witness:
-//! callers can re-run the differential check themselves.
+//! Every rewrite is justified before it is applied, in one of two ways
+//! (DESIGN §9):
+//!
+//! * **by construction** — FO → ∃FO⁺ rectification (binder uniqueness,
+//!   scoping, and a safe-range pass that makes active-domain semantics
+//!   irrelevant), ∃FO⁺ → UCQ by DNF (the ∃FO⁺ evaluator *is* evaluation of
+//!   the DNF), and FP → UCQ for non-recursive output-only programs (one
+//!   fixpoint round, each rule a CQ). Each rewriter refuses any input outside
+//!   the shape its argument covers, and every UCQ it emits must evaluate
+//!   without error;
+//! * **by proof** — singleton UCQ → CQ and projection-shaped CQ → IND are
+//!   equivalences of UCQs, each proven by checked homomorphisms in both
+//!   directions ([`ric_query::containment::prove_equivalent`]).
+//!
+//! A rewrite whose proof fails is discarded with RIC031 and the declared
+//! fragment kept. The rewrite *is* the witness: callers can re-check it.
 
 use crate::diag::{Code, Diagnostic, Pointer};
+use crate::lints::fo_depth;
 use ric_complete::Query;
 use ric_constraints::{CcBody, Projection};
-use ric_data::{Database, Schema, SplitMix64, Tuple, Value};
+use ric_data::Schema;
+use ric_query::containment::prove_equivalent;
+use ric_query::eval::MAX_EVAL_ATOMS;
+use ric_query::fo::MAX_FO_DEPTH;
+use ric_query::tableau::TableauError;
 use ric_query::{
-    Cq, EfoExpr, EfoQuery, FoExpr, FoQuery, Literal, Program, QueryLanguage, Term, Ucq, Var,
+    Cq, EfoExpr, EfoQuery, FoExpr, FoQuery, Literal, Program, QueryLanguage, Tableau, Term, Ucq,
+    Var,
 };
 use std::collections::BTreeSet;
 
@@ -29,21 +44,18 @@ use std::collections::BTreeSet;
 /// the FO cell would have cost.
 pub const MAX_DNF_DISJUNCTS: usize = 64;
 
-/// Differential-certification rounds per rewrite.
-pub const CERTIFY_ROUNDS: usize = 24;
-
 /// The minimal-fragment verdict for one query or constraint body.
 #[derive(Clone, PartialEq, Debug)]
 pub struct Classification<T> {
     /// The language the object is syntactically written in.
     pub declared: QueryLanguage,
-    /// The smallest language the analyzer could certify.
+    /// The smallest language the analyzer could justify.
     pub minimal: QueryLanguage,
     /// The rewrite witness in the smaller language (`None` when no downgrade
     /// was found — then `minimal == declared`).
     pub rewritten: Option<T>,
-    /// Whether the rewrite passed differential certification. Always `true`
-    /// when `rewritten` is `Some`; uncertifiable rewrites are discarded.
+    /// Whether the rewrite passed its proof. Always `true` when `rewritten`
+    /// is `Some`; unproven rewrites are discarded.
     pub certified: bool,
 }
 
@@ -63,65 +75,44 @@ impl<T> Classification<T> {
     }
 }
 
-/// A random database over `schema` for differential certification, honouring
-/// finite attribute domains. Also used by the downgrade property-test suite.
-pub fn random_database(
-    schema: &Schema,
-    rng: &mut SplitMix64,
-    max_tuples: usize,
-    values: i64,
-) -> Database {
-    let mut db = Database::empty(schema);
-    for (rel, rs) in schema.iter() {
-        let n = rng.random_range(0..max_tuples + 1);
-        'tuples: for _ in 0..n {
-            let mut vals = Vec::with_capacity(rs.arity());
-            for col in 0..rs.arity() {
-                let v = match schema.domain(rel, col) {
-                    Ok(d) if !d.is_infinite() => {
-                        let Some(choices) = d.finite_values() else {
-                            continue 'tuples;
-                        };
-                        if choices.is_empty() {
-                            continue 'tuples;
-                        }
-                        choices[rng.random_range(0..choices.len())].clone()
-                    }
-                    _ => Value::int(rng.random_range(0..values as usize) as i64),
-                };
-                vals.push(v);
+/// A candidate rewrite: `Ok` when every step is proven or holds by
+/// construction, `Err` with the failed proof otherwise.
+type Candidate<T> = Result<T, String>;
+
+/// Does every disjunct of `u` evaluate without error? By-construction
+/// rewrites emit UCQs only under this side condition, so an original whose
+/// evaluation fails is never replaced by one that answers.
+fn evaluable(u: &Ucq) -> Candidate<()> {
+    for (k, d) in u.disjuncts.iter().enumerate() {
+        match Tableau::of(d) {
+            Ok(t) if t.atoms.len() > MAX_EVAL_ATOMS => {
+                return Err(format!("disjunct {k} exceeds {MAX_EVAL_ATOMS} atoms"))
             }
-            db.insert(rel, Tuple::new(vals));
+            Ok(_) | Err(TableauError::Unsatisfiable) => {}
+            Err(e) => return Err(format!("disjunct {k}: {e}")),
         }
     }
-    db
+    Ok(())
 }
 
-/// Differential certification: `original` and `rewritten` must produce the
-/// same answer set on every randomized instance. Evaluation errors on either
-/// side fail certification.
-fn certify<T, F>(schema: &Schema, seed: u64, original: &T, rewritten: &T, eval: F) -> bool
-where
-    F: Fn(&T, &Database) -> Option<BTreeSet<Tuple>>,
-{
-    let mut rng = SplitMix64::seed_from_u64(seed);
-    for _ in 0..CERTIFY_ROUNDS {
-        let db = random_database(schema, &mut rng, 8, 6);
-        match (eval(original, &db), eval(rewritten, &db)) {
-            (Some(a), Some(b)) if a == b => {}
-            _ => return false,
-        }
-    }
-    true
-}
-
-/// Rectify an FO body into ∃FO⁺ when it is positive-existential in disguise:
-/// `∃`, `∧`, `∨`, atoms, `=`, `¬(t = t′)` (as `≠`), and double negation.
-/// Requires the formula to be *rectified*: every quantified variable is bound
-/// exactly once, never shadows the head, and is only used inside its
-/// binder's scope — exactly the discipline that makes pulling all `∃` to the
-/// front (the implicit quantification of [`EfoQuery`]) an equivalence.
-fn fo_body_to_efo(q: &FoQuery) -> Option<EfoExpr> {
+/// Rectify an FO query into ∃FO⁺ when it is positive-existential in
+/// disguise: `∃`, `∧`, `∨`, atoms, `=`, `¬(t = t′)` (as `≠`), and double
+/// negation. Correct by construction (DESIGN §9) under four checked
+/// conditions:
+///
+/// 1. *rectified* — every quantified variable is bound exactly once and
+///    never shadows the head, so pulling all `∃` to the front (the implicit
+///    quantification of [`EfoQuery`]) captures nothing;
+/// 2. *scoped* — every variable is used inside its binder's scope or is a
+///    head variable;
+/// 3. *safe range* — in every DNF clause every variable is restricted (see
+///    [`range_restricted`]), and if the formula has no constant every clause
+///    has an atom. Then no answer depends on the active domain the FO
+///    evaluator quantifies over, even an empty one;
+/// 4. *evaluable* — the FO evaluator would not refuse the formula for
+///    depth, and the DNF has at most [`MAX_DNF_DISJUNCTS`] clauses, each a
+///    CQ the CQ evaluator accepts.
+fn fo_to_efo(q: &FoQuery) -> Option<EfoQuery> {
     // Pass 1: binders are globally unique and disjoint from the head.
     fn binders(e: &FoExpr, seen: &mut BTreeSet<Var>, head: &BTreeSet<Var>) -> bool {
         match e {
@@ -178,16 +169,56 @@ fn fo_body_to_efo(q: &FoQuery) -> Option<EfoExpr> {
         }
     }
     let head: BTreeSet<Var> = q.head.iter().copied().collect();
-    if !binders(&q.body, &mut BTreeSet::new(), &head) {
+    if fo_depth(&q.body) > MAX_FO_DEPTH || !binders(&q.body, &mut BTreeSet::new(), &head) {
         return None;
     }
-    go(&q.body, &head, &mut BTreeSet::new())
+    let efo = EfoQuery::new(
+        q.head.iter().map(|v| Term::Var(*v)).collect(),
+        go(&q.body, &head, &mut BTreeSet::new())?,
+        q.var_names.clone(),
+    );
+    // Passes 3 and 4, clause by clause.
+    if efo.body.dnf_size() > MAX_DNF_DISJUNCTS {
+        return None;
+    }
+    let clauses = efo.to_ucq();
+    let has_constant = !efo.constants().is_empty();
+    let safe = |c: &Cq| range_restricted(c) && (has_constant || !c.atoms.is_empty());
+    (evaluable(&clauses).is_ok() && clauses.disjuncts.iter().all(safe)).then_some(efo)
+}
+
+/// Is every variable of `cq` restricted — in an atom, or equated, directly
+/// or through other equalities, to a constant or an atom variable? Only then
+/// is its value independent of the domain quantifiers range over.
+fn range_restricted(cq: &Cq) -> bool {
+    let mut restricted: BTreeSet<Var> = cq.atoms.iter().flat_map(|a| a.vars()).collect();
+    loop {
+        let before = restricted.len();
+        for (l, r) in &cq.eqs {
+            match (l, r) {
+                (Term::Var(v), Term::Const(_)) | (Term::Const(_), Term::Var(v)) => {
+                    restricted.insert(*v);
+                }
+                (Term::Var(a), Term::Var(b))
+                    if restricted.contains(a) || restricted.contains(b) =>
+                {
+                    restricted.extend([*a, *b]);
+                }
+                _ => {}
+            }
+        }
+        if restricted.len() == before {
+            return cq.all_vars().is_subset(&restricted);
+        }
+    }
 }
 
 /// FP → UCQ for the degenerate (but common in generated settings) shape:
 /// every rule defines the output predicate directly from EDB relations — no
 /// IDB literals, hence no recursion. The inflationary fixpoint of such a
-/// program is exactly the union of its rules read as CQs.
+/// program stops after its first round, and a range-restricted rule fires
+/// exactly on the matches of its body read as a CQ, so the program is the
+/// union of its rules.
 fn fp_to_ucq(p: &Program) -> Option<Ucq> {
     if p.rules.is_empty() || p.validate().is_err() {
         return None;
@@ -244,80 +275,84 @@ fn cq_to_projection(q: &Cq) -> Option<Projection> {
     Some(Projection::new(atom.rel, cols))
 }
 
-/// Shrink a UCQ one more step when possible (singleton → CQ).
-fn shrink_ucq(u: Ucq) -> Query {
-    if u.disjuncts.len() == 1 {
-        Query::Cq(
-            u.disjuncts
-                .into_iter()
-                .next()
-                .unwrap_or_else(|| unreachable!("singleton UCQ has one disjunct")),
-        )
-    } else {
-        Query::Ucq(u)
+/// Accept a UCQ rewrite once it is checked evaluable, and shrink a
+/// singleton to its CQ, proven equivalent by the homomorphisms in both
+/// directions.
+fn from_ucq(u: Ucq, n_rels: usize) -> Candidate<Query> {
+    evaluable(&u)?;
+    if u.disjuncts.len() != 1 {
+        return Ok(Query::Ucq(u));
+    }
+    let cq = u.disjuncts[0].clone();
+    prove_equivalent(&u, &Ucq::single(cq.clone()), n_rels)?;
+    Ok(Query::Cq(cq))
+}
+
+/// The candidate rewrite for a query with its justification.
+fn query_candidate(q: &Query, n_rels: usize) -> Option<Candidate<Query>> {
+    match q {
+        Query::Cq(_) => None,
+        Query::Ucq(u) => (u.disjuncts.len() == 1).then(|| from_ucq(u.clone(), n_rels)),
+        Query::Efo(e) => {
+            (e.body.dnf_size() <= MAX_DNF_DISJUNCTS).then(|| from_ucq(e.to_ucq(), n_rels))
+        }
+        Query::Fo(f) => fo_to_efo(f).map(|efo| from_ucq(efo.to_ucq(), n_rels)),
+        Query::Fp(p) => fp_to_ucq(p).map(|u| from_ucq(u, n_rels)),
     }
 }
 
-/// The candidate rewrite for a query, without certification.
-fn query_candidate(q: &Query) -> Option<Query> {
-    match q {
-        Query::Cq(_) => None,
-        Query::Ucq(u) => (u.disjuncts.len() == 1).then(|| shrink_ucq(u.clone())),
-        Query::Efo(e) => (e.body.dnf_size() <= MAX_DNF_DISJUNCTS).then(|| shrink_ucq(e.to_ucq())),
-        Query::Fo(f) => fo_body_to_efo(f).map(|body| {
-            let efo = EfoQuery::new(
-                f.head.iter().map(|v| Term::Var(*v)).collect(),
-                body,
-                f.var_names.clone(),
-            );
-            if efo.body.dnf_size() <= MAX_DNF_DISJUNCTS {
-                shrink_ucq(efo.to_ucq())
-            } else {
-                Query::Efo(efo)
+/// Keep a justified strictly smaller candidate, or refuse an unproven one
+/// with RIC031; `what` names the object in the diagnostic.
+fn judge<T>(
+    declared: QueryLanguage,
+    candidate: Option<Candidate<T>>,
+    language: impl Fn(&T) -> QueryLanguage,
+    pointer: Pointer,
+    what: &str,
+) -> (Classification<T>, Vec<Diagnostic>) {
+    let unchanged = || (Classification::unchanged(declared), Vec::new());
+    match candidate {
+        None => unchanged(),
+        Some(Ok(rewrite)) => {
+            let minimal = language(&rewrite);
+            if minimal >= declared {
+                return unchanged();
             }
-        }),
-        Query::Fp(p) => fp_to_ucq(p).map(shrink_ucq),
+            let diag = Diagnostic::new(
+                Code::Downgrade,
+                pointer,
+                format!("{what} is {declared:?}-syntax but proven {minimal:?}: dispatching to the smaller cell"),
+            );
+            let cls = Classification {
+                declared,
+                minimal,
+                rewritten: Some(rewrite),
+                certified: true,
+            };
+            (cls, vec![diag])
+        }
+        Some(Err(why)) => {
+            let diag = Diagnostic::new(
+                Code::UncertifiedRewrite,
+                pointer,
+                format!("candidate rewrite of the {what} failed its proof ({why}); keeping {declared:?}"),
+            );
+            (Classification::unchanged(declared), vec![diag])
+        }
     }
 }
 
 /// Classify a query against `schema`, emitting the downgrade /
-/// uncertified-rewrite diagnostics for `pointer`.
-pub fn classify_query(
-    schema: &Schema,
-    query: &Query,
-    seed: u64,
-) -> (Classification<Query>, Vec<Diagnostic>) {
-    let declared = query.language();
-    let Some(candidate) = query_candidate(query) else {
-        return (Classification::unchanged(declared), Vec::new());
-    };
-    let minimal = candidate.language();
-    if minimal >= declared {
-        return (Classification::unchanged(declared), Vec::new());
-    }
-    if certify(schema, seed, query, &candidate, |q, db| q.eval(db).ok()) {
-        let diag = Diagnostic::new(
-            Code::Downgrade,
-            Pointer::Query,
-            format!("query is {declared:?}-syntax but certified {minimal:?}: dispatching to the smaller cell"),
-        );
-        (
-            Classification {
-                declared,
-                minimal,
-                rewritten: Some(candidate),
-                certified: true,
-            },
-            vec![diag],
-        )
-    } else {
-        let diag = Diagnostic::new(
-            Code::UncertifiedRewrite,
-            Pointer::Query,
-            format!("candidate {minimal:?} rewrite failed differential certification; keeping {declared:?}"),
-        );
-        (Classification::unchanged(declared), vec![diag])
-    }
+/// unproven-rewrite diagnostics.
+pub fn classify_query(schema: &Schema, query: &Query) -> (Classification<Query>, Vec<Diagnostic>) {
+    let (declared, candidate) = (query.language(), query_candidate(query, schema.len()));
+    judge(
+        declared,
+        candidate,
+        Query::language,
+        Pointer::Query,
+        "query",
+    )
 }
 
 /// Classify one constraint body, emitting diagnostics for `pointer`.
@@ -325,77 +360,58 @@ pub fn classify_body(
     schema: &Schema,
     body: &CcBody,
     pointer: Pointer,
-    seed: u64,
 ) -> (Classification<CcBody>, Vec<Diagnostic>) {
-    let declared = body.language();
-    let candidate: Option<CcBody> = match body {
+    classify_body_with(schema, body, pointer, cq_to_projection)
+}
+
+/// [`classify_body`] with the CQ → IND rewriter as a parameter, so tests can
+/// hand the proof a wrong rewriter.
+fn classify_body_with(
+    schema: &Schema,
+    body: &CcBody,
+    pointer: Pointer,
+    to_projection: fn(&Cq) -> Option<Projection>,
+) -> (Classification<CcBody>, Vec<Diagnostic>) {
+    let n_rels = schema.len();
+    // CQ → IND, proven by the homomorphisms between the CQ and the
+    // projection's own CQ form.
+    let cq_body = |cq: Cq| -> Candidate<CcBody> {
+        let Some(p) = to_projection(&cq) else {
+            return Ok(CcBody::Cq(cq));
+        };
+        let proj = CcBody::Proj(p);
+        let as_ucq = proj
+            .as_ucq(schema)
+            .ok_or("the projection's relation is not in the schema")?;
+        prove_equivalent(&Ucq::single(cq), &as_ucq, n_rels)?;
+        Ok(proj)
+    };
+    // Singleton UCQ → CQ, then (when `project`) CQ → IND.
+    let ucq_body = |u: Ucq, project: bool| -> Candidate<CcBody> {
+        match from_ucq(u, n_rels)? {
+            Query::Cq(cq) if project => cq_body(cq),
+            Query::Cq(cq) => Ok(CcBody::Cq(cq)),
+            Query::Ucq(u) => Ok(CcBody::Ucq(u)),
+            _ => unreachable!("from_ucq only yields CQ/UCQ"),
+        }
+    };
+    let candidate: Option<Candidate<CcBody>> = match body {
         CcBody::Proj(_) => None,
-        CcBody::Cq(q) => cq_to_projection(q).map(CcBody::Proj),
-        CcBody::Ucq(u) => {
-            if u.disjuncts.len() == 1 {
-                let cq = u.disjuncts[0].clone();
-                Some(match cq_to_projection(&cq) {
-                    Some(p) => CcBody::Proj(p),
-                    None => CcBody::Cq(cq),
-                })
-            } else {
-                None
-            }
-        }
+        CcBody::Cq(q) => Some(cq_body(q.clone())),
+        CcBody::Ucq(u) => (u.disjuncts.len() == 1).then(|| ucq_body(u.clone(), true)),
         CcBody::Efo(e) => {
-            (e.body.dnf_size() <= MAX_DNF_DISJUNCTS).then(|| match shrink_ucq(e.to_ucq()) {
-                Query::Cq(cq) => match cq_to_projection(&cq) {
-                    Some(p) => CcBody::Proj(p),
-                    None => CcBody::Cq(cq),
-                },
-                Query::Ucq(u) => CcBody::Ucq(u),
-                _ => unreachable!("shrink_ucq only yields CQ/UCQ"),
-            })
+            (e.body.dnf_size() <= MAX_DNF_DISJUNCTS).then(|| ucq_body(e.to_ucq(), true))
         }
-        CcBody::Fo(f) => fo_body_to_efo(f).map(|b| {
-            let efo = EfoQuery::new(
-                f.head.iter().map(|v| Term::Var(*v)).collect(),
-                b,
-                f.var_names.clone(),
-            );
-            CcBody::Efo(efo)
-        }),
-        CcBody::Fp(p) => fp_to_ucq(p).map(|u| match shrink_ucq(u) {
-            Query::Cq(cq) => CcBody::Cq(cq),
-            Query::Ucq(u) => CcBody::Ucq(u),
-            _ => unreachable!("shrink_ucq only yields CQ/UCQ"),
-        }),
+        CcBody::Fo(f) => fo_to_efo(f).map(|efo| Ok(CcBody::Efo(efo))),
+        CcBody::Fp(p) => fp_to_ucq(p).map(|u| ucq_body(u, false)),
     };
-    let Some(candidate) = candidate else {
-        return (Classification::unchanged(declared), Vec::new());
-    };
-    let minimal = candidate.language();
-    if minimal >= declared {
-        return (Classification::unchanged(declared), Vec::new());
-    }
-    if certify(schema, seed, body, &candidate, |b, db| b.eval(db).ok()) {
-        let diag = Diagnostic::new(
-            Code::Downgrade,
-            pointer,
-            format!("constraint body is {declared:?}-syntax but certified {minimal:?}"),
-        );
-        (
-            Classification {
-                declared,
-                minimal,
-                rewritten: Some(candidate),
-                certified: true,
-            },
-            vec![diag],
-        )
-    } else {
-        let diag = Diagnostic::new(
-            Code::UncertifiedRewrite,
-            pointer,
-            format!("candidate {minimal:?} rewrite failed differential certification; keeping {declared:?}"),
-        );
-        (Classification::unchanged(declared), vec![diag])
-    }
+    judge(
+        body.language(),
+        candidate,
+        CcBody::language,
+        pointer,
+        "constraint body",
+    )
 }
 
 #[cfg(test)]
@@ -437,7 +453,7 @@ mod tests {
     fn fo_wrapped_cq_downgrades_to_cq() {
         let s = schema();
         let q = Query::Fo(fo_wrapped_cq(&s));
-        let (c, diags) = classify_query(&s, &q, 0xA11CE);
+        let (c, diags) = classify_query(&s, &q);
         assert_eq!(c.declared, QueryLanguage::Fo);
         assert_eq!(c.minimal, QueryLanguage::Cq);
         assert!(c.certified);
@@ -462,7 +478,7 @@ mod tests {
             ),
             vec!["x".into(), "y".into()],
         ));
-        let (c, diags) = classify_query(&s, &q, 1);
+        let (c, diags) = classify_query(&s, &q);
         assert!(!c.downgraded());
         assert!(diags.is_empty());
     }
@@ -483,7 +499,7 @@ mod tests {
             FoExpr::And(vec![part.clone(), part]),
             vec!["y".into()],
         );
-        let (c, _) = classify_query(&s, &Query::Fo(q), 2);
+        let (c, _) = classify_query(&s, &Query::Fo(q));
         assert!(!c.downgraded());
     }
 
@@ -491,7 +507,7 @@ mod tests {
     fn singleton_ucq_downgrades_to_cq() {
         let s = schema();
         let u = parse_ucq(&s, "Q(X) :- R(X, Y), S(Y).").unwrap();
-        let (c, _) = classify_query(&s, &Query::Ucq(u), 3);
+        let (c, _) = classify_query(&s, &Query::Ucq(u));
         assert_eq!(c.minimal, QueryLanguage::Cq);
         assert!(c.certified);
     }
@@ -500,7 +516,7 @@ mod tests {
     fn nonrecursive_output_only_fp_downgrades() {
         let s = schema();
         let p = ric_query::parse_program(&s, "Out(X) :- R(X, Y). Out(X) :- S(X).", "Out").unwrap();
-        let (c, _) = classify_query(&s, &Query::Fp(p), 4);
+        let (c, _) = classify_query(&s, &Query::Fp(p));
         assert_eq!(c.declared, QueryLanguage::Fp);
         assert_eq!(c.minimal, QueryLanguage::Ucq);
         assert!(c.certified);
@@ -515,7 +531,7 @@ mod tests {
             "Tc",
         )
         .unwrap();
-        let (c, _) = classify_query(&s, &Query::Fp(p), 5);
+        let (c, _) = classify_query(&s, &Query::Fp(p));
         assert!(!c.downgraded());
     }
 
@@ -523,7 +539,7 @@ mod tests {
     fn projection_shaped_cq_body_downgrades_to_ind() {
         let s = schema();
         let q = parse_cq(&s, "Q(B, A) :- R(A, B).").unwrap();
-        let (c, diags) = classify_body(&s, &CcBody::Cq(q), Pointer::Constraint(0), 6);
+        let (c, diags) = classify_body(&s, &CcBody::Cq(q), Pointer::Constraint(0));
         assert_eq!(c.declared, QueryLanguage::Cq);
         assert_eq!(c.minimal, QueryLanguage::Inds);
         assert!(matches!(c.rewritten, Some(CcBody::Proj(_))));
@@ -534,23 +550,107 @@ mod tests {
     fn selective_cq_body_is_not_a_projection() {
         let s = schema();
         let q = parse_cq(&s, "Q(A) :- R(A, B), B = 1.").unwrap();
-        let (c, _) = classify_body(&s, &CcBody::Cq(q), Pointer::Constraint(0), 7);
+        let (c, _) = classify_body(&s, &CcBody::Cq(q), Pointer::Constraint(0));
         assert!(!c.downgraded());
     }
 
+    /// A CQ → IND rewriter that ignores every atom but the first.
+    fn drops_atoms(q: &Cq) -> Option<Projection> {
+        let mut first = q.clone();
+        first.atoms.truncate(1);
+        cq_to_projection(&first)
+    }
+
+    /// A CQ → IND rewriter that reads a repeated variable as two distinct
+    /// columns, losing the join equality.
+    fn loses_join_equality(q: &Cq) -> Option<Projection> {
+        let atom = q.atoms.first()?;
+        let col = |v: &Var| atom.args.iter().position(|t| t == &Term::Var(*v));
+        let cols = q
+            .head
+            .iter()
+            .map(|t| t.as_var().and_then(|v| col(&v)))
+            .collect::<Option<Vec<_>>>()?;
+        Some(Projection::new(atom.rel, cols))
+    }
+
+    fn refused_with_ric031(
+        s: &Schema,
+        src: &str,
+        rewriter: fn(&Cq) -> Option<Projection>,
+    ) -> Classification<CcBody> {
+        let body = CcBody::Cq(parse_cq(s, src).unwrap());
+        let (c, diags) = classify_body_with(s, &body, Pointer::Constraint(0), rewriter);
+        assert!(!c.downgraded(), "{src}: the wrong rewrite was applied");
+        assert!(c.rewritten.is_none());
+        assert!(
+            diags.iter().any(|d| d.code == Code::UncertifiedRewrite),
+            "{src}: no RIC031 note in {diags:?}"
+        );
+        c
+    }
+
     #[test]
-    fn random_database_respects_finite_domains() {
-        let s = Schema::from_relations(vec![RelationSchema::new(
-            "B",
-            vec![ric_data::Attribute::boolean("f")],
-        )])
-        .unwrap();
-        let mut rng = SplitMix64::seed_from_u64(9);
-        for _ in 0..10 {
-            let db = random_database(&s, &mut rng, 6, 6);
-            for t in db.instance(s.rel_id("B").unwrap()).iter() {
-                assert!(t.get(0) == &Value::int(0) || t.get(0) == &Value::int(1));
-            }
+    fn rewriter_that_drops_an_atom_fails_its_proof() {
+        let s = schema();
+        refused_with_ric031(&s, "Q(A) :- R(A, B), S(A).", drops_atoms);
+        // Control: on a one-atom body the same rewriter is right and proven.
+        let body = CcBody::Cq(parse_cq(&s, "Q(A) :- R(A, B).").unwrap());
+        let (c, _) = classify_body_with(&s, &body, Pointer::Constraint(0), drops_atoms);
+        assert_eq!(c.minimal, QueryLanguage::Inds);
+    }
+
+    #[test]
+    fn rewriter_that_loses_a_join_equality_fails_its_proof() {
+        let s = schema();
+        refused_with_ric031(&s, "Q(A) :- R(A, A).", loses_join_equality);
+        // Control: without a repeated variable the rewriter is right.
+        let body = CcBody::Cq(parse_cq(&s, "Q(B) :- R(A, B).").unwrap());
+        let (c, _) = classify_body_with(&s, &body, Pointer::Constraint(0), loses_join_equality);
+        assert_eq!(c.minimal, QueryLanguage::Inds);
+    }
+
+    #[test]
+    fn fo_whose_variables_depend_on_the_active_domain_is_not_rectified() {
+        let s = schema();
+        let srel = s.rel_id("S").unwrap();
+        let (x, y) = (Var(0), Var(1));
+        let fo = |head: Vec<Var>, body: FoExpr| {
+            Query::Fo(FoQuery::new(head, body, vec!["x".into(), "y".into()]))
+        };
+        let s_of = |v: Var| FoExpr::Atom(Atom::new(srel, vec![Term::Var(v)]));
+        // ∃y (y = y): true iff the active domain is nonempty, while the
+        // rectified CQ would hold on the empty database.
+        let trivially_bound = fo(
+            vec![],
+            FoExpr::Exists(vec![y], Box::new(FoExpr::Eq(Term::Var(y), Term::Var(y)))),
+        );
+        // Q(x) := S(x) ∨ ∃y S(y): the second disjunct returns the whole
+        // active domain for x.
+        let unrestricted_head = fo(
+            vec![x],
+            FoExpr::Or(vec![s_of(x), FoExpr::Exists(vec![y], Box::new(s_of(y)))]),
+        );
+        // Q(x) := ∃y (S(x) ∧ ¬(x = 7) ∧ y = 7): equalities with constants
+        // restrict (7 is in the active domain of every evaluation), so this
+        // one is rectified.
+        let constant_bound = fo(
+            vec![x],
+            FoExpr::Exists(
+                vec![y],
+                Box::new(FoExpr::And(vec![
+                    s_of(x),
+                    FoExpr::neq(Term::Var(x), Term::from(7)),
+                    FoExpr::Eq(Term::Var(y), Term::from(7)),
+                ])),
+            ),
+        );
+        for q in [&trivially_bound, &unrestricted_head] {
+            let (c, diags) = classify_query(&s, q);
+            assert!(!c.downgraded(), "{q:?}");
+            assert!(diags.is_empty());
         }
+        let (c, _) = classify_query(&s, &constant_bound);
+        assert_eq!(c.minimal, QueryLanguage::Cq);
     }
 }

@@ -123,11 +123,11 @@ pub enum Code {
     /// `RIC024` — `π(R) ⊆ ∅` forces `R` to be empty in every partially
     /// closed database.
     CcForcesEmpty,
-    /// `RIC030` — a certified fragment downgrade: the object is written in a
+    /// `RIC030` — a proven fragment downgrade: the object is written in a
     /// larger language than it needs.
     Downgrade,
-    /// `RIC031` — a candidate rewrite failed differential certification and
-    /// was discarded (the declared fragment is kept).
+    /// `RIC031` — a candidate rewrite failed its proof and was discarded
+    /// (the declared fragment is kept).
     UncertifiedRewrite,
     /// `RIC040` — a containment constraint is implied by the rest of `V`
     /// (relative to the fixed master data) and can be dropped from the
@@ -136,11 +136,11 @@ pub enum Code {
     /// `RIC041` — the query body is statically unsatisfiable under `V`:
     /// no legal extension can ever produce an answer.
     UnsatUnderV,
-    /// `RIC042` — the decision is statically `Complete` (certified): either
+    /// `RIC042` — the decision is statically `Complete` (proven): either
     /// every query disjunct dies under `V`, or a cover fact applies.
     StaticallyComplete,
-    /// `RIC043` — a static conclusion of the symbolic reasoner failed
-    /// differential certification and was discarded.
+    /// `RIC043` — a static conclusion of the symbolic reasoner failed its
+    /// proof and was discarded.
     UncertifiedStatic,
     /// `RIC044` — the symbolic reasoner degraded on a fragment outside its
     /// reach (FO/FP bodies, inequalities, oversized canonical databases).

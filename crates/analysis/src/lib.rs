@@ -10,9 +10,10 @@
 //! - typed [`Diagnostic`]s with stable codes (`RIC001`…), a severity
 //!   ([`Severity::Error`] / `Warn` / `Info`), and a [`Pointer`] to the
 //!   offending query, constraint, or rule;
-//! - a certified minimal-fragment [`Classification`] for the query and every
+//! - a proven minimal-fragment [`Classification`] for the query and every
 //!   constraint body, with the rewrite in the smaller language as a checkable
-//!   witness (validated by differential evaluation on randomized instances).
+//!   witness (each step checked by homomorphisms or correct by construction,
+//!   see [`classify`]).
 //!
 //! The analyses: FO safety / range restriction (unsafe variables, depth),
 //! FP validation / reachability / stratification notes, CQ lints
@@ -33,10 +34,7 @@ pub mod classify;
 pub mod diag;
 pub mod lints;
 
-pub use classify::{
-    classify_body, classify_query, random_database, Classification, CERTIFY_ROUNDS,
-    MAX_DNF_DISJUNCTS,
-};
+pub use classify::{classify_body, classify_query, Classification, MAX_DNF_DISJUNCTS};
 pub use diag::{Code, Diagnostic, Pointer, Severity};
 
 use ric_complete::{Query, SearchBudget, Setting};
@@ -44,10 +42,6 @@ use ric_constraints::CcBody;
 use ric_query::QueryLanguage;
 use ric_reason::{ReasonNote, StaticFacts};
 use ric_telemetry::Json;
-
-/// Seed for the deterministic differential-certification RNG. Fixed so the
-/// same setting always produces the same report.
-const CERTIFY_SEED: u64 = 0x5EED_0001;
 
 /// The result of statically analyzing a setting and query.
 #[derive(Clone, PartialEq, Debug)]
@@ -172,7 +166,7 @@ impl AnalysisReport {
 /// collect the findings into an [`AnalysisReport`].
 pub fn analyze(setting: &Setting, query: &Query) -> AnalysisReport {
     let mut diagnostics = lints::query_lints(&setting.schema, query);
-    let (query_cls, d) = classify_query(&setting.schema, query, CERTIFY_SEED);
+    let (query_cls, d) = classify_query(&setting.schema, query);
     diagnostics.extend(d);
 
     let mut constraints = Vec::with_capacity(setting.v.ccs.len());
@@ -183,12 +177,7 @@ pub fn analyze(setting: &Setting, query: &Query) -> AnalysisReport {
             &setting.master_schema,
             i,
         ));
-        let (cls, d) = classify_body(
-            &setting.schema,
-            &cc.body,
-            Pointer::Constraint(i),
-            CERTIFY_SEED ^ (i as u64 + 1),
-        );
+        let (cls, d) = classify_body(&setting.schema, &cc.body, Pointer::Constraint(i));
         diagnostics.extend(d);
         constraints.push(cls);
     }
@@ -201,20 +190,15 @@ pub fn analyze(setting: &Setting, query: &Query) -> AnalysisReport {
             &setting.master_schema,
             i,
         ));
-        let (cls, d) = classify_body(
-            &setting.schema,
-            &lb.body,
-            Pointer::LowerBound(i),
-            CERTIFY_SEED ^ (0x1000 + i as u64),
-        );
+        let (cls, d) = classify_body(&setting.schema, &lb.body, Pointer::LowerBound(i));
         diagnostics.extend(d);
         lower_bounds.push(cls);
     }
 
-    // Symbolic pre-decision reasoning (RIC040+): certified implied
+    // Symbolic pre-decision reasoning (RIC040+): proven implied
     // constraints, static verdicts, and degradation notes. The reasoner runs
     // under its own small budget so analysis stays fast, and every reported
-    // conclusion has already survived differential certification.
+    // conclusion has already passed its proof check.
     let facts = ric_reason::reason(setting, query, &SearchBudget::small());
     diagnostics.extend(reason_diagnostics(&facts));
 
@@ -226,7 +210,7 @@ pub fn analyze(setting: &Setting, query: &Query) -> AnalysisReport {
     }
 }
 
-/// Render the reasoner's certified [`StaticFacts`] as stable diagnostics.
+/// Render the reasoner's proven [`StaticFacts`] as stable diagnostics.
 pub fn reason_diagnostics(facts: &StaticFacts) -> Vec<Diagnostic> {
     let mut out = Vec::new();
     for implied in &facts.implied {
@@ -250,7 +234,7 @@ pub fn reason_diagnostics(facts: &StaticFacts) -> Vec<Diagnostic> {
         out.push(Diagnostic::new(
             Code::StaticallyComplete,
             Pointer::Query,
-            "every query disjunct dies under V (certified): the RCDP decision is statically Complete",
+            "every query disjunct dies under V (proven): the RCDP decision is statically Complete",
         ));
     }
     if let Some(cover) = facts.cover {
@@ -258,7 +242,7 @@ pub fn reason_diagnostics(facts: &StaticFacts) -> Vec<Diagnostic> {
             Code::StaticallyComplete,
             Pointer::Query,
             format!(
-                "query is contained in the body of constraint {} (certified): decisions short-circuit to Complete whenever p(D_m) ⊆ Q(D)",
+                "query is contained in the body of constraint {} (proven): decisions short-circuit to Complete whenever p(D_m) ⊆ Q(D)",
                 cover.cc
             ),
         ));
@@ -268,7 +252,7 @@ pub fn reason_diagnostics(facts: &StaticFacts) -> Vec<Diagnostic> {
             ReasonNote::Uncertified { what, why } => out.push(Diagnostic::new(
                 Code::UncertifiedStatic,
                 Pointer::Setting,
-                format!("{what} failed differential certification and was discarded: {why}"),
+                format!("{what} failed its proof and was discarded: {why}"),
             )),
             ReasonNote::Degraded { place, why } => {
                 let pointer = if place == "query" {

@@ -20,7 +20,7 @@ use std::collections::{BTreeMap, BTreeSet};
 /// An upper bound on the evaluator's recursion depth for `e`, mirroring how
 /// `sat`/`quantify` consume [`MAX_FO_DEPTH`]: one frame per connective, one
 /// per quantified variable.
-fn fo_depth(e: &FoExpr) -> usize {
+pub(crate) fn fo_depth(e: &FoExpr) -> usize {
     match e {
         FoExpr::Atom(_) | FoExpr::Eq(..) => 0,
         FoExpr::Not(x) => 1 + fo_depth(x),

@@ -2,31 +2,35 @@
 //!
 //! The classical containment machinery (Chandra–Merlin) turns a symbolic
 //! question — does every match of `Q₁` yield a match of `Q₂`? — into one
-//! concrete evaluation: freeze the variables of `Q₁` into fresh distinct
-//! constants, evaluate `Q₂` on the resulting *canonical database*, and look
-//! for the frozen head. The soundness argument used throughout this crate is
-//! that any valuation `v` of the frozen tableau into a real database `D`
-//! factors through the freezing: composing a homomorphism found on the
-//! canonical database with the specialization `σ: frozen → v` transports
-//! every canonical match into `D`.
+//! concrete search: freeze the variables of `Q₁` into fresh distinct
+//! constants and look for a homomorphism of `Q₂` into the resulting
+//! *canonical database* that hits the frozen head
+//! ([`crate::containment::find_hom`]). Any valuation `v` of the frozen
+//! tableau into a real database `D` factors through the freezing: composing
+//! the homomorphism with the specialization `σ: frozen → v` transports the
+//! canonical match into `D`.
 //!
 //! Frozen values are allocated by [`FreshValues`], strictly above every
 //! observed constant — in particular above every value of the fixed master
 //! data — so a canonical answer containing no frozen value is a genuine
 //! all-constant tuple that survives *any* specialization.
 
+use crate::tableau::{Tableau, Valuation};
 use ric_data::{Database, FreshValues, Tuple, Value};
-use ric_query::{Tableau, Valuation};
 use std::collections::BTreeSet;
 
-/// A frozen tableau: the canonical database, the frozen head tuple, and the
-/// set of fresh values standing in for variables.
+/// A frozen tableau: the canonical database, the frozen head tuple, the
+/// frozen images of its inequalities, and the set of fresh values standing
+/// in for variables.
 #[derive(Clone, Debug)]
 pub struct CanonDb {
     /// The canonical instance `μ(T)` over the database schema.
     pub db: Database,
     /// The frozen output tuple `μ(u)`.
     pub frozen_head: Tuple,
+    /// The frozen inequalities `μ(l) ≠ μ(r)` of the tableau: every real
+    /// match of the frozen query keeps these pairs apart.
+    pub neqs: Vec<(Value, Value)>,
     /// The fresh values standing in for the tableau's variables.
     frozen: BTreeSet<Value>,
 }
@@ -46,6 +50,11 @@ impl CanonDb {
         CanonDb {
             db: mu.instantiate(t, n_rels),
             frozen_head: mu.head_tuple(t),
+            neqs: t
+                .neqs
+                .iter()
+                .map(|(l, r)| (mu.term(l), mu.term(r)))
+                .collect(),
             frozen,
         }
     }
@@ -61,13 +70,25 @@ impl CanonDb {
     pub fn all_constant(&self, t: &Tuple) -> bool {
         t.iter().all(|v| !self.is_frozen(v))
     }
+
+    /// Do `a ≠ b` hold under every specialization of the frozen query? True
+    /// for two distinct constants and for a frozen inequality of the query
+    /// itself (either orientation); false otherwise — a frozen value may be
+    /// specialized onto anything the query does not keep it apart from.
+    pub fn robustly_distinct(&self, a: &Value, b: &Value) -> bool {
+        (a != b && !self.is_frozen(a) && !self.is_frozen(b))
+            || self
+                .neqs
+                .iter()
+                .any(|(l, r)| (l == a && r == b) || (l == b && r == a))
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Cq, Term};
     use ric_data::RelId;
-    use ric_query::{Cq, Term};
 
     fn r() -> RelId {
         RelId(0)
@@ -105,13 +126,22 @@ mod tests {
     fn constant_tuples_are_robust() {
         let mut b = Cq::builder();
         let x = b.var("x");
+        let y = b.var("y");
         let q = b
             .atom(r(), vec![Term::Var(x), Term::Const(Value::int(7))])
+            .atom(r(), vec![Term::Var(y), Term::Var(x)])
+            .neq(Term::Var(x), Term::Var(y))
             .head_vars(vec![x])
             .build();
         let t = Tableau::of(&q).unwrap();
         let canon = CanonDb::freeze(&t, 1, &BTreeSet::new());
         assert!(canon.all_constant(&Tuple::new([Value::int(7), Value::str("a")])));
         assert!(!canon.all_constant(&canon.frozen_head));
+        // Distinct constants and the query's own `≠` stay apart; a frozen
+        // value and a constant need not.
+        let (fx, fy) = canon.neqs[0].clone();
+        assert!(canon.robustly_distinct(&Value::int(7), &Value::int(8)));
+        assert!(canon.robustly_distinct(&fy, &fx));
+        assert!(!canon.robustly_distinct(&fx, &Value::int(7)));
     }
 }

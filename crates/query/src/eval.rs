@@ -87,29 +87,44 @@ pub fn eval_ucq<S: TupleStore>(q: &Ucq, db: &S) -> Result<BTreeSet<Tuple>, Table
 /// Evaluate a normalised tableau query on a store.
 pub fn eval_tableau<S: TupleStore>(t: &Tableau, db: &S) -> BTreeSet<Tuple> {
     let mut out = BTreeSet::new();
-    let join = Join {
-        t,
-        store: db,
-        early_exit: false,
-    };
-    let mut used = vec![false; t.atoms.len()];
-    let mut binding: Vec<Option<Value>> = vec![None; t.n_vars as usize];
-    join.rec(&mut used, 0, &mut binding, &mut out);
+    for_each_match(t, db, |binding| {
+        out.insert(head_of(t, binding));
+        true
+    });
     out
 }
 
 /// Boolean convenience: is `Q(D)` nonempty? Stops at the first witness.
 pub fn holds<S: TupleStore>(t: &Tableau, db: &S) -> bool {
-    let mut out = BTreeSet::new();
-    let join = Join {
-        t,
-        store: db,
-        early_exit: true,
-    };
+    !for_each_match(t, db, |_| false)
+}
+
+/// Visit every match of `t` in `db` — a binding of every tableau variable
+/// that maps each atom onto a stored tuple and satisfies the inequalities —
+/// until `visit` returns `false`. Returns `false` iff `visit` stopped the
+/// search. The homomorphism finder and every evaluator above share this one
+/// join.
+pub fn for_each_match<S: TupleStore>(
+    t: &Tableau,
+    db: &S,
+    mut visit: impl FnMut(&[Option<Value>]) -> bool,
+) -> bool {
+    let join = Join { t, store: db };
     let mut used = vec![false; t.atoms.len()];
     let mut binding: Vec<Option<Value>> = vec![None; t.n_vars as usize];
-    join.rec(&mut used, 0, &mut binding, &mut out);
-    !out.is_empty()
+    join.rec(&mut used, 0, &mut binding, &mut visit)
+}
+
+/// The head tuple of a complete binding.
+fn head_of(t: &Tableau, binding: &[Option<Value>]) -> Tuple {
+    Tuple::new(t.head.iter().map(|term| {
+        match term {
+            Term::Var(v) => binding[v.idx()]
+                .clone()
+                .unwrap_or_else(|| unreachable!("head var bound")),
+            Term::Const(c) => c.clone(),
+        }
+    }))
 }
 
 /// The incremental answers of `t` on `base ∪ delta`: exactly those whose
@@ -124,13 +139,13 @@ pub fn eval_tableau_delta(t: &Tableau, ov: &Overlay<'_>) -> BTreeSet<Tuple> {
     if t.atoms.is_empty() {
         return out;
     }
-    let join = Join {
-        t,
-        store: ov,
-        early_exit: false,
-    };
+    let join = Join { t, store: ov };
     let mut used = vec![false; t.atoms.len()];
     let mut binding: Vec<Option<Value>> = vec![None; t.n_vars as usize];
+    let mut collect = |binding: &[Option<Value>]| {
+        out.insert(head_of(t, binding));
+        true
+    };
     for pin in 0..t.atoms.len() {
         // Pin atom `pin` to a novel tuple; the remaining atoms join over the
         // whole overlay. The union over pins covers every derivation with a
@@ -140,7 +155,7 @@ pub fn eval_tableau_delta(t: &Tableau, ov: &Overlay<'_>) -> BTreeSet<Tuple> {
         ov.for_each_novel(atom.rel, &mut |tuple| {
             if let Some(newly) = match_atom(atom, tuple, &mut binding) {
                 if partial_neqs_hold(t, &binding) {
-                    join.rec(&mut used, 1, &mut binding, &mut out);
+                    join.rec(&mut used, 1, &mut binding, &mut collect);
                 }
                 undo(&mut binding, &newly);
             }
@@ -156,35 +171,21 @@ pub fn eval_tableau_delta(t: &Tableau, ov: &Overlay<'_>) -> BTreeSet<Tuple> {
 struct Join<'a, S: TupleStore> {
     t: &'a Tableau,
     store: &'a S,
-    /// Stop the whole search at the first answer (Boolean evaluation).
-    early_exit: bool,
 }
 
 impl<S: TupleStore> Join<'_, S> {
-    /// Recurse over the unmatched atoms. Returns `false` iff the search was
-    /// aborted by `early_exit`.
-    fn rec(
+    /// Recurse over the unmatched atoms, handing every complete match to
+    /// `visit`. Returns `false` iff `visit` stopped the search.
+    fn rec<F: FnMut(&[Option<Value>]) -> bool>(
         &self,
         used: &mut [bool],
         n_used: usize,
         binding: &mut Vec<Option<Value>>,
-        out: &mut BTreeSet<Tuple>,
+        visit: &mut F,
     ) -> bool {
         if n_used == self.t.atoms.len() {
             // All atoms matched; all variables are bound (tableau invariant).
-            if neqs_hold(self.t, binding) {
-                let head = Tuple::new(self.t.head.iter().map(|term| {
-                    match term {
-                        Term::Var(v) => binding[v.idx()]
-                            .clone()
-                            .unwrap_or_else(|| unreachable!("head var bound")),
-                        Term::Const(c) => c.clone(),
-                    }
-                }));
-                out.insert(head);
-            }
-            // Keep going unless early-exit mode has its first answer.
-            return !self.early_exit || out.is_empty();
+            return !neqs_hold(self.t, binding) || visit(binding);
         }
         let i = self.pick(used, binding);
         let atom = &self.t.atoms[i];
@@ -197,13 +198,13 @@ impl<S: TupleStore> Join<'_, S> {
             .find_map(|(col, term)| term_value(term, binding).map(|v| (col, v.clone())));
         used[i] = true;
         let t = self.t;
-        let mut visit = |tuple: &Tuple| -> bool {
+        let mut step = |tuple: &Tuple| -> bool {
             let Some(newly) = match_atom(atom, tuple, binding) else {
                 return true;
             };
             // Eagerly prune with inequalities whose sides are both bound.
             let keep_going = if partial_neqs_hold(t, binding) {
-                self.rec(used, n_used + 1, binding, out)
+                self.rec(used, n_used + 1, binding, visit)
             } else {
                 true
             };
@@ -211,8 +212,8 @@ impl<S: TupleStore> Join<'_, S> {
             keep_going
         };
         let completed = match &probe_key {
-            Some((col, v)) => self.store.probe(atom.rel, *col, v, &mut visit),
-            None => self.store.scan(atom.rel, &mut visit),
+            Some((col, v)) => self.store.probe(atom.rel, *col, v, &mut step),
+            None => self.store.scan(atom.rel, &mut step),
         };
         used[i] = false;
         completed

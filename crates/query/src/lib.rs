@@ -17,6 +17,7 @@
 //! A small text parser ([`parser`]) accepts datalog-style rule syntax for CQ,
 //! UCQ, and FP so that examples and tests stay readable.
 
+pub mod canon;
 pub mod containment;
 pub mod cq;
 pub mod datalog;
@@ -29,6 +30,7 @@ pub mod tableau;
 pub mod term;
 pub mod ucq;
 
+pub use canon::CanonDb;
 pub use cq::{Atom, Cq};
 pub use datalog::{Literal, Program, Rule};
 pub use efo::{EfoExpr, EfoQuery};

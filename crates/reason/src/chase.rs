@@ -1,7 +1,10 @@
-//! A bounded chase of containment constraints over canonical databases.
+//! A bounded chase of containment constraints over canonical databases —
+//! the *finder* half of the reasoner. Every conclusion it reaches comes with
+//! a proof object ([`Step`]) that [`crate::proof`] checks before anything is
+//! committed.
 //!
 //! Chasing a canonical database `canon(d)` with a containment constraint
-//! `φ = q ⊆ p(R_m)` means evaluating `q` on `canon(d)` and recording the
+//! `φ = q ⊆ p(R_m)` means matching `q` into `canon(d)` and inspecting the
 //! resulting *obligations*: tuples that must belong to `p(D_m)` in any legal
 //! database containing an image of `d`. Because every right-hand side lives
 //! in the fixed, closed-world master data, the chase never adds tuples to
@@ -10,9 +13,10 @@
 //!
 //! Obligation classification (the soundness core of the crate):
 //!
-//! * a **denial hit** — `q(canon(d)) ≠ ∅` for a constraint with right-hand
-//!   side `∅` — is always specialization-robust: homomorphisms compose, so
-//!   any real match of `d` produces a real match of `q`;
+//! * a **denial hit** — a homomorphism of `q` into `canon(d)` for a
+//!   constraint with right-hand side `∅` — is always specialization-robust:
+//!   homomorphisms compose, so any real match of `d` produces a real match
+//!   of `q`;
 //! * an **all-constant obligation** `a ∉ p(D_m)` is robust because
 //!   specializations fix constants — `a` itself appears in `q(D)` for every
 //!   database `D` containing an image of `d`;
@@ -24,14 +28,14 @@
 //! pairwise distinct, so a canonical match of a body with `≠` conditions
 //! need not survive specializations that merge values.
 
-use crate::canon::CanonDb;
+use crate::proof::Step;
 use crate::MAX_CANON_ATOMS;
 use ric_complete::{Query, Setting};
 use ric_constraints::{CcRhs, ContainmentConstraint};
 use ric_data::{Tuple, Value};
-use ric_query::eval::eval_tableau;
+use ric_query::containment::find_hom;
 use ric_query::tableau::TableauError;
-use ric_query::{Cq, Tableau};
+use ric_query::{CanonDb, Cq, Tableau};
 use std::collections::BTreeSet;
 
 /// Precomputed per-setting reasoning context: usable constraint-body
@@ -41,10 +45,11 @@ pub(crate) struct ReasonEnv {
     pub n_rels: usize,
     /// Constants of `V`, `Q`, and the master data's active domain.
     pub observe: BTreeSet<Value>,
-    /// Per constraint: inequality-free tableaux of its body, or `None` when
-    /// the body is outside the reasoned fragment (FO/FP, oversized, or every
-    /// disjunct carries inequalities).
-    pub bodies: Vec<Option<Vec<Tableau>>>,
+    /// Per constraint: its inequality-free body disjuncts as `(index in the
+    /// body's UCQ form, tableau)`, or `None` when the body is outside the
+    /// reasoned fragment (FO/FP, oversized, or every disjunct carries
+    /// inequalities).
+    pub bodies: Vec<Option<Vec<(usize, Tableau)>>>,
     /// Per constraint: `p(D_m)` for `Master` right-hand sides, `None` for
     /// denials.
     pub rhs_vals: Vec<Option<BTreeSet<Tuple>>>,
@@ -52,11 +57,31 @@ pub(crate) struct ReasonEnv {
     pub degraded: Vec<(usize, String)>,
 }
 
+/// One query or constraint-body disjunct, frozen once and reused for its
+/// fate, every containment test, and the proof check.
+pub(crate) struct Disjunct {
+    pub cq: Cq,
+    pub frozen: Frozen,
+}
+
+/// The canonical instance of a disjunct, or why there is none.
+pub(crate) enum Frozen {
+    Canon(CanonDb),
+    /// The disjunct is unsatisfiable: it contributes nothing anywhere.
+    Unsat,
+    /// Outside the reasoned fragment; no conclusion may be drawn.
+    Degraded(String),
+}
+
 impl ReasonEnv {
-    pub fn build(setting: &Setting, query: &Query) -> ReasonEnv {
+    /// The context for `setting`; `query` adds its constants to the values
+    /// fresh ones must avoid.
+    pub fn build(setting: &Setting, query: Option<&Query>) -> ReasonEnv {
         let n_rels = setting.schema.len();
         let mut observe: BTreeSet<Value> = setting.v.constants();
-        observe.extend(query.constants());
+        if let Some(q) = query {
+            observe.extend(q.constants());
+        }
         observe.extend(setting.dm.active_domain().iter().cloned());
         let mut bodies = Vec::with_capacity(setting.v.ccs.len());
         let mut rhs_vals = Vec::with_capacity(setting.v.ccs.len());
@@ -77,41 +102,28 @@ impl ReasonEnv {
         }
     }
 
-    /// Freeze one query or constraint-body disjunct, or explain why not.
-    /// The disjunct's `≠` conditions are deliberately ignored: dropping them
-    /// only enlarges the query, which is sound for every use here (proving
-    /// the disjunct empty, or proving it contained in something).
-    pub fn freeze(&self, d: &Cq) -> Result<CanonDb, Frozen> {
-        let t = match Tableau::of(d) {
-            Ok(t) => t,
-            Err(TableauError::Unsatisfiable) => return Err(Frozen::Unsat),
-            Err(e) => return Err(Frozen::Degraded(format!("tableau rejected: {e:?}"))),
-        };
-        if t.atoms.len() > MAX_CANON_ATOMS {
-            return Err(Frozen::Degraded(format!(
+    /// Freeze one query or constraint-body disjunct. Its `≠` conditions are
+    /// recorded but never needed: the finder only uses inequality-free
+    /// bodies, and dropping `d`'s own `≠` only enlarges it, which is sound
+    /// for every use here (proving it empty, or contained in something).
+    pub fn disjunct(&self, cq: Cq) -> Disjunct {
+        let frozen = match Tableau::of(&cq) {
+            Err(TableauError::Unsatisfiable) => Frozen::Unsat,
+            Err(e) => Frozen::Degraded(format!("tableau rejected: {e:?}")),
+            Ok(t) if t.atoms.len() > MAX_CANON_ATOMS => Frozen::Degraded(format!(
                 "canonical database too large ({} atoms > {MAX_CANON_ATOMS})",
                 t.atoms.len()
-            )));
-        }
-        Ok(CanonDb::freeze(&t, self.n_rels, &self.observe))
+            )),
+            Ok(t) => Frozen::Canon(CanonDb::freeze(&t, self.n_rels, &self.observe)),
+        };
+        Disjunct { cq, frozen }
     }
-}
-
-/// Why a disjunct could not be frozen.
-pub(crate) enum Frozen {
-    /// The disjunct is unsatisfiable: it contributes nothing anywhere.
-    Unsat,
-    /// Outside the reasoned fragment; no conclusion may be drawn.
-    Degraded(String),
 }
 
 /// The fate of one disjunct after chasing its canonical database.
 pub(crate) enum Fate {
-    /// Contradictory side conditions: the disjunct has no match anywhere.
-    Unsat,
-    /// A specialization-robust violation of constraint `by`: no legal
-    /// database contains an image of this disjunct.
-    Killed { by: usize },
+    /// The disjunct has no match in any legal database; the step proves it.
+    Dead(Step),
     /// No robust violation found; the disjunct may fire on legal databases.
     Open,
     /// Outside the reasoned fragment.
@@ -121,70 +133,59 @@ pub(crate) enum Fate {
 /// Chase `canon(d)` with every usable constraint allowed by `usable` and
 /// classify the disjunct. `usable` receives the constraint index; implication
 /// tests exclude the candidate itself and already-dropped constraints.
-pub(crate) fn disjunct_fate(d: &Cq, env: &ReasonEnv, usable: impl Fn(usize) -> bool) -> Fate {
-    let canon = match env.freeze(d) {
-        Ok(c) => c,
-        Err(Frozen::Unsat) => return Fate::Unsat,
-        Err(Frozen::Degraded(why)) => return Fate::Degraded(why),
+pub(crate) fn disjunct_fate(d: &Disjunct, env: &ReasonEnv, usable: impl Fn(usize) -> bool) -> Fate {
+    let canon = match &d.frozen {
+        Frozen::Canon(c) => c,
+        Frozen::Unsat => return Fate::Dead(Step::Unsat),
+        Frozen::Degraded(why) => return Fate::Degraded(why.clone()),
     };
-    for (j, tabs) in env.bodies.iter().enumerate() {
-        if !usable(j) {
+    for (cc, tabs) in env.bodies.iter().enumerate() {
+        if !usable(cc) {
             continue;
         }
         let Some(tabs) = tabs else { continue };
-        match &env.rhs_vals[j] {
-            // Denial: any canonical match is a robust violation.
-            None => {
-                if tabs.iter().any(|t| !eval_tableau(t, &canon.db).is_empty()) {
-                    return Fate::Killed { by: j };
-                }
-            }
-            // Master rhs: only an all-constant obligation missing from
-            // p(D_m) is robust.
-            Some(p_dm) => {
-                for t in tabs {
-                    for ans in eval_tableau(t, &canon.db) {
-                        if canon.all_constant(&ans) && !p_dm.contains(&ans) {
-                            return Fate::Killed { by: j };
-                        }
-                    }
-                }
+        for (disjunct, t) in tabs {
+            let hom = match &env.rhs_vals[cc] {
+                // Denial: any canonical match is a robust violation.
+                None => find_hom(t, canon, |_| true),
+                // Master rhs: only an all-constant obligation missing from
+                // p(D_m) is robust.
+                Some(p_dm) => find_hom(t, canon, |ans| {
+                    canon.all_constant(ans) && !p_dm.contains(ans)
+                }),
+            };
+            if let Some(hom) = hom {
+                return Fate::Dead(Step::Killed {
+                    cc,
+                    disjunct: *disjunct,
+                    hom,
+                });
             }
         }
     }
     Fate::Open
 }
 
-/// Result of the canonical containment test `d ⊆ body(φ_j)`.
-pub(crate) enum Contained {
-    Yes,
-    No,
-    /// The left-hand side is unsatisfiable (trivially contained).
-    UnsatLhs,
-    /// Either side is outside the reasoned fragment.
-    Degraded,
-}
-
-/// Canonical containment of disjunct `d` in the body of constraint `j`: the
-/// frozen head of `d` must appear among the answers of some (inequality-free)
-/// body disjunct on `canon(d)`. Exact for inequality-free CQs against UCQs
-/// (Sagiv–Yannakakis); `d`'s own inequalities are ignored, which is sound for
-/// the `⊆` direction.
-pub(crate) fn canon_contained(d: &Cq, env: &ReasonEnv, j: usize) -> Contained {
-    let Some(tabs) = &env.bodies[j] else {
-        return Contained::Degraded;
+/// Canonical containment of disjunct `d` in the body of constraint `cc`: a
+/// homomorphism of some (inequality-free) body disjunct into `canon(d)` that
+/// maps its head onto the frozen head. Exact for inequality-free CQs against
+/// UCQs (Sagiv–Yannakakis); `d`'s own inequalities are ignored, which is
+/// sound for the `⊆` direction. `None` when no proof exists or either side
+/// is outside the reasoned fragment.
+pub(crate) fn canon_contained(d: &Disjunct, env: &ReasonEnv, cc: usize) -> Option<Step> {
+    let tabs = env.bodies[cc].as_ref()?;
+    let canon = match &d.frozen {
+        Frozen::Canon(c) => c,
+        Frozen::Unsat => return Some(Step::Unsat),
+        Frozen::Degraded(_) => return None,
     };
-    let canon = match env.freeze(d) {
-        Ok(c) => c,
-        Err(Frozen::Unsat) => return Contained::UnsatLhs,
-        Err(Frozen::Degraded(_)) => return Contained::Degraded,
-    };
-    for t in tabs {
-        if eval_tableau(t, &canon.db).contains(&canon.frozen_head) {
-            return Contained::Yes;
-        }
-    }
-    Contained::No
+    tabs.iter().find_map(|(disjunct, t)| {
+        find_hom(t, canon, |head| *head == canon.frozen_head).map(|hom| Step::Contained {
+            cc,
+            disjunct: *disjunct,
+            hom,
+        })
+    })
 }
 
 /// The inequality-free tableaux of a constraint's body, or `None` (with a
@@ -194,14 +195,14 @@ fn usable_tableaux(
     setting: &Setting,
     idx: usize,
     degraded: &mut Vec<(usize, String)>,
-) -> Option<Vec<Tableau>> {
+) -> Option<Vec<(usize, Tableau)>> {
     let Some(ucq) = cc.body.as_ucq(&setting.schema) else {
         degraded.push((idx, "FO/FP body is outside the reasoned fragment".into()));
         return None;
     };
     let mut out = Vec::with_capacity(ucq.disjuncts.len());
     let mut skipped_neq = false;
-    for d in &ucq.disjuncts {
+    for (k, d) in ucq.disjuncts.iter().enumerate() {
         match Tableau::of(d) {
             Ok(t) if !t.neqs.is_empty() => skipped_neq = true,
             Ok(t) if t.atoms.len() > MAX_CANON_ATOMS => {
@@ -211,7 +212,7 @@ fn usable_tableaux(
                 ));
                 return None;
             }
-            Ok(t) => out.push(t),
+            Ok(t) => out.push((k, t)),
             // Unsatisfiable disjuncts contribute nothing to any answer.
             Err(TableauError::Unsatisfiable) => {}
             Err(e) => {

@@ -3,7 +3,7 @@
 //! The deciders treat every setting as opaque: they enumerate candidate
 //! extensions even when the constraint set `V` is redundant or the query is
 //! already pinned down by what the master data guarantees. This crate runs
-//! **once per setting** and extracts a certified [`StaticFacts`] artifact
+//! **once per setting** and extracts a proven [`StaticFacts`] artifact
 //! that every downstream layer can consume:
 //!
 //! * **V-minimization** ([`minimize::apply_candidates`], driven by
@@ -20,34 +20,30 @@
 //!   data, which the cost-based planner may consume as tighter advisory
 //!   statistics.
 //!
-//! Everything is *certified before use*: symbolic conclusions are checked by
-//! seeded differential evaluation ([`certify`]) and uncertified rewrites are
-//! discarded with a typed note — the decision-level differential suites then
-//! pin surviving conclusions verdict-, witness-, and counter-identical to
-//! the unmodified search. FO/FP bodies, inequalities on used constraint
-//! bodies, and oversized canonical databases degrade gracefully: the
-//! reasoner simply concludes less ([`ReasonNote::Degraded`]).
+//! Everything is *proven before use*: the chase (`chase.rs`) finds each
+//! conclusion together with a proof object — a homomorphism into a frozen
+//! canonical database, plus the master-data side conditions — and the
+//! checker (`proof.rs`) re-verifies it against the original setting before
+//! it is committed. A conclusion whose proof fails is discarded with a typed
+//! note, and the decision-level differential suites then pin surviving
+//! conclusions verdict-, witness-, and counter-identical to the unmodified
+//! search. FO/FP bodies, inequalities on used constraint bodies, and
+//! oversized canonical databases degrade gracefully: the reasoner simply
+//! concludes less ([`ReasonNote::Degraded`]).
 
-pub mod canon;
-pub mod certify;
 mod chase;
 pub mod minimize;
+mod proof;
 
-use crate::chase::{canon_contained, disjunct_fate, Contained, Fate, ReasonEnv};
+use crate::chase::{canon_contained, disjunct_fate, Disjunct, Fate, ReasonEnv};
+use crate::proof::{check_step, check_steps, Goal, Step};
 use ric_complete::{Guard, Query, SearchBudget, Setting};
 use ric_constraints::{CcBody, CcRhs, ConstraintSet};
 use ric_data::RelId;
 use ric_telemetry::Probe;
 use std::fmt;
 
-pub use canon::CanonDb;
-pub use certify::{certify_cover, certify_kept_mask, certify_unsat, CERTIFY_ROUNDS};
-pub use minimize::{apply_candidates, Minimization};
-
-/// Deterministic seed for the reasoner's certification batteries (distinct
-/// from the analyzer's `CERTIFY_SEED` so the two batteries never share a
-/// random stream).
-pub const REASON_SEED: u64 = 0x5EED_0002;
+pub use minimize::{apply_candidates, certify_kept_mask, Minimization};
 
 /// Largest canonical database (in atoms) the reasoner will freeze; larger
 /// disjuncts degrade instead of risking an expensive symbolic evaluation.
@@ -58,8 +54,8 @@ pub const MAX_CANON_ATOMS: usize = 32;
 pub struct ImpliedCc {
     /// Index of the dropped constraint in `V`.
     pub cc: usize,
-    /// Indices of the kept constraints that imply it (empty when the drop
-    /// was supplied externally and justified by certification alone).
+    /// Indices of the kept constraints whose proof steps justify the drop
+    /// (empty when every body disjunct is unsatisfiable on its own).
     pub by: Vec<usize>,
 }
 
@@ -110,18 +106,18 @@ pub enum ReasonNote {
         /// Why nothing was concluded.
         why: String,
     },
-    /// A symbolic conclusion that failed differential certification and was
-    /// discarded.
+    /// A symbolic conclusion whose proof failed (or was missing) and which
+    /// was discarded.
     Uncertified {
         /// The discarded conclusion.
         what: String,
-        /// The certification failure.
+        /// Why the proof failed.
         why: String,
     },
 }
 
 impl ReasonNote {
-    /// Is this a discarded (uncertified) conclusion?
+    /// Is this a discarded (unproven) conclusion?
     pub fn is_uncertified(&self) -> bool {
         matches!(self, ReasonNote::Uncertified { .. })
     }
@@ -132,16 +128,16 @@ impl fmt::Display for ReasonNote {
         match self {
             ReasonNote::Degraded { place, why } => write!(f, "degraded at {place}: {why}"),
             ReasonNote::Uncertified { what, why } => {
-                write!(f, "uncertified (discarded): {what}: {why}")
+                write!(f, "unproven (discarded): {what}: {why}")
             }
         }
     }
 }
 
-/// The certified static artifact of one `(setting, query)` pair.
+/// The proven static artifact of one `(setting, query)` pair.
 #[derive(Clone, Debug)]
 pub struct StaticFacts {
-    /// Per-constraint keep flag; `false` entries are certified-implied and
+    /// Per-constraint keep flag; `false` entries are proven implied and
     /// safe to drop from the per-candidate recheck loop.
     pub kept: Vec<bool>,
     /// The dropped constraints with justifications.
@@ -150,16 +146,16 @@ pub struct StaticFacts {
     /// query's UCQ form).
     pub unsat_disjuncts: Vec<usize>,
     /// Every query disjunct is unsatisfiable under `V`: the decision is
-    /// statically `Complete` (certified).
+    /// statically `Complete` (proven).
     pub statically_complete: bool,
-    /// A certified cover fact, if one was found.
+    /// A proven cover fact, if one was found.
     pub cover: Option<CoverFact>,
     /// Chase-derived advisory cardinality bounds.
     pub caps: Vec<CardinalityCap>,
     /// Degradations and discarded conclusions.
     pub notes: Vec<ReasonNote>,
     /// The budget guard interrupted reasoning; the facts derived before the
-    /// interrupt are still certified, but later conclusions were skipped.
+    /// interrupt are still proven, but later conclusions were skipped.
     pub budget_exhausted: bool,
 }
 
@@ -185,10 +181,10 @@ impl StaticFacts {
 
     /// `V` restricted to the kept constraints (lower bounds unchanged).
     pub fn minimized_v(&self, v: &ConstraintSet) -> ConstraintSet {
-        certify::masked_constraints(v, &self.kept)
+        minimize::masked_constraints(v, &self.kept)
     }
 
-    /// The setting with `V` minimized. By certification the two settings
+    /// The setting with `V` minimized. By the drop proofs the two settings
     /// admit exactly the same legal databases, so decisions agree
     /// bit-for-bit.
     pub fn minimized_setting(&self, setting: &Setting) -> Setting {
@@ -218,9 +214,9 @@ pub fn reason_probed(
 }
 
 /// [`reason`] against a caller-owned guard: an interrupt stops further
-/// derivation (setting `budget_exhausted`) but keeps the certified facts
+/// derivation (setting `budget_exhausted`) but keeps the proven facts
 /// produced so far — the reasoner is sound under partial results because
-/// every fact is individually certified.
+/// every fact is individually proven.
 pub fn reason_guarded(
     setting: &Setting,
     query: &Query,
@@ -232,7 +228,7 @@ pub fn reason_guarded(
     facts.caps = master_caps(setting);
     probe.count("reason.caps", facts.caps.len() as u64);
 
-    let env = ReasonEnv::build(setting, query);
+    let env = ReasonEnv::build(setting, Some(query));
     for (idx, why) in &env.degraded {
         facts.notes.push(ReasonNote::Degraded {
             place: format!("cc {idx}"),
@@ -240,7 +236,7 @@ pub fn reason_guarded(
         });
     }
 
-    let (minimization, interrupted) = minimize::minimize(setting, &env, guard, REASON_SEED);
+    let (minimization, interrupted) = minimize::minimize(setting, &env, guard);
     facts.kept = minimization.kept;
     facts.implied = minimization.implied;
     facts.notes.extend(minimization.notes);
@@ -256,7 +252,8 @@ pub fn reason_guarded(
 }
 
 /// Static unsatisfiability and cover facts for the query. Both require the
-/// query in (monotone) UCQ form; FO/FP queries degrade.
+/// query in (monotone) UCQ form; FO/FP queries degrade. Each query disjunct
+/// is frozen once and reused for its fate, every cover test and the proofs.
 fn derive_static_verdicts(
     setting: &Setting,
     query: &Query,
@@ -274,17 +271,28 @@ fn derive_static_verdicts(
     if ucq.disjuncts.is_empty() {
         return;
     }
+    let disjuncts: Vec<Disjunct> = ucq.disjuncts.into_iter().map(|d| env.disjunct(d)).collect();
     // Justify only from kept constraints so the facts remain derivable from
     // the minimized setting alone.
-    let usable = |j: usize| facts.kept[j];
+    let kept = facts.kept.clone();
+    let usable = |j: usize| kept[j];
     let mut all_killed = true;
-    for (di, d) in ucq.disjuncts.iter().enumerate() {
+    for (di, d) in disjuncts.iter().enumerate() {
         if guard.check().is_some() {
             facts.budget_exhausted = true;
             return;
         }
         match disjunct_fate(d, env, usable) {
-            Fate::Unsat | Fate::Killed { .. } => facts.unsat_disjuncts.push(di),
+            Fate::Dead(step) => match check_step(setting, d, &step, Goal::Dead, &usable) {
+                Ok(_) => facts.unsat_disjuncts.push(di),
+                Err(why) => {
+                    all_killed = false;
+                    facts.notes.push(ReasonNote::Uncertified {
+                        what: format!("static unsatisfiability of query disjunct {di} under V"),
+                        why,
+                    });
+                }
+            },
             Fate::Open => all_killed = false,
             Fate::Degraded(why) => {
                 all_killed = false;
@@ -296,45 +304,53 @@ fn derive_static_verdicts(
         }
     }
     if all_killed {
-        match certify_unsat(setting, query, REASON_SEED ^ 0x0100_0000) {
-            Ok(()) => {
-                facts.statically_complete = true;
-                return;
-            }
-            Err(why) => {
-                facts.unsat_disjuncts.clear();
-                facts.notes.push(ReasonNote::Uncertified {
-                    what: "static unsatisfiability of the query under V".into(),
-                    why,
-                });
-            }
-        }
+        facts.statically_complete = true;
+        return;
     }
 
     // Cover: a kept master constraint whose body contains every disjunct.
     'targets: for (j, rhs) in env.rhs_vals.iter().enumerate() {
-        if !facts.kept[j] || rhs.is_none() {
+        if !kept[j] || rhs.is_none() {
             continue;
         }
         if guard.check().is_some() {
             facts.budget_exhausted = true;
             return;
         }
-        for d in &ucq.disjuncts {
+        let mut steps = Vec::with_capacity(disjuncts.len());
+        for d in &disjuncts {
             match canon_contained(d, env, j) {
-                Contained::Yes | Contained::UnsatLhs => {}
-                Contained::No | Contained::Degraded => continue 'targets,
+                Some(step) => steps.push(step),
+                None => continue 'targets,
             }
         }
-        match certify_cover(setting, query, j, REASON_SEED ^ 0x0200_0000) {
-            Ok(()) => {
-                facts.cover = Some(CoverFact { cc: j });
-                return;
-            }
-            Err(why) => facts.notes.push(ReasonNote::Uncertified {
+        if commit_cover(setting, &disjuncts, &steps, j, facts) {
+            return;
+        }
+    }
+}
+
+/// Commit the cover of the query by `φ_j` if every step checks; otherwise
+/// record why the claim was discarded. Returns whether it was committed.
+fn commit_cover(
+    setting: &Setting,
+    disjuncts: &[Disjunct],
+    steps: &[Step],
+    j: usize,
+    facts: &mut StaticFacts,
+) -> bool {
+    let kept = &facts.kept;
+    match check_steps(setting, disjuncts, steps, Goal::CoveredBy(j), &|c| kept[c]) {
+        Ok(_) => {
+            facts.cover = Some(CoverFact { cc: j });
+            true
+        }
+        Err(why) => {
+            facts.notes.push(ReasonNote::Uncertified {
                 what: format!("cover of the query by cc {j}"),
                 why,
-            }),
+            });
+            false
         }
     }
 }
@@ -406,9 +422,10 @@ fn emit_counters(facts: &StaticFacts, probe: Probe<'_>) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::chase::Frozen;
     use ric_constraints::{ContainmentConstraint, Projection};
     use ric_data::{Database, RelationSchema, Schema, Tuple, Value};
-    use ric_query::{Cq, Term};
+    use ric_query::{Cq, Term, Valuation};
 
     /// `R(a, b)` on the database side, `Rm(a)` and `Rm2(a, b)` as master.
     fn schemas() -> (Schema, Schema) {
@@ -576,9 +593,8 @@ mod tests {
     #[test]
     fn wrong_drop_candidate_is_discarded_by_certification() {
         // V holds a single load-bearing IND; claiming it is implied by the
-        // (empty) rest of V is wrong, and the certification battery proves
-        // it: on sampled databases with a nonempty R, V fails but the
-        // "minimized" empty V holds.
+        // (empty) rest of V is wrong, and no proof exists: nothing kills
+        // `R(x, y)` and nothing else contains it.
         let (schema, master) = schemas();
         let r = rel(&schema, "R");
         let rm = rel(&master, "Rm");
@@ -589,7 +605,7 @@ mod tests {
             vec![0],
         )]);
         let setting = Setting::new(schema, master, dm, v);
-        let m = apply_candidates(&setting, &[0], REASON_SEED);
+        let m = apply_candidates(&setting, &[0]);
         assert_eq!(m.kept, vec![true], "wrong drop must be kept");
         assert!(m.implied.is_empty());
         assert!(
@@ -597,7 +613,126 @@ mod tests {
             "a typed uncertified note must record the discard: {:?}",
             m.notes
         );
-        assert!(certify_kept_mask(&setting, &[false], REASON_SEED).is_err());
+        assert!(certify_kept_mask(&setting, &[false]).is_err());
+    }
+
+    /// `φ0: π_0(R) ⊆ π_0(Rm2)` and `φ1: q(x) :- R(x, y) ⊆ Rm`, with the
+    /// master data given. `body(φ1) ⊆ body(φ0)`, so Rule B drops `φ1`
+    /// exactly when `π_0(Rm2)(D_m) ⊆ Rm(D_m)`.
+    fn rule_b_setting(rm: &[i64], rm2: &[(i64, i64)]) -> Setting {
+        let (schema, master) = schemas();
+        let r = rel(&schema, "R");
+        let (rm_rel, rm2_rel) = (rel(&master, "Rm"), rel(&master, "Rm2"));
+        let mut dm = Database::empty(&master);
+        for &a in rm {
+            dm.insert(rm_rel, Tuple::new([Value::int(a)]));
+        }
+        for &(a, b) in rm2 {
+            dm.insert(rm2_rel, Tuple::new([Value::int(a), Value::int(b)]));
+        }
+        let v = ConstraintSet::new(vec![
+            ContainmentConstraint::into_master(
+                CcBody::Proj(Projection::new(r, vec![0])),
+                rm2_rel,
+                vec![0],
+            ),
+            ContainmentConstraint::into_master(CcBody::Cq(first_col_cq(&schema)), rm_rel, vec![0]),
+        ]);
+        Setting::new(schema, master, dm, v)
+    }
+
+    /// The containment step of `φ1`'s only disjunct in `φ0`, built by the
+    /// finder without the master-data side condition — what a Rule B
+    /// rewriter that skips `p_j(D_m) ⊆ p_i(D_m)` would claim.
+    fn forged_rule_b_proof(setting: &Setting) -> (Vec<Disjunct>, Vec<Step>) {
+        let env = ReasonEnv::build(setting, None);
+        let d = env.disjunct(first_col_cq(&setting.schema));
+        let step = canon_contained(&d, &env, 0).expect("body(φ1) ⊆ body(φ0)");
+        (vec![d], vec![step])
+    }
+
+    #[test]
+    fn rule_b_drop_without_master_subset_is_refused() {
+        // π_0(Rm2)(D_m) = {1, 3} ⊄ Rm(D_m) = {1}: dropping φ1 would admit
+        // R(3, _), which φ1 forbids.
+        let setting = rule_b_setting(&[1], &[(1, 2), (3, 4)]);
+        let mut m = Minimization::keep_all(2);
+        m.commit_drop(
+            &setting,
+            1,
+            "drop of cc 1".into(),
+            &forged_rule_b_proof(&setting),
+        );
+        assert_eq!(m.kept, vec![true, true], "the forged drop must be refused");
+        assert!(m.implied.is_empty());
+        assert!(
+            matches!(&m.notes[..], [ReasonNote::Uncertified { why, .. }] if why.contains("⊄")),
+            "{:?}",
+            m.notes
+        );
+        // The reasoner itself never proposes it (it drops φ0 instead:
+        // Rm(D_m) ⊆ π_0(Rm2)(D_m), so φ1 implies φ0).
+        let facts = reason(
+            &setting,
+            &Query::Cq(both_cols_cq(&setting.schema)),
+            &budget(),
+        );
+        assert_eq!(facts.kept, vec![false, true]);
+        // Control: with π_0(Rm2)(D_m) ⊆ Rm(D_m) the same proof is accepted.
+        let sound = rule_b_setting(&[1, 3], &[(1, 2), (3, 4)]);
+        let mut m = Minimization::keep_all(2);
+        m.commit_drop(
+            &sound,
+            1,
+            "drop of cc 1".into(),
+            &forged_rule_b_proof(&sound),
+        );
+        assert_eq!(m.kept, vec![true, false]);
+        assert_eq!(m.implied, vec![ImpliedCc { cc: 1, by: vec![0] }]);
+    }
+
+    #[test]
+    fn cover_claim_against_a_non_containing_body_is_refused() {
+        // φ0: q(x, y) :- R(x, y), R(y, x) ⊆ Rm2 does not contain
+        // Q(x, y) :- R(x, y); a claimed homomorphism must fail atom by atom.
+        let (schema, master) = schemas();
+        let r = rel(&schema, "R");
+        let rm2 = rel(&master, "Rm2");
+        let mut b = Cq::builder();
+        let (x, y) = (b.var("x"), b.var("y"));
+        let symmetric = b
+            .atom(r, vec![Term::Var(x), Term::Var(y)])
+            .atom(r, vec![Term::Var(y), Term::Var(x)])
+            .head_vars(vec![x, y])
+            .build();
+        let v = ConstraintSet::new(vec![ContainmentConstraint::into_master(
+            CcBody::Cq(symmetric),
+            rm2,
+            vec![0, 1],
+        )]);
+        let setting = Setting::new(schema.clone(), master.clone(), Database::empty(&master), v);
+        let query = Query::Cq(both_cols_cq(&schema));
+        assert_eq!(reason(&setting, &query, &budget()).cover, None);
+        let env = ReasonEnv::build(&setting, Some(&query));
+        let d = env.disjunct(both_cols_cq(&schema));
+        let Frozen::Canon(canon) = &d.frozen else {
+            panic!("Q is satisfiable")
+        };
+        // The identity onto Q's frozen head: R(x, y) maps, R(y, x) does not.
+        let hom = Valuation(canon.frozen_head.iter().cloned().collect());
+        let steps = vec![Step::Contained {
+            cc: 0,
+            disjunct: 0,
+            hom,
+        }];
+        let mut facts = StaticFacts::trivial(1);
+        assert!(!commit_cover(&setting, &[d], &steps, 0, &mut facts));
+        assert_eq!(facts.cover, None);
+        assert!(
+            matches!(&facts.notes[..], [ReasonNote::Uncertified { why, .. }] if why.contains("atom 1")),
+            "{:?}",
+            facts.notes
+        );
     }
 
     #[test]

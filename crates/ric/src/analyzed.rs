@@ -16,7 +16,8 @@
 //!    shape [`AnalysisReport::to_json`](ric_analysis::AnalysisReport::to_json)
 //!    serializes).
 //!
-//! The rewrites are equivalence-certified by differential evaluation, so the
+//! The rewrites are proven equivalent — by checked homomorphisms, or by
+//! construction (DESIGN §9) — so the
 //! verdict is the same one the naive dispatch would eventually produce —
 //! only cheaper. The `analysis` suite of `BENCH_BARS.json` (see
 //! EXPERIMENTS.md) measures the effect.

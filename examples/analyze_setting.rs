@@ -4,7 +4,7 @@
 //!
 //! Builds a small support setting whose query is written in FO syntax but is
 //! really a conjunctive query, runs `ric::analyze` to get the diagnostic
-//! report and the certified fragment downgrades, and then lets the
+//! report and the proven fragment downgrades, and then lets the
 //! analysis-gated request `Request::analyzed` dispatch the decision to the
 //! cheap Σᵖ₂ CQ cell of Table I. A second, deliberately broken setting
 //! shows the Error path: the gated request rejects it with
@@ -32,7 +32,7 @@ fn main() {
     }
 
     // Constraint, written as a CQ even though it is projection-shaped:
-    // Q(C) :- Supt(E, C), contained in DCust. The analyzer will certify it
+    // Q(C) :- Supt(E, C), contained in DCust. The analyzer will prove it
     // down to an inclusion dependency.
     let cc_body = parse_cq(&schema, "Q(C) :- Supt(E, C).").unwrap();
     let v = ConstraintSet::new(vec![ContainmentConstraint::into_master(
@@ -68,7 +68,7 @@ fn main() {
         println!("  {d}");
     }
     println!(
-        "query fragment: declared {:?}, certified minimal {:?}",
+        "query fragment: declared {:?}, proven minimal {:?}",
         report.query.declared, report.query.minimal
     );
     println!("downgrades applied: {}", report.downgrade_count());

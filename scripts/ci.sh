@@ -43,8 +43,16 @@
 #                              ric-trace torn-record suite)
 #  12. paper properties       (cargo test --test paper_properties)
 #  13. static analysis        (cargo test -p ric-analysis, cargo test
-#                              -p ric-reason,
-#                              cargo test --test analysis_properties)
+#                              -p ric-reason, which hold the proof-validator
+#                              mutation tests: a CQ -> IND rewriter that
+#                              drops an atom or loses a join equality, a
+#                              Rule B drop whose p_j(Dm) is not a subset,
+#                              and a cover claim against a non-containing
+#                              body must each be refused with RIC031/RIC043;
+#                              cargo test --test analysis_properties; and a
+#                              guard that no random certification battery
+#                              (SplitMix64, CERTIFY_ROUNDS, sample_database)
+#                              reappears in the analyzer or reasoner)
 #  14. bench artifacts        (regen_tables --deadline-ms guard; the run
 #                              fails if a checked Table I/II verdict
 #                              disagrees with its oracle or an artifact
@@ -178,10 +186,16 @@ cargo test -q --offline -p ric-bench --test trace_load
 step "paper-property suite (monotonicity, C1-C4, witnesses, Prop 2.1)"
 cargo test -q --offline --test paper_properties
 
-step "static analysis suite (diagnostics, certified downgrades, gated dispatch)"
+step "static analysis suite (diagnostics, proven downgrades, validator mutations, gated dispatch)"
 cargo test -q --offline -p ric-analysis
 cargo test -q --offline -p ric-reason
 cargo test -q --offline --test analysis_properties
+# The analyzer and the reasoner justify conclusions by proofs; a sampling
+# battery must not come back.
+if grep -rnE 'SplitMix64|CERTIFY_ROUNDS|sample_database' crates/analysis/src crates/reason/src; then
+    echo "a random certification battery reappeared in ric-analysis or ric-reason" >&2
+    exit 1
+fi
 
 # Regenerate the table artifacts under a wall-clock guard: regen_tables exits
 # nonzero when a checked verdict disagrees with its ground-truth oracle (a

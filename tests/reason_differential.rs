@@ -3,9 +3,9 @@
 //! verdict short-circuits — must agree with the plain prepared paths on
 //! every input, at every engine.
 //!
-//! The reasoner's contract is *certified-rewrites-only*: every dropped
-//! constraint and every static verdict passes a seeded differential battery
-//! before it may influence a decision, and an uncertified conclusion is
+//! The reasoner's contract is *proven-rewrites-only*: every dropped
+//! constraint and every static verdict carries a proof that is checked
+//! before it may influence a decision, and a conclusion whose proof fails is
 //! discarded with a typed note. This suite pins the surviving conclusions
 //! end to end:
 //!
@@ -19,12 +19,12 @@
 //!   shift and are excluded, see DESIGN §13);
 //! * a certified static verdict short-circuits to exactly the verdict the
 //!   full search returns;
-//! * a deliberately wrong implication is provably discarded by the
-//!   certification battery and never reaches a decision;
+//! * a deliberately wrong implication fails its proof, is discarded, and
+//!   never reaches a decision;
 //! * non-partially-closed inputs are rejected identically on both paths.
 
 use ric::prelude::*;
-use ric::reason::{apply_candidates, certify_kept_mask, REASON_SEED};
+use ric::reason::{apply_candidates, certify_kept_mask};
 use ric::{ReasonedSetting, SplitMix64};
 
 /// Fixed two-relation schema: `R(a, b)`, `S(a)`.
@@ -295,8 +295,8 @@ fn static_complete_short_circuit_agrees_with_full_search() {
 }
 
 /// A deliberately wrong implication — claiming the only load-bearing
-/// constraint is implied by nothing — must be discarded by the
-/// certification battery, leave a typed note, and never change a decision.
+/// constraint is implied by nothing — must fail its proof, leave a typed
+/// note, and never change a decision.
 #[test]
 fn wrong_implication_is_discarded_and_never_decides() {
     let s = schema();
@@ -312,12 +312,12 @@ fn wrong_implication_is_discarded_and_never_decides() {
     )]);
     let setting = Setting::new(s.clone(), m, dm, v);
     // The wrong candidate is rejected: the constraint stays, with a note.
-    let min = apply_candidates(&setting, &[0], REASON_SEED);
+    let min = apply_candidates(&setting, &[0]);
     assert_eq!(min.kept, vec![true]);
     assert!(min.implied.is_empty());
     assert!(min.notes.iter().any(ric::ReasonNote::is_uncertified));
-    // And the underlying battery itself refuses the mask.
-    assert!(certify_kept_mask(&setting, &[false], REASON_SEED).is_err());
+    // And the exact mask check refuses it too.
+    assert!(certify_kept_mask(&setting, &[false]).is_err());
     // End to end: decisions through the reasoner match the plain path (the
     // reasoner found nothing sound to drop here).
     let q: Query = parse_cq(&s, "Q(Y) :- S(Y).").unwrap().into();
