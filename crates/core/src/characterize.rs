@@ -181,12 +181,15 @@ pub fn e2_check(
     bound_values: &BTreeSet<Value>,
     budget: &SearchBudget,
 ) -> Result<Option<bool>, RcError> {
+    if !setting.partially_closed(dv)? {
+        return Ok(Some(false));
+    }
     let guard = Guard::new(budget);
     let check = UpperCheck::new(setting, budget.engine, dv)?;
     E2Disjunct::new(setting, q).check(
         setting,
         dv,
-        bound_values,
+        |v| bound_values.contains(v),
         budget,
         &guard,
         Probe::disabled(),
@@ -201,8 +204,9 @@ pub fn e2_check(
 pub(crate) struct E2Disjunct {
     query: Query,
     /// The disjunct's tableau, or why it has none. A tableau error is kept,
-    /// not raised, so that [`Self::check`] reports it only after the
-    /// partial-closure check, as a one-shot check does.
+    /// not raised, so that it surfaces only when a candidate is checked:
+    /// after [`e2_check`]'s partial-closure test, and in the RCQP search
+    /// only at a leaf.
     tableau: Result<Tableau, ric_query::tableau::TableauError>,
     /// Indices of the head variables with an infinite domain.
     infinite_head: Vec<usize>,
@@ -229,23 +233,26 @@ impl E2Disjunct {
         }
     }
 
-    /// E2 for this disjunct over the candidate `dv` with bound values
-    /// `bound_values`, gating each valuation through `check` (the RCQP
-    /// search passes its decision's own).
+    /// E2 for this disjunct over the candidate `dv`, whose bound values are
+    /// those `bound` accepts, gating each valuation through `check` (the
+    /// RCQP search passes its decision's own). The caller guarantees that
+    /// `dv` is partially closed: the search builds every candidate that way,
+    /// and [`e2_check`] tests it first.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn check(
         &self,
         setting: &Setting,
         dv: &Database,
-        bound_values: &BTreeSet<Value>,
+        bound: impl Fn(&Value) -> bool,
         budget: &SearchBudget,
         guard: &Guard,
         probe: Probe<'_>,
         check: &UpperCheck,
     ) -> Result<Option<bool>, RcError> {
-        if !setting.partially_closed(dv)? {
-            return Ok(Some(false));
-        }
+        debug_assert!(
+            matches!(setting.partially_closed(dv), Ok(true)),
+            "E2 candidates are partially closed"
+        );
         let t = match &self.tableau {
             Ok(t) => t,
             Err(ric_query::tableau::TableauError::Unsatisfiable) => return Ok(Some(true)),
@@ -254,7 +261,7 @@ impl E2Disjunct {
         let adom = Adom::build(dv, setting, &self.query, (t.n_vars as usize).max(1))?;
         let space = ValuationSpace::new(t, &setting.schema, &adom)?;
         let mut meter = Meter::guarded(MeterKind::Valuations, budget.max_valuations, guard);
-        // `D_𝒱` is partially closed (checked above) and lower bounds are
+        // `D_𝒱` is partially closed (the caller's guarantee) and lower bounds are
         // preserved under extension, so `(D_𝒱 ∪ Δ, D_m) |= V` reduces to the
         // upper bounds — exactly what the decision's check answers.
         let cc_skipped = std::cell::Cell::new(0u64);
@@ -274,12 +281,7 @@ impl E2Disjunct {
                 let closed = check
                     .first_violation(setting, dv, &delta, &cc_skipped)
                     .is_none();
-                if closed
-                    && !self
-                        .infinite_head
-                        .iter()
-                        .all(|&v| bound_values.contains(&mu.0[v]))
-                {
+                if closed && !self.infinite_head.iter().all(|&v| bound(&mu.0[v])) {
                     ok = false;
                     return ControlFlow::Break(());
                 }
@@ -381,6 +383,25 @@ mod tests {
         let empty_bounds = BTreeSet::new();
         assert_eq!(
             e2_check(&setting, &q, &dv, &empty_bounds, &SearchBudget::default()).unwrap(),
+            Some(false)
+        );
+    }
+
+    /// The public check keeps its contract on candidates the RCQP search
+    /// never builds: a `D_𝒱` that is not partially closed fails E2, whatever
+    /// the bound values.
+    #[test]
+    fn e2_check_rejects_dv_that_is_not_partially_closed() {
+        let setting = supt_ind_setting();
+        let supt = setting.schema.rel_id("Supt").unwrap();
+        let q = parse_cq(&setting.schema, "Q(C) :- Supt(E, C).").unwrap();
+        // `c9` is no master customer: the IND `Supt[cid] ⊆ DCust` fails.
+        let mut dv = Database::empty(&setting.schema);
+        dv.insert(supt, Tuple::new([Value::str("e0"), Value::str("c9")]));
+        assert!(!setting.partially_closed(&dv).unwrap());
+        let bounds: BTreeSet<Value> = [Value::str("c1"), Value::str("c9")].into_iter().collect();
+        assert_eq!(
+            e2_check(&setting, &q, &dv, &bounds, &SearchBudget::default()).unwrap(),
             Some(false)
         );
     }

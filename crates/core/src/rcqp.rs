@@ -29,7 +29,12 @@
 //!   once per disjunct, and a leaf's maximality test skips
 //!   the entries refused on its branch — bodies are monotone and the
 //!   candidate only grows below a node, so a refused tuple stays refused
-//!   (see `SearchCtx::maximal_subsets`). The fresh
+//!   (see `SearchCtx::maximal_subsets`). No input mentions a fresh value,
+//!   so permuting the fresh values maps maximal consistent subsets to
+//!   maximal consistent subsets with the same E2 outcome: the search visits
+//!   only the lex-greatest member of each orbit (a lex-leader test on every
+//!   node's decided prefix), and the first passing subset, hence the
+//!   witness, is the one the full enumeration would return. The fresh
 //!   pool used to build candidate tuples is bounded by
 //!   `SearchBudget::fresh_values`; the paper's small-model bound can require
 //!   as many fresh values as the largest constraint tableau has variables,
@@ -168,7 +173,7 @@ pub(crate) fn rcqp_inner(
     } else {
         probe.note("rcqp.strategy", || "general".into());
         rcqp_general(
-            setting, query, &seed, &tableaux, budget, guard, probe, check, reused,
+            setting, query, &seed, &tableaux, budget, guard, probe, check, reused, true,
         )
     }
 }
@@ -719,6 +724,9 @@ fn hybrid_match(
 }
 
 /// The E2-driven search (Proposition 4.2) for `L_C` among CQ/UCQ/∃FO⁺.
+/// `collapse` visits one maximal subset per orbit of fresh-value
+/// permutations; the decision always collapses, and the tests turn it off
+/// to compare against the full enumeration.
 #[allow(clippy::too_many_arguments)]
 fn rcqp_general(
     setting: &Setting,
@@ -730,6 +738,7 @@ fn rcqp_general(
     probe: Probe<'_>,
     check: &UpperCheck,
     reused: bool,
+    collapse: bool,
 ) -> Result<QueryVerdict, RcError> {
     // Sound emptiness fast path: a disjunct whose generic instantiation
     // escapes every constraint dooms all candidate databases.
@@ -825,6 +834,20 @@ fn rcqp_general(
         .collect();
 
     probe.gauge("rcqp.pool_size", pool.len() as u64);
+    let syms = if collapse {
+        pool_symmetries(&pool, &inert, &adom.fresh)
+    } else {
+        Vec::new()
+    };
+    probe.gauge("rcqp.symmetries", syms.len() as u64);
+    // Each entry's bound values as ids of the search's catalog (pool values
+    // all come from it); a leaf unions its chosen entries' ids into one
+    // reused mask.
+    let bound_ids: Vec<Vec<u32>> = pool
+        .iter()
+        .map(|e| e.bound.iter().filter_map(|v| adom.id(v)).collect())
+        .collect();
+    let mut bound_mask = vec![false; adom.n_ids()];
 
     // Enumerate maximal V-consistent subsets of the pool; E2 is monotone in
     // D_𝒱, so checking maximal subsets decides ∃𝒱.E2.
@@ -845,14 +868,17 @@ fn rcqp_general(
     let mut result: Option<Database> = None;
     crate::rcdp::emit_plan_telemetry(probe, setting, check, reused, seed);
     let cc_skipped = Cell::new(0u64);
+    let pruned = Cell::new(0u64);
     let probes_before = probe_count();
     let ctx = SearchCtx {
         setting,
         pool: &pool,
         inert: &inert,
+        syms: &syms,
         check,
         scratch: RefCell::new(Database::with_relations(setting.schema.len())),
         cc_skipped: &cc_skipped,
+        pruned: &pruned,
     };
     let span = probe.span("rcqp.e2_search");
     let outcome = ctx.maximal_subsets(
@@ -863,18 +889,15 @@ fn rcqp_general(
         &mut current,
         &mut meter,
         &mut |db: &Database, states: &[EntryState]| -> Result<bool, RcError> {
+            let _span = probe.span("rcqp.e2_check");
             // E2 over this maximal D_𝒱: bound values are the pinned
             // constraint-head values of the chosen instantiations.
-            let bound: BTreeSet<Value> = pool
-                .iter()
-                .zip(states)
-                .filter(|(_, &st)| st == EntryState::Chosen)
-                .flat_map(|(e, _)| e.bound.iter().cloned())
-                .collect();
+            chosen_bound(&mut bound_mask, &bound_ids, states);
+            let bound = |v: &Value| adom.id(v).is_some_and(|id| bound_mask[id as usize]);
             for d in &e2_disjuncts {
                 e2_checks.set(e2_checks.get() + 1);
                 let verdict =
-                    d.check(setting, db, &bound, budget, guard, Probe::disabled(), check)?;
+                    d.check(setting, db, bound, budget, guard, Probe::disabled(), check)?;
                 if verdict != Some(true) {
                     return Ok(false);
                 }
@@ -886,6 +909,7 @@ fn rcqp_general(
     drop(span);
     probe.count("rcqp.candidates", meter.used());
     probe.count("rcqp.e2_checks", e2_checks.get());
+    probe.count("rcqp.symmetry.pruned", pruned.get());
     probe.count("cc.skipped_by_delta", cc_skipped.get());
     // Thread-local counter: exact even when other threads probe concurrently.
     probe.count("index.probe", probe_count().saturating_sub(probes_before));
@@ -987,6 +1011,85 @@ enum EntryState {
     Excluded,
 }
 
+/// Set `mask` to the union of the chosen entries' bound ids, clearing what
+/// the previous leaf left in it.
+fn chosen_bound(mask: &mut [bool], bound_ids: &[Vec<u32>], states: &[EntryState]) {
+    mask.fill(false);
+    for (ids, &st) in bound_ids.iter().zip(states) {
+        if st == EntryState::Chosen {
+            ids.iter().for_each(|&id| mask[id as usize] = true);
+        }
+    }
+}
+
+/// Up to this many fresh values the search tries the whole permutation
+/// group as symmetries; beyond it, generators only.
+const FULL_GROUP_FRESH: usize = 4;
+
+/// The permutations of `k` fresh values tried as symmetries of the pool,
+/// each as the image index of every fresh value: all `k! − 1` non-identity
+/// ones up to [`FULL_GROUP_FRESH`] values, the `k − 1` adjacent
+/// transpositions beyond. Any subset of the group keeps each orbit's
+/// lex-greatest member.
+fn fresh_permutations(k: usize) -> Vec<Vec<usize>> {
+    let identity: Vec<usize> = (0..k).collect();
+    if k > FULL_GROUP_FRESH {
+        return (1..k)
+            .map(|i| {
+                let mut p = identity.clone();
+                p.swap(i - 1, i);
+                p
+            })
+            .collect();
+    }
+    // Every map of `0..k` into itself, read as `k` base-`k` digits; keep
+    // the bijections.
+    (0..k.pow(k as u32))
+        .map(|code| {
+            (0..k)
+                .map(|d| code / k.pow(d as u32) % k)
+                .collect::<Vec<_>>()
+        })
+        .filter(|p| *p != identity && (0..k).all(|i| p.contains(&i)))
+        .collect()
+}
+
+/// The symmetries of the pool under permutations of the fresh values, each
+/// as its inverse on pool indices: `inv[j]` is the entry whose image is
+/// entry `j`. No input mentions a fresh value, so a permutation `π` of them
+/// maps `V`-consistent sets to `V`-consistent sets and leaves every E2
+/// outcome unchanged once `bound` is mapped along. `π` is kept only if it
+/// maps every entry to an entry with the image of its bound set and its
+/// inertness; dropping one is always sound.
+fn pool_symmetries(pool: &[PoolEntry], inert: &[bool], fresh: &[Value]) -> Vec<Vec<u32>> {
+    let at: BTreeMap<(RelId, &Tuple), usize> = pool
+        .iter()
+        .enumerate()
+        .map(|(i, e)| ((e.rel, &e.tuple), i))
+        .collect();
+    fresh_permutations(fresh.len())
+        .into_iter()
+        .filter_map(|perm| {
+            let map = |v: &Value| match fresh.iter().position(|f| f == v) {
+                Some(i) => fresh[perm[i]].clone(),
+                None => v.clone(),
+            };
+            let mut inv = vec![0u32; pool.len()];
+            for (i, e) in pool.iter().enumerate() {
+                let image = Tuple::new(e.tuple.iter().map(map));
+                let &j = at.get(&(e.rel, &image))?;
+                if inert[i] != inert[j]
+                    || e.bound.iter().map(map).collect::<BTreeSet<_>>() != pool[j].bound
+                {
+                    return None;
+                }
+                inv[j] = i as u32;
+            }
+            Some(inv)
+        })
+        .collect()
+}
+
 /// Shared, read-mostly state of one maximal-subset enumeration.
 struct SearchCtx<'a> {
     setting: &'a Setting,
@@ -994,12 +1097,17 @@ struct SearchCtx<'a> {
     /// Entries whose relation occurs in no multi-atom constraint tableau:
     /// every maximal subset contains them.
     inert: &'a [bool],
+    /// Symmetries of the pool (see [`pool_symmetries`]); empty enumerates
+    /// every maximal subset.
+    syms: &'a [Vec<u32>],
     /// The decision's candidate check. Sound here because every `current`
     /// in the search is partially closed by construction (the seed is
     /// checked up front, and only admitted tuples are ever inserted).
     check: &'a UpperCheck,
     scratch: RefCell<Database>,
     cc_skipped: &'a Cell<u64>,
+    /// Nodes cut by the lex-leader test.
+    pruned: &'a Cell<u64>,
 }
 
 impl SearchCtx<'_> {
@@ -1014,6 +1122,28 @@ impl SearchCtx<'_> {
             .is_none()
     }
 
+    /// The lex-leader test, reading a subset as its entry states in pool
+    /// order with chosen above not chosen: does some symmetry map the
+    /// decided prefix `0..idx` to a greater one? Position `j` of the image
+    /// holds entry `inv[j]`'s state, so it is compared only while `j` and
+    /// `inv[j]` are both decided; the first difference settles it for every
+    /// leaf below.
+    fn dominated(&self, states: &[EntryState], idx: usize) -> bool {
+        let chosen = |i: usize| states[i] == EntryState::Chosen;
+        self.syms.iter().any(|inv| {
+            for (j, &i) in inv[..idx].iter().enumerate() {
+                let i = i as usize;
+                if i >= idx {
+                    return false;
+                }
+                if chosen(i) != chosen(j) {
+                    return chosen(i);
+                }
+            }
+            false
+        })
+    }
+
     /// Enumerate the maximal `V`-consistent subsets of the pool, invoking
     /// `check` on each with the per-entry states of the subset; a `true`
     /// check stores the subset in `result` and stops.
@@ -1025,6 +1155,13 @@ impl SearchCtx<'_> {
     /// `current` only grows from a node to the leaves below it — a tuple
     /// `admits` refused at its node (an upper-bound violation; lower bounds
     /// hold on the seed and persist) is refused at every leaf below.
+    ///
+    /// With symmetries, only the lex-greatest member of each orbit is
+    /// visited: a node whose decided prefix some symmetry maps higher is
+    /// pruned ([`Self::dominated`]). The include-first order visits leaves
+    /// in decreasing lex order, so the first subset passing `check` is the
+    /// lex-greatest passing one; its orbit passes too, so it is its orbit's
+    /// leader and the search returns the same subset as without symmetries.
     fn maximal_subsets(
         &self,
         idx: usize,
@@ -1034,6 +1171,10 @@ impl SearchCtx<'_> {
         check: &mut impl FnMut(&Database, &[EntryState]) -> Result<bool, RcError>,
         result: &mut Option<Database>,
     ) -> Result<MaxOutcome, RcError> {
+        if self.dominated(states, idx) {
+            self.pruned.set(self.pruned.get() + 1);
+            return Ok(MaxOutcome::Exhausted);
+        }
         if !meter.tick() {
             return Ok(MaxOutcome::Budget);
         }
@@ -1277,12 +1418,111 @@ mod tests {
         }
     }
 
+    /// Run the enumeration over `pool` with `syms` and a leaf check that
+    /// passes the masks `pass` accepts: the masks it visited, in visiting
+    /// order, and the database it found, after checking that each leaf's
+    /// states describe its database.
+    fn search(
+        setting: &Setting,
+        pool: &[PoolEntry],
+        syms: &[Vec<u32>],
+        check: &UpperCheck,
+        pass: impl Fn(u32) -> bool,
+    ) -> (Vec<u32>, Option<Database>) {
+        let n = pool.len();
+        let db_of = |mask: u32| mask_db(setting, pool, mask);
+        let cc_skipped = Cell::new(0);
+        let ctx = SearchCtx {
+            setting,
+            pool,
+            inert: &vec![false; n],
+            syms,
+            check,
+            scratch: RefCell::new(Database::empty(&setting.schema)),
+            cc_skipped: &cc_skipped,
+            pruned: &Cell::new(0),
+        };
+        let mut visited: Vec<u32> = Vec::new();
+        let mut found = None;
+        let outcome = ctx
+            .maximal_subsets(
+                0,
+                &mut vec![EntryState::Refused; n],
+                &mut Database::empty(&setting.schema),
+                &mut Meter::new(1 << 20),
+                &mut |db: &Database, states: &[EntryState]| {
+                    let mask = states
+                        .iter()
+                        .enumerate()
+                        .filter(|(_, &st)| st == EntryState::Chosen)
+                        .fold(0u32, |acc, (i, _)| acc | (1 << i));
+                    assert_eq!(*db, db_of(mask), "states describe the database");
+                    visited.push(mask);
+                    Ok(pass(mask))
+                },
+                &mut found,
+            )
+            .unwrap();
+        assert_eq!(outcome == MaxOutcome::Found, found.is_some());
+        (visited, found)
+    }
+
+    /// The masks an exhaustive enumeration visits, sorted.
+    fn visited_masks(
+        setting: &Setting,
+        pool: &[PoolEntry],
+        syms: &[Vec<u32>],
+        check: &UpperCheck,
+    ) -> Vec<u32> {
+        let mut visited = search(setting, pool, syms, check, |_| false).0;
+        visited.sort_unstable();
+        visited
+    }
+
+    fn mask_db(setting: &Setting, pool: &[PoolEntry], mask: u32) -> Database {
+        let mut db = Database::empty(&setting.schema);
+        for (i, e) in pool.iter().enumerate() {
+            if mask & (1 << i) != 0 {
+                db.insert(e.rel, e.tuple.clone());
+            }
+        }
+        db
+    }
+
+    /// The image of a subset mask under a symmetry given by its inverse.
+    fn image(inv: &[u32], mask: u32) -> u32 {
+        inv.iter()
+            .enumerate()
+            .filter(|(_, &i)| mask & (1 << i) != 0)
+            .fold(0, |acc, (j, _)| acc | (1 << j))
+    }
+
+    /// A subset's key in the search's lex order: entry 0 most significant,
+    /// chosen above not chosen.
+    fn lex_key(n: usize, mask: u32) -> u32 {
+        (0..n)
+            .filter(|&i| mask & (1 << i) != 0)
+            .fold(0, |acc, i| acc | (1 << (n - 1 - i)))
+    }
+
     /// A random small pool against a random mix of an FD, a denial and a
     /// CQ-bodied CC into master data: under both consistency modes the
     /// enumeration hands `check` exactly the maximal `V`-consistent subsets
     /// a brute force over all 2ⁿ subsets finds — each once. This attacks the
     /// leaf's refused-entry skip: dropping an entry that was excluded while
     /// admissible would let non-maximal subsets through.
+    ///
+    /// No input mentions 1, 3, 4, 5 or 6, so two, three or five of them
+    /// stand in for fresh values. A second pool per round is closed under
+    /// permuting them, and on both pools the search with the computed
+    /// symmetries must visit exactly the brute-force maximal subsets no
+    /// symmetry maps lex-higher: for up to four fresh values the
+    /// lex-greatest member of every orbit, for five (adjacent transpositions
+    /// only) at least that member. This attacks the lex-leader test and the
+    /// symmetry detection: a pruned leader loses an orbit, a missed prune
+    /// visits one twice. Last, a leaf check that passes random whole orbits
+    /// must find the same subset — the lex-greatest passing one — with and
+    /// without the symmetries.
     #[test]
     fn maximal_subsets_match_brute_force() {
         let schema =
@@ -1298,7 +1538,11 @@ mod tests {
         let denial = ric_constraints::classical::at_most_k_per_key(r, 1, 0, 2, 2);
         let chain = parse_cq(&schema, "Q(X) :- R(X, Y), R(Y, Z).").unwrap();
         let mut rng = ric_data::SplitMix64::seed_from_u64(0x5B5E7);
-        let mut visited_total = 0usize;
+        let mut orbit_rng = ric_data::SplitMix64::seed_from_u64(0x0B17);
+        for (k, tried) in [(0, 0), (1, 0), (2, 1), (3, 5), (4, 23), (5, 4), (6, 5)] {
+            assert_eq!(fresh_permutations(k).len(), tried, "{k} fresh values");
+        }
+        let (mut visited_total, mut collapsed_total, mut syms_total) = (0usize, 0usize, 0usize);
         for round in 0..48 {
             let mut ccs = Vec::new();
             if round % 3 != 1 || rng.random_bool(0.5) {
@@ -1320,89 +1564,380 @@ mod tests {
                 dm.clone(),
                 ConstraintSet::new(ccs),
             );
+            let fresh: Vec<Value> = [1, 3, 4, 5, 6][..[2, 3, 5][round % 3]]
+                .iter()
+                .map(|&v| Value::int(v))
+                .collect();
             let mut tuples = BTreeSet::new();
             for _ in 0..rng.random_range(1..13) {
                 let a = rng.random_range(0..4) as i64;
                 let b = rng.random_range(0..4) as i64;
                 tuples.insert(Tuple::new([Value::int(a), Value::int(b)]));
             }
-            let pool: Vec<PoolEntry> = tuples
-                .into_iter()
-                .map(|tuple| PoolEntry {
-                    rel: r,
-                    tuple,
-                    bound: BTreeSet::new(),
-                })
-                .collect();
-            let n = pool.len();
-            let db_of = |mask: u32| {
-                let mut db = Database::empty(&schema);
-                for (i, e) in pool.iter().enumerate() {
-                    if mask & (1 << i) != 0 {
-                        db.insert(e.rel, e.tuple.clone());
+            // The closed pool: whole orbits of random tuples, up to 12.
+            let mut closed_tuples = BTreeSet::new();
+            for _ in 0..8 {
+                let a = orbit_rng.random_range(0..fresh.len() + 2);
+                let b = orbit_rng.random_range(0..fresh.len() + 2);
+                let mut orbit =
+                    BTreeSet::from([Tuple::new([Value::int(a as i64), Value::int(b as i64)])]);
+                // Every permutation of the fresh values, composed from
+                // adjacent transpositions.
+                loop {
+                    let images: Vec<Tuple> = orbit
+                        .iter()
+                        .flat_map(|t| {
+                            fresh.windows(2).map(move |w| {
+                                Tuple::new(t.iter().map(|v| match v {
+                                    v if *v == w[0] => w[1].clone(),
+                                    v if *v == w[1] => w[0].clone(),
+                                    v => v.clone(),
+                                }))
+                            })
+                        })
+                        .collect();
+                    let before = orbit.len();
+                    orbit.extend(images);
+                    if orbit.len() == before {
+                        break;
                     }
                 }
-                db
-            };
-            let closed = |mask: u32| setting.partially_closed(&db_of(mask)).unwrap();
-            let brute: Vec<u32> = (0..1u32 << n)
-                .filter(|&mask| {
-                    closed(mask) && (0..n).all(|i| mask & (1 << i) != 0 || !closed(mask | (1 << i)))
-                })
-                .collect();
-            let prepared = ric_constraints::PreparedUpper::new(
-                &setting.v,
-                &setting.schema,
-                &setting.dm,
-                &Database::empty(&schema),
-            )
-            .unwrap();
-            for check in [
-                UpperCheck::Union,
-                UpperCheck::Delta(std::sync::Arc::new(prepared)),
-            ] {
-                let delta_mode = check.prepared().is_some();
-                let cc_skipped = Cell::new(0);
-                let ctx = SearchCtx {
-                    setting: &setting,
-                    pool: &pool,
-                    inert: &vec![false; n],
-                    check: &check,
-                    scratch: RefCell::new(Database::empty(&schema)),
-                    cc_skipped: &cc_skipped,
+                if closed_tuples.union(&orbit).count() <= 12 {
+                    closed_tuples.extend(orbit);
+                }
+            }
+            for (closed_pool, tuples) in [(false, tuples), (true, closed_tuples)] {
+                let mut pool: Vec<PoolEntry> = tuples
+                    .into_iter()
+                    .map(|tuple| PoolEntry {
+                        rel: r,
+                        tuple,
+                        bound: BTreeSet::new(),
+                    })
+                    .collect();
+                let n = pool.len();
+                // Every other closed pool pins a bound value on its last
+                // entry, so only the permutations fixing that entry remain
+                // symmetries.
+                let pinned = closed_pool && round % 2 == 1;
+                if pinned {
+                    let last = &mut pool[n - 1];
+                    last.bound.insert(last.tuple.get(0).clone());
+                }
+                let closed = |mask: u32| {
+                    setting
+                        .partially_closed(&mask_db(&setting, &pool, mask))
+                        .unwrap()
                 };
-                let mut visited: Vec<u32> = Vec::new();
-                let outcome = ctx
-                    .maximal_subsets(
-                        0,
-                        &mut vec![EntryState::Refused; n],
-                        &mut Database::empty(&schema),
-                        &mut Meter::new(1 << 20),
-                        &mut |db: &Database, states: &[EntryState]| {
-                            let mask = states
-                                .iter()
-                                .enumerate()
-                                .filter(|(_, &st)| st == EntryState::Chosen)
-                                .fold(0u32, |acc, (i, _)| acc | (1 << i));
-                            assert_eq!(*db, db_of(mask), "states describe the database");
-                            visited.push(mask);
-                            Ok(false)
-                        },
-                        &mut None,
-                    )
-                    .unwrap();
-                assert_eq!(outcome, MaxOutcome::Exhausted);
-                visited_total += visited.len();
-                visited.sort_unstable();
-                assert_eq!(
-                    visited, brute,
-                    "round {round} (delta mode: {delta_mode}): pool {pool:?}"
-                );
+                let brute: Vec<u32> = (0..1u32 << n)
+                    .filter(|&mask| {
+                        closed(mask)
+                            && (0..n).all(|i| mask & (1 << i) != 0 || !closed(mask | (1 << i)))
+                    })
+                    .collect();
+                let syms = pool_symmetries(&pool, &vec![false; n], &fresh);
+                if pinned {
+                    assert!(
+                        syms.iter().all(|inv| inv[n - 1] as usize == n - 1),
+                        "a symmetry must map bound values along"
+                    );
+                } else if closed_pool {
+                    let tried = fresh_permutations(fresh.len()).len();
+                    assert_eq!(syms.len(), tried, "a closed pool keeps every permutation");
+                }
+                syms_total += syms.len();
+                // An orbit is the closure of a subset under the kept
+                // permutations; its lex-greatest member must survive.
+                let leader = |mask: u32| {
+                    let mut orbit = BTreeSet::from([mask]);
+                    let mut todo = vec![mask];
+                    while let Some(m) = todo.pop() {
+                        for inv in &syms {
+                            let img = image(inv, m);
+                            if orbit.insert(img) {
+                                todo.push(img);
+                            }
+                        }
+                    }
+                    orbit
+                        .into_iter()
+                        .max_by_key(|&m| lex_key(n, m))
+                        .unwrap_or(mask)
+                };
+                let survives = |mask: u32| {
+                    syms.iter()
+                        .all(|inv| lex_key(n, image(inv, mask)) <= lex_key(n, mask))
+                };
+                let leaders: Vec<u32> = brute.iter().copied().filter(|&m| survives(m)).collect();
+                let orbits: BTreeSet<u32> = brute.iter().map(|&mask| leader(mask)).collect();
+                assert!(orbits.iter().all(|m| leaders.contains(m)), "round {round}");
+                if fresh.len() <= FULL_GROUP_FRESH {
+                    // The kept permutations form a group (the stabiliser of
+                    // the pool): exactly one survivor per orbit.
+                    assert_eq!(leaders.len(), orbits.len(), "round {round}");
+                }
+                let passing: BTreeSet<u32> = orbits
+                    .iter()
+                    .copied()
+                    .filter(|_| orbit_rng.random_bool(0.3))
+                    .collect();
+                let pass = |mask: u32| passing.contains(&leader(mask));
+                let first = brute
+                    .iter()
+                    .copied()
+                    .filter(|&mask| pass(mask))
+                    .max_by_key(|&mask| lex_key(n, mask));
+                let prepared = ric_constraints::PreparedUpper::new(
+                    &setting.v,
+                    &setting.schema,
+                    &setting.dm,
+                    &Database::empty(&schema),
+                )
+                .unwrap();
+                for check in [
+                    UpperCheck::Union,
+                    UpperCheck::Delta(std::sync::Arc::new(prepared)),
+                ] {
+                    let delta_mode = check.prepared().is_some();
+                    let ctx = format!(
+                        "round {round} (delta mode: {delta_mode}, closed: {closed_pool}): \
+                         pool {pool:?}"
+                    );
+                    let visited = visited_masks(&setting, &pool, &[], &check);
+                    visited_total += visited.len();
+                    assert_eq!(visited, brute, "{ctx}");
+                    let collapsed = visited_masks(&setting, &pool, &syms, &check);
+                    collapsed_total += collapsed.len();
+                    assert_eq!(collapsed, leaders, "lex-leaders, {ctx}");
+                    let want = first.map(|mask| mask_db(&setting, &pool, mask));
+                    for s in [&[][..], &syms] {
+                        let (_, found) = search(&setting, &pool, s, &check, pass);
+                        assert_eq!(found, want, "first passing subset, {ctx}");
+                    }
+                }
             }
         }
         assert!(
-            visited_total > 96,
+            visited_total > 192,
             "the pools exercise more than one subset"
+        );
+        assert!(
+            syms_total > 48 && collapsed_total < visited_total,
+            "the closed pools exercise the collapse"
+        );
+    }
+
+    /// The leaf's reused bound mask holds exactly the current leaf's chosen
+    /// entries' bound values, nothing a previous leaf set.
+    #[test]
+    fn bound_mask_holds_only_the_chosen_entries() {
+        use EntryState::{Chosen, Excluded, Refused};
+        let ids = vec![vec![0, 2], vec![1], vec![2]];
+        let mut mask = vec![false; 3];
+        chosen_bound(&mut mask, &ids, &[Chosen, Chosen, Excluded]);
+        assert_eq!(mask, [true, true, true]);
+        chosen_bound(&mut mask, &ids, &[Excluded, Refused, Chosen]);
+        assert_eq!(mask, [false, false, true]);
+    }
+
+    /// The `e2_empty` perfbench setting: `Work(emp, task)` under the FD
+    /// `emp → task` and `Cert[lvl] ⊆ Lvl` with the single level 0.
+    fn work_setting() -> Setting {
+        let schema = Schema::from_relations(vec![
+            RelationSchema::infinite("Work", &["emp", "task"]),
+            RelationSchema::infinite("Cert", &["emp", "lvl"]),
+        ])
+        .unwrap();
+        let work = schema.rel_id("Work").unwrap();
+        let cert = schema.rel_id("Cert").unwrap();
+        let mschema =
+            Schema::from_relations(vec![RelationSchema::infinite("Lvl", &["lvl"])]).unwrap();
+        let lvl = mschema.rel_id("Lvl").unwrap();
+        let mut dm = Database::empty(&mschema);
+        dm.insert(lvl, Tuple::new([Value::int(0)]));
+        let fd = ric_constraints::Fd::new(work, vec![0], vec![1]);
+        let mut ccs = ric_constraints::compile::fd_to_ccs(&fd, &schema);
+        ccs.push(ContainmentConstraint::into_master(
+            CcBody::Proj(Projection::new(cert, vec![1])),
+            lvl,
+            vec![0],
+        ));
+        Setting::new(schema, mschema, dm, ConstraintSet::new(ccs))
+    }
+
+    /// Run the general path directly, collapsing orbits or not; returns the
+    /// verdict and the collected report.
+    fn general(
+        setting: &Setting,
+        q: &Query,
+        budget: &SearchBudget,
+        collapse: bool,
+    ) -> (QueryVerdict, ric_telemetry::Report) {
+        let collector = ric_telemetry::Collector::new();
+        let seed = Database::empty(&setting.schema);
+        let tableaux = q.as_ucq().unwrap().tableaux().unwrap();
+        let check = plain_check(setting, budget.engine).unwrap();
+        let verdict = rcqp_general(
+            setting,
+            q,
+            &seed,
+            &tableaux,
+            budget,
+            &Guard::new(budget),
+            Probe::attached(&collector),
+            &check,
+            false,
+            collapse,
+        )
+        .unwrap();
+        (verdict, collector.report())
+    }
+
+    /// On `Q(E) :- Cert(E, L)` with three fresh values the search meets
+    /// 4⁴ = 256 maximal subsets (one task per employee, four values each),
+    /// and Burnside counts (256 + 3·16 + 2·4) / 6 = 52 orbits under the six
+    /// permutations of the fresh values: the collapsed search checks E2 on
+    /// exactly one subset per orbit. Through the public request too.
+    #[test]
+    fn e2_search_checks_one_subset_per_orbit() {
+        let setting = work_setting();
+        let q: Query = parse_cq(&setting.schema, "Q(E) :- Cert(E, L).")
+            .unwrap()
+            .into();
+        let budget = SearchBudget {
+            fresh_values: 3,
+            ..SearchBudget::default()
+        };
+        for (collapse, checks, syms) in [(true, 52, 5), (false, 256, 0)] {
+            let (verdict, report) = general(&setting, &q, &budget, collapse);
+            assert_eq!(verdict, QueryVerdict::Empty, "collapse {collapse}");
+            assert_eq!(
+                report.counter("rcqp.e2_checks"),
+                checks,
+                "collapse {collapse}"
+            );
+            assert_eq!(report.gauge("rcqp.symmetries"), Some(syms));
+            assert_eq!(report.counter("rcqp.symmetry.pruned") > 0, collapse);
+        }
+        let collector = ric_telemetry::Collector::new();
+        let outcome = Request::new(&setting)
+            .budget(&budget)
+            .probe(Probe::attached(&collector))
+            .rcqp(&q)
+            .unwrap();
+        assert_eq!(outcome.verdict, QueryVerdict::Empty);
+        assert_eq!(collector.report().counter("rcqp.e2_checks"), 52);
+    }
+
+    /// Attack on the orbit argument: random non-IND settings in the style of
+    /// `tests/rcqp_e2_differential.rs`, each query decided by the general
+    /// path with the computed symmetries and with none. Verdict kinds and
+    /// witnesses must be identical — the collapsed search returns the very
+    /// subset the full one does — and the collapse must actually prune. Two
+    /// fresh values keep the full search short; the three-value group is
+    /// pinned by `e2_search_checks_one_subset_per_orbit`.
+    #[test]
+    fn collapsed_search_matches_full_enumeration() {
+        let schema = work_setting().schema;
+        let work = schema.rel_id("Work").unwrap();
+        let cert = schema.rel_id("Cert").unwrap();
+        let mschema = Schema::from_relations(vec![
+            RelationSchema::infinite("Lvl", &["lvl"]),
+            RelationSchema::infinite("Emp", &["emp"]),
+        ])
+        .unwrap();
+        let (lvl, emp) = (
+            mschema.rel_id("Lvl").unwrap(),
+            mschema.rel_id("Emp").unwrap(),
+        );
+        let queries: Vec<Query> = [
+            "Q(E) :- Cert(E, L).",
+            "Q(E) :- Cert(E, 0).",
+            "Q(T) :- Work(E, T), Cert(E, 0).",
+            "Q(E, T) :- Work(E, T), Cert(E, L).",
+            "Q(E) :- Cert(E, L), Work(E, T).",
+            "Q(E, L) :- Cert(E, L).",
+            "Q(T) :- Work(E, T), Cert(E, L).",
+            "Q(T) :- Work(0, T).",
+            "Q(E) :- Work(E, 1), E = 0.",
+            "Q(E) :- Work(E, T), Cert(E, 1), E = 0.",
+            "Q(T) :- Work(E, T), T = 1.",
+            "Q(E) :- Cert(E, 0), Work(E, 1).",
+        ]
+        .iter()
+        .map(|src| parse_cq(&schema, src).unwrap().into())
+        .collect();
+        let mut rng = ric_data::SplitMix64::seed_from_u64(0x0CB17);
+        let (mut searched, mut pruning, mut found) = (0, 0, 0);
+        for round in 0..6 {
+            let mut dm = Database::empty(&mschema);
+            for v in 0..rng.random_range(1..3) as i64 {
+                dm.insert(lvl, Tuple::new([Value::int(v)]));
+            }
+            if rng.random_bool(0.5) {
+                dm.insert(emp, Tuple::new([Value::int(0)]));
+            }
+            let fd = ric_constraints::Fd::new(work, vec![0], vec![1]);
+            let mut ccs = ric_constraints::compile::fd_to_ccs(&fd, &schema);
+            ccs.push(ContainmentConstraint::into_master(
+                CcBody::Proj(Projection::new(cert, vec![1])),
+                lvl,
+                vec![0],
+            ));
+            if rng.random_bool(0.7) {
+                let join = [
+                    "Q(E) :- Work(E, T), Cert(E, L).",
+                    "Q(T) :- Work(E, T), Cert(T, L).",
+                ][rng.random_range(0..2)];
+                ccs.push(ContainmentConstraint::into_master(
+                    CcBody::Cq(parse_cq(&schema, join).unwrap()),
+                    emp,
+                    vec![0],
+                ));
+            }
+            if rng.random_bool(0.5) {
+                let pattern = [
+                    "Q() :- Work(E, T), Cert(E, 0).",
+                    "Q() :- Cert(E, L), Cert(E, M), L != M.",
+                ][rng.random_range(0..2)];
+                ccs.push(ric_constraints::compile::denial_to_cc(
+                    &ric_constraints::classical::Denial::new(parse_cq(&schema, pattern).unwrap()),
+                ));
+            }
+            let setting =
+                Setting::new(schema.clone(), mschema.clone(), dm, ConstraintSet::new(ccs));
+            let budget = SearchBudget {
+                fresh_values: 2,
+                max_candidates: 1 << 22,
+                ..SearchBudget::default()
+            };
+            for (qi, q) in queries.iter().enumerate() {
+                let (full, full_report) = general(&setting, q, &budget, false);
+                let (collapsed, report) = general(&setting, q, &budget, true);
+                let ctx = format!("round {round}, query {qi}");
+                match (&full, &collapsed) {
+                    (
+                        QueryVerdict::Nonempty { witness: a },
+                        QueryVerdict::Nonempty { witness: b },
+                    ) => {
+                        assert_eq!(a, b, "witnesses ({ctx})");
+                        found += usize::from(report.gauge("rcqp.pool_size").is_some());
+                    }
+                    (QueryVerdict::Empty, QueryVerdict::Empty) => {}
+                    // An exhausted search short of the small-model bound.
+                    (QueryVerdict::Unknown { stats: a }, QueryVerdict::Unknown { stats: b })
+                        if a.limit == BudgetLimit::FreshValues
+                            && b.limit == BudgetLimit::FreshValues => {}
+                    _ => panic!("verdicts diverge ({ctx}): {full:?} vs {collapsed:?}"),
+                }
+                assert!(report.counter("rcqp.e2_checks") <= full_report.counter("rcqp.e2_checks"));
+                searched += usize::from(report.gauge("rcqp.pool_size").is_some());
+                pruning += usize::from(report.counter("rcqp.symmetry.pruned") > 0);
+            }
+        }
+        assert!(
+            searched >= 20 && pruning >= 10 && found >= 1,
+            "{searched} searches, {pruning} pruned, {found} E2 witnesses: the generator drifted"
         );
     }
 

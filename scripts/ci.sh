@@ -20,7 +20,14 @@
 #                              grow with the valuations it walks)
 #   7. E2 search A/B          (cargo test --test rcqp_e2_differential: the
 #                              RCQP maximal-subset search visits the same
-#                              subsets on every engine)
+#                              subsets on every engine; then the rcqp unit
+#                              tests that pin the search collapsed to one
+#                              subset per fresh-value orbit against the
+#                              full enumeration: the same verdicts and
+#                              witnesses, exactly the orbit leaders of a
+#                              brute force, 52 E2 checks instead of 256;
+#                              and the public e2_check still fails a D_V
+#                              that is not partially closed)
 #   8. reason A/B             (cargo test --test reason_differential: the
 #                              symbolic pre-decision prover — certified
 #                              V-minimization and static verdicts — must be
@@ -133,9 +140,18 @@ step "allocation bound (no allocation per valuation, --release)"
 cargo test -q --offline --release --test alloc_per_valuation
 
 # E2 search A/B: the RCQP maximal-subset search must visit the same subsets
-# and run the same E2 checks on every engine, with identical verdicts.
+# and run the same E2 checks on every engine, with identical verdicts; and
+# the search collapsed to one maximal subset per orbit of fresh-value
+# permutations must agree with the full enumeration.
 step "rcqp E2 differential suite (engine identity of the E2 search)"
 cargo test -q --offline --test rcqp_e2_differential
+step "rcqp orbit collapse (collapsed search agrees with the full enumeration)"
+cargo test -q --offline -p ric-complete --lib -- --exact \
+    rcqp::tests::maximal_subsets_match_brute_force \
+    rcqp::tests::e2_search_checks_one_subset_per_orbit \
+    rcqp::tests::collapsed_search_matches_full_enumeration \
+    rcqp::tests::bound_mask_holds_only_the_chosen_entries \
+    characterize::tests::e2_check_rejects_dv_that_is_not_partially_closed
 
 # Reason A/B: the symbolic pre-decision prover may drop implied constraints
 # and short-circuit statically decided settings, but every verdict, witness,
