@@ -96,17 +96,39 @@ impl PreparedSetting {
 
     /// Incremental upper-bound check against this preparation: given that
     /// the upper bounds hold on `ov.base()` (minus any tombstones), do they
-    /// hold on the effective view? `Ok(None)` when the engine compiled no
-    /// preparation (naive engine, IND-only settings) — the caller falls
-    /// back to a full check.
+    /// hold on the effective view? An IND-only set checks the delta alone
+    /// (C3: projections distribute over the union), the planned engine runs
+    /// its compiled delta plans, and the naive engine re-checks the
+    /// materialized view.
     pub fn upper_satisfied_delta(
         &self,
         ov: &ric_data::Overlay<'_>,
-    ) -> Result<Option<ric_constraints::DeltaCheck>, RcError> {
-        match self.check.prepared() {
-            Some(prep) => Ok(Some(prep.satisfied_delta(&self.setting.v, ov)?)),
-            None => Ok(None),
+    ) -> Result<ric_constraints::DeltaCheck, RcError> {
+        let v = &self.setting.v;
+        let full = |db: &Database| -> Result<_, RcError> {
+            let violated = v.first_violated_upper(db, &self.setting.dm)?;
+            Ok(ric_constraints::DeltaCheck {
+                satisfied: violated.is_none(),
+                checked: violated.map_or(v.ccs.len(), |i| i + 1),
+                skipped: 0,
+                violated,
+            })
+        };
+        match &self.check {
+            UpperCheck::IndOnly => full(ov.delta()),
+            UpperCheck::Union => full(&ov.materialize()),
+            UpperCheck::Delta(prep) => Ok(prep.satisfied_delta(v, ov)?),
         }
+    }
+
+    /// The index of the first upper bound `db ∪ delta` violates (`None` =
+    /// satisfied), for a partially closed `db`: the candidate check every
+    /// decision against this preparation runs (`delta` alone for an IND-only
+    /// set, compiled delta plans on an overlay under the planned engine, the
+    /// materialized union under the naive engine).
+    pub fn first_violation(&self, db: &Database, delta: &Database) -> Option<usize> {
+        self.check
+            .first_violation(&self.setting, db, delta, &std::cell::Cell::new(0))
     }
 
     /// The check every [`Request`] against this setting shares.

@@ -1,7 +1,7 @@
 //! The `L_Q` parameter: a query in any of the paper's five languages.
 
-use ric_data::{Database, Tuple, Value};
-use ric_query::tableau::TableauError;
+use ric_data::{Database, Tuple, TupleStore, Value};
+use ric_query::tableau::{Tableau, TableauError};
 use ric_query::{Cq, EfoQuery, FoQuery, Program, QueryLanguage, Ucq};
 use std::collections::BTreeSet;
 
@@ -100,6 +100,14 @@ impl Query {
         })
     }
 
+    /// The query compiled for head-pinned membership tests
+    /// ([`PinnedQuery::derives`]); `None` for FO/FP.
+    pub fn pinned(&self) -> Result<Option<PinnedQuery>, TableauError> {
+        self.as_ucq()
+            .map(|u| Ok(PinnedQuery(u.tableaux()?)))
+            .transpose()
+    }
+
     /// The UCQ view of the query, when it is in a UCQ-expressible language
     /// (CQ, UCQ, ∃FO⁺). `None` for FO/FP.
     pub fn as_ucq(&self) -> Option<Ucq> {
@@ -109,6 +117,20 @@ impl Query {
             Query::Efo(q) => Some(q.to_ucq()),
             Query::Fo(_) | Query::Fp(_) => None,
         }
+    }
+}
+
+/// A CQ/UCQ/∃FO⁺ query's disjunct tableaux, compiled once ([`Query::pinned`])
+/// for repeated membership tests of single answers.
+pub struct PinnedQuery(Vec<Tableau>);
+
+impl PinnedQuery {
+    /// Is `answer ∈ Q(store)`? Each disjunct's head is bound to `answer`
+    /// before its join, so only derivations of that one answer are walked.
+    pub fn derives<S: TupleStore>(&self, store: &S, answer: &Tuple) -> bool {
+        self.0
+            .iter()
+            .any(|t| ric_query::eval::derives(t, store, answer))
     }
 }
 

@@ -96,14 +96,18 @@ pub const SCAN_PROBE_MAX: usize = 8;
 /// An instance of a single relation: a set of tuples.
 ///
 /// Carries a lazily built per-column hash index ([`Instance::index`]) for the
-/// evaluators' joins; the cache is dropped on every mutation and excluded
-/// from equality, hashing, ordering, cloning, and `Debug` (two semantically
-/// equal instances compare, hash, and render identically whether or not
-/// their index is warm — the structural checkpoint fingerprints hash them).
+/// evaluators' joins. Single-tuple inserts and removes patch a built index in
+/// place (until the patches add up to a rebuild's worth); bulk mutations drop
+/// it. The cache is excluded from equality, hashing, ordering, cloning, and
+/// `Debug` (two semantically equal instances compare, hash, and render
+/// identically whether or not their index is warm — the structural
+/// checkpoint fingerprints hash them).
 #[derive(Default)]
 pub struct Instance {
     tuples: BTreeSet<Tuple>,
-    index: OnceLock<ColumnIndex>,
+    /// Boxed, so an instance without one (most instances: every scratch
+    /// delta, every counterexample) stays small.
+    index: OnceLock<Box<ColumnIndex>>,
 }
 
 impl std::fmt::Debug for Instance {
@@ -152,10 +156,10 @@ impl Instance {
     }
 
     /// The per-column hash index over the current tuples, built on first use
-    /// and invalidated by any mutation.
+    /// and kept current by [`Self::insert`] and [`Self::remove`].
     pub fn index(&self) -> &ColumnIndex {
         self.index
-            .get_or_init(|| ColumnIndex::build(self.tuples.iter()))
+            .get_or_init(|| Box::new(ColumnIndex::build(self.tuples.iter())))
     }
 
     /// Visit the tuples with value `v` at column `col`, in iteration order;
@@ -177,14 +181,34 @@ impl Instance {
 
     /// Insert a tuple; returns whether it was new.
     pub fn insert(&mut self, t: Tuple) -> bool {
-        self.index.take();
+        if self.index.get().is_some() {
+            if self.tuples.contains(&t) {
+                return false;
+            }
+            self.patch_index(|idx| idx.insert(&t));
+        }
         self.tuples.insert(t)
     }
 
     /// Remove a tuple; returns whether it was present.
     pub fn remove(&mut self, t: &Tuple) -> bool {
-        self.index.take();
-        self.tuples.remove(t)
+        let removed = self.tuples.remove(t);
+        if removed {
+            self.patch_index(|idx| idx.remove(t));
+        }
+        removed
+    }
+
+    /// Apply one change to a built index, or drop the index once its
+    /// patches have cost as much as a rebuild.
+    fn patch_index(&mut self, change: impl FnOnce(&mut ColumnIndex)) {
+        if let Some(idx) = self.index.get_mut() {
+            if idx.worn() {
+                self.index.take();
+            } else {
+                change(idx);
+            }
+        }
     }
 
     /// Remove every tuple.

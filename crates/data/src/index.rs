@@ -2,11 +2,13 @@
 //!
 //! An [`Instance`](crate::Instance) stores its tuples in an ordered set; the
 //! evaluators' joins need the complementary access path "all tuples with
-//! value `v` in column `c`". A [`ColumnIndex`] is a snapshot of one instance
-//! with one hash map per column, built lazily on first probe and discarded on
-//! mutation. Tuple ids are positions in the snapshot, which preserves the
-//! instance's deterministic (ordered) iteration order — index-joined
-//! evaluation visits tuples in the same order a scan would.
+//! value `v` in column `c`". A [`ColumnIndex`] holds one hash map per column,
+//! built lazily on first probe. Single-tuple inserts and removes patch it in
+//! place, so a stream of small changes to a large instance keeps its index
+//! warm instead of rebuilding it per change; bulk changes drop it. Tuple ids
+//! are stable slots, and every posting list keeps its ids in the instance's
+//! (ordered) iteration order — index-joined evaluation visits tuples in the
+//! same order a scan would.
 //!
 //! Probes are counted per thread ([`probe_count`]) so the deciders can
 //! report an exact `index.probe` telemetry counter without threading state
@@ -37,33 +39,85 @@ pub(crate) fn count_probe() {
 
 const NO_MATCHES: &[u32] = &[];
 
-/// A per-column hash index over a snapshot of one instance's tuples.
+/// A per-column hash index over one instance's tuples.
 #[derive(Debug, Default)]
 pub struct ColumnIndex {
-    tuples: Vec<Tuple>,
-    /// `by_col[c][v]` — snapshot positions of tuples with value `v` in column
-    /// `c`, in snapshot (i.e. instance iteration) order. Tuples of arity
-    /// `≤ c` simply do not appear in `by_col[c]`.
+    /// The indexed tuples by id. An insert appends; a removed tuple's slot
+    /// stays dead (referenced by no posting) until the next rebuild.
+    slots: Vec<Tuple>,
+    /// Dead slots.
+    dead: usize,
+    /// Inserts and removes patched in since the build.
+    patches: usize,
+    /// `by_col[c][v]` — ids of the tuples with value `v` in column `c`, in
+    /// instance iteration (tuple) order. Tuples of arity `≤ c` simply do not
+    /// appear in `by_col[c]`; no posting list is empty.
     by_col: Vec<HashMap<Value, Vec<u32>>>,
 }
 
 impl ColumnIndex {
     /// Build from tuples in iteration order.
     pub(crate) fn build<'a>(tuples: impl Iterator<Item = &'a Tuple>) -> Self {
-        let tuples: Vec<Tuple> = tuples.cloned().collect();
-        let max_arity = tuples.iter().map(Tuple::arity).max().unwrap_or(0);
+        let slots: Vec<Tuple> = tuples.cloned().collect();
+        let max_arity = slots.iter().map(Tuple::arity).max().unwrap_or(0);
         let mut by_col: Vec<HashMap<Value, Vec<u32>>> = vec![HashMap::new(); max_arity];
-        for (id, t) in tuples.iter().enumerate() {
+        for (id, t) in slots.iter().enumerate() {
             for (col, v) in t.iter().enumerate() {
                 by_col[col].entry(v.clone()).or_default().push(id as u32);
             }
         }
-        ColumnIndex { tuples, by_col }
+        ColumnIndex {
+            slots,
+            dead: 0,
+            patches: 0,
+            by_col,
+        }
     }
 
-    /// Snapshot positions of tuples with `v` at column `col`, in iteration
-    /// order. Empty when the column exceeds every arity or the value is
-    /// absent. Each call counts one probe.
+    /// Index a tuple the instance just gained.
+    pub(crate) fn insert(&mut self, t: &Tuple) {
+        self.patches += 1;
+        let ColumnIndex { slots, by_col, .. } = self;
+        let id = slots.len() as u32;
+        slots.push(t.clone());
+        if by_col.len() < t.arity() {
+            by_col.resize_with(t.arity(), HashMap::new);
+        }
+        for (col, v) in t.iter().enumerate() {
+            let posting = by_col[col].entry(v.clone()).or_default();
+            let at = posting.partition_point(|&i| slots[i as usize] < *t);
+            posting.insert(at, id);
+        }
+    }
+
+    /// Unindex a tuple the instance just lost.
+    pub(crate) fn remove(&mut self, t: &Tuple) {
+        self.patches += 1;
+        let ColumnIndex {
+            slots,
+            dead,
+            by_col,
+            ..
+        } = self;
+        for (col, v) in t.iter().enumerate() {
+            let map = &mut by_col[col];
+            let Some(posting) = map.get_mut(v) else {
+                continue;
+            };
+            let at = posting.partition_point(|&i| slots[i as usize] < *t);
+            if posting.get(at).is_some_and(|&i| slots[i as usize] == *t) {
+                posting.remove(at);
+                if posting.is_empty() {
+                    map.remove(v);
+                }
+            }
+        }
+        *dead += 1;
+    }
+
+    /// Ids of the tuples with `v` at column `col`, in iteration order.
+    /// Empty when the column exceeds every arity or the value is absent.
+    /// Each call counts one probe.
     pub fn probe(&self, col: usize, v: &Value) -> &[u32] {
         count_probe();
         match self.by_col.get(col).and_then(|m| m.get(v)) {
@@ -72,19 +126,21 @@ impl ColumnIndex {
         }
     }
 
-    /// The tuple at a snapshot position returned by [`ColumnIndex::probe`].
+    /// The tuple with an id returned by [`ColumnIndex::probe`].
     pub fn tuple(&self, id: u32) -> &Tuple {
-        &self.tuples[id as usize]
-    }
-
-    /// The full snapshot, in iteration order.
-    pub fn tuples(&self) -> &[Tuple] {
-        &self.tuples
+        &self.slots[id as usize]
     }
 
     /// Number of indexed tuples.
     pub fn len(&self) -> usize {
-        self.tuples.len()
+        self.slots.len() - self.dead
+    }
+
+    /// Has the index absorbed more patches than a rebuild would cost? Then
+    /// the patching has paid for a rebuild, and dead slots are bounded by
+    /// the live count.
+    pub(crate) fn worn(&self) -> bool {
+        self.patches > self.len().max(crate::database::SCAN_PROBE_MAX)
     }
 
     /// Number of indexed columns (the widest tuple's arity).
@@ -99,9 +155,9 @@ impl ColumnIndex {
         self.by_col.get(col).map(HashMap::len).unwrap_or(0)
     }
 
-    /// Is the snapshot empty?
+    /// Is the index empty?
     pub fn is_empty(&self) -> bool {
-        self.tuples.is_empty()
+        self.len() == 0
     }
 }
 
@@ -143,6 +199,43 @@ mod tests {
         assert_eq!(inst.index().probe(0, &Value::int(1)).len(), 2);
         inst.remove(&t(&[1, 2]));
         assert_eq!(inst.index().probe(0, &Value::int(1)).len(), 1);
+    }
+
+    /// A patched index answers every probe as a fresh build does, across
+    /// random inserts and removes — including the drop once its patches add
+    /// up to a rebuild.
+    #[test]
+    fn patched_index_matches_a_rebuilt_one() {
+        let mut rng = crate::SplitMix64::seed_from_u64(0x1DE);
+        let mut inst = Instance::from_tuples((0..20).map(|i| t(&[i % 4, i % 7, i])));
+        inst.index();
+        for step in 0..400 {
+            let row = t(&[
+                rng.random_range(0..5) as i64,
+                rng.random_range(0..8) as i64,
+                rng.random_range(0..24) as i64,
+            ]);
+            if rng.random_bool(0.5) {
+                inst.insert(row);
+            } else {
+                inst.remove(&row);
+            }
+            let fresh = Instance::from_tuples(inst.iter().cloned());
+            let (patched, rebuilt) = (inst.index(), fresh.index());
+            assert_eq!(patched.len(), rebuilt.len(), "step {step}");
+            for col in 0..3 {
+                assert_eq!(patched.distinct(col), rebuilt.distinct(col), "step {step}");
+                for v in (0..24).map(Value::int) {
+                    let hits = |idx: &ColumnIndex| -> Vec<Tuple> {
+                        idx.probe(col, &v)
+                            .iter()
+                            .map(|&id| idx.tuple(id).clone())
+                            .collect()
+                    };
+                    assert_eq!(hits(patched), hits(rebuilt), "step {step} col {col} v {v}");
+                }
+            }
+        }
     }
 
     #[test]

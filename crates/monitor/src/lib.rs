@@ -23,18 +23,30 @@
 //!   ([`PreparedSetting::upper_satisfied_delta`]) over an additive
 //!   [`Overlay`] instead of a full re-evaluation; deletes
 //!   on monotone bodies ride the same check by downward closure.
-//! * **Verdict fast paths.** A `Complete` verdict survives any insert-only
-//!   transaction that keeps the database partially closed (a counterexample
-//!   for the grown database would extend the original). An `Incomplete`
-//!   verdict's cached counterexample is re-certified in polynomial time
-//!   ([`ric_complete::rcdp::certify_counterexample`]) before any exponential
-//!   re-decision is considered.
+//! * **Complete anchors.** Each setting keeps up to four states it saw
+//!   decided `Complete` under the current master data, each held as
+//!   two O(|Δ|)-maintained sets over its relation footprint: anchor tuples
+//!   the database has since lost, and tuples it has gained. Completeness
+//!   quantifies over every partially closed extension, so a partially
+//!   closed database containing an anchor is `Complete` with no search
+//!   (`monitor.anchor.hit`, also counted as `monitor.fast_complete`). This
+//!   covers insert-only growth from a `Complete` state and a heal that
+//!   re-inserts what a break deleted. A master-data change drops every
+//!   anchor.
+//! * **Counterexample recertification.** An `Incomplete` verdict's cached
+//!   counterexample is re-checked before any re-decision. For a CQ/UCQ/∃FO⁺
+//!   query under monotone constraint bodies the check runs on an overlay
+//!   of the partially closed database: the setting's own candidate check
+//!   ([`PreparedSetting::first_violation`]) on `D ∪ Δ` and two head-pinned
+//!   joins, in work that follows `|Δ|`. FO/FP queries and bodies fall back
+//!   to [`ric_complete::rcdp::certify_counterexample`].
 //! * **Fingerprint memo.** Decisions are memoized per setting under an
-//!   incrementally maintained content fingerprint of `(D, D_m)` (an XOR of
-//!   per-tuple hashes, updated in O(|Δ|) per transaction), so a transaction
-//!   and its inverse (or a state the stream revisits) re-decides nothing
-//!   (`monitor.memo.hit`) — and looking the memo up costs O(1), not a scan
-//!   of the database.
+//!   incrementally maintained 128-bit content fingerprint of `(D, D_m)`:
+//!   sums of nonlinear per-tuple hashes, updated in O(|Δ|) per transaction,
+//!   so the lookup never scans the database. A hit is replayed only when a
+//!   second, multiplicative lane and the per-relation cardinalities match
+//!   too. A transaction and its inverse (or a state the stream revisits)
+//!   re-decides nothing (`monitor.memo.hit`).
 //! * **Frontier reuse.** An `Unknown` verdict's unexplored search frontier
 //!   is kept as a [`Checkpoint`] (PR 7's resumable form); a later decision
 //!   on the same database (validated by [`rcdp_fingerprint`]) — in
@@ -57,12 +69,13 @@
 //! [`planned_rows`]: PreparedSetting::planned_rows
 
 use ric_complete::checkpoint::{rcdp_fingerprint, Checkpoint};
+use ric_complete::query::PinnedQuery;
 use ric_complete::rcdp::certify_counterexample;
 use ric_complete::{
-    Guard, PreparedSetting, Query, RcError, Request, SearchBudget, Setting, Verdict,
+    CounterExample, Guard, PreparedSetting, Query, RcError, Request, SearchBudget, Setting, Verdict,
 };
 use ric_constraints::{CcBody, ConstraintSet};
-use ric_data::{DataError, Database, Overlay, RelId, Schema, Tuple};
+use ric_data::{DataError, Database, Overlay, RelId, Schema, Tuple, Value};
 use ric_telemetry::Probe;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
@@ -343,9 +356,12 @@ pub struct MonitorCounters {
     /// Cached counterexamples that no longer certify (followed by a full
     /// re-decision).
     pub recert_miss: u64,
-    /// `Complete` verdicts kept through the insert-only monotonicity fast
-    /// path.
+    /// `Complete` verdicts answered without search: the same count as
+    /// [`Self::anchor_hit`], kept under its original name.
     pub fast_complete: u64,
+    /// `Complete` verdicts answered by a Complete anchor the database
+    /// still contains (no search).
+    pub anchor_hit: u64,
     /// Partial-closure checks answered incrementally via the prepared delta
     /// checker.
     pub cc_delta: u64,
@@ -449,16 +465,113 @@ enum Action {
     /// verdict fast paths / re-decision. `reprepare` is set when master
     /// data in the setting's footprint changed (the prepared right-hand
     /// sides are stale).
-    Touch {
-        pc: PcPlan,
-        reprepare: bool,
-        insert_only: bool,
-    },
+    Touch { pc: PcPlan, reprepare: bool },
 }
 
 /// Default cap on memoized decisions per setting (least-recently-used
 /// evicted); override per monitor with [`Monitor::with_memo_cap`].
 const MEMO_CAP: usize = 32;
+
+/// Most Complete anchors a setting keeps; recording one more drops the
+/// oldest.
+const ANCHOR_CAP: usize = 4;
+
+/// A state decided `Complete` under the current master data, held as its
+/// difference from the live database over the setting's `db_rels`.
+///
+/// If `S` is complete for `Q` relative to `(D_m, V)`, so is every partially
+/// closed `D ⊇ S`: each partially closed `D′ ⊇ D` also extends `S`, so
+/// `Q(D′) = Q(S) = Q(D)`. An anchor with nothing missing therefore answers
+/// `Complete` for a partially closed database. Relations outside the
+/// footprint are not tracked: the verdict does not read them. A new
+/// (default) anchor is one at the current state.
+#[derive(Default)]
+struct Anchor {
+    /// Anchor tuples the database has lost since, by relation (no empty
+    /// sets).
+    missing: BTreeMap<RelId, BTreeSet<Tuple>>,
+    /// Tuples the database has gained since, by relation (no empty sets).
+    added: BTreeMap<RelId, BTreeSet<Tuple>>,
+}
+
+impl Anchor {
+    /// Fold one net change of the database into the difference.
+    fn note(&mut self, rel: RelId, t: &Tuple, inserted: bool) {
+        let (undo, record) = if inserted {
+            (&mut self.missing, &mut self.added)
+        } else {
+            (&mut self.added, &mut self.missing)
+        };
+        if let Some(set) = undo.get_mut(&rel) {
+            if set.remove(t) {
+                if set.is_empty() {
+                    undo.remove(&rel);
+                }
+                return;
+            }
+        }
+        record.entry(rel).or_default().insert(t.clone());
+    }
+
+    /// Does the database still contain the anchor?
+    fn contained(&self) -> bool {
+        self.missing.is_empty()
+    }
+}
+
+/// A setting's query compiled once for re-checking counterexamples against
+/// the partially closed post-state of every transaction.
+struct Recert {
+    /// The query compiled for the overlay check, when that applies: a
+    /// CQ/UCQ/∃FO⁺ query and no FO/FP constraint body. `None` falls back to
+    /// [`certify_counterexample`].
+    pinned: Option<PinnedQuery>,
+}
+
+impl Recert {
+    fn new(v: &ConstraintSet, query: &Query) -> Result<Self, RcError> {
+        let monotone = v
+            .ccs
+            .iter()
+            .map(|cc| &cc.body)
+            .chain(v.lower_bounds.iter().map(|lb| &lb.body))
+            .all(|b| !matches!(b, CcBody::Fo(_) | CcBody::Fp(_)));
+        let pinned = if monotone { query.pinned()? } else { None };
+        Ok(Recert { pinned })
+    }
+
+    /// [`certify_counterexample`] for a `db` known to be partially closed,
+    /// in work that follows `|Δ|` rather than `|D|`: the upper bounds are
+    /// the preparation's own candidate check on `D ∪ Δ`; monotone lower
+    /// bounds hold on `D` and so on every extension; and for a monotone
+    /// query the answer change the definition asks for is exactly
+    /// `new_answer ∈ Q(D ∪ Δ) ∖ Q(D)`, two head-pinned joins.
+    fn certify(
+        &self,
+        prepared: &PreparedSetting,
+        query: &Query,
+        db: &Database,
+        ce: &CounterExample,
+    ) -> Result<bool, RcError> {
+        let Some(pinned) = &self.pinned else {
+            return certify_counterexample(prepared.setting(), query, db, ce);
+        };
+        if prepared.first_violation(db, &ce.delta).is_some() {
+            return Ok(false);
+        }
+        let ov = Overlay::new(db, &ce.delta).map_err(|_| RcError::NotPartiallyClosed)?;
+        Ok(pinned.derives(&ov, &ce.new_answer) && !pinned.derives(db, &ce.new_answer))
+    }
+}
+
+/// One memoized verdict, with what confirms a hit beyond its key.
+struct MemoEntry {
+    /// The fingerprint's second lane when the verdict was recorded.
+    lane2: (u64, u64),
+    /// `|R|` for every relation of `D`, then of `D_m`.
+    cards: Box<[usize]>,
+    state: SettingVerdict,
+}
 
 struct Registered {
     name: String,
@@ -475,10 +588,14 @@ struct Registered {
     /// No FO/FP lower-bound bodies (insert-preserved).
     lower_monotone: bool,
     has_lower: bool,
+    /// The query compiled for counterexample recertification.
+    recert: Recert,
     pc: bool,
     state: SettingVerdict,
-    memo: BTreeMap<u64, SettingVerdict>,
-    memo_order: VecDeque<u64>,
+    memo: BTreeMap<u128, MemoEntry>,
+    memo_order: VecDeque<u128>,
+    /// Complete anchors, oldest first.
+    anchors: VecDeque<Anchor>,
     frontier: Option<Checkpoint>,
     stale_plan: bool,
 }
@@ -521,35 +638,64 @@ impl Registered {
         Ok(out.verdict)
     }
 
-    /// Memo lookup with LRU refresh: a hit moves `fp` to most-recent, so
+    /// Memo lookup with LRU refresh: a hit moves the key to most-recent, so
     /// the fingerprint of the *current* state is always the last to be
     /// evicted — an immediately undone transaction always replays its
-    /// pre-state verdict bitwise.
-    fn memo_lookup(&mut self, fp: u64) -> Option<SettingVerdict> {
-        let hit = self.memo.get(&fp).cloned();
+    /// pre-state verdict bitwise. An entry filed under the same key whose
+    /// second lane or cardinalities differ is a collision, not a hit.
+    fn memo_lookup(
+        &mut self,
+        fp: &ContentFp,
+        db: &Database,
+        dm: &Database,
+    ) -> Option<SettingVerdict> {
+        let key = fp.key;
+        let hit = self
+            .memo
+            .get(&key)
+            .filter(|e| fp.same_lane2(e.lane2) && e.cards.iter().copied().eq(cards(db, dm)))
+            .map(|e| e.state.clone());
         if hit.is_some() {
-            self.memo_order.retain(|&f| f != fp);
-            self.memo_order.push_back(fp);
+            self.memo_order.retain(|&k| k != key);
+            self.memo_order.push_back(key);
         }
         hit
     }
 
     /// Memoize under the LRU cap; returns the number of evictions (0 or 1).
-    fn memoize(&mut self, fp: u64, state: &SettingVerdict, cap: usize) -> u64 {
-        // Wall-clock limited verdicts are not deterministic functions of the
-        // decision inputs; caching them would let timing leak into replays.
-        if let SettingVerdict::Decided(Verdict::Unknown { stats }) = state {
-            if matches!(
-                stats.limit,
-                ric_complete::BudgetLimit::Deadline | ric_complete::BudgetLimit::Cancelled
-            ) {
-                return 0;
+    fn memoize(
+        &mut self,
+        fp: &ContentFp,
+        db: &Database,
+        dm: &Database,
+        state: &SettingVerdict,
+        cap: usize,
+    ) -> u64 {
+        match state {
+            // The decider's defensive answer (see `decide`) is no verdict.
+            SettingVerdict::NotPartiallyClosed => return 0,
+            // Wall-clock limited verdicts are not deterministic functions of
+            // the decision inputs; caching them would let timing leak into
+            // replays.
+            SettingVerdict::Decided(Verdict::Unknown { stats })
+                if matches!(
+                    stats.limit,
+                    ric_complete::BudgetLimit::Deadline | ric_complete::BudgetLimit::Cancelled
+                ) =>
+            {
+                return 0
             }
+            _ => {}
         }
-        if self.memo.insert(fp, state.clone()).is_some() {
-            self.memo_order.retain(|&f| f != fp);
+        let entry = MemoEntry {
+            lane2: fp.lane2,
+            cards: cards(db, dm).collect(),
+            state: state.clone(),
+        };
+        if self.memo.insert(fp.key, entry).is_some() {
+            self.memo_order.retain(|&k| k != fp.key);
         }
-        self.memo_order.push_back(fp);
+        self.memo_order.push_back(fp.key);
         let mut evicted = 0;
         while self.memo_order.len() > cap {
             if let Some(old) = self.memo_order.pop_front() {
@@ -558,6 +704,40 @@ impl Registered {
             }
         }
         evicted
+    }
+
+    /// Fold the transaction's net changes on the footprint into every
+    /// anchor.
+    fn track(&mut self, net: &NetChange) {
+        if self.anchors.is_empty() {
+            return;
+        }
+        for &rel in net.touched_db.iter().filter(|&&r| self.db_rels.contains(r)) {
+            for (delta, inserted) in [(&net.ins_db, true), (&net.del_db, false)] {
+                for t in delta.instance(rel).iter() {
+                    for a in &mut self.anchors {
+                        a.note(rel, t, inserted);
+                    }
+                }
+            }
+        }
+    }
+
+    /// Is some anchor still contained in the database?
+    fn anchored(&self) -> bool {
+        self.anchors.iter().any(Anchor::contained)
+    }
+
+    /// Record the current state as an anchor when it is decided Complete and
+    /// no anchor already covers it (a contained anchor is a subset of this
+    /// state, so it answers for every state this one would).
+    fn note_verdict(&mut self) {
+        if matches!(self.state, SettingVerdict::Decided(Verdict::Complete)) && !self.anchored() {
+            if self.anchors.len() == ANCHOR_CAP {
+                self.anchors.pop_front();
+            }
+            self.anchors.push_back(Anchor::default());
+        }
     }
 }
 
@@ -594,12 +774,10 @@ pub struct Monitor {
     settings: Vec<Registered>,
     txn_seq: u64,
     counters: MonitorCounters,
-    /// Incremental content fingerprints of `db`/`dm`: XOR of per-tuple
-    /// hashes, maintained in O(|Δ|) per transaction. Their combination
-    /// ([`memo_key`]) keys the per-setting verdict memos, so the memo
+    /// The content fingerprint of `(db, dm)`, maintained in O(|Δ|) per
+    /// transaction. It keys the per-setting verdict memos, so the memo
     /// lookup on the fast path never scans the database.
-    db_fp: u64,
-    dm_fp: u64,
+    fp: ContentFp,
 }
 
 impl Monitor {
@@ -616,7 +794,12 @@ impl Monitor {
             return Err(MonitorError::Data(DataError::SchemaMismatch));
         }
         let db = Database::empty(&schema);
-        let dm_fp = content_fp(&dm);
+        let mut fp = ContentFp::EMPTY;
+        for (rel, inst) in dm.iter() {
+            for t in inst.iter() {
+                fp.toggle(Target::Master, rel, t, true);
+            }
+        }
         Ok(Monitor {
             schema,
             master_schema,
@@ -627,8 +810,7 @@ impl Monitor {
             settings: Vec::new(),
             txn_seq: 0,
             counters: MonitorCounters::default(),
-            db_fp: 0,
-            dm_fp,
+            fp,
         })
     }
 
@@ -766,6 +948,7 @@ impl Monitor {
             self.dm.clone(),
             v,
         );
+        let recert = Recert::new(&setting.v, &query)?;
         let prepared = PreparedSetting::prepare(setting, &self.db, self.budget.engine)?;
         let mut reg = Registered {
             name: name.into(),
@@ -777,10 +960,12 @@ impl Monitor {
             upper_monotone,
             lower_monotone,
             has_lower,
+            recert,
             pc: false,
             state: SettingVerdict::NotPartiallyClosed,
             memo: BTreeMap::new(),
             memo_order: VecDeque::new(),
+            anchors: VecDeque::new(),
             frontier: None,
             stale_plan: false,
         };
@@ -792,17 +977,19 @@ impl Monitor {
             .map_err(RcError::from)?;
         if reg.pc {
             let guard = Guard::new(&self.budget);
-            let key = memo_key(self.db_fp, self.dm_fp);
-            reg.state = decide(
+            let state = decide(
                 &mut reg,
-                key,
                 &self.db,
                 &self.budget,
-                self.memo_cap,
                 &guard,
                 probe,
                 &mut self.counters,
             )?;
+            let evicted = reg.memoize(&self.fp, &self.db, &self.dm, &state, self.memo_cap);
+            self.counters.memo_evict += evicted;
+            probe.count("monitor.memo.evict", evicted);
+            reg.state = state;
+            reg.note_verdict();
         }
         let id = SettingId(self.settings.len());
         probe.note("monitor.register", || {
@@ -861,21 +1048,27 @@ impl Monitor {
         }
 
         // Phase B: commit the net changes and fold them into the content
-        // fingerprints (every net op toggles exactly one membership).
+        // fingerprint (every net op toggles exactly one membership). A
+        // master-data change drops every Complete anchor: each was decided
+        // under the old master data.
         apply_net(&mut self.db, &net.ins_db, &net.del_db);
         apply_net(&mut self.dm, &net.ins_m, &net.del_m);
-        for delta in [&net.ins_db, &net.del_db] {
-            for (rel, inst) in delta.iter() {
-                for t in inst.iter() {
-                    self.db_fp ^= tuple_fp(rel, t);
+        let sides = [
+            (Target::Db, &net.ins_db, &net.del_db),
+            (Target::Master, &net.ins_m, &net.del_m),
+        ];
+        for (target, ins, del) in sides {
+            for (delta, inserted) in [(ins, true), (del, false)] {
+                for (rel, inst) in delta.iter() {
+                    for t in inst.iter() {
+                        self.fp.toggle(target, rel, t, inserted);
+                    }
                 }
             }
         }
-        for delta in [&net.ins_m, &net.del_m] {
-            for (rel, inst) in delta.iter() {
-                for t in inst.iter() {
-                    self.dm_fp ^= tuple_fp(rel, t);
-                }
+        if !net.touched_m.is_empty() {
+            for s in &mut self.settings {
+                s.anchors.clear();
             }
         }
 
@@ -883,7 +1076,7 @@ impl Monitor {
         // fast paths, re-decide where nothing cheaper is sound.
         let mut changes = Vec::new();
         for (i, plan) in plans.into_iter().enumerate() {
-            let (action_skip, change) = self.phase_c(i, plan, seq, guard, probe)?;
+            let (action_skip, change) = self.phase_c(i, plan, &net, seq, guard, probe)?;
             if action_skip {
                 self.counters.skip += 1;
                 probe.count("monitor.skip", 1);
@@ -919,7 +1112,6 @@ impl Monitor {
         probe: Probe<'_>,
     ) -> Result<Option<VerdictChange>, MonitorError> {
         let seq = self.txn_seq;
-        let key = memo_key(self.db_fp, self.dm_fp);
         let s = self
             .settings
             .get_mut(id.0)
@@ -936,13 +1128,14 @@ impl Monitor {
             new_state,
             SettingVerdict::Decided(Verdict::Complete | Verdict::Incomplete(_))
         ) {
-            let evicted = s.memoize(key, &new_state, self.memo_cap);
+            let evicted = s.memoize(&self.fp, &self.db, &self.dm, &new_state, self.memo_cap);
             self.counters.memo_evict += evicted;
             probe.count("monitor.memo.evict", evicted);
         }
         let from = s.state.status();
         let to = new_state.status();
         s.state = new_state;
+        s.note_verdict();
         let change = (from != to).then_some(VerdictChange {
             setting: id,
             from,
@@ -1035,14 +1228,12 @@ impl Monitor {
         if !touches_db && !touches_m {
             return Ok(Action::Skip);
         }
-        let insert_only = !net.del_db_rels.iter().any(|&r| s.db_rels.contains(r)) && !touches_m;
         if touches_m {
             // The prepared right-hand sides cache `p(D_m)`; any master
             // change in the footprint invalidates them wholesale.
             return Ok(Action::Touch {
                 pc: PcPlan::Recompute,
                 reprepare: true,
-                insert_only,
             });
         }
         let v_touched = s.v_rels.intersects(&net.touched_db);
@@ -1054,24 +1245,19 @@ impl Monitor {
             // hold on D ∪ Δ⁺ they hold on (D ∖ Δ⁻) ∪ Δ⁺ by downward
             // closure of monotone bodies.
             let ov = Overlay::new(&self.db, &net.ins_db)?;
-            match s.prepared.upper_satisfied_delta(&ov)? {
-                Some(dc) => {
-                    let skipped = dc.skipped as u64;
-                    if dc.satisfied {
-                        PcPlan::DeltaOk {
-                            recheck_lower: s.has_lower && (del_in_v || !s.lower_monotone),
-                            skipped,
-                        }
-                    } else if del_in_v {
-                        // The violation on D ∪ Δ⁺ may involve tuples the
-                        // transaction also deletes: inconclusive.
-                        PcPlan::Recompute
-                    } else {
-                        PcPlan::Violated { skipped }
-                    }
+            let dc = s.prepared.upper_satisfied_delta(&ov)?;
+            let skipped = dc.skipped as u64;
+            if dc.satisfied {
+                PcPlan::DeltaOk {
+                    recheck_lower: s.has_lower && (del_in_v || !s.lower_monotone),
+                    skipped,
                 }
-                // No preparation compiled (IND-only set, naive engine).
-                None => PcPlan::Recompute,
+            } else if del_in_v {
+                // The violation on D ∪ Δ⁺ may involve tuples the
+                // transaction also deletes: inconclusive.
+                PcPlan::Recompute
+            } else {
+                PcPlan::Violated { skipped }
             }
         } else {
             PcPlan::Recompute
@@ -1079,7 +1265,6 @@ impl Monitor {
         Ok(Action::Touch {
             pc,
             reprepare: false,
-            insert_only,
         })
     }
 
@@ -1087,19 +1272,16 @@ impl Monitor {
         &mut self,
         idx: usize,
         action: Action,
+        net: &NetChange,
         seq: u64,
         guard: &Guard,
         probe: Probe<'_>,
     ) -> Result<(bool, Option<VerdictChange>), MonitorError> {
-        let Action::Touch {
-            pc,
-            reprepare,
-            insert_only,
-        } = action
-        else {
+        let Action::Touch { pc, reprepare } = action else {
             return Ok((true, None));
         };
         let s = &mut self.settings[idx];
+        s.track(net);
         if reprepare {
             let setting = Setting::new(
                 self.schema.clone(),
@@ -1152,70 +1334,31 @@ impl Monitor {
         let from = s.state.status();
         let new_state = if !pc_post {
             SettingVerdict::NotPartiallyClosed
-        } else {
-            // Memo first, fast paths second: a revisited state (e.g. a txn
+        } else if let Some(hit) = s.memo_lookup(&self.fp, &self.db, &self.dm) {
+            // Memo first, shortcuts second: a revisited state (e.g. a txn
             // undone by its inverse) reproduces its recorded verdict
-            // *bitwise*, where the fast paths would only reproduce it up to
+            // *bitwise*, where the shortcuts would only reproduce it up to
             // witness choice. The key is the incrementally maintained
             // content fingerprint, so this lookup is O(1).
-            let key = memo_key(self.db_fp, self.dm_fp);
-            if let Some(hit) = s.memo_lookup(key) {
-                self.counters.memo_hit += 1;
-                probe.count("monitor.memo.hit", 1);
-                hit
-            } else {
-                let fast = match (&s.state, insert_only) {
-                    // Monotonicity: a counterexample for the grown database
-                    // would extend the original, so Complete survives any
-                    // insert-only transaction that stays partially closed.
-                    (SettingVerdict::Decided(Verdict::Complete), true) => {
-                        self.counters.fast_complete += 1;
-                        probe.count("monitor.fast_complete", 1);
-                        Some(SettingVerdict::Decided(Verdict::Complete))
-                    }
-                    (SettingVerdict::Decided(Verdict::Incomplete(ce)), _) => {
-                        // Re-certify the cached counterexample (polynomial)
-                        // before considering an exponential re-decision.
-                        let ce = ce.clone();
-                        if certify_counterexample(s.prepared.setting(), &s.query, &self.db, &ce)
-                            .unwrap_or(false)
-                        {
-                            self.counters.recert_hit += 1;
-                            probe.count("monitor.recert.hit", 1);
-                            Some(SettingVerdict::Decided(Verdict::Incomplete(ce)))
-                        } else {
-                            self.counters.recert_miss += 1;
-                            probe.count("monitor.recert.miss", 1);
-                            None
-                        }
-                    }
-                    _ => None,
-                };
-                match fast {
-                    // Fast-path outcomes are memoized too, so a later
-                    // revisit of this fingerprint replays them exactly.
-                    Some(state) => {
-                        let evicted = s.memoize(key, &state, self.memo_cap);
-                        self.counters.memo_evict += evicted;
-                        probe.count("monitor.memo.evict", evicted);
-                        state
-                    }
-                    None => decide(
-                        s,
-                        key,
-                        &self.db,
-                        &self.budget,
-                        self.memo_cap,
-                        guard,
-                        probe,
-                        &mut self.counters,
-                    )?,
-                }
-            }
+            self.counters.memo_hit += 1;
+            probe.count("monitor.memo.hit", 1);
+            hit
+        } else {
+            let state = match shortcut(s, &self.db, probe, &mut self.counters) {
+                Some(state) => state,
+                None => decide(s, &self.db, &self.budget, guard, probe, &mut self.counters)?,
+            };
+            // Shortcut outcomes are memoized too, so a later revisit of this
+            // fingerprint replays them exactly.
+            let evicted = s.memoize(&self.fp, &self.db, &self.dm, &state, self.memo_cap);
+            self.counters.memo_evict += evicted;
+            probe.count("monitor.memo.evict", evicted);
+            state
         };
         s.pc = pc_post;
         let to = new_state.status();
         s.state = new_state;
+        s.note_verdict();
         let change = (from != to).then_some(VerdictChange {
             setting: SettingId(idx),
             from,
@@ -1247,35 +1390,112 @@ impl Monitor {
     }
 }
 
-/// FNV-1a hash of one tuple's membership in one relation. Content
-/// fingerprints XOR these per present tuple, so inserting and deleting a
-/// tuple toggle the same bit pattern and the fingerprint is a pure function
-/// of the database's contents (order- and history-independent).
-fn tuple_fp(rel: RelId, t: &Tuple) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in format!("r{}|{t:?}", rel.0).bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+/// The Mersenne prime 2⁶¹ − 1, the modulus of the fingerprint's second lane.
+const LANE2_P: u64 = (1 << 61) - 1;
+
+/// An order- and history-independent fingerprint of the `(target, relation,
+/// tuple)` memberships of `(D, D_m)`, updated in O(1) per membership
+/// change.
+///
+/// Each membership hashes to three 64-bit words through a nonlinear mixer
+/// over the tuple's values. The memo key is the sum modulo 2¹²⁸ of the first
+/// two words: carries make it nonlinear over GF(2), so no subset of tuples
+/// cancels the way an XOR of hashes does. The second lane is the product of
+/// the third word modulo 2⁶¹ − 1, kept as a fraction (inserts multiply the
+/// numerator, deletes the denominator) so that no update needs an inverse.
+struct ContentFp {
+    key: u128,
+    /// `(numerator, denominator)` of the second lane.
+    lane2: (u64, u64),
 }
 
-/// The content fingerprint of a whole database (used once at construction;
-/// transactions maintain it incrementally).
-fn content_fp(db: &Database) -> u64 {
-    let mut fp = 0u64;
-    for (rel, inst) in db.iter() {
-        for t in inst.iter() {
-            fp ^= tuple_fp(rel, t);
+impl ContentFp {
+    /// The fingerprint of two empty databases.
+    const EMPTY: ContentFp = ContentFp {
+        key: 0,
+        lane2: (1, 1),
+    };
+
+    /// Add (`inserted`) or remove one membership.
+    fn toggle(&mut self, target: Target, rel: RelId, t: &Tuple, inserted: bool) {
+        let [a, b, c] = membership_words(target, rel, t);
+        let h = (u128::from(a) << 64) | u128::from(b);
+        let x = c % (LANE2_P - 1) + 1;
+        if inserted {
+            self.key = self.key.wrapping_add(h);
+            self.lane2.0 = mul_p(self.lane2.0, x);
+        } else {
+            self.key = self.key.wrapping_sub(h);
+            self.lane2.1 = mul_p(self.lane2.1, x);
         }
     }
-    fp
+
+    /// Do the second lanes agree (cross-multiplied fractions)?
+    fn same_lane2(&self, other: (u64, u64)) -> bool {
+        mul_p(self.lane2.0, other.1) == mul_p(other.0, self.lane2.1)
+    }
 }
 
-/// The memo key for the current `(D, D_m)` pair. The rotation keeps a tuple
-/// moving between the database and the master data from cancelling out.
-fn memo_key(db_fp: u64, dm_fp: u64) -> u64 {
-    db_fp ^ dm_fp.rotate_left(32) ^ 0x9e37_79b9_7f4a_7c15
+/// Three independently seeded hashes of one membership, each word a chain
+/// of SplitMix64 finalizers over the target, relation, arity, and values
+/// (integers by value, strings by their bytes).
+fn membership_words(target: Target, rel: RelId, t: &Tuple) -> [u64; 3] {
+    let mut w = [
+        0x243f_6a88_85a3_08d3_u64,
+        0x1319_8a2e_0370_7344,
+        0xa409_3822_299f_31d0,
+    ];
+    let mut eat = |x: u64| {
+        for h in &mut w {
+            *h = mix64(*h ^ x);
+        }
+    };
+    eat(u64::from(target == Target::Master));
+    eat(rel.0 as u64);
+    eat(t.arity() as u64);
+    for v in t.iter() {
+        match v {
+            Value::Int(i) => {
+                eat(1);
+                eat(*i as u64);
+            }
+            Value::Str(s) => {
+                eat(2);
+                eat(s.len() as u64);
+                for chunk in s.as_bytes().chunks(8) {
+                    let mut buf = [0u8; 8];
+                    buf[..chunk.len()].copy_from_slice(chunk);
+                    eat(u64::from_le_bytes(buf));
+                }
+            }
+        }
+    }
+    w
+}
+
+/// The SplitMix64 output function.
+fn mix64(z: u64) -> u64 {
+    let z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    let z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    let z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
+
+/// `a · b mod (2⁶¹ − 1)` for `a, b < 2⁶¹`.
+fn mul_p(a: u64, b: u64) -> u64 {
+    let z = u128::from(a) * u128::from(b);
+    let r = (z as u64 & LANE2_P) + (z >> 61) as u64;
+    if r >= LANE2_P {
+        r - LANE2_P
+    } else {
+        r
+    }
+}
+
+/// `|R|` for every relation of `db`, then of `dm`: what a memo hit must
+/// also match.
+fn cards<'a>(db: &'a Database, dm: &'a Database) -> impl Iterator<Item = usize> + 'a {
+    db.iter().chain(dm.iter()).map(|(_, inst)| inst.len())
 }
 
 /// Commit net inserts and deletes into one database.
@@ -1292,16 +1512,48 @@ fn apply_net(db: &mut Database, ins: &Database, del: &Database) {
     }
 }
 
-/// Full re-decision pipeline for one setting on the current database (the
-/// caller already computed the memo `key` and found no entry under it):
-/// plan-staleness replan, frontier resume, decide, memoize.
-#[allow(clippy::too_many_arguments)]
+/// The answers that need no search, for a partially closed database whose
+/// state the memo did not know: `Complete` from a contained anchor, or
+/// `Incomplete` from a cached counterexample that still certifies.
+fn shortcut(
+    s: &Registered,
+    db: &Database,
+    probe: Probe<'_>,
+    counters: &mut MonitorCounters,
+) -> Option<SettingVerdict> {
+    if s.anchored() {
+        counters.anchor_hit += 1;
+        counters.fast_complete += 1;
+        probe.count("monitor.anchor.hit", 1);
+        probe.count("monitor.fast_complete", 1);
+        return Some(SettingVerdict::Decided(Verdict::Complete));
+    }
+    let SettingVerdict::Decided(Verdict::Incomplete(ce)) = &s.state else {
+        return None;
+    };
+    if s.recert.pinned.is_none() {
+        probe.count("monitor.recert.fallback", 1);
+    }
+    if s.recert
+        .certify(&s.prepared, &s.query, db, ce)
+        .unwrap_or(false)
+    {
+        counters.recert_hit += 1;
+        probe.count("monitor.recert.hit", 1);
+        Some(SettingVerdict::Decided(Verdict::Incomplete(ce.clone())))
+    } else {
+        counters.recert_miss += 1;
+        probe.count("monitor.recert.miss", 1);
+        None
+    }
+}
+
+/// Full re-decision for one setting on the current database:
+/// plan-staleness replan, frontier resume, decide. The caller memoizes.
 fn decide(
     s: &mut Registered,
-    key: u64,
     db: &Database,
     budget: &SearchBudget,
-    memo_cap: usize,
     guard: &Guard,
     probe: Probe<'_>,
     counters: &mut MonitorCounters,
@@ -1328,18 +1580,13 @@ fn decide(
     probe.count("monitor.redecide", 1);
     // Continue an interrupted search; restart anything else.
     let continuing_unknown = matches!(s.state, SettingVerdict::Decided(Verdict::Unknown { .. }));
-    let verdict = match s.rcdp(db, budget, guard, continuing_unknown, probe, counters) {
-        Ok(v) => v,
+    match s.rcdp(db, budget, guard, continuing_unknown, probe, counters) {
+        Ok(v) => Ok(SettingVerdict::Decided(v)),
         // Defensive: the monitor's own partial-closure tracking said
         // closed; trust the decider's full check if it disagrees.
-        Err(RcError::NotPartiallyClosed) => return Ok(SettingVerdict::NotPartiallyClosed),
-        Err(e) => return Err(MonitorError::Rc(e)),
-    };
-    let state = SettingVerdict::Decided(verdict);
-    let evicted = s.memoize(key, &state, memo_cap);
-    counters.memo_evict += evicted;
-    probe.count("monitor.memo.evict", evicted);
-    Ok(state)
+        Err(RcError::NotPartiallyClosed) => Ok(SettingVerdict::NotPartiallyClosed),
+        Err(e) => Err(MonitorError::Rc(e)),
+    }
 }
 
 /// Has any planned relation's live cardinality drifted ≥2× (in either

@@ -323,8 +323,9 @@ fn planned_engine_detects_cardinality_drift_then_replans() {
     assert_eq!(mon.counters().plan_stale, 1);
     assert_eq!(mon.counters().replan, 0);
 
-    // The next decision (a delete breaks the insert-only fast path, at a
-    // fresh fingerprint so the memo cannot answer) replans first — and the
+    // The next decision (deleting an anchor tuple leaves no anchor to
+    // answer, at a fresh fingerprint so the memo cannot either) replans
+    // first — and the
     // refreshed plan returns the same verdict.
     let changes = mon
         .apply(&Txn::new([Op::delete(r(), t(&[30, 1]))]))

@@ -115,6 +115,33 @@ pub fn for_each_match<S: TupleStore>(
     join.rec(&mut used, 0, &mut binding, &mut visit)
 }
 
+/// Is `answer ∈ t(db)`? The head is bound to `answer` before the join, so
+/// the search walks only derivations of that one answer, probing through
+/// the bound head columns, and stops at the first.
+pub fn derives<S: TupleStore>(t: &Tableau, db: &S, answer: &Tuple) -> bool {
+    if answer.arity() != t.head.len() {
+        return false;
+    }
+    let mut binding: Vec<Option<Value>> = vec![None; t.n_vars as usize];
+    for (term, value) in t.head.iter().zip(answer.iter()) {
+        match term {
+            Term::Const(c) if c != value => return false,
+            Term::Const(_) => {}
+            Term::Var(v) => match &binding[v.idx()] {
+                Some(b) if b != value => return false,
+                Some(_) => {}
+                None => binding[v.idx()] = Some(value.clone()),
+            },
+        }
+    }
+    if !partial_neqs_hold(t, &binding) {
+        return false;
+    }
+    let join = Join { t, store: db };
+    let mut used = vec![false; t.atoms.len()];
+    !join.rec(&mut used, 0, &mut binding, &mut |_| false)
+}
+
 /// The head tuple of a complete binding.
 fn head_of(t: &Tableau, binding: &[Option<Value>]) -> Tuple {
     Tuple::new(t.head.iter().map(|term| {
@@ -520,6 +547,40 @@ mod tests {
         assert!(holds(&t, &db));
         let empty = Database::empty(&s);
         assert!(!holds(&t, &empty));
+    }
+
+    /// A head-pinned join agrees with membership in the full answer set,
+    /// including repeated head variables, head constants, inequalities, and
+    /// answers of the wrong arity.
+    #[test]
+    fn derives_matches_answer_membership() {
+        let (s, db) = setup();
+        let e = s.rel_id("E").unwrap();
+        let mut b = Cq::builder();
+        let (x, y, z) = (b.var("x"), b.var("y"), b.var("z"));
+        let two_hops = b
+            .atom(e, vec![Term::Var(x), Term::Var(y)])
+            .atom(e, vec![Term::Var(y), Term::Var(z)])
+            .neq(Term::Var(x), Term::Var(z))
+            .head(vec![
+                Term::Var(x),
+                Term::Var(z),
+                Term::Var(x),
+                Term::from(7),
+            ])
+            .build();
+        let t = Tableau::of(&two_hops).unwrap();
+        let answers = eval_tableau(&t, &db);
+        assert!(!answers.is_empty());
+        for a in 0..5 {
+            for c in 0..5 {
+                for (again, k) in [(a, 7), (a, 8), ((a + 1) % 5, 7)] {
+                    let answer = Tuple::new([a, c, again, k].map(Value::int));
+                    assert_eq!(derives(&t, &db, &answer), answers.contains(&answer));
+                }
+            }
+        }
+        assert!(!derives(&t, &db, &Tuple::new([Value::int(1)])));
     }
 
     #[test]

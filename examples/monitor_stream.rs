@@ -8,9 +8,9 @@
 //! of supported customers complete?" — is an RCDP decision that must stay
 //! answered while transactions stream in. A [`ric::Monitor`] keeps the
 //! verdict current incrementally: transactions outside the setting's
-//! footprint cost O(1), insert-only transactions ride the monotonicity fast
-//! path, and a repaired database replays its memoized verdict instead of
-//! re-searching.
+//! footprint cost O(1), a database that still contains a state decided
+//! Complete is Complete without search, and a repaired database replays its
+//! memoized verdict instead of re-searching.
 
 use ric::prelude::*;
 use ric::{Monitor, Op, Status, Txn};
@@ -57,8 +57,9 @@ fn main() {
     }
     report(&mon, id, "after covering the master list");
 
-    // Insert-only growth inside the master list keeps Complete through the
-    // monotonicity fast path — no search runs.
+    // Insert-only growth inside the master list keeps Complete: the
+    // covered state is a Complete anchor the grown database contains, so
+    // no search runs.
     let growth = Txn::new([Op::insert(
         supt,
         Tuple::new([Value::str("e2"), Value::str("c1")]),
@@ -82,8 +83,8 @@ fn main() {
 
     let c = mon.counters();
     println!(
-        "work: {} decisions, {} memo hits, {} fast-complete keeps, {} skips, {} incremental pc checks",
-        c.redecide, c.memo_hit, c.fast_complete, c.skip, c.cc_delta
+        "work: {} decisions, {} memo hits, {} anchor hits, {} skips, {} incremental pc checks",
+        c.redecide, c.memo_hit, c.anchor_hit, c.skip, c.cc_delta
     );
 }
 

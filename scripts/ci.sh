@@ -45,7 +45,12 @@
 #                              metamorphic suite (inversion, coalescing,
 #                              splitting, monotonicity) plus the
 #                              tombstone-edge suite (net no-op txns, digest
-#                              stability, capped-memo eviction)
+#                              stability, capped-memo eviction) and the
+#                              rung suite (adversarial memo, anchor, and
+#                              recert cases against from-scratch decisions;
+#                              the recert and anchor rungs allocate the same
+#                              on a 4x larger database, --release; a stream
+#                              over every rung is probe-capture neutral)
 #  11. panic-path faults      (guard_robustness sink-flush test plus the
 #                              ric-trace torn-record suite)
 #  12. paper properties       (cargo test --test paper_properties)
@@ -192,6 +197,14 @@ cargo test -q --offline --test monitor_metamorphic
 # orderings), and a capacity-1 verdict memo evicts without changing verdicts.
 step "monitor tombstone-edge suite (net no-ops, digest stability, memo cap)"
 cargo test -q --offline --test monitor_tombstone_edges
+
+# Monitor rungs: every shortcut (memo, Complete anchors, counterexample
+# recertification) attacked where it could go wrong and compared with a
+# from-scratch decision; the recert and anchor rungs must allocate the same
+# on a database 4x larger; and a stream over every rung must be identical
+# with probe capture on and off.
+step "monitor rung suite (adversarial shortcuts, O(|delta|) allocations, --release)"
+cargo test -q --offline --release --test monitor_rungs
 
 # Panic path: an injected panic must still flush buffered telemetry sinks,
 # and a torn trace record must be rejected, not rendered.
