@@ -14,17 +14,18 @@
 
 use crate::adom::Adom;
 use crate::budget::{Meter, MeterKind, SearchBudget};
-use crate::check::UpperCheck;
+use crate::check::{IdCheck, IdScratch, UpperCheck};
 use crate::guard::Guard;
 use crate::query::Query;
 use crate::setting::Setting;
-use crate::valuations::{decode_into, instantiate_into, DepthProfile, EnumOutcome, ValuationSpace};
+use crate::valuations::{EnumOutcome, ValuationSpace};
 use crate::verdict::{RcError, Verdict};
 use ric_constraints::{CcBody, CcRhs};
 use ric_data::{Database, Value};
-use ric_query::tableau::Tableau;
+use ric_query::tableau::{Tableau, TableauError};
 use ric_query::{Cq, Ucq};
 use ric_telemetry::Probe;
+use std::cell::{Cell, RefCell};
 use std::collections::BTreeSet;
 use std::ops::ControlFlow;
 
@@ -174,6 +175,9 @@ pub fn ind_bounded(t: &Tableau, schema: &ric_data::Schema, setting: &Setting) ->
 /// `(D_𝒱, D_m) |= V` and that every valid valuation `μ` with
 /// `(D_𝒱 ∪ μ(T_Q), D_m) |= V` keeps all infinite-domain head variables
 /// inside `bound_values`. `Ok(None)` when the budget ran out first.
+///
+/// The same `E2Disjunct` check the RCQP search runs at every leaf, over
+/// a catalog of `dv`'s own `Adom`.
 pub fn e2_check(
     setting: &Setting,
     q: &Cq,
@@ -186,110 +190,156 @@ pub fn e2_check(
     }
     let guard = Guard::new(budget);
     let check = UpperCheck::new(setting, budget.engine, dv)?;
-    E2Disjunct::new(setting, q).check(
-        setting,
-        dv,
-        |v| bound_values.contains(v),
+    let adom = Adom::build(dv, setting, &Query::Cq(q.clone()), e2_fresh([q]))?;
+    let ids = IdCheck::new(&check, setting, dv, &adom)?;
+    let mask = |vals: &mut dyn Iterator<Item = &Value>| {
+        let mut mask = vec![false; adom.n_ids()];
+        vals.filter_map(|v| adom.id(v))
+            .for_each(|id| mask[id as usize] = true);
+        mask
+    };
+    let present = mask(&mut dv.active_domain().iter());
+    let bound = mask(&mut bound_values.iter());
+    E2Disjunct::new(setting, q, &adom, adom.fresh_ids())?.check(
+        &ids,
+        &mut IdScratch::default(),
+        |id| present[id as usize],
+        |id| bound[id as usize],
         budget,
         &guard,
-        Probe::disabled(),
-        &check,
+        &Cell::new(0),
     )
 }
 
-/// The part of an E2 check that depends on the query disjunct alone — its
-/// tableau and its infinite-domain head variables — built once and reused
-/// across every candidate `D_𝒱` (the RCQP search checks one per maximal
-/// subset).
-pub(crate) struct E2Disjunct {
-    query: Query,
-    /// The disjunct's tableau, or why it has none. A tableau error is kept,
-    /// not raised, so that it surfaces only when a candidate is checked:
-    /// after [`e2_check`]'s partial-closure test, and in the RCQP search
-    /// only at a leaf.
-    tableau: Result<Tableau, ric_query::tableau::TableauError>,
-    /// Indices of the head variables with an infinite domain.
-    infinite_head: Vec<usize>,
+/// The fresh ids an E2 check over `disjuncts` needs: one per variable of
+/// the largest tableau, and at least one.
+pub(crate) fn e2_fresh<'q>(disjuncts: impl IntoIterator<Item = &'q Cq>) -> usize {
+    disjuncts
+        .into_iter()
+        .filter_map(|q| Tableau::of(q).ok())
+        .map(|t| t.n_vars as usize)
+        .max()
+        .unwrap_or(0)
+        .max(1)
 }
 
-impl E2Disjunct {
-    pub(crate) fn new(setting: &Setting, q: &Cq) -> Self {
-        let tableau = Tableau::of(q);
-        let infinite_head = match &tableau {
+/// One query disjunct's half of the E2 check, built once over a catalog and
+/// reused for every candidate `D_𝒱` (the RCQP search checks one per
+/// maximal subset). Everything is in the catalog's ids: a valuation's
+/// atoms are written into the check's arena and tested against `D_𝒱` held
+/// as the id check's base and overlay, and its head values are read
+/// against the bound set by id.
+///
+/// An infinite-domain variable ranges over the ids `D_𝒱` holds, the
+/// constants of `D_m`, `V` and the disjunct, and then the disjunct's own
+/// fresh ids. Up to renaming fresh values that is the `Adom` of `D_𝒱`
+/// (Section 3.2): no input mentions a catalog value that `D_𝒱` lacks
+/// beyond those constants, so such a value behaves as a fresh one.
+pub(crate) struct E2Disjunct<'a> {
+    /// The disjunct's valuation space, or why it has none. A tableau error
+    /// is kept, not raised, so that it surfaces only when a candidate is
+    /// checked: after [`e2_check`]'s partial-closure test, and in the RCQP
+    /// search only at a leaf.
+    space: Result<ValuationSpace<'a>, TableauError>,
+    /// Indices of the head variables with an infinite domain.
+    infinite_head: Vec<usize>,
+    /// Ids every candidate offers: the constants of `D_m`, `V` and the
+    /// disjunct.
+    statics: Vec<bool>,
+    /// The disjunct's own fresh ids; no candidate holds them.
+    fresh: &'a [u32],
+    /// The current candidate's constants, refilled per check.
+    constants: RefCell<Vec<u32>>,
+}
+
+impl<'a> E2Disjunct<'a> {
+    /// The check for disjunct `q` over `adom`, whose `fresh` ids (at least
+    /// one per tableau variable) no candidate holds.
+    pub(crate) fn new(
+        setting: &Setting,
+        q: &Cq,
+        adom: &'a Adom,
+        fresh: &'a [u32],
+    ) -> Result<Self, RcError> {
+        let (space, infinite_head) = match Tableau::of(q) {
             Ok(t) => {
                 let doms = t.var_domains(&setting.schema);
-                t.head_vars()
+                let infinite_head = t
+                    .head_vars()
                     .into_iter()
                     .map(|v| v.idx())
                     .filter(|&i| doms[i].is_none())
-                    .collect()
+                    .collect();
+                (
+                    Ok(ValuationSpace::new(&t, &setting.schema, adom)?),
+                    infinite_head,
+                )
             }
-            Err(_) => Vec::new(),
+            Err(e) => (Err(e), Vec::new()),
         };
-        E2Disjunct {
-            query: Query::Cq(q.clone()),
-            tableau,
-            infinite_head,
+        let mut statics = vec![false; adom.n_ids()];
+        let constants = setting.dm.active_domain().iter().cloned();
+        for v in constants
+            .chain(setting.v.constants())
+            .chain(Query::Cq(q.clone()).constants())
+        {
+            if let Some(id) = adom.id(&v) {
+                statics[id as usize] = true;
+            }
         }
+        Ok(E2Disjunct {
+            space,
+            infinite_head,
+            statics,
+            fresh,
+            constants: RefCell::default(),
+        })
     }
 
-    /// E2 for this disjunct over the candidate `dv`, whose bound values are
-    /// those `bound` accepts, gating each valuation through `check` (the
-    /// RCQP search passes its decision's own). The caller guarantees that
-    /// `dv` is partially closed: the search builds every candidate that way,
-    /// and [`e2_check`] tests it first.
+    /// E2 for this disjunct over the candidate `D_𝒱` that `ids` holds (its
+    /// base and overlay), which holds exactly the ids `present` accepts and
+    /// whose bound values are the ids `bound` accepts. Each valuation is
+    /// gated through `ids` with `s` as its arena, counting skipped
+    /// constraints into `cc_skipped`. The caller guarantees that `D_𝒱` is
+    /// partially closed: the search builds every candidate that way, and
+    /// [`e2_check`] tests it first.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn check(
         &self,
-        setting: &Setting,
-        dv: &Database,
-        bound: impl Fn(&Value) -> bool,
+        ids: &IdCheck<'_>,
+        s: &mut IdScratch,
+        present: impl Fn(u32) -> bool,
+        bound: impl Fn(u32) -> bool,
         budget: &SearchBudget,
         guard: &Guard,
-        probe: Probe<'_>,
-        check: &UpperCheck,
+        cc_skipped: &Cell<u64>,
     ) -> Result<Option<bool>, RcError> {
-        debug_assert!(
-            matches!(setting.partially_closed(dv), Ok(true)),
-            "E2 candidates are partially closed"
-        );
-        let t = match &self.tableau {
-            Ok(t) => t,
-            Err(ric_query::tableau::TableauError::Unsatisfiable) => return Ok(Some(true)),
+        let space = match &self.space {
+            Ok(space) => space,
+            Err(TableauError::Unsatisfiable) => return Ok(Some(true)),
             Err(e) => return Err(e.clone().into()),
         };
-        let adom = Adom::build(dv, setting, &self.query, (t.n_vars as usize).max(1))?;
-        let space = ValuationSpace::new(t, &setting.schema, &adom)?;
-        let mut meter = Meter::guarded(MeterKind::Valuations, budget.max_valuations, guard);
-        // `D_𝒱` is partially closed (the caller's guarantee) and lower bounds are
-        // preserved under extension, so `(D_𝒱 ∪ Δ, D_m) |= V` reduces to the
-        // upper bounds — exactly what the decision's check answers.
-        let cc_skipped = std::cell::Cell::new(0u64);
-        let mut delta = Database::with_relations(setting.schema.len());
-        // Each valuation decodes into one reused buffer: a value clone per
-        // variable.
-        let mut mu = ric_query::tableau::Valuation(Vec::with_capacity(space.n_vars()));
-        let mut ok = true;
-        let outcome = space.for_each_valid_pruned_profiled(
-            &DepthProfile::default(),
-            &mut meter,
-            |_| true,
-            |_| true,
-            |ids| {
-                decode_into(&adom, ids, &mut mu);
-                instantiate_into(t, &mu, &mut delta);
-                let closed = check
-                    .first_violation(setting, dv, &delta, &cc_skipped)
-                    .is_none();
-                if closed && !self.infinite_head.iter().all(|&v| bound(&mu.0[v])) {
-                    ok = false;
-                    return ControlFlow::Break(());
-                }
-                ControlFlow::Continue(())
-            },
+        let mut constants = self.constants.borrow_mut();
+        constants.clear();
+        constants.extend(
+            (0..self.statics.len() as u32).filter(|&id| self.statics[id as usize] || present(id)),
         );
-        probe.count("characterize.e2_valuations", meter.used());
-        probe.count("cc.skipped_by_delta", cc_skipped.get());
+        let mut meter = Meter::guarded(MeterKind::Valuations, budget.max_valuations, guard);
+        // `D_𝒱` is partially closed (the caller's guarantee) and lower
+        // bounds are preserved under extension, so `(D_𝒱 ∪ Δ, D_m) |= V`
+        // reduces to the upper bounds — exactly what the check answers.
+        let mut ok = true;
+        let outcome = space.for_each_valid_among(&constants, self.fresh, &mut meter, |mu| {
+            s.delta.clear();
+            space.write_atoms(|v| Some(mu[v]), &mut s.delta);
+            if ids.first_violation(s, cc_skipped).is_none()
+                && !self.infinite_head.iter().all(|&v| bound(mu[v]))
+            {
+                ok = false;
+                return ControlFlow::Break(());
+            }
+            ControlFlow::Continue(())
+        });
         match outcome {
             EnumOutcome::BudgetExceeded => Ok(None),
             _ => Ok(Some(ok)),

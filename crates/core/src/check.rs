@@ -23,7 +23,8 @@ use crate::budget::Engine;
 use crate::setting::Setting;
 use crate::verdict::RcError;
 use ric_constraints::{
-    CcBody, CcRhs, DeltaPlans, DeltaRows, PlanScratch, PreparedUpper, Rows, StatsProvider,
+    CcBody, CcRhs, DeltaCheck, DeltaPlans, DeltaRows, PlanScratch, PreparedUpper, Rows,
+    StatsProvider,
 };
 use ric_data::{Database, Overlay, RelId, Tuple, Value};
 use ric_query::tableau::TableauError;
@@ -139,11 +140,11 @@ impl IdRows {
         Ok(rows)
     }
 
-    fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.ends.len()
     }
 
-    fn row(&self, i: usize) -> &[u32] {
+    pub(crate) fn row(&self, i: usize) -> &[u32] {
         let start = if i == 0 { 0 } else { self.ends[i - 1] as usize };
         &self.ids[start..self.ends[i] as usize]
     }
@@ -286,17 +287,15 @@ impl IdDelta {
         self.novel.iter().any(|r| r.0 == rel)
     }
 
-    /// Fill `novel`: the distinct written rows the base lacks, in value
-    /// order per relation.
-    fn classify(&mut self, base: &[IdRelation]) {
+    /// Fill `novel`: the distinct written rows that neither the base nor
+    /// (when `PUSHED`) the overlay holds, in value order per relation.
+    fn classify<const PUSHED: bool>(&mut self, base: &[IdRelation], overlay: &IdOverlay) {
         let ids = &self.ids;
         let slice = |&(_, start, end): &(RelId, u32, u32)| &ids[start as usize..end as usize];
         self.novel.clear();
-        self.novel.extend(
-            self.rows
-                .iter()
-                .filter(|r| !base[r.0 .0].rows.contains(slice(r))),
-        );
+        self.novel.extend(self.rows.iter().filter(|r| {
+            !(base[r.0 .0].rows.contains(slice(r)) || PUSHED && overlay.contains(r.0, slice(r)))
+        }));
         self.novel
             .sort_unstable_by(|a, b| a.0.cmp(&b.0).then_with(|| slice(a).cmp(slice(b))));
         self.novel
@@ -307,29 +306,144 @@ impl IdDelta {
     pub(crate) fn decode_into(&self, adom: &Adom, out: &mut Database) {
         out.clear_tuples();
         for (rel, row) in self.rows() {
-            out.insert(
-                rel,
-                Tuple::new(row.iter().map(|&id| adom.value(id).clone())),
-            );
+            out.insert(rel, decode_row(adom, row));
         }
     }
 }
 
-/// `base ∪ Δ` over ids, as the plan executor reads it; counts index probes
-/// exactly as [`Overlay`]'s store does — one base-side lookup, then one
-/// delta-side lookup unless the base side stopped the visit.
-struct IdView<'a> {
+/// The tuple an id row stands for.
+fn decode_row(adom: &Adom, row: &[u32]) -> Tuple {
+    Tuple::new(row.iter().map(|&id| adom.value(id).clone()))
+}
+
+/// Rows pushed onto an [`IdCheck`]'s base, newest last. Every row also
+/// heads one posting chain per column: `heads` holds, per relation and per
+/// `(column, id)`, one past the newest row with that id there (0: none),
+/// and `next`, parallel to `ids`, the same for the next-older row. A pop
+/// restores the heads it overwrote, so once the buffers have grown nothing
+/// is allocated.
+#[derive(Debug)]
+struct IdOverlay {
+    ids: Vec<u32>,
+    /// `(relation, start, end)` into `ids`, oldest first.
+    rows: Vec<(RelId, u32, u32)>,
+    /// Catalog size: a relation's heads are `arity × n_ids` slots, laid out
+    /// column by column and allocated at its first push.
+    n_ids: usize,
+    heads: Vec<Vec<u32>>,
+    next: Vec<u32>,
+}
+
+impl IdOverlay {
+    fn new(n_ids: usize) -> Self {
+        IdOverlay {
+            ids: Vec::new(),
+            rows: Vec::new(),
+            n_ids,
+            heads: Vec::new(),
+            next: Vec::new(),
+        }
+    }
+
+    fn push(&mut self, rel: RelId, row: &[u32]) {
+        let start = self.ids.len() as u32;
+        if self.heads.len() <= rel.0 {
+            self.heads.resize_with(rel.0 + 1, Vec::new);
+        }
+        let heads = &mut self.heads[rel.0];
+        if heads.is_empty() {
+            heads.resize(row.len() * self.n_ids, 0);
+        }
+        let newest = self.rows.len() as u32 + 1;
+        for (col, &id) in row.iter().enumerate() {
+            let head = &mut heads[col * self.n_ids + id as usize];
+            self.next.push(std::mem::replace(head, newest));
+        }
+        self.ids.extend_from_slice(row);
+        self.rows.push((rel, start, self.ids.len() as u32));
+    }
+
+    fn pop(&mut self) {
+        let Some((rel, start, _)) = self.rows.pop() else {
+            return;
+        };
+        let start = start as usize;
+        let heads = &mut self.heads[rel.0];
+        for (col, &id) in self.ids[start..].iter().enumerate() {
+            heads[col * self.n_ids + id as usize] = self.next[start + col];
+        }
+        self.next.truncate(start);
+        self.ids.truncate(start);
+    }
+
+    fn slice(&self, &(_, start, end): &(RelId, u32, u32)) -> &[u32] {
+        &self.ids[start as usize..end as usize]
+    }
+
+    fn rows(&self) -> impl Iterator<Item = (RelId, &[u32])> {
+        self.rows.iter().map(|r| (r.0, self.slice(r)))
+    }
+
+    /// Does `f` hold for every row of `rel`?
+    fn all_rows(&self, rel: RelId, f: &mut dyn FnMut(&[u32]) -> bool) -> bool {
+        self.rows
+            .iter()
+            .filter(|r| r.0 == rel)
+            .all(|r| f(self.slice(r)))
+    }
+
+    /// Does `f` hold for every row of `rel` holding `id` at `col`, newest
+    /// first?
+    fn all_posting(
+        &self,
+        rel: RelId,
+        col: usize,
+        id: u32,
+        f: &mut dyn FnMut(&[u32]) -> bool,
+    ) -> bool {
+        let head = self
+            .heads
+            .get(rel.0)
+            .and_then(|h| h.get(col * self.n_ids + id as usize));
+        let mut at = head.copied().unwrap_or(0);
+        while at != 0 {
+            let row = &self.rows[at as usize - 1];
+            if !f(self.slice(row)) {
+                return false;
+            }
+            at = self.next[row.1 as usize + col];
+        }
+        true
+    }
+
+    fn contains(&self, rel: RelId, row: &[u32]) -> bool {
+        match row.first() {
+            Some(&id) => !self.all_posting(rel, 0, id, &mut |r| r != row),
+            None => !self.all_rows(rel, &mut |r| r != row),
+        }
+    }
+}
+
+/// `base ∪ overlay ∪ Δ` over ids, as the plan executor reads it; counts
+/// index probes exactly as [`Overlay`]'s store does — one lookup on the old
+/// side (the base, then the overlay), then one delta-side lookup unless the
+/// old side stopped the visit. The overlay is read only when `PUSHED`: a
+/// check with nothing pushed (exact RCDP) runs the base-only code.
+struct IdView<'a, const PUSHED: bool> {
     base: &'a [IdRelation],
+    overlay: &'a IdOverlay,
     delta: &'a IdDelta,
     probes: &'a Cell<u64>,
 }
 
-impl Rows<u32> for IdView<'_> {
+impl<const PUSHED: bool> Rows<u32> for IdView<'_, PUSHED> {
     type Row = [u32];
 
     fn scan_rows(&self, rel: RelId, f: &mut dyn FnMut(&[u32]) -> bool) -> bool {
         let rows = &self.base[rel.0].rows;
-        (0..rows.len()).all(|i| f(rows.row(i))) && self.delta.novel_rows(rel).all(f)
+        (0..rows.len()).all(|i| f(rows.row(i)))
+            && (!PUSHED || self.overlay.all_rows(rel, f))
+            && self.delta.novel_rows(rel).all(f)
     }
 
     fn probe_rows(
@@ -345,6 +459,7 @@ impl Rows<u32> for IdView<'_> {
             .posting(col, *key)
             .iter()
             .all(|&i| f(base.rows.row(i as usize)))
+            || (PUSHED && !self.overlay.all_posting(rel, col, *key, f))
         {
             return false;
         }
@@ -356,7 +471,7 @@ impl Rows<u32> for IdView<'_> {
     }
 }
 
-impl DeltaRows<u32> for IdView<'_> {
+impl<const PUSHED: bool> DeltaRows<u32> for IdView<'_, PUSHED> {
     fn novel_rows(&self, rel: RelId, f: &mut dyn FnMut(&[u32]) -> bool) -> bool {
         self.delta.novel_rows(rel).all(f)
     }
@@ -388,8 +503,9 @@ struct IdBound<'a> {
 enum IdArm<'a> {
     /// Per projection bound: relation, columns, right-hand side.
     Ind(Vec<(RelId, Vec<usize>, IdRows)>),
-    /// Decode and run [`UpperCheck::Union`] on `Value`s.
-    Union,
+    /// Decode and run [`UpperCheck::Union`] on `Value`s, against the base
+    /// with the overlay's rows inserted (cloned at the first push).
+    Union(Option<Database>),
     Delta {
         prepared: &'a PreparedUpper,
         base: Vec<IdRelation>,
@@ -398,13 +514,15 @@ enum IdArm<'a> {
 }
 
 /// A decision's [`UpperCheck`] on dense ids, built once per decision over
-/// its `Adom` catalog and partially closed `base`.
+/// its `Adom` catalog and partially closed `base`, plus the rows pushed
+/// onto that base since.
 pub(crate) struct IdCheck<'a> {
     check: &'a UpperCheck,
     setting: &'a Setting,
     base: &'a Database,
     adom: &'a Adom,
     arm: IdArm<'a>,
+    overlay: IdOverlay,
 }
 
 impl<'a> IdCheck<'a> {
@@ -435,7 +553,7 @@ impl<'a> IdCheck<'a> {
                     })
                     .collect::<Result<_, RcError>>()?,
             ),
-            UpperCheck::Union => IdArm::Union,
+            UpperCheck::Union => IdArm::Union(None),
             UpperCheck::Delta(prepared) => IdArm::Delta {
                 prepared,
                 base: base
@@ -468,13 +586,50 @@ impl<'a> IdCheck<'a> {
             base,
             adom,
             arm,
+            overlay: IdOverlay::new(adom.n_ids()),
         })
     }
 
-    /// The index of the first upper bound `base ∪ s.delta` violates (`None`
-    /// = satisfied): exactly [`UpperCheck::first_violation`] on the decoded
-    /// candidate, counting skipped constraints into `cc_skipped` and the
-    /// delta arm's index probes into `s.probes`.
+    /// Add `row` of `rel` to the base the check reads. The caller keeps
+    /// the extended base partially closed (it pushes only rows a check
+    /// admitted) and pushes no row the base or the overlay already holds.
+    pub(crate) fn push(&mut self, rel: RelId, row: &[u32]) {
+        if let IdArm::Union(current) = &mut self.arm {
+            current
+                .get_or_insert_with(|| self.base.clone())
+                .insert(rel, decode_row(self.adom, row));
+        }
+        self.overlay.push(rel, row);
+    }
+
+    /// Remove the newest pushed row.
+    pub(crate) fn pop(&mut self) {
+        if let (IdArm::Union(Some(current)), Some(r)) = (&mut self.arm, self.overlay.rows.last()) {
+            current
+                .instance_mut(r.0)
+                .remove(&decode_row(self.adom, self.overlay.slice(r)));
+        }
+        self.overlay.pop();
+    }
+
+    /// The ids of every pushed row, with repeats.
+    pub(crate) fn pushed_ids(&self) -> &[u32] {
+        &self.overlay.ids
+    }
+
+    /// The base with every pushed row, decoded.
+    pub(crate) fn current(&self) -> Database {
+        let mut db = self.base.clone();
+        for (rel, row) in self.overlay.rows() {
+            db.insert(rel, decode_row(self.adom, row));
+        }
+        db
+    }
+
+    /// The index of the first upper bound `base ∪ overlay ∪ s.delta`
+    /// violates (`None` = satisfied): exactly [`UpperCheck::first_violation`]
+    /// on the decoded candidate, counting skipped constraints into
+    /// `cc_skipped` and the delta arm's index probes into `s.probes`.
     pub(crate) fn first_violation(
         &self,
         s: &mut IdScratch,
@@ -493,49 +648,25 @@ impl<'a> IdCheck<'a> {
                     })
                 })
             }
-            IdArm::Union => {
+            IdArm::Union(current) => {
                 let decoded = s
                     .decoded
                     .get_or_insert_with(|| Database::with_relations(self.setting.schema.len()));
                 s.delta.decode_into(self.adom, decoded);
+                let base = current.as_ref().unwrap_or(self.base);
                 self.check
-                    .first_violation(self.setting, self.base, decoded, cc_skipped)
+                    .first_violation(self.setting, base, decoded, cc_skipped)
             }
             IdArm::Delta {
                 prepared,
                 base,
                 bounds,
             } => {
-                s.delta.classify(base);
-                let IdScratch {
-                    delta,
-                    probes,
-                    plans,
-                    ..
-                } = s;
-                let counted = Cell::new(*probes);
-                let view = IdView {
-                    base,
-                    delta,
-                    probes: &counted,
+                let res = if self.overlay.rows.is_empty() {
+                    delta_check::<false>(prepared, base, &self.overlay, bounds, s)
+                } else {
+                    delta_check::<true>(prepared, base, &self.overlay, bounds, s)
                 };
-                let res = prepared.check_with(
-                    |rel| delta.has_novel(rel),
-                    |i| {
-                        let IdBound {
-                            plans: dps,
-                            rhs,
-                            consts,
-                        } = &bounds[i];
-                        Ok::<_, std::convert::Infallible>(dps.iter().zip(consts).all(
-                            |(dp, consts)| {
-                                dp.delta_answers(consts, &view, plans, &mut |a| rhs.contains(a))
-                            },
-                        ))
-                    },
-                );
-                let Ok(res) = res;
-                *probes = counted.get();
                 cc_skipped.set(cc_skipped.get() + res.skipped as u64);
                 res.violated
             }
@@ -548,6 +679,47 @@ impl<'a> IdCheck<'a> {
         s.delta.decode_into(self.adom, &mut out);
         out
     }
+}
+
+/// The delta arm's check of the candidate in `s`, reading `overlay` only
+/// when `PUSHED`; counts its index probes into `s.probes`.
+fn delta_check<const PUSHED: bool>(
+    prepared: &PreparedUpper,
+    base: &[IdRelation],
+    overlay: &IdOverlay,
+    bounds: &[IdBound<'_>],
+    s: &mut IdScratch,
+) -> DeltaCheck {
+    s.delta.classify::<PUSHED>(base, overlay);
+    let IdScratch {
+        delta,
+        probes,
+        plans,
+        ..
+    } = s;
+    let counted = Cell::new(*probes);
+    let view = IdView::<PUSHED> {
+        base,
+        overlay,
+        delta,
+        probes: &counted,
+    };
+    let res = prepared.check_with(
+        |rel| delta.has_novel(rel),
+        |i| {
+            let IdBound {
+                plans: dps,
+                rhs,
+                consts,
+            } = &bounds[i];
+            Ok::<_, std::convert::Infallible>(dps.iter().zip(consts).all(|(dp, consts)| {
+                dp.delta_answers(consts, &view, plans, &mut |a| rhs.contains(a))
+            }))
+        },
+    );
+    let Ok(res) = res;
+    *probes = counted.get();
+    res
 }
 
 fn encode_values(adom: &Adom, vals: &[Value]) -> Result<Box<[u32]>, RcError> {
@@ -665,6 +837,130 @@ mod tests {
         assert!(
             compared >= 200,
             "too few partially closed bases ({compared})"
+        );
+    }
+
+    /// A check whose base is split — part built into the id tables, the
+    /// rest pushed onto the overlay, with extra rows pushed and popped
+    /// again on top — answers every candidate exactly as the value check
+    /// does on the whole base: the same first violation and the same
+    /// skipped constraints, on the delta arm and on the union arm. This
+    /// attacks the overlay's posting chains, its novelty test, and the
+    /// heads a pop restores.
+    #[test]
+    fn pushed_rows_check_as_the_base_does() {
+        let s = Schema::from_relations(vec![
+            RelationSchema::infinite("R", &["a", "b"]),
+            RelationSchema::infinite("S", &["a"]),
+        ])
+        .unwrap();
+        let (r, srel) = (s.rel_id("R").unwrap(), s.rel_id("S").unwrap());
+        let m = Schema::from_relations(vec![RelationSchema::infinite("N", &["a"])]).unwrap();
+        let nrel = m.rel_id("N").unwrap();
+        let mut rng = SplitMix64::seed_from_u64(0x0E7A);
+        let query: Query = parse_cq(&s, "Q(X) :- R(X, Y), S(Y).").unwrap().into();
+        let tuple = |rng: &mut SplitMix64| {
+            if rng.random_bool(0.7) {
+                (r, Tuple::new([value(rng), value(rng)]))
+            } else {
+                (srel, Tuple::new([value(rng)]))
+            }
+        };
+        let (mut compared, mut violations) = (0usize, 0usize);
+        for _ in 0..60 {
+            let mut dm = Database::empty(&m);
+            for _ in 0..3 {
+                dm.insert(nrel, Tuple::new([value(&mut rng)]));
+            }
+            let mut v = ConstraintSet::new(fd_to_ccs(&Fd::new(r, vec![0], vec![1]), &s));
+            v.push(ContainmentConstraint::into_master(
+                CcBody::Cq(parse_cq(&s, "Q(Y) :- R(X, Y), S(X).").unwrap()),
+                nrel,
+                vec![0],
+            ));
+            let setting = Setting::new(s.clone(), m.clone(), dm, v);
+            // The whole base, its first part, and rows that extend it.
+            let (mut whole, mut first) = (Database::empty(&s), Database::empty(&s));
+            let mut pushed = Vec::new();
+            for _ in 0..rng.random_range(0..12) {
+                let (rel, t) = tuple(&mut rng);
+                let mut grown = whole.clone();
+                grown.insert(rel, t.clone());
+                if whole.instance(rel).contains(&t) || !setting.partially_closed(&grown).unwrap() {
+                    continue;
+                }
+                whole = grown;
+                if rng.random_bool(0.5) {
+                    first.insert(rel, t);
+                } else {
+                    pushed.push((rel, t));
+                }
+            }
+            // A catalog of every value `value` draws, so extra rows encode.
+            let mut all = whole.clone();
+            for v in ["0", "b", "a"]
+                .map(Value::str)
+                .into_iter()
+                .chain([0, 7].map(Value::int))
+            {
+                all.insert(srel, Tuple::new([v]));
+            }
+            let adom = Adom::build(&all, &setting, &query, 2).unwrap();
+            for engine in [Engine::Planned, Engine::Naive] {
+                let check = UpperCheck::new(&setting, engine, &first).unwrap();
+                let mut ids = IdCheck::new(&check, &setting, &first, &adom).unwrap();
+                let mut scratch = IdScratch::default();
+                let mut row = Vec::new();
+                let mut push = |ids: &mut IdCheck, rel: RelId, t: &Tuple| {
+                    row.clear();
+                    row.extend(t.iter().map(|v| adom.id(v).unwrap()));
+                    ids.push(rel, &row);
+                };
+                for (rel, t) in &pushed {
+                    push(&mut ids, *rel, t);
+                }
+                // Rows pushed and popped again leave no trace.
+                let mut extra = 0;
+                for _ in 0..rng.random_range(0..3) {
+                    let (rel, t) = tuple(&mut rng);
+                    if !whole.instance(rel).contains(&t) {
+                        push(&mut ids, rel, &t);
+                        extra += 1;
+                    }
+                }
+                (0..extra).for_each(|_| ids.pop());
+                assert_eq!(ids.current(), whole);
+                let want_check = UpperCheck::new(&setting, engine, &whole).unwrap();
+                for _ in 0..20 {
+                    scratch.delta.clear();
+                    let n_ids = adom.n_ids();
+                    let id = |rng: &mut SplitMix64| Some(rng.random_range(0..n_ids) as u32);
+                    for _ in 0..rng.random_range(1..3) {
+                        if rng.random_bool(0.7) {
+                            let row = [id(&mut rng), id(&mut rng)];
+                            scratch.delta.push_row(r, row.into_iter());
+                        } else {
+                            let row = [id(&mut rng)];
+                            scratch.delta.push_row(srel, row.into_iter());
+                        }
+                    }
+                    let delta = ids.decode(&scratch);
+                    let (want_skipped, got_skipped) = (Cell::new(0), Cell::new(0));
+                    let want = want_check.first_violation(&setting, &whole, &delta, &want_skipped);
+                    let got = ids.first_violation(&mut scratch, &got_skipped);
+                    assert_eq!(
+                        (got, got_skipped.get()),
+                        (want, want_skipped.get()),
+                        "{engine:?}: base {first:?}, pushed {pushed:?}, delta {delta:?}"
+                    );
+                    compared += 1;
+                    violations += usize::from(want.is_some());
+                }
+            }
+        }
+        assert!(
+            compared >= 1000 && violations >= 100 && violations < compared,
+            "{compared} candidates, {violations} violating: the generator drifted"
         );
     }
 }

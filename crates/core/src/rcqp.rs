@@ -25,11 +25,15 @@
 //!   of the pool and checks E2 on each; all failing ⇒ `Empty`. Every
 //!   consistency test, E2 check, greedy completion, and witness
 //!   certification runs through the decision's one candidate check
-//!   (`crate::check::UpperCheck`). The query side of the E2 check is built
-//!   once per disjunct, and a leaf's maximality test skips
-//!   the entries refused on its branch — bodies are monotone and the
-//!   candidate only grows below a node, so a refused tuple stays refused
-//!   (see `SearchCtx::maximal_subsets`). No input mentions a fresh value,
+//!   (`crate::check::UpperCheck`). The search runs on one id catalog: pool
+//!   tuples are id rows encoded once, the candidate `D_𝒱` is the id check's
+//!   overlay, and each query disjunct's E2 valuation space is built once
+//!   (`crate::characterize::E2Disjunct`). An entry excluded while
+//!   admissible is settled once every entry it can meet in a constraint
+//!   match is decided: if it is still admissible there, no leaf below is
+//!   maximal (see `settle_indices`). Bodies are monotone and the candidate
+//!   only grows below a node, so a refused tuple stays refused. No input
+//!   mentions a fresh value,
 //!   so permuting the fresh values maps maximal consistent subsets to
 //!   maximal consistent subsets with the same E2 outcome: the search visits
 //!   only the lex-greatest member of each orbit (a lex-leader test on every
@@ -49,7 +53,7 @@
 use crate::adom::Adom;
 use crate::budget::{Engine, Meter, MeterKind, SearchBudget};
 use crate::characterize::E2Disjunct;
-use crate::check::{IdCheck, IdScratch, UpperCheck};
+use crate::check::{IdCheck, IdRows, IdScratch, UpperCheck};
 use crate::extend::{complete_extension_guarded, CompletionOutcome};
 use crate::guard::Guard;
 use crate::query::Query;
@@ -62,7 +66,7 @@ use ric_data::{index::probe_count, Database, RelId, Tuple, Value};
 use ric_query::tableau::Tableau;
 use ric_query::Term;
 use ric_telemetry::Probe;
-use std::cell::{Cell, RefCell};
+use std::cell::Cell;
 use std::collections::{BTreeMap, BTreeSet};
 use std::ops::ControlFlow;
 
@@ -393,12 +397,11 @@ fn candidate_pool(
                 0,
                 &mut binding,
                 &mut |tuple, binding| {
-                    let bound: BTreeSet<Value> = atom
-                        .vars()
-                        .filter(|v| head_vars.contains(v))
-                        .map(|v| binding[&v.0].clone())
-                        .collect();
-                    pool.entry((atom.rel, tuple)).or_default().extend(bound);
+                    pool.entry((atom.rel, tuple)).or_default().extend(
+                        atom.vars()
+                            .filter(|v| head_vars.contains(v))
+                            .map(|v| binding[&v.0].clone()),
+                    );
                 },
             );
         }
@@ -443,13 +446,13 @@ fn instantiate_atom(
                 instantiate_atom(atom, doms, values, col + 1, binding, out);
                 return;
             }
-            let candidates: Vec<Value> = match &doms[v.idx()] {
-                Some(dom) => dom.iter().cloned().collect(),
-                None => values.to_vec(),
-            };
-            for val in candidates {
-                binding.insert(v.0, val);
+            let mut each = |val: &Value| {
+                binding.insert(v.0, val.clone());
                 instantiate_atom(atom, doms, values, col + 1, binding, out);
+            };
+            match &doms[v.idx()] {
+                Some(dom) => dom.iter().for_each(&mut each),
+                None => values.iter().for_each(&mut each),
             }
             binding.remove(&v.0);
         }
@@ -773,9 +776,13 @@ fn rcqp_general(
     // variables; track whether the configured pool reaches that, since an
     // exhausted search only proves emptiness relative to its pool.
     let mut cc_tableaux = Vec::new();
+    // An upper bound without tableaux (not UCQ-expressible) leaves the
+    // entries' interactions unknown: every pair is then taken to meet.
+    let mut bodies_known = true;
     for cc in &setting.v.ccs {
-        if let Some(ucq) = cc.body.as_ucq(&setting.schema) {
-            cc_tableaux.extend(ucq.tableaux()?);
+        match cc.body.as_ucq(&setting.schema) {
+            Some(ucq) => cc_tableaux.extend(ucq.tableaux()?),
+            None => bodies_known = false,
         }
     }
     let needed_fresh = cc_tableaux
@@ -785,10 +792,22 @@ fn rcqp_general(
         .unwrap_or(0);
     let n_fresh = budget.fresh_values.max(1);
     let pool_is_exact = n_fresh >= needed_fresh;
-    let adom = Adom::build(seed, setting, query, n_fresh)?;
-    probe.gauge("rcqp.adom_size", adom.len() as u64);
+    let Some(q_ucq) = query.as_ucq() else {
+        return Err(RcError::Unsupported(
+            "dispatch guarantees UCQ-expressible".into(),
+        ));
+    };
+    // The search's one catalog: the pool draws on its constants and first
+    // `n_fresh` fresh values, the E2 checks on the fresh values after them.
+    let adom = Adom::build(
+        seed,
+        setting,
+        query,
+        n_fresh + crate::characterize::e2_fresh(&q_ucq.disjuncts),
+    )?;
     let mut values = adom.constants.clone();
-    values.extend(adom.fresh.iter().cloned());
+    values.extend(adom.fresh[..n_fresh].iter().cloned());
+    probe.gauge("rcqp.adom_size", values.len() as u64);
     // Estimate the pool before materialising it: Σ |values|^{vars per atom}.
     const MAX_POOL: usize = 4096;
     let mut estimate = 0usize;
@@ -806,98 +825,107 @@ fn rcqp_general(
         )));
     }
     let pool = candidate_pool(setting, &cc_tableaux, tableaux, &values);
+    let rows = IdRows::encode(&adom, pool.iter().map(|e| &e.tuple))?;
 
+    // The search's check on ids, over the empty base: the seed's rows and
+    // the chosen entries' rows go on its overlay.
+    let empty = Database::with_relations(setting.schema.len());
+    let mut cur = Current {
+        ids: IdCheck::new(check, setting, &empty, &adom)?,
+        scratch: IdScratch::default(),
+    };
+    let cc_skipped = Cell::new(0u64);
+    let probes_before = probe_count();
     // Pre-filter: a tuple that violates V on its own can never belong to a
     // consistent subset. Upper bounds only: a lone tuple cannot be expected
-    // to satisfy lower bounds (the seed provides those).
-    let mut kept = Vec::with_capacity(pool.len());
-    for entry in pool {
-        let mut single = Database::with_relations(setting.schema.len());
-        single.insert(entry.rel, entry.tuple.clone());
-        if setting.v.upper_satisfied(&single, &setting.dm)? {
-            kept.push(entry);
+    // to satisfy lower bounds (the seed provides those). Each tuple is one
+    // id row against the still empty base, which satisfies every upper
+    // bound: the seed does, and bodies are monotone.
+    let kept: Vec<bool> = (0..pool.len())
+        .map(|i| cur.admits(pool[i].rel, rows.row(i), &cc_skipped))
+        .collect();
+    let pool: Vec<PoolEntry> = pool
+        .into_iter()
+        .zip(&kept)
+        .filter_map(|(e, &keep)| keep.then_some(e))
+        .collect();
+    let rows = IdRows::encode(&adom, pool.iter().map(|e| &e.tuple))?;
+    for (rel, inst) in seed.iter() {
+        let seed_rows = IdRows::encode(&adom, inst.iter())?;
+        for i in 0..seed_rows.len() {
+            cur.ids.push(rel, seed_rows.row(i));
         }
     }
-    let pool = kept;
-    // A tuple is *inert* when its relation occurs in no multi-atom
-    // constraint tableau: having survived the single-tuple filter it can
-    // never participate in a violation, so every maximal subset contains it
-    // (its exclude branch is skipped below).
-    let multi_atom_rels: BTreeSet<RelId> = cc_tableaux
+    let in_seed: Vec<bool> = pool
         .iter()
-        .filter(|t| t.atoms.len() >= 2)
-        .flat_map(|t| t.atoms.iter().map(|a| a.rel))
+        .map(|e| seed.instance(e.rel).contains(&e.tuple))
         .collect();
-    let inert: Vec<bool> = pool
-        .iter()
-        .map(|e| !multi_atom_rels.contains(&e.rel))
-        .collect();
+    let spaces = multi_atom_spaces(&cc_tableaux, &setting.schema, &adom)?;
+    let spaces = bodies_known.then_some(&spaces[..]);
+    let mut binding = Vec::new();
+    let settle = settle_indices(pool.len(), |e, f| {
+        meet(spaces, (&pool, &rows), (e, f), &mut binding)
+    });
 
-    probe.gauge("rcqp.pool_size", pool.len() as u64);
-    let syms = if collapse {
-        pool_symmetries(&pool, &inert, &adom.fresh)
-    } else {
-        Vec::new()
-    };
-    probe.gauge("rcqp.symmetries", syms.len() as u64);
-    // Each entry's bound values as ids of the search's catalog (pool values
-    // all come from it); a leaf unions its chosen entries' ids into one
-    // reused mask.
+    // Each entry's bound values as ascending catalog ids; a leaf unions its
+    // chosen entries' ids into one reused mask, and the ids its candidate
+    // holds into another.
     let bound_ids: Vec<Vec<u32>> = pool
         .iter()
         .map(|e| e.bound.iter().filter_map(|v| adom.id(v)).collect())
         .collect();
     let mut bound_mask = vec![false; adom.n_ids()];
+    let mut present = vec![false; adom.n_ids()];
+    probe.gauge("rcqp.pool_size", pool.len() as u64);
+    let syms = if collapse {
+        pool_symmetries(&pool, &rows, &bound_ids, &adom.fresh_ids()[..n_fresh])
+    } else {
+        Vec::new()
+    };
+    probe.gauge("rcqp.symmetries", syms.len() as u64);
 
     // Enumerate maximal V-consistent subsets of the pool; E2 is monotone in
     // D_𝒱, so checking maximal subsets decides ∃𝒱.E2.
     let mut meter = Meter::guarded(MeterKind::Candidates, budget.max_candidates, guard);
     let e2_checks = Cell::new(0u64);
-    let Some(q_ucq) = query.as_ucq() else {
-        return Err(RcError::Unsupported(
-            "dispatch guarantees UCQ-expressible".into(),
-        ));
-    };
     // The disjunct half of every E2 check, built once for the whole search.
     let e2_disjuncts: Vec<E2Disjunct> = q_ucq
         .disjuncts
         .iter()
-        .map(|cq| E2Disjunct::new(setting, cq))
-        .collect();
-    let mut current = seed.clone();
+        .map(|cq| E2Disjunct::new(setting, cq, &adom, &adom.fresh_ids()[n_fresh..]))
+        .collect::<Result<_, _>>()?;
     let mut result: Option<Database> = None;
     crate::rcdp::emit_plan_telemetry(probe, setting, check, reused, seed);
-    let cc_skipped = Cell::new(0u64);
-    let pruned = Cell::new(0u64);
-    let probes_before = probe_count();
-    let ctx = SearchCtx {
-        setting,
-        pool: &pool,
-        inert: &inert,
-        syms: &syms,
-        check,
-        scratch: RefCell::new(Database::with_relations(setting.schema.len())),
-        cc_skipped: &cc_skipped,
-        pruned: &pruned,
-    };
+    let ctx = SearchCtx::new(&pool, &rows, &in_seed, &settle, &syms, &cc_skipped);
     let span = probe.span("rcqp.e2_search");
     let outcome = ctx.maximal_subsets(
         0,
         // Placeholders: each entry's state is set at its node, before any
         // leaf reads it.
         &mut vec![EntryState::Refused; pool.len()],
-        &mut current,
+        &mut cur,
         &mut meter,
-        &mut |db: &Database, states: &[EntryState]| -> Result<bool, RcError> {
+        &mut |cur: &mut Current, states: &[EntryState]| -> Result<bool, RcError> {
             let _span = probe.span("rcqp.e2_check");
             // E2 over this maximal D_𝒱: bound values are the pinned
             // constraint-head values of the chosen instantiations.
             chosen_bound(&mut bound_mask, &bound_ids, states);
-            let bound = |v: &Value| adom.id(v).is_some_and(|id| bound_mask[id as usize]);
+            let Current { ids, scratch } = cur;
+            present.fill(false);
+            ids.pushed_ids()
+                .iter()
+                .for_each(|&id| present[id as usize] = true);
             for d in &e2_disjuncts {
                 e2_checks.set(e2_checks.get() + 1);
-                let verdict =
-                    d.check(setting, db, bound, budget, guard, Probe::disabled(), check)?;
+                let verdict = d.check(
+                    ids,
+                    scratch,
+                    |id| present[id as usize],
+                    |id| bound_mask[id as usize],
+                    budget,
+                    guard,
+                    &cc_skipped,
+                )?;
                 if verdict != Some(true) {
                     return Ok(false);
                 }
@@ -909,10 +937,15 @@ fn rcqp_general(
     drop(span);
     probe.count("rcqp.candidates", meter.used());
     probe.count("rcqp.e2_checks", e2_checks.get());
-    probe.count("rcqp.symmetry.pruned", pruned.get());
+    probe.count("rcqp.symmetry.pruned", ctx.pruned.get());
+    probe.count("rcqp.maximal.cut", ctx.cut.get());
     probe.count("cc.skipped_by_delta", cc_skipped.get());
-    // Thread-local counter: exact even when other threads probe concurrently.
-    probe.count("index.probe", probe_count().saturating_sub(probes_before));
+    // Thread-local counter: exact even when other threads probe
+    // concurrently. The id check counts its own probes.
+    probe.count(
+        "index.probe",
+        probe_count().saturating_sub(probes_before) + cur.scratch.probes,
+    );
     // A guard trip anywhere in the search (including inside an E2 check,
     // where it surfaces as an inconclusive check) forfeits the Empty
     // reading: the enumeration did not run to genuine exhaustion.
@@ -1054,33 +1087,41 @@ fn fresh_permutations(k: usize) -> Vec<Vec<usize>> {
         .collect()
 }
 
-/// The symmetries of the pool under permutations of the fresh values, each
+/// The symmetries of the pool under permutations of the `fresh` ids, each
 /// as its inverse on pool indices: `inv[j]` is the entry whose image is
 /// entry `j`. No input mentions a fresh value, so a permutation `π` of them
 /// maps `V`-consistent sets to `V`-consistent sets and leaves every E2
 /// outcome unchanged once `bound` is mapped along. `π` is kept only if it
-/// maps every entry to an entry with the image of its bound set and its
-/// inertness; dropping one is always sound.
-fn pool_symmetries(pool: &[PoolEntry], inert: &[bool], fresh: &[Value]) -> Vec<Vec<u32>> {
-    let at: BTreeMap<(RelId, &Tuple), usize> = pool
+/// maps every entry to an entry with the image of its bound set; dropping
+/// one is always sound.
+fn pool_symmetries(
+    pool: &[PoolEntry],
+    rows: &IdRows,
+    bound_ids: &[Vec<u32>],
+    fresh: &[u32],
+) -> Vec<Vec<u32>> {
+    let at: BTreeMap<(RelId, &[u32]), usize> = pool
         .iter()
         .enumerate()
-        .map(|(i, e)| ((e.rel, &e.tuple), i))
+        .map(|(i, e)| ((e.rel, rows.row(i)), i))
         .collect();
+    let (mut image, mut bound) = (Vec::new(), Vec::new());
     fresh_permutations(fresh.len())
         .into_iter()
         .filter_map(|perm| {
-            let map = |v: &Value| match fresh.iter().position(|f| f == v) {
-                Some(i) => fresh[perm[i]].clone(),
-                None => v.clone(),
+            let map = |id: u32| match fresh.iter().position(|&f| f == id) {
+                Some(i) => fresh[perm[i]],
+                None => id,
             };
             let mut inv = vec![0u32; pool.len()];
             for (i, e) in pool.iter().enumerate() {
-                let image = Tuple::new(e.tuple.iter().map(map));
-                let &j = at.get(&(e.rel, &image))?;
-                if inert[i] != inert[j]
-                    || e.bound.iter().map(map).collect::<BTreeSet<_>>() != pool[j].bound
-                {
+                image.clear();
+                image.extend(rows.row(i).iter().map(|&id| map(id)));
+                let &j = at.get(&(e.rel, &image[..]))?;
+                bound.clear();
+                bound.extend(bound_ids[i].iter().map(|&id| map(id)));
+                bound.sort_unstable();
+                if bound != bound_ids[j] {
                     return None;
                 }
                 inv[j] = i as u32;
@@ -1090,36 +1131,128 @@ fn pool_symmetries(pool: &[PoolEntry], inert: &[bool], fresh: &[Value]) -> Vec<V
         .collect()
 }
 
-/// Shared, read-mostly state of one maximal-subset enumeration.
+/// Do pool entries `e` and `f` *meet*: can one match of a multi-atom
+/// upper-bound tableau map an atom to each? `tableaux` holds those
+/// tableaux as valuation spaces (`None`: some upper bound has none, and
+/// every pair meets). Entries that never meet never occur together in one
+/// violation; a single-atom tableau matches one tuple and relates none.
+fn meet(
+    tableaux: Option<&[ValuationSpace]>,
+    (pool, rows): (&[PoolEntry], &IdRows),
+    (e, f): (usize, usize),
+    binding: &mut Vec<Option<u32>>,
+) -> bool {
+    let (a, b) = ((pool[e].rel, rows.row(e)), (pool[f].rel, rows.row(f)));
+    tableaux.is_none_or(|ts| ts.iter().any(|t| t.two_atoms_match(a, b, binding)))
+}
+
+/// The multi-atom tableaux among `tableaux` as valuation spaces, for
+/// [`meet`].
+fn multi_atom_spaces<'a>(
+    tableaux: &[Tableau],
+    schema: &ric_data::Schema,
+    adom: &'a Adom,
+) -> Result<Vec<ValuationSpace<'a>>, RcError> {
+    tableaux
+        .iter()
+        .filter(|t| t.atoms.len() >= 2)
+        .map(|t| ValuationSpace::new(t, schema, adom))
+        .collect()
+}
+
+/// Each of `n` entries' *settle index*: one past the last later entry it
+/// meets (`meet`), or one past itself when it meets none.
+///
+/// An entry `e` excluded while admissible is settled there: the search
+/// tests it once every entry up to its settle index is decided, and if it
+/// is still admissible no leaf below is maximal. A leaf `L` below is
+/// consistent, so a violation of `L ∪ {e}` uses `e`; the base and the
+/// entries decided by then admit `e`, so it also uses an entry chosen at
+/// or after the settle index, and that entry would meet `e`. An entry with
+/// nothing to meet after it is settled at its own exclude branch, which is
+/// skipped.
+fn settle_indices(n: usize, mut meet: impl FnMut(usize, usize) -> bool) -> Vec<usize> {
+    (0..n)
+        .map(|e| {
+            (e + 1..n)
+                .rev()
+                .find(|&f| meet(e, f))
+                .map_or(e + 1, |f| f + 1)
+        })
+        .collect()
+}
+
+/// The candidate `D_𝒱` of one search in ids: the seed's rows and the
+/// chosen entries' rows on the id check's overlay, and the arena every
+/// check writes into.
+struct Current<'a> {
+    ids: IdCheck<'a>,
+    scratch: IdScratch,
+}
+
+impl Current<'_> {
+    /// Is `D_𝒱 ∪ {row}` still partially closed? Sound because every
+    /// `D_𝒱` of the search is: the seed is checked up front, and only
+    /// admitted rows are pushed.
+    fn admits(&mut self, rel: RelId, row: &[u32], cc_skipped: &Cell<u64>) -> bool {
+        self.scratch.delta.clear();
+        self.scratch
+            .delta
+            .push_row(rel, row.iter().map(|&id| Some(id)));
+        self.ids
+            .first_violation(&mut self.scratch, cc_skipped)
+            .is_none()
+    }
+}
+
+/// Shared, read-only state of one maximal-subset enumeration.
 struct SearchCtx<'a> {
-    setting: &'a Setting,
     pool: &'a [PoolEntry],
-    /// Entries whose relation occurs in no multi-atom constraint tableau:
-    /// every maximal subset contains them.
-    inert: &'a [bool],
+    /// Each entry's tuple as catalog ids.
+    rows: &'a IdRows,
+    /// Entries the seed holds: chosen at their node, never excluded.
+    in_seed: &'a [bool],
+    /// Each entry's settle index (see [`settle_indices`]).
+    settle: &'a [usize],
+    /// Per node, the entries settled there that can be excluded.
+    settled_at: Vec<Vec<u32>>,
     /// Symmetries of the pool (see [`pool_symmetries`]); empty enumerates
     /// every maximal subset.
     syms: &'a [Vec<u32>],
-    /// The decision's candidate check. Sound here because every `current`
-    /// in the search is partially closed by construction (the seed is
-    /// checked up front, and only admitted tuples are ever inserted).
-    check: &'a UpperCheck,
-    scratch: RefCell<Database>,
     cc_skipped: &'a Cell<u64>,
     /// Nodes cut by the lex-leader test.
-    pruned: &'a Cell<u64>,
+    pruned: Cell<u64>,
+    /// Subtrees cut because no leaf below is maximal: by a settle test,
+    /// or an exclude branch skipped because its entry meets no later one.
+    cut: Cell<u64>,
 }
 
-impl SearchCtx<'_> {
-    /// Is `current ∪ {entry}` still partially closed? Asked once per include
-    /// branch and once per maximality probe.
-    fn admits(&self, current: &Database, entry: &PoolEntry) -> bool {
-        let mut delta = self.scratch.borrow_mut();
-        delta.clear_tuples();
-        delta.insert(entry.rel, entry.tuple.clone());
-        self.check
-            .first_violation(self.setting, current, &delta, self.cc_skipped)
-            .is_none()
+impl<'a> SearchCtx<'a> {
+    fn new(
+        pool: &'a [PoolEntry],
+        rows: &'a IdRows,
+        in_seed: &'a [bool],
+        settle: &'a [usize],
+        syms: &'a [Vec<u32>],
+        cc_skipped: &'a Cell<u64>,
+    ) -> Self {
+        let mut settled_at = vec![Vec::new(); pool.len() + 1];
+        for (e, &at) in settle.iter().enumerate() {
+            if at > e + 1 && !in_seed[e] {
+                settled_at[at].push(e as u32);
+            }
+        }
+        SearchCtx {
+            pool,
+            rows,
+            in_seed,
+            settle,
+            settled_at,
+            syms,
+            cc_skipped,
+            pruned: Cell::new(0),
+            cut: Cell::new(0),
+        }
     }
 
     /// The lex-leader test, reading a subset as its entry states in pool
@@ -1144,17 +1277,31 @@ impl SearchCtx<'_> {
         })
     }
 
+    /// The settle test at node `idx`: is an entry settled here excluded
+    /// and still admissible? Then no leaf below is maximal.
+    fn unsettled(&self, states: &[EntryState], idx: usize, cur: &mut Current<'_>) -> bool {
+        self.settled_at[idx].iter().any(|&e| {
+            let e = e as usize;
+            states[e] == EntryState::Excluded
+                && cur.admits(self.pool[e].rel, self.rows.row(e), self.cc_skipped)
+        })
+    }
+
     /// Enumerate the maximal `V`-consistent subsets of the pool, invoking
     /// `check` on each with the per-entry states of the subset; a `true`
     /// check stores the subset in `result` and stops.
     ///
-    /// `current` is mutated by backtracking (insert on include, remove on the
-    /// way out) — no per-branch clone of the candidate database. At a leaf,
-    /// maximality re-tests only the [`EntryState::Excluded`] entries: `L_C`
-    /// is UCQ-expressible here, so every constraint body is monotone and
-    /// `current` only grows from a node to the leaves below it — a tuple
+    /// `cur` is mutated by backtracking (push on include, pop on the way
+    /// out) — no per-branch copy of the candidate. Maximality is settled
+    /// per excluded entry at its settle index ([`settle_indices`]): an
+    /// entry still admissible there cuts the node, so every leaf reached
+    /// is maximal. A refused entry needs no test: `L_C` is
+    /// UCQ-expressible here, so every constraint body is monotone and the
+    /// candidate only grows from a node to the leaves below it — a tuple
     /// `admits` refused at its node (an upper-bound violation; lower bounds
-    /// hold on the seed and persist) is refused at every leaf below.
+    /// hold on the seed and persist) is refused at every leaf below. The
+    /// cuts remove only subtrees without a maximal leaf, so the maximal
+    /// leaves and their order are those of the full enumeration.
     ///
     /// With symmetries, only the lex-greatest member of each orbit is
     /// visited: a node whose decided prefix some symmetry maps higher is
@@ -1162,53 +1309,53 @@ impl SearchCtx<'_> {
     /// in decreasing lex order, so the first subset passing `check` is the
     /// lex-greatest passing one; its orbit passes too, so it is its orbit's
     /// leader and the search returns the same subset as without symmetries.
-    fn maximal_subsets(
+    fn maximal_subsets<'c>(
         &self,
         idx: usize,
         states: &mut [EntryState],
-        current: &mut Database,
+        cur: &mut Current<'c>,
         meter: &mut Meter,
-        check: &mut impl FnMut(&Database, &[EntryState]) -> Result<bool, RcError>,
+        check: &mut impl FnMut(&mut Current<'c>, &[EntryState]) -> Result<bool, RcError>,
         result: &mut Option<Database>,
     ) -> Result<MaxOutcome, RcError> {
         if self.dominated(states, idx) {
             self.pruned.set(self.pruned.get() + 1);
             return Ok(MaxOutcome::Exhausted);
         }
+        if self.unsettled(states, idx, cur) {
+            self.cut.set(self.cut.get() + 1);
+            return Ok(MaxOutcome::Exhausted);
+        }
         if !meter.tick() {
             return Ok(MaxOutcome::Budget);
         }
         if idx == self.pool.len() {
-            // Maximality: no excluded entry can be consistently added. (Pool
-            // tuples are distinct and an excluded one was absent at its
-            // node, so it is absent here too.)
-            for (entry, &state) in self.pool.iter().zip(states.iter()) {
-                if state == EntryState::Excluded && self.admits(current, entry) {
-                    return Ok(MaxOutcome::Exhausted); // not maximal; skip
-                }
-            }
-            if check(current, states)? {
-                *result = Some(current.clone());
+            if check(cur, states)? {
+                *result = Some(cur.ids.current());
                 return Ok(MaxOutcome::Found);
             }
             return Ok(MaxOutcome::Exhausted);
         }
-        let entry = &self.pool[idx];
+        let (rel, row) = (self.pool[idx].rel, self.rows.row(idx));
         // Include branch (only if consistent).
-        let already = current.instance(entry.rel).contains(&entry.tuple);
-        if already || self.admits(current, entry) {
+        let already = self.in_seed[idx];
+        if already || cur.admits(rel, row, self.cc_skipped) {
             if !already {
-                current.insert(entry.rel, entry.tuple.clone());
+                cur.ids.push(rel, row);
             }
             states[idx] = EntryState::Chosen;
-            let out = self.maximal_subsets(idx + 1, states, current, meter, check, result)?;
+            let out = self.maximal_subsets(idx + 1, states, cur, meter, check, result)?;
             if !already {
-                current.instance_mut(entry.rel).remove(&entry.tuple);
+                cur.ids.pop();
             }
-            // Inert tuples belong to every maximal subset, and an already
-            // present tuple gains nothing from excluding it: skip the
-            // exclude branch.
-            if out != MaxOutcome::Exhausted || already || self.inert[idx] {
+            // An entry the seed holds gains nothing from its exclude branch,
+            // and one that meets no later entry stays admissible at every
+            // leaf below it (it is settled there): skip the branch.
+            if out != MaxOutcome::Exhausted || already {
+                return Ok(out);
+            }
+            if self.settle[idx] == idx + 1 {
+                self.cut.set(self.cut.get() + 1);
                 return Ok(out);
             }
             states[idx] = EntryState::Excluded;
@@ -1216,7 +1363,7 @@ impl SearchCtx<'_> {
             states[idx] = EntryState::Refused;
         }
         // Exclude branch.
-        self.maximal_subsets(idx + 1, states, current, meter, check, result)
+        self.maximal_subsets(idx + 1, states, cur, meter, check, result)
     }
 }
 
@@ -1418,45 +1565,84 @@ mod tests {
         }
     }
 
-    /// Run the enumeration over `pool` with `syms` and a leaf check that
-    /// passes the masks `pass` accepts: the masks it visited, in visiting
-    /// order, and the database it found, after checking that each leaf's
-    /// states describe its database.
+    /// The catalog of a test pool (its every value a constant, and so
+    /// every stand-in for a fresh value, 1 to 6) and the pool's rows in it.
+    fn catalog(setting: &Setting, pool: &[PoolEntry]) -> (Adom, IdRows) {
+        let mut all = mask_db(setting, pool, u32::MAX);
+        let r = setting.schema.rel_id("R").unwrap();
+        for v in 1..=6 {
+            all.insert(r, Tuple::new([Value::int(v), Value::int(v)]));
+        }
+        let q: Query = parse_cq(&setting.schema, "Q(A) :- R(A, B).")
+            .unwrap()
+            .into();
+        let adom = Adom::build(&all, setting, &q, 0).unwrap();
+        let rows = IdRows::encode(&adom, pool.iter().map(|e| &e.tuple)).unwrap();
+        (adom, rows)
+    }
+
+    /// The settle indices of `pool` under `setting`'s constraints, with the
+    /// pair `dropped` (if any) taken not to meet.
+    fn settle_of(
+        setting: &Setting,
+        pool: &[PoolEntry],
+        dropped: Option<(usize, usize)>,
+    ) -> Vec<usize> {
+        let (adom, rows) = catalog(setting, pool);
+        let mut tableaux = Vec::new();
+        for cc in &setting.v.ccs {
+            tableaux.extend(cc.body.as_ucq(&setting.schema).unwrap().tableaux().unwrap());
+        }
+        let spaces = multi_atom_spaces(&tableaux, &setting.schema, &adom).unwrap();
+        let mut binding = Vec::new();
+        settle_indices(pool.len(), |e, f| {
+            Some((e, f)) != dropped && meet(Some(&spaces), (pool, &rows), (e, f), &mut binding)
+        })
+    }
+
+    /// Run the enumeration over `pool` with `syms`, the settle indices
+    /// `settle` and a leaf check that passes the masks `pass` accepts: the
+    /// masks it visited, in visiting order, the database it found, and the
+    /// nodes the settle tests cut, after checking that each leaf's states
+    /// describe its database.
     fn search(
         setting: &Setting,
         pool: &[PoolEntry],
         syms: &[Vec<u32>],
+        settle: &[usize],
         check: &UpperCheck,
         pass: impl Fn(u32) -> bool,
-    ) -> (Vec<u32>, Option<Database>) {
+    ) -> (Vec<u32>, Option<Database>, u64) {
         let n = pool.len();
         let db_of = |mask: u32| mask_db(setting, pool, mask);
-        let cc_skipped = Cell::new(0);
-        let ctx = SearchCtx {
-            setting,
-            pool,
-            inert: &vec![false; n],
-            syms,
-            check,
-            scratch: RefCell::new(Database::empty(&setting.schema)),
-            cc_skipped: &cc_skipped,
-            pruned: &Cell::new(0),
+        let (adom, rows) = catalog(setting, pool);
+        let empty = Database::empty(&setting.schema);
+        let mut cur = Current {
+            ids: IdCheck::new(check, setting, &empty, &adom).unwrap(),
+            scratch: IdScratch::default(),
         };
+        let in_seed = vec![false; n];
+        let cc_skipped = Cell::new(0);
+        let ctx = SearchCtx::new(pool, &rows, &in_seed, settle, syms, &cc_skipped);
         let mut visited: Vec<u32> = Vec::new();
         let mut found = None;
         let outcome = ctx
             .maximal_subsets(
                 0,
                 &mut vec![EntryState::Refused; n],
-                &mut Database::empty(&setting.schema),
+                &mut cur,
                 &mut Meter::new(1 << 20),
-                &mut |db: &Database, states: &[EntryState]| {
+                &mut |cur: &mut Current, states: &[EntryState]| {
                     let mask = states
                         .iter()
                         .enumerate()
                         .filter(|(_, &st)| st == EntryState::Chosen)
                         .fold(0u32, |acc, (i, _)| acc | (1 << i));
-                    assert_eq!(*db, db_of(mask), "states describe the database");
+                    assert_eq!(
+                        cur.ids.current(),
+                        db_of(mask),
+                        "states describe the database"
+                    );
                     visited.push(mask);
                     Ok(pass(mask))
                 },
@@ -1464,19 +1650,21 @@ mod tests {
             )
             .unwrap();
         assert_eq!(outcome == MaxOutcome::Found, found.is_some());
-        (visited, found)
+        (visited, found, ctx.cut.get())
     }
 
-    /// The masks an exhaustive enumeration visits, sorted.
+    /// The masks an exhaustive enumeration visits, sorted, and the nodes
+    /// its settle tests cut.
     fn visited_masks(
         setting: &Setting,
         pool: &[PoolEntry],
         syms: &[Vec<u32>],
+        settle: &[usize],
         check: &UpperCheck,
-    ) -> Vec<u32> {
-        let mut visited = search(setting, pool, syms, check, |_| false).0;
+    ) -> (Vec<u32>, u64) {
+        let (mut visited, _, cut) = search(setting, pool, syms, settle, check, |_| false);
         visited.sort_unstable();
-        visited
+        (visited, cut)
     }
 
     fn mask_db(setting: &Setting, pool: &[PoolEntry], mask: u32) -> Database {
@@ -1509,8 +1697,12 @@ mod tests {
     /// CQ-bodied CC into master data: under both consistency modes the
     /// enumeration hands `check` exactly the maximal `V`-consistent subsets
     /// a brute force over all 2ⁿ subsets finds — each once. This attacks the
-    /// leaf's refused-entry skip: dropping an entry that was excluded while
-    /// admissible would let non-maximal subsets through.
+    /// settle tests: settling an entry that was excluded while admissible
+    /// too late, or never, would let non-maximal subsets through, and
+    /// settling it too early would cut maximal ones. The settle tests must
+    /// cut nodes, and with one meeting pair dropped from the interaction
+    /// table (the last later entry some entry meets) the comparison must
+    /// fail in some round: the test sees a cut that is too early.
     ///
     /// No input mentions 1, 3, 4, 5 or 6, so two, three or five of them
     /// stand in for fresh values. A second pool per round is closed under
@@ -1543,6 +1735,7 @@ mod tests {
             assert_eq!(fresh_permutations(k).len(), tried, "{k} fresh values");
         }
         let (mut visited_total, mut collapsed_total, mut syms_total) = (0usize, 0usize, 0usize);
+        let (mut cut_total, mut mutants_caught) = (0u64, 0usize);
         for round in 0..48 {
             let mut ccs = Vec::new();
             if round % 3 != 1 || rng.random_bool(0.5) {
@@ -1635,7 +1828,21 @@ mod tests {
                             && (0..n).all(|i| mask & (1 << i) != 0 || !closed(mask | (1 << i)))
                     })
                     .collect();
-                let syms = pool_symmetries(&pool, &vec![false; n], &fresh);
+                let syms = {
+                    let (adom, rows) = catalog(&setting, &pool);
+                    let ids = |vals: &mut dyn Iterator<Item = &Value>| -> Vec<u32> {
+                        vals.map(|v| adom.id(v).unwrap()).collect()
+                    };
+                    let bound_ids: Vec<Vec<u32>> =
+                        pool.iter().map(|e| ids(&mut e.bound.iter())).collect();
+                    pool_symmetries(&pool, &rows, &bound_ids, &ids(&mut fresh.iter()))
+                };
+                let settle = settle_of(&setting, &pool, None);
+                // The mutant: the first entry with a later partner loses
+                // its last one.
+                let mutant = (0..n)
+                    .find(|&e| settle[e] > e + 1)
+                    .map(|e| settle_of(&setting, &pool, Some((e, settle[e] - 1))));
                 if pinned {
                     assert!(
                         syms.iter().all(|inv| inv[n - 1] as usize == n - 1),
@@ -1703,16 +1910,21 @@ mod tests {
                         "round {round} (delta mode: {delta_mode}, closed: {closed_pool}): \
                          pool {pool:?}"
                     );
-                    let visited = visited_masks(&setting, &pool, &[], &check);
+                    let (visited, cut) = visited_masks(&setting, &pool, &[], &settle, &check);
                     visited_total += visited.len();
+                    cut_total += cut;
                     assert_eq!(visited, brute, "{ctx}");
-                    let collapsed = visited_masks(&setting, &pool, &syms, &check);
+                    let (collapsed, _) = visited_masks(&setting, &pool, &syms, &settle, &check);
                     collapsed_total += collapsed.len();
                     assert_eq!(collapsed, leaders, "lex-leaders, {ctx}");
                     let want = first.map(|mask| mask_db(&setting, &pool, mask));
                     for s in [&[][..], &syms] {
-                        let (_, found) = search(&setting, &pool, s, &check, pass);
+                        let (_, found, _) = search(&setting, &pool, s, &settle, &check, pass);
                         assert_eq!(found, want, "first passing subset, {ctx}");
+                    }
+                    if let Some(mutant) = &mutant {
+                        let (visited, _) = visited_masks(&setting, &pool, &[], mutant, &check);
+                        mutants_caught += usize::from(visited != brute);
                     }
                 }
             }
@@ -1724,6 +1936,11 @@ mod tests {
         assert!(
             syms_total > 48 && collapsed_total < visited_total,
             "the closed pools exercise the collapse"
+        );
+        assert!(cut_total > 0, "the settle tests cut nodes");
+        assert!(
+            mutants_caught > 0,
+            "a dropped meeting pair must change the visited subsets"
         );
     }
 
@@ -1798,6 +2015,11 @@ mod tests {
     /// and Burnside counts (256 + 3·16 + 2·4) / 6 = 52 orbits under the six
     /// permutations of the fresh values: the collapsed search checks E2 on
     /// exactly one subset per orbit. Through the public request too.
+    ///
+    /// Each employee's last task meets no later entry, so its exclude
+    /// branch is cut at once: no leaf below it, with every task of that
+    /// employee excluded, is maximal. That pins the candidate counts (1081
+    /// collapsed and 4685 in full before the cut).
     #[test]
     fn e2_search_checks_one_subset_per_orbit() {
         let setting = work_setting();
@@ -1808,14 +2030,18 @@ mod tests {
             fresh_values: 3,
             ..SearchBudget::default()
         };
-        for (collapse, checks, syms) in [(true, 52, 5), (false, 256, 0)] {
+        for (collapse, checks, candidates, syms) in [(true, 52, 490, 5), (false, 256, 2130, 0)] {
             let (verdict, report) = general(&setting, &q, &budget, collapse);
             assert_eq!(verdict, QueryVerdict::Empty, "collapse {collapse}");
             assert_eq!(
-                report.counter("rcqp.e2_checks"),
-                checks,
+                (
+                    report.counter("rcqp.e2_checks"),
+                    report.counter("rcqp.candidates")
+                ),
+                (checks, candidates),
                 "collapse {collapse}"
             );
+            assert!(report.counter("rcqp.maximal.cut") > 0);
             assert_eq!(report.gauge("rcqp.symmetries"), Some(syms));
             assert_eq!(report.counter("rcqp.symmetry.pruned") > 0, collapse);
         }

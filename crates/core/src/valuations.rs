@@ -17,14 +17,17 @@
 //! The enumerator binds dense ids of the decision's [`Adom`] catalog, never
 //! [`Value`]s: candidates, inequality checks, and the symmetry break are
 //! integer operations, and a caller decodes ids only at its boundary (the
-//! E2 check per valuation, the exact RCDP search only for its witness).
+//! exact RCDP search only for its witness). An infinite-domain variable
+//! ranges over the catalog's constants and fresh pool, or over a subset a
+//! caller names per run (`ValuationSpace::for_each_valid_among`: the E2
+//! check offers only the values its candidate `D_𝒱` holds).
 
 use crate::adom::Adom;
 use crate::budget::Meter;
 use crate::check::IdDelta;
 use crate::verdict::RcError;
 use ric_data::{RelId, Schema, Value};
-use ric_query::tableau::{Tableau, Valuation};
+use ric_query::tableau::Tableau;
 use ric_query::Term;
 use ric_telemetry::Probe;
 use std::cell::{Cell, RefCell};
@@ -193,6 +196,19 @@ enum Cands {
     Infinite,
 }
 
+/// One enumeration run's inputs that do not change with depth, passed down
+/// the recursion by one reference.
+struct Run<'r, 'm> {
+    /// An infinite-domain variable's candidates: constants, then the fresh
+    /// pool the symmetry break walks.
+    infinite: (&'r [u32], &'r [u32]),
+    profile: &'r DepthProfile,
+    meter: &'r mut Meter<'m>,
+    head_filter: &'r mut dyn FnMut(&[Option<u32>]) -> bool,
+    partial_filter: &'r mut dyn FnMut(&[Option<u32>]) -> bool,
+    visit: &'r mut dyn FnMut(&[u32]) -> ControlFlow<()>,
+}
+
 /// A prepared enumeration over the valid valuations of one tableau, binding
 /// catalog ids.
 pub struct ValuationSpace<'a> {
@@ -300,19 +316,42 @@ impl<'a> ValuationSpace<'a> {
         mut partial_filter: impl FnMut(&[Option<u32>]) -> bool,
         mut visit: impl FnMut(&[u32]) -> ControlFlow<()>,
     ) -> EnumOutcome {
-        self.with_buffers(|binding, leaf| {
-            self.rec(
-                0,
-                0,
-                binding,
-                leaf,
-                profile,
-                meter,
-                &mut head_filter,
-                &mut partial_filter,
-                &mut visit,
-            )
-        })
+        let run = &mut Run {
+            infinite: self.catalog(),
+            profile,
+            meter,
+            head_filter: &mut head_filter,
+            partial_filter: &mut partial_filter,
+            visit: &mut visit,
+        };
+        self.with_buffers(|binding, leaf| self.rec(0, 0, binding, leaf, run))
+    }
+
+    /// Enumerate valid valuations with every infinite-domain variable
+    /// drawn from `constants` (ascending ids) and then the symmetry-broken
+    /// `fresh` ids, which no input of the caller's check may mention.
+    pub(crate) fn for_each_valid_among(
+        &self,
+        constants: &[u32],
+        fresh: &[u32],
+        meter: &mut Meter<'_>,
+        mut visit: impl FnMut(&[u32]) -> ControlFlow<()>,
+    ) -> EnumOutcome {
+        let run = &mut Run {
+            infinite: (constants, fresh),
+            profile: &DepthProfile::default(),
+            meter,
+            head_filter: &mut |_| true,
+            partial_filter: &mut |_| true,
+            visit: &mut visit,
+        };
+        self.with_buffers(|binding, leaf| self.rec(0, 0, binding, leaf, run))
+    }
+
+    /// An infinite-domain variable's default candidates: the catalog's
+    /// constants, then its fresh pool.
+    fn catalog(&self) -> (&'a [u32], &'a [u32]) {
+        (self.adom.constant_ids(), self.adom.fresh_ids())
     }
 
     /// The depth-0 candidates of this space — the chunk boundaries of the
@@ -371,17 +410,15 @@ impl<'a> ValuationSpace<'a> {
         self.with_buffers(|binding, leaf| {
             binding[var] = Some(id);
             if self.neqs_consistent(binding) && partial_filter(binding) {
-                self.rec(
-                    1,
-                    next_fresh,
-                    binding,
-                    leaf,
+                let run = &mut Run {
+                    infinite: self.catalog(),
                     profile,
                     meter,
-                    &mut head_filter,
-                    &mut partial_filter,
-                    &mut visit,
-                )
+                    head_filter: &mut head_filter,
+                    partial_filter: &mut partial_filter,
+                    visit: &mut visit,
+                };
+                self.rec(1, next_fresh, binding, leaf, run)
             } else {
                 profile.prune(0);
                 EnumOutcome::Exhausted
@@ -397,6 +434,40 @@ impl<'a> ValuationSpace<'a> {
         }
     }
 
+    /// Can one valuation map two distinct atoms to the rows `a` and `b`,
+    /// binding shared variables and constants consistently, with every
+    /// inequality the two atoms decide holding? `binding` is scratch.
+    pub(crate) fn two_atoms_match(
+        &self,
+        a: (RelId, &[u32]),
+        b: (RelId, &[u32]),
+        binding: &mut Vec<Option<u32>>,
+    ) -> bool {
+        let bind = |args: &[IdTerm], row: &[u32], binding: &mut [Option<u32>]| {
+            args.len() == row.len()
+                && args.iter().zip(row).all(|(&t, &v)| match t {
+                    IdTerm::Const(c) => c == v,
+                    IdTerm::Var(x) => *binding[x as usize].get_or_insert(v) == v,
+                })
+        };
+        let at = |rel: RelId| {
+            self.atoms
+                .iter()
+                .enumerate()
+                .filter(move |(_, atom)| atom.0 == rel)
+        };
+        at(a.0).any(|(i, (_, ai))| {
+            at(b.0).any(|(j, (_, bj))| {
+                binding.clear();
+                binding.resize(self.n_vars(), None);
+                i != j
+                    && bind(ai, a.1, binding)
+                    && bind(bj, b.1, binding)
+                    && self.neqs_consistent(binding)
+            })
+        })
+    }
+
     /// Write the candidate answer `μ(u)` of a binding that covers the head
     /// into `out`, as ids.
     pub(crate) fn head_into(&self, var: impl Fn(usize) -> Option<u32>, out: &mut Vec<u32>) {
@@ -407,21 +478,16 @@ impl<'a> ValuationSpace<'a> {
         }));
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn rec(
         &self,
         depth: usize,
         fresh_used: usize,
         binding: &mut [Option<u32>],
         leaf: &mut Vec<u32>,
-        profile: &DepthProfile,
-        meter: &mut Meter<'_>,
-        head_filter: &mut dyn FnMut(&[Option<u32>]) -> bool,
-        partial_filter: &mut dyn FnMut(&[Option<u32>]) -> bool,
-        visit: &mut dyn FnMut(&[u32]) -> ControlFlow<()>,
+        run: &mut Run<'_, '_>,
     ) -> EnumOutcome {
-        if depth == self.head_prefix && !head_filter(binding) {
-            profile.head_prune();
+        if depth == self.head_prefix && !(run.head_filter)(binding) {
+            run.profile.head_prune();
             return EnumOutcome::Exhausted; // pruned subtree, not a stop
         }
         if depth == self.order.len() {
@@ -432,7 +498,7 @@ impl<'a> ValuationSpace<'a> {
                     b.unwrap_or_else(|| unreachable!("all variables bound at full depth"))
                 }),
             );
-            return match visit(leaf) {
+            return match (run.visit)(leaf) {
                 ControlFlow::Continue(()) => EnumOutcome::Exhausted,
                 ControlFlow::Break(()) => EnumOutcome::Stopped,
             };
@@ -445,11 +511,8 @@ impl<'a> ValuationSpace<'a> {
         let (fixed, fresh): (&[u32], &[u32]) = match &self.cands[var] {
             Cands::Finite(ids) => (ids, &[]),
             Cands::Infinite => {
-                let pool = self.adom.fresh_ids();
-                (
-                    self.adom.constant_ids(),
-                    &pool[..(fresh_used + 1).min(pool.len())],
-                )
+                let (constants, pool) = run.infinite;
+                (constants, &pool[..(fresh_used + 1).min(pool.len())])
             }
         };
         let candidates = fixed.iter().map(|&id| (id, fresh_used)).chain(
@@ -459,25 +522,15 @@ impl<'a> ValuationSpace<'a> {
                 .map(|(i, &id)| (id, fresh_used + usize::from(i == fresh_used))),
         );
         for (id, next_fresh) in candidates {
-            if !meter.tick() {
+            if !run.meter.tick() {
                 return EnumOutcome::BudgetExceeded;
             }
-            profile.candidate(depth);
+            run.profile.candidate(depth);
             binding[var] = Some(id);
-            let outcome = if self.neqs_consistent(binding) && partial_filter(binding) {
-                self.rec(
-                    depth + 1,
-                    next_fresh,
-                    binding,
-                    leaf,
-                    profile,
-                    meter,
-                    head_filter,
-                    partial_filter,
-                    visit,
-                )
+            let outcome = if self.neqs_consistent(binding) && (run.partial_filter)(binding) {
+                self.rec(depth + 1, next_fresh, binding, leaf, run)
             } else {
-                profile.prune(depth);
+                run.profile.prune(depth);
                 EnumOutcome::Exhausted
             };
             binding[var] = None;
@@ -522,26 +575,6 @@ pub fn materialize(
             (atom.rel, tuple)
         })
         .collect()
-}
-
-/// Decode a valuation of catalog ids into `out`'s values, reusing its
-/// buffer: one value clone per variable.
-pub(crate) fn decode_into(adom: &Adom, mu: &[u32], out: &mut Valuation) {
-    out.0.clear();
-    out.0.extend(mu.iter().map(|&id| adom.value(id).clone()));
-}
-
-/// Instantiate every atom of a tableau under a total valuation into
-/// `delta`, which is cleared first — `μ(T)` without allocating a database per
-/// valuation.
-pub(crate) fn instantiate_into(t: &Tableau, mu: &Valuation, delta: &mut ric_data::Database) {
-    delta.clear_tuples();
-    for atom in &t.atoms {
-        delta.insert(
-            atom.rel,
-            ric_data::Tuple::new(atom.args.iter().map(|term| mu.term(term))),
-        );
-    }
 }
 
 #[cfg(test)]

@@ -17,17 +17,25 @@
 #                              counterexamples on the bounded search)
 #   6. allocation bound       (cargo test --release --test alloc_per_valuation:
 #                              an exact RCDP decision's allocations must not
-#                              grow with the valuations it walks)
+#                              grow with the valuations it walks, and an
+#                              RCQP E2 search's must not grow with its
+#                              candidates or E2 checks)
 #   7. E2 search A/B          (cargo test --test rcqp_e2_differential: the
 #                              RCQP maximal-subset search visits the same
-#                              subsets on every engine; then the rcqp unit
-#                              tests that pin the search collapsed to one
-#                              subset per fresh-value orbit against the
+#                              subsets on every engine, returns identical
+#                              verdicts and witnesses, and every witness is
+#                              certified Complete by RCDP; then the rcqp
+#                              unit tests that pin the search against the
 #                              full enumeration: the same verdicts and
 #                              witnesses, exactly the orbit leaders of a
-#                              brute force, 52 E2 checks instead of 256;
-#                              and the public e2_check still fails a D_V
-#                              that is not partially closed)
+#                              brute force, 52 E2 checks instead of 256 and
+#                              the exact candidate counts; the settle-point
+#                              cut must keep the brute force's maximal
+#                              subsets and must break when one meeting pair
+#                              is dropped; the id check's overlay must
+#                              answer as the base it stands for; and the
+#                              public e2_check still fails a D_V that is not
+#                              partially closed)
 #   8. reason A/B             (cargo test --test reason_differential: the
 #                              symbolic pre-decision prover — certified
 #                              V-minimization and static verdicts — must be
@@ -140,22 +148,25 @@ cargo test -q --offline --test engine_differential
 
 # Allocation bound: the exact search binds dense ids and reuses one arena,
 # so two decisions over the same database whose valuation counts differ
-# more than 10x must allocate within a small fixed margin of each other.
-step "allocation bound (no allocation per valuation, --release)"
+# more than 10x must allocate within a small fixed margin of each other;
+# likewise two E2 searches whose candidate counts differ more than 4x.
+step "allocation bound (no allocation per valuation or candidate, --release)"
 cargo test -q --offline --release --test alloc_per_valuation
 
 # E2 search A/B: the RCQP maximal-subset search must visit the same subsets
-# and run the same E2 checks on every engine, with identical verdicts; and
-# the search collapsed to one maximal subset per orbit of fresh-value
-# permutations must agree with the full enumeration.
+# and run the same E2 checks on every engine, with identical verdicts and
+# witnesses, each witness certified by RCDP; the search collapsed to one
+# maximal subset per orbit and cut at settle points must agree with the
+# full enumeration; and the id check's overlay must answer as its base.
 step "rcqp E2 differential suite (engine identity of the E2 search)"
 cargo test -q --offline --test rcqp_e2_differential
-step "rcqp orbit collapse (collapsed search agrees with the full enumeration)"
+step "rcqp orbit collapse and settle points (agree with the full enumeration)"
 cargo test -q --offline -p ric-complete --lib -- --exact \
     rcqp::tests::maximal_subsets_match_brute_force \
     rcqp::tests::e2_search_checks_one_subset_per_orbit \
     rcqp::tests::collapsed_search_matches_full_enumeration \
     rcqp::tests::bound_mask_holds_only_the_chosen_entries \
+    check::tests::pushed_rows_check_as_the_base_does \
     characterize::tests::e2_check_rejects_dv_that_is_not_partially_closed
 
 # Reason A/B: the symbolic pre-decision prover may drop implied constraints

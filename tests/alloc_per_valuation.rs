@@ -1,4 +1,5 @@
-//! Exact RCDP allocates nothing per valuation.
+//! Exact RCDP allocates nothing per valuation, and RCQP's E2 search nothing
+//! per candidate or E2 check.
 //!
 //! The exact search binds dense ids, writes each candidate's atoms into one
 //! reused arena, and checks it against id tables built once per decision, so
@@ -9,6 +10,12 @@
 //! counts to differ by at most a small fixed margin — once for a
 //! projection-only constraint set (the `IndOnly` check) and once for a join
 //! denial (the planned delta check, which runs compiled plans and probes).
+//!
+//! The E2 search case decides two `Empty` RCQP instances on one setting and
+//! fresh pool whose searches differ at least 4× in candidates and E2
+//! checks: the search checks every candidate and every E2 valuation as one
+//! id row set against a reused overlay, so only its setup — which grows
+//! with the pool, not with the search — may allocate more.
 //!
 //! Allocations are counted per thread by a counting global allocator, so
 //! the harness's other test threads cannot inflate a figure. Run it with
@@ -146,4 +153,84 @@ fn delta_check_allocates_per_decision_not_per_valuation() {
     ))]);
     let setting = Setting::new(s, Schema::new(), Database::with_relations(0), v);
     assert_flat(&setting, &db);
+}
+
+/// How many more allocations the larger E2 search may make. Its pool is
+/// built from half as many instantiations again (a value more per column),
+/// each a tuple and a bound set; that setup is all it may add. One
+/// allocation per E2 check would add over 500 here, one per candidate over
+/// 5000.
+const E2_MARGIN: u64 = 256;
+
+/// `Work(emp, task)` under the FD `emp → task`, and `Cert[lvl] ⊆ Lvl` with
+/// the single level 0.
+fn work_setting() -> Setting {
+    let s = Schema::from_relations(vec![
+        RelationSchema::infinite("Work", &["emp", "task"]),
+        RelationSchema::infinite("Cert", &["emp", "lvl"]),
+    ])
+    .unwrap();
+    let work = s.rel_id("Work").unwrap();
+    let cert = s.rel_id("Cert").unwrap();
+    let m = Schema::from_relations(vec![RelationSchema::infinite("Lvl", &["lvl"])]).unwrap();
+    let lvl = m.rel_id("Lvl").unwrap();
+    let mut dm = Database::empty(&m);
+    dm.insert(lvl, Tuple::new([Value::int(0)]));
+    let mut ccs = ric::constraints::compile::fd_to_ccs(&Fd::new(work, vec![0], vec![1]), &s);
+    ccs.push(ContainmentConstraint::into_master(
+        CcBody::Proj(Projection::new(cert, vec![1])),
+        lvl,
+        vec![0],
+    ));
+    Setting::new(s, m, dm, ConstraintSet::new(ccs))
+}
+
+/// Decide RCQP for `q` under the planned engine with three fresh values:
+/// the verdict, `rcqp.candidates`, `rcqp.e2_checks`, and the allocations
+/// made by the undisturbed (unprobed) decision.
+fn decide_rcqp(setting: &Setting, q: &Query) -> (QueryVerdict, u64, u64, u64) {
+    let budget = SearchBudget {
+        fresh_values: 3,
+        ..SearchBudget::default()
+    }
+    .with_engine(Engine::Planned);
+    let collector = Collector::new();
+    ric::complete::Request::new(setting)
+        .budget(&budget)
+        .probe(Probe::attached(&collector))
+        .rcqp(q)
+        .unwrap();
+    let report = collector.report();
+    let before = allocs();
+    let verdict = rcqp(setting, q, &budget).unwrap();
+    (
+        verdict,
+        report.counter("rcqp.candidates"),
+        report.counter("rcqp.e2_checks"),
+        allocs() - before,
+    )
+}
+
+#[test]
+fn e2_search_allocates_per_decision_not_per_candidate() {
+    let setting = work_setting();
+    let s = &setting.schema;
+    // No head is bounded, so both searches run to exhaustion. The constant
+    // 5 adds a value to every column of the pool.
+    let small: Query = parse_cq(s, "Q(E) :- Cert(E, L).").unwrap().into();
+    let large: Query = parse_cq(s, "Q(E) :- Cert(E, L), E != 5.").unwrap().into();
+    decide_rcqp(&setting, &large);
+    let (vs, cs, es, a_small) = decide_rcqp(&setting, &small);
+    let (vl, cl, el, a_large) = decide_rcqp(&setting, &large);
+    assert_eq!(vs, QueryVerdict::Empty);
+    assert_eq!(vl, QueryVerdict::Empty);
+    assert!(
+        cl >= 4 * cs && el >= 4 * es,
+        "searches must differ at least 4x: {cs} candidates and {es} E2 checks vs {cl} and {el}"
+    );
+    assert!(
+        a_large <= a_small + E2_MARGIN,
+        "allocations grew with the search: {a_small} allocations for {cs} candidates and \
+         {es} E2 checks, {a_large} for {cl} and {el}"
+    );
 }

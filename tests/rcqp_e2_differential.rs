@@ -7,7 +7,9 @@
 //! decision can take the IND path (Proposition 4.3). Across `Engine::Naive`
 //! and `Engine::Planned`:
 //!
-//! * verdict kinds are identical;
+//! * verdicts are identical, witnesses included;
+//! * every `Nonempty` witness is certified: an RCDP decision on it returns
+//!   `Complete`;
 //! * `rcqp.candidates` and `rcqp.e2_checks` are identical on every engine —
 //!   the engines differ in how a candidate's consistency is checked, never
 //!   in which subsets the search visits.
@@ -129,7 +131,7 @@ fn decide(
 #[test]
 fn e2_search_agrees_across_engines() {
     let mut rng = SplitMix64::seed_from_u64(0xE2E2);
-    let mut searched = 0;
+    let (mut searched, mut witnesses) = (0, 0);
     for round in 0..16 {
         let setting = random_setting(&mut rng);
         // One fresh value keeps the pool small enough for the search to run
@@ -139,21 +141,27 @@ fn e2_search_agrees_across_engines() {
             let ctx = format!("round {round}, query {qi}");
             let (vn, cn, en, sn) = decide(&setting, q, fresh, Engine::Naive);
             let (vi, ci, ei, si) = decide(&setting, q, fresh, Engine::Planned);
-            assert_eq!(
-                std::mem::discriminant(&vn),
-                std::mem::discriminant(&vi),
-                "naive vs planned(1) verdicts diverge ({ctx}): {vn:?} vs {vi:?}"
-            );
+            assert_eq!(vn, vi, "naive vs planned verdicts diverge ({ctx})");
             assert_eq!(
                 (cn, en, sn),
                 (ci, ei, si),
-                "naive vs planned(1) counters ({ctx})"
+                "naive vs planned counters ({ctx})"
             );
+            if let QueryVerdict::Nonempty { witness: Some(w) } = &vi {
+                let budget = SearchBudget::default();
+                assert_eq!(
+                    rcdp(&setting, q, w, &budget).unwrap(),
+                    Verdict::Complete,
+                    "witness {w} is not certified complete ({ctx})"
+                );
+                witnesses += 1;
+            }
             searched += usize::from(si);
         }
     }
     assert!(
-        searched >= 20,
-        "only {searched} decisions reached the E2 search; the generator drifted"
+        searched >= 20 && witnesses >= 1,
+        "only {searched} decisions reached the E2 search and {witnesses} returned a \
+         witness; the generator drifted"
     );
 }
