@@ -26,6 +26,12 @@
 //! an analysis-gated request (`ric::Request::analyzed`) rejects Error-level
 //! settings and dispatches the certified rewrite to the cheapest cell (see
 //! DESIGN.md §9).
+//!
+//! Analysis classifies *fragments*; it does not reason about content. The
+//! symbolic reasoner's findings (RIC040–RIC044: implied constraints, static
+//! verdicts, degradations) come from the one reasoner run of a
+//! `ric::ReasonedSetting`, rendered by [`reason_diagnostics`] from its
+//! facts.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -37,7 +43,7 @@ pub mod lints;
 pub use classify::{classify_body, classify_query, Classification, MAX_DNF_DISJUNCTS};
 pub use diag::{Code, Diagnostic, Pointer, Severity};
 
-use ric_complete::{Query, SearchBudget, Setting};
+use ric_complete::{Query, Setting};
 use ric_constraints::CcBody;
 use ric_query::QueryLanguage;
 use ric_reason::{ReasonNote, StaticFacts};
@@ -195,13 +201,6 @@ pub fn analyze(setting: &Setting, query: &Query) -> AnalysisReport {
         lower_bounds.push(cls);
     }
 
-    // Symbolic pre-decision reasoning (RIC040+): proven implied
-    // constraints, static verdicts, and degradation notes. The reasoner runs
-    // under its own small budget so analysis stays fast, and every reported
-    // conclusion has already passed its proof check.
-    let facts = ric_reason::reason(setting, query, &SearchBudget::small());
-    diagnostics.extend(reason_diagnostics(&facts));
-
     AnalysisReport {
         diagnostics,
         query: query_cls,
@@ -210,7 +209,10 @@ pub fn analyze(setting: &Setting, query: &Query) -> AnalysisReport {
     }
 }
 
-/// Render the reasoner's proven [`StaticFacts`] as stable diagnostics.
+/// Render the reasoner's proven [`StaticFacts`] as stable diagnostics
+/// (RIC040–RIC044). [`analyze`] does not reason: pass the facts of the
+/// preparation that decides (`ric::ReasonedSetting::facts`), so the rows
+/// describe exactly the facts the decision uses.
 pub fn reason_diagnostics(facts: &StaticFacts) -> Vec<Diagnostic> {
     let mut out = Vec::new();
     for implied in &facts.implied {

@@ -64,9 +64,6 @@ struct PreparedCc {
 /// per-candidate loop.
 pub struct PreparedUpper {
     ccs: Vec<PreparedCc>,
-    /// Body of some constraint is FO/FP (forces materialization when its
-    /// relations are touched).
-    fo_bodies: Vec<usize>,
     /// Per-relation row counts the planner costed against, for every
     /// relation read by a plan-bearing body. Telemetry compares these
     /// against the decision database so a trace can show how stale the
@@ -90,8 +87,8 @@ impl PreparedUpper {
         stats: &dyn StatsProvider,
     ) -> Result<Self, TableauError> {
         let mut ccs = Vec::with_capacity(v.ccs.len());
-        let mut fo_bodies = Vec::new();
-        for (i, cc) in v.ccs.iter().enumerate() {
+        for cc in &v.ccs {
+            // An FO/FP body has no plans and is materialized when checked.
             let plans = match cc.body.as_ucq(schema) {
                 Some(ucq) => Some(
                     ucq.tableaux()?
@@ -99,10 +96,7 @@ impl PreparedUpper {
                         .map(|t| plan_tableau_delta(t, stats))
                         .collect(),
                 ),
-                None => {
-                    fo_bodies.push(i);
-                    None
-                }
+                None => None,
             };
             ccs.push(PreparedCc {
                 rels: cc.body.rels(),
@@ -119,11 +113,7 @@ impl PreparedUpper {
             .into_iter()
             .map(|r| (r, stats.rel_stats(r).rows))
             .collect();
-        Ok(PreparedUpper {
-            ccs,
-            fo_bodies,
-            planned_rows,
-        })
+        Ok(PreparedUpper { ccs, planned_rows })
     }
 
     /// The row counts the planner costed against, per relation read by a
@@ -172,11 +162,6 @@ impl PreparedUpper {
             }
         }
         out
-    }
-
-    /// Any FO/FP bodies among the prepared constraints?
-    pub fn has_nonmonotone_bodies(&self) -> bool {
-        !self.fo_bodies.is_empty()
     }
 
     /// Each prepared upper bound in set order: its compiled delta plans

@@ -155,14 +155,6 @@ impl PreparedPlan {
         self.steps.iter().map(|s| s.atom as usize).collect()
     }
 
-    /// Per-step `(original atom index, relation, estimated rows)`.
-    pub fn step_estimates(&self) -> Vec<(usize, RelId, f64)> {
-        self.steps
-            .iter()
-            .map(|s| (s.atom as usize, s.rel, s.est))
-            .collect()
-    }
-
     /// One-line human-readable plan: join order with access paths and
     /// per-step estimates. `rel_name` maps relation ids to display names.
     pub fn render(&self, rel_name: impl Fn(RelId) -> String) -> String {

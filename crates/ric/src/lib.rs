@@ -63,7 +63,10 @@
 //!   [`analyze`] produces the [`AnalysisReport`]; [`Request::analyzed`]
 //!   rejects Error-level settings and dispatches certified downgrades to
 //!   the cheapest Table I/II cell (see `examples/analyze_setting.rs` and
-//!   DESIGN.md §9).
+//!   DESIGN.md §9). Analysis does not reason: the symbolic reasoner runs
+//!   once, in [`ReasonedSetting::prepare`], and
+//!   [`analysis::reason_diagnostics`] renders its
+//!   [`facts`](ReasonedSetting::facts) as `RIC040`–`RIC044`.
 //!
 //! ## Robustness
 //!

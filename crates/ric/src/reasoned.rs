@@ -13,11 +13,15 @@
 //!   single candidate, and a certified cover fact `Q ⊆ body(φ_j)` decides
 //!   `Complete` whenever `p_j(D_m) ⊆ Q(D)` holds at decision time.
 //!
-//! Partial closure is always checked against the **full** constraint set, so
-//! a reasoned decision accepts and rejects exactly the databases the
-//! unreasoned one does. The `reason_differential` suite pins reasoned
-//! decisions verdict-, witness-, and counter-identical to the plain
-//! prepared paths.
+//! Each constraint of `V` is checked on the input once per decision, so a
+//! reasoned decision accepts and rejects exactly the databases the
+//! unreasoned one does: the facade checks the constraints minimization
+//! dropped, and core checks the kept ones before it searches. A static
+//! verdict never reaches core, so it checks both itself. A proven drop is
+//! implied by the kept set, so checking it guards only against a wrong drop
+//! proof. The `reason_differential` suite pins reasoned decisions verdict-,
+//! witness-, and counter-identical to the plain prepared paths, and their
+//! input contract to `Setting::partially_closed` of the full `V`.
 
 use crate::guard::{Decision, DecisionError};
 use crate::Request;
@@ -25,6 +29,7 @@ use ric_complete::{
     rcdp_fingerprint, Checkpoint, DecisionKind, Engine, Outcome, PreparedSetting, Query, RcError,
     Setting, Verdict,
 };
+use ric_constraints::{CcRhs, ConstraintSet};
 use ric_data::{Database, Tuple};
 use ric_plan::CappedStats;
 use ric_reason::{CapKind, StaticFacts};
@@ -34,8 +39,8 @@ use std::collections::BTreeSet;
 /// A `(setting, query)` pair compiled through the symbolic prover: static
 /// facts plus a [`PreparedSetting`] over the minimized constraint set.
 pub struct ReasonedSetting {
-    /// The original setting; partial closure is gated on its full `V`.
-    setting: Setting,
+    /// The constraints minimization dropped, checked on every input.
+    dropped: ConstraintSet,
     /// The query the facts were derived for.
     query: Query,
     /// The certified static artifact.
@@ -79,12 +84,18 @@ impl ReasonedSetting {
         }
         let prepared = PreparedSetting::prepare(facts.minimized_setting(setting), &stats, engine)?;
         let cover_dm = facts.cover.map(|c| match &setting.v.ccs[c.cc].rhs {
-            ric_constraints::CcRhs::Master(p) => p.eval(&setting.dm),
+            CcRhs::Master(p) => p.eval(&setting.dm),
             // Cover facts are only derived for master right-hand sides.
-            ric_constraints::CcRhs::Empty => BTreeSet::new(),
+            CcRhs::Empty => BTreeSet::new(),
         });
+        let dropped = ConstraintSet::new(
+            (setting.v.ccs.iter().zip(&facts.kept))
+                .filter(|(_, kept)| !**kept)
+                .map(|(cc, _)| cc.clone())
+                .collect(),
+        );
         Ok(ReasonedSetting {
-            setting: setting.clone(),
+            dropped,
             query: query.clone(),
             facts,
             prepared,
@@ -128,19 +139,12 @@ impl ReasonedSetting {
         probe: Probe<'_>,
         db: &Database,
     ) -> Result<Outcome<Verdict>, RcError> {
-        // The input contract is checked against the FULL constraint set, so
-        // reasoned and unreasoned paths accept exactly the same inputs.
-        if !self.setting.partially_closed(db)? {
+        let kept = self.prepared.setting();
+        if !self.dropped.satisfied(db, &kept.dm)? {
             return Err(RcError::NotPartiallyClosed);
         }
-        // A foreign checkpoint is rejected before a static verdict can
-        // answer over it.
-        if let Some(prior) = prior {
-            let fingerprint = rcdp_fingerprint(self.prepared.setting(), &self.query, db);
-            prior.validate(DecisionKind::Rcdp, fingerprint)?;
-        }
-        if self.facts.statically_complete {
-            probe.count("reason.static_verdict", 1);
+        let shortcut = if self.facts.statically_complete {
+            "reason.static_verdict"
         } else {
             // Q ⊆ body(φ_j) ⊆ p_j(R_m) is certified, so on every legal
             // extension Q(D ∪ ΔD) ⊆ p_j(D_m); if p_j(D_m) ⊆ Q(D) already,
@@ -152,8 +156,18 @@ impl ReasonedSetting {
                 probe.count("reason.cover_miss", 1);
                 return req.rcdp(&self.query, db);
             }
-            probe.count("reason.cover_hit", 1);
+            "reason.cover_hit"
+        };
+        // A static verdict never reaches core, which validates the
+        // checkpoint and then checks the kept constraints on the search
+        // path: do both here, in that order, before answering.
+        if let Some(prior) = prior {
+            prior.validate(DecisionKind::Rcdp, rcdp_fingerprint(kept, &self.query, db))?;
         }
+        if !kept.partially_closed(db)? {
+            return Err(RcError::NotPartiallyClosed);
+        }
+        probe.count(shortcut, 1);
         probe.note("rcdp.outcome", || "complete".into());
         Ok(Outcome {
             verdict: Verdict::Complete,

@@ -351,16 +351,6 @@ impl Explain {
             .map(|(_, d)| d.as_str())
     }
 
-    /// The machine-readable resume frontier, if the decision stopped on a
-    /// resumable budget limit. This is the checkpoint document the facade
-    /// records under the `explain.frontier.json` note, parsed back into
-    /// [`Json`] so tools can inspect (or persist) it without re-running the
-    /// decision.
-    pub fn frontier_json(&self) -> Option<Json> {
-        self.note("explain.frontier.json")
-            .and_then(|s| crate::json::parse(s).ok())
-    }
-
     /// The explanation as one JSON object (`outcome`, `limit`, `tree`,
     /// `counters`, `gauges`, `notes`, `interrupts`) — the `explain` shape
     /// documented in EXPERIMENTS.md.

@@ -6,9 +6,11 @@
 //! really a conjunctive query, runs `ric::analyze` to get the diagnostic
 //! report and the proven fragment downgrades, and then lets the
 //! analysis-gated request `Request::analyzed` dispatch the decision to the
-//! cheap Σᵖ₂ CQ cell of Table I. A second, deliberately broken setting
-//! shows the Error path: the gated request rejects it with
-//! `DecisionError::Rejected` before any search starts.
+//! cheap Σᵖ₂ CQ cell of Table I. Analysis classifies fragments only: the
+//! symbolic reasoner's findings (RIC040–RIC044) come from the one reasoner
+//! run of a `ReasonedSetting`, printed next to the report. A second,
+//! deliberately broken setting shows the Error path: the gated request
+//! rejects it with `DecisionError::Rejected` before any search starts.
 
 use ric::prelude::*;
 use ric::query::{Atom, EfoExpr, FoExpr, FoQuery};
@@ -73,11 +75,25 @@ fn main() {
     );
     println!("downgrades applied: {}", report.downgrade_count());
 
-    // ── The gated decision ─────────────────────────────────────────────
     let mut db = Database::empty(&schema);
     db.insert(supt, Tuple::new([Value::str("e0"), Value::str("c1")]));
     db.insert(pref, Tuple::new([Value::str("c1")]));
 
+    // ── The reasoned facts ─────────────────────────────────────────────
+    // The reasoner runs once, over the certified rewrite, when the reasoned
+    // preparation is built; the decision uses exactly the facts rendered
+    // here. The rewritten query is contained in the constraint's body, so
+    // the reasoner proves a cover fact (RIC042).
+    let (cq_setting, cq_query) = report.apply(&setting, &query);
+    let budget = SearchBudget::default();
+    let reasoned = ReasonedSetting::prepare(&cq_setting, &cq_query, &db, budget.engine, &budget)
+        .expect("reasoned preparation");
+    println!("\nreasoned diagnostics:");
+    for d in ric::analysis::reason_diagnostics(reasoned.facts()) {
+        println!("  {d}");
+    }
+
+    // ── The gated decision ─────────────────────────────────────────────
     let collector = Collector::new();
     let decision = Request::analyzed(&setting)
         .budget(&SearchBudget::default())

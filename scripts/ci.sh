@@ -40,7 +40,16 @@
 #                              symbolic pre-decision prover — certified
 #                              V-minimization and static verdicts — must be
 #                              verdict- and witness-identical to the full-V
-#                              prepared path)
+#                              prepared path; the input contract
+#                              (reasoned_decisions_match_prepared_full_v and
+#                              the static-complete and cover-hit cases):
+#                              databases that are not partially closed run
+#                              through the search path, the static path and
+#                              a cover hit, and must be refused with
+#                              NotPartiallyClosed exactly when the full V
+#                              fails; the analysis/reasoning split test; then the
+#                              analyze_setting example runs, printing the
+#                              analysis report and the reasoned diagnostics)
 #   9. checkpoint/resume      (cargo test --test resume_differential, then
 #                              RIC_RESUME_K=2,5: K-installment decisions must
 #                              be identical to uninterrupted runs; then the
@@ -171,9 +180,15 @@ cargo test -q --offline -p ric-complete --lib -- --exact \
 
 # Reason A/B: the symbolic pre-decision prover may drop implied constraints
 # and short-circuit statically decided settings, but every verdict, witness,
-# and pinned counter must match the full-V prepared path.
-step "reason differential suite (reasoned vs full-V verdict identity)"
+# and pinned counter must match the full-V prepared path, and every path must
+# refuse exactly the databases that are not partially closed
+# (reasoned_decisions_match_prepared_full_v and the static-complete and
+# cover-hit cases). Analysis does not reason: the example prints its report
+# and, next to it, the reasoner's diagnostics from a reasoned preparation.
+step "reason differential suite (reasoned vs full-V verdict identity, input contract)"
 cargo test -q --offline --test reason_differential
+step "analysis and reasoned diagnostics (the analyze_setting example runs to completion)"
+cargo run -q --release --offline --example analyze_setting > /dev/null
 
 # Resume equivalence: a decision finished in K installments must be
 # verdict-, witness-, and counter-identical to one uninterrupted run. The
