@@ -23,6 +23,13 @@
 //!   ([`PreparedSetting::upper_satisfied_delta`]) over an additive
 //!   [`Overlay`] instead of a full re-evaluation; deletes
 //!   on monotone bodies ride the same check by downward closure.
+//! * **Exact one-step undo.** The first rung of the verdict ladder (undo →
+//!   anchor → recert → decide) for a touched, partially closed setting. A
+//!   transaction whose net change swaps the inserts and deletes of the one
+//!   before it, on both `D` and `D_m`, brings back exactly the state before
+//!   that one. Each touched setting replays the verdict that transaction
+//!   replaced, bitwise, with no search (`monitor.memo.hit`). The check
+//!   compares the two net changes, in work that follows `|Δ|`.
 //! * **Complete anchors.** Each setting keeps up to four states it saw
 //!   decided `Complete` under the current master data, each held as
 //!   two O(|Δ|)-maintained sets over its relation footprint: anchor tuples
@@ -40,13 +47,6 @@
 //!   ([`PreparedSetting::first_violation`]) on `D ∪ Δ` and two head-pinned
 //!   joins, in work that follows `|Δ|`. FO/FP queries and bodies fall back
 //!   to [`ric_complete::rcdp::certify_counterexample`].
-//! * **Fingerprint memo.** Decisions are memoized per setting under an
-//!   incrementally maintained 128-bit content fingerprint of `(D, D_m)`:
-//!   sums of nonlinear per-tuple hashes, updated in O(|Δ|) per transaction,
-//!   so the lookup never scans the database. A hit is replayed only when a
-//!   second, multiplicative lane and the per-relation cardinalities match
-//!   too. A transaction and its inverse (or a state the stream revisits)
-//!   re-decides nothing (`monitor.memo.hit`).
 //! * **Frontier reuse.** An `Unknown` verdict's unexplored search frontier
 //!   is kept as a [`Checkpoint`] (PR 7's resumable form); a later decision
 //!   on the same database (validated by [`rcdp_fingerprint`]) — in
@@ -72,10 +72,11 @@ use ric_complete::checkpoint::{rcdp_fingerprint, Checkpoint};
 use ric_complete::query::PinnedQuery;
 use ric_complete::rcdp::certify_counterexample;
 use ric_complete::{
-    CounterExample, Guard, PreparedSetting, Query, RcError, Request, SearchBudget, Setting, Verdict,
+    BudgetLimit, CounterExample, Guard, PreparedSetting, Query, RcError, Request, SearchBudget,
+    Setting, Verdict,
 };
 use ric_constraints::{CcBody, ConstraintSet};
-use ric_data::{DataError, Database, Overlay, RelId, Schema, Tuple, Value};
+use ric_data::{DataError, Database, Overlay, RelId, Schema, Tuple};
 use ric_telemetry::Probe;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
@@ -348,7 +349,8 @@ pub struct MonitorCounters {
     pub skip: u64,
     /// Full re-decisions executed.
     pub redecide: u64,
-    /// Re-decisions avoided by the fingerprint memo.
+    /// Verdicts replayed because the transaction exactly undid the one
+    /// before it (the undo rung; the name predates it).
     pub memo_hit: u64,
     /// `Incomplete` verdicts kept because the cached counterexample still
     /// certifies on the new state (polynomial, no search).
@@ -380,8 +382,8 @@ pub struct MonitorCounters {
     pub reprepare: u64,
     /// Decisions resumed from a cached [`Checkpoint`] frontier.
     pub frontier_resume: u64,
-    /// Memoized verdicts evicted by the per-setting LRU cap
-    /// ([`Monitor::with_memo_cap`]).
+    /// Always 0: the undo rung keeps one verdict per setting and evicts
+    /// nothing. Kept so that readers of the field still build.
     pub memo_evict: u64,
 }
 
@@ -467,10 +469,6 @@ enum Action {
     /// sides are stale).
     Touch { pc: PcPlan, reprepare: bool },
 }
-
-/// Default cap on memoized decisions per setting (least-recently-used
-/// evicted); override per monitor with [`Monitor::with_memo_cap`].
-const MEMO_CAP: usize = 32;
 
 /// Most Complete anchors a setting keeps; recording one more drops the
 /// oldest.
@@ -564,15 +562,6 @@ impl Recert {
     }
 }
 
-/// One memoized verdict, with what confirms a hit beyond its key.
-struct MemoEntry {
-    /// The fingerprint's second lane when the verdict was recorded.
-    lane2: (u64, u64),
-    /// `|R|` for every relation of `D`, then of `D_m`.
-    cards: Box<[usize]>,
-    state: SettingVerdict,
-}
-
 struct Registered {
     name: String,
     prepared: PreparedSetting,
@@ -592,8 +581,12 @@ struct Registered {
     recert: Recert,
     pc: bool,
     state: SettingVerdict,
-    memo: BTreeMap<u128, MemoEntry>,
-    memo_order: VecDeque<u128>,
+    /// The verdict the last transaction that touched this setting
+    /// replaced, when it is [`replayable`]. Only a transaction that exactly
+    /// undoes the monitor's last one reads it, and such a transaction
+    /// touches the same relations: a setting the last transaction skipped
+    /// is skipped again, so an older `undo` is never read.
+    undo: Option<SettingVerdict>,
     /// Complete anchors, oldest first.
     anchors: VecDeque<Anchor>,
     frontier: Option<Checkpoint>,
@@ -636,74 +629,6 @@ impl Registered {
             .rcdp(&self.query, db)?;
         self.frontier = out.checkpoint;
         Ok(out.verdict)
-    }
-
-    /// Memo lookup with LRU refresh: a hit moves the key to most-recent, so
-    /// the fingerprint of the *current* state is always the last to be
-    /// evicted — an immediately undone transaction always replays its
-    /// pre-state verdict bitwise. An entry filed under the same key whose
-    /// second lane or cardinalities differ is a collision, not a hit.
-    fn memo_lookup(
-        &mut self,
-        fp: &ContentFp,
-        db: &Database,
-        dm: &Database,
-    ) -> Option<SettingVerdict> {
-        let key = fp.key;
-        let hit = self
-            .memo
-            .get(&key)
-            .filter(|e| fp.same_lane2(e.lane2) && e.cards.iter().copied().eq(cards(db, dm)))
-            .map(|e| e.state.clone());
-        if hit.is_some() {
-            self.memo_order.retain(|&k| k != key);
-            self.memo_order.push_back(key);
-        }
-        hit
-    }
-
-    /// Memoize under the LRU cap; returns the number of evictions (0 or 1).
-    fn memoize(
-        &mut self,
-        fp: &ContentFp,
-        db: &Database,
-        dm: &Database,
-        state: &SettingVerdict,
-        cap: usize,
-    ) -> u64 {
-        match state {
-            // The decider's defensive answer (see `decide`) is no verdict.
-            SettingVerdict::NotPartiallyClosed => return 0,
-            // Wall-clock limited verdicts are not deterministic functions of
-            // the decision inputs; caching them would let timing leak into
-            // replays.
-            SettingVerdict::Decided(Verdict::Unknown { stats })
-                if matches!(
-                    stats.limit,
-                    ric_complete::BudgetLimit::Deadline | ric_complete::BudgetLimit::Cancelled
-                ) =>
-            {
-                return 0
-            }
-            _ => {}
-        }
-        let entry = MemoEntry {
-            lane2: fp.lane2,
-            cards: cards(db, dm).collect(),
-            state: state.clone(),
-        };
-        if self.memo.insert(fp.key, entry).is_some() {
-            self.memo_order.retain(|&k| k != fp.key);
-        }
-        self.memo_order.push_back(fp.key);
-        let mut evicted = 0;
-        while self.memo_order.len() > cap {
-            if let Some(old) = self.memo_order.pop_front() {
-                self.memo.remove(&old);
-                evicted += 1;
-            }
-        }
-        evicted
     }
 
     /// Fold the transaction's net changes on the footprint into every
@@ -757,6 +682,17 @@ impl NetChange {
     fn is_empty(&self) -> bool {
         self.touched_db.is_empty() && self.touched_m.is_empty()
     }
+
+    /// Does this net change exactly undo `last`, the one committed just
+    /// before it? Both are effective (inserts were absent, deletes
+    /// present), so swapping inserts and deletes on both `D` and `D_m`
+    /// brings back exactly the state `last` started from.
+    fn undoes(&self, last: &NetChange) -> bool {
+        self.ins_db == last.del_db
+            && self.del_db == last.ins_db
+            && self.ins_m == last.del_m
+            && self.del_m == last.ins_m
+    }
 }
 
 /// A continuous RCDP monitor over one database/master pair.
@@ -770,20 +706,18 @@ pub struct Monitor {
     db: Database,
     dm: Database,
     budget: SearchBudget,
-    memo_cap: usize,
     settings: Vec<Registered>,
     txn_seq: u64,
     counters: MonitorCounters,
-    /// The content fingerprint of `(db, dm)`, maintained in O(|Δ|) per
-    /// transaction. It keys the per-setting verdict memos, so the memo
-    /// lookup on the fast path never scans the database.
-    fp: ContentFp,
+    /// The last committed transaction's net change, for the undo rung.
+    /// `None` after a transaction that failed past its commit.
+    last: Option<NetChange>,
 }
 
 impl Monitor {
     /// A monitor over an initially empty database. `budget` (including its
-    /// engine) applies to every decision; keep it fixed so memoized verdicts
-    /// stay valid — escalate individual settings with [`Monitor::escalate`].
+    /// engine) applies to every decision; escalate individual settings with
+    /// [`Monitor::escalate`].
     pub fn new(
         schema: Schema,
         master_schema: Schema,
@@ -794,23 +728,16 @@ impl Monitor {
             return Err(MonitorError::Data(DataError::SchemaMismatch));
         }
         let db = Database::empty(&schema);
-        let mut fp = ContentFp::EMPTY;
-        for (rel, inst) in dm.iter() {
-            for t in inst.iter() {
-                fp.toggle(Target::Master, rel, t, true);
-            }
-        }
         Ok(Monitor {
             schema,
             master_schema,
             db,
             dm,
             budget,
-            memo_cap: MEMO_CAP,
             settings: Vec::new(),
             txn_seq: 0,
             counters: MonitorCounters::default(),
-            fp,
+            last: None,
         })
     }
 
@@ -832,21 +759,6 @@ impl Monitor {
     /// The per-decision budget (engine included).
     pub fn budget(&self) -> &SearchBudget {
         &self.budget
-    }
-
-    /// Override the per-setting verdict-memo capacity (default 32, minimum
-    /// 1). Evictions are counted in [`MonitorCounters::memo_evict`] and
-    /// emitted as `monitor.memo.evict`. Memoization is a pure cache: the
-    /// capacity changes how often verdicts are replayed bitwise from memory
-    /// versus re-decided, never the verdicts themselves.
-    pub fn with_memo_cap(mut self, cap: usize) -> Self {
-        self.memo_cap = cap.max(1);
-        self
-    }
-
-    /// The per-setting verdict-memo capacity.
-    pub fn memo_cap(&self) -> usize {
-        self.memo_cap
     }
 
     /// Cumulative work/skip counters.
@@ -881,9 +793,10 @@ impl Monitor {
 
     /// FNV-1a digest of the monitor's *semantic* state: both databases and
     /// every setting's verdict and partial-closure flag. A transaction
-    /// followed by its exact inverse restores this digest bitwise. The memo
-    /// cache, cached frontiers, compiled plans with their staleness flag,
-    /// and counters are deliberately excluded — they record *how* the state
+    /// followed by its exact inverse restores this digest bitwise (the undo
+    /// rung replays each verdict it replaced). The undo slots, anchors,
+    /// cached frontiers, compiled plans with their staleness flag, and
+    /// counters are deliberately excluded — they record *how* the state
     /// was reached, not what it is (see DESIGN §12).
     pub fn state_digest(&self) -> u64 {
         let mut h: u64 = 0xcbf2_9ce4_8422_2325;
@@ -963,8 +876,7 @@ impl Monitor {
             recert,
             pc: false,
             state: SettingVerdict::NotPartiallyClosed,
-            memo: BTreeMap::new(),
-            memo_order: VecDeque::new(),
+            undo: None,
             anchors: VecDeque::new(),
             frontier: None,
             stale_plan: false,
@@ -977,7 +889,7 @@ impl Monitor {
             .map_err(RcError::from)?;
         if reg.pc {
             let guard = Guard::new(&self.budget);
-            let state = decide(
+            reg.state = decide(
                 &mut reg,
                 &self.db,
                 &self.budget,
@@ -985,10 +897,6 @@ impl Monitor {
                 probe,
                 &mut self.counters,
             )?;
-            let evicted = reg.memoize(&self.fp, &self.db, &self.dm, &state, self.memo_cap);
-            self.counters.memo_evict += evicted;
-            probe.count("monitor.memo.evict", evicted);
-            reg.state = state;
             reg.note_verdict();
         }
         let id = SettingId(self.settings.len());
@@ -1033,7 +941,8 @@ impl Monitor {
         self.txn_seq += 1;
         let seq = self.txn_seq;
         if net.is_empty() {
-            // The transaction nets to nothing: every setting skips.
+            // The transaction nets to nothing: every setting skips, and the
+            // state (so the last transaction's undo) is unchanged.
             let n = self.settings.len() as u64;
             self.counters.skip += n;
             probe.count("monitor.skip", n);
@@ -1047,25 +956,13 @@ impl Monitor {
             plans.push(self.phase_a(s, &net)?);
         }
 
-        // Phase B: commit the net changes and fold them into the content
-        // fingerprint (every net op toggles exactly one membership). A
+        // Phase B: commit the net changes. The last transaction is taken
+        // first, so one that fails past this point leaves no undo behind. A
         // master-data change drops every Complete anchor: each was decided
         // under the old master data.
+        let undoes = self.last.take().is_some_and(|last| net.undoes(&last));
         apply_net(&mut self.db, &net.ins_db, &net.del_db);
         apply_net(&mut self.dm, &net.ins_m, &net.del_m);
-        let sides = [
-            (Target::Db, &net.ins_db, &net.del_db),
-            (Target::Master, &net.ins_m, &net.del_m),
-        ];
-        for (target, ins, del) in sides {
-            for (delta, inserted) in [(ins, true), (del, false)] {
-                for (rel, inst) in delta.iter() {
-                    for t in inst.iter() {
-                        self.fp.toggle(target, rel, t, inserted);
-                    }
-                }
-            }
-        }
         if !net.touched_m.is_empty() {
             for s in &mut self.settings {
                 s.anchors.clear();
@@ -1076,7 +973,7 @@ impl Monitor {
         // fast paths, re-decide where nothing cheaper is sound.
         let mut changes = Vec::new();
         for (i, plan) in plans.into_iter().enumerate() {
-            let (action_skip, change) = self.phase_c(i, plan, &net, seq, guard, probe)?;
+            let (action_skip, change) = self.phase_c(i, plan, &net, undoes, seq, guard, probe)?;
             if action_skip {
                 self.counters.skip += 1;
                 probe.count("monitor.skip", 1);
@@ -1086,6 +983,7 @@ impl Monitor {
                 changes.push(c);
             }
         }
+        self.last = Some(net);
         self.emit_gauges(probe);
         Ok(changes)
     }
@@ -1093,9 +991,11 @@ impl Monitor {
     /// Re-decide one setting at a (typically larger) budget, resuming from
     /// its cached [`Checkpoint`] frontier when the database has not changed
     /// since the frontier was captured. The monitor's own budget is
-    /// unchanged; a *decided* escalated verdict (Complete/Incomplete) is
-    /// recorded and memoized — it is correct at any budget — while a still-
-    /// `Unknown` verdict updates the frontier for the next installment.
+    /// unchanged. The escalated verdict becomes the setting's verdict, and
+    /// a still-`Unknown` one updates the frontier for the next installment.
+    /// The database is unchanged, so an exact inverse of the last
+    /// transaction still replays the verdict from before it, and a redo
+    /// after that replays the escalated one.
     pub fn escalate(
         &mut self,
         id: SettingId,
@@ -1122,16 +1022,6 @@ impl Monitor {
         let guard = Guard::new(budget);
         let verdict = s.rcdp(&self.db, budget, &guard, true, probe, &mut self.counters)?;
         let new_state = SettingVerdict::Decided(verdict);
-        // Only budget-independent verdicts enter the memo: an `Unknown` at
-        // the escalated budget says nothing about the monitor's own budget.
-        if matches!(
-            new_state,
-            SettingVerdict::Decided(Verdict::Complete | Verdict::Incomplete(_))
-        ) {
-            let evicted = s.memoize(&self.fp, &self.db, &self.dm, &new_state, self.memo_cap);
-            self.counters.memo_evict += evicted;
-            probe.count("monitor.memo.evict", evicted);
-        }
         let from = s.state.status();
         let to = new_state.status();
         s.state = new_state;
@@ -1268,11 +1158,13 @@ impl Monitor {
         })
     }
 
+    #[allow(clippy::too_many_arguments)]
     fn phase_c(
         &mut self,
         idx: usize,
         action: Action,
         net: &NetChange,
+        undoes: bool,
         seq: u64,
         guard: &Guard,
         probe: Probe<'_>,
@@ -1332,32 +1224,26 @@ impl Monitor {
             }
         };
         let from = s.state.status();
+        let replay = if undoes { s.undo.take() } else { None };
         let new_state = if !pc_post {
             SettingVerdict::NotPartiallyClosed
-        } else if let Some(hit) = s.memo_lookup(&self.fp, &self.db, &self.dm) {
-            // Memo first, shortcuts second: a revisited state (e.g. a txn
-            // undone by its inverse) reproduces its recorded verdict
-            // *bitwise*, where the shortcuts would only reproduce it up to
-            // witness choice. The key is the incrementally maintained
-            // content fingerprint, so this lookup is O(1).
+        } else if let Some(prior) = replay {
+            // Undo first, shortcuts second: the transaction undid the last
+            // one, so the state is the one `prior` was decided on, and it
+            // comes back *bitwise*, where the shortcuts would only reproduce
+            // it up to witness choice.
             self.counters.memo_hit += 1;
             probe.count("monitor.memo.hit", 1);
-            hit
+            prior
         } else {
-            let state = match shortcut(s, &self.db, probe, &mut self.counters) {
+            match shortcut(s, &self.db, probe, &mut self.counters) {
                 Some(state) => state,
                 None => decide(s, &self.db, &self.budget, guard, probe, &mut self.counters)?,
-            };
-            // Shortcut outcomes are memoized too, so a later revisit of this
-            // fingerprint replays them exactly.
-            let evicted = s.memoize(&self.fp, &self.db, &self.dm, &state, self.memo_cap);
-            self.counters.memo_evict += evicted;
-            probe.count("monitor.memo.evict", evicted);
-            state
+            }
         };
         s.pc = pc_post;
         let to = new_state.status();
-        s.state = new_state;
+        s.undo = replayable(std::mem::replace(&mut s.state, new_state));
         s.note_verdict();
         let change = (from != to).then_some(VerdictChange {
             setting: SettingId(idx),
@@ -1390,112 +1276,20 @@ impl Monitor {
     }
 }
 
-/// The Mersenne prime 2⁶¹ − 1, the modulus of the fingerprint's second lane.
-const LANE2_P: u64 = (1 << 61) - 1;
-
-/// An order- and history-independent fingerprint of the `(target, relation,
-/// tuple)` memberships of `(D, D_m)`, updated in O(1) per membership
-/// change.
-///
-/// Each membership hashes to three 64-bit words through a nonlinear mixer
-/// over the tuple's values. The memo key is the sum modulo 2¹²⁸ of the first
-/// two words: carries make it nonlinear over GF(2), so no subset of tuples
-/// cancels the way an XOR of hashes does. The second lane is the product of
-/// the third word modulo 2⁶¹ − 1, kept as a fraction (inserts multiply the
-/// numerator, deletes the denominator) so that no update needs an inverse.
-struct ContentFp {
-    key: u128,
-    /// `(numerator, denominator)` of the second lane.
-    lane2: (u64, u64),
-}
-
-impl ContentFp {
-    /// The fingerprint of two empty databases.
-    const EMPTY: ContentFp = ContentFp {
-        key: 0,
-        lane2: (1, 1),
-    };
-
-    /// Add (`inserted`) or remove one membership.
-    fn toggle(&mut self, target: Target, rel: RelId, t: &Tuple, inserted: bool) {
-        let [a, b, c] = membership_words(target, rel, t);
-        let h = (u128::from(a) << 64) | u128::from(b);
-        let x = c % (LANE2_P - 1) + 1;
-        if inserted {
-            self.key = self.key.wrapping_add(h);
-            self.lane2.0 = mul_p(self.lane2.0, x);
-        } else {
-            self.key = self.key.wrapping_sub(h);
-            self.lane2.1 = mul_p(self.lane2.1, x);
+/// `state` if an exact undo may replay it: never the decider's defensive
+/// `NotPartiallyClosed` (see [`decide`]), and never an `Unknown` cut by a
+/// deadline or a cancellation, which is not a function of the decision's
+/// inputs and would let timing leak into a replay.
+fn replayable(state: SettingVerdict) -> Option<SettingVerdict> {
+    match &state {
+        SettingVerdict::NotPartiallyClosed => None,
+        SettingVerdict::Decided(Verdict::Unknown { stats })
+            if matches!(stats.limit, BudgetLimit::Deadline | BudgetLimit::Cancelled) =>
+        {
+            None
         }
+        SettingVerdict::Decided(_) => Some(state),
     }
-
-    /// Do the second lanes agree (cross-multiplied fractions)?
-    fn same_lane2(&self, other: (u64, u64)) -> bool {
-        mul_p(self.lane2.0, other.1) == mul_p(other.0, self.lane2.1)
-    }
-}
-
-/// Three independently seeded hashes of one membership, each word a chain
-/// of SplitMix64 finalizers over the target, relation, arity, and values
-/// (integers by value, strings by their bytes).
-fn membership_words(target: Target, rel: RelId, t: &Tuple) -> [u64; 3] {
-    let mut w = [
-        0x243f_6a88_85a3_08d3_u64,
-        0x1319_8a2e_0370_7344,
-        0xa409_3822_299f_31d0,
-    ];
-    let mut eat = |x: u64| {
-        for h in &mut w {
-            *h = mix64(*h ^ x);
-        }
-    };
-    eat(u64::from(target == Target::Master));
-    eat(rel.0 as u64);
-    eat(t.arity() as u64);
-    for v in t.iter() {
-        match v {
-            Value::Int(i) => {
-                eat(1);
-                eat(*i as u64);
-            }
-            Value::Str(s) => {
-                eat(2);
-                eat(s.len() as u64);
-                for chunk in s.as_bytes().chunks(8) {
-                    let mut buf = [0u8; 8];
-                    buf[..chunk.len()].copy_from_slice(chunk);
-                    eat(u64::from_le_bytes(buf));
-                }
-            }
-        }
-    }
-    w
-}
-
-/// The SplitMix64 output function.
-fn mix64(z: u64) -> u64 {
-    let z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    let z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
-/// `a · b mod (2⁶¹ − 1)` for `a, b < 2⁶¹`.
-fn mul_p(a: u64, b: u64) -> u64 {
-    let z = u128::from(a) * u128::from(b);
-    let r = (z as u64 & LANE2_P) + (z >> 61) as u64;
-    if r >= LANE2_P {
-        r - LANE2_P
-    } else {
-        r
-    }
-}
-
-/// `|R|` for every relation of `db`, then of `dm`: what a memo hit must
-/// also match.
-fn cards<'a>(db: &'a Database, dm: &'a Database) -> impl Iterator<Item = usize> + 'a {
-    db.iter().chain(dm.iter()).map(|(_, inst)| inst.len())
 }
 
 /// Commit net inserts and deletes into one database.
@@ -1512,8 +1306,8 @@ fn apply_net(db: &mut Database, ins: &Database, del: &Database) {
     }
 }
 
-/// The answers that need no search, for a partially closed database whose
-/// state the memo did not know: `Complete` from a contained anchor, or
+/// The answers that need no search, for a partially closed database the
+/// undo rung did not answer: `Complete` from a contained anchor, or
 /// `Incomplete` from a cached counterexample that still certifies.
 fn shortcut(
     s: &Registered,
@@ -1549,7 +1343,7 @@ fn shortcut(
 }
 
 /// Full re-decision for one setting on the current database:
-/// plan-staleness replan, frontier resume, decide. The caller memoizes.
+/// plan-staleness replan, frontier resume, decide.
 fn decide(
     s: &mut Registered,
     db: &Database,

@@ -1,5 +1,6 @@
 //! Unit behavior of the [`Monitor`]: verdict transitions, skip/fast-path
-//! counters, memoization, plan staleness, escalation, and telemetry.
+//! counters, the exact one-step undo, plan staleness, escalation, and
+//! telemetry.
 //!
 //! The shared fixture is the smallest setting with a non-trivial verdict:
 //! `R(a, b)` constrained by `Q(B) :- R(A, B) ⊆ M` against master `M(b) =
@@ -109,8 +110,8 @@ fn constraint_violation_flips_to_npc_and_repair_restores_via_memo() {
         Status::NotPartiallyClosed
     );
 
-    // Repairing restores the exact prior state; the verdict comes from the
-    // fingerprint memo, not a re-decision.
+    // Repairing exactly undoes the violating transaction; the verdict is
+    // replayed, not re-decided.
     let changes = mon
         .apply(&Txn::new([Op::delete(r(), t(&[30, 5]))]))
         .unwrap();
@@ -324,8 +325,7 @@ fn planned_engine_detects_cardinality_drift_then_replans() {
     assert_eq!(mon.counters().replan, 0);
 
     // The next decision (deleting an anchor tuple leaves no anchor to
-    // answer, at a fresh fingerprint so the memo cannot either) replans
-    // first — and the
+    // answer, and the transaction undoes nothing) replans first — and the
     // refreshed plan returns the same verdict.
     let changes = mon
         .apply(&Txn::new([Op::delete(r(), t(&[30, 1]))]))

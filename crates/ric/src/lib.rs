@@ -55,8 +55,8 @@
 //! * [`monitor`] — streaming incremental monitoring: a [`Monitor`] keeps
 //!   many registered settings' RCDP verdicts continuously up to date across
 //!   a transactional insert/delete stream, with footprint-based skipping,
-//!   Complete anchors, overlay recertification of counterexamples, and
-//!   fingerprint memoization (see
+//!   Complete anchors, overlay recertification of counterexamples, and an
+//!   exact one-step undo (see
 //!   `examples/monitor_stream.rs` and DESIGN.md §12);
 //! * [`analysis`] — the static pass in front of the deciders: typed
 //!   diagnostics (`RIC001`…) and certified minimal-fragment classification.

@@ -9,8 +9,9 @@
 //! answered while transactions stream in. A [`ric::Monitor`] keeps the
 //! verdict current incrementally: transactions outside the setting's
 //! footprint cost O(1), a database that still contains a state decided
-//! Complete is Complete without search, and a repaired database replays its
-//! memoized verdict instead of re-searching.
+//! Complete is Complete without search, and a transaction that exactly
+//! undoes the one before it (a repair) replays the verdict that one
+//! replaced instead of re-searching.
 
 use ric::prelude::*;
 use ric::{Monitor, Op, Status, Txn};
@@ -67,8 +68,8 @@ fn main() {
     mon.apply(&growth).unwrap();
     report(&mon, id, "after insert-only growth");
 
-    // A bad insert breaks partial closure; deleting it restores the old
-    // verdict from the fingerprint memo — again without a search.
+    // A bad insert breaks partial closure; deleting it exactly undoes that
+    // transaction, so the old verdict is replayed — again without a search.
     let bad = Tuple::new([Value::str("e9"), Value::str("c9")]);
     mon.apply(&Txn::new([Op::insert(supt, bad.clone())]))
         .unwrap();
@@ -83,7 +84,7 @@ fn main() {
 
     let c = mon.counters();
     println!(
-        "work: {} decisions, {} memo hits, {} anchor hits, {} skips, {} incremental pc checks",
+        "work: {} decisions, {} undo replays, {} anchor hits, {} skips, {} incremental pc checks",
         c.redecide, c.memo_hit, c.anchor_hit, c.skip, c.cc_delta
     );
 }

@@ -62,12 +62,14 @@
 #                              metamorphic suite (inversion, coalescing,
 #                              splitting, monotonicity) plus the
 #                              tombstone-edge suite (net no-op txns, digest
-#                              stability, capped-memo eviction) and the
-#                              rung suite (adversarial memo, anchor, and
+#                              stability, inversion across tombstones) and
+#                              the rung suite (adversarial undo, anchor, and
 #                              recert cases against from-scratch decisions;
 #                              the recert and anchor rungs allocate the same
 #                              on a 4x larger database, --release; a stream
-#                              over every rung is probe-capture neutral)
+#                              over every rung is probe-capture neutral);
+#                              then the monitor_stream example runs, its
+#                              repair step replaying the verdict by undo
 #  11. panic-path faults      (guard_robustness sink-flush test plus the
 #                              ric-trace torn-record suite)
 #  12. paper properties       (cargo test --test paper_properties)
@@ -220,17 +222,23 @@ cargo test -q --offline --test monitor_metamorphic
 
 # Tombstone edges: insert→delete and delete→reinsert within one txn are net
 # no-ops, the state digest is content-addressed (stable across commuting op
-# orderings), and a capacity-1 verdict memo evicts without changing verdicts.
-step "monitor tombstone-edge suite (net no-ops, digest stability, memo cap)"
+# orderings), and an inverse restores it across mixed tombstones.
+step "monitor tombstone-edge suite (net no-ops, digest stability, inversion)"
 cargo test -q --offline --test monitor_tombstone_edges
 
-# Monitor rungs: every shortcut (memo, Complete anchors, counterexample
-# recertification) attacked where it could go wrong and compared with a
-# from-scratch decision; the recert and anchor rungs must allocate the same
-# on a database 4x larger; and a stream over every rung must be identical
-# with probe capture on and off.
+# Monitor rungs: every shortcut (exact undo, Complete anchors,
+# counterexample recertification) attacked where it could go wrong and
+# compared with a from-scratch decision; the recert and anchor rungs must
+# allocate the same on a database 4x larger; and a stream over every rung
+# must be identical with probe capture on and off.
 step "monitor rung suite (adversarial shortcuts, O(|delta|) allocations, --release)"
 cargo test -q --offline --release --test monitor_rungs
+
+# The streaming example end to end: registration, a verdict flip, anchored
+# growth, a partial-closure break and its repair (an exact undo), and a
+# footprint skip.
+step "monitor example (the monitor_stream example runs to completion)"
+cargo run -q --release --offline --example monitor_stream > /dev/null
 
 # Panic path: an injected panic must still flush buffered telemetry sinks,
 # and a torn trace record must be rejected, not rendered.

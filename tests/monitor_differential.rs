@@ -5,7 +5,7 @@
 //!
 //! This pins every fast path the [`Monitor`] takes — footprint skips,
 //! net-change coalescing, incremental partial closure, Complete
-//! monotonicity, counterexample re-certification, fingerprint memoization,
+//! monotonicity, counterexample re-certification, the exact one-step undo,
 //! frontier resumption — to the ground truth it is supposed to shortcut.
 //! Equality means:
 //!

@@ -3,7 +3,9 @@
 //! ground-truth pinning in `monitor_differential.rs`.
 //!
 //! 1. **Inversion** — a transaction followed by its exact inverse restores
-//!    the monitor's semantic state bitwise ([`Monitor::state_digest`]).
+//!    the monitor's semantic state bitwise ([`Monitor::state_digest`]): the
+//!    inverse replays each verdict the transaction replaced, witnesses
+//!    included.
 //! 2. **Coalescing** — a transaction and its op-coalesced form (redundant
 //!    insert/delete churn removed) produce identical verdicts *and*
 //!    identical work counters: the monitor keys on net changes only.

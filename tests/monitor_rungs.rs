@@ -1,5 +1,5 @@
-//! Adversarial tests for the monitor's shortcut rungs: the fingerprint
-//! memo, Complete anchors, and counterexample recertification.
+//! Adversarial tests for the monitor's shortcut rungs: the exact one-step
+//! undo, Complete anchors, and counterexample recertification.
 //!
 //! Each case drives a [`Monitor`] into the state a shortcut could get wrong
 //! and compares its verdict with a from-scratch [`Request`] decision on the
@@ -11,9 +11,12 @@
 //! * an anchor tuple deleted and re-inserted, with and without a master-data
 //!   change in between, and anchor-cap eviction;
 //! * an FO query and an FO constraint body, which must take the fallback;
-//! * an insert set that collides under the old XOR-of-FNV memo key, built by
-//!   Gaussian elimination over GF(2)⁶⁴, after which the monitor must
-//!   re-decide rather than replay.
+//! * an insert set that collides under an earlier XOR-of-FNV memo key,
+//!   built by Gaussian elimination over GF(2)⁶⁴, after which the monitor
+//!   must re-decide rather than replay;
+//! * the undo rung: a return to an older state, an inverse of only the `D`
+//!   side of a mixed transaction, a master-data inverse, a deadline-cut
+//!   post-state, and an escalation between a transaction and its inverse.
 //!
 //! Two further contracts ride along: the recert and anchor rungs allocate
 //! the same on a database 4× larger (their cost follows `|Δ|`, not `|D|`),
@@ -156,9 +159,21 @@ fn apply(mon: &mut Monitor, ops: impl IntoIterator<Item = Op>) {
 /// on the monitor's current `(D, D_m)`: the same kind, and for `Incomplete`
 /// both counterexamples certify.
 fn assert_truth(mon: &Monitor, id: SettingId, v: &ConstraintSet, q: &Query, ctx: &str) {
+    assert_truth_at(mon, mon.budget(), id, v, q, ctx);
+}
+
+/// [`assert_truth`] against a from-scratch decision under `budget`.
+fn assert_truth_at(
+    mon: &Monitor,
+    budget: &SearchBudget,
+    id: SettingId,
+    v: &ConstraintSet,
+    q: &Query,
+    ctx: &str,
+) {
     let setting = Setting::new(schema(), master_schema(), mon.dm().clone(), v.clone());
     let fresh = ric::complete::Request::new(&setting)
-        .budget(mon.budget())
+        .budget(budget)
         .rcdp(q, mon.db())
         .map(|o| o.verdict);
     match (mon.verdict(id).unwrap(), fresh) {
@@ -338,7 +353,7 @@ fn master_change_between_delete_and_reinsert_drops_the_anchor() {
 /// of a kept anchor is still answered by it.
 #[test]
 fn anchor_cap_evicts_the_oldest_anchor() {
-    let mut mon = monitor(Engine::Planned).with_memo_cap(1);
+    let mut mon = monitor(Engine::Planned);
     let (v, q) = (ind_set(), e0_query("Supt"));
     let id = mon.register("ind", v.clone(), q.clone()).unwrap();
     let marker = |i: usize| row(&format!("m{i}"), "d", "c1");
@@ -363,6 +378,7 @@ fn anchor_cap_evicts_the_oldest_anchor() {
         assert_truth(&mon, id, &v, &q, &format!("anchor {i}"));
     }
     let (redecides, anchor_hits) = (mon.counters().redecide, mon.counters().anchor_hit);
+    let replays = mon.counters().memo_hit;
     apply(
         &mut mon,
         [Op::delete(supt(), marker(4)), Op::insert(supt(), marker(0))],
@@ -373,6 +389,11 @@ fn anchor_cap_evicts_the_oldest_anchor() {
         "the first anchor is gone"
     );
     assert_eq!(mon.counters().anchor_hit, anchor_hits);
+    assert_eq!(
+        mon.counters().memo_hit,
+        replays,
+        "a revisit four transactions back is not an undo"
+    );
     assert_truth(&mon, id, &v, &q, "back at the first anchor");
 
     apply(&mut mon, [Op::insert(supt(), marker(2))]);
@@ -489,9 +510,10 @@ fn xor_subset(pool: &[u64], target: u64) -> Option<Vec<usize>> {
     (rest == 0).then(|| (0..pool.len()).filter(|&i| mask >> i & 1 == 1).collect())
 }
 
-/// A set of inserts whose old-key hashes XOR to zero, so the old monitor
-/// found the pre-state's memo entry and replayed `Incomplete` for a state
-/// that is `Complete`. The monitor must re-decide instead.
+/// A set of inserts whose hashes cancel under the XOR-of-FNV key that an
+/// earlier monitor memoized verdicts under: that monitor found the
+/// pre-state's entry and replayed `Incomplete` for a state that is
+/// `Complete`. Only an exact undo replays now, so the monitor re-decides.
 #[test]
 fn colliding_insert_set_for_the_old_key_is_re_decided() {
     let mut mon = monitor(Engine::Planned);
@@ -518,6 +540,175 @@ fn colliding_insert_set_for_the_old_key_is_re_decided() {
     assert_eq!(mon.counters().redecide, redecides + 1, "re-decided");
     assert_eq!(mon.verdict(id).unwrap().status(), Status::Complete);
     assert_truth(&mon, id, &v, &q, "after the colliding insert set");
+}
+
+/// T1 completes the state, T2 grows it, and one transaction then returns
+/// to the state before T1. It does not undo T2, so the verdict T2 replaced
+/// (`Complete`) must not be replayed: the state is `Incomplete` again.
+#[test]
+fn a_return_past_the_last_transaction_is_not_replayed() {
+    let mut mon = monitor(Engine::Planned);
+    let (v, q) = (ind_set(), e0_query("Supt"));
+    let id = mon.register("ind", v.clone(), q.clone()).unwrap();
+    apply(&mut mon, [Op::insert(supt(), row("e0", "d", "c1"))]);
+    assert_eq!(mon.verdict(id).unwrap().status(), Status::Incomplete);
+    let (heal, noise) = (row("e0", "d", "c2"), row("x1", "d", "c1"));
+    apply(&mut mon, [Op::insert(supt(), heal.clone())]);
+    apply(&mut mon, [Op::insert(supt(), noise.clone())]);
+    assert_eq!(mon.verdict(id).unwrap().status(), Status::Complete);
+
+    let replays = mon.counters().memo_hit;
+    apply(
+        &mut mon,
+        [Op::delete(supt(), heal), Op::delete(supt(), noise)],
+    );
+    assert_eq!(mon.counters().memo_hit, replays, "no replay");
+    assert_eq!(mon.verdict(id).unwrap().status(), Status::Incomplete);
+    assert_truth(&mon, id, &v, &q, "back before T1");
+}
+
+/// A transaction that grows both `D` and `D_m`, then one that undoes only
+/// its `D` side. The master data is still grown, so the verdict from before
+/// the first (`Complete`) must not be replayed.
+#[test]
+fn undoing_only_the_database_side_is_not_replayed() {
+    let mut mon = monitor(Engine::Planned);
+    let (v, q) = (ind_set(), e0_query("Supt"));
+    let id = mon.register("ind", v.clone(), q.clone()).unwrap();
+    apply(
+        &mut mon,
+        [
+            Op::insert(supt(), row("e0", "d", "c1")),
+            Op::insert(supt(), row("e0", "d", "c2")),
+        ],
+    );
+    assert_eq!(mon.verdict(id).unwrap().status(), Status::Complete);
+    let added = row("e0", "d", "c3");
+    apply(
+        &mut mon,
+        [
+            Op::master_insert(dcust(), cust("c3")),
+            Op::insert(supt(), added.clone()),
+        ],
+    );
+    assert_truth(&mon, id, &v, &q, "after the mixed transaction");
+
+    let replays = mon.counters().memo_hit;
+    apply(&mut mon, [Op::delete(supt(), added)]);
+    assert_eq!(mon.counters().memo_hit, replays, "no replay");
+    assert_eq!(
+        mon.verdict(id).unwrap().status(),
+        Status::Incomplete,
+        "e0 may still support c3"
+    );
+    assert_truth(&mon, id, &v, &q, "after the D-side inverse");
+}
+
+/// A master-data transaction forces a re-preparation and a re-decision;
+/// its inverse re-prepares again and replays the verdict from before it,
+/// counterexample included, so the state digest comes back bitwise.
+#[test]
+fn a_master_data_inverse_replays_and_restores_the_digest() {
+    let mut mon = monitor(Engine::Planned);
+    let (v, q) = (ind_set(), e0_query("Supt"));
+    let id = mon.register("ind", v.clone(), q.clone()).unwrap();
+    apply(&mut mon, [Op::insert(supt(), row("e0", "d", "c1"))]);
+    let (digest, before) = (mon.state_digest(), mon.verdict(id).unwrap().clone());
+    let txn = Txn::new([Op::master_insert(dcust(), cust("c3"))]);
+    mon.apply(&txn).unwrap();
+    assert_truth(&mon, id, &v, &q, "after the master insert");
+
+    let c = mon.counters().clone();
+    mon.apply(&txn.inverse()).unwrap();
+    assert_eq!(mon.counters().reprepare, c.reprepare + 1);
+    assert_eq!(mon.counters().memo_hit, c.memo_hit + 1, "replayed");
+    assert_eq!(mon.counters().redecide, c.redecide);
+    assert_eq!(mon.verdict(id).unwrap(), &before);
+    assert_eq!(mon.state_digest(), digest);
+    assert_truth(&mon, id, &v, &q, "after the master delete");
+}
+
+/// A post-state cut by a deadline is `Unknown` for a reason that is not a
+/// function of the state, so it is never replayed: after T1 (under a
+/// deadline), its inverse, and T1 again, the redo is re-decided.
+#[test]
+fn a_deadline_cut_post_state_is_re_decided_on_the_redo() {
+    let mut mon = monitor(Engine::Planned);
+    let (v, q) = (ind_set(), e0_query("Supt"));
+    let id = mon.register("ind", v.clone(), q.clone()).unwrap();
+    apply(&mut mon, [Op::insert(supt(), row("e0", "d", "c1"))]);
+    let txn = Txn::new([Op::insert(supt(), row("e0", "d", "c2"))]);
+    let guard = Guard::new(mon.budget()).with_fault_plan(FaultPlan::new().deadline_at_tick(0));
+    mon.apply_guarded(&txn, &guard, Probe::disabled()).unwrap();
+    match mon.verdict(id).unwrap() {
+        SettingVerdict::Decided(Verdict::Unknown { stats }) => {
+            assert_eq!(stats.limit, BudgetLimit::Deadline);
+        }
+        other => panic!("expected a deadline Unknown, got {other:?}"),
+    }
+
+    let c = mon.counters().clone();
+    mon.apply(&txn.inverse()).unwrap();
+    assert_eq!(
+        mon.counters().memo_hit,
+        c.memo_hit + 1,
+        "the inverse replays"
+    );
+    assert_truth(&mon, id, &v, &q, "after the inverse");
+
+    let c = mon.counters().clone();
+    mon.apply(&txn).unwrap();
+    assert_eq!(mon.counters().memo_hit, c.memo_hit, "no replay");
+    assert_eq!(mon.counters().redecide, c.redecide + 1, "re-decided");
+    assert_eq!(mon.verdict(id).unwrap().status(), Status::Complete);
+    assert_truth(&mon, id, &v, &q, "after the redo");
+}
+
+/// A starved monitor leaves the post-state of a transaction `Unknown`, and
+/// an escalation decides it. The inverse replays the verdict from before
+/// the transaction, and the redo replays the escalated one: a re-decision
+/// under the starved budget would be `Unknown` again.
+#[test]
+fn escalation_between_a_transaction_and_its_inverse_is_replayed() {
+    let starved = SearchBudget {
+        max_valuations: 1,
+        max_candidates: 1,
+        ..budget(Engine::Planned)
+    };
+    let ample = budget(Engine::Planned);
+    let mut mon = Monitor::new(schema(), master_schema(), dm(), starved).unwrap();
+    let (v, q) = (fd_set(), e0_query("Emp"));
+    let id = mon.register("fd", v.clone(), q.clone()).unwrap();
+    mon.escalate(id, &ample).unwrap();
+    let before = mon.verdict(id).unwrap().clone();
+    assert_eq!(before.status(), Status::Incomplete);
+
+    // Pinning e0's row makes the query's answer fixed: `Complete`, which
+    // the starved budget cannot prove.
+    let txn = Txn::new([Op::insert(emp(), row("e0", "d", "c1"))]);
+    mon.apply(&txn).unwrap();
+    assert_eq!(mon.verdict(id).unwrap().status(), Status::Unknown);
+    mon.escalate(id, &ample).unwrap();
+    let escalated = mon.verdict(id).unwrap().clone();
+    assert_eq!(escalated.status(), Status::Complete);
+
+    let c = mon.counters().clone();
+    mon.apply(&txn.inverse()).unwrap();
+    assert_eq!(
+        mon.counters().memo_hit,
+        c.memo_hit + 1,
+        "the inverse replays"
+    );
+    assert_eq!(mon.counters().redecide, c.redecide);
+    assert_eq!(mon.verdict(id).unwrap(), &before);
+    assert_truth_at(&mon, &ample, id, &v, &q, "after the inverse");
+
+    let c = mon.counters().clone();
+    mon.apply(&txn).unwrap();
+    assert_eq!(mon.counters().memo_hit, c.memo_hit + 1, "the redo replays");
+    assert_eq!(mon.counters().redecide, c.redecide);
+    assert_eq!(mon.verdict(id).unwrap(), &escalated);
+    assert_truth_at(&mon, &ample, id, &v, &q, "after the redo");
 }
 
 /// A randomized stream over both settings with deletes, re-inserts, and

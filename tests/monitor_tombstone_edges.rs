@@ -9,15 +9,14 @@
 //! * re-inserting a tuple after deleting it in the same transaction
 //!   (delete → insert of a present tuple) must be a net no-op;
 //! * the semantic state digest must be a pure function of the net effect —
-//!   two op orderings with the same net effect converge to the same digest,
-//!   fingerprints, and verdicts.
+//!   two op orderings with the same net effect converge to the same digest
+//!   and verdicts.
 //!
-//! Also pins the [`Monitor::with_memo_cap`] satellite: a capacity-1 memo
-//! evicts (counted in `memo_evict`) yet never changes verdicts — the memo
-//! is a replay cache, not a soundness device.
+//! A transaction followed by its inverse must also restore the digest when
+//! the forward transaction mixes inserts and tombstones: the undo rung
+//! replays each verdict it replaced.
 
 use ric::prelude::*;
-use ric::Engine;
 
 /// One support table IND-bounded by a master list, plus the matching
 /// completeness question (the Example 1.1 shape).
@@ -144,55 +143,4 @@ fn inverse_restores_digest_across_mixed_tombstones() {
     assert_ne!(mon.state_digest(), before);
     mon.apply(&inv).unwrap();
     assert_eq!(mon.state_digest(), before);
-}
-
-/// `with_memo_cap(1)`: ping-ponging between two states forces evictions
-/// (visible in `memo_evict`) while verdicts stay exactly what a capacious
-/// memo produces.
-#[test]
-fn memo_cap_one_evicts_but_never_changes_verdicts() {
-    let (schema, master, dm, v, q, supt) = fixture();
-    let mut small = Monitor::new(
-        schema.clone(),
-        master.clone(),
-        dm.clone(),
-        SearchBudget::default().with_engine(Engine::Planned),
-    )
-    .unwrap()
-    .with_memo_cap(1);
-    assert_eq!(small.memo_cap(), 1);
-    let mut big = Monitor::new(
-        schema,
-        master,
-        dm,
-        SearchBudget::default().with_engine(Engine::Planned),
-    )
-    .unwrap();
-    let sid = small.register("supt", v.clone(), q.clone()).unwrap();
-    let bid = big.register("supt", v, q).unwrap();
-    let fwd = Txn::new([Op::insert(supt, tup("e1", "c1"))]);
-    let bwd = Txn::new([Op::delete(supt, tup("e1", "c1"))]);
-    for _ in 0..4 {
-        for txn in [&fwd, &bwd] {
-            small.apply(txn).unwrap();
-            big.apply(txn).unwrap();
-            // Status must agree; the exact witness may differ (an evicted
-            // memo re-derives it via the recertification fast path, which
-            // reproduces verdicts only up to witness choice).
-            assert_eq!(
-                small.verdict(sid).unwrap().status(),
-                big.verdict(bid).unwrap().status()
-            );
-            assert_eq!(small.db(), big.db());
-        }
-    }
-    assert!(
-        small.counters().memo_evict > 0,
-        "a capacity-1 memo must evict on this ping-pong stream"
-    );
-    assert_eq!(
-        big.counters().memo_evict,
-        0,
-        "the default capacity must not evict on a 2-state stream"
-    );
 }
